@@ -8,6 +8,7 @@ the fact instead of being dropped.
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .modal import (
     build_rectangle_helmholtz,
     build_synthetic,
     evaluate_exact,
+    nearest_pole,
     pole_list,
 )
 from .hilbert import complex_to_text, norm, pair_to_complex
@@ -70,30 +72,56 @@ def _require(cond, path, message):
         raise ConfigError(f"at {path}: {message}")
 
 
+def _number(value, path, positive=False):
+    """A finite (if asked, positive) JSON number, as a float."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max, path, "must be a finite number")
+    _require(value > 0 or not positive, path, "must be positive")
+    return float(value)
+
+
+def _complex(pair, path):
+    _require(isinstance(pair, list) and len(pair) == 2, path, "must be a [re, im] pair")
+    return complex(_number(pair[0], path), _number(pair[1], path))
+
+
+def _check_model(spec):
+    _require(isinstance(spec, dict), "$.model", "missing model object")
+    kind = spec.get("kind")
+    _require(kind in ("helmholtz", "synthetic"), "$.model.kind",
+             "must be 'helmholtz' or 'synthetic'")
+    if kind == "helmholtz":
+        for key, low in (("max_index", 4), ("quad_order", 20)):
+            value = spec.get(key, low)
+            _require(isinstance(value, int) and not isinstance(value, bool)
+                     and value >= low, f"$.model.{key}", f"must be an integer >= {low}")
+        _number(spec.get("nu_sq", 1.0), "$.model.nu_sq", positive=True)
+        _number(spec.get("theta", 0.0), "$.model.theta")
+        return
+    poles = spec.get("poles")
+    _require(isinstance(poles, list) and poles, "$.model.poles",
+             "must be a non-empty list of [re, im] pairs")
+    for i, pair in enumerate(poles):
+        _complex(pair, f"$.model.poles[{i}]")
+    norms = spec.get("residue_norms")
+    _require(isinstance(norms, list) and len(norms) == len(poles),
+             "$.model.residue_norms", f"must be a list of {len(poles)} positive "
+             "reals, one per pole")
+    for i, r in enumerate(norms):
+        _number(r, f"$.model.residue_norms[{i}]", positive=True)
+
+
 def parse_config(obj):
     """Validate a raw JSON object into a StudyConfig (ConfigError on failure)."""
     _require(isinstance(obj, dict), "$", "config must be a JSON object")
     model_spec = obj.get("model")
-    _require(isinstance(model_spec, dict), "$.model", "missing model object")
-    kind = model_spec.get("kind")
-    _require(kind in ("helmholtz", "synthetic"), "$.model.kind",
-             "must be 'helmholtz' or 'synthetic'")
-    if kind == "synthetic":
-        _require(isinstance(model_spec.get("poles"), list) and model_spec["poles"],
-                 "$.model.poles", "must be a non-empty list of [re, im] pairs")
-        _require(isinstance(model_spec.get("residue_norms"), list),
-                 "$.model.residue_norms", "must be a list of positive reals")
-
-    z0_pair = obj.get("z0")
-    _require(isinstance(z0_pair, list) and len(z0_pair) == 2, "$.z0",
-             "must be a [re, im] pair")
-    z0 = pair_to_complex(z0_pair)
+    _check_model(model_spec)
+    z0 = _complex(obj.get("z0"), "$.z0")
 
     K = obj.get("K")
     _require(isinstance(K, list) and len(K) == 2, "$.K", "must be [k_lo, k_hi]")
-    k_lo, k_hi = float(K[0]), float(K[1])
-    _require(math.isfinite(k_lo) and math.isfinite(k_hi) and k_lo < k_hi,
-             "$.K", "interval must be finite and increasing")
+    k_lo, k_hi = _number(K[0], "$.K[0]"), _number(K[1], "$.K[1]")
+    _require(k_lo < k_hi, "$.K", "interval must be increasing")
 
     M_list = obj.get("M_list")
     _require(isinstance(M_list, list) and M_list, "$.M_list",
@@ -112,23 +140,21 @@ def parse_config(obj):
     rho_rule = obj.get("rho_rule", {"factor": 1.0})
     _require(isinstance(rho_rule, dict) and "factor" in rho_rule, "$.rho_rule",
              "must be an object with a 'factor' entry")
-    rho_factor = float(rho_rule["factor"])
-    _require(rho_factor > 0.0, "$.rho_rule.factor", "must be positive")
+    rho_factor = _number(rho_rule["factor"], "$.rho_rule.factor", positive=True)
 
     grid_points = obj.get("grid_points", 101)
     _require(isinstance(grid_points, int) and grid_points >= 2, "$.grid_points",
              "must be an integer >= 2")
 
-    z_probes = []
-    for i, pair in enumerate(obj.get("z_probes", [])):
-        _require(isinstance(pair, list) and len(pair) == 2, f"$.z_probes[{i}]",
-                 "must be a [re, im] pair")
-        z_probes.append(pair_to_complex(pair))
+    z_probes = obj.get("z_probes", [])
+    _require(isinstance(z_probes, list), "$.z_probes", "must be a list of [re, im] pairs")
+    z_probes = [_complex(pair, f"$.z_probes[{i}]") for i, pair in enumerate(z_probes)]
 
     E_list = obj.get("E_list", [])
+    _require(isinstance(E_list, list), "$.E_list", "must be a list of integers")
     for i, E in enumerate(E_list):
         _require(isinstance(E, int), f"$.E_list[{i}]", "must be an integer")
-    _require(list(E_list) == sorted(E_list), "$.E_list", "must be ascending")
+    _require(E_list == sorted(E_list), "$.E_list", "must be ascending")
 
     return StudyConfig(
         model_spec=model_spec,
@@ -159,49 +185,43 @@ def load_config(path):
 def build_model(config):
     spec = config.model_spec
     if spec["kind"] == "helmholtz":
-        return build_rectangle_helmholtz(
-            max_index=spec.get("max_index", 40),
-            nu_sq=spec.get("nu_sq", 12.0),
-            theta=spec.get("theta", math.pi / 3),
-            quad_order=spec.get("quad_order", 64),
-        )
+        keys = ("max_index", "nu_sq", "theta", "quad_order")
+        return build_rectangle_helmholtz(**{k: spec[k] for k in keys if k in spec})
     return build_synthetic(
         [pair_to_complex(p) for p in spec["poles"]],
         [float(r) for r in spec["residue_norms"]],
     )
 
 
-def _check_center(model, config):
-    for lam, _ in pole_list(model, config.z0):
-        if abs(lam - config.z0) <= 1e-10:
-            raise ConfigError(f"at $.z0: center {config.z0} lies on pole {lam}")
+def _model(config):
+    """The study's model; a center on one of its poles is a config error."""
+    model = build_model(config)
+    lam, dist = nearest_pole(model, config.z0)
+    if dist <= 1e-10:
+        raise ConfigError(f"at $.z0: center {config.z0} lies on pole {lam}")
+    return model
 
 
-def _build_fast(model, config, M):
-    params = pade.BuildParams(config.z0, M, config.N, config.fast_E(M), "fast")
-    return pade.build(model, params)
+def _pair(model, config, M, E):
+    """The fast approximant of degree M from config.fast_E(M) Taylor
+    coefficients, and the standard one of degree E - N from E coefficients."""
+    fast = pade.BuildParams(config.z0, M, config.N, config.fast_E(M), "fast")
+    std = pade.BuildParams(config.z0, E - config.N, config.N, E, "standard", config.rho())
+    return pade.build(model, fast), pade.build(model, std)
 
 
-def _build_standard(model, config, M, E=None, rho=None):
-    if E is None:
-        E = M + config.N
-    if rho is None:
-        rho = config.rho()
-    params = pade.BuildParams(config.z0, M, config.N, E, "standard", rho)
-    return pade.build(model, params)
-
-
-def _point_error(model, approx, z, poles=None):
-    """(error, qmag, near_pole_flag); the error is inf on a pole of S."""
-    if poles is None:
-        poles = pole_list(model, approx.params.z0)
-    value, qmag = pade.evaluate(approx, z)
-    near = min(abs(lam - z) for lam, _ in poles) < NEAR_POLE_DISTANCE
-    try:
-        exact = evaluate_exact(model, z)
-    except PoleEvaluation:
-        return math.inf, qmag, True
-    return norm(exact - value, model.weights), qmag, near
+def _errors(model, approx, points):
+    """(error, qmag, near_pole_flag) per point; the error is inf on a pole
+    of S."""
+    out = []
+    for z in points:
+        value, qmag = pade.evaluate(approx, z)
+        try:
+            error = norm(evaluate_exact(model, z) - value, model.weights)
+        except PoleEvaluation:  # z is then within 1e-12 of a pole: near
+            error = math.inf
+        out.append((error, qmag, nearest_pole(model, z)[1] < NEAR_POLE_DISTANCE))
+    return out
 
 
 def fit_decay_factor(indices, errors, window=SLOPE_FIT_WINDOW):
@@ -246,24 +266,18 @@ def _write(path, lines):
 
 
 def cmd_build(config, out):
-    model = build_model(config)
-    _check_center(model, config)
-    entries = []
-    for M in config.M_list:
-        fast = _build_fast(model, config, M)
-        entries.append(pade.approximant_to_json(fast))
-        std = _build_standard(model, config, M)
-        entries.append(pade.approximant_to_json(std))
+    model = _model(config)
+    entries = [pade.approximant_to_json(approx) for M in config.M_list
+               for approx in _pair(model, config, M, M + config.N)]
     with open(out, "w") as fh:
         json.dump({"approximants": entries}, fh, indent=1, sort_keys=True)
 
 
 def cmd_sweep(config, out):
-    model = build_model(config)
-    _check_center(model, config)
-    fast = {M: _build_fast(model, config, M) for M in config.M_list}
-    std = {M: _build_standard(model, config, M) for M in config.M_list}
-    poles = pole_list(model, config.z0)
+    model = _model(config)
+    grid = config.grid()
+    fast, std = zip(*(_pair(model, config, M, M + config.N) for M in config.M_list))
+    columns = [_errors(model, approx, grid) for approx in fast + std]
 
     header = ["z"]
     header += [f"abs_error_fast_M{M}" for M in config.M_list]
@@ -272,36 +286,22 @@ def cmd_sweep(config, out):
     header += [f"q_magnitude_std_M{M}" for M in config.M_list]
     header.append("near_pole")
     lines = [",".join(header)]
-    for z in config.grid():
-        errs_f, errs_s, qm_f, qm_s = [], [], [], []
-        near_any = False
-        for M in config.M_list:
-            e, q, near = _point_error(model, fast[M], z, poles)
-            errs_f.append(e)
-            qm_f.append(q)
-            near_any |= near
-        for M in config.M_list:
-            e, q, near = _point_error(model, std[M], z, poles)
-            errs_s.append(e)
-            qm_s.append(q)
-            near_any |= near
+    for i, z in enumerate(grid):
+        cells = [col[i] for col in columns]
         row = [fmt(z)]
-        row += [fmt(v) for v in errs_f + errs_s + qm_f + qm_s]
-        row.append("1" if near_any else "0")
+        row += [fmt(e) for e, _, _ in cells] + [fmt(q) for _, q, _ in cells]
+        row.append("1" if any(near for _, _, near in cells) else "0")
         lines.append(",".join(row))
     _write(out, lines)
 
 
-def cmd_convergence(config, out, z_probes=None):
-    model = build_model(config)
-    _check_center(model, config)
-    probes = list(z_probes) if z_probes is not None else config.z_probes
+def cmd_convergence(config, out):
+    model = _model(config)
+    probes = config.z_probes
     if not probes:
         raise ConfigError("at $.z_probes: convergence study needs probe points")
-    poles = pole_list(model, config.z0)
     for z in probes:
-        dist = min(abs(lam - z) for lam, _ in poles)
-        if dist < 0.05:
+        if nearest_pole(model, z)[1] < 0.05:
             raise ConfigError(f"at $.z_probes: probe {z} is within 0.05 of a pole")
     for M in config.M_list:
         if M < config.N - 1:
@@ -309,16 +309,9 @@ def cmd_convergence(config, out, z_probes=None):
                 f"at $.M_list: M={M} violates the rate guarantee M >= N-1"
             )
 
-    fast = {M: _build_fast(model, config, M) for M in config.M_list}
-    std = {M: _build_standard(model, config, M) for M in config.M_list}
-
-    results = {}
-    for z in probes:
-        errs_f = [_point_error(model, fast[M], z, poles) for M in config.M_list]
-        errs_s = [_point_error(model, std[M], z, poles) for M in config.M_list]
-        fitted = fit_decay_factor(config.M_list, [e for e, _, _ in errs_f])
-        predicted = predicted_point_factor(model, config, z)
-        results[z] = (errs_f, errs_s, fitted, predicted)
+    fast, std = zip(*(_pair(model, config, M, M + config.N) for M in config.M_list))
+    errs_f = [_errors(model, approx, probes) for approx in fast]
+    errs_s = [_errors(model, approx, probes) for approx in std]
 
     header = [
         "probe", "M", "error_fast", "error_std",
@@ -326,11 +319,12 @@ def cmd_convergence(config, out, z_probes=None):
         "fitted_factor_fast", "predicted_factor",
     ]
     lines = [",".join(header)]
-    for z in probes:
-        errs_f, errs_s, fitted, predicted = results[z]
+    for j, z in enumerate(probes):
+        fitted = fit_decay_factor(config.M_list, [errs[j][0] for errs in errs_f])
+        predicted = predicted_point_factor(model, config, z)
         for i, M in enumerate(config.M_list):
-            ef, qf, _ = errs_f[i]
-            es, qs, _ = errs_s[i]
+            ef, qf, _ = errs_f[i][j]
+            es, qs, _ = errs_s[i][j]
             lines.append(",".join([
                 complex_to_text(z), str(M), fmt(ef), fmt(es),
                 fmt(qf), fmt(qs), fmt(fitted), fmt(predicted),
@@ -351,15 +345,11 @@ def _nearest_root_errors(roots, true_poles):
     return errors, extras
 
 
-def cmd_poles(config, out, E_list=None):
-    model = build_model(config)
-    _check_center(model, config)
-    E_values = list(E_list) if E_list is not None else config.E_list
-    if not E_values:
+def cmd_poles(config, out):
+    model = _model(config)
+    if not config.E_list:
         raise ConfigError("at $.E_list: pole study needs a list of E values")
-    if E_values != sorted(E_values):
-        raise ConfigError("at $.E_list: must be ascending")
-    if min(E_values) < config.N:
+    if min(config.E_list) < config.N:
         raise ConfigError(f"at $.E_list: minimum E must be >= N = {config.N}")
     N = config.N
     true_poles = [lam for lam, _ in pole_list(model, config.z0)[:N]]
@@ -372,9 +362,8 @@ def cmd_poles(config, out, E_list=None):
                "extra_roots_fast", "extra_roots_std"]
     lines = [",".join(header)]
     predicted = [predicted_pole_factor(model, config, a) for a in range(1, N + 1)]
-    for E in E_values:
-        fast = _build_fast(model, config, E)
-        std = _build_standard(model, config, E - N, E=E)
+    for E in config.E_list:
+        fast, std = _pair(model, config, E, E)
         err_f, extra_f = _nearest_root_errors(pade.approximant_poles(fast), true_poles)
         err_s, extra_s = _nearest_root_errors(pade.approximant_poles(std), true_poles)
         row = [str(E)]
@@ -387,27 +376,23 @@ def cmd_poles(config, out, E_list=None):
     _write(out, lines)
 
 
-def cmd_compare(config, out, E_list=None):
+def cmd_compare(config, out):
     """Fast(E) against standard(E) at equal derivative budget: fast uses
     M = E, standard uses M = E - N."""
-    model = build_model(config)
-    _check_center(model, config)
-    E_values = list(E_list) if E_list is not None else config.E_list
-    if not E_values:
+    model = _model(config)
+    if not config.E_list:
         raise ConfigError("at $.E_list: comparison needs a list of E values")
-    if min(E_values) < config.N:
+    if min(config.E_list) < config.N:
         raise ConfigError(f"at $.E_list: minimum E must be >= N = {config.N}")
-    poles = pole_list(model, config.z0)
+    grid = config.grid()
 
     header = ["E", "z", "error_fast", "error_std", "ratio",
               "q_magnitude_fast", "q_magnitude_std", "near_pole"]
     lines = [",".join(header)]
-    for E in E_values:
-        fast = _build_fast(model, config, E)
-        std = _build_standard(model, config, E - config.N, E=E)
-        for z in config.grid():
-            ef, qf, near_f = _point_error(model, fast, z, poles)
-            es, qs, near_s = _point_error(model, std, z, poles)
+    for E in config.E_list:
+        fast, std = _pair(model, config, E, E)
+        rows = zip(grid, _errors(model, fast, grid), _errors(model, std, grid))
+        for z, (ef, qf, near_f), (es, qs, near_s) in rows:
             ratio = ef / es if es > 0 else math.inf
             lines.append(",".join([
                 str(E), fmt(z), fmt(ef), fmt(es), fmt(ratio),

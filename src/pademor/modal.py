@@ -56,6 +56,9 @@ class ModalModel:
             "coefficients",
             np.array([m.source_coefficient for m in self.modes], dtype=complex),
         )
+        poles, residue_norms = _retained_poles(self)
+        object.__setattr__(self, "poles", poles)
+        object.__setattr__(self, "residue_norms", residue_norms)
 
     @property
     def dimension(self):
@@ -173,49 +176,51 @@ def build_rectangle_helmholtz(
     return ModalModel(modes, weights, drop_threshold)
 
 
-def pole_list(model, z0):
-    """Distinct retained poles sorted by distance from z0.
+def _retained_poles(model):
+    """Distinct poles sorted by (Re, Im) and the V-norms of their residues.
 
-    Equal eigenvalues (within 1e-12 absolute) are grouped; a pole is kept
-    if the V-norm of the grouped residue exceeds drop_threshold * ||source||.
-    Ties in distance break lexicographically by (Re, Im).
+    Eigenvalues within 1e-12 of the first of a group are one pole; a pole
+    is kept if its residue norm exceeds drop_threshold * ||source||.
     """
+    order = np.lexsort((model.eigenvalues.imag, model.eigenvalues.real))
+    lam = model.eigenvalues[order]
+    mass = (model.weights.weights * np.abs(model.coefficients) ** 2)[order]
+    starts = [0]
+    for k in range(1, lam.size):
+        if abs(lam[k] - lam[starts[-1]]) > POLE_GROUP_TOL:
+            starts.append(k)
+    # np.sum per group, not np.add.reduceat: the two round differently.
+    norms = np.sqrt([np.sum(group) for group in np.split(mass, starts[1:])])
+    keep = norms > model.drop_threshold * model.source_norm()
+    return lam[starts][keep], norms[keep]
+
+
+def pole_list(model, z0):
+    """Retained (pole, residue norm) pairs sorted by distance from z0; ties
+    break by (Re, Im), the order of model.poles, as the sort is stable."""
     z0 = complex(z0)
-    order = sorted(
-        range(model.dimension),
-        key=lambda k: (model.eigenvalues[k].real, model.eigenvalues[k].imag),
-    )
-    groups = []
-    for k in order:
-        lam = model.eigenvalues[k]
-        if groups and abs(lam - groups[-1][0]) <= POLE_GROUP_TOL:
-            groups[-1][1].append(k)
-        else:
-            groups.append([lam, [k]])
-    floor = model.drop_threshold * model.source_norm()
-    out = []
-    for lam, idx in groups:
-        idx = np.array(idx)
-        rnorm = float(
-            np.sqrt(
-                np.sum(
-                    model.weights.weights[idx] * np.abs(model.coefficients[idx]) ** 2
-                )
-            )
-        )
-        if rnorm > floor:
-            out.append((complex(lam), rnorm))
-    return sorted(out, key=lambda pr: (abs(pr[0] - z0), pr[0].real, pr[0].imag))
+    pairs = zip(model.poles.tolist(), model.residue_norms.tolist())
+    return sorted(pairs, key=lambda pr: abs(pr[0] - z0))
+
+
+def nearest_pole(model, z):
+    """(pole, distance) of the retained pole nearest to z, ties broken by
+    (Re, Im); (None, inf) if the model retains no pole."""
+    if model.poles.size == 0:
+        return None, np.inf
+    dist = np.abs(model.poles - complex(z))
+    k = int(np.argmin(dist))
+    return complex(model.poles[k]), float(dist[k])
 
 
 def _check_distance(model, z, min_dist, exc):
     z = complex(z)
-    for lam, _ in pole_list(model, z):
-        if abs(lam - z) <= min_dist:
-            message = f"point {z} lies within {min_dist} of pole {lam}"
-            if exc is PoleEvaluation:
-                raise PoleEvaluation(message, pole=lam)
-            raise exc(message)
+    lam, dist = nearest_pole(model, z)
+    if dist <= min_dist:
+        message = f"point {z} lies within {min_dist} of pole {lam}"
+        if exc is PoleEvaluation:
+            raise PoleEvaluation(message, pole=lam)
+        raise exc(message)
     return z
 
 

@@ -148,7 +148,13 @@ def hermitian_min_eigenpair(H, tol=1e-12):
     one (real parts, then imaginary parts) is returned.
     """
     vals, vecs = hermitian_eigensystem(H, tol)
-    scale = np.linalg.norm(np.asarray(H))
+    return min_eigenpair(vals, vecs, np.linalg.norm(np.asarray(H)))
+
+
+def min_eigenpair(vals, vecs, scale):
+    """The smallest eigenpair, with hermitian_min_eigenpair's degeneracy and
+    phase rules, from an eigensystem already computed by
+    hermitian_eigensystem for a matrix of Frobenius norm `scale`."""
     gap_tol = DEGENERACY_GAP * max(scale, 1e-300)
     near = np.nonzero(vals - vals[0] < gap_tol)[0]
     degenerate = len(near) > 1

@@ -3,9 +3,9 @@
 The fast denominator minimizes the norm of the single top-order Taylor
 coefficient of Q*S; the standard one minimizes a rho-weighted sum of
 coefficient norms.  Both reduce to a minimal-eigenvector problem for a
-small Hermitian Gramian; the fast path additionally has a better
-conditioned route through the QR factorization of the Taylor-coefficient
-quasimatrix, which is the default.
+small Hermitian Gramian.  The fast variant takes the better conditioned
+route through the QR factorization of the Taylor-coefficient quasimatrix;
+its Gramian route is kept as a cross-check.
 """
 
 import math
@@ -108,17 +108,23 @@ def gramian(taylor, N, E, w):
     return 0.5 * (G + G.conj().T)
 
 
+def _min_eigen_solve(G, tol):
+    """One eigensolve of a Gramian: its minimal eigenpair and the ratio of
+    its extreme eigenvalues, divided as Python floats so that an overflow
+    gives inf without a RuntimeWarning."""
+    vals, vecs = numerics.hermitian_eigensystem(G, tol)
+    res = numerics.min_eigenpair(vals, vecs, np.linalg.norm(G))
+    top, bottom = float(vals[-1]), float(vals[0])
+    return res, (top / max(bottom, 1e-300) if top > 0 else 1.0)
+
+
 def denominator_fast_gramian(taylor, N, E, w, tol=1e-12):
     """Fast denominator via the minimal eigenvector of the Gramian."""
     if E < N:
         raise ValueError("fast denominator requires E >= N")
-    G = gramian(taylor, N, E, w)
-    vals, _ = numerics.hermitian_eigensystem(G, tol)
-    res = numerics.hermitian_min_eigenpair(G, tol)
-    q = res.vector
-    den = poly.denominator_from_eigvec(q, taylor.center)
+    res, cond = _min_eigen_solve(gramian(taylor, N, E, w), tol)
+    den = poly.denominator_from_eigvec(res.vector, taylor.center)
     mu = max(res.value, 0.0)
-    cond = float(vals[-1] / max(vals[0], 1e-300)) if vals[-1] > 0 else 1.0
     diag = Diagnostics(
         functional_value=math.sqrt(mu),
         min_eigenvalue=mu,
@@ -185,7 +191,7 @@ def denominator_fast_qr(taylor, N, E, w, tol=1e-12):
     A = _taylor_window(taylor, N, E)
     Q, R, first_norm = _weighted_mgs(A, w)
     diags = np.abs(np.diag(R))
-    cond = float(np.max(diags) / max(np.min(diags), 1e-300))
+    cond = float(np.max(diags)) / max(float(np.min(diags)), 1e-300)
     deficient = np.nonzero(diags <= QR_DEGENERACY_THRESHOLD * max(first_norm, 1e-300))[0]
     if deficient.size > 0:
         q = _null_direction(R, int(deficient[0]))
@@ -227,11 +233,9 @@ def denominator_standard(taylor, M, N, E, rho, w, tol=1e-12):
     for gamma in range(M + 1, E + 1):
         A += rho ** (2 * (gamma - M - 1)) * gramian(taylor, N, gamma, w)
     A = 0.5 * (A + A.conj().T)
-    vals, _ = numerics.hermitian_eigensystem(A, tol)
-    res = numerics.hermitian_min_eigenpair(A, tol)
+    res, cond = _min_eigen_solve(A, tol)
     den = poly.denominator_from_eigvec(res.vector, taylor.center)
     mu = max(res.value, 0.0)
-    cond = float(vals[-1] / max(vals[0], 1e-300)) if vals[-1] > 0 else 1.0
     diag = Diagnostics(
         functional_value=math.sqrt(mu) * rho ** (M + 1),
         min_eigenvalue=mu,
@@ -256,11 +260,11 @@ def numerator(taylor, Q, M):
     return VectorPolynomial(taylor.center, rows)
 
 
-def build(source, params, w=None, method="qr"):
+def build(source, params, w=None):
     """Assemble a full approximant from a modal model or a Taylor series.
 
-    The fast variant defaults to the QR denominator path; "gramian" is kept
-    as a cross-check.  Deterministic for fixed inputs.
+    The fast variant uses the QR denominator path.  Deterministic for fixed
+    inputs.
     """
     if isinstance(source, ModalModel):
         if w is None:
@@ -277,12 +281,7 @@ def build(source, params, w=None, method="qr"):
         raise TypeError(f"cannot build from {type(source).__name__}")
 
     if params.variant == "fast":
-        if method == "qr":
-            den, diag = denominator_fast_qr(taylor, params.N, params.E, w)
-        elif method == "gramian":
-            den, diag = denominator_fast_gramian(taylor, params.N, params.E, w)
-        else:
-            raise ValueError(f"unknown fast method {method!r}")
+        den, diag = denominator_fast_qr(taylor, params.N, params.E, w)
     else:
         den, diag = denominator_standard(
             taylor, params.M, params.N, params.E, params.rho, w

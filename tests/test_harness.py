@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pademor import cli, harness
+from pademor import cli, harness, modal
 from pademor.errors import ConfigError, PadeError
 
 SYNTH_CONFIG = {
@@ -207,7 +207,56 @@ class TestCli:
     def test_center_on_pole_nonzero_exit(self, tmp_path):
         path = write_config(tmp_path, {**SYNTH_CONFIG, "z0": [2.0, 0.0]})
         out = str(tmp_path / "out.json")
-        assert cli.main(["build", "--config", path, "--out", out]) != 0
+        assert cli.main(["build", "--config", path, "--out", out]) == 2
+
+    @pytest.mark.parametrize(
+        "patch,needle",
+        [
+            ({"K": ["a", 15]}, "$.K[0]"),
+            ({"rho_rule": {"factor": "x"}}, "$.rho_rule.factor"),
+            ({"z0": ["a", 0]}, "$.z0"),
+            ({"z0": [1.0, 0.0]}, "$.z0"),  # center on a pole
+            ({"z_probes": [["a", 0]]}, "$.z_probes[0]"),
+            ({"z_probes": 5}, "$.z_probes"),
+            ({"E_list": 5}, "$.E_list"),
+            ({"model": {"kind": "helmholtz", "max_index": 2}}, "$.model.max_index"),
+            ({"model": {"kind": "helmholtz", "quad_order": 64.0}}, "$.model.quad_order"),
+            ({"model": {"kind": "helmholtz", "nu_sq": -1}}, "$.model.nu_sq"),
+            ({"model": {"kind": "helmholtz", "theta": "x"}}, "$.model.theta"),
+            ({"model": {**SYNTH_CONFIG["model"], "residue_norms": [1.0]}},
+             "$.model.residue_norms"),
+            ({"model": {**SYNTH_CONFIG["model"], "residue_norms": [1.0, 0.0]}},
+             "$.model.residue_norms[1]"),
+            ({"model": {**SYNTH_CONFIG["model"], "poles": [[1.0, 0.0], [2.0]]}},
+             "$.model.poles[1]"),
+            ({"K": [0.0, 10**400]}, "$.K[1]"),
+        ],
+    )
+    def test_bad_config_exit_two_with_path(self, tmp_path, capsys, patch, needle):
+        path = write_config(tmp_path, {**SYNTH_CONFIG, **patch})
+        for cmd in ("build", "sweep", "convergence", "poles", "compare"):
+            out = str(tmp_path / f"{cmd}.out")
+            assert cli.main([cmd, "--config", path, "--out", out]) == 2
+            assert f"at {needle}:" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"N": 40},
+            {"model": {"kind": "helmholtz", "max_index": 12}, "z0": [12.05, 0.5],
+             "K": [9.0, 15.0], "M_list": [8], "N": 8, "E_rule": "MPlusN"},
+        ],
+    )
+    def test_overflowing_condition_estimate_is_inf_without_warning(
+        self, tmp_path, patch
+    ):
+        path = write_config(tmp_path, {**SYNTH_CONFIG, **patch})
+        out = tmp_path / "build.json"
+        assert cli.main(["build", "--config", path, "--out", str(out)]) == 0
+        approximants = json.loads(out.read_text())["approximants"]
+        conds = [a["diagnostics"]["condition_estimate"] for a in approximants]
+        assert math.inf in conds
 
     def test_numerical_failure_exit_three(self, tmp_path, monkeypatch):
         def boom(config, out):
@@ -223,6 +272,22 @@ class TestCli:
         for cmd in ("build", "sweep", "convergence", "poles", "compare"):
             out = str(tmp_path / f"{cmd}.out")
             assert cli.main([cmd, "--config", path, "--out", out]) == 0
+
+
+class TestPoleGrouping:
+    def test_grouping_runs_once_per_model(self, tmp_path, monkeypatch):
+        calls = []
+        original = modal._retained_poles
+
+        def counted(model):
+            calls.append(model)
+            return original(model)
+
+        monkeypatch.setattr(modal, "_retained_poles", counted)
+        cfg = harness.parse_config(SYNTH_CONFIG)
+        harness.cmd_compare(cfg, str(tmp_path / "compare.csv"))
+        # 3 E values x 21 grid points x 2 variants evaluated, one model built
+        assert len(calls) == 1
 
 
 class TestPredictedFactors:

@@ -10,6 +10,46 @@ from pademor.errors import (
 )
 
 
+def seed_pole_list(model, z0):
+    """Test oracle: the original per-call grouping of pole_list.  Modes are
+    sorted by (Re, Im), grouped while within POLE_GROUP_TOL of the group's
+    first eigenvalue, and kept if the grouped residue norm exceeds
+    drop_threshold * ||source||; then sorted by distance from z0."""
+    z0 = complex(z0)
+    order = sorted(
+        range(model.dimension),
+        key=lambda k: (model.eigenvalues[k].real, model.eigenvalues[k].imag),
+    )
+    groups = []
+    for k in order:
+        lam = model.eigenvalues[k]
+        if groups and abs(lam - groups[-1][0]) <= modal.POLE_GROUP_TOL:
+            groups[-1][1].append(k)
+        else:
+            groups.append([lam, [k]])
+    floor = model.drop_threshold * model.source_norm()
+    out = []
+    for lam, idx in groups:
+        idx = np.array(idx)
+        rnorm = float(
+            np.sqrt(
+                np.sum(
+                    model.weights.weights[idx] * np.abs(model.coefficients[idx]) ** 2
+                )
+            )
+        )
+        if rnorm > floor:
+            out.append((complex(lam), rnorm))
+    return sorted(out, key=lambda pr: (abs(pr[0] - z0), pr[0].real, pr[0].imag))
+
+
+def with_tiny_residue():
+    """Equal eigenvalues 3 (two modes) plus a pole whose residue is dropped."""
+    modes = [modal.ModeEntry(1.0, 1.0), modal.ModeEntry(2.0, 1e-16),
+             modal.ModeEntry(3.0, 0.5), modal.ModeEntry(3.0, 0.5j)]
+    return modal.ModalModel(modes, modal.InnerProductWeights.l2(4))
+
+
 class TestBuildSynthetic:
     def test_two_modes_source_norm(self, two_pole):
         assert two_pole.source_norm() == pytest.approx(np.sqrt(2.0))
@@ -163,6 +203,39 @@ class TestPoleList:
             modal.InnerProductWeights.l2(2),
         )
         assert [lam for lam, _ in modal.pole_list(m, 0.0)] == [1.0]
+
+
+class TestRetainedPoles:
+    @pytest.mark.parametrize("name", ["helmholtz", "three_pole", "tiny_residue"])
+    def test_matches_seed_grouping(self, name, request):
+        model = (with_tiny_residue() if name == "tiny_residue"
+                 else request.getfixturevalue(name))
+        by_position = sorted(seed_pole_list(model, 0.0),
+                             key=lambda pr: (pr[0].real, pr[0].imag))
+        assert model.poles.tolist() == [lam for lam, _ in by_position]
+        assert model.residue_norms.tolist() == [r for _, r in by_position]
+        for z0 in (0.0, 2.5 + 0.1j, 12 + 0.5j, 3.0):
+            assert modal.pole_list(model, z0) == seed_pole_list(model, z0)
+
+    def test_tiny_residue_dropped_and_equal_eigenvalues_grouped(self):
+        model = with_tiny_residue()
+        assert model.poles.tolist() == [1.0, 3.0]
+        assert model.residue_norms.tolist() == [1.0, np.sqrt(0.5)]
+
+    def test_pole_evaluation_reports_nearest_pole(self):
+        # two poles within 1e-12 of z; the error names the nearer one
+        modes = [modal.ModeEntry(1.0, 1.0), modal.ModeEntry(1.0 + 1.5e-12, 1.0)]
+        m = modal.ModalModel(modes, modal.InnerProductWeights.l2(2))
+        with pytest.raises(PoleEvaluation) as err:
+            modal.evaluate_exact(m, 1.0 + 1e-12)
+        assert err.value.pole == 1.0 + 1.5e-12
+
+    def test_pole_evaluation_tie_breaks_by_real_then_imaginary(self):
+        modes = [modal.ModeEntry(0.75e-12j, 1.0), modal.ModeEntry(-0.75e-12j, 1.0)]
+        m = modal.ModalModel(modes, modal.InnerProductWeights.l2(2))
+        with pytest.raises(PoleEvaluation) as err:
+            modal.evaluate_exact(m, 0.0)
+        assert err.value.pole == -0.75e-12j
 
 
 class TestSerialization:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pademor import modal, pade, poly
+from pademor import modal, numerics, pade, poly
 from pademor.errors import InsufficientTaylorLength, RhoOverflow
 from pademor.hilbert import InnerProductWeights, norm
 
@@ -136,6 +136,31 @@ class TestStandardDenominator:
         t = modal.taylor_coefficients(helmholtz, paper_z0, 42)
         with pytest.raises(RhoOverflow):
             pade.denominator_standard(t, 2, 2, 42, 1e10, helmholtz.weights)
+
+
+class TestSingleEigensolve:
+    @pytest.mark.parametrize("variant", ["fast_gramian", "standard"])
+    def test_gramian_solved_once(self, helmholtz, paper_z0, monkeypatch, variant):
+        t = modal.taylor_coefficients(helmholtz, paper_z0, 8)
+        solved = []
+        eigensystem = numerics.hermitian_eigensystem
+
+        def counted(H, tol=1e-12):
+            solved.append(H)
+            return eigensystem(H, tol)
+
+        monkeypatch.setattr(numerics, "hermitian_eigensystem", counted)
+        if variant == "standard":
+            den, diag = pade.denominator_standard(t, 6, 2, 8, 3.0, helmholtz.weights)
+        else:
+            den, diag = pade.denominator_fast_gramian(t, 2, 8, helmholtz.weights)
+        assert len(solved) == 1
+        # the same pair as a separate minimal-eigenpair solve of that matrix
+        ref = numerics.hermitian_min_eigenpair(solved[0])
+        assert diag.min_eigenvalue == max(ref.value, 0.0)
+        assert diag.degenerate == ref.degenerate
+        expected = poly.denominator_from_eigvec(ref.vector, paper_z0)
+        assert np.array_equal(den.coeffs, expected.coeffs)
 
 
 class TestNumerator:
