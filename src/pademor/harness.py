@@ -80,6 +80,13 @@ def _number(value, path, positive=False):
     return float(value)
 
 
+def _integer(value, path, low):
+    """A JSON integer >= low; booleans are not integers here."""
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= low,
+             path, f"must be an integer >= {low}")
+    return value
+
+
 def _complex(pair, path):
     _require(isinstance(pair, list) and len(pair) == 2, path, "must be a [re, im] pair")
     return complex(_number(pair[0], path), _number(pair[1], path))
@@ -92,9 +99,7 @@ def _check_model(spec):
              "must be 'helmholtz' or 'synthetic'")
     if kind == "helmholtz":
         for key, low in (("max_index", 4), ("quad_order", 20)):
-            value = spec.get(key, low)
-            _require(isinstance(value, int) and not isinstance(value, bool)
-                     and value >= low, f"$.model.{key}", f"must be an integer >= {low}")
+            _integer(spec.get(key, low), f"$.model.{key}", low)
         _number(spec.get("nu_sq", 1.0), "$.model.nu_sq", positive=True)
         _number(spec.get("theta", 0.0), "$.model.theta")
         return
@@ -127,11 +132,9 @@ def parse_config(obj):
     _require(isinstance(M_list, list) and M_list, "$.M_list",
              "must be a non-empty list of integers")
     for i, M in enumerate(M_list):
-        _require(isinstance(M, int) and M >= 0, f"$.M_list[{i}]",
-                 "must be a nonnegative integer")
+        _integer(M, f"$.M_list[{i}]", 0)
 
-    N = obj.get("N")
-    _require(isinstance(N, int) and N >= 0, "$.N", "must be a nonnegative integer")
+    N = _integer(obj.get("N"), "$.N", 0)
 
     E_rule = obj.get("E_rule", "MaxMN")
     _require(E_rule in ("MaxMN", "MPlusN"), "$.E_rule",
@@ -142,9 +145,7 @@ def parse_config(obj):
              "must be an object with a 'factor' entry")
     rho_factor = _number(rho_rule["factor"], "$.rho_rule.factor", positive=True)
 
-    grid_points = obj.get("grid_points", 101)
-    _require(isinstance(grid_points, int) and grid_points >= 2, "$.grid_points",
-             "must be an integer >= 2")
+    grid_points = _integer(obj.get("grid_points", 101), "$.grid_points", 2)
 
     z_probes = obj.get("z_probes", [])
     _require(isinstance(z_probes, list), "$.z_probes", "must be a list of [re, im] pairs")
@@ -153,7 +154,7 @@ def parse_config(obj):
     E_list = obj.get("E_list", [])
     _require(isinstance(E_list, list), "$.E_list", "must be a list of integers")
     for i, E in enumerate(E_list):
-        _require(isinstance(E, int), f"$.E_list[{i}]", "must be an integer")
+        _integer(E, f"$.E_list[{i}]", 0)
     _require(E_list == sorted(E_list), "$.E_list", "must be ascending")
 
     return StudyConfig(
@@ -228,7 +229,7 @@ def fit_decay_factor(indices, errors, window=SLOPE_FIT_WINDOW):
     """Per-step decay factor from a least-squares fit of log10(error).
 
     Only points inside the window are used (floor/preasymptotic points are
-    discarded); returns nan with fewer than two usable points.
+    discarded); returns nan unless they hold two distinct indices.
     """
     lo, hi = window
     xs, ys = [], []
@@ -236,7 +237,7 @@ def fit_decay_factor(indices, errors, window=SLOPE_FIT_WINDOW):
         if lo <= e <= hi:
             xs.append(i)
             ys.append(math.log10(e))
-    if len(xs) < 2:
+    if len(set(xs)) < 2:
         return math.nan
     slope = np.polyfit(xs, ys, 1)[0]
     return float(10.0**slope)
@@ -347,6 +348,8 @@ def _nearest_root_errors(roots, true_poles):
 
 def cmd_poles(config, out):
     model = _model(config)
+    if config.N < 1:
+        raise ConfigError("at $.N: pole study needs N >= 1")
     if not config.E_list:
         raise ConfigError("at $.E_list: pole study needs a list of E values")
     if min(config.E_list) < config.N:
@@ -377,8 +380,10 @@ def cmd_poles(config, out):
 
 
 def cmd_compare(config, out):
-    """Fast(E) against standard(E) at equal derivative budget: fast uses
-    M = E, standard uses M = E - N."""
+    """Fast against standard approximant per E on the grid.  The fast one
+    has degree M = E from fast_E(E) Taylor coefficients (E under MaxMN,
+    E + N under MPlusN); the standard one has degree E - N from E
+    coefficients, so the two share a derivative budget only under MaxMN."""
     model = _model(config)
     if not config.E_list:
         raise ConfigError("at $.E_list: comparison needs a list of E values")

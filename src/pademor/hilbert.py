@@ -66,14 +66,6 @@ def norm(u, w):
     return float(np.sqrt(np.sum(w.weights * np.abs(u) ** 2)))
 
 
-def axpy(a, u, v):
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"shapes {u.shape} and {v.shape} differ")
-    return a * u + v
-
-
 def complex_to_pair(z):
     """JSON form of a complex scalar: [re, im]."""
     z = complex(z)

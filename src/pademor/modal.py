@@ -19,7 +19,7 @@ from .errors import (
     PoleEvaluation,
     QuadratureNotConverged,
 )
-from .hilbert import InnerProductWeights
+from .hilbert import InnerProductWeights, norm
 
 POLE_GROUP_TOL = 1e-12
 DEFAULT_DROP_THRESHOLD = 1e-14
@@ -28,47 +28,40 @@ DEFAULT_QUAD_ORDER = 64
 
 
 @dataclass(frozen=True)
-class ModeEntry:
-    eigenvalue: complex
-    source_coefficient: complex
-    basis_tag: tuple | None = None
-
-
-@dataclass(frozen=True)
 class ModalModel:
-    modes: tuple
+    """Eigenvalues and source coefficients, one entry per mode, in the
+    inner product given by weights; tags optionally label the modes, as the
+    (m, n) rows of an integer array for the Helmholtz backend."""
+
+    eigenvalues: np.ndarray
+    coefficients: np.ndarray
     weights: InnerProductWeights
     drop_threshold: float = DEFAULT_DROP_THRESHOLD
+    tags: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        if len(self.modes) != self.weights.dimension:
+        lam = np.asarray(self.eigenvalues, dtype=complex)
+        coef = np.asarray(self.coefficients, dtype=complex)
+        if coef.shape != lam.shape or lam.shape != (self.weights.dimension,):
             raise LengthMismatch(
-                f"{len(self.modes)} modes vs {self.weights.dimension} weights"
+                f"{lam.size} eigenvalues, {coef.size} coefficients, "
+                f"{self.weights.dimension} weights"
             )
-        object.__setattr__(
-            self,
-            "eigenvalues",
-            np.array([m.eigenvalue for m in self.modes], dtype=complex),
-        )
-        object.__setattr__(
-            self,
-            "coefficients",
-            np.array([m.source_coefficient for m in self.modes], dtype=complex),
-        )
+        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "coefficients", coef)
+        if self.tags is not None:
+            object.__setattr__(self, "tags", np.asarray(self.tags))
         poles, residue_norms = _retained_poles(self)
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "residue_norms", residue_norms)
 
     @property
     def dimension(self):
-        return len(self.modes)
+        return self.eigenvalues.size
 
     def source_norm(self):
         """V-norm of the source term."""
-        return float(
-            np.sqrt(np.sum(self.weights.weights * np.abs(self.coefficients) ** 2))
-        )
+        return norm(self.coefficients, self.weights)
 
 
 @dataclass(frozen=True)
@@ -104,13 +97,12 @@ def build_synthetic(poles, residue_norms):
                 raise DuplicatePoles(f"poles {poles[i]} and {poles[j]} coincide")
     if any(r <= 0.0 for r in norms):
         raise ValueError("residue norms must be positive")
-    modes = [ModeEntry(p, r) for p, r in zip(poles, norms)]
-    return ModalModel(modes, InnerProductWeights.l2(len(modes)))
+    return ModalModel(poles, norms, InnerProductWeights.l2(len(poles)))
 
 
-def _bubble_line_integrals(indices, freq, quad_order):
-    """1-d integrals of x (pi - x) e^{-i freq x} sin(k x) over (0, pi)."""
-    nodes, wts = np.polynomial.legendre.leggauss(quad_order)
+def _bubble_line_integrals(indices, freq, nodes, wts):
+    """1-d integrals of x (pi - x) e^{-i freq x} sin(k x) over (0, pi), by
+    the Gauss-Legendre rule (nodes, wts) on (-1, 1)."""
     x = 0.5 * np.pi * (nodes + 1.0)
     w = 0.5 * np.pi * wts
     g = x * (np.pi - x) * np.exp(-1j * freq * x)
@@ -130,8 +122,9 @@ def _helmholtz_coefficients(max_index, nu_sq, theta, quad_order):
     """
     nu = np.sqrt(nu_sq)
     k = np.arange(1, max_index + 1)
-    ix = _bubble_line_integrals(k, nu * np.cos(theta), quad_order)
-    iy = _bubble_line_integrals(k, nu * np.sin(theta), quad_order)
+    nodes, wts = np.polynomial.legendre.leggauss(quad_order)
+    ix = _bubble_line_integrals(k, nu * np.cos(theta), nodes, wts)
+    iy = _bubble_line_integrals(k, nu * np.sin(theta), nodes, wts)
     proj = (2.0 / np.pi) * (16.0 / np.pi**4) * np.outer(ix, iy)
     lam = (k**2)[:, None] + (k**2)[None, :]
     return (lam - nu_sq) * proj  # indexed [m-1, n-1]
@@ -167,13 +160,11 @@ def build_rectangle_helmholtz(
             f"quadrature order doubles from {quad_order}"
         )
 
-    modes = []
-    for m in range(1, max_index + 1):
-        for n in range(1, max_index + 1):
-            modes.append(ModeEntry(m * m + n * n, coef[m - 1, n - 1], (m, n)))
-    eigenvalues = [m.eigenvalue for m in modes]
+    m, n = np.indices((max_index, max_index)).reshape(2, -1) + 1
+    eigenvalues = m * m + n * n
     weights = InnerProductWeights.energy(eigenvalues, nu_sq)
-    return ModalModel(modes, weights, drop_threshold)
+    return ModalModel(eigenvalues, coef.ravel(), weights, drop_threshold,
+                      np.column_stack((m, n)))
 
 
 def _retained_poles(model):
@@ -213,56 +204,35 @@ def nearest_pole(model, z):
     return complex(model.poles[k]), float(dist[k])
 
 
-def _check_distance(model, z, min_dist, exc):
-    z = complex(z)
-    lam, dist = nearest_pole(model, z)
-    if dist <= min_dist:
-        message = f"point {z} lies within {min_dist} of pole {lam}"
-        if exc is PoleEvaluation:
-            raise PoleEvaluation(message, pole=lam)
-        raise exc(message)
-    return z
-
-
 def evaluate_exact(model, z):
     """S(z): componentwise source_coefficient / (eigenvalue - z)."""
-    z = _check_distance(model, z, 1e-12, PoleEvaluation)
+    z = complex(z)
+    lam, dist = nearest_pole(model, z)
+    if dist <= 1e-12:
+        raise PoleEvaluation(f"point {z} lies within 1e-12 of pole {lam}", pole=lam)
     return model.coefficients / (model.eigenvalues - z)
 
 
 def taylor_coefficients(model, z0, E):
     """Closed-form Taylor coefficients: component k of order g is
     source_coefficient_k / (eigenvalue_k - z0)^{g+1}."""
-    z0 = _check_distance(model, z0, 1e-10, CenterOnPole)
+    z0 = complex(z0)
+    lam, dist = nearest_pole(model, z0)
+    if dist <= 1e-10:
+        raise CenterOnPole(f"point {z0} lies within 1e-10 of pole {lam}")
     base = model.eigenvalues - z0
     powers = np.arange(1, E + 2)
     coeffs = model.coefficients[None, :] / base[None, :] ** powers[:, None]
     return TaylorSeries(z0, coeffs)
 
 
-def recursive_taylor(model, z0, E):
-    """Taylor coefficients by the shifted-solve recursion: S_0 exactly, then
-    each next order divides the previous one by (eigenvalue - z0)."""
-    z0 = _check_distance(model, z0, 1e-10, CenterOnPole)
-    base = model.eigenvalues - z0
-    rows = [model.coefficients / base]
-    for _ in range(E):
-        rows.append(rows[-1] / base)
-    return TaylorSeries(z0, np.array(rows))
-
-
 def model_to_json(model):
-    obj = {
+    tags = [None] * model.dimension if model.tags is None else model.tags.tolist()
+    modes = zip(model.eigenvalues.tolist(), model.coefficients.tolist(), tags)
+    return {
         "modes": [
-            {
-                "lambda": [float(np.real(m.eigenvalue)), float(np.imag(m.eigenvalue))],
-                "coef": [
-                    float(np.real(m.source_coefficient)),
-                    float(np.imag(m.source_coefficient)),
-                ],
-                "tag": list(m.basis_tag) if m.basis_tag is not None else None,
-            }
-            for m in model.modes
+            {"lambda": [lam.real, lam.imag], "coef": [c.real, c.imag], "tag": tag}
+            for lam, c, tag in modes
         ],
         "weights": (
             {"kind": "energy", "shift": model.weights.shift}
@@ -271,26 +241,25 @@ def model_to_json(model):
         ),
         "drop_threshold": model.drop_threshold,
     }
-    return obj
 
 
 def model_from_json(obj):
-    modes = [
-        ModeEntry(
-            complex(m["lambda"][0], m["lambda"][1]),
-            complex(m["coef"][0], m["coef"][1]),
-            tuple(m["tag"]) if m.get("tag") is not None else None,
-        )
-        for m in obj["modes"]
-    ]
+    modes = obj["modes"]
+    eigenvalues = np.array([complex(*m["lambda"]) for m in modes])
+    coefficients = np.array([complex(*m["coef"]) for m in modes])
+    tags = [m.get("tag") for m in modes]
     wspec = obj["weights"]
     if wspec["kind"] == "energy":
-        weights = InnerProductWeights.energy(
-            [m.eigenvalue for m in modes], wspec["shift"]
-        )
+        weights = InnerProductWeights.energy(eigenvalues, wspec["shift"])
     else:
         weights = InnerProductWeights.l2(len(modes))
-    return ModalModel(modes, weights, obj.get("drop_threshold", DEFAULT_DROP_THRESHOLD))
+    return ModalModel(
+        eigenvalues,
+        coefficients,
+        weights,
+        obj.get("drop_threshold", DEFAULT_DROP_THRESHOLD),
+        None if None in tags else tags,
+    )
 
 
 def save_model(model, path):

@@ -228,24 +228,3 @@ def polynomial_roots(coeffs, tol=1e-10):
             f"root residual check failed (worst ratio {worst:.3e})"
         )
     return sorted(x.tolist(), key=lambda r: (abs(r), cmath.phase(r)))
-
-
-def cluster_roots(roots, rel_tol=1e-7):
-    """Group nearly equal roots for reporting; raw roots stay untouched.
-
-    Returns a list of (representative, multiplicity), representatives being
-    the mean of each cluster.  Clustering is relative to the root scale.
-    """
-    if not roots:
-        return []
-    scale = max(max(abs(r) for r in roots), 1.0)
-    clusters = []
-    for r in roots:
-        for c in clusters:
-            if abs(r - c[0] / c[1]) <= rel_tol * scale:
-                c[0] += r
-                c[1] += 1
-                break
-        else:
-            clusters.append([r, 1])
-    return [(c[0] / c[1], c[1]) for c in clusters]

@@ -5,7 +5,8 @@ coefficient of Q*S; the standard one minimizes a rho-weighted sum of
 coefficient norms.  Both reduce to a minimal-eigenvector problem for a
 small Hermitian Gramian.  The fast variant takes the better conditioned
 route through the QR factorization of the Taylor-coefficient quasimatrix;
-its Gramian route is kept as a cross-check.
+its Gramian route, the standard functional with the single block of order
+E and rho = 1, is kept as a cross-check.
 """
 
 import math
@@ -108,30 +109,38 @@ def gramian(taylor, N, E, w):
     return 0.5 * (G + G.conj().T)
 
 
-def _min_eigen_solve(G, tol):
-    """One eigensolve of a Gramian: its minimal eigenpair and the ratio of
-    its extreme eigenvalues, divided as Python floats so that an overflow
-    gives inf without a RuntimeWarning."""
-    vals, vecs = numerics.hermitian_eigensystem(G, tol)
-    res = numerics.min_eigenpair(vals, vecs, np.linalg.norm(G))
+def _gramian_denominator(taylor, M, N, E, rho, w, tol):
+    """Minimal eigenvector of the rho-weighted Gramian sum over orders
+    M+1..E, rescaled by rho^{-2(M+1)} before the eigensolve.
+
+    The minimizer is invariant under positive scaling of the matrix, so the
+    rescaling only guards against overflow.
+    """
+    A = np.zeros((N + 1, N + 1), dtype=complex)
+    for gamma in range(M + 1, E + 1):
+        A += rho ** (2 * (gamma - M - 1)) * gramian(taylor, N, gamma, w)
+    A = 0.5 * (A + A.conj().T)
+    vals, vecs = numerics.hermitian_eigensystem(A, tol)
+    res = numerics.min_eigenpair(vals, vecs, np.linalg.norm(A))
+    # Python floats, so that an overflowing ratio is inf without a warning.
     top, bottom = float(vals[-1]), float(vals[0])
-    return res, (top / max(bottom, 1e-300) if top > 0 else 1.0)
-
-
-def denominator_fast_gramian(taylor, N, E, w, tol=1e-12):
-    """Fast denominator via the minimal eigenvector of the Gramian."""
-    if E < N:
-        raise ValueError("fast denominator requires E >= N")
-    res, cond = _min_eigen_solve(gramian(taylor, N, E, w), tol)
     den = poly.denominator_from_eigvec(res.vector, taylor.center)
     mu = max(res.value, 0.0)
     diag = Diagnostics(
-        functional_value=math.sqrt(mu),
+        functional_value=math.sqrt(mu) * rho ** (M + 1),
         min_eigenvalue=mu,
         degenerate=res.degenerate,
-        condition_estimate=cond,
+        condition_estimate=top / max(bottom, 1e-300) if top > 0 else 1.0,
     )
     return den, diag
+
+
+def denominator_fast_gramian(taylor, N, E, w, tol=1e-12):
+    """Fast denominator via the minimal eigenvector of the Gramian: the
+    standard functional with the single block of order E."""
+    if E < N:
+        raise ValueError("fast denominator requires E >= N")
+    return _gramian_denominator(taylor, E - 1, N, E, 1.0, w, tol)
 
 
 def _weighted_mgs(A, w):
@@ -144,20 +153,16 @@ def _weighted_mgs(A, w):
     dim, ncols = A.shape
     Q = np.zeros_like(A)
     R = np.zeros((ncols, ncols), dtype=complex)
-    ww = w.weights
-
-    def dot(u, v):
-        return np.sum(ww * u * np.conj(v))
-
-    first_norm = float(np.sqrt(np.real(dot(A[:, 0], A[:, 0]))))
+    dot = hilbert.inner_product
+    first_norm = float(np.sqrt(dot(A[:, 0], A[:, 0], w).real))
     for j in range(ncols):
         v = A[:, j].copy()
         for _ in range(2):  # MGS + one reorthogonalization pass
             for i in range(j):
-                c = dot(v, Q[:, i])
+                c = dot(v, Q[:, i], w)
                 R[i, j] += c
                 v = v - c * Q[:, i]
-        rjj = float(np.sqrt(max(np.real(dot(v, v)), 0.0)))
+        rjj = float(np.sqrt(max(dot(v, v, w).real, 0.0)))
         R[j, j] = rjj
         if rjj > QR_DEGENERACY_THRESHOLD * max(first_norm, 1e-300):
             Q[:, j] = v / rjj
@@ -218,31 +223,14 @@ def denominator_fast_qr(taylor, N, E, w, tol=1e-12):
 
 def denominator_standard(taylor, M, N, E, rho, w, tol=1e-12):
     """Standard denominator: minimal eigenvector of the rho-weighted Gramian
-    sum over orders M+1..E, rescaled by rho^{-2(M+1)} before the eigensolve.
-
-    The minimizer is invariant under positive scaling of the matrix, so the
-    rescaling only guards against overflow.
-    """
+    sum over orders M+1..E."""
     if E < M + N:
         raise ValueError("standard denominator requires E >= M + N")
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     if 2.0 * (E - M) * math.log10(rho) > 300.0:
         raise RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}")
-    A = np.zeros((N + 1, N + 1), dtype=complex)
-    for gamma in range(M + 1, E + 1):
-        A += rho ** (2 * (gamma - M - 1)) * gramian(taylor, N, gamma, w)
-    A = 0.5 * (A + A.conj().T)
-    res, cond = _min_eigen_solve(A, tol)
-    den = poly.denominator_from_eigvec(res.vector, taylor.center)
-    mu = max(res.value, 0.0)
-    diag = Diagnostics(
-        functional_value=math.sqrt(mu) * rho ** (M + 1),
-        min_eigenvalue=mu,
-        degenerate=res.degenerate,
-        condition_estimate=cond,
-    )
-    return den, diag
+    return _gramian_denominator(taylor, M, N, E, rho, w, tol)
 
 
 def numerator(taylor, Q, M):
@@ -260,31 +248,19 @@ def numerator(taylor, Q, M):
     return VectorPolynomial(taylor.center, rows)
 
 
-def build(source, params, w=None):
-    """Assemble a full approximant from a modal model or a Taylor series.
+def build(model, params):
+    """Assemble a full approximant from the Taylor coefficients of a modal
+    model at params.z0.
 
     The fast variant uses the QR denominator path.  Deterministic for fixed
     inputs.
     """
-    if isinstance(source, ModalModel):
-        if w is None:
-            w = source.weights
-        taylor = taylor_coefficients(source, params.z0, params.E)
-    elif isinstance(source, TaylorSeries):
-        if w is None:
-            raise ValueError("weights are required when building from a Taylor series")
-        offset = abs(source.center - params.z0)
-        if offset > 1e-12:
-            raise ValueError(f"Taylor center differs from params.z0 by {offset}")
-        taylor = source
-    else:
-        raise TypeError(f"cannot build from {type(source).__name__}")
-
+    taylor = taylor_coefficients(model, params.z0, params.E)
     if params.variant == "fast":
-        den, diag = denominator_fast_qr(taylor, params.N, params.E, w)
+        den, diag = denominator_fast_qr(taylor, params.N, params.E, model.weights)
     else:
         den, diag = denominator_standard(
-            taylor, params.M, params.N, params.E, params.rho, w
+            taylor, params.M, params.N, params.E, params.rho, model.weights
         )
     num = numerator(taylor, den, params.M)
     return PadeApproximant(num, den, params, diag)

@@ -40,26 +40,6 @@ def evaluate(p, z):
     return complex(acc)
 
 
-def normalize(p):
-    """Scale to the unit coefficient sphere and fix the global phase.
-
-    The largest-magnitude coefficient becomes real positive (lowest index
-    on ties).  Idempotent: an already normalized polynomial is returned
-    unchanged so repeated calls are bitwise stable.
-    """
-    mags = np.abs(p.coeffs)
-    if np.max(mags) <= 1e-300:
-        raise ZeroPolynomial("cannot normalize the zero polynomial")
-    k = int(np.argmax(mags))
-    pivot = p.coeffs[k]
-    nrm = np.linalg.norm(p.coeffs)
-    if pivot.imag == 0.0 and pivot.real > 0.0 and abs(nrm - 1.0) <= 4 * np.finfo(float).eps:
-        return p
-    c = numerics.phase_fix(p.coeffs)
-    c = c / np.linalg.norm(c)
-    return ShiftedPolynomial(p.center, c)
-
-
 def denominator_from_eigvec(q, z0):
     """Map a unit eigenvector to the denominator Q = sum_j q_j (z - z0)^{N-j}.
 

@@ -13,6 +13,8 @@ import pytest
 from pademor import harness, modal, numerics, pade, poly
 from pademor.hilbert import norm
 
+from oracles import normalize
+
 Z0 = 12 + 0.5j
 RK = max(abs(9 - Z0), abs(15 - Z0))
 
@@ -25,7 +27,7 @@ def report(number, name, ok, detail=""):
 
 def poly_from_roots(z0, roots):
     c = np.polynomial.polynomial.polyfromroots([r - z0 for r in roots])
-    return poly.normalize(poly.ShiftedPolynomial(z0, c))
+    return normalize(poly.ShiftedPolynomial(z0, c))
 
 
 def fast_pole_errors(model, z0, N, E_values, true_poles):
@@ -218,7 +220,7 @@ def test_criterion_7_dual_functional(rng):
         N = int(rng.integers(0, 4))
         E = N + int(rng.integers(0, 4))
         c = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
-        Q = poly.normalize(poly.ShiftedPolynomial(z0, c))
+        Q = normalize(poly.ShiftedPolynomial(z0, c))
         taylor = modal.taylor_coefficients(model, z0, E)
         a = pade.functional_value(Q, taylor, E, w=model.weights)
         b = pade.functional_value(Q, model, E)
@@ -228,6 +230,8 @@ def test_criterion_7_dual_functional(rng):
     assert report(7, "dual functional", ok, f"worst relative gap {worst:.2e}")
 
 
+# soft criterion: its warning records the outcome and must not fail the suite
+@pytest.mark.filterwarnings("default:fast-vs-standard comparison exceeded")
 def test_criterion_8_fast_vs_standard(helmholtz, tmp_path):
     medians = {}
     grid = np.linspace(9.0, 15.0, 101)

@@ -94,6 +94,24 @@ class TestFitDecayFactor:
 
     def test_too_few_points(self):
         assert math.isnan(harness.fit_decay_factor([1], [1e-3]))
+        # two points at one index: nan, without np.polyfit's RankWarning
+        assert math.isnan(harness.fit_decay_factor([4, 4], [1e-3, 1e-4]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_convergence_with_repeated_M(self, tmp_path):
+        cfg = harness.parse_config({
+            **SYNTH_CONFIG,
+            "model": {"kind": "helmholtz", "max_index": 8},
+            "z0": [12.0, 0.5],
+            "K": [9.0, 15.0],
+            "M_list": [4, 4],
+            "z_probes": [[9.0, 0.0], [11.0, 0.0]],
+        })
+        out = tmp_path / "convergence.csv"
+        harness.cmd_convergence(cfg, str(out))
+        lines = out.read_text().splitlines()
+        col = lines[0].split(",").index("fitted_factor_fast")
+        assert [line.split(",")[col] for line in lines[1:]] == ["nan"] * 4
 
 
 class TestCommands:
@@ -230,6 +248,13 @@ class TestCli:
             ({"model": {**SYNTH_CONFIG["model"], "poles": [[1.0, 0.0], [2.0]]}},
              "$.model.poles[1]"),
             ({"K": [0.0, 10**400]}, "$.K[1]"),
+            ({"N": True}, "$.N"),
+            ({"M_list": [True]}, "$.M_list[0]"),
+            ({"E_list": [True, 2]}, "$.E_list[0]"),
+            ({"E_list": [-1, 2]}, "$.E_list[0]"),
+            ({"grid_points": True}, "$.grid_points"),
+            ({"model": {"kind": "helmholtz", "max_index": True}}, "$.model.max_index"),
+            ({"model": {"kind": "helmholtz", "quad_order": True}}, "$.model.quad_order"),
         ],
     )
     def test_bad_config_exit_two_with_path(self, tmp_path, capsys, patch, needle):
@@ -257,6 +282,12 @@ class TestCli:
         approximants = json.loads(out.read_text())["approximants"]
         conds = [a["diagnostics"]["condition_estimate"] for a in approximants]
         assert math.inf in conds
+
+    def test_pole_study_without_poles_exit_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**SYNTH_CONFIG, "N": 0})
+        out = str(tmp_path / "poles.csv")
+        assert cli.main(["poles", "--config", path, "--out", out]) == 2
+        assert "at $.N: pole study needs N >= 1" in capsys.readouterr().err
 
     def test_numerical_failure_exit_three(self, tmp_path, monkeypatch):
         def boom(config, out):

@@ -65,24 +65,6 @@ class TestNorm:
         assert hilbert.norm(np.array([3.0, 4.0j]), w) == pytest.approx(5.0)
 
 
-class TestAxpy:
-    def test_zero_scalar(self):
-        v = np.array([1.0, 2.0])
-        assert np.all(hilbert.axpy(0.0, np.ones(2), v) == v)
-
-    def test_identity(self):
-        u = np.array([1.0, 2.0])
-        assert np.all(hilbert.axpy(1.0, u, np.zeros(2)) == u)
-
-    def test_componentwise(self):
-        out = hilbert.axpy(2.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert np.all(out == np.array([2.0, 1.0]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            hilbert.axpy(1.0, np.ones(2), np.ones(3))
-
-
 class TestWeights:
     def test_energy_weights(self):
         w = hilbert.InnerProductWeights.energy([2.0, 5.0], 12.0)

@@ -9,6 +9,8 @@ from pademor.errors import (
     PoleEvaluation,
 )
 
+from oracles import recursive_taylor
+
 
 def seed_pole_list(model, z0):
     """Test oracle: the original per-call grouping of pole_list.  Modes are
@@ -43,11 +45,14 @@ def seed_pole_list(model, z0):
     return sorted(out, key=lambda pr: (abs(pr[0] - z0), pr[0].real, pr[0].imag))
 
 
+def l2_model(eigenvalues, coefficients):
+    return modal.ModalModel(eigenvalues, coefficients,
+                            modal.InnerProductWeights.l2(len(eigenvalues)))
+
+
 def with_tiny_residue():
     """Equal eigenvalues 3 (two modes) plus a pole whose residue is dropped."""
-    modes = [modal.ModeEntry(1.0, 1.0), modal.ModeEntry(2.0, 1e-16),
-             modal.ModeEntry(3.0, 0.5), modal.ModeEntry(3.0, 0.5j)]
-    return modal.ModalModel(modes, modal.InnerProductWeights.l2(4))
+    return l2_model([1.0, 2.0, 3.0, 3.0], [1.0, 1e-16, 0.5, 0.5j])
 
 
 class TestBuildSynthetic:
@@ -69,15 +74,25 @@ class TestBuildSynthetic:
         with pytest.raises(LengthMismatch):
             modal.build_synthetic([1.0, 2.0], [1.0])
 
+    def test_model_array_lengths_checked(self):
+        w = modal.InnerProductWeights.l2(2)
+        with pytest.raises(LengthMismatch):
+            modal.ModalModel([1.0, 2.0], [1.0], w)
+        with pytest.raises(LengthMismatch):
+            modal.ModalModel([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], w)
+
 
 class TestBuildHelmholtz:
     def test_eigenvalue_multiset_low_modes(self, helmholtz):
-        got = sorted(
-            m.eigenvalue.real
-            for m in helmholtz.modes
-            if max(m.basis_tag) <= 3
-        )
+        low = helmholtz.tags.max(axis=1) <= 3
+        got = sorted(helmholtz.eigenvalues[low].real)
         assert got == [2, 5, 5, 8, 10, 10, 13, 13, 18]
+
+    def test_tags_label_modes(self, helmholtz):
+        m, n = helmholtz.tags.T
+        assert helmholtz.tags.shape == (1600, 2)
+        assert helmholtz.tags[:2].tolist() == [[1, 1], [1, 2]]
+        assert np.array_equal(helmholtz.eigenvalues, m * m + n * n)
 
     def test_paper_pole_ordering(self, helmholtz, paper_z0):
         poles = [lam for lam, _ in modal.pole_list(helmholtz, paper_z0)]
@@ -86,10 +101,21 @@ class TestBuildHelmholtz:
     def test_energy_weights(self, helmholtz):
         assert helmholtz.weights.kind == "energy"
         assert helmholtz.weights.shift == 12.0
-        k = helmholtz.modes[0]
         assert helmholtz.weights.weights[0] == pytest.approx(
-            k.eigenvalue.real + 12.0
+            helmholtz.eigenvalues[0].real + 12.0
         )
+
+    def test_one_gauss_rule_per_order(self, monkeypatch):
+        orders = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(order):
+            orders.append(order)
+            return leggauss(order)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        modal.build_rectangle_helmholtz(max_index=6, quad_order=40)
+        assert orders == [40, 80]
 
     def test_quadrature_refinement_stable(self):
         a = modal._helmholtz_coefficients(10, 12.0, np.pi / 3, 64)
@@ -158,21 +184,19 @@ class TestTaylor:
     def test_recursion_agrees_with_closed_form(self, three_pole):
         z0 = 0.3 + 0.1j
         a = modal.taylor_coefficients(three_pole, z0, 10)
-        b = modal.recursive_taylor(three_pole, z0, 10)
+        b = recursive_taylor(three_pole, z0, 10)
         assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-12 * np.max(
             np.abs(a.coefficients)
         )
 
     def test_recursive_single_pole(self):
         m = modal.build_synthetic([2.0], [1.0])
-        t = modal.recursive_taylor(m, 0.0, 1)
+        t = recursive_taylor(m, 0.0, 1)
         assert t.coefficients[1, 0] == pytest.approx(0.25)
 
     def test_center_on_pole_rejected(self, two_pole):
         with pytest.raises(CenterOnPole):
             modal.taylor_coefficients(two_pole, 2.0, 3)
-        with pytest.raises(CenterOnPole):
-            modal.recursive_taylor(two_pole, 2.0, 3)
 
 
 class TestPoleList:
@@ -198,10 +222,7 @@ class TestPoleList:
             assert total == pytest.approx(model.source_norm() ** 2, rel=1e-12)
 
     def test_drop_threshold_removes_tiny_residues(self):
-        m = modal.ModalModel(
-            [modal.ModeEntry(1.0, 1.0), modal.ModeEntry(2.0, 1e-16)],
-            modal.InnerProductWeights.l2(2),
-        )
+        m = l2_model([1.0, 2.0], [1.0, 1e-16])
         assert [lam for lam, _ in modal.pole_list(m, 0.0)] == [1.0]
 
 
@@ -224,15 +245,13 @@ class TestRetainedPoles:
 
     def test_pole_evaluation_reports_nearest_pole(self):
         # two poles within 1e-12 of z; the error names the nearer one
-        modes = [modal.ModeEntry(1.0, 1.0), modal.ModeEntry(1.0 + 1.5e-12, 1.0)]
-        m = modal.ModalModel(modes, modal.InnerProductWeights.l2(2))
+        m = l2_model([1.0, 1.0 + 1.5e-12], [1.0, 1.0])
         with pytest.raises(PoleEvaluation) as err:
             modal.evaluate_exact(m, 1.0 + 1e-12)
         assert err.value.pole == 1.0 + 1.5e-12
 
     def test_pole_evaluation_tie_breaks_by_real_then_imaginary(self):
-        modes = [modal.ModeEntry(0.75e-12j, 1.0), modal.ModeEntry(-0.75e-12j, 1.0)]
-        m = modal.ModalModel(modes, modal.InnerProductWeights.l2(2))
+        m = l2_model([0.75e-12j, -0.75e-12j], [1.0, 1.0])
         with pytest.raises(PoleEvaluation) as err:
             modal.evaluate_exact(m, 0.0)
         assert err.value.pole == -0.75e-12j
@@ -247,9 +266,22 @@ class TestSerialization:
         assert np.allclose(back.coefficients, helmholtz.coefficients)
         assert np.allclose(back.weights.weights, helmholtz.weights.weights)
         assert back.weights.kind == "energy"
-        assert back.modes[0].basis_tag == helmholtz.modes[0].basis_tag
+        assert np.array_equal(back.tags, helmholtz.tags)
 
     def test_synthetic_round_trip(self, three_pole):
         back = modal.model_from_json(modal.model_to_json(three_pole))
         assert np.allclose(back.eigenvalues, three_pole.eigenvalues)
         assert back.weights.kind == "l2"
+        assert back.tags is None
+
+    def test_one_json_entry_per_mode(self, helmholtz, three_pole):
+        modes = modal.model_to_json(helmholtz)["modes"]
+        assert len(modes) == helmholtz.dimension
+        assert modes[1] == {
+            "lambda": [5.0, 0.0],
+            "coef": [helmholtz.coefficients[1].real, helmholtz.coefficients[1].imag],
+            "tag": [1, 2],
+        }
+        assert modal.model_to_json(three_pole)["modes"][2] == {
+            "lambda": [4.0, 0.0], "coef": [0.25, 0.0], "tag": None,
+        }

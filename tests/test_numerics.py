@@ -170,12 +170,3 @@ class TestPolynomialRoots:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateLeadingCoefficient):
             numerics.polynomial_roots([])
-
-
-class TestClusterRoots:
-    def test_groups_close_roots(self):
-        reps = numerics.cluster_roots([1.0, 1.0 + 1e-9, 2.0])
-        assert sorted(m for _, m in reps) == [1, 2]
-
-    def test_empty(self):
-        assert numerics.cluster_roots([]) == []
