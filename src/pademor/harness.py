@@ -6,6 +6,7 @@ carries the denominator magnitude so near-pole rows can be masked after
 the fact instead of being dropped.
 """
 
+import itertools
 import json
 import math
 import sys
@@ -14,11 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pade, poly
-from .errors import ConfigError, PoleEvaluation
+from .errors import ConfigError
 from .modal import (
+    POLE_EVAL_TOL,
     build_rectangle_helmholtz,
     build_synthetic,
-    evaluate_exact,
+    evaluate_exact_grid,
     nearest_pole,
     pole_list,
 )
@@ -29,11 +31,8 @@ NEAR_POLE_DISTANCE = 1e-6
 
 
 def fmt(x):
-    """Deterministic float formatting: 17 significant digits."""
-    if x != x:
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """Deterministic float formatting: 17 significant digits ('nan', 'inf',
+    '-inf' for the special values)."""
     return format(float(x), ".17g")
 
 
@@ -211,18 +210,16 @@ def _pair(model, config, M, E):
     return pade.build(model, fast), pade.build(model, std)
 
 
-def _errors(model, approx, points):
-    """(error, qmag, near_pole_flag) per point; the error is inf on a pole
-    of S."""
-    out = []
-    for z in points:
-        value, qmag = pade.evaluate(approx, z)
-        try:
-            error = norm(evaluate_exact(model, z) - value, model.weights)
-        except PoleEvaluation:  # z is then within 1e-12 of a pole: near
-            error = math.inf
-        out.append((error, qmag, nearest_pole(model, z)[1] < NEAR_POLE_DISTANCE))
-    return out
+def _errors(model, approx, points, exact):
+    """Error norms and |Q| of approx at the points, as lists of floats;
+    exact = evaluate_exact_grid(model, points), computed once per grid.
+    The error is inf on a pole of S."""
+    rows, dist = exact
+    values, qmag = pade.evaluate(approx, points)
+    with np.errstate(invalid="ignore"):  # inf - inf on a shared pole
+        errors = norm(rows - values, model.weights)
+    errors[dist <= POLE_EVAL_TOL] = math.inf
+    return errors.tolist(), qmag.tolist()
 
 
 def fit_decay_factor(indices, errors, window=SLOPE_FIT_WINDOW):
@@ -262,23 +259,29 @@ def predicted_pole_factor(model, config, alpha):
 
 
 def _write(path, lines):
+    """Each line followed by '\\n'; lines may be produced while writing."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def cmd_build(config, out):
+    """{"approximants": [...]}, one approximant per line, each line
+    serialized only when it is written."""
     model = _model(config)
-    entries = [pade.approximant_to_json(approx) for M in config.M_list
-               for approx in _pair(model, config, M, M + config.N)]
-    with open(out, "w") as fh:
-        json.dump({"approximants": entries}, fh, indent=1, sort_keys=True)
+    approxs = [a for M in config.M_list for a in _pair(model, config, M, M + config.N)]
+    last = len(approxs) - 1
+    entries = (json.dumps(pade.approximant_to_json(a), sort_keys=True)
+               + ("," if i < last else "") for i, a in enumerate(approxs))
+    _write(out, itertools.chain(['{"approximants": ['], entries, ["]}"]))
 
 
 def cmd_sweep(config, out):
     model = _model(config)
     grid = config.grid()
+    exact = evaluate_exact_grid(model, grid)
     fast, std = zip(*(_pair(model, config, M, M + config.N) for M in config.M_list))
-    columns = [_errors(model, approx, grid) for approx in fast + std]
+    errors, qmags = zip(*(_errors(model, approx, grid, exact) for approx in fast + std))
+    near = exact[1] < NEAR_POLE_DISTANCE
 
     header = ["z"]
     header += [f"abs_error_fast_M{M}" for M in config.M_list]
@@ -288,10 +291,9 @@ def cmd_sweep(config, out):
     header.append("near_pole")
     lines = [",".join(header)]
     for i, z in enumerate(grid):
-        cells = [col[i] for col in columns]
         row = [fmt(z)]
-        row += [fmt(e) for e, _, _ in cells] + [fmt(q) for _, q, _ in cells]
-        row.append("1" if any(near for _, _, near in cells) else "0")
+        row += [fmt(col[i]) for col in errors] + [fmt(col[i]) for col in qmags]
+        row.append("1" if near[i] else "0")
         lines.append(",".join(row))
     _write(out, lines)
 
@@ -310,9 +312,10 @@ def cmd_convergence(config, out):
                 f"at $.M_list: M={M} violates the rate guarantee M >= N-1"
             )
 
+    exact = evaluate_exact_grid(model, probes)
     fast, std = zip(*(_pair(model, config, M, M + config.N) for M in config.M_list))
-    errs_f = [_errors(model, approx, probes) for approx in fast]
-    errs_s = [_errors(model, approx, probes) for approx in std]
+    errs_f = [_errors(model, approx, probes, exact) for approx in fast]
+    errs_s = [_errors(model, approx, probes, exact) for approx in std]
 
     header = [
         "probe", "M", "error_fast", "error_std",
@@ -321,14 +324,12 @@ def cmd_convergence(config, out):
     ]
     lines = [",".join(header)]
     for j, z in enumerate(probes):
-        fitted = fit_decay_factor(config.M_list, [errs[j][0] for errs in errs_f])
+        fitted = fit_decay_factor(config.M_list, [ef[j] for ef, _ in errs_f])
         predicted = predicted_point_factor(model, config, z)
-        for i, M in enumerate(config.M_list):
-            ef, qf, _ = errs_f[i][j]
-            es, qs, _ = errs_s[i][j]
+        for M, (ef, qf), (es, qs) in zip(config.M_list, errs_f, errs_s):
             lines.append(",".join([
-                complex_to_text(z), str(M), fmt(ef), fmt(es),
-                fmt(qf), fmt(qs), fmt(fitted), fmt(predicted),
+                complex_to_text(z), str(M), fmt(ef[j]), fmt(es[j]),
+                fmt(qf[j]), fmt(qs[j]), fmt(fitted), fmt(predicted),
             ]))
     _write(out, lines)
 
@@ -390,17 +391,18 @@ def cmd_compare(config, out):
     if min(config.E_list) < config.N:
         raise ConfigError(f"at $.E_list: minimum E must be >= N = {config.N}")
     grid = config.grid()
+    exact = evaluate_exact_grid(model, grid)
+    near = ["1" if flag else "0" for flag in exact[1] < NEAR_POLE_DISTANCE]
 
     header = ["E", "z", "error_fast", "error_std", "ratio",
               "q_magnitude_fast", "q_magnitude_std", "near_pole"]
     lines = [",".join(header)]
     for E in config.E_list:
         fast, std = _pair(model, config, E, E)
-        rows = zip(grid, _errors(model, fast, grid), _errors(model, std, grid))
-        for z, (ef, qf, near_f), (es, qs, near_s) in rows:
+        (err_f, q_f), (err_s, q_s) = (_errors(model, a, grid, exact) for a in (fast, std))
+        for z, ef, es, qf, qs, flag in zip(grid, err_f, err_s, q_f, q_s, near):
             ratio = ef / es if es > 0 else math.inf
             lines.append(",".join([
-                str(E), fmt(z), fmt(ef), fmt(es), fmt(ratio),
-                fmt(qf), fmt(qs), "1" if (near_f or near_s) else "0",
+                str(E), fmt(z), fmt(ef), fmt(es), fmt(ratio), fmt(qf), fmt(qs), flag,
             ]))
     _write(out, lines)

@@ -44,9 +44,9 @@ class InnerProductWeights:
         return InnerProductWeights(lam + shift, kind="energy", shift=float(shift))
 
 
-def _check_dims(w, *vectors):
+def _check_dims(w, *vectors, ndims=(1,)):
     for v in vectors:
-        if v.shape != (w.dimension,):
+        if v.ndim not in ndims or v.shape[-1] != w.dimension:
             raise DimensionMismatch(
                 f"vector of shape {v.shape} incompatible with {w.dimension} weights"
             )
@@ -61,9 +61,11 @@ def inner_product(u, v, w):
 
 
 def norm(u, w):
+    """V-norm of a vector, or of each row of an (n, dimension) block."""
     u = np.asarray(u, dtype=complex)
-    _check_dims(w, u)
-    return float(np.sqrt(np.sum(w.weights * np.abs(u) ** 2)))
+    _check_dims(w, u, ndims=(1, 2))
+    norms = np.sqrt(np.sum(w.weights * np.abs(u) ** 2, axis=-1))
+    return float(norms) if u.ndim == 1 else norms
 
 
 def complex_to_pair(z):

@@ -22,6 +22,7 @@ from .errors import (
 from .hilbert import InnerProductWeights, norm
 
 POLE_GROUP_TOL = 1e-12
+POLE_EVAL_TOL = 1e-12  # S is not evaluated this close to a retained pole
 DEFAULT_DROP_THRESHOLD = 1e-14
 DEFAULT_MAX_INDEX = 40
 DEFAULT_QUAD_ORDER = 64
@@ -204,13 +205,32 @@ def nearest_pole(model, z):
     return complex(model.poles[k]), float(dist[k])
 
 
+def _resolvent(model, z):
+    """source_coefficient / (eigenvalue - z) per mode, for a point or, one
+    row each, for a 1-d array of points."""
+    return model.coefficients / (model.eigenvalues - np.asarray(z)[..., None])
+
+
 def evaluate_exact(model, z):
     """S(z): componentwise source_coefficient / (eigenvalue - z)."""
     z = complex(z)
     lam, dist = nearest_pole(model, z)
-    if dist <= 1e-12:
+    if dist <= POLE_EVAL_TOL:
         raise PoleEvaluation(f"point {z} lies within 1e-12 of pole {lam}", pole=lam)
-    return model.coefficients / (model.eigenvalues - z)
+    return _resolvent(model, z)
+
+
+def evaluate_exact_grid(model, points):
+    """S at each of a 1-d array of points as the rows of an (n, dimension)
+    array, and each point's distance to its nearest retained pole.  A row
+    within 1e-12 of a pole, where evaluate_exact raises PoleEvaluation, is
+    inf."""
+    points = np.asarray(points, dtype=complex)
+    dist = np.abs(model.poles - points[:, None]).min(axis=1, initial=np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = _resolvent(model, points)
+    rows[dist <= POLE_EVAL_TOL] = np.inf
+    return rows, dist
 
 
 def taylor_coefficients(model, z0, E):

@@ -60,10 +60,12 @@ class VectorPolynomial:
         return self.coeffs.shape[0] - 1
 
     def __call__(self, z):
-        dz = complex(z) - self.center
-        acc = np.zeros(self.coeffs.shape[1], dtype=complex)
+        """Horner evaluation at a point, or at each of a 1-d array of points
+        as the rows of an (n, dimension) array."""
+        dz = np.asarray(z, dtype=complex) - self.center
+        acc = np.zeros(dz.shape + self.coeffs.shape[1:], dtype=complex)
         for row in self.coeffs[::-1]:
-            acc = acc * dz + row
+            acc = acc * dz[..., None] + row
         return acc
 
 
@@ -267,15 +269,22 @@ def build(model, params):
 
 
 def evaluate(approx, z):
-    """P(z)/Q(z) together with |Q(z)|.
+    """P(z)/Q(z) together with |Q(z)|: a (dimension,) array and a float at
+    a point, an (n, dimension) array and an (n,) array along a 1-d array
+    of points.
 
     No error is raised near poles of the approximant; the caller inspects
-    the returned denominator magnitude instead.
+    the returned denominator magnitude instead.  Q is evaluated point by
+    point with poly.evaluate and Python abs, which round differently from
+    NumPy's array arithmetic.
     """
-    qz = poly.evaluate(approx.denominator, z)
-    pz = approx.numerator(z)
+    points = np.asarray(z, dtype=complex)
+    qz = [poly.evaluate(approx.denominator, p) for p in points.reshape(-1).tolist()]
+    pz = approx.numerator(points)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return pz / qz, abs(qz)
+        values = pz / np.reshape(qz, points.shape + (1,))
+    qmag = np.reshape([abs(q) for q in qz], points.shape)
+    return values, (float(qmag) if points.ndim == 0 else qmag)
 
 
 def approximant_poles(approx):
@@ -321,6 +330,7 @@ def residual_norm(model, approx, z):
 
 
 def approximant_to_json(approx):
+    c = approx.numerator.coeffs
     return {
         "params": {
             "z0": hilbert.complex_to_pair(approx.params.z0),
@@ -331,9 +341,7 @@ def approximant_to_json(approx):
             "rho": approx.params.rho,
         },
         "denominator": poly.poly_to_json(approx.denominator),
-        "numerator": [
-            [hilbert.complex_to_pair(c) for c in row] for row in approx.numerator.coeffs
-        ],
+        "numerator": np.stack((c.real, c.imag), -1).tolist(),
         "diagnostics": {
             "functional_value": approx.diagnostics.functional_value,
             "min_eigenvalue": approx.diagnostics.min_eigenvalue,
@@ -355,10 +363,8 @@ def approximant_from_json(obj):
         rho=p["rho"],
     )
     den = poly.poly_from_json(obj["denominator"])
-    rows = np.array(
-        [[hilbert.pair_to_complex(c) for c in row] for row in obj["numerator"]],
-        dtype=complex,
-    )
+    # [re, im] pairs in C order are the memory layout of complex numbers.
+    rows = np.array(obj["numerator"], dtype=float).view(complex)[..., 0]
     num = VectorPolynomial(den.center, rows)
     d = obj["diagnostics"]
     diag = Diagnostics(

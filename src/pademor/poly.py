@@ -32,12 +32,13 @@ class ShiftedPolynomial:
 
 
 def evaluate(p, z):
-    """Horner evaluation in powers of (z - center)."""
+    """Horner evaluation in powers of (z - center), on Python complex
+    numbers (bit-identical to Horner on NumPy complex scalars)."""
     dz = complex(z) - p.center
-    acc = 0.0 + 0.0j
-    for a in p.coeffs[::-1]:
+    acc = 0j
+    for a in p.coeffs[::-1].tolist():
         acc = acc * dz + a
-    return complex(acc)
+    return acc
 
 
 def denominator_from_eigvec(q, z0):

@@ -1,5 +1,7 @@
 """Reference routines the tests compare the package against."""
 
+import math
+
 import numpy as np
 
 from pademor import modal, numerics, poly
@@ -35,3 +37,36 @@ def recursive_taylor(model, z0, E):
     for _ in range(E):
         rows.append(rows[-1] / base)
     return modal.TaylorSeries(z0, np.array(rows))
+
+
+def numpy_horner(p, z):
+    """Horner evaluation of a ShiftedPolynomial on NumPy complex scalars."""
+    dz = complex(z) - p.center
+    acc = 0.0 + 0.0j
+    for a in p.coeffs[::-1]:
+        acc = acc * dz + a
+    return complex(acc)
+
+
+def point_errors(model, approx, points, near_distance=1e-6):
+    """(error, |Q|, near-pole flag) per point, one point at a time: the
+    harness error loop before grid evaluation, with the scalar arithmetic
+    of its callees (approximant, exact map, V-norm) written out."""
+    out = []
+    for z in points:
+        z = complex(z)
+        qz = numpy_horner(approx.denominator, z)
+        dz = z - approx.numerator.center
+        pz = np.zeros(approx.numerator.coeffs.shape[1], dtype=complex)
+        for row in approx.numerator.coeffs[::-1]:
+            pz = pz * dz + row
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = pz / qz
+        dist = modal.nearest_pole(model, z)[1]
+        if dist <= 1e-12:
+            error = math.inf
+        else:
+            diff = model.coefficients / (model.eigenvalues - z) - value
+            error = float(np.sqrt(np.sum(model.weights.weights * np.abs(diff) ** 2)))
+        out.append((error, abs(qz), dist < near_distance))
+    return out

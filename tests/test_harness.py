@@ -1,11 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from pademor import cli, harness, modal
+from pademor import cli, harness, modal, pade, poly
 from pademor.errors import ConfigError, PadeError
+
+from oracles import point_errors
 
 SYNTH_CONFIG = {
     "model": {
@@ -82,6 +85,63 @@ class TestParseConfig:
         assert ":2:" in str(err.value)
 
 
+class TestGridErrors:
+    """The grid path equals the per-point loop exactly, poles included."""
+
+    def check(self, model, approx, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = modal.evaluate_exact_grid(model, points)
+            errors, qmags = harness._errors(model, approx, points, exact)
+        near = (exact[1] < harness.NEAR_POLE_DISTANCE).tolist()
+        assert list(zip(errors, qmags, near)) == point_errors(model, approx, points)
+        return errors, near
+
+    @pytest.mark.parametrize("variant", ["fast", "standard"])
+    def test_helmholtz(self, helmholtz, paper_z0, variant):
+        # 13 = 2^2 + 3^2 is a pole of the map
+        points = np.concatenate((np.linspace(9.0, 15.0, 41), [13.0, 13.0 + 1e-13]))
+        params = pade.BuildParams(paper_z0, 4, 2, 6, variant, 3.0)
+        errors, near = self.check(helmholtz, pade.build(helmholtz, params), points)
+        assert errors[-2:] == [math.inf, math.inf] and near[-2:] == [True, True]
+        assert all(math.isfinite(e) for e in errors[:-2])
+
+    def test_synthetic_exact_recovery(self, two_pole):
+        # the approximant shares the poles of S, so its values there are
+        # infinite too; the error is still inf, not nan
+        points = np.array([-1.0, 0.5, 1.0, 1.0 + 1e-13, 2.0 - 1e-13, 2.0, 3.5])
+        approx = pade.build(two_pole, pade.BuildParams(0.0, 1, 2, 2, "fast"))
+        errors, near = self.check(two_pole, approx, points)
+        assert [e == math.inf for e in errors] == [False, False] + [True] * 4 + [False]
+        assert near == [False, False] + [True] * 4 + [False]
+
+    def test_approximant_infinite_on_a_pole(self, two_pole):
+        # Q(z) = z - 1 vanishes exactly on the pole 1 of S: P/Q is not
+        # finite there, and the error is still inf, not nan
+        approx = pade.PadeApproximant(
+            pade.VectorPolynomial(0.0, [[1.0, 0.0]]),
+            poly.ShiftedPolynomial(0.0, [-1.0, 1.0]),
+            pade.BuildParams(0.0, 0, 1, 1),
+            pade.Diagnostics(0.0, 0.0, False),
+        )
+        errors, near = self.check(two_pole, approx, np.array([0.0, 1.0, 3.0]))
+        assert errors[1] == math.inf and near == [False, True, False]
+
+    def test_complex_points(self, three_pole):
+        points = np.array([0.5 + 0.5j, 2.0, 3.0 - 1e-7j, 5.0 + 2j])
+        approx = pade.build(three_pole, pade.BuildParams(0.3 + 0.2j, 3, 2, 3, "fast"))
+        errors, near = self.check(three_pole, approx, points)
+        assert near == [False, True, False, False]
+
+    def test_scalar_evaluate(self, three_pole):
+        approx = pade.build(three_pole, pade.BuildParams(0.3, 3, 2, 3, "fast"))
+        value, qmag = pade.evaluate(approx, 0.9)
+        assert value.shape == (3,) and type(qmag) is float
+        values, qmags = pade.evaluate(approx, np.array([0.9, 1.7]))
+        assert values.shape == (2, 3) and qmags.shape == (2,)
+        assert np.array_equal(values[0], value) and qmags[0] == qmag
+
+
 class TestFitDecayFactor:
     def test_pure_geometric(self):
         errs = [10.0**-i for i in range(2, 8)]
@@ -148,6 +208,21 @@ class TestCommands:
         assert fast["params"]["variant"] == "fast"
         # exact two-pole recovery: minimal eigenvalue at numerical zero
         assert fast["diagnostics"]["min_eigenvalue"] <= 1e-20
+
+    def test_build_artifact_round_trips(self, tmp_path):
+        cfg = harness.parse_config({**SYNTH_CONFIG, "M_list": [1, 2, 3]})
+        out = tmp_path / "build.json"
+        harness.cmd_build(cfg, str(out))
+        text = out.read_text()
+        entries = json.loads(text)["approximants"]
+        assert len(entries) == 6
+        # one approximant per line, between the opening and closing lines
+        lines = text.split("\n")
+        assert lines[0] == '{"approximants": [' and lines[-2:] == ["]}", ""]
+        assert [json.loads(line.rstrip(",")) for line in lines[1:-2]] == entries
+        for entry in entries:
+            approx = pade.approximant_from_json(entry)
+            assert pade.approximant_to_json(approx) == entry
 
     def test_build_center_on_pole(self, tmp_path):
         bad = {**SYNTH_CONFIG, "z0": [1.0, 0.0]}

@@ -64,6 +64,18 @@ class TestNorm:
         w = hilbert.InnerProductWeights.l2(2)
         assert hilbert.norm(np.array([3.0, 4.0j]), w) == pytest.approx(5.0)
 
+    def test_rows_of_a_block(self, rng):
+        w = hilbert.InnerProductWeights(rng.uniform(0.5, 2.0, 5))
+        block = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        norms = hilbert.norm(block, w)
+        assert norms.shape == (4,)
+        assert norms.tolist() == [hilbert.norm(row, w) for row in block]
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 4), (2, 2, 5)])
+    def test_dimension_mismatch(self, shape):
+        with pytest.raises(DimensionMismatch):
+            hilbert.norm(np.ones(shape), hilbert.InnerProductWeights.l2(5))
+
 
 class TestWeights:
     def test_energy_weights(self):

@@ -9,6 +9,8 @@ from pademor.errors import (
     PoleEvaluation,
 )
 
+from pademor.hilbert import InnerProductWeights
+
 from oracles import recursive_taylor
 
 
@@ -169,6 +171,27 @@ class TestEvaluateExact:
             s = modal.evaluate_exact(helmholtz, z)
             ref = coef / (lam - z)
             assert np.allclose(s, ref, rtol=1e-13)
+
+
+class TestEvaluateExactGrid:
+    def test_rows_equal_pointwise(self, helmholtz, rng):
+        points = rng.uniform(9, 15, 7) + 1j * rng.uniform(-1, 1, 7)
+        rows, dist = modal.evaluate_exact_grid(helmholtz, points)
+        assert rows.shape == (7, helmholtz.dimension)
+        for z, row, d in zip(points, rows, dist):
+            assert np.array_equal(row, modal.evaluate_exact(helmholtz, z))
+            assert d == modal.nearest_pole(helmholtz, z)[1]
+
+    def test_pole_rows_are_inf(self, two_pole):
+        rows, dist = modal.evaluate_exact_grid(two_pole, [1.0, 2.0 + 1e-13, 3.0])
+        assert np.all(np.isinf(rows[:2])) and np.all(np.isfinite(rows[2]))
+        assert dist.tolist() == [0.0, (2.0 + 1e-13) - 2.0, 1.0]
+
+    def test_no_retained_pole(self):
+        m = modal.ModalModel([2.0], [0.0], InnerProductWeights.l2(1))
+        rows, dist = modal.evaluate_exact_grid(m, [0.0, 1.0])
+        assert dist.tolist() == [np.inf, np.inf]
+        assert rows.tolist() == [[0j], [0j]]
 
 
 class TestTaylor:

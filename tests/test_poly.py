@@ -4,7 +4,7 @@ import pytest
 from pademor import poly
 from pademor.errors import ConstantPolynomial, NotNormalized, ZeroPolynomial
 
-from oracles import normalize
+from oracles import normalize, numpy_horner
 
 
 def poly_from_roots(z0, roots):
@@ -25,6 +25,20 @@ class TestEvaluate:
     def test_quadratic_root(self):
         p = poly.ShiftedPolynomial(0.0, [2.0, -3.0, 1.0])
         assert poly.evaluate(p, 1.0) == pytest.approx(0.0, abs=1e-15)
+
+    def test_bit_identical_to_numpy_scalar_horner(self, rng):
+        got, want = [], []
+        for degree in range(13):
+            for _ in range(40):
+                c = rng.standard_normal((2, degree + 1)) * 10.0 ** rng.integers(-8, 8)
+                center = complex(*rng.standard_normal(2))
+                p = poly.ShiftedPolynomial(center, c[0] + 1j * c[1])
+                z = complex(*(3 * rng.standard_normal(2)))
+                got.append(poly.evaluate(p, z))
+                want.append(numpy_horner(p, z))
+        assert all(type(v) is complex for v in got)
+        bits = [np.array(v, dtype=complex).view(np.uint64) for v in (got, want)]
+        assert np.array_equal(*bits)
 
 
 class TestNormalize:
