@@ -10,7 +10,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .modal import (
     nearest_pole,
     pole_list,
 )
-from .hilbert import complex_to_text, norm, pair_to_complex
+from .hilbert import complex_to_text, norm, pairs_to_array
 
 SLOPE_FIT_WINDOW = (1e-11, 1e-1)
 NEAR_POLE_DISTANCE = 1e-6
@@ -44,11 +44,11 @@ class StudyConfig:
     k_hi: float
     M_list: list
     N: int
-    E_rule: str = "MaxMN"
-    rho_factor: float = 1.0
-    grid_points: int = 101
-    z_probes: list = field(default_factory=list)
-    E_list: list = field(default_factory=list)
+    E_rule: str
+    rho_factor: float
+    grid_points: int
+    z_probes: list
+    E_list: list
 
     def rho(self):
         return self.rho_factor * self.radius()
@@ -86,9 +86,24 @@ def _integer(value, path, low):
     return value
 
 
+def _known_keys(obj, path, keys):
+    """Reject a key of obj outside keys, so that a misspelt one is not
+    silently replaced by its default."""
+    for key in obj:
+        _require(key in keys, f"{path}.{key}", "unknown key")
+
+
 def _complex(pair, path):
     _require(isinstance(pair, list) and len(pair) == 2, path, "must be a [re, im] pair")
     return complex(_number(pair[0], path), _number(pair[1], path))
+
+
+CONFIG_KEYS = ("model", "z0", "K", "M_list", "N", "E_rule", "rho_rule",
+               "grid_points", "z_probes", "E_list")
+MODEL_KEYS = {
+    "helmholtz": ("kind", "max_index", "nu_sq", "theta", "quad_order"),
+    "synthetic": ("kind", "poles", "residue_norms"),
+}
 
 
 def _check_model(spec):
@@ -96,6 +111,7 @@ def _check_model(spec):
     kind = spec.get("kind")
     _require(kind in ("helmholtz", "synthetic"), "$.model.kind",
              "must be 'helmholtz' or 'synthetic'")
+    _known_keys(spec, "$.model", MODEL_KEYS[kind])
     if kind == "helmholtz":
         for key, low in (("max_index", 4), ("quad_order", 20)):
             _integer(spec.get(key, low), f"$.model.{key}", low)
@@ -118,6 +134,7 @@ def _check_model(spec):
 def parse_config(obj):
     """Validate a raw JSON object into a StudyConfig (ConfigError on failure)."""
     _require(isinstance(obj, dict), "$", "config must be a JSON object")
+    _known_keys(obj, "$", CONFIG_KEYS)
     model_spec = obj.get("model")
     _check_model(model_spec)
     z0 = _complex(obj.get("z0"), "$.z0")
@@ -142,6 +159,7 @@ def parse_config(obj):
     rho_rule = obj.get("rho_rule", {"factor": 1.0})
     _require(isinstance(rho_rule, dict) and "factor" in rho_rule, "$.rho_rule",
              "must be an object with a 'factor' entry")
+    _known_keys(rho_rule, "$.rho_rule", ("factor",))
     rho_factor = _number(rho_rule["factor"], "$.rho_rule.factor", positive=True)
 
     grid_points = _integer(obj.get("grid_points", 101), "$.grid_points", 2)
@@ -188,7 +206,7 @@ def build_model(config):
         keys = ("max_index", "nu_sq", "theta", "quad_order")
         return build_rectangle_helmholtz(**{k: spec[k] for k in keys if k in spec})
     return build_synthetic(
-        [pair_to_complex(p) for p in spec["poles"]],
+        pairs_to_array(spec["poles"]),
         [float(r) for r in spec["residue_norms"]],
     )
 
@@ -240,17 +258,16 @@ def fit_decay_factor(indices, errors, window=SLOPE_FIT_WINDOW):
     return float(10.0**slope)
 
 
-def predicted_point_factor(model, config, z):
-    """|z - z0| / |lambda_{N+1} - z0| from the ordered pole list."""
-    poles = pole_list(model, config.z0)
+def predicted_point_factor(poles, config, z):
+    """|z - z0| / |lambda_{N+1} - z0|; poles = pole_list(model, config.z0)."""
     if len(poles) <= config.N:
         return 0.0
     return abs(z - config.z0) / abs(poles[config.N][0] - config.z0)
 
 
-def predicted_pole_factor(model, config, alpha):
-    """Per-E decay factor |(lambda_alpha - z0) / (lambda_{N+1} - z0)|^2."""
-    poles = pole_list(model, config.z0)
+def predicted_pole_factor(poles, config, alpha):
+    """Per-E decay factor |(lambda_alpha - z0) / (lambda_{N+1} - z0)|^2;
+    poles = pole_list(model, config.z0)."""
     if len(poles) <= config.N:
         return 0.0
     lam_a = poles[alpha - 1][0]
@@ -316,6 +333,7 @@ def cmd_convergence(config, out):
     fast, std = zip(*(_pair(model, config, M, M + config.N) for M in config.M_list))
     errs_f = [_errors(model, approx, probes, exact) for approx in fast]
     errs_s = [_errors(model, approx, probes, exact) for approx in std]
+    poles = pole_list(model, config.z0)
 
     header = [
         "probe", "M", "error_fast", "error_std",
@@ -325,7 +343,7 @@ def cmd_convergence(config, out):
     lines = [",".join(header)]
     for j, z in enumerate(probes):
         fitted = fit_decay_factor(config.M_list, [ef[j] for ef, _ in errs_f])
-        predicted = predicted_point_factor(model, config, z)
+        predicted = predicted_point_factor(poles, config, z)
         for M, (ef, qf), (es, qs) in zip(config.M_list, errs_f, errs_s):
             lines.append(",".join([
                 complex_to_text(z), str(M), fmt(ef[j]), fmt(es[j]),
@@ -347,16 +365,21 @@ def _nearest_root_errors(roots, true_poles):
     return errors, extras
 
 
+def _check_E_list(config):
+    if not config.E_list:
+        raise ConfigError("at $.E_list: this study needs a list of E values")
+    if min(config.E_list) < config.N:
+        raise ConfigError(f"at $.E_list: minimum E must be >= N = {config.N}")
+
+
 def cmd_poles(config, out):
     model = _model(config)
     if config.N < 1:
         raise ConfigError("at $.N: pole study needs N >= 1")
-    if not config.E_list:
-        raise ConfigError("at $.E_list: pole study needs a list of E values")
-    if min(config.E_list) < config.N:
-        raise ConfigError(f"at $.E_list: minimum E must be >= N = {config.N}")
+    _check_E_list(config)
     N = config.N
-    true_poles = [lam for lam, _ in pole_list(model, config.z0)[:N]]
+    poles = pole_list(model, config.z0)
+    true_poles = [lam for lam, _ in poles[:N]]
 
     header = ["E"]
     header += [f"abs_error_fast_lambda{a}" for a in range(1, N + 1)]
@@ -365,7 +388,7 @@ def cmd_poles(config, out):
     header += ["q_magnitude_fast", "q_magnitude_std",
                "extra_roots_fast", "extra_roots_std"]
     lines = [",".join(header)]
-    predicted = [predicted_pole_factor(model, config, a) for a in range(1, N + 1)]
+    predicted = [predicted_pole_factor(poles, config, a) for a in range(1, N + 1)]
     for E in config.E_list:
         fast, std = _pair(model, config, E, E)
         err_f, extra_f = _nearest_root_errors(pade.approximant_poles(fast), true_poles)
@@ -386,10 +409,7 @@ def cmd_compare(config, out):
     E + N under MPlusN); the standard one has degree E - N from E
     coefficients, so the two share a derivative budget only under MaxMN."""
     model = _model(config)
-    if not config.E_list:
-        raise ConfigError("at $.E_list: comparison needs a list of E values")
-    if min(config.E_list) < config.N:
-        raise ConfigError(f"at $.E_list: minimum E must be >= N = {config.N}")
+    _check_E_list(config)
     grid = config.grid()
     exact = evaluate_exact_grid(model, grid)
     near = ["1" if flag else "0" for flag in exact[1] < NEAR_POLE_DISTANCE]

@@ -69,13 +69,18 @@ def norm(u, w):
 
 
 def complex_to_pair(z):
-    """JSON form of a complex scalar: [re, im]."""
-    z = complex(z)
-    return [z.real, z.imag]
+    """JSON form of a complex scalar or array: [re, im] in place of each
+    entry, as nested lists of floats."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack((z.real, z.imag), -1).tolist()
 
 
-def pair_to_complex(pair):
-    return complex(pair[0], pair[1])
+def pairs_to_array(pairs):
+    """Inverse of complex_to_pair, bit for bit (signed zeros included): a
+    complex array, 0-d for a single [re, im] pair."""
+    a = np.array(pairs, dtype=float)
+    # [re, im] pairs in C order are the memory layout of complex numbers.
+    return a.view(complex).reshape(a.shape[:-1])
 
 
 def complex_to_text(z):

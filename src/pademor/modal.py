@@ -19,7 +19,7 @@ from .errors import (
     PoleEvaluation,
     QuadratureNotConverged,
 )
-from .hilbert import InnerProductWeights, norm
+from .hilbert import InnerProductWeights, complex_to_pair, norm, pairs_to_array
 
 POLE_GROUP_TOL = 1e-12
 POLE_EVAL_TOL = 1e-12  # S is not evaluated this close to a retained pole
@@ -136,7 +136,6 @@ def build_rectangle_helmholtz(
     nu_sq=12.0,
     theta=np.pi / 3,
     quad_order=DEFAULT_QUAD_ORDER,
-    drop_threshold=DEFAULT_DROP_THRESHOLD,
 ):
     """Exact spectral Helmholtz model on (0, pi)^2 with Dirichlet boundary.
 
@@ -164,8 +163,7 @@ def build_rectangle_helmholtz(
     m, n = np.indices((max_index, max_index)).reshape(2, -1) + 1
     eigenvalues = m * m + n * n
     weights = InnerProductWeights.energy(eigenvalues, nu_sq)
-    return ModalModel(eigenvalues, coef.ravel(), weights, drop_threshold,
-                      np.column_stack((m, n)))
+    return ModalModel(eigenvalues, coef.ravel(), weights, tags=np.column_stack((m, n)))
 
 
 def _retained_poles(model):
@@ -235,25 +233,37 @@ def evaluate_exact_grid(model, points):
 
 def taylor_coefficients(model, z0, E):
     """Closed-form Taylor coefficients: component k of order g is
-    source_coefficient_k / (eigenvalue_k - z0)^{g+1}."""
+    source_coefficient_k / (eigenvalue_k - z0)^{g+1}.
+
+    Where the power overflows, the coefficient is the zero it rounds to.  A
+    coefficient that is itself not finite, the center being too close to an
+    eigenvalue for the order, raises CenterOnPole.
+    """
     z0 = complex(z0)
     lam, dist = nearest_pole(model, z0)
     if dist <= 1e-10:
         raise CenterOnPole(f"point {z0} lies within 1e-10 of pole {lam}")
     base = model.eigenvalues - z0
-    powers = np.arange(1, E + 2)
-    coeffs = model.coefficients[None, :] / base[None, :] ** powers[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        powers = base[None, :] ** np.arange(1, E + 2)[:, None]
+        coeffs = model.coefficients[None, :] / powers
+    coeffs[~np.isfinite(powers)] = 0.0
+    bad = np.argwhere(~np.isfinite(coeffs))
+    if bad.size:
+        g, k = bad[0]
+        raise CenterOnPole(
+            f"point {z0} lies {abs(base[k]):.3e} from eigenvalue "
+            f"{model.eigenvalues[k]}: its Taylor coefficient of order {g} is not finite"
+        )
     return TaylorSeries(z0, coeffs)
 
 
 def model_to_json(model):
     tags = [None] * model.dimension if model.tags is None else model.tags.tolist()
-    modes = zip(model.eigenvalues.tolist(), model.coefficients.tolist(), tags)
+    modes = zip(complex_to_pair(model.eigenvalues), complex_to_pair(model.coefficients),
+                tags)
     return {
-        "modes": [
-            {"lambda": [lam.real, lam.imag], "coef": [c.real, c.imag], "tag": tag}
-            for lam, c, tag in modes
-        ],
+        "modes": [{"lambda": lam, "coef": c, "tag": tag} for lam, c, tag in modes],
         "weights": (
             {"kind": "energy", "shift": model.weights.shift}
             if model.weights.kind == "energy"
@@ -265,8 +275,8 @@ def model_to_json(model):
 
 def model_from_json(obj):
     modes = obj["modes"]
-    eigenvalues = np.array([complex(*m["lambda"]) for m in modes])
-    coefficients = np.array([complex(*m["coef"]) for m in modes])
+    eigenvalues = pairs_to_array([m["lambda"] for m in modes])
+    coefficients = pairs_to_array([m["coef"] for m in modes])
     tags = [m.get("tag") for m in modes]
     wspec = obj["weights"]
     if wspec["kind"] == "energy":
@@ -283,8 +293,9 @@ def model_from_json(obj):
 
 
 def save_model(model, path):
+    # json.dumps, not json.dump: only the former uses the C encoder.
     with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh)
+        fh.write(json.dumps(model_to_json(model)))
 
 
 def load_model(path):

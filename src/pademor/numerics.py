@@ -15,17 +15,13 @@ from .errors import DegenerateLeadingCoefficient, NoConvergence, NonHermitianInp
 
 HERMITIAN_TOL = 1e-13
 DEGENERACY_GAP = 1e-12
+EIGEN_TOL = 1e-12  # eigen-residual contract, relative to ||H||_F
+ROOT_TOL = 1e-10  # root-residual contract of polynomial_roots
 MAX_JACOBI_SWEEPS = 100
 MAX_ROOT_ITERATIONS = 500
 
 
 class MinEigen(NamedTuple):
-    value: float
-    vector: np.ndarray
-    degenerate: bool
-
-
-class MinSingular(NamedTuple):
     value: float
     vector: np.ndarray
     degenerate: bool
@@ -60,11 +56,11 @@ def _check_hermitian(H):
     return 0.5 * (H + H.conj().T), scale
 
 
-def hermitian_eigensystem(H, tol=1e-12):
+def hermitian_eigensystem(H):
     """Full eigendecomposition of a Hermitian matrix by cyclic complex Jacobi.
 
     Returns (values, vectors) with values ascending and vectors as columns,
-    each phase-fixed.  Residuals satisfy ||H v - mu v|| <= tol * ||H||_F.
+    each phase-fixed.  Residuals satisfy ||H v - mu v|| <= EIGEN_TOL * ||H||_F.
     """
     A, scale = _check_hermitian(H)
     n = A.shape[0]
@@ -73,9 +69,9 @@ def hermitian_eigensystem(H, tol=1e-12):
         vals = A.real.diagonal().copy()
         return vals, phase_fix_columns(V)
 
-    # Quadratic convergence: off-diagonal mass well below tol*scale gives
-    # eigen-residuals within the contract.
-    target = 0.1 * tol * scale
+    # Quadratic convergence: off-diagonal mass well below EIGEN_TOL * scale
+    # gives eigen-residuals within the contract.
+    target = 0.1 * EIGEN_TOL * scale
     skip = np.finfo(float).eps * scale / n
     mask = ~np.eye(n, dtype=bool)
     for sweep in range(MAX_JACOBI_SWEEPS + 1):
@@ -138,7 +134,7 @@ def _lexicographic_key(v):
     return tuple(np.real(v)) + tuple(np.imag(v))
 
 
-def hermitian_min_eigenpair(H, tol=1e-12):
+def hermitian_min_eigenpair(H):
     """Smallest eigenpair of a Hermitian matrix.
 
     The eigenvector is unit-norm with its largest-magnitude entry real
@@ -147,7 +143,7 @@ def hermitian_min_eigenpair(H, tol=1e-12):
     near-minimal eigenvectors, the phase-fixed lexicographically smallest
     one (real parts, then imaginary parts) is returned.
     """
-    vals, vecs = hermitian_eigensystem(H, tol)
+    vals, vecs = hermitian_eigensystem(H)
     return min_eigenpair(vals, vecs, np.linalg.norm(np.asarray(H)))
 
 
@@ -167,27 +163,27 @@ def min_eigenpair(vals, vecs, scale):
     return MinEigen(float(vals[0]), phase_fix(v), degenerate)
 
 
-def min_right_singular_vector(R, tol=1e-12):
+def min_right_singular_vector(R):
     """Right-singular vector of an upper-triangular R for its smallest
-    singular value.
+    singular value, as a MinEigen whose value is that singular value.
 
     Works on the small normal matrix R*R; same residual and phase contract
     as hermitian_min_eigenpair.
     """
     R = np.asarray(R, dtype=complex)
     H = R.conj().T @ R
-    res = hermitian_min_eigenpair(H, tol)
+    res = hermitian_min_eigenpair(H)
     sigma = np.sqrt(max(res.value, 0.0))
-    return MinSingular(float(sigma), res.vector, res.degenerate)
+    return MinEigen(float(sigma), res.vector, res.degenerate)
 
 
-def polynomial_roots(coeffs, tol=1e-10):
+def polynomial_roots(coeffs):
     """All roots (with multiplicity) of a polynomial in ascending coefficients.
 
     Durand-Kerner simultaneous iteration with the deterministic start
     r * (0.4 + 0.9i)^k, r being the Cauchy root-radius bound of the monic
     polynomial.  Roots are returned sorted by (magnitude, phase), and each
-    root satisfies |p(root)| <= tol * max|coeff| * (1 + |root|)^degree.
+    root satisfies |p(root)| <= ROOT_TOL * max|coeff| * (1 + |root|)^degree.
     """
     a = np.asarray(coeffs, dtype=complex)
     if a.ndim != 1 or a.size == 0:
@@ -221,7 +217,7 @@ def polynomial_roots(coeffs, tol=1e-10):
     # The step size can stall at rounding level without ever meeting the
     # break criterion; the residual bound below is the actual guarantee.
     residuals = np.abs((x[:, None] ** powers) @ a)
-    bounds = tol * amax * (1.0 + np.abs(x)) ** degree
+    bounds = ROOT_TOL * amax * (1.0 + np.abs(x)) ** degree
     if np.any(residuals > bounds):
         worst = float(np.max(residuals / np.maximum(bounds, 1e-300)))
         raise NoConvergence(

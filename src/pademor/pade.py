@@ -10,7 +10,7 @@ E and rho = 1, is kept as a cross-check.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -94,10 +94,8 @@ def _taylor_window(taylor, N, E):
             f"need E+1 = {E + 1} Taylor coefficients, have {taylor.length}"
         )
     cols = np.zeros((taylor.dimension, N + 1), dtype=complex)
-    for j in range(N + 1):
-        order = E - N + j
-        if order >= 0:
-            cols[:, j] = taylor.coefficients[order]
+    lo = max(E - N, 0)
+    cols[:, lo - (E - N):] = taylor.coefficients[lo : E + 1].T
     return cols
 
 
@@ -111,18 +109,18 @@ def gramian(taylor, N, E, w):
     return 0.5 * (G + G.conj().T)
 
 
-def _gramian_denominator(taylor, M, N, E, rho, w, tol):
+def _gramian_denominator(taylor, M, N, E, rho, w):
     """Minimal eigenvector of the rho-weighted Gramian sum over orders
     M+1..E, rescaled by rho^{-2(M+1)} before the eigensolve.
 
     The minimizer is invariant under positive scaling of the matrix, so the
-    rescaling only guards against overflow.
+    rescaling only guards against overflow.  Each block is exactly
+    Hermitian, and so is their positively weighted sum.
     """
     A = np.zeros((N + 1, N + 1), dtype=complex)
     for gamma in range(M + 1, E + 1):
         A += rho ** (2 * (gamma - M - 1)) * gramian(taylor, N, gamma, w)
-    A = 0.5 * (A + A.conj().T)
-    vals, vecs = numerics.hermitian_eigensystem(A, tol)
+    vals, vecs = numerics.hermitian_eigensystem(A)
     res = numerics.min_eigenpair(vals, vecs, np.linalg.norm(A))
     # Python floats, so that an overflowing ratio is inf without a warning.
     top, bottom = float(vals[-1]), float(vals[0])
@@ -137,12 +135,12 @@ def _gramian_denominator(taylor, M, N, E, rho, w, tol):
     return den, diag
 
 
-def denominator_fast_gramian(taylor, N, E, w, tol=1e-12):
+def denominator_fast_gramian(taylor, N, E, w):
     """Fast denominator via the minimal eigenvector of the Gramian: the
     standard functional with the single block of order E."""
     if E < N:
         raise ValueError("fast denominator requires E >= N")
-    return _gramian_denominator(taylor, E - 1, N, E, 1.0, w, tol)
+    return _gramian_denominator(taylor, E - 1, N, E, 1.0, w)
 
 
 def _weighted_mgs(A, w):
@@ -184,7 +182,7 @@ def _null_direction(R, j):
     return numerics.phase_fix(q)
 
 
-def denominator_fast_qr(taylor, N, E, w, tol=1e-12):
+def denominator_fast_qr(taylor, N, E, w):
     """Fast denominator via QR of the quasimatrix [S_{E-N} | ... | S_E].
 
     Better conditioned than the Gramian route: the singular values of R
@@ -200,30 +198,23 @@ def denominator_fast_qr(taylor, N, E, w, tol=1e-12):
     diags = np.abs(np.diag(R))
     cond = float(np.max(diags)) / max(float(np.min(diags)), 1e-300)
     deficient = np.nonzero(diags <= QR_DEGENERACY_THRESHOLD * max(first_norm, 1e-300))[0]
-    if deficient.size > 0:
+    exact = deficient.size > 0
+    if exact:
         q = _null_direction(R, int(deficient[0]))
-        den = poly.denominator_from_eigvec(q, taylor.center)
-        sigma = float(np.linalg.norm(R @ q))
-        diag = Diagnostics(
-            functional_value=sigma,
-            min_eigenvalue=sigma**2,
-            degenerate=True,
-            exact_degeneracy=True,
-            condition_estimate=cond,
-        )
-        return den, diag
-    res = numerics.min_right_singular_vector(R, tol)
-    den = poly.denominator_from_eigvec(res.vector, taylor.center)
+        sigma, degenerate = float(np.linalg.norm(R @ q)), True
+    else:
+        sigma, q, degenerate = numerics.min_right_singular_vector(R)
     diag = Diagnostics(
-        functional_value=res.value,
-        min_eigenvalue=res.value**2,
-        degenerate=res.degenerate,
+        functional_value=sigma,
+        min_eigenvalue=sigma**2,
+        degenerate=degenerate,
+        exact_degeneracy=exact,
         condition_estimate=cond,
     )
-    return den, diag
+    return poly.denominator_from_eigvec(q, taylor.center), diag
 
 
-def denominator_standard(taylor, M, N, E, rho, w, tol=1e-12):
+def denominator_standard(taylor, M, N, E, rho, w):
     """Standard denominator: minimal eigenvector of the rho-weighted Gramian
     sum over orders M+1..E."""
     if E < M + N:
@@ -232,7 +223,7 @@ def denominator_standard(taylor, M, N, E, rho, w, tol=1e-12):
         raise ValueError("rho must be positive")
     if 2.0 * (E - M) * math.log10(rho) > 300.0:
         raise RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}")
-    return _gramian_denominator(taylor, M, N, E, rho, w, tol)
+    return _gramian_denominator(taylor, M, N, E, rho, w)
 
 
 def numerator(taylor, Q, M):
@@ -330,48 +321,20 @@ def residual_norm(model, approx, z):
 
 
 def approximant_to_json(approx):
-    c = approx.numerator.coeffs
+    """JSON form: the BuildParams and Diagnostics fields by name, complex
+    numbers as [re, im] pairs, one row of pairs per numerator coefficient."""
+    z0 = hilbert.complex_to_pair(approx.params.z0)
     return {
-        "params": {
-            "z0": hilbert.complex_to_pair(approx.params.z0),
-            "M": approx.params.M,
-            "N": approx.params.N,
-            "E": approx.params.E,
-            "variant": approx.params.variant,
-            "rho": approx.params.rho,
-        },
+        "params": {**asdict(approx.params), "z0": z0},
         "denominator": poly.poly_to_json(approx.denominator),
-        "numerator": np.stack((c.real, c.imag), -1).tolist(),
-        "diagnostics": {
-            "functional_value": approx.diagnostics.functional_value,
-            "min_eigenvalue": approx.diagnostics.min_eigenvalue,
-            "degenerate": approx.diagnostics.degenerate,
-            "exact_degeneracy": approx.diagnostics.exact_degeneracy,
-            "condition_estimate": approx.diagnostics.condition_estimate,
-        },
+        "numerator": hilbert.complex_to_pair(approx.numerator.coeffs),
+        "diagnostics": asdict(approx.diagnostics),
     }
 
 
 def approximant_from_json(obj):
-    p = obj["params"]
-    params = BuildParams(
-        z0=hilbert.pair_to_complex(p["z0"]),
-        M=p["M"],
-        N=p["N"],
-        E=p["E"],
-        variant=p["variant"],
-        rho=p["rho"],
-    )
+    z0 = hilbert.pairs_to_array(obj["params"]["z0"])
+    params = BuildParams(**{**obj["params"], "z0": z0})
     den = poly.poly_from_json(obj["denominator"])
-    # [re, im] pairs in C order are the memory layout of complex numbers.
-    rows = np.array(obj["numerator"], dtype=float).view(complex)[..., 0]
-    num = VectorPolynomial(den.center, rows)
-    d = obj["diagnostics"]
-    diag = Diagnostics(
-        functional_value=d["functional_value"],
-        min_eigenvalue=d["min_eigenvalue"],
-        degenerate=d["degenerate"],
-        exact_degeneracy=d["exact_degeneracy"],
-        condition_estimate=d["condition_estimate"],
-    )
-    return PadeApproximant(num, den, params, diag)
+    num = VectorPolynomial(den.center, hilbert.pairs_to_array(obj["numerator"]))
+    return PadeApproximant(num, den, params, Diagnostics(**obj["diagnostics"]))

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ConstantPolynomial, NotNormalized, ZeroPolynomial
+from .hilbert import complex_to_pair, pairs_to_array
 
 TRIM_THRESHOLD = 1e-13
 
@@ -68,24 +69,19 @@ def effective_coeffs(p):
     return c[: last + 1], last < c.size - 1
 
 
-def roots(p, tol=1e-10):
+def roots(p):
     """Roots of p, sorted by distance from the center (ties by (Re, Im))."""
     c, _ = effective_coeffs(p)
     if c.size < 2:
         raise ConstantPolynomial("polynomial has effective degree 0")
-    raw = numerics.polynomial_roots(c, tol)
+    raw = numerics.polynomial_roots(c)
     shifted = [r + p.center for r in raw]
     return sorted(shifted, key=lambda r: (abs(r - p.center), r.real, r.imag))
 
 
 def poly_to_json(p):
-    return {
-        "center": [p.center.real, p.center.imag],
-        "coeffs": [[a.real, a.imag] for a in p.coeffs],
-    }
+    return {"center": complex_to_pair(p.center), "coeffs": complex_to_pair(p.coeffs)}
 
 
 def poly_from_json(obj):
-    center = complex(obj["center"][0], obj["center"][1])
-    coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]], dtype=complex)
-    return ShiftedPolynomial(center, coeffs)
+    return ShiftedPolynomial(pairs_to_array(obj["center"]), pairs_to_array(obj["coeffs"]))

@@ -330,6 +330,11 @@ class TestCli:
             ({"grid_points": True}, "$.grid_points"),
             ({"model": {"kind": "helmholtz", "max_index": True}}, "$.model.max_index"),
             ({"model": {"kind": "helmholtz", "quad_order": True}}, "$.model.quad_order"),
+            # unknown keys: a misspelling must not run a study on the defaults
+            ({"grid_point": 11}, "$.grid_point"),
+            ({"model": {"kind": "helmholtz", "nusq": 12.0}}, "$.model.nusq"),
+            ({"model": {**SYNTH_CONFIG["model"], "max_index": 8}}, "$.model.max_index"),
+            ({"rho_rule": {"factor": 1.0, "factr": 2.0}}, "$.rho_rule.factr"),
         ],
     )
     def test_bad_config_exit_two_with_path(self, tmp_path, capsys, patch, needle):
@@ -357,6 +362,30 @@ class TestCli:
         approximants = json.loads(out.read_text())["approximants"]
         conds = [a["diagnostics"]["condition_estimate"] for a in approximants]
         assert math.inf in conds
+
+    @pytest.mark.filterwarnings("error")
+    def test_taylor_power_overflow_exit_zero(self, tmp_path):
+        # (m^2 + n^2 - z0)^(g+1) overflows for the outer modes well before
+        # the top order g = 201; those coefficients are zero, not nan
+        patch = {"model": {"kind": "helmholtz", "max_index": 8}, "z0": [12.0, 0.5],
+                 "K": [9.0, 15.0], "M_list": [200], "z_probes": [[9.0, 0.0]]}
+        path = write_config(tmp_path, {**SYNTH_CONFIG, **patch})
+        for cmd in ("build", "sweep", "convergence"):
+            out = str(tmp_path / f"{cmd}.out")
+            assert cli.main([cmd, "--config", path, "--out", out]) == 0
+        approximants = json.loads((tmp_path / "build.out").read_text())["approximants"]
+        assert all(math.isfinite(a["diagnostics"]["functional_value"])
+                   for a in approximants)
+
+    @pytest.mark.filterwarnings("error")
+    def test_taylor_coefficient_overflow_exit_three(self, tmp_path, capsys):
+        patch = {"model": {"kind": "helmholtz", "max_index": 8}, "z0": [13.0, 1e-9],
+                 "K": [9.0, 15.0], "M_list": [40], "z_probes": [[9.0, 0.0]]}
+        path = write_config(tmp_path, {**SYNTH_CONFIG, **patch})
+        for cmd in ("build", "sweep", "convergence"):
+            out = str(tmp_path / f"{cmd}.out")
+            assert cli.main([cmd, "--config", path, "--out", out]) == 3
+            assert "CenterOnPole" in capsys.readouterr().err
 
     def test_pole_study_without_poles_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, {**SYNTH_CONFIG, "N": 0})
@@ -406,8 +435,9 @@ class TestPredictedFactors:
                 "K": [9.0, 15.0],
             }
         )
-        f9 = harness.predicted_point_factor(helmholtz, cfg, 9.0)
-        f11 = harness.predicted_point_factor(helmholtz, cfg, 11.0)
+        poles = modal.pole_list(helmholtz, cfg.z0)
+        f9 = harness.predicted_point_factor(poles, cfg, 9.0)
+        f11 = harness.predicted_point_factor(poles, cfg, 11.0)
         assert f9 == pytest.approx(np.sqrt(9.25 / 16.25))
         assert f11 == pytest.approx(np.sqrt(1.25 / 16.25))
 
@@ -420,5 +450,6 @@ class TestPredictedFactors:
                 "K": [9.0, 15.0],
             }
         )
-        assert harness.predicted_pole_factor(helmholtz, cfg, 1) == pytest.approx(1 / 13)
-        assert harness.predicted_pole_factor(helmholtz, cfg, 2) == pytest.approx(17 / 65)
+        poles = modal.pole_list(helmholtz, cfg.z0)
+        assert harness.predicted_pole_factor(poles, cfg, 1) == pytest.approx(1 / 13)
+        assert harness.predicted_pole_factor(poles, cfg, 2) == pytest.approx(17 / 65)

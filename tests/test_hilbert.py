@@ -95,7 +95,18 @@ class TestWeights:
 class TestSerialization:
     def test_pair_round_trip(self):
         z = 1.5 - 2.5j
-        assert hilbert.pair_to_complex(hilbert.complex_to_pair(z)) == z
+        assert hilbert.complex_to_pair(z) == [1.5, -2.5]
+        assert complex(hilbert.pairs_to_array(hilbert.complex_to_pair(z))) == z
+
+    def test_array_round_trip_bit_for_bit(self):
+        z = np.array([[1.5 - 2.5j, complex(-0.0, 0.0)],
+                      [complex(0.0, -0.0), complex(np.inf, -1e-310)]])
+        pairs = hilbert.complex_to_pair(z)
+        assert pairs[1][1] == [np.inf, -1e-310]
+        assert all(type(x) is float for row in pairs for pair in row for x in pair)
+        back = hilbert.pairs_to_array(pairs)
+        assert back.shape == z.shape and back.dtype == complex
+        assert back.tobytes() == z.tobytes()
 
     def test_text_form(self):
         assert hilbert.complex_to_text(1 + 2j) == "1+2j"

@@ -221,6 +221,25 @@ class TestTaylor:
         with pytest.raises(CenterOnPole):
             modal.taylor_coefficients(two_pole, 2.0, 3)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_power_gives_zero(self):
+        # 1000^(g+1) overflows from g = 102 on; 2^(g+1) never does here
+        m = modal.build_synthetic([1000.0, 2.0], [1.0, 1.0])
+        t = modal.taylor_coefficients(m, 0.0, 200)
+        g = np.arange(201)
+        assert np.all(t.coefficients[102:, 0] == 0.0)
+        assert np.allclose(t.coefficients[:102, 0], 1000.0 ** -(g[:102] + 1.0),
+                           rtol=1e-13, atol=0.0)
+        assert np.allclose(t.coefficients[:, 1], 2.0 ** -(g + 1.0), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_coefficient_not_finite_near_pole(self, helmholtz):
+        # 1e-9 from the pole 13 passes the 1e-10 center check, but
+        # c / (1e-9 i)^(g+1) is not finite long before g = 40
+        with pytest.raises(CenterOnPole,
+                           match=r"1\.000e-09 from eigenvalue \(13\+0j\).* order \d+ "):
+            modal.taylor_coefficients(helmholtz, 13 + 1e-9j, 40)
+
 
 class TestPoleList:
     def test_synthetic_order(self, two_pole):

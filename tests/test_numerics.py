@@ -81,6 +81,9 @@ class TestHermitianMinEigenpair:
             vals, vecs = numerics.hermitian_eigensystem(H)
             assert np.allclose(vals, np.linalg.eigvalsh(H), atol=1e-11 * n)
             assert np.allclose(vecs.conj().T @ vecs, np.eye(n), atol=1e-12 * n)
+            # the eigen-residual contract, for every pair
+            residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
+            assert np.all(residuals <= numerics.EIGEN_TOL * np.linalg.norm(H))
 
     def test_degenerate_minimum_flagged(self):
         res = numerics.hermitian_min_eigenpair(np.eye(3, dtype=complex))
@@ -136,7 +139,7 @@ class TestPolynomialRoots:
     def test_double_root_expand_and_compare(self):
         # (z - (1+i))^2 (z - 3)
         target = np.polynomial.polynomial.polyfromroots([1 + 1j, 1 + 1j, 3.0])
-        roots = numerics.polynomial_roots(list(target), tol=1e-6)
+        roots = numerics.polynomial_roots(list(target))
         back = np.polynomial.polynomial.polyfromroots(roots)
         assert np.allclose(back, target, atol=1e-6)
 
@@ -145,7 +148,12 @@ class TestPolynomialRoots:
             deg = int(rng.integers(1, 9))
             known = rng.normal(size=deg) + 1j * rng.normal(size=deg)
             coeffs = np.polynomial.polynomial.polyfromroots(known)
-            roots = numerics.polynomial_roots(list(coeffs), tol=1e-6)
+            roots = numerics.polynomial_roots(list(coeffs))
+            # the root-residual contract
+            r = np.abs(np.array(roots))
+            residuals = np.abs(np.polynomial.polynomial.polyval(np.array(roots), coeffs))
+            bounds = numerics.ROOT_TOL * np.max(np.abs(coeffs)) * (1 + r) ** deg
+            assert np.all(residuals <= bounds)
             back = np.polynomial.polynomial.polyfromroots(roots)
             scale = np.max(np.abs(coeffs))
             assert np.max(np.abs(back - coeffs)) <= 1e-8 * scale

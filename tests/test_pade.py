@@ -147,9 +147,9 @@ class TestSingleEigensolve:
         solved = []
         eigensystem = numerics.hermitian_eigensystem
 
-        def counted(H, tol=1e-12):
+        def counted(H):
             solved.append(H)
-            return eigensystem(H, tol)
+            return eigensystem(H)
 
         monkeypatch.setattr(numerics, "hermitian_eigensystem", counted)
         if variant == "standard":
