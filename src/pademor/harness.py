@@ -254,7 +254,10 @@ def fit_decay_factor(indices, errors, window=SLOPE_FIT_WINDOW):
             ys.append(math.log10(e))
     if len(set(xs)) < 2:
         return math.nan
-    slope = np.polyfit(xs, ys, 1)[0]
+    # the closed-form least-squares slope, about the centroid
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    dx = [x - mx for x in xs]
+    slope = sum(d * (y - my) for d, y in zip(dx, ys)) / sum(d * d for d in dx)
     return float(10.0**slope)
 
 

@@ -52,14 +52,6 @@ def _check_dims(w, *vectors, ndims=(1,)):
             )
 
 
-def inner_product(u, v, w):
-    """<u, v> = sum_k w_k u_k conj(v_k); conjugate-linear in v."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    _check_dims(w, u, v)
-    return complex(np.sum(w.weights * u * np.conj(v)))
-
-
 def norm(u, w):
     """V-norm of a vector, or of each row of an (n, dimension) block."""
     u = np.asarray(u, dtype=complex)

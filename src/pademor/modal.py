@@ -203,10 +203,19 @@ def nearest_pole(model, z):
     return complex(model.poles[k]), float(dist[k])
 
 
+def _source_over(model, denominators):
+    """source_coefficient / denominator per mode, broadcast over leading
+    axes.  A mode whose coefficient is exactly 0 gives exactly 0, with no
+    0/0 where its denominator vanishes: S is analytic at its eigenvalue."""
+    coef = model.coefficients
+    out = np.zeros(np.broadcast_shapes(coef.shape, denominators.shape), dtype=complex)
+    return np.divide(coef, denominators, out=out, where=coef != 0)
+
+
 def _resolvent(model, z):
     """source_coefficient / (eigenvalue - z) per mode, for a point or, one
     row each, for a 1-d array of points."""
-    return model.coefficients / (model.eigenvalues - np.asarray(z)[..., None])
+    return _source_over(model, model.eigenvalues - np.asarray(z)[..., None])
 
 
 def evaluate_exact(model, z):
@@ -233,7 +242,8 @@ def evaluate_exact_grid(model, points):
 
 def taylor_coefficients(model, z0, E):
     """Closed-form Taylor coefficients: component k of order g is
-    source_coefficient_k / (eigenvalue_k - z0)^{g+1}.
+    source_coefficient_k / (eigenvalue_k - z0)^{g+1}, exactly 0 for a mode
+    whose coefficient is 0.
 
     Where the power overflows, the coefficient is the zero it rounds to.  A
     coefficient that is itself not finite, the center being too close to an
@@ -246,7 +256,7 @@ def taylor_coefficients(model, z0, E):
     base = model.eigenvalues - z0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         powers = base[None, :] ** np.arange(1, E + 2)[:, None]
-        coeffs = model.coefficients[None, :] / powers
+        coeffs = _source_over(model, powers)
     coeffs[~np.isfinite(powers)] = 0.0
     bad = np.argwhere(~np.isfinite(coeffs))
     if bad.size:

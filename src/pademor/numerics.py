@@ -1,9 +1,12 @@
-"""Dense complex linear-algebra kernels for small matrices (order <= 64).
+"""Dense complex linear-algebra kernels.
 
-Provides a cyclic complex Jacobi eigensolver for Hermitian matrices, the
-minimal right-singular vector of a small upper-triangular factor, and a
-Durand-Kerner simultaneous polynomial root finder with deterministic
-initialization.  All routines are pure functions on value inputs.
+Provides a cyclic complex Jacobi eigensolver for small Hermitian matrices,
+the minimal right-singular vector of a small upper-triangular factor, and
+polynomial roots of any degree as the LAPACK eigenvalues of the companion
+matrix, each polished by one Newton step.  Jacobi, not LAPACK, solves the
+standard Gramian sum and R^H R: the committed benchmark reference holds its
+roundoff, and a LAPACK eigensolver in its place fails that reference's
+check.  All routines are pure functions on value inputs.
 """
 
 import cmath
@@ -18,7 +21,6 @@ DEGENERACY_GAP = 1e-12
 EIGEN_TOL = 1e-12  # eigen-residual contract, relative to ||H||_F
 ROOT_TOL = 1e-10  # root-residual contract of polynomial_roots
 MAX_JACOBI_SWEEPS = 100
-MAX_ROOT_ITERATIONS = 500
 
 
 class MinEigen(NamedTuple):
@@ -177,13 +179,24 @@ def min_right_singular_vector(R):
     return MinEigen(float(sigma), res.vector, res.degenerate)
 
 
+def _horner(b, x):
+    """p(x) and p'(x) at each entry of x, for ascending coefficients b."""
+    p = np.zeros_like(x)
+    dp = np.zeros_like(x)
+    for c in b[::-1]:
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
+
+
 def polynomial_roots(coeffs):
     """All roots (with multiplicity) of a polynomial in ascending coefficients.
 
-    Durand-Kerner simultaneous iteration with the deterministic start
-    r * (0.4 + 0.9i)^k, r being the Cauchy root-radius bound of the monic
-    polynomial.  Roots are returned sorted by (magnitude, phase), and each
-    root satisfies |p(root)| <= ROOT_TOL * max|coeff| * (1 + |root|)^degree.
+    The roots are the eigenvalues of the companion matrix of the monic
+    polynomial (np.linalg.eigvals), each followed by one Newton step that is
+    kept only where it lowers |p|.  Roots are returned sorted by (magnitude,
+    phase), and each root satisfies
+    |p(root)| <= ROOT_TOL * max|coeff| * (1 + |root|)^degree.
     """
     a = np.asarray(coeffs, dtype=complex)
     if a.ndim != 1 or a.size == 0:
@@ -191,31 +204,24 @@ def polynomial_roots(coeffs):
     degree = a.size - 1
     if degree == 0:
         return []
-    if degree > 32:
-        raise DegenerateLeadingCoefficient(f"degree {degree} exceeds 32")
     amax = np.max(np.abs(a))
     if amax == 0.0 or abs(a[-1]) / amax <= 1e-13:
         raise DegenerateLeadingCoefficient(
             "leading coefficient vanishes relative to the coefficient scale"
         )
     b = a / a[-1]  # monic, ascending
-    radius = 1.0 + float(np.max(np.abs(b[:-1])))
-    seed = 0.4 + 0.9j
-    x = radius * seed ** np.arange(degree)
+    companion = np.eye(degree, k=-1, dtype=complex)
+    companion[:, -1] = -b[:-1]
+    x = np.linalg.eigvals(companion)
+
+    # At a multiple root p' vanishes and the step is not finite; the
+    # comparison is then false and the eigenvalue stays.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        px, dpx = _horner(b, x)
+        y = x - px / dpx
+        x = np.where(np.abs(_horner(b, y)[0]) < np.abs(px), y, x)
 
     powers = np.arange(degree + 1)
-    for _ in range(MAX_ROOT_ITERATIONS):
-        px = (x[:, None] ** powers) @ b
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = np.prod(diff, axis=1)
-        step = px / denom
-        x = x - step
-        if np.max(np.abs(step)) <= 1e-15 * (1.0 + np.max(np.abs(x))):
-            break
-
-    # The step size can stall at rounding level without ever meeting the
-    # break criterion; the residual bound below is the actual guarantee.
     residuals = np.abs((x[:, None] ** powers) @ a)
     bounds = ROOT_TOL * amax * (1.0 + np.abs(x)) ** degree
     if np.any(residuals > bounds):

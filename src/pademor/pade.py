@@ -19,6 +19,7 @@ from .errors import InsufficientTaylorLength, RhoOverflow
 from .modal import ModalModel, TaylorSeries, pole_list, taylor_coefficients
 
 QR_DEGENERACY_THRESHOLD = 1e-14
+SCALE_EXPONENT = 400  # windows whose entries stay below 2^400 are not scaled
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,9 @@ class VectorPolynomial:
 @dataclass(frozen=True)
 class Diagnostics:
     functional_value: float  # minimal j-value achieved by the denominator
-    min_eigenvalue: float  # squared functional value (Gramian eigenvalue)
+    # minimal eigenvalue of the matrix solved (R^H R or the Gramian sum),
+    # scaled by rho^-2(M+1) and, after _scale_exponent, by 4^-k
+    min_eigenvalue: float
     degenerate: bool  # near-degenerate minimal eigenvalue
     exact_degeneracy: bool = False  # rank-deficient quasimatrix
     condition_estimate: float | None = None
@@ -99,6 +102,18 @@ def _taylor_window(taylor, N, E):
     return cols
 
 
+def _scale_exponent(block):
+    """Exponent k with the largest entry of 2^-k block in [1, 2) when that
+    entry exceeds 2^SCALE_EXPONENT, 0 below.
+
+    Weighted sums of squares of larger entries can overflow; scaling by a
+    power of two is exact, so the solves below undo it exactly.
+    """
+    amax = float(np.max(np.abs(block), initial=0.0))
+    k = math.frexp(amax)[1] - 1
+    return k if k > SCALE_EXPONENT else 0
+
+
 def gramian(taylor, N, E, w):
     """Hermitian PSD matrix of V-inner products of the Taylor window:
     entry (i, j) = <S_{E-N+j}, S_{E-N+i}>."""
@@ -114,9 +129,13 @@ def _gramian_denominator(taylor, M, N, E, rho, w):
     M+1..E, rescaled by rho^{-2(M+1)} before the eigensolve.
 
     The minimizer is invariant under positive scaling of the matrix, so the
-    rescaling only guards against overflow.  Each block is exactly
+    rescaling only guards against overflow, as does the power-of-two
+    scaling of the Taylor windows (_scale_exponent).  Each block is exactly
     Hermitian, and so is their positively weighted sum.
     """
+    k = _scale_exponent(taylor.coefficients[max(M + 1 - N, 0) : E + 1])
+    if k:
+        taylor = TaylorSeries(taylor.center, taylor.coefficients * 2.0**-k)
     A = np.zeros((N + 1, N + 1), dtype=complex)
     for gamma in range(M + 1, E + 1):
         A += rho ** (2 * (gamma - M - 1)) * gramian(taylor, N, gamma, w)
@@ -127,7 +146,7 @@ def _gramian_denominator(taylor, M, N, E, rho, w):
     den = poly.denominator_from_eigvec(res.vector, taylor.center)
     mu = max(res.value, 0.0)
     diag = Diagnostics(
-        functional_value=math.sqrt(mu) * rho ** (M + 1),
+        functional_value=math.sqrt(mu) * rho ** (M + 1) * 2.0**k,
         min_eigenvalue=mu,
         degenerate=res.degenerate,
         condition_estimate=top / max(bottom, 1e-300) if top > 0 else 1.0,
@@ -145,29 +164,33 @@ def denominator_fast_gramian(taylor, N, E, w):
 
 def _weighted_mgs(A, w):
     """Modified Gram-Schmidt with one reorthogonalization pass under the
-    weighted inner product.  Returns (Q, R, first_col_norm).
+    weighted inner product <u, v> = sum_k w_k u_k conj(v_k).  Returns
+    (R, first_col_norm).
 
-    A vanishing pivot leaves a zero basis column and a (tiny) diagonal
+    A vanishing pivot leaves a zero basis vector and a (tiny) diagonal
     entry in R; callers detect this as exact degeneracy.
     """
-    dim, ncols = A.shape
-    Q = np.zeros_like(A)
+    ww = w.weights
+    ncols = A.shape[1]
+    Q = np.zeros((ncols, A.shape[0]), dtype=complex)  # basis vectors as rows
+    Qc = np.zeros_like(Q)  # and their conjugates, for the inner products
     R = np.zeros((ncols, ncols), dtype=complex)
-    dot = hilbert.inner_product
-    first_norm = float(np.sqrt(dot(A[:, 0], A[:, 0], w).real))
+    a0 = A[:, 0]
+    first_norm = float(np.sqrt(np.add.reduce(ww * a0 * a0.conj()).real))
     for j in range(ncols):
         v = A[:, j].copy()
         for _ in range(2):  # MGS + one reorthogonalization pass
             for i in range(j):
-                c = dot(v, Q[:, i], w)
+                c = complex(np.add.reduce(ww * v * Qc[i]))
                 R[i, j] += c
-                v = v - c * Q[:, i]
-        rjj = float(np.sqrt(max(dot(v, v, w).real, 0.0)))
+                v = v - c * Q[i]
+        rjj = float(np.sqrt(max(np.add.reduce(ww * v * v.conj()).real, 0.0)))
         R[j, j] = rjj
         if rjj > QR_DEGENERACY_THRESHOLD * max(first_norm, 1e-300):
-            Q[:, j] = v / rjj
-        # else: basis column stays zero; later projections onto it vanish
-    return Q, R, first_norm
+            Q[j] = v / rjj
+            Qc[j] = Q[j].conj()
+        # else: the basis vector stays zero; later projections onto it vanish
+    return R, first_norm
 
 
 def _null_direction(R, j):
@@ -194,7 +217,8 @@ def denominator_fast_qr(taylor, N, E, w):
     if E < N:
         raise ValueError("fast denominator requires E >= N")
     A = _taylor_window(taylor, N, E)
-    Q, R, first_norm = _weighted_mgs(A, w)
+    k = _scale_exponent(A)
+    R, first_norm = _weighted_mgs(A * 2.0**-k if k else A, w)
     diags = np.abs(np.diag(R))
     cond = float(np.max(diags)) / max(float(np.min(diags)), 1e-300)
     deficient = np.nonzero(diags <= QR_DEGENERACY_THRESHOLD * max(first_norm, 1e-300))[0]
@@ -205,7 +229,7 @@ def denominator_fast_qr(taylor, N, E, w):
     else:
         sigma, q, degenerate = numerics.min_right_singular_vector(R)
     diag = Diagnostics(
-        functional_value=sigma,
+        functional_value=sigma * 2.0**k,
         min_eigenvalue=sigma**2,
         degenerate=degenerate,
         exact_degeneracy=exact,
@@ -234,10 +258,11 @@ def numerator(taylor, Q, M):
             f"need M+1 = {M + 1} Taylor coefficients, have {taylor.length}"
         )
     a = Q.coeffs
+    S = taylor.coefficients
     rows = np.zeros((M + 1, taylor.dimension), dtype=complex)
-    for alpha in range(M + 1):
-        for l in range(min(alpha, a.size - 1) + 1):
-            rows[alpha] += a[l] * taylor.coefficients[alpha - l]
+    # l ascending, so that each row adds its terms a_l S_{a-l} in order of l.
+    for l in range(min(M, a.size - 1) + 1):
+        rows[l:] += a[l] * S[: M + 1 - l]
     return VectorPolynomial(taylor.center, rows)
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from pademor import modal, numerics, poly
+from pademor import hilbert, modal, numerics, pade, poly
 from pademor.errors import ZeroPolynomial
 
 
@@ -70,3 +70,44 @@ def point_errors(model, approx, points, near_distance=1e-6):
             error = float(np.sqrt(np.sum(model.weights.weights * np.abs(diff) ** 2)))
         out.append((error, abs(qz), dist < near_distance))
     return out
+
+
+def inner_product(u, v, w):
+    """<u, v> = sum_k w_k u_k conj(v_k); conjugate-linear in v."""
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    hilbert._check_dims(w, u, v)
+    return complex(np.sum(w.weights * u * np.conj(v)))
+
+
+def loop_numerator(taylor, Q, M):
+    """Numerator coefficients by the double loop over orders and terms that
+    pade.numerator replaced."""
+    a = Q.coeffs
+    rows = np.zeros((M + 1, taylor.dimension), dtype=complex)
+    for alpha in range(M + 1):
+        for l in range(min(alpha, a.size - 1) + 1):
+            rows[alpha] += a[l] * taylor.coefficients[alpha - l]
+    return pade.VectorPolynomial(taylor.center, rows)
+
+
+def column_mgs(A, w):
+    """Weighted modified Gram-Schmidt with one reorthogonalization pass,
+    basis as columns and one inner_product call per projection: the
+    routine pade._weighted_mgs replaced.  Returns (R, first_col_norm)."""
+    ncols = A.shape[1]
+    Q = np.zeros_like(A)
+    R = np.zeros((ncols, ncols), dtype=complex)
+    first_norm = float(np.sqrt(inner_product(A[:, 0], A[:, 0], w).real))
+    for j in range(ncols):
+        v = A[:, j].copy()
+        for _ in range(2):
+            for i in range(j):
+                c = inner_product(v, Q[:, i], w)
+                R[i, j] += c
+                v = v - c * Q[:, i]
+        rjj = float(np.sqrt(max(inner_product(v, v, w).real, 0.0)))
+        R[j, j] = rjj
+        if rjj > pade.QR_DEGENERACY_THRESHOLD * max(first_norm, 1e-300):
+            Q[:, j] = v / rjj
+    return R, first_norm

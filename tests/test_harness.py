@@ -157,6 +157,14 @@ class TestFitDecayFactor:
         # two points at one index: nan, without np.polyfit's RankWarning
         assert math.isnan(harness.fit_decay_factor([4, 4], [1e-3, 1e-4]))
 
+    def test_matches_polyfit(self, rng):
+        for n in range(2, 12):
+            xs = rng.choice(40, size=n, replace=False) + 1
+            ys = rng.uniform(-12.0, 3.0, size=n)
+            fitted = harness.fit_decay_factor(xs.tolist(), (10.0**ys).tolist(),
+                                              window=(0.0, math.inf))
+            assert fitted == pytest.approx(10.0 ** np.polyfit(xs, ys, 1)[0], rel=1e-12)
+
     @pytest.mark.filterwarnings("error")
     def test_convergence_with_repeated_M(self, tmp_path):
         cfg = harness.parse_config({
@@ -386,6 +394,35 @@ class TestCli:
             out = str(tmp_path / f"{cmd}.out")
             assert cli.main([cmd, "--config", path, "--out", out]) == 3
             assert "CenterOnPole" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_source_coefficient(self, tmp_path):
+        # nu^2 = 13: the modes of eigenvalue 13 have source coefficient 0,
+        # so 13 is no pole of S, neither on the grid nor as the center
+        patch = {"model": {"kind": "helmholtz", "max_index": 8, "nu_sq": 13.0},
+                 "z0": [12.0, 0.5], "K": [9.0, 15.0], "M_list": [4, 6],
+                 "grid_points": 7}
+        for z0 in ([12.0, 0.5], [13.0, 0.0]):
+            path = write_config(tmp_path, {**SYNTH_CONFIG, **patch, "z0": z0})
+            out = tmp_path / "sweep.csv"
+            assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
+            row = out.read_text().splitlines()[5].split(",")
+            assert row[0] == "13" and row[-1] == "0"
+            assert all(math.isfinite(float(cell)) for cell in row[1:])
+
+    @pytest.mark.filterwarnings("error")
+    def test_center_near_pole_builds(self, tmp_path, capsys):
+        # Taylor coefficients up to about 1e205: their squares overflow
+        # unless the windows are scaled
+        patch = {"model": {"kind": "helmholtz", "max_index": 8}, "z0": [13.0, 1e-5],
+                 "K": [9.0, 15.0], "M_list": [40]}
+        path = write_config(tmp_path, {**SYNTH_CONFIG, **patch})
+        out = tmp_path / "build.json"
+        rc = cli.main(["build", "--config", path, "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        approximants = json.loads(out.read_text())["approximants"]
+        assert all(math.isfinite(a["diagnostics"]["functional_value"])
+                   for a in approximants)
 
     def test_pole_study_without_poles_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, {**SYNTH_CONFIG, "N": 0})

@@ -4,21 +4,25 @@ import pytest
 from pademor import hilbert
 from pademor.errors import DimensionMismatch
 
+from oracles import inner_product
+
 
 class TestInnerProduct:
+    """The inner product of the Gram-Schmidt oracle (oracles.column_mgs)."""
+
     def test_single_mode_weight(self):
         w = hilbert.InnerProductWeights(np.array([2.0, 1.0]))
-        assert hilbert.inner_product(
+        assert inner_product(
             np.array([1, 0]), np.array([1, 0]), w
         ) == pytest.approx(2.0)
 
     def test_orthogonal_modes(self):
         w = hilbert.InnerProductWeights.l2(2)
-        assert hilbert.inner_product(np.array([1, 0]), np.array([0, 1]), w) == 0.0
+        assert inner_product(np.array([1, 0]), np.array([0, 1]), w) == 0.0
 
     def test_two_term_hand_oracle(self):
         w = hilbert.InnerProductWeights.l2(2)
-        val = hilbert.inner_product(np.array([1, 1j]), np.array([1, 1]), w)
+        val = inner_product(np.array([1, 1j]), np.array([1, 1]), w)
         assert val == pytest.approx(1 + 1j)
 
     def test_conjugate_symmetry(self, rng):
@@ -26,29 +30,29 @@ class TestInnerProduct:
         for _ in range(50):
             u = rng.normal(size=5) + 1j * rng.normal(size=5)
             v = rng.normal(size=5) + 1j * rng.normal(size=5)
-            a = hilbert.inner_product(u, v, w)
-            b = hilbert.inner_product(v, u, w)
+            a = inner_product(u, v, w)
+            b = inner_product(v, u, w)
             assert abs(a - np.conj(b)) <= 1e-15 * max(abs(a), 1.0)
 
     def test_positivity(self, rng):
         w = hilbert.InnerProductWeights(rng.uniform(0.5, 2.0, size=4))
         u = rng.normal(size=4) + 1j * rng.normal(size=4)
-        assert hilbert.inner_product(u, u, w).real > 0
-        assert hilbert.inner_product(np.zeros(4), np.zeros(4), w) == 0.0
+        assert inner_product(u, u, w).real > 0
+        assert inner_product(np.zeros(4), np.zeros(4), w) == 0.0
 
     def test_cauchy_schwarz(self, rng):
         w = hilbert.InnerProductWeights(rng.uniform(0.1, 10.0, size=6))
         for _ in range(1000):
             u = rng.normal(size=6) + 1j * rng.normal(size=6)
             v = rng.normal(size=6) + 1j * rng.normal(size=6)
-            lhs = abs(hilbert.inner_product(u, v, w))
+            lhs = abs(inner_product(u, v, w))
             rhs = hilbert.norm(u, w) * hilbert.norm(v, w)
             assert lhs <= rhs * (1 + 1e-12)
 
     def test_dimension_mismatch(self):
         w = hilbert.InnerProductWeights.l2(2)
         with pytest.raises(DimensionMismatch):
-            hilbert.inner_product(np.ones(3), np.ones(3), w)
+            inner_product(np.ones(3), np.ones(3), w)
 
 
 class TestNorm:

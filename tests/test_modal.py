@@ -241,6 +241,38 @@ class TestTaylor:
             modal.taylor_coefficients(helmholtz, 13 + 1e-9j, 40)
 
 
+class TestZeroSourceCoefficient:
+    """nu^2 = 13 = 2^2 + 3^2: the modes (2, 3) and (3, 2) have source
+    coefficient exactly 0, so S is analytic at their eigenvalue 13."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return modal.build_rectangle_helmholtz(max_index=8, nu_sq=13.0)
+
+    def zero_modes(self, model):
+        zero = model.coefficients == 0
+        assert model.eigenvalues[zero].tolist() == [13, 13]
+        return zero
+
+    @pytest.mark.filterwarnings("error")
+    def test_resolvent_at_the_eigenvalue(self, model):
+        zero = self.zero_modes(model)
+        s = modal.evaluate_exact(model, 13.0)
+        rows, dist = modal.evaluate_exact_grid(model, [12.0, 13.0])
+        assert np.all(s[zero] == 0) and np.all(np.isfinite(s))
+        assert np.array_equal(rows[1], s) and np.all(rows[:, zero] == 0)
+        assert dist[1] == 3.0  # from the nearest retained pole, 10
+
+    @pytest.mark.filterwarnings("error")
+    def test_taylor_at_the_eigenvalue(self, model):
+        zero = self.zero_modes(model)
+        t = modal.taylor_coefficients(model, 13.0, 6)
+        assert np.all(t.coefficients[:, zero] == 0)
+        assert np.all(np.isfinite(t.coefficients))
+        live = modal.taylor_coefficients(model, 13.0 + 0.5j, 6).coefficients
+        assert np.all(live[:, zero] == 0) and np.all(live[:, ~zero] != 0)
+
+
 class TestPoleList:
     def test_synthetic_order(self, two_pole):
         poles = modal.pole_list(two_pole, 0.0)

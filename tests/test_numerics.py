@@ -158,6 +158,22 @@ class TestPolynomialRoots:
             scale = np.max(np.abs(coeffs))
             assert np.max(np.abs(back - coeffs)) <= 1e-8 * scale
 
+    def test_exact_zero_roots(self):
+        # six vanishing low-order coefficients: a root of multiplicity six
+        # at 0, which the companion matrix gives exactly
+        roots = numerics.polynomial_roots([0.0] * 6 + [0.799, 0.491, 0.347])
+        assert roots[:6] == [0j] * 6
+        assert all(r != 0 for r in roots[6:])
+
+    def test_degree_forty(self, rng):
+        # above the former degree cap of 32
+        coeffs = np.append(rng.normal(size=40) + 1j * rng.normal(size=40), 1.0)
+        roots = np.array(numerics.polynomial_roots(coeffs))
+        assert roots.size == 40
+        residuals = np.abs(np.polynomial.polynomial.polyval(roots, coeffs))
+        bounds = numerics.ROOT_TOL * np.max(np.abs(coeffs)) * (1 + np.abs(roots)) ** 40
+        assert np.all(residuals <= bounds)
+
     def test_deterministic(self):
         a = numerics.polynomial_roots([2.0, -3.0, 1.0])
         b = numerics.polynomial_roots([2.0, -3.0, 1.0])

@@ -5,9 +5,16 @@ from pademor import modal, numerics, pade, poly
 from pademor.errors import InsufficientTaylorLength, RhoOverflow
 from pademor.hilbert import InnerProductWeights, norm
 
-from oracles import normalize
+from oracles import column_mgs, loop_numerator, normalize
 
 L2_1 = InnerProductWeights.l2(1)
+HIGHORDER_Z0 = 12 + 0.5j  # centre of the highorder_poles benchmark study
+
+
+@pytest.fixture(scope="module")
+def highorder():
+    """The 144-mode Helmholtz model of the highorder_poles benchmark study."""
+    return modal.build_rectangle_helmholtz(max_index=12)
 
 
 def normalized_random_poly(rng, z0, N):
@@ -140,6 +147,33 @@ class TestStandardDenominator:
             pade.denominator_standard(t, 2, 2, 42, 1e10, helmholtz.weights)
 
 
+class TestWindowScaling:
+    """Taylor windows whose squares would overflow are solved scaled by a
+    power of two, which changes nothing but the reported functional."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["fast", "standard"])
+    def test_huge_series_gives_the_same_denominator(self, helmholtz, paper_z0, variant):
+        ref = modal.taylor_coefficients(helmholtz, paper_z0, 10)
+        t = modal.TaylorSeries(paper_z0, ref.coefficients * 2.0**600)
+        w = helmholtz.weights
+        if variant == "fast":
+            (den, diag), (den_ref, diag_ref) = (
+                pade.denominator_fast_qr(s, 4, 10, w) for s in (t, ref))
+        else:
+            (den, diag), (den_ref, diag_ref) = (
+                pade.denominator_standard(s, 6, 4, 10, 2.0, w) for s in (t, ref))
+        assert np.array_equal(den.coeffs, den_ref.coeffs)
+        assert diag.functional_value == diag_ref.functional_value * 2.0**600
+        assert diag.condition_estimate == diag_ref.condition_estimate
+        assert diag.degenerate == diag_ref.degenerate
+
+    def test_small_windows_are_not_scaled(self):
+        assert pade._scale_exponent(np.array([2.0**400, -1j])) == 0
+        assert pade._scale_exponent(np.array([3 * 2.0**401, 1.0])) == 402
+        assert pade._scale_exponent(np.zeros(3)) == 0
+
+
 class TestSingleEigensolve:
     @pytest.mark.parametrize("variant", ["fast_gramian", "standard"])
     def test_gramian_solved_once(self, helmholtz, paper_z0, monkeypatch, variant):
@@ -197,6 +231,38 @@ class TestNumerator:
         lhs = pade.numerator(t, Q12, 4).coeffs
         rhs = a * pade.numerator(t, Q1, 4).coeffs + b * pade.numerator(t, Q2, 4).coeffs
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
+
+
+class TestLoopOracles:
+    """The sliced numerator and the row-basis Gram-Schmidt give the loops
+    they replaced, bit for bit."""
+
+    CASES = [  # model fixture, center, N, E
+        ("helmholtz", 12 + 0.5j, 4, 12),
+        ("three_pole", 0.3 + 0.1j, 2, 4),
+        ("highorder", HIGHORDER_Z0, 8, 20),  # a rank-deficient window
+    ]
+
+    @pytest.mark.parametrize("name, z0, N, E", CASES)
+    def test_gram_schmidt(self, name, z0, N, E, request):
+        model = request.getfixturevalue(name)
+        t = modal.taylor_coefficients(model, z0, E)
+        A = pade._taylor_window(t, N, E)
+        R, first_norm = pade._weighted_mgs(A, model.weights)
+        R_loop, first_loop = column_mgs(A, model.weights)
+        assert np.array_equal(R, R_loop) and first_norm == first_loop
+        _, diag = pade.denominator_fast_qr(t, N, E, model.weights)
+        assert diag.exact_degeneracy == (name == "highorder")
+
+    @pytest.mark.parametrize("name, z0, N, E", CASES)
+    def test_numerator(self, name, z0, N, E, request, rng):
+        model = request.getfixturevalue(name)
+        t = modal.taylor_coefficients(model, z0, E)
+        den, _ = pade.denominator_fast_qr(t, N, E, model.weights)
+        for Q in (den, normalized_random_poly(rng, z0, N)):
+            for M in sorted({0, N - 1, N, E}):
+                num = pade.numerator(t, Q, M)
+                assert np.array_equal(num.coeffs, loop_numerator(t, Q, M).coeffs)
 
 
 class TestBuildAndEvaluate:
