@@ -53,11 +53,24 @@ def _check_dims(w, *vectors, ndims=(1,)):
 
 
 def norm(u, w):
-    """V-norm of a vector, or of each row of an (n, dimension) block."""
+    """V-norm of a vector, or of each row of an (n, dimension) block.
+
+    A row of finite entries whose weighted sum of squares overflows is
+    summed again scaled by its largest magnitude, so its norm is finite
+    whenever it is representable.
+    """
     u = np.asarray(u, dtype=complex)
     _check_dims(w, u, ndims=(1, 2))
-    norms = np.sqrt(np.sum(w.weights * np.abs(u) ** 2, axis=-1))
-    return float(norms) if u.ndim == 1 else norms
+    mags = np.abs(np.atleast_2d(u))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(w.weights * mags**2, axis=-1))
+    over = np.isinf(norms)
+    if over.any():
+        over &= np.isfinite(mags).all(axis=-1)
+        top = mags[over].max(axis=-1, keepdims=True)
+        scaled = np.sum(w.weights * (mags[over] / top) ** 2, axis=-1)
+        norms[over] = top[:, 0] * np.sqrt(scaled)
+    return float(norms[0]) if u.ndim == 1 else norms
 
 
 def complex_to_pair(z):

@@ -6,10 +6,14 @@ polynomial roots of any degree as the LAPACK eigenvalues of the companion
 matrix, each polished by one Newton step.  Jacobi, not LAPACK, solves the
 standard Gramian sum and R^H R: the committed benchmark reference holds its
 roundoff, and a LAPACK eigensolver in its place fails that reference's
-check.  All routines are pure functions on value inputs.
+check until the reference is retaken.  The Jacobi rotation kernel does the
+same floating-point operations on every entry as the plain loop kept in
+tests/oracles.py (loop_jacobi) and is bit-identical to it.  All routines
+are pure functions on value inputs.
 """
 
 import cmath
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -66,15 +70,18 @@ def hermitian_eigensystem(H):
     """
     A, scale = _check_hermitian(H)
     n = A.shape[0]
-    V = np.eye(n, dtype=complex)
     if n == 1 or scale == 0.0:
-        vals = A.real.diagonal().copy()
-        return vals, phase_fix_columns(V)
+        return A.real.diagonal().copy(), phase_fix_columns(np.eye(n, dtype=complex))
 
+    # W = [A; V]: one column rotation turns A and the eigenvectors V together.
+    W = np.concatenate((A, np.eye(n, dtype=complex)))
+    A = W[:n]
+    cols = [W[:, j] for j in range(n)]
+    rows = list(A)
     # Quadratic convergence: off-diagonal mass well below EIGEN_TOL * scale
     # gives eigen-residuals within the contract.
     target = 0.1 * EIGEN_TOL * scale
-    skip = np.finfo(float).eps * scale / n
+    skip = float(np.finfo(float).eps * scale / n)
     mask = ~np.eye(n, dtype=bool)
     for sweep in range(MAX_JACOBI_SWEEPS + 1):
         off = np.linalg.norm(A[mask])
@@ -87,42 +94,37 @@ def hermitian_eigensystem(H):
             )
         for p in range(n - 1):
             for q in range(p + 1, n):
-                h = A[p, q]
+                h = W.item(p, q)
                 ah = abs(h)
                 if ah <= skip:
-                    A[p, q] = 0.0
-                    A[q, p] = 0.0
+                    W[p, q] = W[q, p] = 0.0
                     continue
-                u = h / ah
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * ah)
+                # u = h / |h| by NumPy's complex division rule, which
+                # Python's complex / float does not round alike.
+                inv = 1.0 / ah
+                hr, hi = h.real, h.imag
+                ur, ui = (hr + hi * 0.0) * inv, (hi - hr * 0.0) * inv
+                tau = (W.item(q, q).real - W.item(p, p).real) / (2.0 * ah)
                 if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                # column update: A <- A J, with J the (p,q) unitary rotation
-                Ap = A[:, p].copy()
-                Aq = A[:, q].copy()
-                A[:, p] = c * Ap - s * np.conj(u) * Aq
-                A[:, q] = s * u * Ap + c * Aq
-                # row update: A <- J^H A
-                Rp = A[p, :].copy()
-                Rq = A[q, :].copy()
-                A[p, :] = c * Rp - s * u * Rq
-                A[q, :] = s * np.conj(u) * Rp + c * Rq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                Vp = V[:, p].copy()
-                Vq = V[:, q].copy()
-                V[:, p] = c * Vp - s * np.conj(u) * Vq
-                V[:, q] = s * u * Vp + c * Vq
+                k, ku = s * complex(ur, -ui), s * complex(ur, ui)  # s u*, s u
+                # The products stay NumPy array operations: its vectorized
+                # complex product rounds unlike Python's scalar one.
+                Wp, Wq = cols[p], cols[q]  # W <- W J, J the (p,q) rotation
+                Wp[:], Wq[:] = c * Wp - k * Wq, ku * Wp + c * Wq
+                Ap, Aq = rows[p], rows[q]  # A <- J^H A
+                Ap[:], Aq[:] = c * Ap - ku * Aq, k * Ap + c * Aq
+                W[p, q] = W[q, p] = 0.0
+                W[p, p] = W.item(p, p).real
+                W[q, q] = W.item(q, q).real
 
     vals = A.real.diagonal().copy()
     order = np.argsort(vals, kind="stable")
-    return vals[order], phase_fix_columns(V[:, order])
+    return vals[order], phase_fix_columns(W[n:, order])
 
 
 def phase_fix_columns(V):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from pademor import hilbert, modal, numerics, pade, poly
-from pademor.errors import ZeroPolynomial
+from pademor.errors import NoConvergence, ZeroPolynomial
 
 
 def normalize(p):
@@ -111,3 +111,64 @@ def column_mgs(A, w):
         if rjj > pade.QR_DEGENERACY_THRESHOLD * max(first_norm, 1e-300):
             Q[:, j] = v / rjj
     return R, first_norm
+
+
+def loop_jacobi(H):
+    """Cyclic complex Jacobi with separate A and V arrays, copied columns and
+    rows and NumPy scalar algebra: the loop numerics.hermitian_eigensystem
+    replaced.  Returns (values, phase-fixed vectors) in the same order."""
+    A, scale = numerics._check_hermitian(H)
+    n = A.shape[0]
+    V = np.eye(n, dtype=complex)
+    if n == 1 or scale == 0.0:
+        vals = A.real.diagonal().copy()
+        return vals, numerics.phase_fix_columns(V)
+
+    target = 0.1 * numerics.EIGEN_TOL * scale
+    skip = np.finfo(float).eps * scale / n
+    mask = ~np.eye(n, dtype=bool)
+    for sweep in range(numerics.MAX_JACOBI_SWEEPS + 1):
+        off = np.linalg.norm(A[mask])
+        if off <= target:
+            break
+        if sweep == numerics.MAX_JACOBI_SWEEPS:
+            raise NoConvergence(
+                f"Jacobi sweeps exceeded {numerics.MAX_JACOBI_SWEEPS} without "
+                f"reaching off-diagonal target {target:.3e}"
+            )
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                h = A[p, q]
+                ah = abs(h)
+                if ah <= skip:
+                    A[p, q] = 0.0
+                    A[q, p] = 0.0
+                    continue
+                u = h / ah
+                tau = (A[q, q].real - A[p, p].real) / (2.0 * ah)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                Ap = A[:, p].copy()
+                Aq = A[:, q].copy()
+                A[:, p] = c * Ap - s * np.conj(u) * Aq
+                A[:, q] = s * u * Ap + c * Aq
+                Rp = A[p, :].copy()
+                Rq = A[q, :].copy()
+                A[p, :] = c * Rp - s * u * Rq
+                A[q, :] = s * np.conj(u) * Rp + c * Rq
+                A[p, q] = 0.0
+                A[q, p] = 0.0
+                A[p, p] = A[p, p].real
+                A[q, q] = A[q, q].real
+                Vp = V[:, p].copy()
+                Vq = V[:, q].copy()
+                V[:, p] = c * Vp - s * np.conj(u) * Vq
+                V[:, q] = s * u * Vp + c * Vq
+
+    vals = A.real.diagonal().copy()
+    order = np.argsort(vals, kind="stable")
+    return vals[order], numerics.phase_fix_columns(V[:, order])

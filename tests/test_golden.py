@@ -1,7 +1,9 @@
-"""Golden sha256 of a build artifact and of two model files.
+"""Golden sha256 of two build artifacts, two study outputs and two model files.
 
 The serialization code (pade.approximant_to_json, modal.save_model and the
-complex codec in hilbert) must write these bytes exactly.  The hashes were
+complex codec in hilbert) must write these bytes exactly.  The N = 8 study
+also pins the roundoff of the 9 x 9 Jacobi eigensolves behind its
+denominators, degenerate minimal eigenvalues included.  The hashes were
 taken with Python 3.11.7, NumPy 2.4.6 and OpenBLAS 0.3.31 on x86-64; a
 different BLAS or NumPy may round the numbers differently and then fails
 here without a serialization change.
@@ -27,7 +29,25 @@ CONFIG = {
     "rho_rule": {"factor": 1.5},
 }
 
+# highorder_poles' centre, interval, N, M and E on a 64-mode Helmholtz model:
+# every denominator is a 9 x 9 eigensolve, and all six are degenerate.
+HIGH_ORDER_CONFIG = {
+    "model": {"kind": "helmholtz", "max_index": 8},
+    "z0": [12.0, 0.5],
+    "K": [9.0, 15.0],
+    "M_list": [8, 14, 20],
+    "N": 8,
+    "E_rule": "MPlusN",
+    "grid_points": 5,
+    "E_list": [8, 14, 20, 26, 32],
+}
+
 BUILD_SHA256 = "e21f775eca1598ae19871fd68298b937a194af74ca83cc124ca846e469a7e3c2"
+HIGH_ORDER_SHA256 = {
+    "build": "c0c44bd87d97bc1d22d39e242561fd553f8f8cf4569eeb9e6ac52018223454fb",
+    "sweep": "86f917b1ac19959a3a36a62376434e07c381b8e58cc0e3cc12b0642e30ca5bc9",
+    "poles": "e97e896939f1302da13306d1e403241d50b5aa6cc1eddc489f3b3b154b3562b9",
+}
 MODEL_SHA256 = {
     "synthetic": "5ad1011720fe89e88260b4d8991d74ac84e63a8151763e9908a3bd503c257250",
     "helmholtz": "aa8763681f197c05d4875b1602c2d727d3ae840a0eab8fa9e5b35654ecad8a5e",
@@ -44,6 +64,15 @@ def test_build_artifact(tmp_path):
     out = tmp_path / "build.json"
     assert cli.main(["build", "--config", str(config), "--out", str(out)]) == 0
     assert sha256(out) == BUILD_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(HIGH_ORDER_SHA256))
+def test_high_order_study(tmp_path, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(HIGH_ORDER_CONFIG))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+    assert sha256(out) == HIGH_ORDER_SHA256[command]
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_SHA256))

@@ -424,6 +424,20 @@ class TestCli:
         assert all(math.isfinite(a["diagnostics"]["functional_value"])
                    for a in approximants)
 
+    @pytest.mark.filterwarnings("error")
+    def test_center_near_pole_sweep_errors_are_finite(self, tmp_path, capsys):
+        # approximant errors of about 1e189: their squares overflow in the
+        # V-norm unless it rescales the row
+        patch = {"model": {"kind": "helmholtz", "max_index": 8}, "z0": [13.0, 1e-5],
+                 "K": [9.0, 15.0], "M_list": [40], "grid_points": 11}
+        path = write_config(tmp_path, {**SYNTH_CONFIG, **patch})
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", "--config", path, "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 11
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:3])
+
     def test_pole_study_without_poles_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, {**SYNTH_CONFIG, "N": 0})
         out = str(tmp_path / "poles.csv")

@@ -80,6 +80,18 @@ class TestNorm:
         with pytest.raises(DimensionMismatch):
             hilbert.norm(np.ones(shape), hilbert.InnerProductWeights.l2(5))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_row_is_rescaled(self):
+        # squares of 1e200 overflow; the scaled sum gives the representable
+        # norm, and rows that do not overflow keep the plain sum bit for bit
+        w = hilbert.InnerProductWeights(np.array([1.0, 4.0]))
+        block = np.array([[3e200, 2e200j], [3.0, 2.0j], [np.inf, 1.0]])
+        norms = hilbert.norm(block, w)
+        assert norms[0] == pytest.approx(5e200, rel=1e-15)
+        assert norms[1] == np.sqrt(np.sum(w.weights * np.abs(block[1]) ** 2))
+        assert norms[2] == np.inf
+        assert hilbert.norm(block[0], w) == norms[0]
+
 
 class TestWeights:
     def test_energy_weights(self):

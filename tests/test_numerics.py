@@ -1,10 +1,17 @@
 import cmath
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pademor import numerics
+from pademor import cli, numerics
 from pademor.errors import DegenerateLeadingCoefficient, NonHermitianInput
+
+from oracles import loop_jacobi
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def random_hermitian(rng, n):
@@ -92,6 +99,80 @@ class TestHermitianMinEigenpair:
     def test_simple_minimum_not_flagged(self):
         res = numerics.hermitian_min_eigenpair(np.diag([1.0, 2.0, 3.0]))
         assert not res.degenerate
+
+
+def random_matrix(rng, n, kind):
+    """A Hermitian matrix of order n: "complex" X + X^H, "scaled" the Gram
+    matrix of columns scaled from 1 down to 1e-12, "real" a real symmetric
+    X + X^T, "near_diagonal" a diagonal with one off-diagonal pair of 1e-3
+    and every other off-diagonal entry at most a quarter of the rotation
+    skip threshold eps * ||H||_F / n, so it is zeroed, not rotated."""
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "scaled":
+        X = X * np.logspace(0, -12, n)
+        return X.conj().T @ X
+    if kind == "real":
+        return (X + X.T).real
+    if kind == "near_diagonal":
+        d = rng.normal(size=n)
+        noise = X + X.conj().T
+        noise *= 0.25 * np.finfo(float).eps * np.linalg.norm(d) / n / np.abs(noise).max()
+        H = np.diag(d) + noise
+        if n > 1:
+            H[0, n - 1] = 1e-3j
+            H[n - 1, 0] = -1e-3j
+        return H
+    return X + X.conj().T
+
+
+class TestJacobiOracle:
+    """The stacked, copy-free rotation kernel of hermitian_eigensystem gives
+    the loop it replaced (oracles.loop_jacobi) bit for bit: values and
+    phase-fixed vectors, compared as bytes."""
+
+    @staticmethod
+    def assert_same_bytes(H):
+        vals, vecs = numerics.hermitian_eigensystem(H)
+        ref_vals, ref_vecs = loop_jacobi(H)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert vecs.tobytes() == ref_vecs.tobytes()
+
+    @pytest.mark.parametrize("kind", ["complex", "scaled", "real", "near_diagonal"])
+    def test_random_matrices(self, rng, kind):
+        for n in range(1, 13):
+            for _ in range(4):
+                self.assert_same_bytes(random_matrix(rng, n, kind))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_zero_matrix(self, n):
+        self.assert_same_bytes(np.zeros((n, n)))
+
+    # Three M, fast and standard; highorder_poles' fast windows are rank
+    # deficient, so its fast denominators take the null vector unsolved.
+    @pytest.mark.parametrize("workload, solves",
+                             [("highorder_poles", 3), ("synthetic_dense_grid", 6)])
+    def test_matrices_of_a_sweep(self, workload, solves, tmp_path, monkeypatch):
+        # every Gramian sum and R^H R that one benchmark sweep solves
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        solved = []
+        eigensystem = numerics.hermitian_eigensystem
+
+        def recorded(H):
+            solved.append(np.array(H, dtype=complex))
+            return eigensystem(H)
+
+        monkeypatch.setattr(numerics, "hermitian_eigensystem", recorded)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(workloads.make_config(workload)))
+        out = str(tmp_path / "sweep.csv")
+        assert cli.main(["sweep", "--config", str(path), "--out", out]) == 0
+        monkeypatch.undo()
+        assert len(solved) == solves
+        for H in solved:
+            self.assert_same_bytes(H)
 
 
 class TestMinRightSingularVector:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pademor import modal, numerics, pade, poly
 from pademor.errors import InsufficientTaylorLength, RhoOverflow
@@ -326,6 +327,48 @@ class TestFunctionalValue:
             a = pade.functional_value(Q, t, 6, w=three_pole.weights)
             b = pade.functional_value(Q, three_pole, 6)
             assert a == pytest.approx(b, rel=1e-10)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_dual_paths_agree_on_random_models(self, data):
+        """Sampling: 1-6 poles with real parts on a 0.25 grid in [-5, 5],
+        |Im| <= 2 and residue norms in [1e-3, 10]; a centre 2.5-5 off the
+        real axis, so 0.5 or more from every pole; a denominator of degree
+        N in 0-6 with coefficients in the unit square (each part 0 or at
+        least 1e-100), scaled to unit norm; E from N to N + 8.  The routes
+        agree to 1e-13 (about 450 roundoffs) relative to `bound`, the
+        functional with every term of Q(lambda) taken by magnitude, which
+        scales the roundoff of both.  Relative to the functional itself they
+        need not agree: it may be far smaller where Q nearly vanishes on a
+        near pole."""
+        steps = data.draw(st.lists(st.integers(-20, 20), min_size=1, max_size=6,
+                                   unique=True))
+        # below 1e-100 a coefficient is 0, so the unit scaling cannot underflow
+        real = st.floats(-1, 1).map(lambda x: x if abs(x) >= 1e-100 else 0.0)
+        imag = data.draw(st.lists(st.floats(-2, 2), min_size=len(steps),
+                                  max_size=len(steps)))
+        norms = data.draw(st.lists(st.floats(1e-3, 10), min_size=len(steps),
+                                   max_size=len(steps)))
+        model = modal.build_synthetic([complex(k / 4, y) for k, y in zip(steps, imag)],
+                                      norms)
+        z0 = complex(data.draw(st.floats(-5, 5)),
+                     data.draw(st.sampled_from([-1, 1])) * data.draw(st.floats(2.5, 5)))
+        N = data.draw(st.integers(0, 6))
+        E = N + data.draw(st.integers(0, 8))
+        c = np.array(data.draw(st.lists(st.tuples(real, real), min_size=N + 1,
+                                        max_size=N + 1))).view(complex)[:, 0]
+        if not np.any(c):
+            c[0] = 1.0
+        Q = poly.ShiftedPolynomial(z0, c / np.linalg.norm(c))
+
+        taylor = pade.functional_value(
+            Q, modal.taylor_coefficients(model, z0, E), E, w=model.weights)
+        modal_route = pade.functional_value(Q, model, E)
+        d = np.abs(model.poles - z0)
+        terms = np.abs(Q.coeffs) * d[:, None] ** np.arange(N + 1)
+        bound = np.sqrt(np.sum((model.residue_norms * terms.sum(axis=1)
+                                / d ** (E + 1)) ** 2))
+        assert abs(taylor - modal_route) <= 1e-13 * bound
 
     def test_minimality(self, helmholtz, paper_z0, rng):
         E, N = 6, 2
