@@ -203,7 +203,7 @@ def load_config(path):
 def build_model(config):
     spec = config.model_spec
     if spec["kind"] == "helmholtz":
-        keys = ("max_index", "nu_sq", "theta", "quad_order")
+        keys = set(MODEL_KEYS["helmholtz"]) - {"kind"}
         return build_rectangle_helmholtz(**{k: spec[k] for k in keys if k in spec})
     return build_synthetic(
         pairs_to_array(spec["poles"]),

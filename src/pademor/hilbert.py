@@ -1,8 +1,8 @@
 """Weighted complex coefficient space over a fixed orthogonal mode basis.
 
 Vectors are plain complex numpy arrays indexed by mode; the inner product
-carries positive diagonal weights (either plain L2 or the energy product
-``weight_k = eigenvalue_k + shift``).
+is given by positive diagonal weights alone, built as plain L2 (all ones)
+or as the energy product ``weight_k = Re eigenvalue_k + shift``.
 """
 
 from dataclasses import dataclass
@@ -17,16 +17,12 @@ class InnerProductWeights:
     """Positive diagonal weights defining the inner product."""
 
     weights: np.ndarray
-    kind: str = "l2"  # "l2" or "energy"
-    shift: float = 0.0
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0 or np.any(w <= 0.0):
             raise ValueError("weights must be a non-empty positive 1-d array")
         object.__setattr__(self, "weights", w)
-        if self.kind not in ("l2", "energy"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
 
     @property
     def dimension(self):
@@ -41,7 +37,7 @@ class InnerProductWeights:
         if shift < 0.0:
             raise ValueError("energy shift must be nonnegative")
         lam = np.real(np.asarray(eigenvalues, dtype=complex))
-        return InnerProductWeights(lam + shift, kind="energy", shift=float(shift))
+        return InnerProductWeights(lam + shift)
 
 
 def _check_dims(w, *vectors, ndims=(1,)):

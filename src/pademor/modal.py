@@ -1,10 +1,12 @@
 """Meromorphic solution-map backends.
 
-A modal model is a diagonal representation of the operator and the source
-term over an orthogonal eigenbasis: one (eigenvalue, source coefficient)
-pair per mode.  The exact spectral Helmholtz backend on (0, pi)^2 and
-synthetic pole/residue fixtures both reduce to this form, so evaluation,
-Taylor expansion and pole listing are shared.
+A modal model is the spectral data of a normal operator with compact
+resolvent and of the source term over an orthogonal eigenbasis: three
+arrays, one eigenvalue, one source coefficient and one inner-product weight
+per mode.  The exact spectral Helmholtz backend on (0, pi)^2 and synthetic
+pole/residue fixtures both reduce to this form, so evaluation, Taylor
+expansion and pole listing are shared.  A model file holds the same three
+arrays and nothing else.
 """
 
 import json
@@ -23,7 +25,7 @@ from .hilbert import InnerProductWeights, complex_to_pair, norm, pairs_to_array
 
 POLE_GROUP_TOL = 1e-12
 POLE_EVAL_TOL = 1e-12  # S is not evaluated this close to a retained pole
-DEFAULT_DROP_THRESHOLD = 1e-14
+DROP_THRESHOLD = 1e-14  # relative to ||source||, below which a pole is dropped
 DEFAULT_MAX_INDEX = 40
 DEFAULT_QUAD_ORDER = 64
 
@@ -31,14 +33,11 @@ DEFAULT_QUAD_ORDER = 64
 @dataclass(frozen=True)
 class ModalModel:
     """Eigenvalues and source coefficients, one entry per mode, in the
-    inner product given by weights; tags optionally label the modes, as the
-    (m, n) rows of an integer array for the Helmholtz backend."""
+    inner product given by weights."""
 
     eigenvalues: np.ndarray
     coefficients: np.ndarray
     weights: InnerProductWeights
-    drop_threshold: float = DEFAULT_DROP_THRESHOLD
-    tags: np.ndarray | None = None
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=complex)
@@ -50,8 +49,6 @@ class ModalModel:
             )
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "coefficients", coef)
-        if self.tags is not None:
-            object.__setattr__(self, "tags", np.asarray(self.tags))
         poles, residue_norms = _retained_poles(self)
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "residue_norms", residue_norms)
@@ -139,8 +136,9 @@ def build_rectangle_helmholtz(
 ):
     """Exact spectral Helmholtz model on (0, pi)^2 with Dirichlet boundary.
 
-    Modes are (m, n) with 1 <= m, n <= max_index and eigenvalue m^2 + n^2;
-    the inner product is the energy one with shift nu_sq.  The quadrature
+    Modes are (m, n) with 1 <= m, n <= max_index and eigenvalue m^2 + n^2,
+    in row-major order: mode k is (k // max_index + 1, k % max_index + 1).
+    The inner product is the energy one with shift nu_sq.  The quadrature
     is validated once at build time by doubling its order.
     """
     if max_index < 4:
@@ -163,14 +161,14 @@ def build_rectangle_helmholtz(
     m, n = np.indices((max_index, max_index)).reshape(2, -1) + 1
     eigenvalues = m * m + n * n
     weights = InnerProductWeights.energy(eigenvalues, nu_sq)
-    return ModalModel(eigenvalues, coef.ravel(), weights, tags=np.column_stack((m, n)))
+    return ModalModel(eigenvalues, coef.ravel(), weights)
 
 
 def _retained_poles(model):
     """Distinct poles sorted by (Re, Im) and the V-norms of their residues.
 
     Eigenvalues within 1e-12 of the first of a group are one pole; a pole
-    is kept if its residue norm exceeds drop_threshold * ||source||.
+    is kept if its residue norm exceeds DROP_THRESHOLD * ||source||.
     """
     order = np.lexsort((model.eigenvalues.imag, model.eigenvalues.real))
     lam = model.eigenvalues[order]
@@ -181,7 +179,7 @@ def _retained_poles(model):
             starts.append(k)
     # np.sum per group, not np.add.reduceat: the two round differently.
     norms = np.sqrt([np.sum(group) for group in np.split(mass, starts[1:])])
-    keep = norms > model.drop_threshold * model.source_norm()
+    keep = norms > DROP_THRESHOLD * model.source_norm()
     return lam[starts][keep], norms[keep]
 
 
@@ -269,36 +267,19 @@ def taylor_coefficients(model, z0, E):
 
 
 def model_to_json(model):
-    tags = [None] * model.dimension if model.tags is None else model.tags.tolist()
-    modes = zip(complex_to_pair(model.eigenvalues), complex_to_pair(model.coefficients),
-                tags)
+    """{"eigenvalues": pairs, "coefficients": pairs, "weights": floats}."""
     return {
-        "modes": [{"lambda": lam, "coef": c, "tag": tag} for lam, c, tag in modes],
-        "weights": (
-            {"kind": "energy", "shift": model.weights.shift}
-            if model.weights.kind == "energy"
-            else {"kind": "l2"}
-        ),
-        "drop_threshold": model.drop_threshold,
+        "eigenvalues": complex_to_pair(model.eigenvalues),
+        "coefficients": complex_to_pair(model.coefficients),
+        "weights": model.weights.weights.tolist(),
     }
 
 
 def model_from_json(obj):
-    modes = obj["modes"]
-    eigenvalues = pairs_to_array([m["lambda"] for m in modes])
-    coefficients = pairs_to_array([m["coef"] for m in modes])
-    tags = [m.get("tag") for m in modes]
-    wspec = obj["weights"]
-    if wspec["kind"] == "energy":
-        weights = InnerProductWeights.energy(eigenvalues, wspec["shift"])
-    else:
-        weights = InnerProductWeights.l2(len(modes))
     return ModalModel(
-        eigenvalues,
-        coefficients,
-        weights,
-        obj.get("drop_threshold", DEFAULT_DROP_THRESHOLD),
-        None if None in tags else tags,
+        pairs_to_array(obj["eigenvalues"]),
+        pairs_to_array(obj["coefficients"]),
+        InnerProductWeights(obj["weights"]),
     )
 
 

@@ -335,16 +335,6 @@ def functional_value(Q, source, E, w=None):
     raise TypeError(f"cannot evaluate functional against {type(source).__name__}")
 
 
-def residual_norm(model, approx, z):
-    """V-norm of the residual H(z) = Q(z) S(z) - P(z)."""
-    from .modal import evaluate_exact
-
-    s = evaluate_exact(model, z)
-    qz = poly.evaluate(approx.denominator, z)
-    pz = approx.numerator(z)
-    return hilbert.norm(qz * s - pz, model.weights)
-
-
 def approximant_to_json(approx):
     """JSON form: the BuildParams and Diagnostics fields by name, complex
     numbers as [re, im] pairs, one row of pairs per numerator coefficient."""

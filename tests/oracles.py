@@ -72,6 +72,14 @@ def point_errors(model, approx, points, near_distance=1e-6):
     return out
 
 
+def residual_norm(model, approx, z):
+    """V-norm of the residual H(z) = Q(z) S(z) - P(z)."""
+    s = modal.evaluate_exact(model, z)
+    qz = poly.evaluate(approx.denominator, z)
+    pz = approx.numerator(z)
+    return hilbert.norm(qz * s - pz, model.weights)
+
+
 def inner_product(u, v, w):
     """<u, v> = sum_k w_k u_k conj(v_k); conjugate-linear in v."""
     u = np.asarray(u, dtype=complex)

@@ -49,8 +49,8 @@ HIGH_ORDER_SHA256 = {
     "poles": "e97e896939f1302da13306d1e403241d50b5aa6cc1eddc489f3b3b154b3562b9",
 }
 MODEL_SHA256 = {
-    "synthetic": "5ad1011720fe89e88260b4d8991d74ac84e63a8151763e9908a3bd503c257250",
-    "helmholtz": "aa8763681f197c05d4875b1602c2d727d3ae840a0eab8fa9e5b35654ecad8a5e",
+    "synthetic": "2b9e4e7891eda836485e147b04a4845b111f2d366e37c5d85469c749c7250535",
+    "helmholtz": "200d71a5b12c2eda2065fc4cf11efd0abdbbe3d8c29edbb28c9943221a279333",
 }
 
 

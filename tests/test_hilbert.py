@@ -97,7 +97,6 @@ class TestWeights:
     def test_energy_weights(self):
         w = hilbert.InnerProductWeights.energy([2.0, 5.0], 12.0)
         assert np.allclose(w.weights, [14.0, 17.0])
-        assert w.kind == "energy" and w.shift == 12.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

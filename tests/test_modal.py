@@ -18,7 +18,7 @@ def seed_pole_list(model, z0):
     """Test oracle: the original per-call grouping of pole_list.  Modes are
     sorted by (Re, Im), grouped while within POLE_GROUP_TOL of the group's
     first eigenvalue, and kept if the grouped residue norm exceeds
-    drop_threshold * ||source||; then sorted by distance from z0."""
+    DROP_THRESHOLD * ||source||; then sorted by distance from z0."""
     z0 = complex(z0)
     order = sorted(
         range(model.dimension),
@@ -31,7 +31,7 @@ def seed_pole_list(model, z0):
             groups[-1][1].append(k)
         else:
             groups.append([lam, [k]])
-    floor = model.drop_threshold * model.source_norm()
+    floor = modal.DROP_THRESHOLD * model.source_norm()
     out = []
     for lam, idx in groups:
         idx = np.array(idx)
@@ -45,6 +45,12 @@ def seed_pole_list(model, z0):
         if rnorm > floor:
             out.append((complex(lam), rnorm))
     return sorted(out, key=lambda pr: (abs(pr[0] - z0), pr[0].real, pr[0].imag))
+
+
+def helmholtz_modes(model, max_index=modal.DEFAULT_MAX_INDEX):
+    """(m, n) of each mode of a Helmholtz model, by its documented order."""
+    k = np.arange(model.dimension)
+    return k // max_index + 1, k % max_index + 1
 
 
 def l2_model(eigenvalues, coefficients):
@@ -86,23 +92,26 @@ class TestBuildSynthetic:
 
 class TestBuildHelmholtz:
     def test_eigenvalue_multiset_low_modes(self, helmholtz):
-        low = helmholtz.tags.max(axis=1) <= 3
+        m, n = helmholtz_modes(helmholtz)
+        low = np.maximum(m, n) <= 3
         got = sorted(helmholtz.eigenvalues[low].real)
         assert got == [2, 5, 5, 8, 10, 10, 13, 13, 18]
 
-    def test_tags_label_modes(self, helmholtz):
-        m, n = helmholtz.tags.T
-        assert helmholtz.tags.shape == (1600, 2)
-        assert helmholtz.tags[:2].tolist() == [[1, 1], [1, 2]]
+    def test_mode_order(self, helmholtz):
+        m, n = helmholtz_modes(helmholtz)
+        assert helmholtz.dimension == 1600
+        assert (m[:2].tolist(), n[:2].tolist()) == ([1, 1], [1, 2])
         assert np.array_equal(helmholtz.eigenvalues, m * m + n * n)
+        small = modal.build_rectangle_helmholtz(max_index=5)
+        m, n = helmholtz_modes(small, 5)
+        assert np.array_equal(small.eigenvalues, m * m + n * n)
+        assert small.eigenvalues[5:7].tolist() == [5, 8]  # (2, 1), (2, 2)
 
     def test_paper_pole_ordering(self, helmholtz, paper_z0):
         poles = [lam for lam, _ in modal.pole_list(helmholtz, paper_z0)]
         assert poles[:3] == [13, 10, 8]
 
     def test_energy_weights(self, helmholtz):
-        assert helmholtz.weights.kind == "energy"
-        assert helmholtz.weights.shift == 12.0
         assert helmholtz.weights.weights[0] == pytest.approx(
             helmholtz.eigenvalues[0].real + 12.0
         )
@@ -336,26 +345,25 @@ class TestSerialization:
         path = tmp_path / "model.json"
         modal.save_model(helmholtz, path)
         back = modal.load_model(path)
-        assert np.allclose(back.eigenvalues, helmholtz.eigenvalues)
-        assert np.allclose(back.coefficients, helmholtz.coefficients)
-        assert np.allclose(back.weights.weights, helmholtz.weights.weights)
-        assert back.weights.kind == "energy"
-        assert np.array_equal(back.tags, helmholtz.tags)
+        for name in ("eigenvalues", "coefficients", "poles", "residue_norms"):
+            assert getattr(back, name).tobytes() == getattr(helmholtz, name).tobytes()
+        assert back.weights.weights.tobytes() == helmholtz.weights.weights.tobytes()
 
     def test_synthetic_round_trip(self, three_pole):
         back = modal.model_from_json(modal.model_to_json(three_pole))
         assert np.allclose(back.eigenvalues, three_pole.eigenvalues)
-        assert back.weights.kind == "l2"
-        assert back.tags is None
+        assert back.weights.weights.tolist() == [1.0, 1.0, 1.0]
 
-    def test_one_json_entry_per_mode(self, helmholtz, three_pole):
-        modes = modal.model_to_json(helmholtz)["modes"]
-        assert len(modes) == helmholtz.dimension
-        assert modes[1] == {
-            "lambda": [5.0, 0.0],
-            "coef": [helmholtz.coefficients[1].real, helmholtz.coefficients[1].imag],
-            "tag": [1, 2],
-        }
-        assert modal.model_to_json(three_pole)["modes"][2] == {
-            "lambda": [4.0, 0.0], "coef": [0.25, 0.0], "tag": None,
+    def test_three_array_layout(self, helmholtz, three_pole):
+        obj = modal.model_to_json(helmholtz)
+        assert sorted(obj) == ["coefficients", "eigenvalues", "weights"]
+        assert len(obj["eigenvalues"]) == len(obj["weights"]) == helmholtz.dimension
+        assert obj["eigenvalues"][1] == [5.0, 0.0]
+        c = helmholtz.coefficients[1]
+        assert obj["coefficients"][1] == [c.real, c.imag]
+        assert obj["weights"][1] == 17.0  # 1 + 4 plus the shift nu^2 = 12
+        assert modal.model_to_json(three_pole) == {
+            "eigenvalues": [[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]],
+            "coefficients": [[1.0, 0.0], [0.5, 0.0], [0.25, 0.0]],
+            "weights": [1.0, 1.0, 1.0],
         }
