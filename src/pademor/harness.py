@@ -23,6 +23,7 @@ from .modal import (
     evaluate_exact_grid,
     nearest_pole,
     pole_list,
+    taylor_coefficients,
 )
 from .hilbert import complex_to_text, norm, pairs_to_array
 
@@ -220,12 +221,21 @@ def _model(config):
     return model
 
 
-def _pair(model, config, M, E):
-    """The fast approximant of degree M from config.fast_E(M) Taylor
-    coefficients, and the standard one of degree E - N from E coefficients."""
-    fast = pade.BuildParams(config.z0, M, config.N, config.fast_E(M), "fast")
-    std = pade.BuildParams(config.z0, E - config.N, config.N, E, "standard", config.rho())
-    return pade.build(model, fast), pade.build(model, std)
+def _pairs(model, config, degrees, extra):
+    """Per degree M in degrees, the fast approximant of degree M from
+    config.fast_E(M) Taylor coefficients and the standard one of degree
+    E - N from E = M + extra coefficients, all built from one Taylor block
+    long enough for the largest (fast_E(M) grows with M)."""
+    top = max(degrees)
+    taylor = taylor_coefficients(model, config.z0, max(config.fast_E(top), top + extra))
+    pairs = []
+    for M in degrees:
+        E = M + extra
+        fast = pade.BuildParams(config.z0, M, config.N, config.fast_E(M), "fast")
+        std = pade.BuildParams(config.z0, E - config.N, config.N, E, "standard",
+                               config.rho())
+        pairs.append((pade.build(model, fast, taylor), pade.build(model, std, taylor)))
+    return pairs
 
 
 def _errors(model, approx, points, exact):
@@ -288,7 +298,7 @@ def cmd_build(config, out):
     """{"approximants": [...]}, one approximant per line, each line
     serialized only when it is written."""
     model = _model(config)
-    approxs = [a for M in config.M_list for a in _pair(model, config, M, M + config.N)]
+    approxs = [a for pair in _pairs(model, config, config.M_list, config.N) for a in pair]
     last = len(approxs) - 1
     entries = (json.dumps(pade.approximant_to_json(a), sort_keys=True)
                + ("," if i < last else "") for i, a in enumerate(approxs))
@@ -299,7 +309,7 @@ def cmd_sweep(config, out):
     model = _model(config)
     grid = config.grid()
     exact = evaluate_exact_grid(model, grid)
-    fast, std = zip(*(_pair(model, config, M, M + config.N) for M in config.M_list))
+    fast, std = zip(*_pairs(model, config, config.M_list, config.N))
     errors, qmags = zip(*(_errors(model, approx, grid, exact) for approx in fast + std))
     near = exact[1] < NEAR_POLE_DISTANCE
 
@@ -333,7 +343,7 @@ def cmd_convergence(config, out):
             )
 
     exact = evaluate_exact_grid(model, probes)
-    fast, std = zip(*(_pair(model, config, M, M + config.N) for M in config.M_list))
+    fast, std = zip(*_pairs(model, config, config.M_list, config.N))
     errs_f = [_errors(model, approx, probes, exact) for approx in fast]
     errs_s = [_errors(model, approx, probes, exact) for approx in std]
     poles = pole_list(model, config.z0)
@@ -382,6 +392,11 @@ def cmd_poles(config, out):
     _check_E_list(config)
     N = config.N
     poles = pole_list(model, config.z0)
+    if len(poles) < N:
+        raise ConfigError(
+            f"at $.N: pole study needs N <= {len(poles)}, the number of poles "
+            f"the model retains"
+        )
     true_poles = [lam for lam, _ in poles[:N]]
 
     header = ["E"]
@@ -392,8 +407,7 @@ def cmd_poles(config, out):
                "extra_roots_fast", "extra_roots_std"]
     lines = [",".join(header)]
     predicted = [predicted_pole_factor(poles, config, a) for a in range(1, N + 1)]
-    for E in config.E_list:
-        fast, std = _pair(model, config, E, E)
+    for E, (fast, std) in zip(config.E_list, _pairs(model, config, config.E_list, 0)):
         err_f, extra_f = _nearest_root_errors(pade.approximant_poles(fast), true_poles)
         err_s, extra_s = _nearest_root_errors(pade.approximant_poles(std), true_poles)
         row = [str(E)]
@@ -420,8 +434,7 @@ def cmd_compare(config, out):
     header = ["E", "z", "error_fast", "error_std", "ratio",
               "q_magnitude_fast", "q_magnitude_std", "near_pole"]
     lines = [",".join(header)]
-    for E in config.E_list:
-        fast, std = _pair(model, config, E, E)
+    for E, (fast, std) in zip(config.E_list, _pairs(model, config, config.E_list, 0)):
         (err_f, q_f), (err_s, q_s) = (_errors(model, a, grid, exact) for a in (fast, std))
         for z, ef, es, qf, qs, flag in zip(grid, err_f, err_s, q_f, q_s, near):
             ratio = ef / es if es > 0 else math.inf

@@ -98,31 +98,29 @@ def build_synthetic(poles, residue_norms):
     return ModalModel(poles, norms, InnerProductWeights.l2(len(poles)))
 
 
-def _bubble_line_integrals(indices, freq, nodes, wts):
+def _bubble_line_integrals(indices, freq, x, w):
     """1-d integrals of x (pi - x) e^{-i freq x} sin(k x) over (0, pi), by
-    the Gauss-Legendre rule (nodes, wts) on (-1, 1)."""
-    x = 0.5 * np.pi * (nodes + 1.0)
-    w = 0.5 * np.pi * wts
+    the quadrature rule with nodes x and weights w."""
     g = x * (np.pi - x) * np.exp(-1j * freq * x)
     sines = np.sin(np.outer(indices, x))
     return sines @ (w * g)
 
 
-def _helmholtz_coefficients(max_index, nu_sq, theta, quad_order):
+def _helmholtz_coefficients(max_index, nu_sq, theta, x, w):
     """L2-projection coefficients of f = -lap(u_ex) - nu^2 u_ex onto the
-    normalized eigenfunctions (2/pi) sin(mx) sin(ny).
+    normalized eigenfunctions (2/pi) sin(mx) sin(ny), by the quadrature
+    rule with nodes x and weights w on (0, pi).
 
     The exact solution u_ex is the bubble 16/pi^4 x1 x2 (pi-x1) (pi-x2)
     times the plane-wave factor; since u_ex and the eigenfunctions vanish
     on the boundary, Green's identity turns the projection of f into
     (m^2 + n^2 - nu^2) times the projection of u_ex, which factorizes into
-    tensor 1-d Gauss-Legendre quadratures.
+    tensor 1-d quadratures.
     """
     nu = np.sqrt(nu_sq)
     k = np.arange(1, max_index + 1)
-    nodes, wts = np.polynomial.legendre.leggauss(quad_order)
-    ix = _bubble_line_integrals(k, nu * np.cos(theta), nodes, wts)
-    iy = _bubble_line_integrals(k, nu * np.sin(theta), nodes, wts)
+    ix = _bubble_line_integrals(k, nu * np.cos(theta), x, w)
+    iy = _bubble_line_integrals(k, nu * np.sin(theta), x, w)
     proj = (2.0 / np.pi) * (16.0 / np.pi**4) * np.outer(ix, iy)
     lam = (k**2)[:, None] + (k**2)[None, :]
     return (lam - nu_sq) * proj  # indexed [m-1, n-1]
@@ -138,8 +136,12 @@ def build_rectangle_helmholtz(
 
     Modes are (m, n) with 1 <= m, n <= max_index and eigenvalue m^2 + n^2,
     in row-major order: mode k is (k // max_index + 1, k % max_index + 1).
-    The inner product is the energy one with shift nu_sq.  The quadrature
-    is validated once at build time by doubling its order.
+    The inner product is the energy one with shift nu_sq.
+
+    The coefficients come from the quad_order-point Gauss-Legendre rule on
+    (0, pi).  They are validated once at build time against the same rule
+    applied on each half, (0, pi/2) and (pi/2, pi): QuadratureNotConverged
+    unless the two agree to 1e-10 of the largest coefficient.
     """
     if max_index < 4:
         raise ValueError("max_index must be >= 4")
@@ -148,14 +150,20 @@ def build_rectangle_helmholtz(
     if nu_sq <= 0.0:
         raise ValueError("nu_sq must be positive")
 
-    coef = _helmholtz_coefficients(max_index, nu_sq, theta, quad_order)
-    check = _helmholtz_coefficients(max_index, nu_sq, theta, 2 * quad_order)
+    nodes, wts = np.polynomial.legendre.leggauss(quad_order)
+    x = 0.5 * np.pi * (nodes + 1.0)
+    w = 0.5 * np.pi * wts
+    coef = _helmholtz_coefficients(max_index, nu_sq, theta, x, w)
+    # the same rule on (0, pi/2) and on (pi/2, pi)
+    half_x = np.concatenate([0.5 * x, 0.5 * x + 0.5 * np.pi])
+    half_w = np.concatenate([0.5 * w, 0.5 * w])
+    check = _helmholtz_coefficients(max_index, nu_sq, theta, half_x, half_w)
     scale = np.max(np.abs(check))
     dev = np.max(np.abs(coef - check))
     if dev > 1e-10 * scale:
         raise QuadratureNotConverged(
             f"coefficients move by {dev / scale:.3e} (relative) when the "
-            f"quadrature order doubles from {quad_order}"
+            f"{quad_order}-point rule is applied on each half of (0, pi)"
         )
 
     m, n = np.indices((max_index, max_index)).reshape(2, -1) + 1
@@ -232,7 +240,7 @@ def evaluate_exact_grid(model, points):
     inf."""
     points = np.asarray(points, dtype=complex)
     dist = np.abs(model.poles - points[:, None]).min(axis=1, initial=np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rows = _resolvent(model, points)
     rows[dist <= POLE_EVAL_TOL] = np.inf
     return rows, dist

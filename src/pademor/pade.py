@@ -74,7 +74,8 @@ class VectorPolynomial:
 class Diagnostics:
     functional_value: float  # minimal j-value achieved by the denominator
     # minimal eigenvalue of the matrix solved (R^H R or the Gramian sum),
-    # scaled by rho^-2(M+1) and, after _scale_exponent, by 4^-k
+    # scaled by rho^-2(M+1) and, after the power-of-two scalings of
+    # _scale_exponent, by 4^-k
     min_eigenvalue: float
     degenerate: bool  # near-degenerate minimal eigenvalue
     exact_degeneracy: bool = False  # rank-deficient quasimatrix
@@ -129,9 +130,11 @@ def _gramian_denominator(taylor, M, N, E, rho, w):
     M+1..E, rescaled by rho^{-2(M+1)} before the eigensolve.
 
     The minimizer is invariant under positive scaling of the matrix, so the
-    rescaling only guards against overflow, as does the power-of-two
-    scaling of the Taylor windows (_scale_exponent).  Each block is exactly
-    Hermitian, and so is their positively weighted sum.
+    rescaling only guards against overflow, as do the power-of-two
+    scalings (_scale_exponent) of the Taylor windows and of the sum, whose
+    entries are squares of window entries: its Frobenius norm, which the
+    eigensolve takes, stays finite.  Each block is exactly Hermitian, and
+    so is their positively weighted sum.
     """
     k = _scale_exponent(taylor.coefficients[max(M + 1 - N, 0) : E + 1])
     if k:
@@ -139,6 +142,10 @@ def _gramian_denominator(taylor, M, N, E, rho, w):
     A = np.zeros((N + 1, N + 1), dtype=complex)
     for gamma in range(M + 1, E + 1):
         A += rho ** (2 * (gamma - M - 1)) * gramian(taylor, N, gamma, w)
+    j = (_scale_exponent(A) + 1) // 2
+    if j:
+        A = A * 4.0**-j
+        k += j
     vals, vecs = numerics.hermitian_eigensystem(A)
     res = numerics.min_eigenpair(vals, vecs, np.linalg.norm(A))
     # Python floats, so that an overflowing ratio is inf without a warning.
@@ -266,14 +273,24 @@ def numerator(taylor, Q, M):
     return VectorPolynomial(taylor.center, rows)
 
 
-def build(model, params):
+def build(model, params, taylor=None):
     """Assemble a full approximant from the Taylor coefficients of a modal
     model at params.z0.
+
+    taylor, if given, is a block of those coefficients shared by several
+    builds: centred at params.z0 (ValueError otherwise) and of any length
+    from params.E + 1 up.  Row g of the block depends only on g, so a
+    build from a longer block is bit-identical to one from its own.
 
     The fast variant uses the QR denominator path.  Deterministic for fixed
     inputs.
     """
-    taylor = taylor_coefficients(model, params.z0, params.E)
+    if taylor is None:
+        taylor = taylor_coefficients(model, params.z0, params.E)
+    elif taylor.center != params.z0:
+        raise ValueError(
+            f"Taylor block centred at {taylor.center}, approximant at {params.z0}"
+        )
     if params.variant == "fast":
         den, diag = denominator_fast_qr(taylor, params.N, params.E, model.weights)
     else:

@@ -28,6 +28,24 @@ def normalize(p):
     return poly.ShiftedPolynomial(p.center, c)
 
 
+def gauss_rule(order):
+    """The order-point Gauss-Legendre rule mapped to (0, pi), as
+    modal.build_rectangle_helmholtz maps it."""
+    nodes, wts = np.polynomial.legendre.leggauss(order)
+    return 0.5 * np.pi * (nodes + 1.0), 0.5 * np.pi * wts
+
+
+def doubled_order_converged(max_index, nu_sq, theta, quad_order):
+    """The quadrature check that modal.build_rectangle_helmholtz replaced:
+    the coefficients from the quad_order-point rule must agree, to 1e-10 of
+    the largest, with those from the rule of order 2 quad_order."""
+    coef, check = (
+        modal._helmholtz_coefficients(max_index, nu_sq, theta, *gauss_rule(order))
+        for order in (quad_order, 2 * quad_order)
+    )
+    return bool(np.max(np.abs(coef - check)) <= 1e-10 * np.max(np.abs(check)))
+
+
 def recursive_taylor(model, z0, E):
     """Taylor coefficients by the shifted-solve recursion: S_0 exactly, then
     each next order divides the previous one by (eigenvalue - z0)."""

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,11 +440,48 @@ class TestCli:
         assert len(rows) == 11
         assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:3])
 
+    @pytest.mark.filterwarnings("error")
+    def test_grid_point_a_subnormal_distance_from_a_pole(self, tmp_path):
+        # 1 / 1e-310 overflows; the row is inf as on the pole itself
+        model = {**SYNTH_CONFIG["model"], "poles": [[1.0, 0.0], [2.0, -1e-310]]}
+        path = write_config(tmp_path, {**SYNTH_CONFIG, "model": model, "K": [-1.0, 2.0],
+                                       "grid_points": 4})
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
+        last = out.read_text().splitlines()[-1].split(",")
+        assert last[:3] == ["2", "inf", "inf"] and last[-1] == "1"
+
+    @pytest.mark.filterwarnings("error")
+    def test_gramian_sum_with_overflowing_norm_is_scaled(self, tmp_path):
+        # window entries of about 5^13 1e72: the standard Gramian sum holds
+        # entries near 1e161, whose squares overflow in its Frobenius norm
+        patch = {"model": {"kind": "synthetic", "poles": [[-4.8, 1e-6]],
+                           "residue_norms": [5.0]},
+                 "z0": [-4.8, 0.0], "K": [3.0, 8.0], "M_list": [5], "N": 6,
+                 "E_rule": "MPlusN", "rho_rule": {"factor": 3.0}}
+        path = write_config(tmp_path, {**SYNTH_CONFIG, **patch})
+        out = tmp_path / "build.json"
+        assert cli.main(["build", "--config", path, "--out", str(out)]) == 0
+        std = json.loads(out.read_text())["approximants"][1]
+        assert std["params"]["variant"] == "standard"
+        assert math.isfinite(std["diagnostics"]["functional_value"])
+
     def test_pole_study_without_poles_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, {**SYNTH_CONFIG, "N": 0})
         out = str(tmp_path / "poles.csv")
         assert cli.main(["poles", "--config", path, "--out", out]) == 2
         assert "at $.N: pole study needs N >= 1" in capsys.readouterr().err
+
+    def test_pole_study_with_fewer_poles_than_N_exit_two(self, tmp_path, capsys):
+        # one retained pole and N = 2 used to write 9 cells per row under an
+        # 11-column header
+        model = {"kind": "synthetic", "poles": [[1.0, 0.0]], "residue_norms": [1.0]}
+        path = write_config(tmp_path, {**SYNTH_CONFIG, "model": model, "z0": [0.0, 0.5],
+                                       "K": [-1.0, 2.0], "E_list": [2, 3]})
+        out = tmp_path / "poles.csv"
+        assert cli.main(["poles", "--config", path, "--out", str(out)]) == 2
+        assert "at $.N: pole study needs N <= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_failure_exit_three(self, tmp_path, monkeypatch):
         def boom(config, out):
@@ -458,6 +497,56 @@ class TestCli:
         for cmd in ("build", "sweep", "convergence", "poles", "compare"):
             out = str(tmp_path / f"{cmd}.out")
             assert cli.main([cmd, "--config", path, "--out", out]) == 0
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSharedTaylorBlock:
+    @pytest.mark.parametrize("workload", ["helmholtz_reference", "highorder_poles",
+                                          "synthetic_dense_grid"])
+    def test_builds_from_a_longer_block_are_bit_identical(self, workload):
+        cfg = harness.parse_config(load_workloads().make_config(workload))
+        model = harness.build_model(cfg)
+        N, rho = cfg.N, cfg.rho()
+        params = []
+        for M in cfg.M_list:
+            params += [pade.BuildParams(cfg.z0, M, N, cfg.fast_E(M), "fast"),
+                       pade.BuildParams(cfg.z0, M, N, M + N, "standard", rho)]
+        for E in cfg.E_list:
+            params += [pade.BuildParams(cfg.z0, E, N, cfg.fast_E(E), "fast"),
+                       pade.BuildParams(cfg.z0, E - N, N, E, "standard", rho)]
+        E_max = max(p.E for p in params)
+        shared = modal.taylor_coefficients(model, cfg.z0, E_max + 3)
+        for p in params:
+            own = pade.build(model, p)
+            assert (json.dumps(pade.approximant_to_json(pade.build(model, p, shared)))
+                    == json.dumps(pade.approximant_to_json(own)))
+
+    @pytest.mark.parametrize("command", ["build", "sweep", "convergence", "poles",
+                                         "compare"])
+    def test_one_taylor_block_per_command(self, tmp_path, monkeypatch, command):
+        orders = []
+        original = modal.taylor_coefficients
+
+        def counted(model, z0, E):
+            orders.append(E)
+            return original(model, z0, E)
+
+        for module in (modal, harness, pade):
+            monkeypatch.setattr(module, "taylor_coefficients", counted)
+        cfg = {**SYNTH_CONFIG, "M_list": [1, 3, 2], "E_list": [2, 3, 5],
+               "E_rule": "MPlusN"}
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / f"{command}.out")
+        assert cli.main([command, "--config", path, "--out", out]) == 0
+        # max(M_list) + N, or fast_E(max(E_list)) = 5 + N
+        assert orders == [5 if command in ("build", "sweep", "convergence") else 7]
 
 
 class TestPoleGrouping:

@@ -7,11 +7,12 @@ from pademor.errors import (
     DuplicatePoles,
     LengthMismatch,
     PoleEvaluation,
+    QuadratureNotConverged,
 )
 
 from pademor.hilbert import InnerProductWeights
 
-from oracles import recursive_taylor
+from oracles import doubled_order_converged, gauss_rule, recursive_taylor
 
 
 def seed_pole_list(model, z0):
@@ -126,12 +127,37 @@ class TestBuildHelmholtz:
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
         modal.build_rectangle_helmholtz(max_index=6, quad_order=40)
-        assert orders == [40, 80]
+        assert orders == [40]  # the half-interval check reuses the one rule
 
     def test_quadrature_refinement_stable(self):
-        a = modal._helmholtz_coefficients(10, 12.0, np.pi / 3, 64)
-        b = modal._helmholtz_coefficients(10, 12.0, np.pi / 3, 128)
+        a = modal._helmholtz_coefficients(10, 12.0, np.pi / 3, *gauss_rule(64))
+        b = modal._helmholtz_coefficients(10, 12.0, np.pi / 3, *gauss_rule(128))
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+    # (nu^2, theta, max_index, smallest quad_order both checks accept)
+    QUADRATURE_BOUNDARIES = [
+        (12.0, np.pi / 3, 10, 23), (12.0, np.pi / 3, 20, 34),
+        (12.0, np.pi / 3, 40, 54), (12.0, np.pi / 3, 60, 72),
+        (12.0, np.pi / 3, 100, 108), (12.0, np.pi / 3, 150, 152),
+        (300.0, 0.3, 10, 38), (300.0, 0.3, 20, 46), (300.0, 0.3, 40, 65),
+        (300.0, 0.3, 60, 84), (300.0, 0.3, 100, 119), (300.0, 0.3, 150, 162),
+    ]
+
+    @pytest.mark.parametrize("nu_sq, theta, max_index, q", QUADRATURE_BOUNDARIES)
+    def test_half_interval_check_matches_doubled_order(self, nu_sq, theta, max_index, q):
+        for order, converged in ((q - 1, False), (q, True)):
+            assert doubled_order_converged(max_index, nu_sq, theta, order) is converged
+            try:
+                modal.build_rectangle_helmholtz(max_index, nu_sq, theta, order)
+                accepted = True
+            except QuadratureNotConverged:
+                accepted = False
+            assert accepted is converged, order
+
+    def test_too_coarse_rule_raises(self):
+        with pytest.raises(QuadratureNotConverged, match="each half"):
+            modal.build_rectangle_helmholtz(max_index=40, quad_order=53)
+        modal.build_rectangle_helmholtz(max_index=40, quad_order=54)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -293,6 +293,16 @@ class TestBuildAndEvaluate:
         assert np.array_equal(ap.numerator.coeffs, pade.numerator(t, den, 4).coeffs)
         assert ap.diagnostics == diag
 
+    def test_shared_block_off_center_raises(self, three_pole):
+        t = modal.taylor_coefficients(three_pole, 0.3, 6)
+        with pytest.raises(ValueError, match="centred at"):
+            pade.build(three_pole, pade.BuildParams(0.3 + 1e-12j, 4, 2, 4, "fast"), t)
+
+    def test_shared_block_too_short_raises(self, three_pole):
+        t = modal.taylor_coefficients(three_pole, 0.3, 3)
+        with pytest.raises(InsufficientTaylorLength):
+            pade.build(three_pole, pade.BuildParams(0.3, 4, 2, 4, "fast"), t)
+
     def test_constant_approximant(self, three_pole):
         ap = pade.build(three_pole, pade.BuildParams(0.3, 0, 0, 0, "fast"))
         val, _ = pade.evaluate(ap, 0.9)
