@@ -27,6 +27,10 @@ class DimensionMismatch(PadeError):
     pass
 
 
+class NonFiniteValue(PadeError):
+    pass
+
+
 # modal
 class DuplicatePoles(PadeError):
     pass

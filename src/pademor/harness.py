@@ -18,6 +18,7 @@ from . import pade, poly
 from .errors import ConfigError
 from .modal import (
     POLE_EVAL_TOL,
+    POLE_SEPARATION,
     build_rectangle_helmholtz,
     build_synthetic,
     evaluate_exact_grid,
@@ -122,8 +123,13 @@ def _check_model(spec):
     poles = spec.get("poles")
     _require(isinstance(poles, list) and poles, "$.model.poles",
              "must be a non-empty list of [re, im] pairs")
-    for i, pair in enumerate(poles):
-        _complex(pair, f"$.model.poles[{i}]")
+    values = [_complex(pair, f"$.model.poles[{i}]") for i, pair in enumerate(poles)]
+    for j, lam in enumerate(values):
+        for i in range(j):
+            if abs(lam - values[i]) <= POLE_SEPARATION:
+                raise ConfigError(
+                    f"at $.model.poles[{j}]: lies within {POLE_SEPARATION} of poles[{i}]"
+                )
     norms = spec.get("residue_norms")
     _require(isinstance(norms, list) and len(norms) == len(poles),
              "$.model.residue_norms", f"must be a list of {len(poles)} positive "
@@ -300,8 +306,8 @@ def cmd_build(config, out):
     model = _model(config)
     approxs = [a for pair in _pairs(model, config, config.M_list, config.N) for a in pair]
     last = len(approxs) - 1
-    entries = (json.dumps(pade.approximant_to_json(a), sort_keys=True)
-               + ("," if i < last else "") for i, a in enumerate(approxs))
+    entries = (pade.approximant_line(a) + ("," if i < last else "")
+               for i, a in enumerate(approxs))
     _write(out, itertools.chain(['{"approximants": ['], entries, ["]}"]))
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteValue
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,27 @@ def complex_to_pair(z):
     entry, as nested lists of floats."""
     z = np.asarray(z, dtype=complex)
     return np.stack((z.real, z.imag), -1).tolist()
+
+
+def array_to_json(a, what):
+    """JSON text of a float array, or of a complex one in the form
+    complex_to_pair gives it, each float in the shortest spelling that
+    round-trips (orjson's: no spaces, 0.00001, 1e16).
+
+    Written straight from the array's memory, with no nested lists.  A
+    non-finite entry, which JSON cannot hold, raises NonFiniteValue naming
+    what the array is.
+    """
+    a = np.ascontiguousarray(a)
+    if not np.isfinite(a).all():
+        raise NonFiniteValue(f"{what} has a non-finite entry")
+    if np.iscomplexobj(a):
+        a = a.view(float).reshape(a.shape + (2,))
+    # Imported here: importing orjson loads uuid and zoneinfo, a cost that
+    # the CSV commands, which never write JSON, need not pay.
+    import orjson
+
+    return orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
 def pairs_to_array(pairs):

@@ -21,9 +21,16 @@ from .errors import (
     PoleEvaluation,
     QuadratureNotConverged,
 )
-from .hilbert import InnerProductWeights, complex_to_pair, norm, pairs_to_array
+from .hilbert import (
+    InnerProductWeights,
+    array_to_json,
+    complex_to_pair,
+    norm,
+    pairs_to_array,
+)
 
 POLE_GROUP_TOL = 1e-12
+POLE_SEPARATION = 1e-10  # synthetic poles closer than this coincide
 POLE_EVAL_TOL = 1e-12  # S is not evaluated this close to a retained pole
 DROP_THRESHOLD = 1e-14  # relative to ||source||, below which a pole is dropped
 DEFAULT_MAX_INDEX = 40
@@ -91,7 +98,7 @@ def build_synthetic(poles, residue_norms):
         raise LengthMismatch(f"{len(poles)} poles vs {len(norms)} residue norms")
     for i in range(len(poles)):
         for j in range(i + 1, len(poles)):
-            if abs(poles[i] - poles[j]) <= 1e-10:
+            if abs(poles[i] - poles[j]) <= POLE_SEPARATION:
                 raise DuplicatePoles(f"poles {poles[i]} and {poles[j]} coincide")
     if any(r <= 0.0 for r in norms):
         raise ValueError("residue norms must be positive")
@@ -292,9 +299,14 @@ def model_from_json(obj):
 
 
 def save_model(model, path):
-    # json.dumps, not json.dump: only the former uses the C encoder.
+    """model_to_json(model) as JSON text, each array written by
+    hilbert.array_to_json (NonFiniteValue on a non-finite entry)."""
+    arrays = {"eigenvalues": model.eigenvalues, "coefficients": model.coefficients,
+              "weights": model.weights.weights}
+    text = ", ".join(f'"{key}": {array_to_json(a, f"model {key}")}'
+                     for key, a in arrays.items())
     with open(path, "w") as fh:
-        fh.write(json.dumps(model_to_json(model)))
+        fh.write("{" + text + "}")
 
 
 def load_model(path):

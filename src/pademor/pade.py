@@ -9,6 +9,7 @@ its Gramian route, the standard functional with the single block of order
 E and rho = 1, is kept as a cross-check.
 """
 
+import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -352,16 +353,37 @@ def functional_value(Q, source, E, w=None):
     raise TypeError(f"cannot evaluate functional against {type(source).__name__}")
 
 
-def approximant_to_json(approx):
-    """JSON form: the BuildParams and Diagnostics fields by name, complex
-    numbers as [re, im] pairs, one row of pairs per numerator coefficient."""
+def _json_head(approx):
+    """The JSON form of an approximant without its numerator."""
     z0 = hilbert.complex_to_pair(approx.params.z0)
     return {
         "params": {**asdict(approx.params), "z0": z0},
         "denominator": poly.poly_to_json(approx.denominator),
-        "numerator": hilbert.complex_to_pair(approx.numerator.coeffs),
         "diagnostics": asdict(approx.diagnostics),
     }
+
+
+def approximant_to_json(approx):
+    """JSON form: the BuildParams and Diagnostics fields by name, complex
+    numbers as [re, im] pairs, one row of pairs per numerator coefficient."""
+    return {**_json_head(approx),
+            "numerator": hilbert.complex_to_pair(approx.numerator.coeffs)}
+
+
+def approximant_line(approx):
+    """approximant_to_json(approx) as one line of JSON text, keys sorted.
+
+    The (M+1) x dimension numerator is written straight from its array by
+    hilbert.array_to_json; the small rest goes through json.dumps, which
+    spells an infinite condition estimate Infinity where orjson would write
+    null.  A non-finite numerator entry raises NonFiniteValue.
+    """
+    p = approx.params
+    what = f"numerator of the {p.variant} approximant with M = {p.M}"
+    parts = {key: json.dumps(value, sort_keys=True)
+             for key, value in _json_head(approx).items()}
+    parts["numerator"] = hilbert.array_to_json(approx.numerator.coeffs, what)
+    return "{" + ", ".join(f'"{key}": {parts[key]}' for key in sorted(parts)) + "}"
 
 
 def approximant_from_json(obj):

@@ -1,5 +1,6 @@
 """Reference routines the tests compare the package against."""
 
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,13 @@ def normalize(p):
     c = numerics.phase_fix(p.coeffs)
     c = c / np.linalg.norm(c)
     return poly.ShiftedPolynomial(p.center, c)
+
+
+def approximant_line(approx):
+    """An approximant's build-artifact line by the route that
+    pade.approximant_line replaced: json.dumps over approximant_to_json,
+    keys sorted."""
+    return json.dumps(pade.approximant_to_json(approx), sort_keys=True)
 
 
 def gauss_rule(order):

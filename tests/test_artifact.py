@@ -1,0 +1,121 @@
+"""The text of build artifacts and model files.
+
+Numerators and model arrays are written by hilbert.array_to_json (orjson,
+shortest round-trip spelling) and must hold the values of the json.dumps
+route they replaced, bit for bit, on the benchmark workloads and on
+hand-made extreme floats."""
+
+import importlib.util
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pademor
+from pademor import cli, harness, modal, pade, poly
+from pademor.errors import NonFiniteValue
+
+from oracles import approximant_line
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                              PERFBENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+
+EXTREMES = [-0.0, 5e-324, 1e-05, 1e16, -sys.float_info.max, 0.1]
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+def assert_same_approximant(back, approx):
+    for a, b in ((back.numerator.coeffs, approx.numerator.coeffs),
+                 (back.denominator.coeffs, approx.denominator.coeffs)):
+        assert np.array_equal(bits(a), bits(b))
+    assert back.params == approx.params
+    assert back.diagnostics == approx.diagnostics
+
+
+def hand_made(numerator, M=1, variant="fast"):
+    """An approximant of degree M with the given numerator rows."""
+    params = pade.BuildParams(0.5j, M, 1, M + 1, variant, 1.0)
+    den = poly.ShiftedPolynomial(0.5j, np.array([0.6, 0.8]))
+    diag = pade.Diagnostics(1.0, 1.0, False, condition_estimate=math.inf)
+    return pade.PadeApproximant(pade.VectorPolynomial(0.5j, numerator), den, params, diag)
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_artifact_lines(workload, tmp_path):
+    config = workloads.make_config(workload)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "build.json"
+    assert cli.main(["build", "--config", str(path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == '{"approximants": [' and lines[-1] == "]}"
+
+    study = harness.parse_config(config)
+    model = harness.build_model(study)
+    approxs = [a for pair in harness._pairs(model, study, study.M_list, study.N)
+               for a in pair]
+    assert len(lines) == len(approxs) + 2
+    for line, approx in zip(lines[1:-1], approxs):
+        obj = json.loads(line.removesuffix(","))
+        assert obj == json.loads(approximant_line(approx))
+        assert list(obj) == sorted(obj)
+        assert_same_approximant(pade.approximant_from_json(obj), approx)
+
+
+def test_extreme_floats_round_trip():
+    big = sys.float_info.max
+    pairs = np.array([[[-0.0, 1e16], [5e-324, -big], [1e-05, 0.1]],
+                      [[0.1, -0.0], [1e16, 5e-324], [-big, 1e-05]]])
+    approx = hand_made(pairs.view(complex)[..., 0])
+    line = pade.approximant_line(approx)
+    assert ('"numerator": [[[-0.0,1e16],[5e-324,-1.7976931348623157e308],'
+            '[0.00001,0.1]],[[0.1,-0.0],[1e16,5e-324],'
+            '[-1.7976931348623157e308,0.00001]]], ' in line)
+    assert '"condition_estimate": Infinity' in line  # the head stays json.dumps
+    assert json.loads(line) == pade.approximant_to_json(approx)
+    assert_same_approximant(pade.approximant_from_json(json.loads(line)), approx)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_numerator_raises(bad):
+    approx = hand_made(np.array([[1.0, 2.0], [3.0, complex(0.0, bad)]]), M=1,
+                       variant="standard")
+    with pytest.raises(NonFiniteValue, match="standard approximant with M = 1"):
+        pade.approximant_line(approx)
+
+
+def test_model_file_arrays(tmp_path):
+    model = modal.build_synthetic(np.array(EXTREMES[1:]) + 1j, [1.0] * 5)
+    path = tmp_path / "model.json"
+    modal.save_model(model, path)
+    text = path.read_text()
+    assert json.loads(text) == modal.model_to_json(model)
+    assert '"weights": [1.0,1.0,1.0,1.0,1.0]}' in text
+    back = modal.load_model(path)
+    assert np.array_equal(bits(back.eigenvalues), bits(model.eigenvalues))
+    assert np.array_equal(bits(back.coefficients), bits(model.coefficients))
+
+
+def test_non_finite_model_array_raises(tmp_path):
+    with np.errstate(invalid="ignore"):
+        model = modal.ModalModel([1.0, 2.0], [1.0, math.nan],
+                                 modal.InnerProductWeights.l2(2))
+    with pytest.raises(NonFiniteValue, match="model coefficients"):
+        modal.save_model(model, tmp_path / "model.json")
+
+
+def test_cli_import_leaves_orjson_unloaded():
+    src = str(Path(pademor.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import pademor.cli; "
+            "sys.exit('orjson' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code, src]).returncode == 0

@@ -1,12 +1,13 @@
 """Golden sha256 of two build artifacts, two study outputs and two model files.
 
-The serialization code (pade.approximant_to_json, modal.save_model and the
-complex codec in hilbert) must write these bytes exactly.  The N = 8 study
+The serialization code (pade.approximant_line, modal.save_model and the
+array writer in hilbert) must write these bytes exactly.  The N = 8 study
 also pins the roundoff of the 9 x 9 Jacobi eigensolves behind its
 denominators, degenerate minimal eigenvalues included.  The hashes were
-taken with Python 3.11.7, NumPy 2.4.6 and OpenBLAS 0.3.31 on x86-64; a
-different BLAS or NumPy may round the numbers differently and then fails
-here without a serialization change.
+taken with Python 3.11.7, NumPy 2.4.6, OpenBLAS 0.3.31 and orjson 3.8.3
+on x86-64; a different BLAS or NumPy may round the numbers differently, and
+a different orjson may spell them differently, and then fails here without
+a serialization change.
 """
 
 import hashlib
@@ -42,15 +43,15 @@ HIGH_ORDER_CONFIG = {
     "E_list": [8, 14, 20, 26, 32],
 }
 
-BUILD_SHA256 = "e21f775eca1598ae19871fd68298b937a194af74ca83cc124ca846e469a7e3c2"
+BUILD_SHA256 = "ffa183276f8b4c5fd5c7a5f6de9c4c6ec5a15de1939b6633ee3aa9cff7449e44"
 HIGH_ORDER_SHA256 = {
-    "build": "c0c44bd87d97bc1d22d39e242561fd553f8f8cf4569eeb9e6ac52018223454fb",
+    "build": "4a2da8e69ddf3c39be6d40cd612cf8736f21232efa346c0d17e0ff7ec77bbc3c",
     "sweep": "86f917b1ac19959a3a36a62376434e07c381b8e58cc0e3cc12b0642e30ca5bc9",
     "poles": "e97e896939f1302da13306d1e403241d50b5aa6cc1eddc489f3b3b154b3562b9",
 }
 MODEL_SHA256 = {
-    "synthetic": "2b9e4e7891eda836485e147b04a4845b111f2d366e37c5d85469c749c7250535",
-    "helmholtz": "200d71a5b12c2eda2065fc4cf11efd0abdbbe3d8c29edbb28c9943221a279333",
+    "synthetic": "40de6f1fe67dfd80a0dae9549775d9770d81aac9d4d53d5c13593b0b464f7ab2",
+    "helmholtz": "1b05ff0784108378583d23d24930a9dbaa9043b8fb4fe1cc04c7fe325407eed7",
 }
 
 

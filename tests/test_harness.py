@@ -345,6 +345,10 @@ class TestCli:
             ({"model": {"kind": "helmholtz", "nusq": 12.0}}, "$.model.nusq"),
             ({"model": {**SYNTH_CONFIG["model"], "max_index": 8}}, "$.model.max_index"),
             ({"rho_rule": {"factor": 1.0, "factr": 2.0}}, "$.rho_rule.factr"),
+            # coincident poles, which build_synthetic would reject as a
+            # numerical failure (exit 3)
+            ({"model": {**SYNTH_CONFIG["model"], "poles": [[1.0, 0.0], [1.0, 0.0]]}},
+             "$.model.poles[1]"),
         ],
     )
     def test_bad_config_exit_two_with_path(self, tmp_path, capsys, patch, needle):
