@@ -25,11 +25,9 @@ def make_parser():
         description="Least-squares Pade approximation studies for meromorphic "
         "resolvent maps",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="study config (JSON)")
-        cmd.add_argument("--out", required=True, help="output file (CSV or JSON)")
+    parser.add_argument("command", choices=COMMANDS, help="the study to run")
+    parser.add_argument("--config", required=True, help="study config (JSON)")
+    parser.add_argument("--out", required=True, help="output file (CSV or JSON)")
     return parser
 
 

@@ -247,12 +247,13 @@ def _pairs(model, config, degrees, extra):
 def _errors(model, approx, points, exact):
     """Error norms and |Q| of approx at the points, as lists of floats;
     exact = evaluate_exact_grid(model, points), computed once per grid.
-    The error is inf on a pole of S."""
+    The error is inf on a pole of S and where the approximant's value is
+    not finite, |Q| having vanished or underflowed."""
     rows, dist = exact
     values, qmag = pade.evaluate(approx, points)
     with np.errstate(invalid="ignore"):  # inf - inf on a shared pole
         errors = norm(rows - values, model.weights)
-    errors[dist <= POLE_EVAL_TOL] = math.inf
+    errors[(dist <= POLE_EVAL_TOL) | ~np.isfinite(values).all(axis=1)] = math.inf
     return errors.tolist(), qmag.tolist()
 
 

@@ -1,11 +1,11 @@
 """Dense complex linear-algebra kernels.
 
 Provides a cyclic complex Jacobi eigensolver for small Hermitian matrices,
-the minimal right-singular vector of a small upper-triangular factor, and
-polynomial roots of any degree as the LAPACK eigenvalues of the companion
-matrix, each polished by one Newton step.  Jacobi, not LAPACK, solves the
-standard Gramian sum and R^H R: the committed benchmark reference holds its
-roundoff, and a LAPACK eigensolver in its place fails that reference's
+the minimal right-singular vector of a small triangular factor by LAPACK's
+SVD, and polynomial roots of any degree as the LAPACK eigenvalues of the
+companion matrix, each polished by one Newton step.  Jacobi, not LAPACK,
+solves the standard Gramian sum: the committed benchmark reference holds
+its roundoff, and a LAPACK eigensolver in its place fails that reference's
 check until the reference is retaken.  The Jacobi rotation kernel does the
 same floating-point operations on every entry as the plain loop kept in
 tests/oracles.py (loop_jacobi) and is bit-identical to it.  All routines
@@ -168,17 +168,21 @@ def min_eigenpair(vals, vecs, scale):
 
 
 def min_right_singular_vector(R):
-    """Right-singular vector of an upper-triangular R for its smallest
-    singular value, as a MinEigen whose value is that singular value.
+    """Right-singular vector of a small square R for its smallest singular
+    value, as a MinEigen whose value is that singular value.
 
-    Works on the small normal matrix R*R; same residual and phase contract
-    as hermitian_min_eigenpair.
+    Takes LAPACK's SVD of R itself, so the vector is always a minimiser of
+    ||R v|| over unit v, phase-fixed.  The degenerate flag only reports a
+    near tie: the two smallest sigma^2 within DEGENERACY_GAP * ||R^H R||_F,
+    as hermitian_min_eigenpair flags R^H R; it does not change the choice.
     """
     R = np.asarray(R, dtype=complex)
-    H = R.conj().T @ R
-    res = hermitian_min_eigenpair(H)
-    sigma = np.sqrt(max(res.value, 0.0))
-    return MinEigen(float(sigma), res.vector, res.degenerate)
+    if not np.isfinite(R).all():
+        raise NoConvergence("the factor R has a non-finite entry")
+    s, Vh = np.linalg.svd(R)[1:]
+    gap_tol = DEGENERACY_GAP * max(np.linalg.norm(R.conj().T @ R), 1e-300)
+    degenerate = s.size > 1 and bool(s[-2] ** 2 - s[-1] ** 2 < gap_tol)
+    return MinEigen(float(s[-1]), phase_fix(Vh[-1].conj()), degenerate)
 
 
 def _horner(b, x):

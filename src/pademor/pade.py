@@ -2,11 +2,13 @@
 
 The fast denominator minimizes the norm of the single top-order Taylor
 coefficient of Q*S; the standard one minimizes a rho-weighted sum of
-coefficient norms.  Both reduce to a minimal-eigenvector problem for a
-small Hermitian Gramian.  The fast variant takes the better conditioned
-route through the QR factorization of the Taylor-coefficient quasimatrix;
-its Gramian route, the standard functional with the single block of order
-E and rho = 1, is kept as a cross-check.
+coefficient norms.  The standard denominator is the minimal eigenvector
+of a small Hermitian Gramian sum.  The fast variant takes the better
+conditioned route: a weighted QR factorization of the Taylor-coefficient
+quasimatrix, then the minimal right-singular vector of its small factor R
+by LAPACK's SVD, never an eigensolve of R^H R.  Its Gramian route, the
+standard functional with the single block of order E and rho = 1, is kept
+as a cross-check.
 """
 
 import json
@@ -74,11 +76,15 @@ class VectorPolynomial:
 @dataclass(frozen=True)
 class Diagnostics:
     functional_value: float  # minimal j-value achieved by the denominator
-    # minimal eigenvalue of the matrix solved (R^H R or the Gramian sum),
-    # scaled by rho^-2(M+1) and, after the power-of-two scalings of
-    # _scale_exponent, by 4^-k
+    # minimal eigenvalue of the matrix solved (the Gramian sum, or sigma_min^2
+    # of R on the QR route), scaled by rho^-2(M+1) and, after the
+    # power-of-two scalings of _scale_exponent, by 4^-k
     min_eigenvalue: float
-    degenerate: bool  # near-degenerate minimal eigenvalue
+    # the two smallest eigenvalues (sigma^2 on the QR route) lie within
+    # 1e-12 of the matrix's Frobenius norm.  On the QR route only a report:
+    # its SVD returns a minimiser either way.  The Gramian routes then take
+    # the lexicographically smallest near-minimal eigenvector.
+    degenerate: bool
     exact_degeneracy: bool = False  # rank-deficient quasimatrix
     condition_estimate: float | None = None
 
@@ -217,10 +223,11 @@ def denominator_fast_qr(taylor, N, E, w):
     """Fast denominator via QR of the quasimatrix [S_{E-N} | ... | S_E].
 
     Better conditioned than the Gramian route: the singular values of R
-    are the square roots of the Gramian eigenvalues.  A rank-deficient
-    quasimatrix (diagonal of R below 1e-14 of the first column norm) is
-    surfaced as an exact-degeneracy outcome and the denominator is taken
-    from the null direction.
+    are the square roots of the Gramian eigenvalues, and R itself, not
+    R^H R, goes to the SVD (numerics.min_right_singular_vector).  A
+    rank-deficient quasimatrix (diagonal of R below 1e-14 of the first
+    column norm) is surfaced as an exact-degeneracy outcome and the
+    denominator is taken from the null direction.
     """
     if E < N:
         raise ValueError("fast denominator requires E >= N")
@@ -307,15 +314,16 @@ def evaluate(approx, z):
     a point, an (n, dimension) array and an (n,) array along a 1-d array
     of points.
 
-    No error is raised near poles of the approximant; the caller inspects
-    the returned denominator magnitude instead.  Q is evaluated point by
+    No error or warning is raised near poles of the approximant, where a
+    value may overflow to inf or be nan; the caller inspects the returned
+    denominator magnitude instead.  Q is evaluated point by
     point with poly.evaluate and Python abs, which round differently from
     NumPy's array arithmetic.
     """
     points = np.asarray(z, dtype=complex)
     qz = [poly.evaluate(approx.denominator, p) for p in points.reshape(-1).tolist()]
     pz = approx.numerator(points)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values = pz / np.reshape(qz, points.shape + (1,))
     qmag = np.reshape([abs(q) for q in qz], points.shape)
     return values, (float(qmag) if points.ndim == 0 else qmag)

@@ -86,10 +86,10 @@ def point_errors(model, approx, points, near_distance=1e-6):
         pz = np.zeros(approx.numerator.coeffs.shape[1], dtype=complex)
         for row in approx.numerator.coeffs[::-1]:
             pz = pz * dz + row
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             value = pz / qz
         dist = modal.nearest_pole(model, z)[1]
-        if dist <= 1e-12:
+        if dist <= 1e-12 or not np.isfinite(value).all():
             error = math.inf
         else:
             diff = model.coefficients / (model.eigenvalues - z) - value

@@ -10,7 +10,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pademor import cli
 
@@ -76,8 +76,19 @@ def run_study(config):
     return results
 
 
+# |Q| of the fast approximant underflows at the first grid point, so P/Q
+# overflows there although it is no pole of S
+UNDERFLOWING_Q = {
+    "model": {"kind": "synthetic", "poles": [[0.0, 1.0], [0.0, 0.5], [1.0, 0.0]],
+              "residue_norms": [1.0, 1.0, 1.0]},
+    "z0": [0.0, 0.0], "K": [2.3273829176742817e-158, 1.0], "M_list": [0],
+    "N": 5, "grid_points": 2,
+}
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(configs())
+@example(UNDERFLOWING_Q)
 def test_every_command_keeps_the_exit_contract(config):
     for command, (code, text) in run_study(config).items():
         assert code in (0, 2, 3), command

@@ -3,7 +3,8 @@
 The serialization code (pade.approximant_line, modal.save_model and the
 array writer in hilbert) must write these bytes exactly.  The N = 8 study
 also pins the roundoff of the 9 x 9 Jacobi eigensolves behind its
-denominators, degenerate minimal eigenvalues included.  The hashes were
+denominators, degenerate minimal eigenvalues included, and the N = 2 build
+that of the 3 x 3 LAPACK SVDs behind its fast denominators.  The hashes were
 taken with Python 3.11.7, NumPy 2.4.6, OpenBLAS 0.3.31 and orjson 3.8.3
 on x86-64; a different BLAS or NumPy may round the numbers differently, and
 a different orjson may spell them differently, and then fails here without
@@ -43,7 +44,7 @@ HIGH_ORDER_CONFIG = {
     "E_list": [8, 14, 20, 26, 32],
 }
 
-BUILD_SHA256 = "ffa183276f8b4c5fd5c7a5f6de9c4c6ec5a15de1939b6633ee3aa9cff7449e44"
+BUILD_SHA256 = "81e96ca3c443787e8df7acaa1798b21ea4aadfe3aa873c75ffb78123df365e82"
 HIGH_ORDER_SHA256 = {
     "build": "4a2da8e69ddf3c39be6d40cd612cf8736f21232efa346c0d17e0ff7ec77bbc3c",
     "sweep": "86f917b1ac19959a3a36a62376434e07c381b8e58cc0e3cc12b0642e30ca5bc9",

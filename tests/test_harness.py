@@ -129,6 +129,20 @@ class TestGridErrors:
         errors, near = self.check(two_pole, approx, np.array([0.0, 1.0, 3.0]))
         assert errors[1] == math.inf and near == [False, True, False]
 
+    def test_approximant_overflows_off_the_poles(self, two_pole):
+        # Q(z) = z at z = 1e-300 leaves P/Q = 1e300 * [1e10, 1]: the first
+        # entry overflows although 1e-300 is no pole of S, and the error is
+        # inf, not nan, without a warning
+        approx = pade.PadeApproximant(
+            pade.VectorPolynomial(0.0, [[1e10, 1.0]]),
+            poly.ShiftedPolynomial(0.0, [0.0, 1.0]),
+            pade.BuildParams(0.0, 0, 1, 1),
+            pade.Diagnostics(0.0, 0.0, False),
+        )
+        errors, near = self.check(two_pole, approx, np.array([1e-300, 3.0]))
+        assert errors[0] == math.inf and math.isfinite(errors[1])
+        assert near == [False, False]
+
     def test_complex_points(self, three_pole):
         points = np.array([0.5 + 0.5j, 2.0, 3.0 - 1e-7j, 5.0 + 2j])
         approx = pade.build(three_pole, pade.BuildParams(0.3 + 0.2j, 3, 2, 3, "fast"))
@@ -306,6 +320,35 @@ class TestCli:
         path = write_config(tmp_path, {**SYNTH_CONFIG, "K": [3.0, 1.0]})
         out = str(tmp_path / "out.csv")
         assert cli.main(["sweep", "--config", path, "--out", out]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate", "--config", "study.json", "--out", "x"],
+        ["build", "--config", "study.json"],
+        [],
+    ])
+    def test_usage_error_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "usage: pade-mor" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_denominator_error_is_inf(self, tmp_path):
+        # |Q| of the fast approximant underflows to 1e-316 at the first grid
+        # point, 2.3e-158, which is no pole of S: P/Q overflows there
+        config = {
+            "model": {"kind": "synthetic", "poles": [[0.0, 1.0], [0.0, 0.5], [1.0, 0.0]],
+                      "residue_norms": [1.0, 1.0, 1.0]},
+            "z0": [0.0, 0.0], "K": [2.3273829176742817e-158, 1.0], "M_list": [0],
+            "N": 5, "grid_points": 2,
+        }
+        path = write_config(tmp_path, config)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
+        header, first, _ = out.read_text().splitlines()
+        cells = dict(zip(header.split(","), first.split(",")))
+        assert float(cells["q_magnitude_fast_M0"]) < 1e-300
+        assert cells["abs_error_fast_M0"] == "inf" and cells["near_pole"] == "0"
 
     def test_center_on_pole_nonzero_exit(self, tmp_path):
         path = write_config(tmp_path, {**SYNTH_CONFIG, "z0": [2.0, 0.0]})

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pademor import cli, numerics
-from pademor.errors import DegenerateLeadingCoefficient, NonHermitianInput
+from pademor.errors import DegenerateLeadingCoefficient, NoConvergence, NonHermitianInput
 
 from oracles import loop_jacobi
 
@@ -147,12 +147,12 @@ class TestJacobiOracle:
     def test_zero_matrix(self, n):
         self.assert_same_bytes(np.zeros((n, n)))
 
-    # Three M, fast and standard; highorder_poles' fast windows are rank
-    # deficient, so its fast denominators take the null vector unsolved.
+    # Three M, each with one standard Gramian sum; the fast route takes an
+    # SVD of its factor R, or the null vector of a rank-deficient window.
     @pytest.mark.parametrize("workload, solves",
-                             [("highorder_poles", 3), ("synthetic_dense_grid", 6)])
+                             [("highorder_poles", 3), ("synthetic_dense_grid", 3)])
     def test_matrices_of_a_sweep(self, workload, solves, tmp_path, monkeypatch):
-        # every Gramian sum and R^H R that one benchmark sweep solves
+        # every Gramian sum that one benchmark sweep solves
         spec = importlib.util.spec_from_file_location(
             "perfbench_workloads", PERFBENCH / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
@@ -182,8 +182,32 @@ class TestMinRightSingularVector:
         assert np.allclose(np.abs(res.vector), [0, 1, 0], atol=1e-12)
 
     def test_identity(self):
-        res = numerics.min_right_singular_vector(np.eye(3, dtype=complex))
-        assert res.value == pytest.approx(1.0)
+        # an exact tie: flagged, and any unit vector is a minimiser
+        R = np.eye(3, dtype=complex)
+        res = numerics.min_right_singular_vector(R)
+        assert res.value == 1.0 and res.degenerate
+        assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(R @ res.vector) == pytest.approx(1.0, abs=1e-15)
+
+    def test_one_by_one(self):
+        # N = 0: the factor of a single column
+        res = numerics.min_right_singular_vector(np.array([[-2.0 + 1.5j]]))
+        assert res.value == 2.5
+        assert res.vector.tolist() == [1.0] and not res.degenerate
+
+    def test_near_tie_gives_the_minimiser(self):
+        # sigma^2 differ by 2e-14, within the gap: flagged, yet the vector is
+        # e_0, the minimiser, not the lexicographically smaller e_1 that
+        # hermitian_min_eigenpair picks from R^H R
+        R = np.diag([1.0 - 1e-14, 1.0]).astype(complex)
+        res = numerics.min_right_singular_vector(R)
+        assert res.degenerate and res.value == 1.0 - 1e-14
+        assert res.vector.tolist() == [1.0, 0.0]
+        assert numerics.hermitian_min_eigenpair(R.conj().T @ R).vector.tolist() == [0.0, 1.0]
+
+    def test_non_finite_factor_raises(self):
+        with pytest.raises(NoConvergence):
+            numerics.min_right_singular_vector(np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
     def test_two_by_two_closed_form(self):
         R = np.array([[1.0, 1.0], [0.0, 1e-3]])

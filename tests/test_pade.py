@@ -116,6 +116,35 @@ class TestFastDenominator:
         assert 1e-2 < ratio < 1e2
 
 
+class TestFastRouteAccuracy:
+    """The fast route keeps converging at N >= 4, where the two smallest
+    singular values of R lie within the near-tie gap: the returned vector is
+    the minimiser, and its functional value is the one reported."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, helmholtz, paper_z0):
+        taylor = modal.taylor_coefficients(helmholtz, paper_z0, 16)
+        points = np.linspace(9.0, 15.0, 101)
+        exact = modal.evaluate_exact_grid(helmholtz, points)[0]
+        return taylor, points, exact
+
+    # median relative error bounds: twice the values measured with NumPy 2.4.6
+    @pytest.mark.parametrize("N, E, bound",
+                             [(4, 12, 2e-7), (4, 14, 1.4e-8), (6, 14, 1.1e-9),
+                              (6, 16, 5e-11)])
+    def test_functional_value_and_grid_error(self, helmholtz, paper_z0, setup,
+                                             N, E, bound):
+        taylor, points, exact = setup
+        w = helmholtz.weights
+        den, diag = pade.denominator_fast_qr(taylor, N, E, w)
+        assert pade.functional_value(den, taylor, E, w) == pytest.approx(
+            diag.functional_value, rel=1e-6)
+        approx = pade.build(helmholtz, pade.BuildParams(paper_z0, E, N, E), taylor)
+        values = pade.evaluate(approx, points)[0]
+        errors = norm(exact - values, w) / norm(exact, w)
+        assert np.median(errors) <= bound
+
+
 class TestStandardDenominator:
     def test_single_block_coincides_with_fast(self, helmholtz, paper_z0):
         # E = M+1 (possible only for N <= 1): the sum has one term for any rho
