@@ -1,9 +1,10 @@
 """Experiment driver: frequency sweeps, convergence studies, pole studies.
 
-All commands consume a JSON study configuration and emit deterministic CSV
-(17 significant digits, '.' decimal, '\\n' line endings).  Every data row
-carries the denominator magnitude so near-pole rows can be masked after
-the fact instead of being dropped.
+All commands consume a JSON study configuration.  The CSV commands write
+each row by one %-template ('%.17g' floats: 17 significant digits, 'inf',
+'nan'; '\\n' line endings).  Every data row carries the denominator
+magnitude so near-pole rows can be masked after the fact instead of being
+dropped.
 """
 
 import itertools
@@ -30,12 +31,6 @@ from .hilbert import complex_to_text, norm, pairs_to_array
 
 SLOPE_FIT_WINDOW = (1e-11, 1e-1)
 NEAR_POLE_DISTANCE = 1e-6
-
-
-def fmt(x):
-    """Deterministic float formatting: 17 significant digits ('nan', 'inf',
-    '-inf' for the special values)."""
-    return format(float(x), ".17g")
 
 
 @dataclass
@@ -181,7 +176,7 @@ def parse_config(obj):
         _integer(E, f"$.E_list[{i}]", 0)
     _require(E_list == sorted(E_list), "$.E_list", "must be ascending")
 
-    return StudyConfig(
+    config = StudyConfig(
         model_spec=model_spec,
         z0=z0,
         k_lo=k_lo,
@@ -194,6 +189,10 @@ def parse_config(obj):
         z_probes=z_probes,
         E_list=list(E_list),
     )
+    # a tiny factor times R_K can underflow to rho = 0
+    _require(config.rho() > 0.0, "$.rho_rule.factor",
+             f"gives rho = factor * R_K = 0 (R_K = {config.radius()!r})")
+    return config
 
 
 def load_config(path):
@@ -202,6 +201,8 @@ def load_config(path):
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8; nested too deeply
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(obj)
@@ -296,9 +297,13 @@ def predicted_pole_factor(poles, config, alpha):
 
 
 def _write(path, lines):
-    """Each line followed by '\\n'; lines may be produced while writing."""
-    with open(path, "w", newline="") as fh:
-        fh.writelines(line + "\n" for line in lines)
+    """Each line followed by '\\n'; lines may be produced while writing.
+    An --out that cannot be written is a ConfigError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 def cmd_build(config, out):
@@ -318,7 +323,7 @@ def cmd_sweep(config, out):
     exact = evaluate_exact_grid(model, grid)
     fast, std = zip(*_pairs(model, config, config.M_list, config.N))
     errors, qmags = zip(*(_errors(model, approx, grid, exact) for approx in fast + std))
-    near = exact[1] < NEAR_POLE_DISTANCE
+    near = (exact[1] < NEAR_POLE_DISTANCE).tolist()
 
     header = ["z"]
     header += [f"abs_error_fast_M{M}" for M in config.M_list]
@@ -326,13 +331,9 @@ def cmd_sweep(config, out):
     header += [f"q_magnitude_fast_M{M}" for M in config.M_list]
     header += [f"q_magnitude_std_M{M}" for M in config.M_list]
     header.append("near_pole")
-    lines = [",".join(header)]
-    for i, z in enumerate(grid):
-        row = [fmt(z)]
-        row += [fmt(col[i]) for col in errors] + [fmt(col[i]) for col in qmags]
-        row.append("1" if near[i] else "0")
-        lines.append(",".join(row))
-    _write(out, lines)
+    row = "%.17g," * (len(header) - 1) + "%d"
+    columns = (grid.tolist(), *errors, *qmags, near)
+    _write(out, [",".join(header)] + [row % cells for cells in zip(*columns)])
 
 
 def cmd_convergence(config, out):
@@ -360,15 +361,14 @@ def cmd_convergence(config, out):
         "q_magnitude_fast", "q_magnitude_std",
         "fitted_factor_fast", "predicted_factor",
     ]
+    row = "%s,%d" + ",%.17g" * (len(header) - 2)
     lines = [",".join(header)]
     for j, z in enumerate(probes):
         fitted = fit_decay_factor(config.M_list, [ef[j] for ef, _ in errs_f])
         predicted = predicted_point_factor(poles, config, z)
         for M, (ef, qf), (es, qs) in zip(config.M_list, errs_f, errs_s):
-            lines.append(",".join([
-                complex_to_text(z), str(M), fmt(ef[j]), fmt(es[j]),
-                fmt(qf[j]), fmt(qs[j]), fmt(fitted), fmt(predicted),
-            ]))
+            lines.append(row % (complex_to_text(z), M, ef[j], es[j], qf[j], qs[j],
+                                fitted, predicted))
     _write(out, lines)
 
 
@@ -412,18 +412,19 @@ def cmd_poles(config, out):
     header += [f"predicted_factor_lambda{a}" for a in range(1, N + 1)]
     header += ["q_magnitude_fast", "q_magnitude_std",
                "extra_roots_fast", "extra_roots_std"]
+    row = "%d" + ",%.17g" * (len(header) - 3) + ",%s,%s"
     lines = [",".join(header)]
     predicted = [predicted_pole_factor(poles, config, a) for a in range(1, N + 1)]
     for E, (fast, std) in zip(config.E_list, _pairs(model, config, config.E_list, 0)):
         err_f, extra_f = _nearest_root_errors(pade.approximant_poles(fast), true_poles)
         err_s, extra_s = _nearest_root_errors(pade.approximant_poles(std), true_poles)
-        row = [str(E)]
-        row += [fmt(e) for e in err_f + err_s + predicted]
-        row.append(fmt(abs(poly.evaluate(fast.denominator, config.z0))))
-        row.append(fmt(abs(poly.evaluate(std.denominator, config.z0))))
-        row.append(";".join(complex_to_text(r) for r in extra_f))
-        row.append(";".join(complex_to_text(r) for r in extra_s))
-        lines.append(",".join(row))
+        lines.append(row % (
+            E, *err_f, *err_s, *predicted,
+            abs(poly.evaluate(fast.denominator, config.z0)),
+            abs(poly.evaluate(std.denominator, config.z0)),
+            ";".join(complex_to_text(r) for r in extra_f),
+            ";".join(complex_to_text(r) for r in extra_s),
+        ))
     _write(out, lines)
 
 
@@ -436,16 +437,15 @@ def cmd_compare(config, out):
     _check_E_list(config)
     grid = config.grid()
     exact = evaluate_exact_grid(model, grid)
-    near = ["1" if flag else "0" for flag in exact[1] < NEAR_POLE_DISTANCE]
+    near = (exact[1] < NEAR_POLE_DISTANCE).tolist()
 
     header = ["E", "z", "error_fast", "error_std", "ratio",
               "q_magnitude_fast", "q_magnitude_std", "near_pole"]
+    row = "%d" + ",%.17g" * (len(header) - 2) + ",%d"
     lines = [",".join(header)]
     for E, (fast, std) in zip(config.E_list, _pairs(model, config, config.E_list, 0)):
         (err_f, q_f), (err_s, q_s) = (_errors(model, a, grid, exact) for a in (fast, std))
-        for z, ef, es, qf, qs, flag in zip(grid, err_f, err_s, q_f, q_s, near):
+        for z, ef, es, qf, qs, flag in zip(grid.tolist(), err_f, err_s, q_f, q_s, near):
             ratio = ef / es if es > 0 else math.inf
-            lines.append(",".join([
-                str(E), fmt(z), fmt(ef), fmt(es), fmt(ratio), fmt(qf), fmt(qs), flag,
-            ]))
+            lines.append(row % (E, z, ef, es, ratio, qf, qs, flag))
     _write(out, lines)

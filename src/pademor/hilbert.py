@@ -3,6 +3,9 @@
 Vectors are plain complex numpy arrays indexed by mode; the inner product
 is given by positive diagonal weights alone, built as plain L2 (all ones)
 or as the energy product ``weight_k = Re eigenvalue_k + shift``.
+
+json_text is the package's one JSON writer; finite_array checks the arrays
+it writes.
 """
 
 from dataclasses import dataclass
@@ -76,25 +79,27 @@ def complex_to_pair(z):
     return np.stack((z.real, z.imag), -1).tolist()
 
 
-def array_to_json(a, what):
-    """JSON text of a float array, or of a complex one in the form
-    complex_to_pair gives it, each float in the shortest spelling that
-    round-trips (orjson's: no spaces, 0.00001, 1e16).
-
-    Written straight from the array's memory, with no nested lists.  A
-    non-finite entry, which JSON cannot hold, raises NonFiniteValue naming
-    what the array is.
-    """
+def finite_array(a, what):
+    """A float array, or a complex one viewed as [re, im] float pairs as
+    complex_to_pair gives them, C-contiguous for json_text to write
+    straight from its memory.  A non-finite entry, which JSON cannot hold,
+    raises NonFiniteValue naming what the array is."""
     a = np.ascontiguousarray(a)
     if not np.isfinite(a).all():
         raise NonFiniteValue(f"{what} has a non-finite entry")
-    if np.iscomplexobj(a):
-        a = a.view(float).reshape(a.shape + (2,))
+    return a.view(float).reshape(a.shape + (2,)) if np.iscomplexobj(a) else a
+
+
+def json_text(obj):
+    """JSON text of obj, keys sorted, no spaces, each float in the shortest
+    spelling that round-trips (0.00001, 1e16, -0.0), NumPy arrays written
+    from their memory, a non-finite float as null."""
     # Imported here: importing orjson loads uuid and zoneinfo, a cost that
     # the CSV commands, which never write JSON, need not pay.
     import orjson
 
-    return orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS
+    return orjson.dumps(obj, option=option).decode()
 
 
 def pairs_to_array(pairs):
@@ -108,4 +113,4 @@ def pairs_to_array(pairs):
 def complex_to_text(z):
     """CSV form of a complex scalar: 're±imj'."""
     z = complex(z)
-    return format(z.real, ".17g") + format(z.imag, "+.17g") + "j"
+    return "%.17g%+.17gj" % (z.real, z.imag)

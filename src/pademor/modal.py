@@ -23,8 +23,9 @@ from .errors import (
 )
 from .hilbert import (
     InnerProductWeights,
-    array_to_json,
     complex_to_pair,
+    finite_array,
+    json_text,
     norm,
     pairs_to_array,
 )
@@ -299,14 +300,13 @@ def model_from_json(obj):
 
 
 def save_model(model, path):
-    """model_to_json(model) as JSON text, each array written by
-    hilbert.array_to_json (NonFiniteValue on a non-finite entry)."""
+    """model_to_json(model) as JSON text by hilbert.json_text, keys sorted
+    (NonFiniteValue on a non-finite entry)."""
     arrays = {"eigenvalues": model.eigenvalues, "coefficients": model.coefficients,
               "weights": model.weights.weights}
-    text = ", ".join(f'"{key}": {array_to_json(a, f"model {key}")}'
-                     for key, a in arrays.items())
+    text = json_text({key: finite_array(a, f"model {key}") for key, a in arrays.items()})
     with open(path, "w") as fh:
-        fh.write("{" + text + "}")
+        fh.write(text)
 
 
 def load_model(path):

@@ -11,7 +11,6 @@ standard functional with the single block of order E and rho = 1, is kept
 as a cross-check.
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -76,10 +75,6 @@ class VectorPolynomial:
 @dataclass(frozen=True)
 class Diagnostics:
     functional_value: float  # minimal j-value achieved by the denominator
-    # minimal eigenvalue of the matrix solved (the Gramian sum, or sigma_min^2
-    # of R on the QR route), scaled by rho^-2(M+1) and, after the
-    # power-of-two scalings of _scale_exponent, by 4^-k
-    min_eigenvalue: float
     # the two smallest eigenvalues (sigma^2 on the QR route) lie within
     # 1e-12 of the matrix's Frobenius norm.  On the QR route only a report:
     # its SVD returns a minimiser either way.  The Gramian routes then take
@@ -161,7 +156,6 @@ def _gramian_denominator(taylor, M, N, E, rho, w):
     mu = max(res.value, 0.0)
     diag = Diagnostics(
         functional_value=math.sqrt(mu) * rho ** (M + 1) * 2.0**k,
-        min_eigenvalue=mu,
         degenerate=res.degenerate,
         condition_estimate=top / max(bottom, 1e-300) if top > 0 else 1.0,
     )
@@ -245,7 +239,6 @@ def denominator_fast_qr(taylor, N, E, w):
         sigma, q, degenerate = numerics.min_right_singular_vector(R)
     diag = Diagnostics(
         functional_value=sigma * 2.0**k,
-        min_eigenvalue=sigma**2,
         degenerate=degenerate,
         exact_degeneracy=exact,
         condition_estimate=cond,
@@ -362,12 +355,15 @@ def functional_value(Q, source, E, w=None):
 
 
 def _json_head(approx):
-    """The JSON form of an approximant without its numerator."""
+    """The JSON form of an approximant without its numerator; a diagnostic
+    that is not finite, which JSON cannot hold, is None."""
     z0 = hilbert.complex_to_pair(approx.params.z0)
+    diagnostics = {key: None if isinstance(v, float) and not math.isfinite(v) else v
+                   for key, v in asdict(approx.diagnostics).items()}
     return {
         "params": {**asdict(approx.params), "z0": z0},
         "denominator": poly.poly_to_json(approx.denominator),
-        "diagnostics": asdict(approx.diagnostics),
+        "diagnostics": diagnostics,
     }
 
 
@@ -379,19 +375,13 @@ def approximant_to_json(approx):
 
 
 def approximant_line(approx):
-    """approximant_to_json(approx) as one line of JSON text, keys sorted.
-
-    The (M+1) x dimension numerator is written straight from its array by
-    hilbert.array_to_json; the small rest goes through json.dumps, which
-    spells an infinite condition estimate Infinity where orjson would write
-    null.  A non-finite numerator entry raises NonFiniteValue.
-    """
+    """approximant_to_json(approx) as one line of JSON text by
+    hilbert.json_text, the (M+1) x dimension numerator written straight
+    from its array.  A non-finite numerator entry raises NonFiniteValue."""
     p = approx.params
     what = f"numerator of the {p.variant} approximant with M = {p.M}"
-    parts = {key: json.dumps(value, sort_keys=True)
-             for key, value in _json_head(approx).items()}
-    parts["numerator"] = hilbert.array_to_json(approx.numerator.coeffs, what)
-    return "{" + ", ".join(f'"{key}": {parts[key]}' for key in sorted(parts)) + "}"
+    numerator = hilbert.finite_array(approx.numerator.coeffs, what)
+    return hilbert.json_text({**_json_head(approx), "numerator": numerator})
 
 
 def approximant_from_json(obj):

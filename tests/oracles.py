@@ -30,9 +30,10 @@ def normalize(p):
 
 
 def approximant_line(approx):
-    """An approximant's build-artifact line by the route that
-    pade.approximant_line replaced: json.dumps over approximant_to_json,
-    keys sorted."""
+    """An approximant's build-artifact line by a route independent of
+    pade.approximant_line: json.dumps over approximant_to_json, keys sorted.
+    Equal in value, not in spelling (json.dumps puts spaces after ',' and
+    ':')."""
     return json.dumps(pade.approximant_to_json(approx), sort_keys=True)
 
 

@@ -1,9 +1,10 @@
 """The text of build artifacts and model files.
 
-Numerators and model arrays are written by hilbert.array_to_json (orjson,
-shortest round-trip spelling) and must hold the values of the json.dumps
-route they replaced, bit for bit, on the benchmark workloads and on
-hand-made extreme floats."""
+Both are written by hilbert.json_text (orjson: keys sorted, no spaces,
+shortest round-trip spelling, numerators and model arrays straight from
+their memory) and must hold the values of an independent json.dumps route,
+bit for bit, on the benchmark workloads and on hand-made extreme floats.
+Both must be strict JSON: orjson.loads rejects NaN and Infinity."""
 
 import importlib.util
 import json
@@ -13,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import pademor
@@ -42,11 +44,11 @@ def assert_same_approximant(back, approx):
     assert back.diagnostics == approx.diagnostics
 
 
-def hand_made(numerator, M=1, variant="fast"):
+def hand_made(numerator, M=1, variant="fast", cond=math.inf):
     """An approximant of degree M with the given numerator rows."""
     params = pade.BuildParams(0.5j, M, 1, M + 1, variant, 1.0)
     den = poly.ShiftedPolynomial(0.5j, np.array([0.6, 0.8]))
-    diag = pade.Diagnostics(1.0, 1.0, False, condition_estimate=math.inf)
+    diag = pade.Diagnostics(1.0, False, condition_estimate=cond)
     return pade.PadeApproximant(pade.VectorPolynomial(0.5j, numerator), den, params, diag)
 
 
@@ -66,7 +68,7 @@ def test_workload_artifact_lines(workload, tmp_path):
                for a in pair]
     assert len(lines) == len(approxs) + 2
     for line, approx in zip(lines[1:-1], approxs):
-        obj = json.loads(line.removesuffix(","))
+        obj = orjson.loads(line.removesuffix(","))
         assert obj == json.loads(approximant_line(approx))
         assert list(obj) == sorted(obj)
         assert_same_approximant(pade.approximant_from_json(obj), approx)
@@ -78,12 +80,16 @@ def test_extreme_floats_round_trip():
                       [[0.1, -0.0], [1e16, 5e-324], [-big, 1e-05]]])
     approx = hand_made(pairs.view(complex)[..., 0])
     line = pade.approximant_line(approx)
-    assert ('"numerator": [[[-0.0,1e16],[5e-324,-1.7976931348623157e308],'
+    assert ('"numerator":[[[-0.0,1e16],[5e-324,-1.7976931348623157e308],'
             '[0.00001,0.1]],[[0.1,-0.0],[1e16,5e-324],'
-            '[-1.7976931348623157e308,0.00001]]], ' in line)
-    assert '"condition_estimate": Infinity' in line  # the head stays json.dumps
-    assert json.loads(line) == pade.approximant_to_json(approx)
-    assert_same_approximant(pade.approximant_from_json(json.loads(line)), approx)
+            '[-1.7976931348623157e308,0.00001]]],"params":{' in line)
+    assert line.startswith('{"denominator":{"center":[0.0,0.5],"coeffs":[[0.6,0.0],')
+    # an overflowed diagnostic reads null, which strict JSON holds
+    assert '"diagnostics":{"condition_estimate":null,"degenerate":false,' in line
+    assert orjson.loads(line) == json.loads(line) == pade.approximant_to_json(approx)
+    back = pade.approximant_from_json(orjson.loads(line))
+    assert back.diagnostics.condition_estimate is None
+    assert_same_approximant(back, hand_made(pairs.view(complex)[..., 0], cond=None))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -99,8 +105,10 @@ def test_model_file_arrays(tmp_path):
     path = tmp_path / "model.json"
     modal.save_model(model, path)
     text = path.read_text()
-    assert json.loads(text) == modal.model_to_json(model)
-    assert '"weights": [1.0,1.0,1.0,1.0,1.0]}' in text
+    assert orjson.loads(text) == json.loads(text) == modal.model_to_json(model)
+    assert text.startswith('{"coefficients":[[1.0,0.0],')  # keys sorted
+    assert ',"eigenvalues":[[5e-324,1.0],[0.00001,1.0],' in text
+    assert text.endswith('],"weights":[1.0,1.0,1.0,1.0,1.0]}')
     back = modal.load_model(path)
     assert np.array_equal(bits(back.eigenvalues), bits(model.eigenvalues))
     assert np.array_equal(bits(back.coefficients), bits(model.coefficients))

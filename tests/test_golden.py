@@ -1,7 +1,8 @@
-"""Golden sha256 of two build artifacts, two study outputs and two model files.
+"""Golden sha256 of two build artifacts, four study outputs and two model files.
 
-The serialization code (pade.approximant_line, modal.save_model and the
-array writer in hilbert) must write these bytes exactly.  The N = 8 study
+The serialization code must write these bytes exactly: the JSON writer
+hilbert.json_text behind pade.approximant_line and modal.save_model, and
+the one %-template per CSV command in harness.  The N = 8 study
 also pins the roundoff of the 9 x 9 Jacobi eigensolves behind its
 denominators, degenerate minimal eigenvalues included, and the N = 2 build
 that of the 3 x 3 LAPACK SVDs behind its fast denominators.  The hashes were
@@ -29,6 +30,8 @@ CONFIG = {
     "M_list": [1, 2, 3],
     "N": 2,
     "rho_rule": {"factor": 1.5},
+    "z_probes": [[0.5, 0.0], [2.5, 0.25]],
+    "E_list": [2, 3, 5, 8],
 }
 
 # highorder_poles' centre, interval, N, M and E on a 64-mode Helmholtz model:
@@ -44,15 +47,22 @@ HIGH_ORDER_CONFIG = {
     "E_list": [8, 14, 20, 26, 32],
 }
 
-BUILD_SHA256 = "81e96ca3c443787e8df7acaa1798b21ea4aadfe3aa873c75ffb78123df365e82"
+BUILD_SHA256 = "de01932575b0abd4c1bfb34edeff3457203ca3a2d12148717acb9b61e6dca09a"
+# The CSV commands on CONFIG: probe rows, rows on the poles 1 and 2 of the
+# 101-point grid (inf errors, nan ratios) and the degree-0 standard builds of
+# compare at E = 2.
+CSV_SHA256 = {
+    "convergence": "df392ba4e31befe24645c1fef4c62d4033d1e7262645b063e19c05fc4117b129",
+    "compare": "8e56af21bf3f44c386335e2586fbf0b32f2e4248c13366235b3b00710d555d87",
+}
 HIGH_ORDER_SHA256 = {
-    "build": "4a2da8e69ddf3c39be6d40cd612cf8736f21232efa346c0d17e0ff7ec77bbc3c",
+    "build": "1243f53f803d68b4fd39a7216fee5212724a205aa8cd0af465764e36c6a6d7ae",
     "sweep": "86f917b1ac19959a3a36a62376434e07c381b8e58cc0e3cc12b0642e30ca5bc9",
     "poles": "e97e896939f1302da13306d1e403241d50b5aa6cc1eddc489f3b3b154b3562b9",
 }
 MODEL_SHA256 = {
-    "synthetic": "40de6f1fe67dfd80a0dae9549775d9770d81aac9d4d53d5c13593b0b464f7ab2",
-    "helmholtz": "1b05ff0784108378583d23d24930a9dbaa9043b8fb4fe1cc04c7fe325407eed7",
+    "synthetic": "96ce2193ab2808d9c2157034355b4c1a3ffdcda5fc97f24eeedf48b314cd5533",
+    "helmholtz": "0528afe08b28db0c3d1aaa47d599259395f194caeda8194b68a759eba22965f5",
 }
 
 
@@ -66,6 +76,15 @@ def test_build_artifact(tmp_path):
     out = tmp_path / "build.json"
     assert cli.main(["build", "--config", str(config), "--out", str(out)]) == 0
     assert sha256(out) == BUILD_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(CSV_SHA256))
+def test_csv_study(tmp_path, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+    assert sha256(out) == CSV_SHA256[command]
 
 
 @pytest.mark.parametrize("command", sorted(HIGH_ORDER_SHA256))

@@ -1,10 +1,14 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from pademor import cli, harness, modal, pade, poly
@@ -34,17 +38,22 @@ def write_config(tmp_path, obj, name="config.json"):
     return str(path)
 
 
-class TestFmt:
-    def test_seventeen_digits(self):
-        assert harness.fmt(1 / 3) == "0.33333333333333331"
-
-    def test_special_values(self):
-        assert harness.fmt(float("nan")) == "nan"
-        assert harness.fmt(float("inf")) == "inf"
-        assert harness.fmt(float("-inf")) == "-inf"
-
-    def test_integers_stay_compact(self):
-        assert harness.fmt(9.0) == "9"
+def test_csv_rows(tmp_path):
+    # grid points -1, 0, ..., 9 with the poles 1 and 2 on it
+    cfg = harness.parse_config({**SYNTH_CONFIG, "K": [-1.0, 9.0], "grid_points": 11})
+    out = tmp_path / "sweep.csv"
+    harness.cmd_sweep(cfg, str(out))
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert [row[0] for row in rows] == [str(z) for z in range(-1, 10)]
+    assert [row[-1] for row in rows] == ["0", "0", "1", "1"] + ["0"] * 7
+    assert rows[2][1:3] == rows[3][1:3] == ["inf", "inf"]  # the pole rows
+    floats = [cell for row in rows for cell in row[:-1]]
+    # each cell is the 17-significant-digit spelling of its value, not the
+    # shortest one that round-trips
+    assert all(cell == "%.17g" % float(cell) for cell in floats)
+    digits = [cell.split("e")[0].lstrip("-").replace(".", "").lstrip("0")
+              for cell in floats]
+    assert max(map(len, digits)) == 17
 
 
 class TestParseConfig:
@@ -230,8 +239,8 @@ class TestCommands:
         assert len(data["approximants"]) == 2  # fast + standard for M=2
         fast = data["approximants"][0]
         assert fast["params"]["variant"] == "fast"
-        # exact two-pole recovery: minimal eigenvalue at numerical zero
-        assert fast["diagnostics"]["min_eigenvalue"] <= 1e-20
+        # exact two-pole recovery: functional value at numerical zero
+        assert fast["diagnostics"]["functional_value"] <= 1e-10
 
     def test_build_artifact_round_trips(self, tmp_path):
         cfg = harness.parse_config({**SYNTH_CONFIG, "M_list": [1, 2, 3]})
@@ -392,6 +401,9 @@ class TestCli:
             # numerical failure (exit 3)
             ({"model": {**SYNTH_CONFIG["model"], "poles": [[1.0, 0.0], [1.0, 0.0]]}},
              "$.model.poles[1]"),
+            # factor * R_K underflows to rho = 0
+            ({"rho_rule": {"factor": 5e-324}, "K": [0.1, 0.2], "z0": [0.0, 0.05]},
+             "$.rho_rule.factor"),
         ],
     )
     def test_bad_config_exit_two_with_path(self, tmp_path, capsys, patch, needle):
@@ -400,6 +412,27 @@ class TestCli:
             out = str(tmp_path / f"{cmd}.out")
             assert cli.main([cmd, "--config", path, "--out", out]) == 2
             assert f"at {needle}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["out_in_missing_dir", "out_is_dir",
+                                      "config_not_utf8", "config_too_deep"])
+    def test_file_error_exit_two_without_traceback(self, tmp_path, case):
+        config = write_config(tmp_path, SYNTH_CONFIG)
+        out = str(tmp_path / "build.json")
+        if case == "out_in_missing_dir":
+            out = str(tmp_path / "missing" / "x.json")
+        elif case == "out_is_dir":
+            out = str(tmp_path)
+        elif case == "config_not_utf8":
+            (tmp_path / "config.json").write_bytes(b"\xff\xfe" + b"{}")
+        else:
+            (tmp_path / "config.json").write_text("[" * 100_000)
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pademor.cli", "build", "--config", config,
+             "--out", out], env=env, capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: ")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -416,9 +449,11 @@ class TestCli:
         path = write_config(tmp_path, {**SYNTH_CONFIG, **patch})
         out = tmp_path / "build.json"
         assert cli.main(["build", "--config", path, "--out", str(out)]) == 0
-        approximants = json.loads(out.read_text())["approximants"]
+        # the artifact writes the infinite estimate as null, so that it stays
+        # strict JSON: orjson.loads rejects Infinity and NaN
+        approximants = orjson.loads(out.read_bytes())["approximants"]
         conds = [a["diagnostics"]["condition_estimate"] for a in approximants]
-        assert math.inf in conds
+        assert None in conds
 
     @pytest.mark.filterwarnings("error")
     def test_taylor_power_overflow_exit_zero(self, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,10 +76,11 @@ class TestFastDenominator:
         t = modal.taylor_coefficients(two_pole, 0.0, 2)
         den, diag = pade.denominator_fast_gramian(t, 2, 2, two_pole.weights)
         assert np.allclose(poly.roots(den), [1.0, 2.0], atol=1e-9)
-        # the Gramian eigensolve resolves the zero eigenvalue only to
-        # rounding level relative to ||G||; the QR path gets much further
+        # the Gramian eigensolve resolves the zero eigenvalue, the squared
+        # functional value, only to rounding level relative to ||G||; the
+        # QR path gets much further
         G = pade.gramian(t, 2, 2, two_pole.weights)
-        assert diag.min_eigenvalue <= 1e-12 * np.linalg.norm(G)
+        assert diag.functional_value**2 <= 1e-12 * np.linalg.norm(G)
 
     def test_single_pole_any_E(self):
         m = modal.build_synthetic([5.0], [1.0])
@@ -218,12 +221,15 @@ class TestSingleEigensolve:
         monkeypatch.setattr(numerics, "hermitian_eigensystem", counted)
         if variant == "standard":
             den, diag = pade.denominator_standard(t, 6, 2, 8, 3.0, helmholtz.weights)
+            rho, M = 3.0, 6
         else:
             den, diag = pade.denominator_fast_gramian(t, 2, 8, helmholtz.weights)
+            rho, M = 1.0, 7
         assert len(solved) == 1
-        # the same pair as a separate minimal-eigenpair solve of that matrix
+        # the same pair as a separate minimal-eigenpair solve of that matrix,
+        # whose eigenvalue is the squared functional value over rho^2(M+1)
         ref = numerics.hermitian_min_eigenpair(solved[0])
-        assert diag.min_eigenvalue == max(ref.value, 0.0)
+        assert diag.functional_value == math.sqrt(max(ref.value, 0.0)) * rho ** (M + 1)
         assert diag.degenerate == ref.degenerate
         expected = poly.denominator_from_eigvec(ref.vector, paper_z0)
         assert np.array_equal(den.coeffs, expected.coeffs)
