@@ -11,7 +11,7 @@ import numpy as np
 import orjson
 import pytest
 
-from pademor import cli, harness, modal, pade, poly
+from pademor import cli, harness, hilbert, modal, pade, poly
 from pademor.errors import ConfigError, PadeError
 
 from oracles import point_errors
@@ -38,22 +38,46 @@ def write_config(tmp_path, obj, name="config.json"):
     return str(path)
 
 
-def test_csv_rows(tmp_path):
-    # grid points -1, 0, ..., 9 with the poles 1 and 2 on it
-    cfg = harness.parse_config({**SYNTH_CONFIG, "K": [-1.0, 9.0], "grid_points": 11})
-    out = tmp_path / "sweep.csv"
-    harness.cmd_sweep(cfg, str(out))
-    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
-    assert [row[0] for row in rows] == [str(z) for z in range(-1, 10)]
-    assert [row[-1] for row in rows] == ["0", "0", "1", "1"] + ["0"] * 7
-    assert rows[2][1:3] == rows[3][1:3] == ["inf", "inf"]  # the pole rows
-    floats = [cell for row in rows for cell in row[:-1]]
-    # each cell is the 17-significant-digit spelling of its value, not the
-    # shortest one that round-trips
-    assert all(cell == "%.17g" % float(cell) for cell in floats)
-    digits = [cell.split("e")[0].lstrip("-").replace(".", "").lstrip("0")
-              for cell in floats]
-    assert max(map(len, digits)) == 17
+class TestFmt:
+    """CSV cells as the commands write them."""
+
+    @staticmethod
+    def _rows(tmp_path, command):
+        # grid points -1, 0, ..., 9 with the poles 1 and 2 on it
+        cfg = harness.parse_config(
+            {**SYNTH_CONFIG, "K": [-1.0, 9.0], "grid_points": 11}
+        )
+        out = tmp_path / f"{command}.csv"
+        getattr(harness, f"cmd_{command}")(cfg, str(out))
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        return header, rows
+
+    def test_seventeen_digits(self, tmp_path):
+        _, rows = self._rows(tmp_path, "sweep")
+        floats = [cell for row in rows for cell in row[:-1]]
+        # each cell is the 17-significant-digit spelling of its value, not
+        # the shortest one that round-trips
+        assert all(cell == "%.17g" % float(cell) for cell in floats)
+        digits = [cell.split("e")[0].lstrip("-").replace(".", "").lstrip("0")
+                  for cell in floats]
+        assert max(map(len, digits)) == 17
+        assert hilbert.complex_to_text(1 / 3 + 0j) == "0.33333333333333331+0j"
+
+    def test_special_values(self, tmp_path):
+        _, rows = self._rows(tmp_path, "sweep")
+        assert rows[2][1:3] == rows[3][1:3] == ["inf", "inf"]  # the pole rows
+        header, rows = self._rows(tmp_path, "compare")
+        ratio = header.index("ratio")
+        # inf / inf on a pole row
+        assert [row[ratio] for row in rows if row[1] in ("1", "2")] == ["nan"] * 6
+        assert hilbert.complex_to_text(complex(-math.inf, math.inf)) == "-inf+infj"
+
+    def test_integers_stay_compact(self, tmp_path):
+        _, rows = self._rows(tmp_path, "sweep")
+        assert [row[0] for row in rows] == [str(z) for z in range(-1, 10)]
+        assert [row[-1] for row in rows] == ["0", "0", "1", "1"] + ["0"] * 7
+        header, rows = self._rows(tmp_path, "compare")
+        assert [row[0] for row in rows] == [str(E) for E in (2, 3, 4) for _ in range(11)]
 
 
 class TestParseConfig:
