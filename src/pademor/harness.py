@@ -189,9 +189,10 @@ def parse_config(obj):
         z_probes=z_probes,
         E_list=list(E_list),
     )
-    # a tiny factor times R_K can underflow to rho = 0
-    _require(config.rho() > 0.0, "$.rho_rule.factor",
-             f"gives rho = factor * R_K = 0 (R_K = {config.radius()!r})")
+    # factor * R_K can underflow to rho = 0 or overflow to inf
+    rho = config.rho()
+    _require(0.0 < rho < math.inf, "$.rho_rule.factor",
+             f"gives rho = factor * R_K = {rho!r} (R_K = {config.radius()!r})")
     return config
 
 

@@ -29,6 +29,7 @@ from .hilbert import (
     norm,
     pairs_to_array,
 )
+from .poly import ShiftedPolynomial
 
 POLE_GROUP_TOL = 1e-12
 POLE_SEPARATION = 1e-10  # synthetic poles closer than this coincide
@@ -68,27 +69,6 @@ class ModalModel:
     def source_norm(self):
         """V-norm of the source term."""
         return norm(self.coefficients, self.weights)
-
-
-@dataclass(frozen=True)
-class TaylorSeries:
-    center: complex
-    coefficients: np.ndarray  # shape (E+1, dimension)
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
-        if c.ndim != 2 or c.shape[0] < 1:
-            raise ValueError("coefficients must be a 2-d array with >= 1 row")
-        object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "center", complex(self.center))
-
-    @property
-    def length(self):
-        return self.coefficients.shape[0]
-
-    @property
-    def dimension(self):
-        return self.coefficients.shape[1]
 
 
 def build_synthetic(poles, residue_norms):
@@ -187,14 +167,21 @@ def _retained_poles(model):
     is kept if its residue norm exceeds DROP_THRESHOLD * ||source||.
     """
     order = np.lexsort((model.eigenvalues.imag, model.eigenvalues.real))
-    lam = model.eigenvalues[order]
-    mass = (model.weights.weights * np.abs(model.coefficients) ** 2)[order]
+    lam, coef = model.eigenvalues[order], model.coefficients[order]
+    weights = model.weights.weights[order]
+    with np.errstate(over="ignore"):
+        mass = weights * np.abs(coef) ** 2
     starts = [0]
     for k in range(1, lam.size):
         if abs(lam[k] - lam[starts[-1]]) > POLE_GROUP_TOL:
             starts.append(k)
     # np.sum per group, not np.add.reduceat: the two round differently.
     norms = np.sqrt([np.sum(group) for group in np.split(mass, starts[1:])])
+    # a group whose sum of squares overflows takes hilbert.norm's scaled sum
+    bounds = starts + [lam.size]
+    for i in np.flatnonzero(np.isinf(norms)):
+        group = slice(bounds[i], bounds[i + 1])
+        norms[i] = norm(coef[group], InnerProductWeights(weights[group]))
     keep = norms > DROP_THRESHOLD * model.source_norm()
     return lam[starts][keep], norms[keep]
 
@@ -255,7 +242,8 @@ def evaluate_exact_grid(model, points):
 
 
 def taylor_coefficients(model, z0, E):
-    """Closed-form Taylor coefficients: component k of order g is
+    """The Taylor polynomial of S at z0 to order E, one row of mode
+    coefficients per order.  Closed form: component k of order g is
     source_coefficient_k / (eigenvalue_k - z0)^{g+1}, exactly 0 for a mode
     whose coefficient is 0.
 
@@ -279,7 +267,7 @@ def taylor_coefficients(model, z0, E):
             f"point {z0} lies {abs(base[k]):.3e} from eigenvalue "
             f"{model.eigenvalues[k]}: its Taylor coefficient of order {g} is not finite"
         )
-    return TaylorSeries(z0, coeffs)
+    return ShiftedPolynomial(z0, coeffs)
 
 
 def model_to_json(model):

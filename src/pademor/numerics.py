@@ -173,15 +173,18 @@ def min_right_singular_vector(R):
 
     Takes LAPACK's SVD of R itself, so the vector is always a minimiser of
     ||R v|| over unit v, phase-fixed.  The degenerate flag only reports a
-    near tie: the two smallest sigma^2 within DEGENERACY_GAP * ||R^H R||_F,
-    as hermitian_min_eigenpair flags R^H R; it does not change the choice.
+    near tie: the two smallest sigma^2 within DEGENERACY_GAP * ||sigma^2||_2
+    (that is ||R^H R||_F, as hermitian_min_eigenpair flags R^H R), all
+    relative to sigma_max^2 so that no square overflows; it does not change
+    the choice.
     """
     R = np.asarray(R, dtype=complex)
     if not np.isfinite(R).all():
         raise NoConvergence("the factor R has a non-finite entry")
     s, Vh = np.linalg.svd(R)[1:]
-    gap_tol = DEGENERACY_GAP * max(np.linalg.norm(R.conj().T @ R), 1e-300)
-    degenerate = s.size > 1 and bool(s[-2] ** 2 - s[-1] ** 2 < gap_tol)
+    t = s / s[0] if s[0] > 0.0 else s
+    gap_tol = DEGENERACY_GAP * max(np.linalg.norm(t**2), 1e-300)
+    degenerate = s.size > 1 and bool(t[-2] ** 2 - t[-1] ** 2 < gap_tol)
     return MinEigen(float(s[-1]), phase_fix(Vh[-1].conj()), degenerate)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import hilbert, numerics, poly
 from .errors import InsufficientTaylorLength, RhoOverflow
-from .modal import ModalModel, TaylorSeries, pole_list, taylor_coefficients
+from .modal import ModalModel, pole_list, taylor_coefficients
 
 QR_DEGENERACY_THRESHOLD = 1e-14
 SCALE_EXPONENT = 400  # windows whose entries stay below 2^400 are not scaled
@@ -50,29 +50,6 @@ class BuildParams:
 
 
 @dataclass(frozen=True)
-class VectorPolynomial:
-    center: complex
-    coeffs: np.ndarray  # shape (M+1, dimension)
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-
-    @property
-    def degree(self):
-        return self.coeffs.shape[0] - 1
-
-    def __call__(self, z):
-        """Horner evaluation at a point, or at each of a 1-d array of points
-        as the rows of an (n, dimension) array."""
-        dz = np.asarray(z, dtype=complex) - self.center
-        acc = np.zeros(dz.shape + self.coeffs.shape[1:], dtype=complex)
-        for row in self.coeffs[::-1]:
-            acc = acc * dz[..., None] + row
-        return acc
-
-
-@dataclass(frozen=True)
 class Diagnostics:
     functional_value: float  # minimal j-value achieved by the denominator
     # the two smallest eigenvalues (sigma^2 on the QR route) lie within
@@ -86,7 +63,7 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class PadeApproximant:
-    numerator: VectorPolynomial
+    numerator: poly.ShiftedPolynomial  # shape (M+1, dimension)
     denominator: poly.ShiftedPolynomial
     params: BuildParams
     diagnostics: Diagnostics
@@ -95,13 +72,14 @@ class PadeApproximant:
 def _taylor_window(taylor, N, E):
     """Columns S_{E-N}, ..., S_E as a (dim, N+1) array, zero for negative
     orders."""
-    if taylor.length < E + 1:
+    S = taylor.coeffs
+    if S.shape[0] < E + 1:
         raise InsufficientTaylorLength(
-            f"need E+1 = {E + 1} Taylor coefficients, have {taylor.length}"
+            f"need E+1 = {E + 1} Taylor coefficients, have {S.shape[0]}"
         )
-    cols = np.zeros((taylor.dimension, N + 1), dtype=complex)
+    cols = np.zeros((S.shape[1], N + 1), dtype=complex)
     lo = max(E - N, 0)
-    cols[:, lo - (E - N):] = taylor.coefficients[lo : E + 1].T
+    cols[:, lo - (E - N):] = S[lo : E + 1].T
     return cols
 
 
@@ -138,9 +116,9 @@ def _gramian_denominator(taylor, M, N, E, rho, w):
     eigensolve takes, stays finite.  Each block is exactly Hermitian, and
     so is their positively weighted sum.
     """
-    k = _scale_exponent(taylor.coefficients[max(M + 1 - N, 0) : E + 1])
+    k = _scale_exponent(taylor.coeffs[max(M + 1 - N, 0) : E + 1])
     if k:
-        taylor = TaylorSeries(taylor.center, taylor.coefficients * 2.0**-k)
+        taylor = poly.ShiftedPolynomial(taylor.center, taylor.coeffs * 2.0**-k)
     A = np.zeros((N + 1, N + 1), dtype=complex)
     for gamma in range(M + 1, E + 1):
         A += rho ** (2 * (gamma - M - 1)) * gramian(taylor, N, gamma, w)
@@ -155,11 +133,24 @@ def _gramian_denominator(taylor, M, N, E, rho, w):
     den = poly.denominator_from_eigvec(res.vector, taylor.center)
     mu = max(res.value, 0.0)
     diag = Diagnostics(
-        functional_value=math.sqrt(mu) * rho ** (M + 1) * 2.0**k,
+        functional_value=_scaled(math.sqrt(mu), rho, M + 1, k),
         degenerate=res.degenerate,
         condition_estimate=top / max(bottom, 1e-300) if top > 0 else 1.0,
     )
     return den, diag
+
+
+def _scaled(x, rho, n, k):
+    """x rho^n 2^k for x >= 0 and rho > 0 as a float, inf if it overflows:
+    Python's ** raises OverflowError where * gives inf."""
+    try:
+        return x * rho**n * 2.0**k
+    except OverflowError:
+        m, e = math.frexp(rho)  # rho = m 2^e, with m^n < 1
+        try:
+            return math.ldexp(x * m**n, e * n + k)
+        except OverflowError:
+            return math.inf
 
 
 def denominator_fast_gramian(taylor, N, E, w):
@@ -261,17 +252,17 @@ def denominator_standard(taylor, M, N, E, rho, w):
 def numerator(taylor, Q, M):
     """Numerator coefficients p_a = sum_l a_l S_{a-l} (truncated Cauchy
     product of the denominator with the Taylor series), a = 0..M."""
-    if taylor.length < M + 1:
+    S = taylor.coeffs
+    if S.shape[0] < M + 1:
         raise InsufficientTaylorLength(
-            f"need M+1 = {M + 1} Taylor coefficients, have {taylor.length}"
+            f"need M+1 = {M + 1} Taylor coefficients, have {S.shape[0]}"
         )
     a = Q.coeffs
-    S = taylor.coefficients
-    rows = np.zeros((M + 1, taylor.dimension), dtype=complex)
+    rows = np.zeros((M + 1, S.shape[1]), dtype=complex)
     # l ascending, so that each row adds its terms a_l S_{a-l} in order of l.
     for l in range(min(M, a.size - 1) + 1):
         rows[l:] += a[l] * S[: M + 1 - l]
-    return VectorPolynomial(taylor.center, rows)
+    return poly.ShiftedPolynomial(taylor.center, rows)
 
 
 def build(model, params, taylor=None):
@@ -279,15 +270,20 @@ def build(model, params, taylor=None):
     model at params.z0.
 
     taylor, if given, is a block of those coefficients shared by several
-    builds: centred at params.z0 (ValueError otherwise) and of any length
-    from params.E + 1 up.  Row g of the block depends only on g, so a
-    build from a longer block is bit-identical to one from its own.
+    builds: a 2-d array of one row per order, centred at params.z0
+    (ValueError otherwise), and of any length from params.E + 1 up.  Row g
+    of the block depends only on g, so a build from a longer block is
+    bit-identical to one from its own.
 
     The fast variant uses the QR denominator path.  Deterministic for fixed
     inputs.
     """
     if taylor is None:
         taylor = taylor_coefficients(model, params.z0, params.E)
+    elif taylor.coeffs.ndim != 2:
+        raise ValueError(
+            f"Taylor block of shape {taylor.coeffs.shape}, not one row per order"
+        )
     elif taylor.center != params.z0:
         raise ValueError(
             f"Taylor block centred at {taylor.center}, approximant at {params.z0}"
@@ -315,9 +311,8 @@ def evaluate(approx, z):
     """
     points = np.asarray(z, dtype=complex)
     qz = [poly.evaluate(approx.denominator, p) for p in points.reshape(-1).tolist()]
-    pz = approx.numerator(points)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = pz / np.reshape(qz, points.shape + (1,))
+        values = approx.numerator(points) / np.reshape(qz, points.shape + (1,))
     qmag = np.reshape([abs(q) for q in qz], points.shape)
     return values, (float(qmag) if points.ndim == 0 else qmag)
 
@@ -335,7 +330,7 @@ def functional_value(Q, source, E, w=None):
     the residues.  Both agree to roundoff.
     """
     N = Q.degree
-    if isinstance(source, TaylorSeries):
+    if isinstance(source, poly.ShiftedPolynomial):
         if w is None:
             raise ValueError("weights are required with a Taylor series")
         A = _taylor_window(source, N, E)
@@ -388,5 +383,5 @@ def approximant_from_json(obj):
     z0 = hilbert.pairs_to_array(obj["params"]["z0"])
     params = BuildParams(**{**obj["params"], "z0": z0})
     den = poly.poly_from_json(obj["denominator"])
-    num = VectorPolynomial(den.center, hilbert.pairs_to_array(obj["numerator"]))
+    num = poly.ShiftedPolynomial(den.center, hilbert.pairs_to_array(obj["numerator"]))
     return PadeApproximant(num, den, params, Diagnostics(**obj["diagnostics"]))

@@ -1,9 +1,11 @@
-"""Scalar polynomials in the shifted monomial basis (z - z0)^j.
+"""Polynomials in the shifted monomial basis (z - z0)^j.
 
-Coefficients are stored ascending (a_j multiplies (z - z0)^j).  Denominators
-live on the unit coefficient sphere sum |a_j|^2 = 1; the reversed-index
-pairing used when a denominator is assembled from an eigenvector is confined
-to ``denominator_from_eigvec``.
+Coefficients are stored ascending, one row per power (row j multiplies
+(z - z0)^j): a scalar per row for a denominator Q, a vector of mode
+coefficients for a Taylor block or a numerator P.  Denominators live on the
+unit coefficient sphere sum |a_j|^2 = 1; the reversed-index pairing used
+when a denominator is assembled from an eigenvector is confined to
+``denominator_from_eigvec``.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ TRIM_THRESHOLD = 1e-13
 @dataclass(frozen=True)
 class ShiftedPolynomial:
     center: complex
-    coeffs: np.ndarray  # ascending in powers of (z - center)
+    coeffs: np.ndarray  # ascending in powers of (z - center), one row per power
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
@@ -29,7 +31,17 @@ class ShiftedPolynomial:
 
     @property
     def degree(self):
-        return self.coeffs.size - 1
+        return self.coeffs.shape[0] - 1
+
+    def __call__(self, z):
+        """Horner evaluation on NumPy arrays at a point, or at each of an
+        array of points: one value (a row for a vector polynomial) each."""
+        dz = np.asarray(z, dtype=complex) - self.center
+        acc = np.zeros(dz.shape + self.coeffs.shape[1:], dtype=complex)
+        dz = dz.reshape(dz.shape + (1,) * (self.coeffs.ndim - 1))
+        for row in self.coeffs[::-1]:
+            acc = acc * dz + row
+        return acc
 
 
 def evaluate(p, z):

@@ -63,7 +63,7 @@ def recursive_taylor(model, z0, E):
     rows = [model.coefficients / base]
     for _ in range(E):
         rows.append(rows[-1] / base)
-    return modal.TaylorSeries(z0, np.array(rows))
+    return poly.ShiftedPolynomial(z0, np.array(rows))
 
 
 def numpy_horner(p, z):
@@ -119,11 +119,11 @@ def loop_numerator(taylor, Q, M):
     """Numerator coefficients by the double loop over orders and terms that
     pade.numerator replaced."""
     a = Q.coeffs
-    rows = np.zeros((M + 1, taylor.dimension), dtype=complex)
+    rows = np.zeros((M + 1, taylor.coeffs.shape[1]), dtype=complex)
     for alpha in range(M + 1):
         for l in range(min(alpha, a.size - 1) + 1):
-            rows[alpha] += a[l] * taylor.coefficients[alpha - l]
-    return pade.VectorPolynomial(taylor.center, rows)
+            rows[alpha] += a[l] * taylor.coeffs[alpha - l]
+    return poly.ShiftedPolynomial(taylor.center, rows)
 
 
 def column_mgs(A, w):

@@ -49,7 +49,7 @@ def hand_made(numerator, M=1, variant="fast", cond=math.inf):
     params = pade.BuildParams(0.5j, M, 1, M + 1, variant, 1.0)
     den = poly.ShiftedPolynomial(0.5j, np.array([0.6, 0.8]))
     diag = pade.Diagnostics(1.0, False, condition_estimate=cond)
-    return pade.PadeApproximant(pade.VectorPolynomial(0.5j, numerator), den, params, diag)
+    return pade.PadeApproximant(poly.ShiftedPolynomial(0.5j, numerator), den, params, diag)
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))

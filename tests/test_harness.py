@@ -154,7 +154,7 @@ class TestGridErrors:
         # Q(z) = z - 1 vanishes exactly on the pole 1 of S: P/Q is not
         # finite there, and the error is still inf, not nan
         approx = pade.PadeApproximant(
-            pade.VectorPolynomial(0.0, [[1.0, 0.0]]),
+            poly.ShiftedPolynomial(0.0, [[1.0, 0.0]]),
             poly.ShiftedPolynomial(0.0, [-1.0, 1.0]),
             pade.BuildParams(0.0, 0, 1, 1),
             pade.Diagnostics(0.0, 0.0, False),
@@ -167,7 +167,7 @@ class TestGridErrors:
         # entry overflows although 1e-300 is no pole of S, and the error is
         # inf, not nan, without a warning
         approx = pade.PadeApproximant(
-            pade.VectorPolynomial(0.0, [[1e10, 1.0]]),
+            poly.ShiftedPolynomial(0.0, [[1e10, 1.0]]),
             poly.ShiftedPolynomial(0.0, [0.0, 1.0]),
             pade.BuildParams(0.0, 0, 1, 1),
             pade.Diagnostics(0.0, 0.0, False),
@@ -428,6 +428,8 @@ class TestCli:
             # factor * R_K underflows to rho = 0
             ({"rho_rule": {"factor": 5e-324}, "K": [0.1, 0.2], "z0": [0.0, 0.05]},
              "$.rho_rule.factor"),
+            # factor * R_K overflows to rho = inf
+            ({"rho_rule": {"factor": 1e308}, "K": [0.1, 1e10]}, "$.rho_rule.factor"),
         ],
     )
     def test_bad_config_exit_two_with_path(self, tmp_path, capsys, patch, needle):
@@ -571,6 +573,63 @@ class TestCli:
         std = json.loads(out.read_text())["approximants"][1]
         assert std["params"]["variant"] == "standard"
         assert math.isfinite(std["diagnostics"]["functional_value"])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "patch,finite",
+        [
+            # physical units: rho^(M+1) = 3.5e7^41 overflows, the functional
+            # value of the standard approximant does not
+            ({"model": {"kind": "synthetic", "residue_norms": [1.0, 1.0, 1.0],
+                        "poles": [[1e8, 0.0], [1.2e8, 0.0], [1.5e8, 0.0]]},
+              "z0": [1.25e8, 1e6], "K": [0.9e8, 1.6e8], "M_list": [40]}, True),
+            # rho = 3e40: the standard functional value is about 1e400
+            ({"model": {"kind": "helmholtz", "max_index": 8},
+              "rho_rule": {"factor": 1e40}, "M_list": [8]}, False),
+        ],
+    )
+    def test_overflowing_rho_power_exit_zero(self, tmp_path, patch, finite):
+        path = write_config(tmp_path, {**SYNTH_CONFIG, **patch})
+        out = tmp_path / "build.json"
+        assert cli.main(["build", "--config", path, "--out", str(out)]) == 0
+        std = orjson.loads(out.read_bytes())["approximants"][1]
+        assert std["params"]["variant"] == "standard"
+        value = std["diagnostics"]["functional_value"]
+        assert (math.isfinite(value) if finite else value is None)
+
+    @pytest.mark.filterwarnings("error")
+    def test_near_pole_degeneracy_flag_without_warning(self, tmp_path):
+        # the fast route's factor R has entries of about 4e96: the Frobenius
+        # norm of R^H R, which the degeneracy test took, overflowed
+        patch = {"model": {"kind": "helmholtz", "max_index": 5}, "z0": [13.0, 1e-8],
+                 "K": [9.0, 15.0], "N": 1, "E_list": [11]}
+        path = write_config(tmp_path, {**SYNTH_CONFIG, **patch})
+        for cmd in ("poles", "compare"):
+            assert cli.main([cmd, "--config", path, "--out", str(tmp_path / cmd)]) == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_residue_norm_with_overflowing_square(self, tmp_path):
+        # the square of the residue norm 1e200 overflows when the poles are
+        # grouped; the pole at 5, below 1e-14 of the source norm, is dropped
+        model = {"kind": "synthetic", "poles": [[2.0, 0.0], [5.0, 0.0]],
+                 "residue_norms": [1e200, 1.0]}
+        path = write_config(tmp_path, {**SYNTH_CONFIG, "model": model,
+                                       "z0": [3.0, 0.5], "N": 1})
+        for cmd in ("build", "sweep", "convergence", "poles", "compare"):
+            assert cli.main([cmd, "--config", path, "--out", str(tmp_path / cmd)]) == 0
+        assert harness.build_model(harness.load_config(path)).residue_norms.tolist() == [1e200]
+
+    @pytest.mark.filterwarnings("error")
+    def test_numerator_overflow_is_inf_without_warning(self, tmp_path):
+        # P of degree 8 overflows at the grid points 5e99 and 1e100
+        patch = {"z0": [0.0, 0.5], "K": [0.0, 1e100], "M_list": [8], "grid_points": 3,
+                 "rho_rule": {"factor": 1e-99}, "E_list": [2]}
+        path = write_config(tmp_path, {**SYNTH_CONFIG, **patch})
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[1:3] for row in rows[1:]] == [["inf", "inf"]] * 2
+        assert cli.main(["compare", "--config", path, "--out", str(tmp_path / "c")]) == 0
 
     def test_pole_study_without_poles_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, {**SYNTH_CONFIG, "N": 0})

@@ -233,24 +233,24 @@ class TestTaylor:
     def test_single_pole_geometric(self):
         m = modal.build_synthetic([2.0], [1.0])
         t = modal.taylor_coefficients(m, 0.0, 5)
-        assert t.coefficients[3, 0] == pytest.approx(0.0625)
+        assert t.coeffs[3, 0] == pytest.approx(0.0625)
 
     def test_order_zero_is_evaluation(self, three_pole):
         t = modal.taylor_coefficients(three_pole, 0.3 + 0.1j, 0)
-        assert np.allclose(t.coefficients[0], modal.evaluate_exact(three_pole, 0.3 + 0.1j))
+        assert np.allclose(t.coeffs[0], modal.evaluate_exact(three_pole, 0.3 + 0.1j))
 
     def test_recursion_agrees_with_closed_form(self, three_pole):
         z0 = 0.3 + 0.1j
         a = modal.taylor_coefficients(three_pole, z0, 10)
         b = recursive_taylor(three_pole, z0, 10)
-        assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-12 * np.max(
-            np.abs(a.coefficients)
+        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12 * np.max(
+            np.abs(a.coeffs)
         )
 
     def test_recursive_single_pole(self):
         m = modal.build_synthetic([2.0], [1.0])
         t = recursive_taylor(m, 0.0, 1)
-        assert t.coefficients[1, 0] == pytest.approx(0.25)
+        assert t.coeffs[1, 0] == pytest.approx(0.25)
 
     def test_center_on_pole_rejected(self, two_pole):
         with pytest.raises(CenterOnPole):
@@ -262,10 +262,10 @@ class TestTaylor:
         m = modal.build_synthetic([1000.0, 2.0], [1.0, 1.0])
         t = modal.taylor_coefficients(m, 0.0, 200)
         g = np.arange(201)
-        assert np.all(t.coefficients[102:, 0] == 0.0)
-        assert np.allclose(t.coefficients[:102, 0], 1000.0 ** -(g[:102] + 1.0),
+        assert np.all(t.coeffs[102:, 0] == 0.0)
+        assert np.allclose(t.coeffs[:102, 0], 1000.0 ** -(g[:102] + 1.0),
                            rtol=1e-13, atol=0.0)
-        assert np.allclose(t.coefficients[:, 1], 2.0 ** -(g + 1.0), rtol=1e-13, atol=0.0)
+        assert np.allclose(t.coeffs[:, 1], 2.0 ** -(g + 1.0), rtol=1e-13, atol=0.0)
 
     @pytest.mark.filterwarnings("error")
     def test_coefficient_not_finite_near_pole(self, helmholtz):
@@ -302,9 +302,9 @@ class TestZeroSourceCoefficient:
     def test_taylor_at_the_eigenvalue(self, model):
         zero = self.zero_modes(model)
         t = modal.taylor_coefficients(model, 13.0, 6)
-        assert np.all(t.coefficients[:, zero] == 0)
-        assert np.all(np.isfinite(t.coefficients))
-        live = modal.taylor_coefficients(model, 13.0 + 0.5j, 6).coefficients
+        assert np.all(t.coeffs[:, zero] == 0)
+        assert np.all(np.isfinite(t.coeffs))
+        live = modal.taylor_coefficients(model, 13.0 + 0.5j, 6).coeffs
         assert np.all(live[:, zero] == 0) and np.all(live[:, ~zero] != 0)
 
 

@@ -55,7 +55,7 @@ class TestGramian:
         t = modal.taylor_coefficients(three_pole, 0.3, 0)
         G = pade.gramian(t, 0, 0, three_pole.weights)
         assert G[0, 0].real == pytest.approx(
-            norm(t.coefficients[0], three_pole.weights) ** 2
+            norm(t.coeffs[0], three_pole.weights) ** 2
         )
 
     def test_zero_padding(self):
@@ -107,7 +107,7 @@ class TestFastDenominator:
         den, diag = pade.denominator_fast_qr(t, 0, 2, three_pole.weights)
         assert den.degree == 0 and abs(den.coeffs[0]) == pytest.approx(1.0)
         assert diag.functional_value == pytest.approx(
-            norm(t.coefficients[2], three_pole.weights)
+            norm(t.coeffs[2], three_pole.weights)
         )
 
     def test_conditioning_square_root_relation(self, helmholtz, paper_z0):
@@ -188,7 +188,7 @@ class TestWindowScaling:
     @pytest.mark.parametrize("variant", ["fast", "standard"])
     def test_huge_series_gives_the_same_denominator(self, helmholtz, paper_z0, variant):
         ref = modal.taylor_coefficients(helmholtz, paper_z0, 10)
-        t = modal.TaylorSeries(paper_z0, ref.coefficients * 2.0**600)
+        t = poly.ShiftedPolynomial(paper_z0, ref.coeffs * 2.0**600)
         w = helmholtz.weights
         if variant == "fast":
             (den, diag), (den_ref, diag_ref) = (
@@ -240,7 +240,7 @@ class TestNumerator:
         t = modal.taylor_coefficients(three_pole, 0.3, 4)
         Q = poly.ShiftedPolynomial(0.3, [1.0])
         num = pade.numerator(t, Q, 3)
-        assert np.allclose(num.coeffs, t.coefficients[:4])
+        assert np.allclose(num.coeffs, t.coeffs[:4])
 
     def test_single_pole_cancellation(self):
         # Q proportional to (2 - z) kills every coefficient above order 0
@@ -254,7 +254,7 @@ class TestNumerator:
         t = modal.taylor_coefficients(three_pole, 0.3, 2)
         Q = poly.ShiftedPolynomial(0.3, [0.5, 1.0])
         num = pade.numerator(t, Q, 0)
-        assert np.allclose(num.coeffs[0], 0.5 * t.coefficients[0])
+        assert np.allclose(num.coeffs[0], 0.5 * t.coeffs[0])
 
     def test_linearity(self, three_pole, rng):
         t = modal.taylor_coefficients(three_pole, 0.3, 4)
@@ -338,6 +338,14 @@ class TestBuildAndEvaluate:
         with pytest.raises(InsufficientTaylorLength):
             pade.build(three_pole, pade.BuildParams(0.3, 4, 2, 4, "fast"), t)
 
+    @pytest.mark.parametrize("variant", ["fast", "standard"])
+    def test_shared_block_not_2d_raises(self, three_pole, variant):
+        t = modal.taylor_coefficients(three_pole, 0.3, 6)
+        params = pade.BuildParams(0.3, 2, 2, 4, variant, 1.0)
+        for coeffs in (t.coeffs[:, 0], t.coeffs[None]):
+            with pytest.raises(ValueError, match="not one row per order"):
+                pade.build(three_pole, params, poly.ShiftedPolynomial(0.3, coeffs))
+
     def test_constant_approximant(self, three_pole):
         ap = pade.build(three_pole, pade.BuildParams(0.3, 0, 0, 0, "fast"))
         val, _ = pade.evaluate(ap, 0.9)
@@ -399,7 +407,7 @@ class TestFunctionalValue:
         t = modal.taylor_coefficients(three_pole, 0.3, 3)
         Q = poly.ShiftedPolynomial(0.3, [1.0])
         val = pade.functional_value(Q, t, 3, w=three_pole.weights)
-        assert val == pytest.approx(norm(t.coefficients[3], three_pole.weights))
+        assert val == pytest.approx(norm(t.coeffs[3], three_pole.weights))
 
     def test_dual_paths_agree(self, three_pole, rng):
         z0 = 0.3 + 0.1j
@@ -457,7 +465,7 @@ class TestFunctionalValue:
         t = modal.taylor_coefficients(helmholtz, paper_z0, E)
         den, diag = pade.denominator_fast_gramian(t, N, E, helmholtz.weights)
         best = pade.functional_value(den, t, E, w=helmholtz.weights)
-        scale = norm(t.coefficients[E - N], helmholtz.weights)
+        scale = norm(t.coeffs[E - N], helmholtz.weights)
         for _ in range(200):
             Q = normalized_random_poly(rng, paper_z0, N)
             assert best <= pade.functional_value(

@@ -41,6 +41,21 @@ class TestEvaluate:
         assert np.array_equal(*bits)
 
 
+    def test_call_gives_one_value_per_point(self, rng):
+        # a scalar polynomial gives an (n,) array, not an (n, n) broadcast,
+        # and a vector one an (n, dimension) array
+        c = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        z = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        vector = poly.ShiftedPolynomial(0.5j, c)
+        assert vector(z).shape == (7, 3) and vector(z[0]).shape == (3,)
+        for j in range(3):
+            scalar = poly.ShiftedPolynomial(0.5j, c[:, j])
+            assert scalar(z).shape == (7,) and scalar(z[0]).shape == ()
+            assert np.array_equal(scalar(z), vector(z)[:, j])
+            assert np.allclose(scalar(z), [poly.evaluate(scalar, p) for p in z],
+                               rtol=1e-13, atol=0.0)
+
+
 class TestNormalize:
     def test_three_four_five(self):
         p = normalize(poly.ShiftedPolynomial(0.0, [3.0, 4.0]))
