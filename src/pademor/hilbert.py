@@ -4,8 +4,9 @@ Vectors are plain complex numpy arrays indexed by mode; the inner product
 is given by positive diagonal weights alone, built as plain L2 (all ones)
 or as the energy product ``weight_k = Re eigenvalue_k + shift``.
 
-json_text is the package's one JSON writer; finite_array checks the arrays
-it writes.
+json_text is the package's one JSON writer and finite_array its one
+encoder of arrays: it checks them and views complex ones as [re, im] float
+pairs, which pairs_to_array reads back.
 """
 
 from dataclasses import dataclass
@@ -54,40 +55,37 @@ def _check_dims(w, *vectors, ndims=(1,)):
 def norm(u, w):
     """V-norm of a vector, or of each row of an (n, dimension) block.
 
-    A row of finite entries whose weighted sum of squares overflows is
-    summed again scaled by its largest magnitude, so its norm is finite
-    whenever it is representable.
+    A row of finite entries, not all zero, whose weighted sum of squares
+    overflows or falls below the smallest normal float is summed again
+    scaled by its largest magnitude, so its norm is accurate whenever it is
+    representable.
     """
     u = np.asarray(u, dtype=complex)
     _check_dims(w, u, ndims=(1, 2))
     mags = np.abs(np.atleast_2d(u))
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.sum(w.weights * mags**2, axis=-1))
-    over = np.isinf(norms)
-    if over.any():
-        over &= np.isfinite(mags).all(axis=-1)
-        top = mags[over].max(axis=-1, keepdims=True)
-        scaled = np.sum(w.weights * (mags[over] / top) ** 2, axis=-1)
-        norms[over] = top[:, 0] * np.sqrt(scaled)
+    with np.errstate(over="ignore", under="ignore"):
+        sums = np.sum(w.weights * mags**2, axis=-1)
+        norms = np.sqrt(sums)
+        rows = np.flatnonzero(np.isinf(sums) | (sums < np.finfo(float).tiny))
+        if rows.size:
+            top = mags[rows].max(axis=-1)
+            keep = np.isfinite(top) & (top > 0.0)
+            rows, top = rows[keep], top[keep]
+            scaled = np.sum(w.weights * (mags[rows] / top[:, None]) ** 2, axis=-1)
+            norms[rows] = top * np.sqrt(scaled)
     return float(norms[0]) if u.ndim == 1 else norms
 
 
-def complex_to_pair(z):
-    """JSON form of a complex scalar or array: [re, im] in place of each
-    entry, as nested lists of floats."""
-    z = np.asarray(z, dtype=complex)
-    return np.stack((z.real, z.imag), -1).tolist()
-
-
 def finite_array(a, what):
-    """A float array, or a complex one viewed as [re, im] float pairs as
-    complex_to_pair gives them, C-contiguous for json_text to write
-    straight from its memory.  A non-finite entry, which JSON cannot hold,
-    raises NonFiniteValue naming what the array is."""
-    a = np.ascontiguousarray(a)
+    """A float array, or a complex one (a complex scalar included) viewed as
+    [re, im] float pairs, C-contiguous for json_text to write straight from
+    its memory; a real scalar gives a NumPy float.  A non-finite entry,
+    which JSON cannot hold, raises NonFiniteValue naming what the array is."""
+    a = np.asarray(a, order="C")
     if not np.isfinite(a).all():
         raise NonFiniteValue(f"{what} has a non-finite entry")
-    return a.view(float).reshape(a.shape + (2,)) if np.iscomplexobj(a) else a
+    # a[..., None] gives the pairs an axis to take, a 0-d array included.
+    return a[..., None].view(float) if np.iscomplexobj(a) else a[()]
 
 
 def json_text(obj):
@@ -103,8 +101,9 @@ def json_text(obj):
 
 
 def pairs_to_array(pairs):
-    """Inverse of complex_to_pair, bit for bit (signed zeros included): a
-    complex array, 0-d for a single [re, im] pair."""
+    """Inverse of finite_array on a complex array, bit for bit (signed
+    zeros included), from nested lists or a float array of [re, im] pairs:
+    a complex array, 0-d for a single pair."""
     a = np.array(pairs, dtype=float)
     # [re, im] pairs in C order are the memory layout of complex numbers.
     return a.view(complex).reshape(a.shape[:-1])

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .hilbert import (
     InnerProductWeights,
-    complex_to_pair,
     finite_array,
     json_text,
     norm,
@@ -271,12 +270,11 @@ def taylor_coefficients(model, z0, E):
 
 
 def model_to_json(model):
-    """{"eigenvalues": pairs, "coefficients": pairs, "weights": floats}."""
-    return {
-        "eigenvalues": complex_to_pair(model.eigenvalues),
-        "coefficients": complex_to_pair(model.coefficients),
-        "weights": model.weights.weights.tolist(),
-    }
+    """{"eigenvalues": pairs, "coefficients": pairs, "weights": floats} as
+    hilbert.finite_array views (NonFiniteValue on a non-finite entry)."""
+    arrays = {"eigenvalues": model.eigenvalues, "coefficients": model.coefficients,
+              "weights": model.weights.weights}
+    return {key: finite_array(a, f"model {key}") for key, a in arrays.items()}
 
 
 def model_from_json(obj):
@@ -290,9 +288,7 @@ def model_from_json(obj):
 def save_model(model, path):
     """model_to_json(model) as JSON text by hilbert.json_text, keys sorted
     (NonFiniteValue on a non-finite entry)."""
-    arrays = {"eigenvalues": model.eigenvalues, "coefficients": model.coefficients,
-              "weights": model.weights.weights}
-    text = json_text({key: finite_array(a, f"model {key}") for key, a in arrays.items()})
+    text = json_text(model_to_json(model))
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import hilbert, numerics, poly
 from .errors import InsufficientTaylorLength, RhoOverflow
-from .modal import ModalModel, pole_list, taylor_coefficients
+from .modal import ModalModel, taylor_coefficients
 
 QR_DEGENERACY_THRESHOLD = 1e-14
 SCALE_EXPONENT = 400  # windows whose entries stay below 2^400 are not scaled
@@ -338,45 +338,39 @@ def functional_value(Q, source, E, w=None):
         return float(hilbert.norm(A @ q, w))
     if isinstance(source, ModalModel):
         z0 = Q.center
-        total = 0.0
-        for lam, rnorm in pole_list(source, z0):
-            total += (
-                rnorm**2
-                * abs(poly.evaluate(Q, lam)) ** 2
-                / abs(lam - z0) ** (2 * E + 2)
-            )
-        return float(math.sqrt(total))
+        lam = source.poles
+        if lam.size == 0:
+            return 0.0
+        qmag = np.array([abs(poly.evaluate(Q, p)) for p in lam.tolist()])
+        # NumPy, not Python floats, whose ** raises where an array gives inf
+        with np.errstate(over="ignore", divide="ignore"):
+            terms = source.residue_norms * qmag / np.abs(lam - z0) ** (E + 1)
+        return hilbert.norm(terms, hilbert.InnerProductWeights.l2(lam.size))
     raise TypeError(f"cannot evaluate functional against {type(source).__name__}")
 
 
-def _json_head(approx):
-    """The JSON form of an approximant without its numerator; a diagnostic
-    that is not finite, which JSON cannot hold, is None."""
-    z0 = hilbert.complex_to_pair(approx.params.z0)
-    diagnostics = {key: None if isinstance(v, float) and not math.isfinite(v) else v
-                   for key, v in asdict(approx.diagnostics).items()}
-    return {
-        "params": {**asdict(approx.params), "z0": z0},
-        "denominator": poly.poly_to_json(approx.denominator),
-        "diagnostics": diagnostics,
-    }
-
-
 def approximant_to_json(approx):
-    """JSON form: the BuildParams and Diagnostics fields by name, complex
-    numbers as [re, im] pairs, one row of pairs per numerator coefficient."""
-    return {**_json_head(approx),
-            "numerator": hilbert.complex_to_pair(approx.numerator.coeffs)}
+    """The JSON object of an approximant, as approximant_line writes it: the
+    BuildParams and Diagnostics fields by name, a non-finite diagnostic as
+    its float (json_text writes null), complex numbers as [re, im] pairs,
+    one row of pairs per numerator coefficient, the arrays as
+    hilbert.finite_array views.  A non-finite numerator entry raises
+    NonFiniteValue."""
+    p = approx.params
+    what = f"numerator of the {p.variant} approximant with M = {p.M}"
+    return {
+        "params": {**asdict(p), "z0": hilbert.finite_array(p.z0, "z0")},
+        "denominator": poly.poly_to_json(approx.denominator),
+        "diagnostics": asdict(approx.diagnostics),
+        "numerator": hilbert.finite_array(approx.numerator.coeffs, what),
+    }
 
 
 def approximant_line(approx):
     """approximant_to_json(approx) as one line of JSON text by
     hilbert.json_text, the (M+1) x dimension numerator written straight
-    from its array.  A non-finite numerator entry raises NonFiniteValue."""
-    p = approx.params
-    what = f"numerator of the {p.variant} approximant with M = {p.M}"
-    numerator = hilbert.finite_array(approx.numerator.coeffs, what)
-    return hilbert.json_text({**_json_head(approx), "numerator": numerator})
+    from its array."""
+    return hilbert.json_text(approximant_to_json(approx))
 
 
 def approximant_from_json(obj):

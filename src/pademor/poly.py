@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ConstantPolynomial, NotNormalized, ZeroPolynomial
-from .hilbert import complex_to_pair, pairs_to_array
+from .hilbert import finite_array, pairs_to_array
 
 TRIM_THRESHOLD = 1e-13
 
@@ -92,7 +92,9 @@ def roots(p):
 
 
 def poly_to_json(p):
-    return {"center": complex_to_pair(p.center), "coeffs": complex_to_pair(p.coeffs)}
+    """{"center": pair, "coeffs": pairs} as hilbert.finite_array views."""
+    return {"center": finite_array(p.center, "polynomial center"),
+            "coeffs": finite_array(p.coeffs, "polynomial coefficients")}
 
 
 def poly_from_json(obj):

@@ -1,5 +1,6 @@
 """Reference routines the tests compare the package against."""
 
+import dataclasses
 import json
 import math
 
@@ -29,12 +30,35 @@ def normalize(p):
     return poly.ShiftedPolynomial(p.center, c)
 
 
+def pairs(z):
+    """[re, im] in place of each complex entry, as nested lists of floats."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack((z.real, z.imag), -1).tolist()
+
+
 def approximant_line(approx):
-    """An approximant's build-artifact line by a route independent of
-    pade.approximant_line: json.dumps over approximant_to_json, keys sorted.
-    Equal in value, not in spelling (json.dumps puts spaces after ',' and
-    ':')."""
-    return json.dumps(pade.approximant_to_json(approx), sort_keys=True)
+    """An approximant's build-artifact line by a route independent of the
+    package's encoder: [re, im] lists built here, a non-finite diagnostic
+    as None, json.dumps with keys sorted.  Equal in value to
+    pade.approximant_line, not in spelling (json.dumps puts spaces after
+    ',' and ':')."""
+    den = approx.denominator
+    diagnostics = {key: None if isinstance(v, float) and not math.isfinite(v) else v
+                   for key, v in dataclasses.asdict(approx.diagnostics).items()}
+    return json.dumps({
+        "params": {**dataclasses.asdict(approx.params), "z0": pairs(approx.params.z0)},
+        "denominator": {"center": pairs(den.center), "coeffs": pairs(den.coeffs)},
+        "diagnostics": diagnostics,
+        "numerator": pairs(approx.numerator.coeffs),
+    }, sort_keys=True)
+
+
+def model_object(model):
+    """A model file's object by a route independent of the package's
+    encoder: [re, im] lists built here, the weights as a list of floats."""
+    return {"eigenvalues": pairs(model.eigenvalues),
+            "coefficients": pairs(model.coefficients),
+            "weights": model.weights.weights.tolist()}
 
 
 def gauss_rule(order):

@@ -18,10 +18,10 @@ import orjson
 import pytest
 
 import pademor
-from pademor import cli, harness, modal, pade, poly
+from pademor import cli, harness, hilbert, modal, pade, poly
 from pademor.errors import NonFiniteValue
 
-from oracles import approximant_line
+from oracles import approximant_line, model_object
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 spec = importlib.util.spec_from_file_location("perfbench_workloads",
@@ -86,7 +86,8 @@ def test_extreme_floats_round_trip():
     assert line.startswith('{"denominator":{"center":[0.0,0.5],"coeffs":[[0.6,0.0],')
     # an overflowed diagnostic reads null, which strict JSON holds
     assert '"diagnostics":{"condition_estimate":null,"degenerate":false,' in line
-    assert orjson.loads(line) == json.loads(line) == pade.approximant_to_json(approx)
+    assert line == hilbert.json_text(pade.approximant_to_json(approx))
+    assert orjson.loads(line) == json.loads(line) == json.loads(approximant_line(approx))
     back = pade.approximant_from_json(orjson.loads(line))
     assert back.diagnostics.condition_estimate is None
     assert_same_approximant(back, hand_made(pairs.view(complex)[..., 0], cond=None))
@@ -96,8 +97,9 @@ def test_extreme_floats_round_trip():
 def test_non_finite_numerator_raises(bad):
     approx = hand_made(np.array([[1.0, 2.0], [3.0, complex(0.0, bad)]]), M=1,
                        variant="standard")
-    with pytest.raises(NonFiniteValue, match="standard approximant with M = 1"):
-        pade.approximant_line(approx)
+    for encode in (pade.approximant_line, pade.approximant_to_json):
+        with pytest.raises(NonFiniteValue, match="standard approximant with M = 1"):
+            encode(approx)
 
 
 def test_model_file_arrays(tmp_path):
@@ -105,7 +107,8 @@ def test_model_file_arrays(tmp_path):
     path = tmp_path / "model.json"
     modal.save_model(model, path)
     text = path.read_text()
-    assert orjson.loads(text) == json.loads(text) == modal.model_to_json(model)
+    assert text == hilbert.json_text(modal.model_to_json(model))
+    assert orjson.loads(text) == json.loads(text) == model_object(model)
     assert text.startswith('{"coefficients":[[1.0,0.0],')  # keys sorted
     assert ',"eigenvalues":[[5e-324,1.0],[0.00001,1.0],' in text
     assert text.endswith('],"weights":[1.0,1.0,1.0,1.0,1.0]}')

@@ -3,8 +3,9 @@
 The serialization code must write these bytes exactly: the JSON writer
 hilbert.json_text behind pade.approximant_line and modal.save_model, and
 the one %-template per CSV command in harness.  The N = 8 study
-also pins the roundoff of the 9 x 9 Jacobi eigensolves behind its
-denominators, degenerate minimal eigenvalues included, and the N = 2 build
+also pins the roundoff of the 9 x 9 Jacobi eigensolves behind its standard
+denominators, degenerate minimal eigenvalues included, and of the
+exact-degeneracy null directions behind its fast ones, and the N = 2 build
 that of the 3 x 3 LAPACK SVDs behind its fast denominators.  The hashes were
 taken with Python 3.11.7, NumPy 2.4.6, OpenBLAS 0.3.31 and orjson 3.8.3
 on x86-64; a different BLAS or NumPy may round the numbers differently, and
@@ -35,7 +36,9 @@ CONFIG = {
 }
 
 # highorder_poles' centre, interval, N, M and E on a 64-mode Helmholtz model:
-# every denominator is a 9 x 9 eigensolve, and all six are degenerate.
+# the three standard denominators are 9 x 9 eigensolves, the three fast ones
+# take the exact-degeneracy null direction (pade._null_direction), and all
+# six are flagged degenerate.
 HIGH_ORDER_CONFIG = {
     "model": {"kind": "helmholtz", "max_index": 8},
     "z0": [12.0, 0.5],

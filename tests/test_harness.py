@@ -276,10 +276,9 @@ class TestCommands:
         # one approximant per line, between the opening and closing lines
         lines = text.split("\n")
         assert lines[0] == '{"approximants": [' and lines[-2:] == ["]}", ""]
-        assert [json.loads(line.rstrip(",")) for line in lines[1:-2]] == entries
-        for entry in entries:
+        for line, entry in zip(lines[1:-2], entries, strict=True):
             approx = pade.approximant_from_json(entry)
-            assert pade.approximant_to_json(approx) == entry
+            assert pade.approximant_line(approx) == line.removesuffix(",")
 
     def test_build_center_on_pole(self, tmp_path):
         bad = {**SYNTH_CONFIG, "z0": [1.0, 0.0]}
@@ -690,8 +689,8 @@ class TestSharedTaylorBlock:
         shared = modal.taylor_coefficients(model, cfg.z0, E_max + 3)
         for p in params:
             own = pade.build(model, p)
-            assert (json.dumps(pade.approximant_to_json(pade.build(model, p, shared)))
-                    == json.dumps(pade.approximant_to_json(own)))
+            assert (pade.approximant_line(pade.build(model, p, shared))
+                    == pade.approximant_line(own))
 
     @pytest.mark.parametrize("command", ["build", "sweep", "convergence", "poles",
                                          "compare"])

@@ -92,6 +92,17 @@ class TestNorm:
         assert norms[2] == np.inf
         assert hilbert.norm(block[0], w) == norms[0]
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_row_is_rescaled(self):
+        # squares of 1e-200 underflow to 0 and those of 3e-160 to subnormals;
+        # the scaled sum recovers both norms, and a zero row stays 0
+        w = hilbert.InnerProductWeights.l2(2)
+        assert hilbert.norm([1e-200, 1e-200], w) == pytest.approx(
+            np.sqrt(2.0) * 1e-200, rel=1e-15, abs=0.0)
+        assert hilbert.norm([3e-160, 4e-160], w) == pytest.approx(5e-160, rel=1e-15, abs=0.0)
+        norms = hilbert.norm(np.array([[3e-160, 4e-160j], [0.0, 0.0], [3.0, 4.0]]), w)
+        assert norms.tolist() == [hilbert.norm([3e-160, 4e-160], w), 0.0, 5.0]
+
 
 class TestWeights:
     def test_energy_weights(self):
@@ -109,19 +120,26 @@ class TestWeights:
 
 class TestSerialization:
     def test_pair_round_trip(self):
-        z = 1.5 - 2.5j
-        assert hilbert.complex_to_pair(z) == [1.5, -2.5]
-        assert complex(hilbert.pairs_to_array(hilbert.complex_to_pair(z))) == z
+        pair = hilbert.finite_array(1.5 - 2.5j, "z")
+        assert pair.shape == (2,)
+        assert hilbert.json_text(pair) == "[1.5,-2.5]"
+        assert complex(hilbert.pairs_to_array(pair)) == 1.5 - 2.5j
+
+    def test_real_scalar_is_a_float(self):
+        value = hilbert.finite_array(np.array(2.5), "x")
+        assert value.shape == () and value.dtype == float
+        assert hilbert.json_text(value) == "2.5"
 
     def test_array_round_trip_bit_for_bit(self):
         z = np.array([[1.5 - 2.5j, complex(-0.0, 0.0)],
-                      [complex(0.0, -0.0), complex(np.inf, -1e-310)]])
-        pairs = hilbert.complex_to_pair(z)
-        assert pairs[1][1] == [np.inf, -1e-310]
-        assert all(type(x) is float for row in pairs for pair in row for x in pair)
-        back = hilbert.pairs_to_array(pairs)
-        assert back.shape == z.shape and back.dtype == complex
-        assert back.tobytes() == z.tobytes()
+                      [complex(0.0, -0.0), complex(1.7976931348623157e308, -1e-310)]])
+        pairs = hilbert.finite_array(z.T, "z")  # a strided array is copied to C order
+        assert pairs.shape == (2, 2, 2) and pairs.flags.c_contiguous
+        assert pairs[1, 1].tolist() == [1.7976931348623157e308, -1e-310]
+        for form in (pairs, pairs.tolist()):
+            back = hilbert.pairs_to_array(form)
+            assert back.shape == z.shape and back.dtype == complex
+            assert back.tobytes() == z.T.copy().tobytes()
 
     def test_text_form(self):
         assert hilbert.complex_to_text(1 + 2j) == "1+2j"

@@ -489,6 +489,20 @@ class TestFunctionalValue:
                 bound = Cp / abs(lam_next - paper_z0) ** (E + 1)
                 assert diag.functional_value <= bound * (1 + 1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("poles, norms, z0, E, value", [
+        ([2, 5], [1e200, 1], 3 + 0.5j, 2, 3.2e199),  # squared terms overflow
+        ([1e8, 1.2e8], [1, 1], 1.25e8 + 1e6j, 40, 4.0144214539048e-269),  # underflow
+    ])
+    def test_modal_route_at_extreme_scales(self, poles, norms, z0, E, value):
+        model = modal.build_synthetic(poles, norms)
+        Q = poly.ShiftedPolynomial(z0, [0.6, 0.8])
+        modal_route = pade.functional_value(Q, model, E)
+        taylor = pade.functional_value(
+            Q, modal.taylor_coefficients(model, z0, E), E, w=model.weights)
+        assert modal_route == pytest.approx(value, rel=1e-13, abs=0.0)
+        assert taylor == pytest.approx(modal_route, rel=1e-14, abs=0.0)
+
 
 class TestResidual:
     def test_exact_case_vanishes(self, two_pole):
