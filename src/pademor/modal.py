@@ -170,14 +170,15 @@ def _retained_poles(model):
     weights = model.weights.weights[order]
     with np.errstate(over="ignore"):
         mass = weights * np.abs(coef) ** 2
+    values = lam.tolist()
     starts = [0]
-    for k in range(1, lam.size):
-        if abs(lam[k] - lam[starts[-1]]) > POLE_GROUP_TOL:
+    for k in range(1, len(values)):
+        if abs(values[k] - values[starts[-1]]) > POLE_GROUP_TOL:
             starts.append(k)
-    # np.sum per group, not np.add.reduceat: the two round differently.
-    norms = np.sqrt([np.sum(group) for group in np.split(mass, starts[1:])])
-    # a group whose sum of squares overflows takes hilbert.norm's scaled sum
     bounds = starts + [lam.size]
+    # a sum per group, not np.add.reduceat: the two round differently.
+    norms = np.sqrt([mass[a:b].sum() for a, b in zip(bounds, bounds[1:])])
+    # a group whose sum of squares overflows takes hilbert.norm's scaled sum
     for i in np.flatnonzero(np.isinf(norms)):
         group = slice(bounds[i], bounds[i + 1])
         norms[i] = norm(coef[group], InnerProductWeights(weights[group]))

@@ -85,14 +85,19 @@ def _taylor_window(taylor, N, E):
 
 def _scale_exponent(block):
     """Exponent k with the largest entry of 2^-k block in [1, 2) when that
-    entry exceeds 2^SCALE_EXPONENT, 0 below.
+    entry exceeds 2^SCALE_EXPONENT or is nonzero and below
+    2^-SCALE_EXPONENT, 0 between; never below -1023, so that 2^-k is a
+    float.
 
-    Weighted sums of squares of larger entries can overflow; scaling by a
-    power of two is exact, so the solves below undo it exactly.
+    Weighted sums of squares of larger entries can overflow, and those of
+    smaller ones underflow; scaling by a power of two is exact, so the
+    solves below undo it exactly.
     """
     amax = float(np.max(np.abs(block), initial=0.0))
     k = math.frexp(amax)[1] - 1
-    return k if k > SCALE_EXPONENT else 0
+    if k > SCALE_EXPONENT or (amax > 0.0 and k < -SCALE_EXPONENT):
+        return max(k, -1023)
+    return 0
 
 
 def gramian(taylor, N, E, w):
@@ -305,15 +310,16 @@ def evaluate(approx, z):
 
     No error or warning is raised near poles of the approximant, where a
     value may overflow to inf or be nan; the caller inspects the returned
-    denominator magnitude instead.  Q is evaluated point by
-    point with poly.evaluate and Python abs, which round differently from
-    NumPy's array arithmetic.
+    denominator magnitude instead.  Q is evaluated by one Horner pass over
+    all the points on Python complex numbers (poly.evaluate_points), and
+    |Q| by Python abs, which round differently from NumPy's array
+    arithmetic; P by Horner on NumPy arrays (poly.ShiftedPolynomial).
     """
     points = np.asarray(z, dtype=complex)
-    qz = [poly.evaluate(approx.denominator, p) for p in points.reshape(-1).tolist()]
+    qz = poly.evaluate_points(approx.denominator, points.reshape(-1).tolist())
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values = approx.numerator(points) / np.reshape(qz, points.shape + (1,))
-    qmag = np.reshape([abs(q) for q in qz], points.shape)
+    qmag = np.reshape(list(map(abs, qz)), points.shape)
     return values, (float(qmag) if points.ndim == 0 else qmag)
 
 
@@ -341,10 +347,17 @@ def functional_value(Q, source, E, w=None):
         lam = source.poles
         if lam.size == 0:
             return 0.0
-        qmag = np.array([abs(poly.evaluate(Q, p)) for p in lam.tolist()])
+        qmag = np.array(list(map(abs, poly.evaluate_points(Q, lam.tolist()))))
+        dist = np.abs(lam - z0)
         # NumPy, not Python floats, whose ** raises where an array gives inf
-        with np.errstate(over="ignore", divide="ignore"):
-            terms = source.residue_norms * qmag / np.abs(lam - z0) ** (E + 1)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            top = source.residue_norms * qmag
+            bottom = dist ** (E + 1)
+            terms = top / bottom
+            # where a factor overflows, the ratio in log form
+            big = np.isinf(top) | np.isinf(bottom)
+            terms[big] = np.exp(np.log(source.residue_norms[big]) + np.log(qmag[big])
+                                - (E + 1) * np.log(dist[big]))
         return hilbert.norm(terms, hilbert.InnerProductWeights.l2(lam.size))
     raise TypeError(f"cannot evaluate functional against {type(source).__name__}")
 

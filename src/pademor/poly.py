@@ -40,18 +40,28 @@ class ShiftedPolynomial:
         acc = np.zeros(dz.shape + self.coeffs.shape[1:], dtype=complex)
         dz = dz.reshape(dz.shape + (1,) * (self.coeffs.ndim - 1))
         for row in self.coeffs[::-1]:
-            acc = acc * dz + row
+            acc *= dz
+            acc += row
         return acc
 
 
-def evaluate(p, z):
-    """Horner evaluation in powers of (z - center), on Python complex
-    numbers (bit-identical to Horner on NumPy complex scalars)."""
-    dz = complex(z) - p.center
-    acc = 0j
+def evaluate_points(p, points):
+    """Horner evaluation in powers of (z - center) at each of a list of
+    Python complex points, on Python complex numbers (bit-identical to
+    Horner on NumPy complex scalars): a list of complex values.  One Horner
+    step runs over all the points at a time, each point taking the same
+    operations in the same order as alone."""
+    center = p.center
+    dz = [z - center for z in points]
+    acc = [0j] * len(dz)
     for a in p.coeffs[::-1].tolist():
-        acc = acc * dz + a
+        acc = [q * d + a for q, d in zip(acc, dz)]
     return acc
+
+
+def evaluate(p, z):
+    """evaluate_points at the one point z."""
+    return evaluate_points(p, [complex(z)])[0]
 
 
 def denominator_from_eigvec(q, z0):
@@ -61,7 +71,7 @@ def denominator_from_eigvec(q, z0):
     the ascending storage reads a_{N-j} = q_j.
     """
     q = np.asarray(q, dtype=complex)
-    if abs(np.linalg.norm(q) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(q) - 1.0) <= 1e-12:  # a nan norm fails too
         raise NotNormalized(f"eigenvector norm {np.linalg.norm(q):.15e} != 1")
     return ShiftedPolynomial(z0, q[::-1].copy())
 

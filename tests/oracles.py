@@ -99,6 +99,17 @@ def numpy_horner(p, z):
     return complex(acc)
 
 
+def copying_horner(p, z):
+    """ShiftedPolynomial.__call__ with a new array per Horner step,
+    acc = acc * dz + row, where the package updates acc in place."""
+    dz = np.asarray(z, dtype=complex) - p.center
+    acc = np.zeros(dz.shape + p.coeffs.shape[1:], dtype=complex)
+    dz = dz.reshape(dz.shape + (1,) * (p.coeffs.ndim - 1))
+    for row in p.coeffs[::-1]:
+        acc = acc * dz + row
+    return acc
+
+
 def point_errors(model, approx, points, near_distance=1e-6):
     """(error, |Q|, near-pole flag) per point, one point at a time: the
     harness error loop before grid evaluation, with the scalar arithmetic

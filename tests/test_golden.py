@@ -1,4 +1,4 @@
-"""Golden sha256 of two build artifacts, four study outputs and two model files.
+"""Golden sha256 of two build artifacts, five study outputs and two model files.
 
 The serialization code must write these bytes exactly: the JSON writer
 hilbert.json_text behind pade.approximant_line and modal.save_model, and
@@ -57,6 +57,7 @@ BUILD_SHA256 = "de01932575b0abd4c1bfb34edeff3457203ca3a2d12148717acb9b61e6dca09a
 CSV_SHA256 = {
     "convergence": "df392ba4e31befe24645c1fef4c62d4033d1e7262645b063e19c05fc4117b129",
     "compare": "8e56af21bf3f44c386335e2586fbf0b32f2e4248c13366235b3b00710d555d87",
+    "sweep": "a93e79651ab62c2abd020f115ff3caabbbb40ccb9464d0aae6e0fdfd8b842c5f",
 }
 HIGH_ORDER_SHA256 = {
     "build": "1243f53f803d68b4fd39a7216fee5212724a205aa8cd0af465764e36c6a6d7ae",

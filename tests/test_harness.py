@@ -597,6 +597,20 @@ class TestCli:
         assert (math.isfinite(value) if finite else value is None)
 
     @pytest.mark.filterwarnings("error")
+    def test_physical_units_functional_values_are_positive(self, tmp_path):
+        # Taylor window entries of about 1e-282, whose weighted squares
+        # underflow unless the window is scaled up: both builds reported 0.0
+        patch = {"model": {"kind": "synthetic", "residue_norms": [1.0, 1.0, 1.0],
+                           "poles": [[1e8, 0.0], [1.2e8, 0.0], [1.5e8, 0.0]]},
+                 "z0": [1.25e8, 1e6], "K": [0.9e8, 1.6e8], "M_list": [40]}
+        path = write_config(tmp_path, {**SYNTH_CONFIG, **patch})
+        out = tmp_path / "build.json"
+        assert cli.main(["build", "--config", path, "--out", str(out)]) == 0
+        approximants = orjson.loads(out.read_bytes())["approximants"]
+        values = [a["diagnostics"]["functional_value"] for a in approximants]
+        assert len(values) == 2 and all(v > 0 for v in values)
+
+    @pytest.mark.filterwarnings("error")
     def test_near_pole_degeneracy_flag_without_warning(self, tmp_path):
         # the fast route's factor R has entries of about 4e96: the Frobenius
         # norm of R^H R, which the degeneracy test took, overflowed

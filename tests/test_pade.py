@@ -181,15 +181,15 @@ class TestStandardDenominator:
 
 
 class TestWindowScaling:
-    """Taylor windows whose squares would overflow are solved scaled by a
-    power of two, which changes nothing but the reported functional."""
+    """Taylor windows whose squares would overflow or underflow are solved
+    scaled by a power of two, which changes nothing but the reported
+    functional."""
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("variant", ["fast", "standard"])
-    def test_huge_series_gives_the_same_denominator(self, helmholtz, paper_z0, variant):
-        ref = modal.taylor_coefficients(helmholtz, paper_z0, 10)
-        t = poly.ShiftedPolynomial(paper_z0, ref.coeffs * 2.0**600)
-        w = helmholtz.weights
+    @staticmethod
+    def check_scaled_series(model, z0, variant, exponent):
+        ref = modal.taylor_coefficients(model, z0, 10)
+        t = poly.ShiftedPolynomial(z0, ref.coeffs * 2.0**exponent)
+        w = model.weights
         if variant == "fast":
             (den, diag), (den_ref, diag_ref) = (
                 pade.denominator_fast_qr(s, 4, 10, w) for s in (t, ref))
@@ -197,14 +197,31 @@ class TestWindowScaling:
             (den, diag), (den_ref, diag_ref) = (
                 pade.denominator_standard(s, 6, 4, 10, 2.0, w) for s in (t, ref))
         assert np.array_equal(den.coeffs, den_ref.coeffs)
-        assert diag.functional_value == diag_ref.functional_value * 2.0**600
+        assert diag.functional_value == diag_ref.functional_value * 2.0**exponent
         assert diag.condition_estimate == diag_ref.condition_estimate
         assert diag.degenerate == diag_ref.degenerate
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["fast", "standard"])
+    def test_huge_series_gives_the_same_denominator(self, helmholtz, paper_z0, variant):
+        self.check_scaled_series(helmholtz, paper_z0, variant, 600)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["fast", "standard"])
+    def test_tiny_series_gives_the_same_denominator(self, helmholtz, paper_z0, variant):
+        self.check_scaled_series(helmholtz, paper_z0, variant, -600)
 
     def test_small_windows_are_not_scaled(self):
         assert pade._scale_exponent(np.array([2.0**400, -1j])) == 0
         assert pade._scale_exponent(np.array([3 * 2.0**401, 1.0])) == 402
         assert pade._scale_exponent(np.zeros(3)) == 0
+
+    def test_tiny_windows_are_scaled_up(self):
+        assert pade._scale_exponent(np.array([2.0**-500])) == -500
+        assert pade._scale_exponent(np.array([2.0**-400, 0.0])) == 0
+        assert pade._scale_exponent(np.array([1j * 2.0**-401])) == -401
+        # a subnormal maximum is scaled by 2^1023, the largest power of two
+        assert pade._scale_exponent(np.array([5e-324])) == -1023
 
 
 class TestSingleEigensolve:
@@ -502,6 +519,26 @@ class TestFunctionalValue:
             Q, modal.taylor_coefficients(model, z0, E), E, w=model.weights)
         assert modal_route == pytest.approx(value, rel=1e-13, abs=0.0)
         assert taylor == pytest.approx(modal_route, rel=1e-14, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_modal_route_with_overflowing_factors(self):
+        # rnorm |Q(lam)| (about 8e319) and |lam - z0|^31 (1e310) both
+        # overflow at the pole 1e10; their ratio, 8e9, does not
+        model = modal.build_synthetic([1e10, -1e10], [1e300, 1])
+        Q = poly.ShiftedPolynomial(0.5j, [0.6, 0.0, 0.8])
+        modal_route = pade.functional_value(Q, model, 30)
+        taylor = pade.functional_value(
+            Q, modal.taylor_coefficients(model, 0.5j, 30), 30, w=model.weights)
+        assert taylor == pytest.approx(8.0e9, rel=1e-12, abs=0.0)
+        assert modal_route == pytest.approx(taylor, rel=1e-12, abs=0.0)
+
+    def test_modal_route_keeps_finite_terms(self, three_pole, rng):
+        # terms that do not overflow are the plain ratios, bit for bit
+        Q = normalized_random_poly(rng, 0.5 + 0.1j, 2)
+        lam = three_pole.poles
+        qmag = np.array([abs(poly.evaluate(Q, p)) for p in lam])
+        terms = three_pole.residue_norms * qmag / np.abs(lam - Q.center) ** 7
+        assert pade.functional_value(Q, three_pole, 6) == norm(terms, InnerProductWeights.l2(3))
 
 
 class TestResidual:

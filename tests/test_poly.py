@@ -1,10 +1,29 @@
+import math
+
 import numpy as np
 import pytest
 
 from pademor import poly
 from pademor.errors import ConstantPolynomial, NotNormalized, ZeroPolynomial
 
-from oracles import normalize, numpy_horner
+from oracles import copying_horner, normalize, numpy_horner
+
+
+NON_FINITE = [complex(math.inf, 0.0), complex(-math.inf, 1.0), complex(0.0, math.inf),
+              complex(math.inf, math.nan), complex(math.nan, 0.0), complex(1.0, math.nan)]
+
+
+def wide_coeffs(rng, shape):
+    """Complex coefficients of decimal exponents -200..200."""
+    scale = 10.0 ** rng.integers(-200, 201, size=(2,) + shape)
+    c = rng.standard_normal((2,) + shape) * scale
+    return c[0] + 1j * c[1]
+
+
+def points_with_non_finite(rng, n):
+    """n finite points of decimal exponents -3..3, then inf and nan ones."""
+    z = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-3, 4, size=(2, n))
+    return (z[0] + 1j * z[1]).tolist() + NON_FINITE
 
 
 def poly_from_roots(z0, roots):
@@ -40,6 +59,29 @@ class TestEvaluate:
         bits = [np.array(v, dtype=complex).view(np.uint64) for v in (got, want)]
         assert np.array_equal(*bits)
 
+    def test_point_list_bit_identical_to_per_point_loop(self, rng):
+        for N in range(9):
+            for _ in range(20):
+                p = poly.ShiftedPolynomial(complex(*rng.standard_normal(2)),
+                                           wide_coeffs(rng, (N + 1,)))
+                z = points_with_non_finite(rng, 10)
+                got = poly.evaluate_points(p, z)
+                want = [poly.evaluate(p, point) for point in z]
+                with np.errstate(all="ignore"):
+                    oracle = [numpy_horner(p, point) for point in z]
+                assert all(type(v) is complex for v in got)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+                assert np.array(got).tobytes() == np.array(oracle).tobytes()
+
+    def test_call_bit_identical_to_copying_horner(self, rng):
+        with np.errstate(all="ignore"):
+            for M in range(21):
+                for shape in [(M + 1,), (M + 1, 7)]:
+                    p = poly.ShiftedPolynomial(complex(*rng.standard_normal(2)),
+                                               wide_coeffs(rng, shape))
+                    z = np.array(points_with_non_finite(rng, 30))
+                    assert p(z).tobytes() == copying_horner(p, z).tobytes()
+                    assert p(z[0]).tobytes() == copying_horner(p, z[0]).tobytes()
 
     def test_call_gives_one_value_per_point(self, rng):
         # a scalar polynomial gives an (n,) array, not an (n, n) broadcast,
@@ -105,6 +147,11 @@ class TestDenominatorFromEigvec:
     def test_not_normalized_rejected(self):
         with pytest.raises(NotNormalized):
             poly.denominator_from_eigvec([1.0, 1.0], 0.0)
+
+    def test_nan_rejected(self):
+        # abs(nan - 1) > 1e-12 is False: the check must fail on a nan norm
+        with pytest.raises(NotNormalized):
+            poly.denominator_from_eigvec([math.nan, 0.0], 0.5j)
 
 
 class TestRoots:
