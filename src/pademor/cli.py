@@ -19,7 +19,7 @@ COMMANDS = {
 }
 
 
-def make_parser():
+def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="pade-mor",
         description="Least-squares Pade approximation studies for meromorphic "
@@ -28,11 +28,7 @@ def make_parser():
     parser.add_argument("command", choices=COMMANDS, help="the study to run")
     parser.add_argument("--config", required=True, help="study config (JSON)")
     parser.add_argument("--out", required=True, help="output file (CSV or JSON)")
-    return parser
-
-
-def main(argv=None):
-    args = make_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     try:
         config = harness.load_config(args.config)
         COMMANDS[args.command](config, args.out)

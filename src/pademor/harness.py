@@ -10,6 +10,7 @@ dropped.
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -297,29 +298,47 @@ def predicted_pole_factor(poles, config, alpha):
     return (abs(lam_a - config.z0) / abs(lam_next - config.z0)) ** 2
 
 
-def _write(path, lines):
-    """Each line followed by '\\n'; lines may be produced while writing.
-    An --out that cannot be written is a ConfigError."""
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.writelines(line + "\n" for line in lines)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+def _write(fh, lines):
+    """Each line followed by '\\n' to the open file fh; lines may be
+    produced while writing."""
+    fh.writelines(line + "\n" for line in lines)
 
 
-def cmd_build(config, out):
+def _command(study):
+    """study(config, model), which returns its output lines, as a command on
+    an --out path.  The path is opened once, before the model is built:
+    ConfigError if it cannot be opened or written.  A failed study removes
+    the file if the open created it.  No __wrapped__: a tracer marks its
+    own wrappers with it."""
+
+    def run(config, out):
+        created, done = not os.path.exists(out), False
+        try:
+            with open(out, "w", newline="") as fh:
+                _write(fh, study(config, _model(config)))
+            done = True
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out}: {exc}") from exc
+        finally:
+            if created and not done and os.path.exists(out):
+                os.remove(out)
+
+    return run
+
+
+@_command
+def cmd_build(config, model):
     """{"approximants": [...]}, one approximant per line, each line
     serialized only when it is written."""
-    model = _model(config)
     approxs = [a for pair in _pairs(model, config, config.M_list, config.N) for a in pair]
     last = len(approxs) - 1
     entries = (pade.approximant_line(a) + ("," if i < last else "")
                for i, a in enumerate(approxs))
-    _write(out, itertools.chain(['{"approximants": ['], entries, ["]}"]))
+    return itertools.chain(['{"approximants": ['], entries, ["]}"])
 
 
-def cmd_sweep(config, out):
-    model = _model(config)
+@_command
+def cmd_sweep(config, model):
     grid = config.grid()
     exact = evaluate_exact_grid(model, grid)
     fast, std = zip(*_pairs(model, config, config.M_list, config.N))
@@ -334,16 +353,17 @@ def cmd_sweep(config, out):
     header.append("near_pole")
     row = "%.17g," * (len(header) - 1) + "%d"
     columns = (grid.tolist(), *errors, *qmags, near)
-    _write(out, [",".join(header)] + [row % cells for cells in zip(*columns)])
+    return [",".join(header)] + [row % cells for cells in zip(*columns)]
 
 
-def cmd_convergence(config, out):
-    model = _model(config)
+@_command
+def cmd_convergence(config, model):
     probes = config.z_probes
     if not probes:
         raise ConfigError("at $.z_probes: convergence study needs probe points")
-    for z in probes:
-        if nearest_pole(model, z)[1] < 0.05:
+    exact = evaluate_exact_grid(model, probes)
+    for z, dist in zip(probes, exact[1].tolist()):
+        if dist < 0.05:
             raise ConfigError(f"at $.z_probes: probe {z} is within 0.05 of a pole")
     for M in config.M_list:
         if M < config.N - 1:
@@ -351,7 +371,6 @@ def cmd_convergence(config, out):
                 f"at $.M_list: M={M} violates the rate guarantee M >= N-1"
             )
 
-    exact = evaluate_exact_grid(model, probes)
     fast, std = zip(*_pairs(model, config, config.M_list, config.N))
     errs_f = [_errors(model, approx, probes, exact) for approx in fast]
     errs_s = [_errors(model, approx, probes, exact) for approx in std]
@@ -370,7 +389,7 @@ def cmd_convergence(config, out):
         for M, (ef, qf), (es, qs) in zip(config.M_list, errs_f, errs_s):
             lines.append(row % (complex_to_text(z), M, ef[j], es[j], qf[j], qs[j],
                                 fitted, predicted))
-    _write(out, lines)
+    return lines
 
 
 def _nearest_root_errors(roots, true_poles):
@@ -393,8 +412,8 @@ def _check_E_list(config):
         raise ConfigError(f"at $.E_list: minimum E must be >= N = {config.N}")
 
 
-def cmd_poles(config, out):
-    model = _model(config)
+@_command
+def cmd_poles(config, model):
     if config.N < 1:
         raise ConfigError("at $.N: pole study needs N >= 1")
     _check_E_list(config)
@@ -426,15 +445,15 @@ def cmd_poles(config, out):
             ";".join(complex_to_text(r) for r in extra_f),
             ";".join(complex_to_text(r) for r in extra_s),
         ))
-    _write(out, lines)
+    return lines
 
 
-def cmd_compare(config, out):
+@_command
+def cmd_compare(config, model):
     """Fast against standard approximant per E on the grid.  The fast one
     has degree M = E from fast_E(E) Taylor coefficients (E under MaxMN,
     E + N under MPlusN); the standard one has degree E - N from E
     coefficients, so the two share a derivative budget only under MaxMN."""
-    model = _model(config)
     _check_E_list(config)
     grid = config.grid()
     exact = evaluate_exact_grid(model, grid)
@@ -449,4 +468,4 @@ def cmd_compare(config, out):
         for z, ef, es, qf, qs, flag in zip(grid.tolist(), err_f, err_s, q_f, q_s, near):
             ratio = ef / es if es > 0 else math.inf
             lines.append(row % (E, z, ef, es, ratio, qf, qs, flag))
-    _write(out, lines)
+    return lines

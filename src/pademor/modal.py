@@ -85,11 +85,10 @@ def build_synthetic(poles, residue_norms):
     return ModalModel(poles, norms, InnerProductWeights.l2(len(poles)))
 
 
-def _bubble_line_integrals(indices, freq, x, w):
+def _bubble_line_integrals(sines, freq, x, w):
     """1-d integrals of x (pi - x) e^{-i freq x} sin(k x) over (0, pi), by
-    the quadrature rule with nodes x and weights w."""
+    the rule with nodes x and weights w, from the rows sines = sin(k x)."""
     g = x * (np.pi - x) * np.exp(-1j * freq * x)
-    sines = np.sin(np.outer(indices, x))
     return sines @ (w * g)
 
 
@@ -106,8 +105,9 @@ def _helmholtz_coefficients(max_index, nu_sq, theta, x, w):
     """
     nu = np.sqrt(nu_sq)
     k = np.arange(1, max_index + 1)
-    ix = _bubble_line_integrals(k, nu * np.cos(theta), x, w)
-    iy = _bubble_line_integrals(k, nu * np.sin(theta), x, w)
+    sines = np.sin(np.outer(k, x))
+    ix = _bubble_line_integrals(sines, nu * np.cos(theta), x, w)
+    iy = _bubble_line_integrals(sines, nu * np.sin(theta), x, w)
     proj = (2.0 / np.pi) * (16.0 / np.pi**4) * np.outer(ix, iy)
     lam = (k**2)[:, None] + (k**2)[None, :]
     return (lam - nu_sq) * proj  # indexed [m-1, n-1]

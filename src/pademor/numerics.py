@@ -8,8 +8,9 @@ solves the standard Gramian sum: the committed benchmark reference holds
 its roundoff, and a LAPACK eigensolver in its place fails that reference's
 check until the reference is retaken.  The Jacobi rotation kernel does the
 same floating-point operations on every entry as the plain loop kept in
-tests/oracles.py (loop_jacobi) and is bit-identical to it.  All routines
-are pure functions on value inputs.
+tests/oracles.py (loop_jacobi) and is bit-identical to it.  Only the
+vectors compared or returned are phase-fixed, not whole eigensystems.  All
+routines are pure functions on value inputs.
 """
 
 import cmath
@@ -66,13 +67,11 @@ def hermitian_eigensystem(H):
     """Full eigendecomposition of a Hermitian matrix by cyclic complex Jacobi.
 
     Returns (values, vectors) with values ascending and vectors as columns,
-    each phase-fixed.  Residuals satisfy ||H v - mu v|| <= EIGEN_TOL * ||H||_F.
+    as the rotations leave them (not phase-fixed).  Residuals satisfy
+    ||H v - mu v|| <= EIGEN_TOL * ||H||_F.
     """
     A, scale = _check_hermitian(H)
     n = A.shape[0]
-    if n == 1 or scale == 0.0:
-        return A.real.diagonal().copy(), phase_fix_columns(np.eye(n, dtype=complex))
-
     # W = [A; V]: one column rotation turns A and the eigenvectors V together.
     W = np.concatenate((A, np.eye(n, dtype=complex)))
     A = W[:n]
@@ -124,18 +123,7 @@ def hermitian_eigensystem(H):
 
     vals = A.real.diagonal().copy()
     order = np.argsort(vals, kind="stable")
-    return vals[order], phase_fix_columns(W[n:, order])
-
-
-def phase_fix_columns(V):
-    out = np.empty_like(V)
-    for j in range(V.shape[1]):
-        out[:, j] = phase_fix(V[:, j])
-    return out
-
-
-def _lexicographic_key(v):
-    return tuple(np.real(v)) + tuple(np.imag(v))
+    return vals[order], W[n:, order]
 
 
 def hermitian_min_eigenpair(H):
@@ -154,15 +142,12 @@ def hermitian_min_eigenpair(H):
 def min_eigenpair(vals, vecs, scale):
     """The smallest eigenpair, with hermitian_min_eigenpair's degeneracy and
     phase rules, from an eigensystem already computed by
-    hermitian_eigensystem for a matrix of Frobenius norm `scale`."""
+    hermitian_eigensystem for a matrix of Frobenius norm `scale`.  Only the
+    near-minimal columns, which the tie-break compares, are phase-fixed."""
     gap_tol = DEGENERACY_GAP * max(scale, 1e-300)
-    near = np.nonzero(vals - vals[0] < gap_tol)[0]
+    near = [phase_fix(vecs[:, j]) for j in np.nonzero(vals - vals[0] < gap_tol)[0]]
     degenerate = len(near) > 1
-    if degenerate:
-        best = min(near, key=lambda j: _lexicographic_key(vecs[:, j]))
-    else:
-        best = near[0]
-    v = vecs[:, best]
+    v = min(near, key=lambda u: tuple(np.real(u)) + tuple(np.imag(u)))
     v = v / np.linalg.norm(v)
     return MinEigen(float(vals[0]), phase_fix(v), degenerate)
 

@@ -169,7 +169,7 @@ def denominator_fast_gramian(taylor, N, E, w):
 def _weighted_mgs(A, w):
     """Modified Gram-Schmidt with one reorthogonalization pass under the
     weighted inner product <u, v> = sum_k w_k u_k conj(v_k).  Returns
-    (R, first_col_norm).
+    (R, first_col_norm); the first column norm is R[0, 0].
 
     A vanishing pivot leaves a zero basis vector and a (tiny) diagonal
     entry in R; callers detect this as exact degeneracy.
@@ -179,8 +179,6 @@ def _weighted_mgs(A, w):
     Q = np.zeros((ncols, A.shape[0]), dtype=complex)  # basis vectors as rows
     Qc = np.zeros_like(Q)  # and their conjugates, for the inner products
     R = np.zeros((ncols, ncols), dtype=complex)
-    a0 = A[:, 0]
-    first_norm = float(np.sqrt(np.add.reduce(ww * a0 * a0.conj()).real))
     for j in range(ncols):
         v = A[:, j].copy()
         for _ in range(2):  # MGS + one reorthogonalization pass
@@ -190,6 +188,7 @@ def _weighted_mgs(A, w):
                 v = v - c * Q[i]
         rjj = float(np.sqrt(max(np.add.reduce(ww * v * v.conj()).real, 0.0)))
         R[j, j] = rjj
+        first_norm = R.real.item(0, 0)
         if rjj > QR_DEGENERACY_THRESHOLD * max(first_norm, 1e-300):
             Q[j] = v / rjj
             Qc[j] = Q[j].conj()

@@ -134,6 +134,27 @@ def point_errors(model, approx, points, near_distance=1e-6):
     return out
 
 
+def modal_error(model, approx, points):
+    """V-norm error of approx at each of a 1-d array of points by the modal
+    error identity.  P being the truncation of Q S to degree M >= N - 1,
+    mode k of the error is
+
+        (S - P/Q)_k(z) = c_k Q(lambda_k) / (Q(z) (lambda_k - z))
+                         * ((z - z0) / (lambda_k - z0))^(M+1),
+
+    c_k the source coefficient and lambda_k the eigenvalue: Q at the points
+    and at the eigenvalues, and no P(z), S(z) or subtraction."""
+    Q = approx.denominator
+    M = approx.numerator.degree
+    if M < Q.degree - 1:
+        raise ValueError(f"the identity needs M >= N - 1, not M = {M}, N = {Q.degree}")
+    z = np.asarray(points, dtype=complex)[:, None]
+    lam = model.eigenvalues
+    terms = (model.coefficients * Q(lam) / (Q(z) * (lam - z))
+             * ((z - Q.center) / (lam - Q.center)) ** (M + 1))
+    return hilbert.norm(terms, model.weights)
+
+
 def residual_norm(model, approx, z):
     """V-norm of the residual H(z) = Q(z) S(z) - P(z)."""
     s = modal.evaluate_exact(model, z)
@@ -186,13 +207,14 @@ def column_mgs(A, w):
 def loop_jacobi(H):
     """Cyclic complex Jacobi with separate A and V arrays, copied columns and
     rows and NumPy scalar algebra: the loop numerics.hermitian_eigensystem
-    replaced.  Returns (values, phase-fixed vectors) in the same order."""
+    replaced.  Returns (values, vectors) in the same order, the vectors as
+    the rotations leave them; a matrix of order 1 or a zero matrix returns
+    the identity without a sweep."""
     A, scale = numerics._check_hermitian(H)
     n = A.shape[0]
     V = np.eye(n, dtype=complex)
     if n == 1 or scale == 0.0:
-        vals = A.real.diagonal().copy()
-        return vals, numerics.phase_fix_columns(V)
+        return A.real.diagonal().copy(), V
 
     target = 0.1 * numerics.EIGEN_TOL * scale
     skip = np.finfo(float).eps * scale / n
@@ -241,4 +263,4 @@ def loop_jacobi(H):
 
     vals = A.real.diagonal().copy()
     order = np.argsort(vals, kind="stable")
-    return vals[order], numerics.phase_fix_columns(V[:, order])
+    return vals[order], V[:, order]

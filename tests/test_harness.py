@@ -14,7 +14,7 @@ import pytest
 from pademor import cli, harness, hilbert, modal, pade, poly
 from pademor.errors import ConfigError, PadeError
 
-from oracles import point_errors
+from oracles import modal_error, point_errors
 
 SYNTH_CONFIG = {
     "model": {
@@ -189,6 +189,91 @@ class TestGridErrors:
         values, qmags = pade.evaluate(approx, np.array([0.9, 1.7]))
         assert values.shape == (2, 3) and qmags.shape == (2,)
         assert np.array_equal(values[0], value) and qmags[0] == qmag
+
+
+def horner_magnitude(p, z):
+    """sum_a |p_a| |z - center|^a at each point z: a row per point for a
+    vector polynomial."""
+    return poly.ShiftedPolynomial(0.0, np.abs(p.coeffs))(np.abs(z - p.center)).real
+
+
+class TestModalErrorIdentity:
+    """harness._errors, by subtraction, against oracles.modal_error, by the
+    closed form, on random fast and standard builds with N = 0..8 and
+    M >= N - 1.
+
+    The bound is a first-order roundoff count, u = eps / 2 and
+    gamma(k) = k u / (1 - k u).  A complex Horner step is one product
+    (sqrt(2) gamma(2)) and one sum (u) on an offset z - z0 that carries u:
+    at most 5 roundings, so Horner of degree d errs by at most
+    gamma(5 (d + 1)) sum_a |p_a| |z - z0|^a.  P(z) is the one that counts:
+    its Horner magnitude over |Q(z)| is the floor of the subtraction
+    route.  Q(z) adds its own relative Horner error to P/Q and to the
+    closed-form term, Q(lambda_k) adds its Horner error to that term, and
+    ((z - z0)/(lambda_k - z0))^(M+1) carries at most 9 (M + 1) roundings;
+    the divisions, products and subtractions left take fewer than 20.  So
+    every mode's error is within gamma(K), K = 9 M + 10 N + 39, of
+
+        H_P/|Q(z)| + (1 + H_Q(z)/|Q(z)|) (|P/Q| + |term_k|) + |S_k|
+        + |c_k| H_Q(lambda_k) |t_k|^(M+1) / (|Q(z)| |lambda_k - z|),
+
+    H the Horner magnitudes, and the two V-norms add gamma(dimension + 4)
+    of themselves."""
+
+    @staticmethod
+    def bound(model, approx, points, errors, identity):
+        u = np.finfo(float).eps / 2
+
+        def gamma(k):
+            return k * u / (1 - k * u)
+
+        Q, P = approx.denominator, approx.numerator
+        z, lam, c = points[:, None], model.eigenvalues, model.coefficients
+        qz = np.abs(Q(z))
+        hq = horner_magnitude(Q, z) / qz
+        t = np.abs((z - Q.center) / (lam - Q.center)) ** (P.degree + 1)
+        term = np.abs(c * Q(lam)) * t / (qz * np.abs(lam - z))
+        mags = (horner_magnitude(P, points) / qz
+                + (1 + hq) * (np.abs(P(points)) / qz + term)
+                + np.abs(c / (lam - z))
+                + np.abs(c) * horner_magnitude(Q, lam) * t / (qz * np.abs(lam - z)))
+        K = 9 * P.degree + 10 * Q.degree + 39
+        return (gamma(K) * hilbert.norm(mags, model.weights)
+                + gamma(model.dimension + 4) * (errors + identity))
+
+    @pytest.mark.parametrize("variant", ["fast", "standard"])
+    def test_subtraction_agrees_with_the_identity(self, rng, variant):
+        helmholtz = modal.build_rectangle_helmholtz(max_index=14)
+        for N in range(9):
+            for trial in range(3):
+                if trial == 0:
+                    model = helmholtz
+                    z0 = complex(rng.uniform(9, 15), rng.uniform(0.2, 1.0))
+                    points = np.linspace(9, 15, 13) + 1j * rng.uniform(-0.3, 0.3)
+                else:
+                    P = int(rng.integers(2, 12))
+                    poles = rng.uniform(-5, 5, P) + 1j * rng.uniform(-2, 2, P)
+                    model = modal.build_synthetic(list(poles), list(rng.uniform(0.1, 3, P)))
+                    z0 = complex(rng.uniform(-5, 5), rng.uniform(-2, 2))
+                    points = rng.uniform(-6, 6, 13) + 1j * rng.uniform(-2.5, 2.5, 13)
+                if min(abs(model.poles - z0)) <= 1e-3:
+                    continue
+                points = points[np.abs(model.poles - points[:, None]).min(axis=1) > 1e-3]
+                M = int(rng.integers(max(N - 1, 0), N + 12))
+                extra = int(rng.integers(0, 4))
+                if variant == "fast":
+                    params = pade.BuildParams(z0, M, N, max(M, N) + extra, "fast")
+                else:
+                    params = pade.BuildParams(z0, M, N, M + N + extra, "standard",
+                                              float(rng.uniform(0.5, 4.0)))
+                approx = pade.build(model, params)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    exact = modal.evaluate_exact_grid(model, points)
+                    errors = np.array(harness._errors(model, approx, points, exact)[0])
+                    identity = modal_error(model, approx, points)
+                bound = self.bound(model, approx, points, errors, identity)
+                assert np.all(np.abs(errors - identity) <= bound), (params, variant)
 
 
 class TestFitDecayFactor:
@@ -458,6 +543,32 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("config error: ")
         assert "Traceback" not in proc.stderr
+
+    # A Helmholtz study whose 20-point rule is too coarse for 60 modes per
+    # direction: building its model raises QuadratureNotConverged (exit 3).
+    COARSE_RULE = {**SYNTH_CONFIG, "model": {"kind": "helmholtz", "max_index": 60,
+                                             "quad_order": 20},
+                   "z0": [12.0, 0.5], "K": [9.0, 15.0]}
+
+    @pytest.mark.parametrize("cmd", ["build", "sweep", "convergence", "poles", "compare"])
+    def test_unwritable_out_exits_two_before_the_study(self, tmp_path, capsys, cmd):
+        path = write_config(tmp_path, self.COARSE_RULE)
+        out = str(tmp_path / "missing" / "x.out")
+        assert cli.main([cmd, "--config", path, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write output ")
+
+    @pytest.mark.parametrize("cmd", ["build", "sweep", "convergence", "poles", "compare"])
+    def test_study_failing_after_the_open(self, tmp_path, capsys, cmd):
+        # the file the open created is removed; an earlier one is left as
+        # the open truncated it
+        path = write_config(tmp_path, self.COARSE_RULE)
+        out = tmp_path / "x.out"
+        assert cli.main([cmd, "--config", path, "--out", str(out)]) == 3
+        assert "QuadratureNotConverged" in capsys.readouterr().err
+        assert not out.exists()
+        out.write_text("an earlier output\n")
+        assert cli.main([cmd, "--config", path, "--out", str(out)]) == 3
+        assert out.read_bytes() == b""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

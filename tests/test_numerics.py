@@ -128,7 +128,7 @@ def random_matrix(rng, n, kind):
 class TestJacobiOracle:
     """The stacked, copy-free rotation kernel of hermitian_eigensystem gives
     the loop it replaced (oracles.loop_jacobi) bit for bit: values and
-    phase-fixed vectors, compared as bytes."""
+    vectors, neither phase-fixed, compared as bytes."""
 
     @staticmethod
     def assert_same_bytes(H):
