@@ -1,6 +1,7 @@
 """Least-squares Pade approximation of meromorphic resolvent maps."""
 
-from . import errors, harness, hilbert, modal, numerics, pade, poly
+from . import errors, harness, hilbert, modal, numerics, pade, poly, quadrature
 
-__all__ = ["errors", "harness", "hilbert", "modal", "numerics", "pade", "poly"]
+__all__ = ["errors", "harness", "hilbert", "modal", "numerics", "pade", "poly",
+           "quadrature"]
 __version__ = "0.1.0"

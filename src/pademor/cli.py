@@ -1,7 +1,8 @@
 """Command-line entry point: pade-mor build|sweep|convergence|poles|compare.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures.
+Exit codes: 0 on success, 2 on configuration errors (running out of
+memory among them: every array size comes from the config), 3 on
+numerical failures.
 """
 
 import argparse
@@ -34,6 +35,9 @@ def main(argv=None):
         COMMANDS[args.command](config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2
     except PadeError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

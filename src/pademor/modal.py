@@ -29,6 +29,7 @@ from .hilbert import (
     pairs_to_array,
 )
 from .poly import ShiftedPolynomial
+from .quadrature import gauss_legendre
 
 POLE_GROUP_TOL = 1e-12
 POLE_SEPARATION = 1e-10  # synthetic poles closer than this coincide
@@ -126,9 +127,10 @@ def build_rectangle_helmholtz(
     The inner product is the energy one with shift nu_sq.
 
     The coefficients come from the quad_order-point Gauss-Legendre rule on
-    (0, pi).  They are validated once at build time against the same rule
-    applied on each half, (0, pi/2) and (pi/2, pi): QuadratureNotConverged
-    unless the two agree to 1e-10 of the largest coefficient.
+    (0, pi), by gauss_legendre.  They are validated once at build time
+    against the same rule applied on each half, (0, pi/2) and (pi/2, pi):
+    QuadratureNotConverged unless the two agree to 1e-10 of the largest
+    coefficient.
     """
     if max_index < 4:
         raise ValueError("max_index must be >= 4")
@@ -137,7 +139,7 @@ def build_rectangle_helmholtz(
     if nu_sq <= 0.0:
         raise ValueError("nu_sq must be positive")
 
-    nodes, wts = np.polynomial.legendre.leggauss(quad_order)
+    nodes, wts = gauss_legendre(quad_order)
     x = 0.5 * np.pi * (nodes + 1.0)
     w = 0.5 * np.pi * wts
     coef = _helmholtz_coefficients(max_index, nu_sq, theta, x, w)
@@ -170,14 +172,21 @@ def _retained_poles(model):
     weights = model.weights.weights[order]
     with np.errstate(over="ignore"):
         mass = weights * np.abs(coef) ** 2
-    values = lam.tolist()
-    starts = [0]
-    for k in range(1, len(values)):
-        if abs(values[k] - values[starts[-1]]) > POLE_GROUP_TOL:
+    values, masses = lam.tolist(), mass.tolist()
+    starts, sums, first = [0], [0.0], values[0]
+    for k, (value, m) in enumerate(zip(values, masses)):
+        if abs(value - first) > POLE_GROUP_TOL:
             starts.append(k)
+            sums.append(0.0)
+            first = value
+        sums[-1] += m
+    # Left to right is how ndarray.sum adds fewer than 8 terms; a larger
+    # group takes its pairwise sum (np.add.reduceat rounds differently).
     bounds = starts + [lam.size]
-    # a sum per group, not np.add.reduceat: the two round differently.
-    norms = np.sqrt([mass[a:b].sum() for a, b in zip(bounds, bounds[1:])])
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if b - a >= 8:
+            sums[i] = mass[a:b].sum()
+    norms = np.sqrt(sums)
     # a group whose sum of squares overflows takes hilbert.norm's scaled sum
     for i in np.flatnonzero(np.isinf(norms)):
         group = slice(bounds[i], bounds[i + 1])

@@ -570,6 +570,28 @@ class TestCli:
         assert cli.main([cmd, "--config", path, "--out", str(out)]) == 3
         assert out.read_bytes() == b""
 
+    @pytest.mark.parametrize("cmd", ["build", "sweep", "convergence", "poles", "compare"])
+    def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch, cmd):
+        # quad_order 10^6 asks for a 7.28 TiB companion matrix.  The model
+        # build raises the MemoryError NumPy raises then, so that the test
+        # requests no such array: whether one is refused at once depends
+        # on the host's overcommit policy.
+        def build_rectangle_helmholtz(**kwargs):
+            assert kwargs["quad_order"] == 1_000_000
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with "
+                              "shape (1000000, 1000000) and data type float64")
+
+        monkeypatch.setattr(harness, "build_rectangle_helmholtz",
+                            build_rectangle_helmholtz)
+        huge = {**self.COARSE_RULE,
+                "model": {"kind": "helmholtz", "max_index": 4, "quad_order": 1_000_000}}
+        path = write_config(tmp_path, huge)
+        out = tmp_path / "x.out"
+        assert cli.main([cmd, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: Unable to allocate 7.28 TiB")
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "patch",

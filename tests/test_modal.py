@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +16,12 @@ from pademor.errors import (
 
 from pademor.hilbert import InnerProductWeights, json_text
 
-from oracles import doubled_order_converged, gauss_rule, recursive_taylor
+from oracles import (
+    doubled_order_converged,
+    gauss_rule,
+    group_sum_retained_poles,
+    recursive_taylor,
+)
 
 
 def seed_pole_list(model, z0):
@@ -62,6 +71,19 @@ def l2_model(eigenvalues, coefficients):
 def with_tiny_residue():
     """Equal eigenvalues 3 (two modes) plus a pole whose residue is dropped."""
     return l2_model([1.0, 2.0, 3.0, 3.0], [1.0, 1e-16, 0.5, 0.5j])
+
+
+def grouped_model(rng):
+    """A random model whose eigenvalues come in groups of 1 to 16 equal or
+    near-equal modes, offsets up to 2e-12 about the group's value, some of
+    whose masses overflow."""
+    sizes = rng.integers(1, 17, rng.integers(1, 30))
+    centers = rng.permutation(np.arange(sizes.size)) + 1j * rng.integers(0, 2, sizes.size)
+    offsets = rng.choice([0.0, 0.0, 3e-13, 9e-13, 2e-12], sizes.sum())
+    lam = np.repeat(centers, sizes) + offsets * rng.choice([1, -1, 1j], sizes.sum())
+    coef = (rng.standard_normal(lam.size) + 1j * rng.standard_normal(lam.size)) \
+        * 10.0 ** rng.choice([-9, 0, 3, 160], lam.size, p=[0.2, 0.5, 0.29, 0.01])
+    return modal.ModalModel(lam, coef, InnerProductWeights(rng.uniform(0.5, 40.0, lam.size)))
 
 
 class TestBuildSynthetic:
@@ -119,15 +141,30 @@ class TestBuildHelmholtz:
 
     def test_one_gauss_rule_per_order(self, monkeypatch):
         orders = []
-        leggauss = np.polynomial.legendre.leggauss
+        gauss_legendre = modal.gauss_legendre
 
         def counted(order):
             orders.append(order)
-            return leggauss(order)
+            return gauss_legendre(order)
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        monkeypatch.setattr(modal, "gauss_legendre", counted)
         modal.build_rectangle_helmholtz(max_index=6, quad_order=40)
         assert orders == [40]  # the half-interval check reuses the one rule
+
+    def test_gauss_rule_bit_identical_to_numpy(self):
+        leggauss = np.polynomial.legendre.leggauss
+        for order in [*range(2, 201), 256, 400]:
+            for got, want in zip(modal.gauss_legendre(order), leggauss(order)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), order
+
+    def test_build_leaves_numpy_polynomial_unloaded(self):
+        src = str(Path(modal.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import pademor.cli; "
+                "from pademor import modal; modal.build_rectangle_helmholtz(); "
+                "sys.exit('numpy.polynomial' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_quadrature_refinement_stable(self):
         a = modal._helmholtz_coefficients(10, 12.0, np.pi / 3, *gauss_rule(64))
@@ -346,6 +383,18 @@ class TestRetainedPoles:
         assert model.residue_norms.tolist() == [r for _, r in by_position]
         for z0 in (0.0, 2.5 + 0.1j, 12 + 0.5j, 3.0):
             assert modal.pole_list(model, z0) == seed_pole_list(model, z0)
+
+    def test_sums_match_one_sum_per_group(self, rng):
+        # Summed left to right, the 8 modes at eigenvalue 1625 (max_index 40)
+        # differ from NumPy's pairwise sum by an ulp that the square root
+        # rounds away; about 1 in 10 random models has a group of 8 or more
+        # whose norm moves.
+        models = [modal.build_rectangle_helmholtz(max_index=k) for k in range(4, 41)]
+        models += [grouped_model(rng) for _ in range(200)]
+        for model in models:
+            poles, norms = group_sum_retained_poles(model)
+            assert model.poles.tobytes() == poles.tobytes()
+            assert model.residue_norms.tobytes() == norms.tobytes()
 
     def test_tiny_residue_dropped_and_equal_eigenvalues_grouped(self):
         model = with_tiny_residue()
