@@ -50,6 +50,10 @@ class CenterOnPole(PadeError):
     pass
 
 
+class EigenvalueTooLarge(PadeError):
+    pass
+
+
 class QuadratureNotConverged(PadeError):
     pass
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import pade, poly
 from .errors import ConfigError
 from .modal import (
+    COORDINATE_LIMIT,
     POLE_EVAL_TOL,
     POLE_SEPARATION,
     build_rectangle_helmholtz,
@@ -91,9 +92,17 @@ def _known_keys(obj, path, keys):
         _require(key in keys, f"{path}.{key}", "unknown key")
 
 
+def _coordinate(value, path):
+    """A finite JSON number of magnitude below 2^1021, so that the difference
+    of two points and its modulus are finite."""
+    x = _number(value, path)
+    _require(abs(x) < COORDINATE_LIMIT, path, "must have magnitude below 2^1021")
+    return x
+
+
 def _complex(pair, path):
     _require(isinstance(pair, list) and len(pair) == 2, path, "must be a [re, im] pair")
-    return complex(_number(pair[0], path), _number(pair[1], path))
+    return complex(_coordinate(pair[0], path), _coordinate(pair[1], path))
 
 
 CONFIG_KEYS = ("model", "z0", "K", "M_list", "N", "E_rule", "rho_rule",
@@ -144,7 +153,7 @@ def parse_config(obj):
 
     K = obj.get("K")
     _require(isinstance(K, list) and len(K) == 2, "$.K", "must be [k_lo, k_hi]")
-    k_lo, k_hi = _number(K[0], "$.K[0]"), _number(K[1], "$.K[1]")
+    k_lo, k_hi = _coordinate(K[0], "$.K[0]"), _coordinate(K[1], "$.K[1]")
     _require(k_lo < k_hi, "$.K", "interval must be increasing")
 
     M_list = obj.get("M_list")

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     CenterOnPole,
     DuplicatePoles,
+    EigenvalueTooLarge,
     LengthMismatch,
     PoleEvaluation,
     QuadratureNotConverged,
@@ -37,6 +38,9 @@ POLE_EVAL_TOL = 1e-12  # S is not evaluated this close to a retained pole
 DROP_THRESHOLD = 1e-14  # relative to ||source||, below which a pole is dropped
 DEFAULT_MAX_INDEX = 40
 DEFAULT_QUAD_ORDER = 64
+# Parts below this bound keep every difference of two points and its modulus
+# finite: |a - b| < 2^1022 * sqrt(2).
+COORDINATE_LIMIT = 2.0**1021
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,10 @@ class ModalModel:
     weights: InnerProductWeights
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=complex)
+        lam = np.ascontiguousarray(self.eigenvalues, dtype=complex)
         coef = np.asarray(self.coefficients, dtype=complex)
+        if np.any(abs(lam.view(float)) >= COORDINATE_LIMIT):
+            raise EigenvalueTooLarge("an eigenvalue has a part of magnitude >= 2^1021")
         if coef.shape != lam.shape or lam.shape != (self.weights.dimension,):
             raise LengthMismatch(
                 f"{lam.size} eigenvalues, {coef.size} coefficients, "
@@ -77,13 +83,15 @@ def build_synthetic(poles, residue_norms):
     norms = [float(r) for r in residue_norms]
     if len(poles) != len(norms):
         raise LengthMismatch(f"{len(poles)} poles vs {len(norms)} residue norms")
+    # built first: it rejects a pole whose differences could overflow below
+    model = ModalModel(poles, norms, InnerProductWeights.l2(len(poles)))
     for i in range(len(poles)):
         for j in range(i + 1, len(poles)):
             if abs(poles[i] - poles[j]) <= POLE_SEPARATION:
                 raise DuplicatePoles(f"poles {poles[i]} and {poles[j]} coincide")
     if any(r <= 0.0 for r in norms):
         raise ValueError("residue norms must be positive")
-    return ModalModel(poles, norms, InnerProductWeights.l2(len(poles)))
+    return model
 
 
 def _bubble_line_integrals(sines, freq, x, w):

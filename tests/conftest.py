@@ -1,9 +1,22 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pademor import modal
 
 PAPER_Z0 = 12 + 0.5j
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """The benchmark's module perfbench/<name>.py, loaded by path: the
+    benchmark's files are only read, never changed."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ their memory) and must hold the values of an independent json.dumps route,
 bit for bit, on the benchmark workloads and on hand-made extreme floats.
 Both must be strict JSON: orjson.loads rejects NaN and Infinity."""
 
-import importlib.util
 import json
 import math
 import subprocess
@@ -21,13 +20,10 @@ import pademor
 from pademor import cli, harness, hilbert, modal, pade, poly
 from pademor.errors import NonFiniteValue
 
+from conftest import load_perfbench
 from oracles import approximant_line, model_object
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                              PERFBENCH / "workloads.py")
-workloads = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(workloads)
+workloads = load_perfbench("workloads")
 
 EXTREMES = [-0.0, 5e-324, 1e-05, 1e16, -sys.float_info.max, 0.1]
 
@@ -103,7 +99,11 @@ def test_non_finite_numerator_raises(bad):
 
 
 def test_model_file_arrays(tmp_path):
-    model = modal.build_synthetic(np.array(EXTREMES[1:]) + 1j, [1.0] * 5)
+    # -max is a coefficient: an eigenvalue part must stay below
+    # modal.COORDINATE_LIMIT
+    model = modal.ModalModel(np.array([5e-324, 1e-05, 1e16, 0.0, 0.1]) + 1j,
+                             [1.0, 1.0, 1.0, -sys.float_info.max, 1.0],
+                             hilbert.InnerProductWeights.l2(5))
     path = tmp_path / "model.json"
     modal.save_model(model, path)
     text = path.read_text()

@@ -86,9 +86,28 @@ UNDERFLOWING_Q = {
 }
 
 
+# Coordinates with a part of magnitude >= 2^1021, whose differences can
+# overflow: each is a config error, not an OverflowError traceback or NumPy
+# warnings
+TWO_POLES = {
+    "model": {"kind": "synthetic", "poles": [[1.0, 0.0], [2.0, 0.0]],
+              "residue_norms": [1.0, 1.0]},
+    "z0": [0.0, 0.0], "K": [-1.0, 3.0], "M_list": [2], "N": 1, "grid_points": 5,
+}
+HUGE_CENTER = {**TWO_POLES, "z0": [0.0, 1.7e308], "K": [0.0, 1.7e308]}
+HUGE_POLE = {**TWO_POLES, "model": {**TWO_POLES["model"],
+                                    "poles": [[1.5e308, 1.5e308], [1.0, 0.0]]}}
+HUGE_INTERVAL = {**TWO_POLES, "K": [-1e308, 1.7e308]}
+HUGE_PROBE = {**TWO_POLES, "z_probes": [[1.7e308, 1.7e308]]}
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(configs())
 @example(UNDERFLOWING_Q)
+@example(HUGE_CENTER)
+@example(HUGE_POLE)
+@example(HUGE_INTERVAL)
+@example(HUGE_PROBE)
 def test_every_command_keeps_the_exit_contract(config):
     for command, (code, text) in run_study(config).items():
         assert code in (0, 2, 3), command

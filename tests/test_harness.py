@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 import os
@@ -14,6 +13,7 @@ import pytest
 from pademor import cli, harness, hilbert, modal, pade, poly
 from pademor.errors import ConfigError, PadeError
 
+from conftest import load_perfbench
 from oracles import modal_error, point_errors
 
 SYNTH_CONFIG = {
@@ -514,6 +514,13 @@ class TestCli:
              "$.rho_rule.factor"),
             # factor * R_K overflows to rho = inf
             ({"rho_rule": {"factor": 1e308}, "K": [0.1, 1e10]}, "$.rho_rule.factor"),
+            # a coordinate part of magnitude >= 2^1021, whose differences
+            # with other points could overflow
+            ({"z0": [0.0, 1.7e308], "K": [0.0, 1.7e308]}, "$.z0"),
+            ({"K": [-1.0, 1.7e308]}, "$.K[1]"),
+            ({"model": {**SYNTH_CONFIG["model"], "poles": [[1.5e308, 1.5e308], [1.0, 0.0]]}},
+             "$.model.poles[0]"),
+            ({"z_probes": [[1.7e308, 1.7e308]], "N": 1}, "$.z_probes[0]"),
         ],
     )
     def test_bad_config_exit_two_with_path(self, tmp_path, capsys, patch, needle):
@@ -810,19 +817,11 @@ class TestCli:
             assert cli.main([cmd, "--config", path, "--out", out]) == 0
 
 
-def load_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestSharedTaylorBlock:
     @pytest.mark.parametrize("workload", ["helmholtz_reference", "highorder_poles",
                                           "synthetic_dense_grid"])
     def test_builds_from_a_longer_block_are_bit_identical(self, workload):
-        cfg = harness.parse_config(load_workloads().make_config(workload))
+        cfg = harness.parse_config(load_perfbench("workloads").make_config(workload))
         model = harness.build_model(cfg)
         N, rho = cfg.N, cfg.rho()
         params = []

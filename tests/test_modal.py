@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pademor import modal, pade
 from pademor.errors import (
     CenterOnPole,
     DuplicatePoles,
+    EigenvalueTooLarge,
     LengthMismatch,
     PoleEvaluation,
     QuadratureNotConverged,
@@ -112,6 +114,20 @@ class TestBuildSynthetic:
         with pytest.raises(LengthMismatch):
             modal.ModalModel([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], w)
 
+    @pytest.mark.parametrize("pole", [1.5e308 + 1.5e308j, 2.0**1021, -(2.0**1021) * 1j])
+    def test_eigenvalue_part_beyond_limit_rejected(self, pole):
+        # abs of a difference with such a pole can overflow (OverflowError)
+        w = modal.InnerProductWeights.l2(2)
+        with pytest.raises(EigenvalueTooLarge):
+            modal.ModalModel([0.0, pole], [1.0, 1.0], w)
+        with pytest.raises(EigenvalueTooLarge):
+            modal.build_synthetic([0.0, pole], [1.0, 1.0])
+
+    def test_eigenvalue_parts_just_below_limit_accepted(self):
+        part = np.nextafter(modal.COORDINATE_LIMIT, 0.0)
+        m = modal.build_synthetic([complex(part, part), complex(-part, -part)], [1.0, 1.0])
+        assert m.poles.size == 2
+
 
 class TestBuildHelmholtz:
     def test_eigenvalue_multiset_low_modes(self, helmholtz):
@@ -157,14 +173,24 @@ class TestBuildHelmholtz:
             for got, want in zip(modal.gauss_legendre(order), leggauss(order)):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), order
 
-    def test_build_leaves_numpy_polynomial_unloaded(self):
+    def test_build_leaves_numpy_polynomial_unloaded(self, tmp_path):
+        # a fresh process builds the default model, then runs a small
+        # Helmholtz convergence study (12 modes per direction, two probes)
+        config = tmp_path / "helmholtz.json"
+        config.write_text(json.dumps({
+            "model": {"kind": "helmholtz", "max_index": 12, "quad_order": 64},
+            "z0": [12.0, 0.5], "K": [9.0, 15.0], "M_list": [2, 4], "N": 2,
+            "z_probes": [[9.0, 0.0], [11.0, 0.0]]}))
         src = str(Path(modal.__file__).resolve().parents[1])
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import pademor.cli; "
                 "from pademor import modal; modal.build_rectangle_helmholtz(); "
-                "sys.exit('numpy.polynomial' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                              text=True)
-        assert proc.returncode == 0, proc.stderr
+                "rc = pademor.cli.main(['convergence', '--config', sys.argv[2], "
+                "'--out', sys.argv[3]]); "
+                "sys.exit(rc or 'numpy.polynomial' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, src, str(config),
+                               str(tmp_path / "helmholtz.csv")],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_quadrature_refinement_stable(self):
         a = modal._helmholtz_coefficients(10, 12.0, np.pi / 3, *gauss_rule(64))

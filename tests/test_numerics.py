@@ -1,7 +1,5 @@
 import cmath
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +7,8 @@ import pytest
 from pademor import cli, numerics
 from pademor.errors import DegenerateLeadingCoefficient, NoConvergence, NonHermitianInput
 
+from conftest import load_perfbench
 from oracles import loop_jacobi
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def random_hermitian(rng, n):
@@ -153,10 +150,7 @@ class TestJacobiOracle:
                              [("highorder_poles", 3), ("synthetic_dense_grid", 3)])
     def test_matrices_of_a_sweep(self, workload, solves, tmp_path, monkeypatch):
         # every Gramian sum that one benchmark sweep solves
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", PERFBENCH / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = load_perfbench("workloads")
         solved = []
         eigensystem = numerics.hermitian_eigensystem
 
