@@ -13,10 +13,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import pade, poly
+from . import pade
 from .errors import ConfigError
 from .modal import (
     COORDINATE_LIMIT,
@@ -29,7 +30,7 @@ from .modal import (
     pole_list,
     taylor_coefficients,
 )
-from .hilbert import complex_to_text, norm, pairs_to_array
+from .hilbert import complex_to_text, norm
 
 SLOPE_FIT_WINDOW = (1e-11, 1e-1)
 NEAR_POLE_DISTANCE = 1e-6
@@ -37,7 +38,7 @@ NEAR_POLE_DISTANCE = 1e-6
 
 @dataclass
 class StudyConfig:
-    model_spec: dict
+    make_model: partial  # the model constructor bound to the config's arguments
     z0: complex
     k_lo: float
     k_hi: float
@@ -78,7 +79,7 @@ def _number(value, path, positive=False):
     return float(value)
 
 
-def _integer(value, path, low):
+def _integer(value, path, low=0):
     """A JSON integer >= low; booleans are not integers here."""
     _require(isinstance(value, int) and not isinstance(value, bool) and value >= low,
              path, f"must be an integer >= {low}")
@@ -105,50 +106,61 @@ def _complex(pair, path):
     return complex(_coordinate(pair[0], path), _coordinate(pair[1], path))
 
 
-CONFIG_KEYS = ("model", "z0", "K", "M_list", "N", "E_rule", "rho_rule",
-               "grid_points", "z_probes", "E_list")
-MODEL_KEYS = {
-    "helmholtz": ("kind", "max_index", "nu_sq", "theta", "quad_order"),
-    "synthetic": ("kind", "poles", "residue_norms"),
+def _list(value, path, read, what, nonempty=False):
+    """A JSON list (if asked, a non-empty one) of what, each entry as
+    read(entry, its path)."""
+    _require(isinstance(value, list) and (value or not nonempty), path,
+             f"must be a {'non-empty ' if nonempty else ''}list of {what}")
+    return [read(item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+
+# The optional top-level keys and their defaults.
+CONFIG_DEFAULTS = {"E_rule": "MaxMN", "rho_rule": {"factor": 1.0}, "grid_points": 101,
+                   "z_probes": [], "E_list": []}
+CONFIG_KEYS = ("model", "z0", "K", "M_list", "N", *CONFIG_DEFAULTS)
+# The Helmholtz model's optional arguments, in the order they are checked;
+# an absent one keeps the default of build_rectangle_helmholtz.
+HELMHOLTZ_ARGS = {
+    "max_index": partial(_integer, low=4),
+    "quad_order": partial(_integer, low=20),
+    "nu_sq": partial(_number, positive=True),
+    "theta": _number,
 }
 
 
-def _check_model(spec):
+def _model_constructor(spec):
+    """The model constructor spec names, bound to the arguments it gives."""
     _require(isinstance(spec, dict), "$.model", "missing model object")
     kind = spec.get("kind")
     _require(kind in ("helmholtz", "synthetic"), "$.model.kind",
              "must be 'helmholtz' or 'synthetic'")
-    _known_keys(spec, "$.model", MODEL_KEYS[kind])
     if kind == "helmholtz":
-        for key, low in (("max_index", 4), ("quad_order", 20)):
-            _integer(spec.get(key, low), f"$.model.{key}", low)
-        _number(spec.get("nu_sq", 1.0), "$.model.nu_sq", positive=True)
-        _number(spec.get("theta", 0.0), "$.model.theta")
-        return
-    poles = spec.get("poles")
-    _require(isinstance(poles, list) and poles, "$.model.poles",
-             "must be a non-empty list of [re, im] pairs")
-    values = [_complex(pair, f"$.model.poles[{i}]") for i, pair in enumerate(poles)]
-    for j, lam in enumerate(values):
+        _known_keys(spec, "$.model", ("kind", *HELMHOLTZ_ARGS))
+        return partial(build_rectangle_helmholtz, **{
+            key: read(spec[key], f"$.model.{key}")
+            for key, read in HELMHOLTZ_ARGS.items() if key in spec})
+    _known_keys(spec, "$.model", ("kind", "poles", "residue_norms"))
+    poles = _list(spec.get("poles"), "$.model.poles", _complex, "[re, im] pairs",
+                  nonempty=True)
+    for j, lam in enumerate(poles):
         for i in range(j):
-            if abs(lam - values[i]) <= POLE_SEPARATION:
-                raise ConfigError(
-                    f"at $.model.poles[{j}]: lies within {POLE_SEPARATION} of poles[{i}]"
-                )
+            _require(abs(lam - poles[i]) > POLE_SEPARATION, f"$.model.poles[{j}]",
+                     f"lies within {POLE_SEPARATION} of poles[{i}]")
     norms = spec.get("residue_norms")
     _require(isinstance(norms, list) and len(norms) == len(poles),
              "$.model.residue_norms", f"must be a list of {len(poles)} positive "
              "reals, one per pole")
-    for i, r in enumerate(norms):
+    return partial(build_synthetic, poles, [
         _number(r, f"$.model.residue_norms[{i}]", positive=True)
+        for i, r in enumerate(norms)])
 
 
 def parse_config(obj):
     """Validate a raw JSON object into a StudyConfig (ConfigError on failure)."""
     _require(isinstance(obj, dict), "$", "config must be a JSON object")
     _known_keys(obj, "$", CONFIG_KEYS)
-    model_spec = obj.get("model")
-    _check_model(model_spec)
+    obj = {**CONFIG_DEFAULTS, **obj}
+    make_model = _model_constructor(obj.get("model"))
     z0 = _complex(obj.get("z0"), "$.z0")
 
     K = obj.get("K")
@@ -156,49 +168,31 @@ def parse_config(obj):
     k_lo, k_hi = _coordinate(K[0], "$.K[0]"), _coordinate(K[1], "$.K[1]")
     _require(k_lo < k_hi, "$.K", "interval must be increasing")
 
-    M_list = obj.get("M_list")
-    _require(isinstance(M_list, list) and M_list, "$.M_list",
-             "must be a non-empty list of integers")
-    for i, M in enumerate(M_list):
-        _integer(M, f"$.M_list[{i}]", 0)
-
-    N = _integer(obj.get("N"), "$.N", 0)
-
-    E_rule = obj.get("E_rule", "MaxMN")
+    M_list = _list(obj.get("M_list"), "$.M_list", _integer, "integers", nonempty=True)
+    N = _integer(obj.get("N"), "$.N")
+    E_rule = obj["E_rule"]
     _require(E_rule in ("MaxMN", "MPlusN"), "$.E_rule",
              "must be 'MaxMN' or 'MPlusN'")
 
-    rho_rule = obj.get("rho_rule", {"factor": 1.0})
+    rho_rule = obj["rho_rule"]
     _require(isinstance(rho_rule, dict) and "factor" in rho_rule, "$.rho_rule",
              "must be an object with a 'factor' entry")
     _known_keys(rho_rule, "$.rho_rule", ("factor",))
-    rho_factor = _number(rho_rule["factor"], "$.rho_rule.factor", positive=True)
-
-    grid_points = _integer(obj.get("grid_points", 101), "$.grid_points", 2)
-
-    z_probes = obj.get("z_probes", [])
-    _require(isinstance(z_probes, list), "$.z_probes", "must be a list of [re, im] pairs")
-    z_probes = [_complex(pair, f"$.z_probes[{i}]") for i, pair in enumerate(z_probes)]
-
-    E_list = obj.get("E_list", [])
-    _require(isinstance(E_list, list), "$.E_list", "must be a list of integers")
-    for i, E in enumerate(E_list):
-        _integer(E, f"$.E_list[{i}]", 0)
-    _require(E_list == sorted(E_list), "$.E_list", "must be ascending")
-
+    # keyword arguments are evaluated, and so checked, in the order written
     config = StudyConfig(
-        model_spec=model_spec,
+        make_model=make_model,
         z0=z0,
         k_lo=k_lo,
         k_hi=k_hi,
-        M_list=list(M_list),
+        M_list=M_list,
         N=N,
         E_rule=E_rule,
-        rho_factor=rho_factor,
-        grid_points=grid_points,
-        z_probes=z_probes,
-        E_list=list(E_list),
+        rho_factor=_number(rho_rule["factor"], "$.rho_rule.factor", positive=True),
+        grid_points=_integer(obj["grid_points"], "$.grid_points", 2),
+        z_probes=_list(obj["z_probes"], "$.z_probes", _complex, "[re, im] pairs"),
+        E_list=_list(obj["E_list"], "$.E_list", _integer, "integers"),
     )
+    _require(config.E_list == sorted(config.E_list), "$.E_list", "must be ascending")
     # factor * R_K can underflow to rho = 0 or overflow to inf
     rho = config.rho()
     _require(0.0 < rho < math.inf, "$.rho_rule.factor",
@@ -220,14 +214,7 @@ def load_config(path):
 
 
 def build_model(config):
-    spec = config.model_spec
-    if spec["kind"] == "helmholtz":
-        keys = set(MODEL_KEYS["helmholtz"]) - {"kind"}
-        return build_rectangle_helmholtz(**{k: spec[k] for k in keys if k in spec})
-    return build_synthetic(
-        pairs_to_array(spec["poles"]),
-        [float(r) for r in spec["residue_norms"]],
-    )
+    return config.make_model()
 
 
 def _model(config):
@@ -449,8 +436,8 @@ def cmd_poles(config, model):
         err_s, extra_s = _nearest_root_errors(pade.approximant_poles(std), true_poles)
         lines.append(row % (
             E, *err_f, *err_s, *predicted,
-            abs(poly.evaluate(fast.denominator, config.z0)),
-            abs(poly.evaluate(std.denominator, config.z0)),
+            abs(fast.denominator.coeffs[0]),  # Q(z0) = a_0
+            abs(std.denominator.coeffs[0]),
             ";".join(complex_to_text(r) for r in extra_f),
             ";".join(complex_to_text(r) for r in extra_s),
         ))

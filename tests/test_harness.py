@@ -105,12 +105,40 @@ class TestParseConfig:
             ({"rho_rule": {"factor": -1.0}}, "$.rho_rule.factor"),
             ({"grid_points": 1}, "$.grid_points"),
             ({"E_list": [4, 2]}, "$.E_list"),
+            # two faults: the first in check order is reported, whatever the
+            # order of the keys
+            ({"model": {"kind": "helmholtz", "theta": "x", "max_index": 2}},
+             "$.model.max_index"),
+            ({"model": {"kind": "helmholtz", "nu_sq": -1, "quad_order": 1}},
+             "$.model.quad_order"),
+            ({"grid_points": 1, "rho_rule": {"factor": -1.0}}, "$.rho_rule.factor"),
+            ({"E_list": "x", "z_probes": 5, "grid_points": 1}, "$.grid_points"),
+            ({"E_list": [-1], "z_probes": 5}, "$.z_probes"),
+            ({"E_list": [4, 2], "rho_rule": {"factor": 1e308}, "K": [0.1, 1e10]},
+             "$.E_list"),
         ],
     )
     def test_path_precise_errors(self, patch, needle):
         with pytest.raises(ConfigError) as err:
             harness.parse_config({**SYNTH_CONFIG, **patch})
-        assert needle in str(err.value)
+        assert str(err.value).startswith(f"at {needle}")
+
+    HELMHOLTZ_STUDY = {**SYNTH_CONFIG, "z0": [12.0, 0.5], "K": [9.0, 15.0]}
+
+    @staticmethod
+    def _model_bytes(model):
+        return [a.tobytes() for a in (model.eigenvalues, model.coefficients,
+                                      model.weights.weights)]
+
+    def test_helmholtz_defaults_are_the_models(self, helmholtz):
+        cfg = harness.parse_config({**self.HELMHOLTZ_STUDY, "model": {"kind": "helmholtz"}})
+        assert self._model_bytes(harness.build_model(cfg)) == self._model_bytes(helmholtz)
+
+    def test_integer_numbers_build_the_float_model(self):
+        models = [harness.build_model(harness.parse_config({**self.HELMHOLTZ_STUDY, "model": {
+            "kind": "helmholtz", "max_index": 8, "nu_sq": nu_sq, "theta": theta}}))
+            for nu_sq, theta in ((12, 1), (12.0, 1.0))]
+        assert self._model_bytes(models[0]) == self._model_bytes(models[1])
 
     def test_load_reports_json_position(self, tmp_path):
         path = tmp_path / "bad.json"

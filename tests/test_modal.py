@@ -261,6 +261,13 @@ class TestEvaluateExact:
             modal.evaluate_exact(two_pole, 1.0)
         assert err.value.pole == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_point_beyond_coordinate_limit_without_warning(self, two_pole):
+        # coefficient / (eigenvalue - z) overflows in an intermediate of the
+        # complex division, while the quotient itself underflows toward 0
+        row = modal.evaluate_exact(two_pole, 1.7e308 + 1.7e308j)
+        assert np.all(np.isfinite(row)) and np.all(np.abs(row) < 1e-300)
+
     def test_partial_fraction_consistency(self, helmholtz, rng):
         lam = helmholtz.eigenvalues
         coef = helmholtz.coefficients
@@ -381,6 +388,12 @@ class TestPoleList:
         m = modal.build_synthetic([z0 + 1, z0 - 1], [1.0, 1.0])
         poles = modal.pole_list(m, z0)
         assert [lam for lam, _ in poles] == [z0 - 1, z0 + 1]
+
+    @pytest.mark.filterwarnings("error")
+    def test_center_beyond_coordinate_limit(self, two_pole):
+        # both distances overflow to inf: the stable sort keeps (Re, Im) order
+        poles = modal.pole_list(two_pole, 1.7e308 + 1.7e308j)
+        assert poles == [(1 + 0j, 1.0), (2 + 0j, 1.0)]
 
     def test_groups_equal_eigenvalues(self, helmholtz, paper_z0):
         # (m, n) and (n, m) modes share one eigenvalue and one pole entry
