@@ -12,8 +12,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ SLOPE_FIT_WINDOW = (1e-11, 1e-1)
 NEAR_POLE_DISTANCE = 1e-6
 
 
-@dataclass
-class StudyConfig:
+class StudyConfig(NamedTuple):
     make_model: partial  # the model constructor bound to the config's arguments
     z0: complex
     k_lo: float

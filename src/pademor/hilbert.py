@@ -9,24 +9,21 @@ encoder of arrays: it checks them and views complex ones as [re, im] float
 pairs, which pairs_to_array reads back.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
 
 
-@dataclass(frozen=True)
 class InnerProductWeights:
     """Positive diagonal weights defining the inner product."""
 
-    weights: np.ndarray
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, weights):
+        w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0 or np.any(w <= 0.0):
             raise ValueError("weights must be a non-empty positive 1-d array")
-        object.__setattr__(self, "weights", w)
+        self.weights = w
 
     @property
     def dimension(self):

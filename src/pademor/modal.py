@@ -10,7 +10,6 @@ arrays and nothing else.
 """
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,30 +42,25 @@ DEFAULT_QUAD_ORDER = 64
 COORDINATE_LIMIT = 2.0**1021
 
 
-@dataclass(frozen=True)
 class ModalModel:
     """Eigenvalues and source coefficients, one entry per mode, in the
-    inner product given by weights."""
+    inner product given by weights; the retained poles and their residue
+    norms (_retained_poles) are computed once, here."""
 
-    eigenvalues: np.ndarray
-    coefficients: np.ndarray
-    weights: InnerProductWeights
+    __slots__ = ("eigenvalues", "coefficients", "weights", "poles", "residue_norms")
 
-    def __post_init__(self):
-        lam = np.ascontiguousarray(self.eigenvalues, dtype=complex)
-        coef = np.asarray(self.coefficients, dtype=complex)
+    def __init__(self, eigenvalues, coefficients, weights):
+        lam = np.ascontiguousarray(eigenvalues, dtype=complex)
+        coef = np.asarray(coefficients, dtype=complex)
         if np.any(abs(lam.view(float)) >= COORDINATE_LIMIT):
             raise EigenvalueTooLarge("an eigenvalue has a part of magnitude >= 2^1021")
-        if coef.shape != lam.shape or lam.shape != (self.weights.dimension,):
+        if coef.shape != lam.shape or lam.shape != (weights.dimension,):
             raise LengthMismatch(
                 f"{lam.size} eigenvalues, {coef.size} coefficients, "
-                f"{self.weights.dimension} weights"
+                f"{weights.dimension} weights"
             )
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "coefficients", coef)
-        poles, residue_norms = _retained_poles(self)
-        object.__setattr__(self, "poles", poles)
-        object.__setattr__(self, "residue_norms", residue_norms)
+        self.eigenvalues, self.coefficients, self.weights = lam, coef, weights
+        self.poles, self.residue_norms = _retained_poles(self)
 
     @property
     def dimension(self):

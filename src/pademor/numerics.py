@@ -13,7 +13,6 @@ vectors compared or returned are phase-fixed, not whole eigensystems.  All
 routines are pure functions on value inputs.
 """
 
-import cmath
 import math
 from typing import NamedTuple
 
@@ -223,4 +222,4 @@ def polynomial_roots(coeffs):
         raise NoConvergence(
             f"root residual check failed (worst ratio {worst:.3e})"
         )
-    return sorted(x.tolist(), key=lambda r: (abs(r), cmath.phase(r)))
+    return sorted(x.tolist(), key=lambda r: (abs(r), math.atan2(r.imag, r.real)))

@@ -12,7 +12,7 @@ as a cross-check.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ QR_DEGENERACY_THRESHOLD = 1e-14
 SCALE_EXPONENT = 400  # windows whose entries stay below 2^400 are not scaled
 
 
-@dataclass(frozen=True)
-class BuildParams:
+class _BuildFields(NamedTuple):
     z0: complex
     M: int
     N: int
@@ -33,24 +32,35 @@ class BuildParams:
     variant: str = "fast"  # "fast" or "standard"
     rho: float | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "z0", complex(self.z0))
-        if self.M < 0 or self.N < 0:
+
+class BuildParams(_BuildFields):
+    """The degrees, variant and rho of one approximant, checked on
+    construction (ValueError); a NamedTuple may not define __new__ itself."""
+
+    __slots__ = ()
+
+    def __new__(cls, z0, M, N, E, variant="fast", rho=None):
+        z0 = complex(z0)
+        if M < 0 or N < 0:
             raise ValueError("M and N must be nonnegative")
-        if self.variant == "fast":
-            if self.E < max(self.M, self.N):
+        if variant == "fast":
+            if E < max(M, N):
                 raise ValueError("fast variant requires E >= max(M, N)")
-        elif self.variant == "standard":
-            if self.E < self.M + self.N:
+        elif variant == "standard":
+            if E < M + N:
                 raise ValueError("standard variant requires E >= M + N")
-            if self.rho is None or self.rho <= 0.0:
+            if rho is None or rho <= 0.0:
                 raise ValueError("standard variant requires rho > 0")
         else:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ValueError(f"unknown variant {variant!r}")
+        return super().__new__(cls, z0, M, N, E, variant, rho)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so it checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     functional_value: float  # minimal j-value achieved by the denominator
     # the two smallest eigenvalues (sigma^2 on the QR route) lie within
     # 1e-12 of the matrix's Frobenius norm.  On the QR route only a report:
@@ -61,8 +71,7 @@ class Diagnostics:
     condition_estimate: float | None = None
 
 
-@dataclass(frozen=True)
-class PadeApproximant:
+class PadeApproximant(NamedTuple):
     numerator: poly.ShiftedPolynomial  # shape (M+1, dimension)
     denominator: poly.ShiftedPolynomial
     params: BuildParams
@@ -371,9 +380,9 @@ def approximant_to_json(approx):
     p = approx.params
     what = f"numerator of the {p.variant} approximant with M = {p.M}"
     return {
-        "params": {**asdict(p), "z0": hilbert.finite_array(p.z0, "z0")},
+        "params": {**p._asdict(), "z0": hilbert.finite_array(p.z0, "z0")},
         "denominator": poly.poly_to_json(approx.denominator),
-        "diagnostics": asdict(approx.diagnostics),
+        "diagnostics": approx.diagnostics._asdict(),
         "numerator": hilbert.finite_array(approx.numerator.coeffs, what),
     }
 

@@ -8,8 +8,6 @@ when a denominator is assembled from an eigenvector is confined to
 ``denominator_from_eigvec``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numerics
@@ -19,15 +17,13 @@ from .hilbert import finite_array, pairs_to_array
 TRIM_THRESHOLD = 1e-13
 
 
-@dataclass(frozen=True)
 class ShiftedPolynomial:
-    center: complex
-    coeffs: np.ndarray  # ascending in powers of (z - center), one row per power
+    __slots__ = ("center", "coeffs")
 
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "center", complex(self.center))
+    def __init__(self, center, coeffs):
+        # ascending in powers of (z - center), one row per power
+        self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+        self.center = complex(center)
 
     @property
     def degree(self):

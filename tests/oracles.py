@@ -1,6 +1,5 @@
 """Reference routines the tests compare the package against."""
 
-import dataclasses
 import json
 import math
 
@@ -44,9 +43,9 @@ def approximant_line(approx):
     ',' and ':')."""
     den = approx.denominator
     diagnostics = {key: None if isinstance(v, float) and not math.isfinite(v) else v
-                   for key, v in dataclasses.asdict(approx.diagnostics).items()}
+                   for key, v in approx.diagnostics._asdict().items()}
     return json.dumps({
-        "params": {**dataclasses.asdict(approx.params), "z0": pairs(approx.params.z0)},
+        "params": {**approx.params._asdict(), "z0": pairs(approx.params.z0)},
         "denominator": {"center": pairs(den.center), "coeffs": pairs(den.coeffs)},
         "diagnostics": diagnostics,
         "numerator": pairs(approx.numerator.coeffs),

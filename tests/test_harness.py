@@ -87,6 +87,12 @@ class TestParseConfig:
         assert cfg.radius() == pytest.approx(3.0)
         assert cfg.fast_E(5) == 5 and cfg.fast_E(1) == 2
 
+    def test_config_is_immutable(self):
+        cfg = harness.parse_config(SYNTH_CONFIG)
+        with pytest.raises(AttributeError):
+            cfg.N = 3
+        assert cfg.N == 2
+
     def test_mplusn_rule(self):
         cfg = harness.parse_config({**SYNTH_CONFIG, "E_rule": "MPlusN"})
         assert cfg.fast_E(3) == 5
@@ -456,6 +462,21 @@ class TestCommands:
 
 
 class TestCli:
+    def test_import_adds_only_argparse_and_json(self):
+        # a fresh process that has loaded NumPy: importing the package and
+        # its CLI loads no further module outside pademor, argparse (with
+        # gettext) and json
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy; "
+                "before = set(sys.modules); import pademor, pademor.cli; "
+                "print(*sorted(set(sys.modules) - before))")
+        proc = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        allowed = {"pademor", "argparse", "gettext", "json", "_json"}
+        assert [name for name in proc.stdout.split() if name not in allowed
+                and not name.startswith(("pademor.", "json."))] == []
+
     def test_success_exit_zero(self, tmp_path):
         path = write_config(tmp_path, SYNTH_CONFIG)
         out = str(tmp_path / "out.csv")

@@ -283,6 +283,11 @@ class TestPolynomialRoots:
         keys = [(abs(r), cmath.phase(r)) for r in roots]
         assert keys == sorted(keys)
 
+    def test_root_with_underflowing_phase(self):
+        # cmath.phase raises OverflowError when the angle underflows to 0
+        r = complex(1e3, 5e-324)
+        assert numerics.polynomial_roots([2 * r, -(r + 2), 1.0]) == [2, r]
+
     def test_constant_has_no_roots(self):
         assert numerics.polynomial_roots([3.0]) == []
 

@@ -27,20 +27,40 @@ def normalized_random_poly(rng, z0, N):
 
 class TestBuildParams:
     def test_fast_E_constraint(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fast variant requires E >= max"):
             pade.BuildParams(0.0, 3, 2, 2, "fast")
 
     def test_standard_E_constraint(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="standard variant requires E >= M"):
             pade.BuildParams(0.0, 2, 2, 3, "standard", 1.0)
 
     def test_standard_needs_rho(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="standard variant requires rho > 0"):
             pade.BuildParams(0.0, 2, 2, 4, "standard")
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown variant 'other'"):
             pade.BuildParams(0.0, 2, 2, 4, "other")
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match="M and N must be nonnegative"):
+            pade.BuildParams(0.0, -1, 2, 4)
+        with pytest.raises(ValueError, match="M and N must be nonnegative"):
+            pade.BuildParams(0.0, 1, 2, 4)._replace(N=-1)
+
+    def test_keyword_form(self):
+        p = pade.BuildParams(12 + 0.5j, M=6, N=2, E=6, variant="fast")
+        assert p == (12 + 0.5j, 6, 2, 6, "fast", None)
+        assert type(p.z0) is complex and pade.BuildParams(3, 1, 1, 1).z0 == 3 + 0j
+        assert p._asdict() == {"z0": 12 + 0.5j, "M": 6, "N": 2, "E": 6,
+                               "variant": "fast", "rho": None}
+
+    def test_records_are_immutable(self, two_pole):
+        ap = pade.build(two_pole, pade.BuildParams(0.0, 2, 2, 2))
+        for record, field in ((ap.params, "M"), (ap.diagnostics, "degenerate"),
+                              (ap, "numerator")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
 
 
 class TestGramian:
