@@ -21,7 +21,6 @@ from . import pade
 from .errors import ConfigError
 from .modal import (
     COORDINATE_LIMIT,
-    POLE_EVAL_TOL,
     POLE_SEPARATION,
     build_rectangle_helmholtz,
     build_synthetic,
@@ -78,10 +77,11 @@ def _number(value, path, positive=False):
     return float(value)
 
 
-def _integer(value, path, low=0):
-    """A JSON integer >= low; booleans are not integers here."""
-    _require(isinstance(value, int) and not isinstance(value, bool) and value >= low,
-             path, f"must be an integer >= {low}")
+def _integer(value, path, low=0, high=2**20):
+    """A JSON integer from low to high; booleans are not integers here.  The
+    bounds keep every array a study asks NumPy for below its size limit."""
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             and low <= value <= high, path, f"must be an integer from {low} to {high}")
     return value
 
 
@@ -120,7 +120,7 @@ CONFIG_KEYS = ("model", "z0", "K", "M_list", "N", *CONFIG_DEFAULTS)
 # The Helmholtz model's optional arguments, in the order they are checked;
 # an absent one keeps the default of build_rectangle_helmholtz.
 HELMHOLTZ_ARGS = {
-    "max_index": partial(_integer, low=4),
+    "max_index": partial(_integer, low=4, high=2**10),  # max_index^2 modes
     "quad_order": partial(_integer, low=20),
     "nu_sq": partial(_number, positive=True),
     "theta": _number,
@@ -242,16 +242,15 @@ def _pairs(model, config, degrees, extra):
     return pairs
 
 
-def _errors(model, approx, points, exact):
+def _errors(model, approx, points, rows):
     """Error norms and |Q| of approx at the points, as lists of floats;
-    exact = evaluate_exact_grid(model, points), computed once per grid.
-    The error is inf on a pole of S and where the approximant's value is
-    not finite, |Q| having vanished or underflowed."""
-    rows, dist = exact
+    rows, S at the points, come from evaluate_exact_grid once per grid.
+    The error is inf on a pole of S, whose row is inf, and where the
+    approximant's value is not finite, |Q| having vanished or underflowed."""
     values, qmag = pade.evaluate(approx, points)
     with np.errstate(invalid="ignore"):  # inf - inf on a shared pole
         errors = norm(rows - values, model.weights)
-    errors[(dist <= POLE_EVAL_TOL) | ~np.isfinite(values).all(axis=1)] = math.inf
+    errors[~np.isfinite(values).all(axis=1)] = math.inf
     return errors.tolist(), qmag.tolist()
 
 
@@ -335,10 +334,10 @@ def cmd_build(config, model):
 @_command
 def cmd_sweep(config, model):
     grid = config.grid()
-    exact = evaluate_exact_grid(model, grid)
+    rows, dist = evaluate_exact_grid(model, grid)
     fast, std = zip(*_pairs(model, config, config.M_list, config.N))
-    errors, qmags = zip(*(_errors(model, approx, grid, exact) for approx in fast + std))
-    near = (exact[1] < NEAR_POLE_DISTANCE).tolist()
+    errors, qmags = zip(*(_errors(model, approx, grid, rows) for approx in fast + std))
+    near = (dist < NEAR_POLE_DISTANCE).tolist()
 
     header = ["z"]
     header += [f"abs_error_fast_M{M}" for M in config.M_list]
@@ -356,8 +355,8 @@ def cmd_convergence(config, model):
     probes = config.z_probes
     if not probes:
         raise ConfigError("at $.z_probes: convergence study needs probe points")
-    exact = evaluate_exact_grid(model, probes)
-    for z, dist in zip(probes, exact[1].tolist()):
+    rows, dists = evaluate_exact_grid(model, probes)
+    for z, dist in zip(probes, dists.tolist()):
         if dist < 0.05:
             raise ConfigError(f"at $.z_probes: probe {z} is within 0.05 of a pole")
     for M in config.M_list:
@@ -367,8 +366,8 @@ def cmd_convergence(config, model):
             )
 
     fast, std = zip(*_pairs(model, config, config.M_list, config.N))
-    errs_f = [_errors(model, approx, probes, exact) for approx in fast]
-    errs_s = [_errors(model, approx, probes, exact) for approx in std]
+    errs_f = [_errors(model, approx, probes, rows) for approx in fast]
+    errs_s = [_errors(model, approx, probes, rows) for approx in std]
     poles = pole_list(model, config.z0)
 
     header = [
@@ -451,15 +450,15 @@ def cmd_compare(config, model):
     coefficients, so the two share a derivative budget only under MaxMN."""
     _check_E_list(config)
     grid = config.grid()
-    exact = evaluate_exact_grid(model, grid)
-    near = (exact[1] < NEAR_POLE_DISTANCE).tolist()
+    rows, dist = evaluate_exact_grid(model, grid)
+    near = (dist < NEAR_POLE_DISTANCE).tolist()
 
     header = ["E", "z", "error_fast", "error_std", "ratio",
               "q_magnitude_fast", "q_magnitude_std", "near_pole"]
     row = "%d" + ",%.17g" * (len(header) - 2) + ",%d"
     lines = [",".join(header)]
     for E, (fast, std) in zip(config.E_list, _pairs(model, config, config.E_list, 0)):
-        (err_f, q_f), (err_s, q_s) = (_errors(model, a, grid, exact) for a in (fast, std))
+        (err_f, q_f), (err_s, q_s) = (_errors(model, a, grid, rows) for a in (fast, std))
         for z, ef, es, qf, qs, flag in zip(grid.tolist(), err_f, err_s, q_f, q_s, near):
             ratio = ef / es if es > 0 else math.inf
             lines.append(row % (E, z, ef, es, ratio, qf, qs, flag))

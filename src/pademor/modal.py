@@ -171,24 +171,17 @@ def _retained_poles(model):
     order = np.lexsort((model.eigenvalues.imag, model.eigenvalues.real))
     lam, coef = model.eigenvalues[order], model.coefficients[order]
     weights = model.weights.weights[order]
-    with np.errstate(over="ignore"):
-        mass = weights * np.abs(coef) ** 2
-    values, masses = lam.tolist(), mass.tolist()
-    starts, sums, first = [0], [0.0], values[0]
-    for k, (value, m) in enumerate(zip(values, masses)):
+    values = lam.tolist()
+    starts, first = [0], values[0]
+    for k, value in enumerate(values):
         if abs(value - first) > POLE_GROUP_TOL:
             starts.append(k)
-            sums.append(0.0)
             first = value
-        sums[-1] += m
-    # Left to right is how ndarray.sum adds fewer than 8 terms; a larger
-    # group takes its pairwise sum (np.add.reduceat rounds differently).
-    bounds = starts + [lam.size]
-    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        if b - a >= 8:
-            sums[i] = mass[a:b].sum()
-    norms = np.sqrt(sums)
+    # reduceat warns where a group of finite masses overflows only in its sum
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduceat(weights * np.abs(coef) ** 2, starts))
     # a group whose sum of squares overflows takes hilbert.norm's scaled sum
+    bounds = starts + [lam.size]
     for i in np.flatnonzero(np.isinf(norms)):
         group = slice(bounds[i], bounds[i + 1])
         norms[i] = norm(coef[group], InnerProductWeights(weights[group]))
@@ -222,20 +215,15 @@ def _source_over(model, denominators):
     return np.divide(coef, denominators, out=out, where=coef != 0)
 
 
-def _resolvent(model, z):
-    """source_coefficient / (eigenvalue - z) per mode, for a point or, one
-    row each, for a 1-d array of points."""
-    return _source_over(model, model.eigenvalues - np.asarray(z)[..., None])
-
-
 def evaluate_exact(model, z):
-    """S(z): componentwise source_coefficient / (eigenvalue - z)."""
+    """S(z): componentwise source_coefficient / (eigenvalue - z), the row
+    of evaluate_exact_grid at z; PoleEvaluation within 1e-12 of a retained
+    pole."""
     z = complex(z)
     lam, dist = nearest_pole(model, z)
     if dist <= POLE_EVAL_TOL:
         raise PoleEvaluation(f"point {z} lies within 1e-12 of pole {lam}", pole=lam)
-    with np.errstate(over="ignore"):  # an intermediate of a quotient that underflows
-        return _resolvent(model, z)
+    return evaluate_exact_grid(model, [z])[0][0]
 
 
 def evaluate_exact_grid(model, points):
@@ -246,7 +234,7 @@ def evaluate_exact_grid(model, points):
     points = np.asarray(points, dtype=complex)
     dist = np.abs(model.poles - points[:, None]).min(axis=1, initial=np.inf)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rows = _resolvent(model, points)
+        rows = _source_over(model, model.eigenvalues - points[:, None])
     rows[dist <= POLE_EVAL_TOL] = np.inf
     return rows, dist
 

@@ -2,15 +2,16 @@
 
 Provides a cyclic complex Jacobi eigensolver for small Hermitian matrices,
 the minimal right-singular vector of a small triangular factor by LAPACK's
-SVD, and polynomial roots of any degree as the LAPACK eigenvalues of the
-companion matrix, each polished by one Newton step.  Jacobi, not LAPACK,
-solves the standard Gramian sum: the committed benchmark reference holds
-its roundoff, and a LAPACK eigensolver in its place fails that reference's
-check until the reference is retaken.  The Jacobi rotation kernel does the
-same floating-point operations on every entry as the plain loop kept in
-tests/oracles.py (loop_jacobi) and is bit-identical to it.  Only the
-vectors compared or returned are phase-fixed, not whole eigensystems.  All
-routines are pure functions on value inputs.
+SVD, and the roots of a polynomial of any degree, in no set order, as the
+LAPACK eigenvalues of its companion matrix, each polished by one Newton
+step.  Jacobi, not LAPACK, solves the standard Gramian sum: the committed
+benchmark reference holds its roundoff, and a LAPACK eigensolver in its
+place fails that reference's check until the reference is retaken.  The
+Jacobi rotation kernel does the same floating-point operations on every
+entry as the plain loop kept in tests/oracles.py (loop_jacobi) and is
+bit-identical to it.  Only the vectors compared or returned are
+phase-fixed, not whole eigensystems.  All routines are pure functions on
+value inputs.
 """
 
 import math
@@ -187,8 +188,8 @@ def polynomial_roots(coeffs):
 
     The roots are the eigenvalues of the companion matrix of the monic
     polynomial (np.linalg.eigvals), each followed by one Newton step that is
-    kept only where it lowers |p|.  Roots are returned sorted by (magnitude,
-    phase), and each root satisfies
+    kept only where it lowers |p|.  The roots come in no set order (poly.roots
+    sorts them), and each satisfies
     |p(root)| <= ROOT_TOL * max|coeff| * (1 + |root|)^degree.
     """
     a = np.asarray(coeffs, dtype=complex)
@@ -222,4 +223,4 @@ def polynomial_roots(coeffs):
         raise NoConvergence(
             f"root residual check failed (worst ratio {worst:.3e})"
         )
-    return sorted(x.tolist(), key=lambda r: (abs(r), math.atan2(r.imag, r.real)))
+    return x.tolist()

@@ -67,29 +67,6 @@ def gauss_rule(order):
     return 0.5 * np.pi * (nodes + 1.0), 0.5 * np.pi * wts
 
 
-def group_sum_retained_poles(model):
-    """modal._retained_poles with one ndarray.sum per group of modes, where
-    the package adds groups of fewer than 8 modes in its grouping loop:
-    (poles, residue norms)."""
-    order = np.lexsort((model.eigenvalues.imag, model.eigenvalues.real))
-    lam, coef = model.eigenvalues[order], model.coefficients[order]
-    weights = model.weights.weights[order]
-    with np.errstate(over="ignore"):
-        mass = weights * np.abs(coef) ** 2
-    values = lam.tolist()
-    starts = [0]
-    for k in range(1, len(values)):
-        if abs(values[k] - values[starts[-1]]) > modal.POLE_GROUP_TOL:
-            starts.append(k)
-    bounds = starts + [lam.size]
-    norms = np.sqrt([mass[a:b].sum() for a, b in zip(bounds, bounds[1:])])
-    for i in np.flatnonzero(np.isinf(norms)):
-        group = slice(bounds[i], bounds[i + 1])
-        norms[i] = hilbert.norm(coef[group], hilbert.InnerProductWeights(weights[group]))
-    keep = norms > modal.DROP_THRESHOLD * model.source_norm()
-    return lam[starts][keep], norms[keep]
-
-
 def doubled_order_converged(max_index, nu_sq, theta, quad_order):
     """The quadrature check that modal.build_rectangle_helmholtz replaced:
     the coefficients from the quad_order-point rule must agree, to 1e-10 of

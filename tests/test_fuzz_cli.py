@@ -99,6 +99,15 @@ HUGE_POLE = {**TWO_POLES, "model": {**TWO_POLES["model"],
                                     "poles": [[1.5e308, 1.5e308], [1.0, 0.0]]}}
 HUGE_INTERVAL = {**TWO_POLES, "K": [-1e308, 1.7e308]}
 HUGE_PROBE = {**TWO_POLES, "z_probes": [[1.7e308, 1.7e308]]}
+# Integers beyond their bounds, for which NumPy would refuse an array as too
+# big: each is a config error, not a ValueError traceback
+HUGE_M = {**TWO_POLES, "M_list": [10**20]}
+HUGE_M_2_62 = {**TWO_POLES, "M_list": [2**62]}
+HUGE_N = {**TWO_POLES, "N": 10**20}
+HUGE_GRID = {**TWO_POLES, "grid_points": 10**20}
+HUGE_E = {**TWO_POLES, "E_list": [10**20]}
+HUGE_MAX_INDEX = {**TWO_POLES, "model": {"kind": "helmholtz", "max_index": 10**20}}
+HUGE_QUAD_ORDER = {**TWO_POLES, "model": {"kind": "helmholtz", "quad_order": 10**20}}
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -108,6 +117,13 @@ HUGE_PROBE = {**TWO_POLES, "z_probes": [[1.7e308, 1.7e308]]}
 @example(HUGE_POLE)
 @example(HUGE_INTERVAL)
 @example(HUGE_PROBE)
+@example(HUGE_M)
+@example(HUGE_M_2_62)
+@example(HUGE_N)
+@example(HUGE_GRID)
+@example(HUGE_E)
+@example(HUGE_MAX_INDEX)
+@example(HUGE_QUAD_ORDER)
 def test_every_command_keeps_the_exit_contract(config):
     for command, (code, text) in run_study(config).items():
         assert code in (0, 2, 3), command

@@ -1,4 +1,5 @@
-"""Golden sha256 of two build artifacts, five study outputs and two model files.
+"""Golden sha256 of study outputs, the README reference study's five among
+them, and of two model files.
 
 The serialization code must write these bytes exactly: the JSON writer
 hilbert.json_text behind pade.approximant_line and modal.save_model, and
@@ -64,6 +65,28 @@ HIGH_ORDER_SHA256 = {
     "sweep": "86f917b1ac19959a3a36a62376434e07c381b8e58cc0e3cc12b0642e30ca5bc9",
     "poles": "e97e896939f1302da13306d1e403241d50b5aa6cc1eddc489f3b3b154b3562b9",
 }
+# The README's example config verbatim: the reference study, 1,600 modes
+# (661 retained poles) and 101 grid points.
+README_CONFIG = {
+    "model": {"kind": "helmholtz", "nu_sq": 12.0, "theta": 1.0471975511965976,
+              "max_index": 40, "quad_order": 64},
+    "z0": [12.0, 0.5],
+    "K": [9.0, 15.0],
+    "M_list": [4, 6, 8],
+    "N": 2,
+    "E_rule": "MaxMN",
+    "rho_rule": {"factor": 1.0},
+    "grid_points": 101,
+    "z_probes": [[9.0, 0.0], [11.0, 0.0]],
+    "E_list": [2, 3, 4, 5, 6, 7, 8],
+}
+README_SHA256 = {
+    "build": "ff976665de6c92ecb8754aafb126fd4e9a87fc5c4b79654cf449da462de039a8",
+    "compare": "bad5812f78c13b40171781d392422438852d8491dd7374cea18ed2b71b8282b2",
+    "convergence": "2456aaface7fa0b7153c750ba855003be32b19306d5c29c0777136b0ae11aeb8",
+    "poles": "9c4aee1ea43e09c8652a6230aa1726e65b85f9b64d7587411a387fa471246e1f",
+    "sweep": "c469785b12e679b734dfa97be555a58ef57c1d17d72ea36844d2190708b0895d",
+}
 MODEL_SHA256 = {
     "synthetic": "96ce2193ab2808d9c2157034355b4c1a3ffdcda5fc97f24eeedf48b314cd5533",
     "helmholtz": "0528afe08b28db0c3d1aaa47d599259395f194caeda8194b68a759eba22965f5",
@@ -98,6 +121,15 @@ def test_high_order_study(tmp_path, command):
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
     assert sha256(out) == HIGH_ORDER_SHA256[command]
+
+
+@pytest.mark.parametrize("command", sorted(README_SHA256))
+def test_readme_reference_study(tmp_path, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(README_CONFIG))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+    assert sha256(out) == README_SHA256[command]
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_SHA256))

@@ -122,6 +122,11 @@ class TestParseConfig:
             ({"E_list": [-1], "z_probes": 5}, "$.z_probes"),
             ({"E_list": [4, 2], "rho_rule": {"factor": 1e308}, "K": [0.1, 1e10]},
              "$.E_list"),
+            # one beyond an integer's upper bound
+            ({"grid_points": 2**20 + 1}, "$.grid_points"),
+            ({"M_list": [2**20 + 1]}, "$.M_list[0]"),
+            ({"model": {"kind": "helmholtz", "max_index": 2**10 + 1}},
+             "$.model.max_index"),
         ],
     )
     def test_path_precise_errors(self, patch, needle):
@@ -160,9 +165,9 @@ class TestGridErrors:
     def check(self, model, approx, points):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            exact = modal.evaluate_exact_grid(model, points)
-            errors, qmags = harness._errors(model, approx, points, exact)
-        near = (exact[1] < harness.NEAR_POLE_DISTANCE).tolist()
+            rows, dist = modal.evaluate_exact_grid(model, points)
+            errors, qmags = harness._errors(model, approx, points, rows)
+        near = (dist < harness.NEAR_POLE_DISTANCE).tolist()
         assert list(zip(errors, qmags, near)) == point_errors(model, approx, points)
         return errors, near
 
@@ -303,8 +308,8 @@ class TestModalErrorIdentity:
                 approx = pade.build(model, params)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    exact = modal.evaluate_exact_grid(model, points)
-                    errors = np.array(harness._errors(model, approx, points, exact)[0])
+                    rows = modal.evaluate_exact_grid(model, points)[0]
+                    errors = np.array(harness._errors(model, approx, points, rows)[0])
                     identity = modal_error(model, approx, points)
                 bound = self.bound(model, approx, points, errors, identity)
                 assert np.all(np.abs(errors - identity) <= bound), (params, variant)
@@ -570,6 +575,15 @@ class TestCli:
             ({"model": {**SYNTH_CONFIG["model"], "poles": [[1.5e308, 1.5e308], [1.0, 0.0]]}},
              "$.model.poles[0]"),
             ({"z_probes": [[1.7e308, 1.7e308]], "N": 1}, "$.z_probes[0]"),
+            # an integer beyond its bound, for which NumPy would refuse an
+            # array as too big (ValueError)
+            ({"M_list": [10**20]}, "$.M_list[0]"),
+            ({"M_list": [2**62]}, "$.M_list[0]"),
+            ({"N": 10**20}, "$.N"),
+            ({"grid_points": 10**20}, "$.grid_points"),
+            ({"E_list": [10**20]}, "$.E_list[0]"),
+            ({"model": {"kind": "helmholtz", "max_index": 10**20}}, "$.model.max_index"),
+            ({"model": {"kind": "helmholtz", "quad_order": 10**20}}, "$.model.quad_order"),
         ],
     )
     def test_bad_config_exit_two_with_path(self, tmp_path, capsys, patch, needle):

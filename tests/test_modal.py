@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -18,20 +19,14 @@ from pademor.errors import (
 
 from pademor.hilbert import InnerProductWeights, json_text
 
-from oracles import (
-    doubled_order_converged,
-    gauss_rule,
-    group_sum_retained_poles,
-    recursive_taylor,
-)
+from oracles import doubled_order_converged, gauss_rule, recursive_taylor
+
+U = np.finfo(float).eps / 2  # unit roundoff
 
 
-def seed_pole_list(model, z0):
-    """Test oracle: the original per-call grouping of pole_list.  Modes are
-    sorted by (Re, Im), grouped while within POLE_GROUP_TOL of the group's
-    first eigenvalue, and kept if the grouped residue norm exceeds
-    DROP_THRESHOLD * ||source||; then sorted by distance from z0."""
-    z0 = complex(z0)
+def seed_groups(model):
+    """(eigenvalue, mode indices) per group: modes sorted by (Re, Im) and
+    grouped while within POLE_GROUP_TOL of the group's first eigenvalue."""
     order = sorted(
         range(model.dimension),
         key=lambda k: (model.eigenvalues[k].real, model.eigenvalues[k].imag),
@@ -43,10 +38,17 @@ def seed_pole_list(model, z0):
             groups[-1][1].append(k)
         else:
             groups.append([lam, [k]])
+    return [(complex(lam), np.array(idx)) for lam, idx in groups]
+
+
+def seed_pole_list(model, z0):
+    """Test oracle: the original per-call grouping of pole_list.  Groups
+    (seed_groups) are kept if the grouped residue norm exceeds
+    DROP_THRESHOLD * ||source||; then sorted by distance from z0."""
+    z0 = complex(z0)
     floor = modal.DROP_THRESHOLD * model.source_norm()
     out = []
-    for lam, idx in groups:
-        idx = np.array(idx)
+    for lam, idx in seed_groups(model):
         rnorm = float(
             np.sqrt(
                 np.sum(
@@ -55,8 +57,46 @@ def seed_pole_list(model, z0):
             )
         )
         if rnorm > floor:
-            out.append((complex(lam), rnorm))
+            out.append((lam, rnorm))
     return sorted(out, key=lambda pr: (abs(pr[0] - z0), pr[0].real, pr[0].imag))
+
+
+def assert_residue_norms_accurate(model):
+    """Each retained residue norm r against r0 = sqrt(math.fsum(masses)),
+    the masses w |c|^2 of its group's n modes as _retained_poles forms them.
+
+    Summed in any order, n nonnegative terms are within gamma(n - 1) =
+    (n - 1) u / (1 - (n - 1) u) of their sum, relatively, and the square
+    root halves that; fsum rounds once (u, halved by the root) and each
+    square root once (u).  To first order |r - r0| <= (gamma(n - 1) / 2 +
+    5u / 2) r0, and the bound (gamma(n - 1) + 3u) r0 also covers the
+    second-order terms.
+
+    A group whose sum overflows is compared on its coefficients scaled by
+    2^-s, which is exact, with r0 scaled back by 2^s.  Its norm is
+    hilbert.norm's, which divides each |c| by the largest one before it
+    squares and weighs: each term is within 4u of the exact w |c|^2 and
+    each scaled mass within 2u, 3u apart after the root; the root is then
+    multiplied by the largest |c| (u).  That is 4u more: (gamma(n - 1) + 7u) r0.
+    """
+    w, c = model.weights.weights, model.coefficients
+    floor = modal.DROP_THRESHOLD * model.source_norm()
+    kept = []
+    for lam, idx in seed_groups(model):
+        n, s, extra = idx.size, 0, 0.0
+        with np.errstate(over="ignore"):
+            masses = w[idx] * np.abs(c[idx]) ** 2
+            overflows = not np.isfinite(masses.sum())
+        if overflows:
+            s, extra = math.frexp(float(np.abs(c[idx]).max()))[1], 4 * U
+            masses = w[idx] * np.abs(np.ldexp(c[idx].real, -s)
+                                     + 1j * np.ldexp(c[idx].imag, -s)) ** 2
+        r0 = math.ldexp(math.sqrt(math.fsum(masses.tolist())), s)
+        if r0 > floor:
+            kept.append((lam, r0, ((n - 1) * U / (1 - (n - 1) * U) + 3 * U + extra) * r0))
+    assert model.poles.tolist() == [lam for lam, _, _ in kept]
+    for r, (lam, r0, bound) in zip(model.residue_norms.tolist(), kept):
+        assert abs(r - r0) <= bound, (lam, r, r0)
 
 
 def helmholtz_modes(model, max_index=modal.DEFAULT_MAX_INDEX):
@@ -268,6 +308,15 @@ class TestEvaluateExact:
         row = modal.evaluate_exact(two_pole, 1.7e308 + 1.7e308j)
         assert np.all(np.isfinite(row)) and np.all(np.abs(row) < 1e-300)
 
+    @pytest.mark.filterwarnings("error")
+    def test_at_a_dropped_pole_without_warning(self):
+        # 2 is no retained pole (its residue is dropped), so S is evaluated
+        # on its eigenvalue: the grid's row, not a divide-by-zero warning
+        m = l2_model([1.0, 2.0], [1.0, 1e-16])
+        row = modal.evaluate_exact(m, 2.0)
+        assert row.tobytes() == modal.evaluate_exact_grid(m, [2.0])[0][0].tobytes()
+        assert row[0] == -1.0 and np.isinf(row[1])
+
     def test_partial_fraction_consistency(self, helmholtz, rng):
         lam = helmholtz.eigenvalues
         coef = helmholtz.coefficients
@@ -419,21 +468,28 @@ class TestRetainedPoles:
         by_position = sorted(seed_pole_list(model, 0.0),
                              key=lambda pr: (pr[0].real, pr[0].imag))
         assert model.poles.tolist() == [lam for lam, _ in by_position]
-        assert model.residue_norms.tolist() == [r for _, r in by_position]
+        assert_residue_norms_accurate(model)
+        norms = dict(zip(model.poles.tolist(), model.residue_norms.tolist()))
         for z0 in (0.0, 2.5 + 0.1j, 12 + 0.5j, 3.0):
-            assert modal.pole_list(model, z0) == seed_pole_list(model, z0)
+            poles = modal.pole_list(model, z0)
+            assert [lam for lam, _ in poles] == [lam for lam, _ in seed_pole_list(model, z0)]
+            assert poles == [(lam, norms[lam]) for lam, _ in poles]
 
-    def test_sums_match_one_sum_per_group(self, rng):
-        # Summed left to right, the 8 modes at eigenvalue 1625 (max_index 40)
-        # differ from NumPy's pairwise sum by an ulp that the square root
-        # rounds away; about 1 in 10 random models has a group of 8 or more
-        # whose norm moves.
+    def test_residue_norms_accurate(self, rng):
+        # the groups of 8 equal eigenvalues of max_index 40 included; some
+        # grouped_model sums overflow
         models = [modal.build_rectangle_helmholtz(max_index=k) for k in range(4, 41)]
         models += [grouped_model(rng) for _ in range(200)]
         for model in models:
-            poles, norms = group_sum_retained_poles(model)
-            assert model.poles.tobytes() == poles.tobytes()
-            assert model.residue_norms.tobytes() == norms.tobytes()
+            assert_residue_norms_accurate(model)
+
+    @pytest.mark.filterwarnings("error")
+    def test_group_sum_overflows_without_warning(self):
+        # each mass 1e308 is finite, their sum is not; hilbert.norm's rescue
+        # gives sqrt(2) * 1e154 = 1.41421356237309510e154 one ulp high
+        model = l2_model([1.0, 1.0], [1e154, 1e154])
+        assert model.residue_norms.tolist() == [1.4142135623730953e154]
+        assert_residue_norms_accurate(model)
 
     def test_tiny_residue_dropped_and_equal_eigenvalues_grouped(self):
         model = with_tiny_residue()
