@@ -242,9 +242,18 @@ def _pairs(model, config, degrees, extra):
     return pairs
 
 
+def _exact_rows(model, points):
+    """S at the points as the rows of evaluate_exact_grid, and each point's
+    distance to a pole of S: to the nearest retained pole, or 0 where S is
+    not finite, as on a pole whose residue was dropped."""
+    rows, dist = evaluate_exact_grid(model, points)
+    dist[~np.isfinite(rows).all(axis=1)] = 0.0
+    return rows, dist
+
+
 def _errors(model, approx, points, rows):
     """Error norms and |Q| of approx at the points, as lists of floats;
-    rows, S at the points, come from evaluate_exact_grid once per grid.
+    rows, S at the points, come from _exact_rows once per grid.
     The error is inf on a pole of S, whose row is inf, and where the
     approximant's value is not finite, |Q| having vanished or underflowed."""
     values, qmag = pade.evaluate(approx, points)
@@ -276,20 +285,12 @@ def fit_decay_factor(indices, errors, window=SLOPE_FIT_WINDOW):
 
 
 def predicted_point_factor(poles, config, z):
-    """|z - z0| / |lambda_{N+1} - z0|; poles = pole_list(model, config.z0)."""
+    """Per-M decay factor |z - z0| / |lambda_{N+1} - z0| of the approximant
+    at z; poles = pole_list(model, config.z0).  At z = lambda_alpha, its
+    square is the per-E decay factor of the error of pole alpha."""
     if len(poles) <= config.N:
         return 0.0
-    return abs(z - config.z0) / abs(poles[config.N][0] - config.z0)
-
-
-def predicted_pole_factor(poles, config, alpha):
-    """Per-E decay factor |(lambda_alpha - z0) / (lambda_{N+1} - z0)|^2;
-    poles = pole_list(model, config.z0)."""
-    if len(poles) <= config.N:
-        return 0.0
-    lam_a = poles[alpha - 1][0]
-    lam_next = poles[config.N][0]
-    return (abs(lam_a - config.z0) / abs(lam_next - config.z0)) ** 2
+    return abs(z - config.z0) / abs(poles[config.N] - config.z0)
 
 
 def _write(fh, lines):
@@ -334,7 +335,7 @@ def cmd_build(config, model):
 @_command
 def cmd_sweep(config, model):
     grid = config.grid()
-    rows, dist = evaluate_exact_grid(model, grid)
+    rows, dist = _exact_rows(model, grid)
     fast, std = zip(*_pairs(model, config, config.M_list, config.N))
     errors, qmags = zip(*(_errors(model, approx, grid, rows) for approx in fast + std))
     near = (dist < NEAR_POLE_DISTANCE).tolist()
@@ -355,7 +356,7 @@ def cmd_convergence(config, model):
     probes = config.z_probes
     if not probes:
         raise ConfigError("at $.z_probes: convergence study needs probe points")
-    rows, dists = evaluate_exact_grid(model, probes)
+    rows, dists = _exact_rows(model, probes)
     for z, dist in zip(probes, dists.tolist()):
         if dist < 0.05:
             raise ConfigError(f"at $.z_probes: probe {z} is within 0.05 of a pole")
@@ -418,7 +419,7 @@ def cmd_poles(config, model):
             f"at $.N: pole study needs N <= {len(poles)}, the number of poles "
             f"the model retains"
         )
-    true_poles = [lam for lam, _ in poles[:N]]
+    true_poles = poles[:N]
 
     header = ["E"]
     header += [f"abs_error_fast_lambda{a}" for a in range(1, N + 1)]
@@ -428,7 +429,7 @@ def cmd_poles(config, model):
                "extra_roots_fast", "extra_roots_std"]
     row = "%d" + ",%.17g" * (len(header) - 3) + ",%s,%s"
     lines = [",".join(header)]
-    predicted = [predicted_pole_factor(poles, config, a) for a in range(1, N + 1)]
+    predicted = [predicted_point_factor(poles, config, lam) ** 2 for lam in true_poles]
     for E, (fast, std) in zip(config.E_list, _pairs(model, config, config.E_list, 0)):
         err_f, extra_f = _nearest_root_errors(pade.approximant_poles(fast), true_poles)
         err_s, extra_s = _nearest_root_errors(pade.approximant_poles(std), true_poles)
@@ -450,7 +451,7 @@ def cmd_compare(config, model):
     coefficients, so the two share a derivative budget only under MaxMN."""
     _check_E_list(config)
     grid = config.grid()
-    rows, dist = evaluate_exact_grid(model, grid)
+    rows, dist = _exact_rows(model, grid)
     near = (dist < NEAR_POLE_DISTANCE).tolist()
 
     header = ["E", "z", "error_fast", "error_std", "ratio",

@@ -190,10 +190,11 @@ def _retained_poles(model):
 
 
 def pole_list(model, z0):
-    """Retained (pole, residue norm) pairs sorted by distance from z0; ties
-    break by (Re, Im), the order of model.poles, as the sort is stable."""
+    """The retained poles as a list of complex numbers sorted by distance
+    from z0; ties break by (Re, Im), the order of model.poles, as the sort
+    is stable.  Their residue norms are model.residue_norms."""
     order = np.argsort(np.abs(model.poles - complex(z0)), kind="stable")
-    return list(zip(model.poles[order].tolist(), model.residue_norms[order].tolist()))
+    return model.poles[order].tolist()
 
 
 def nearest_pole(model, z):

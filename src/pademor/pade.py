@@ -177,8 +177,8 @@ def denominator_fast_gramian(taylor, N, E, w):
 
 def _weighted_mgs(A, w):
     """Modified Gram-Schmidt with one reorthogonalization pass under the
-    weighted inner product <u, v> = sum_k w_k u_k conj(v_k).  Returns
-    (R, first_col_norm); the first column norm is R[0, 0].
+    weighted inner product <u, v> = sum_k w_k u_k conj(v_k).  Returns R;
+    its diagonal is real and nonnegative, R[0, 0] the first column norm.
 
     A vanishing pivot leaves a zero basis vector and a (tiny) diagonal
     entry in R; callers detect this as exact degeneracy.
@@ -202,7 +202,7 @@ def _weighted_mgs(A, w):
             Q[j] = v / rjj
             Qc[j] = Q[j].conj()
         # else: the basis vector stays zero; later projections onto it vanish
-    return R, first_norm
+    return R
 
 
 def _null_direction(R, j):
@@ -231,10 +231,10 @@ def denominator_fast_qr(taylor, N, E, w):
         raise ValueError("fast denominator requires E >= N")
     A = _taylor_window(taylor, N, E)
     k = _scale_exponent(A)
-    R, first_norm = _weighted_mgs(A * 2.0**-k if k else A, w)
+    R = _weighted_mgs(A * 2.0**-k if k else A, w)
     diags = np.abs(np.diag(R))
     cond = float(np.max(diags)) / max(float(np.min(diags)), 1e-300)
-    deficient = np.nonzero(diags <= QR_DEGENERACY_THRESHOLD * max(first_norm, 1e-300))[0]
+    deficient = np.nonzero(diags <= QR_DEGENERACY_THRESHOLD * max(diags[0], 1e-300))[0]
     exact = deficient.size > 0
     if exact:
         q = _null_direction(R, int(deficient[0]))

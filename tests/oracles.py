@@ -184,7 +184,7 @@ def loop_numerator(taylor, Q, M):
 def column_mgs(A, w):
     """Weighted modified Gram-Schmidt with one reorthogonalization pass,
     basis as columns and one inner_product call per projection: the
-    routine pade._weighted_mgs replaced.  Returns (R, first_col_norm)."""
+    routine pade._weighted_mgs replaced.  Returns R."""
     ncols = A.shape[1]
     Q = np.zeros_like(A)
     R = np.zeros((ncols, ncols), dtype=complex)
@@ -200,7 +200,7 @@ def column_mgs(A, w):
         R[j, j] = rjj
         if rjj > pade.QR_DEGENERACY_THRESHOLD * max(first_norm, 1e-300):
             Q[:, j] = v / rjj
-    return R, first_norm
+    return R
 
 
 def loop_jacobi(H):

@@ -105,7 +105,7 @@ def test_criterion_2_pole_rate_at_N4(helmholtz):
     # it.  13 fits 0.0270 against 0.0345 (-22%), outside the +-20% band
     # that N = 2 gives lambda_1, so both take the +-25% band.
     E_values = list(range(4, 17))
-    poles = [lam for lam, _ in modal.pole_list(helmholtz, Z0)[:5]]
+    poles = modal.pole_list(helmholtz, Z0)[:5]
     errs = fast_pole_errors(helmholtz, Z0, 4, E_values, poles[:4])
     window = (1e-12, 1e-5)
     fits = {lam: harness.fit_decay_factor(E_values, e, window=window)
@@ -142,13 +142,13 @@ def test_criterion_3_approximant_rate(helmholtz):
 
 def test_criterion_4_residual_bound(helmholtz):
     poles = modal.pole_list(helmholtz, Z0)
-    lam = np.array([p[0] for p in poles])
+    lam = np.array(poles)
     ok = True
     worst_ratio = 0.0
     for N in (1, 2, 3):
-        lam_next = poles[N][0]
+        lam_next = poles[N]
         Cp = helmholtz.source_norm() * np.prod(
-            [1 + abs(lam_next - Z0) / abs(poles[a][0] - Z0) for a in range(N)]
+            [1 + abs(lam_next - Z0) / abs(poles[a] - Z0) for a in range(N)]
         )
         for M in (N - 1, N, N + 3):
             E = max(M, N)

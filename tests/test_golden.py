@@ -1,5 +1,5 @@
 """Golden sha256 of study outputs, the README reference study's five among
-them, and of two model files.
+them, and of two model files; the README's examples as written.
 
 The serialization code must write these bytes exactly: the JSON writer
 hilbert.json_text behind pade.approximant_line and modal.save_model, and
@@ -11,15 +11,25 @@ that of the 3 x 3 LAPACK SVDs behind its fast denominators.  The hashes were
 taken with Python 3.11.7, NumPy 2.4.6, OpenBLAS 0.3.31 and orjson 3.8.3
 on x86-64; a different BLAS or NumPy may round the numbers differently, and
 a different orjson may spell them differently, and then fails here without
-a serialization change.
+a serialization change.  Every study output must also pass the benchmark's
+output contract (perfbench/check.py, without a reference): its header, row
+labels and signs, and an infinite error only on a row flagged near_pole.
 """
 
 import hashlib
 import json
+import re
+import warnings
+from pathlib import Path
 
 import pytest
 
-from pademor import cli, modal
+from pademor import cli, harness, modal
+
+from conftest import load_perfbench
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+CHECK = load_perfbench("check")
 
 CONFIG = {
     "model": {
@@ -97,39 +107,51 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def readme_block(language):
+    """The one fenced code block of the README in language."""
+    (block,) = re.findall(rf"^```{language}\n(.*?)^```$", README, re.M | re.S)
+    return block
+
+
+def run_study(tmp_path, config, command):
+    """sha256 of what command writes for config; the output must pass the
+    benchmark's output contract, checked with the config's defaults."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+    full = {**harness.CONFIG_DEFAULTS, **config}
+    assert CHECK.check_output(command, full, str(out)) == []
+    return sha256(out)
+
+
 def test_build_artifact(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(CONFIG))
-    out = tmp_path / "build.json"
-    assert cli.main(["build", "--config", str(config), "--out", str(out)]) == 0
-    assert sha256(out) == BUILD_SHA256
+    assert run_study(tmp_path, CONFIG, "build") == BUILD_SHA256
 
 
 @pytest.mark.parametrize("command", sorted(CSV_SHA256))
 def test_csv_study(tmp_path, command):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(CONFIG))
-    out = tmp_path / "out.csv"
-    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
-    assert sha256(out) == CSV_SHA256[command]
+    assert run_study(tmp_path, CONFIG, command) == CSV_SHA256[command]
 
 
 @pytest.mark.parametrize("command", sorted(HIGH_ORDER_SHA256))
 def test_high_order_study(tmp_path, command):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(HIGH_ORDER_CONFIG))
-    out = tmp_path / "out"
-    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
-    assert sha256(out) == HIGH_ORDER_SHA256[command]
+    assert run_study(tmp_path, HIGH_ORDER_CONFIG, command) == HIGH_ORDER_SHA256[command]
 
 
 @pytest.mark.parametrize("command", sorted(README_SHA256))
 def test_readme_reference_study(tmp_path, command):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(README_CONFIG))
-    out = tmp_path / "out"
-    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
-    assert sha256(out) == README_SHA256[command]
+    assert run_study(tmp_path, README_CONFIG, command) == README_SHA256[command]
+
+
+def test_readme_config_is_the_reference_study():
+    assert json.loads(readme_block("json")) == README_CONFIG
+
+
+def test_readme_library_example_runs_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(readme_block("python"), {})
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_SHA256))

@@ -466,6 +466,38 @@ class TestCommands:
             assert "q_magnitude" in out.read_text().splitlines()[0]
 
 
+class TestDroppedPoleRows:
+    """The residue at 2 falls below the drop threshold, so 2 is not a
+    retained pole, but S is infinite there: its rows are pole rows."""
+
+    CONFIG = {
+        "model": {"kind": "synthetic", "poles": [[1.0, 0.0], [2.0, 0.0]],
+                  "residue_norms": [1.0, 1e-15]},
+        "z0": [0.0, 0.0], "K": [-1.0, 3.0], "grid_points": 5, "M_list": [1], "N": 1,
+        "E_list": [1, 2], "z_probes": [[2.0, 0.0]],
+    }
+
+    @pytest.mark.parametrize("command, z_col", [("sweep", 0), ("compare", 1)])
+    def test_rows_on_a_dropped_pole_are_flagged(self, tmp_path, command, z_col):
+        assert harness.parse_config(self.CONFIG).make_model().poles.tolist() == [1.0]
+        path = write_config(tmp_path, self.CONFIG)
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+        text = out.read_text()
+        flags = {float(row[z_col]): row[-1]
+                 for row in (line.split(",") for line in text.splitlines()[1:])}
+        assert flags == {-1.0: "0", 0.0: "0", 1.0: "1", 2.0: "1", 3.0: "0"}
+        config = {**harness.CONFIG_DEFAULTS, **self.CONFIG}
+        assert load_perfbench("check").check_csv(command, config, text) == []
+
+    def test_convergence_rejects_a_probe_on_a_dropped_pole(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.CONFIG)
+        out = tmp_path / "convergence.csv"
+        assert cli.main(["convergence", "--config", path, "--out", str(out)]) == 2
+        assert "at $.z_probes: probe (2+0j)" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCli:
     def test_import_adds_only_argparse_and_json(self):
         # a fresh process that has loaded NumPy: importing the package and
@@ -963,6 +995,7 @@ class TestPredictedFactors:
                 "K": [9.0, 15.0],
             }
         )
+        # the per-E pole rate is the point rate at lambda_alpha, squared
         poles = modal.pole_list(helmholtz, cfg.z0)
-        assert harness.predicted_pole_factor(poles, cfg, 1) == pytest.approx(1 / 13)
-        assert harness.predicted_pole_factor(poles, cfg, 2) == pytest.approx(17 / 65)
+        rate = [harness.predicted_point_factor(poles, cfg, lam) ** 2 for lam in poles[:2]]
+        assert rate == pytest.approx([1 / 13, 17 / 65])

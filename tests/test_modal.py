@@ -147,6 +147,11 @@ class TestBuildSynthetic:
         with pytest.raises(LengthMismatch):
             modal.build_synthetic([1.0, 2.0], [1.0])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_residue_norm(self, bad):
+        with pytest.raises(ValueError, match="residue norms must be positive"):
+            modal.build_synthetic([1.0, 2.0], [1.0, bad])
+
     def test_model_array_lengths_checked(self):
         w = modal.InnerProductWeights.l2(2)
         with pytest.raises(LengthMismatch):
@@ -187,7 +192,7 @@ class TestBuildHelmholtz:
         assert small.eigenvalues[5:7].tolist() == [5, 8]  # (2, 1), (2, 2)
 
     def test_paper_pole_ordering(self, helmholtz, paper_z0):
-        poles = [lam for lam, _ in modal.pole_list(helmholtz, paper_z0)]
+        poles = modal.pole_list(helmholtz, paper_z0)
         assert poles[:3] == [13, 10, 8]
 
     def test_energy_weights(self, helmholtz):
@@ -428,36 +433,39 @@ class TestZeroSourceCoefficient:
 
 
 class TestPoleList:
+    def test_nearest_pole_without_retained_poles(self):
+        m = l2_model([1.0, 2.0], [0.0, 0.0])  # a zero source drops every pole
+        assert modal.nearest_pole(m, 1.0) == (None, math.inf)
+
     def test_synthetic_order(self, two_pole):
-        poles = modal.pole_list(two_pole, 0.0)
-        assert [lam for lam, _ in poles] == [1.0, 2.0]
+        assert modal.pole_list(two_pole, 0.0) == [1.0, 2.0]
 
     def test_tie_breaks_by_real_part(self):
         z0 = 3.0
         m = modal.build_synthetic([z0 + 1, z0 - 1], [1.0, 1.0])
-        poles = modal.pole_list(m, z0)
-        assert [lam for lam, _ in poles] == [z0 - 1, z0 + 1]
+        assert modal.pole_list(m, z0) == [z0 - 1, z0 + 1]
 
     @pytest.mark.filterwarnings("error")
     def test_center_beyond_coordinate_limit(self, two_pole):
         # both distances overflow to inf: the stable sort keeps (Re, Im) order
         poles = modal.pole_list(two_pole, 1.7e308 + 1.7e308j)
-        assert poles == [(1 + 0j, 1.0), (2 + 0j, 1.0)]
+        assert poles == [1 + 0j, 2 + 0j]
+        assert all(type(lam) is complex for lam in poles)
 
     def test_groups_equal_eigenvalues(self, helmholtz, paper_z0):
         # (m, n) and (n, m) modes share one eigenvalue and one pole entry
         poles = modal.pole_list(helmholtz, paper_z0)
-        values = [lam for lam, _ in poles]
-        assert len(values) == len(set(values))
+        assert len(poles) == len(set(poles)) == helmholtz.poles.size
 
-    def test_parseval(self, helmholtz, two_pole, paper_z0):
-        for model, z0 in ((helmholtz, paper_z0), (two_pole, 0.0)):
-            total = sum(r**2 for _, r in modal.pole_list(model, z0))
+    def test_parseval(self, helmholtz, two_pole):
+        for model in (helmholtz, two_pole):
+            total = sum(r**2 for r in model.residue_norms.tolist())
             assert total == pytest.approx(model.source_norm() ** 2, rel=1e-12)
 
     def test_drop_threshold_removes_tiny_residues(self):
         m = l2_model([1.0, 2.0], [1.0, 1e-16])
-        assert [lam for lam, _ in modal.pole_list(m, 0.0)] == [1.0]
+        assert modal.pole_list(m, 0.0) == [1.0]
+        assert m.residue_norms.tolist() == [1.0]
 
 
 class TestRetainedPoles:
@@ -469,11 +477,8 @@ class TestRetainedPoles:
                              key=lambda pr: (pr[0].real, pr[0].imag))
         assert model.poles.tolist() == [lam for lam, _ in by_position]
         assert_residue_norms_accurate(model)
-        norms = dict(zip(model.poles.tolist(), model.residue_norms.tolist()))
         for z0 in (0.0, 2.5 + 0.1j, 12 + 0.5j, 3.0):
-            poles = modal.pole_list(model, z0)
-            assert [lam for lam, _ in poles] == [lam for lam, _ in seed_pole_list(model, z0)]
-            assert poles == [(lam, norms[lam]) for lam, _ in poles]
+            assert modal.pole_list(model, z0) == [lam for lam, _ in seed_pole_list(model, z0)]
 
     def test_residue_norms_accurate(self, rng):
         # the groups of 8 equal eigenvalues of max_index 40 included; some

@@ -58,6 +58,12 @@ class TestHermitianMinEigenpair:
         with pytest.raises(NonHermitianInput):
             numerics.hermitian_min_eigenpair(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_out_of_sweeps(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_JACOBI_SWEEPS", 0)
+        with pytest.raises(NoConvergence, match="Jacobi sweeps exceeded 0 without "
+                           "reaching off-diagonal target"):
+            numerics.hermitian_eigensystem(np.array([[2.0, 1.0], [1.0, 2.0]]))
+
     def test_rejects_non_square(self):
         with pytest.raises(NonHermitianInput):
             numerics.hermitian_min_eigenpair(np.ones((2, 3)))
@@ -291,3 +297,9 @@ class TestPolynomialRoots:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateLeadingCoefficient):
             numerics.polynomial_roots([])
+
+    def test_residual_bound_failure(self, monkeypatch):
+        # no rounded root has a residual of exactly 0
+        monkeypatch.setattr(numerics, "ROOT_TOL", 0.0)
+        with pytest.raises(NoConvergence, match="root residual check failed"):
+            numerics.polynomial_roots([0.3, -1.7, 0.9, 1.0])

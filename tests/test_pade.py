@@ -90,8 +90,20 @@ class TestGramian:
         with pytest.raises(InsufficientTaylorLength):
             pade.gramian(t, 1, 5, L2_1)
 
+    def test_negative_order(self):
+        t = modal.taylor_coefficients(modal.build_synthetic([2.0], [1.0]), 0.0, 1)
+        with pytest.raises(ValueError, match="E must be nonnegative"):
+            pade.gramian(t, 1, -1, L2_1)
+
 
 class TestFastDenominator:
+    @pytest.mark.parametrize("route", [pade.denominator_fast_gramian,
+                                       pade.denominator_fast_qr])
+    def test_E_below_N(self, two_pole, route):
+        t = modal.taylor_coefficients(two_pole, 0.0, 2)
+        with pytest.raises(ValueError, match="fast denominator requires E >= N"):
+            route(t, 2, 1, two_pole.weights)
+
     def test_exact_two_pole_recovery(self, two_pole):
         t = modal.taylor_coefficients(two_pole, 0.0, 2)
         den, diag = pade.denominator_fast_gramian(t, 2, 2, two_pole.weights)
@@ -194,6 +206,16 @@ class TestStandardDenominator:
         # must locate the dominant pole to well below the convergence level
         assert max(errs) < 1e-6
 
+    @pytest.mark.parametrize("M, E, rho, message", [
+        (2, 3, 1.0, "standard denominator requires E >= M \\+ N"),
+        (2, 4, 0.0, "rho must be positive"),
+        (2, 4, -1.0, "rho must be positive"),
+    ])
+    def test_invalid_arguments(self, two_pole, M, E, rho, message):
+        t = modal.taylor_coefficients(two_pole, 0.0, 4)
+        with pytest.raises(ValueError, match=message):
+            pade.denominator_standard(t, M, 2, E, rho, two_pole.weights)
+
     def test_rho_overflow(self, helmholtz, paper_z0):
         t = modal.taylor_coefficients(helmholtz, paper_z0, 42)
         with pytest.raises(RhoOverflow):
@@ -273,6 +295,13 @@ class TestSingleEigensolve:
 
 
 class TestNumerator:
+    def test_taylor_block_too_short(self, three_pole):
+        t = modal.taylor_coefficients(three_pole, 0.3, 2)
+        Q = poly.ShiftedPolynomial(0.3, [1.0])
+        with pytest.raises(InsufficientTaylorLength, match="need M\\+1 = 4 Taylor "
+                           "coefficients, have 3"):
+            pade.numerator(t, Q, 3)
+
     def test_unit_denominator_truncates_taylor(self, three_pole):
         t = modal.taylor_coefficients(three_pole, 0.3, 4)
         Q = poly.ShiftedPolynomial(0.3, [1.0])
@@ -321,9 +350,10 @@ class TestLoopOracles:
         model = request.getfixturevalue(name)
         t = modal.taylor_coefficients(model, z0, E)
         A = pade._taylor_window(t, N, E)
-        R, first_norm = pade._weighted_mgs(A, model.weights)
-        R_loop, first_loop = column_mgs(A, model.weights)
-        assert np.array_equal(R, R_loop) and first_norm == first_loop
+        R = pade._weighted_mgs(A, model.weights)
+        assert np.array_equal(R, column_mgs(A, model.weights))
+        # denominator_fast_qr takes |R[0, 0]| as the first column norm
+        assert R[0, 0].imag == 0.0 and abs(R[0, 0]) == R[0, 0].real > 0.0
         _, diag = pade.denominator_fast_qr(t, N, E, model.weights)
         assert diag.exact_degeneracy == (name == "highorder")
 
@@ -432,6 +462,23 @@ class TestBuildAndEvaluate:
 
 
 class TestFunctionalValue:
+    def test_taylor_route_needs_weights(self, three_pole):
+        t = modal.taylor_coefficients(three_pole, 0.3, 3)
+        with pytest.raises(ValueError, match="weights are required"):
+            pade.functional_value(poly.ShiftedPolynomial(0.3, [1.0]), t, 3)
+
+    def test_model_without_retained_poles(self):
+        # a zero source drops every pole: the functional is an empty sum
+        model = modal.ModalModel([1.0, 2.0], [0.0, 0.0], InnerProductWeights.l2(2))
+        assert model.poles.size == 0
+        Q = poly.ShiftedPolynomial(0.3, [0.6, 0.8])
+        assert pade.functional_value(Q, model, 3) == 0.0
+
+    def test_unknown_source_type(self, three_pole):
+        Q = poly.ShiftedPolynomial(0.3, [1.0])
+        with pytest.raises(TypeError, match="cannot evaluate functional against ndarray"):
+            pade.functional_value(Q, np.ones(3), 3, w=three_pole.weights)
+
     def test_exact_denominator_vanishes(self, two_pole):
         Q = normalize(
             poly.ShiftedPolynomial(
@@ -513,10 +560,10 @@ class TestFunctionalValue:
         # j(Q*) <= C' / |lambda_{N+1} - z0|^{E+1} for every fast build
         poles = modal.pole_list(helmholtz, paper_z0)
         for N in (1, 2, 3):
-            lam_next = poles[N][0]
+            lam_next = poles[N]
             Cp = helmholtz.source_norm() * np.prod(
                 [
-                    1 + abs(lam_next - paper_z0) / abs(poles[a][0] - paper_z0)
+                    1 + abs(lam_next - paper_z0) / abs(poles[a] - paper_z0)
                     for a in range(N)
                 ]
             )

@@ -174,6 +174,10 @@ class TestRoots:
         with pytest.raises(ConstantPolynomial):
             poly.roots(poly.ShiftedPolynomial(0.0, [1.0]))
 
+    def test_zero_polynomial_has_no_degree(self):
+        with pytest.raises(ZeroPolynomial, match="zero polynomial has no well-defined degree"):
+            poly.effective_coeffs(poly.ShiftedPolynomial(0.0, [0.0, 0.0, 0.0]))
+
     def test_sorted_by_distance_from_center(self):
         p = poly_from_roots(5.0, [9.0, 4.0, 7.0])
         r = poly.roots(p)

@@ -1,0 +1,40 @@
+"""Each module of the package stays inside its power-of-two token block.
+
+A process that imports pademor without cached bytecode compiles every
+module, and the parser's token buffer grows in powers of two: a module that
+crosses one adds about 0.1 MB to the peak RSS of every benchmark workload
+(`peak_rss_mb`), whatever code runs.  A module that must grow past its block
+raises its entry here, and says so with the benchmark figures it moves.
+"""
+
+import tokenize
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pademor"
+
+# The power of two above each module's token count when the guard was added.
+TOKEN_BLOCKS = {
+    "__init__": 64,
+    "cli": 512,
+    "errors": 512,
+    "harness": 4096,
+    "hilbert": 1024,
+    "modal": 2048,
+    "numerics": 2048,
+    "pade": 4096,
+    "poly": 1024,
+    "quadrature": 512,
+}
+
+
+def test_every_module_has_a_block():
+    assert sorted(p.stem for p in PACKAGE.glob("*.py")) == sorted(TOKEN_BLOCKS)
+
+
+@pytest.mark.parametrize("module", sorted(TOKEN_BLOCKS))
+def test_token_count_below_block(module):
+    with open(PACKAGE / f"{module}.py", "rb") as fh:
+        count = sum(1 for _ in tokenize.tokenize(fh.readline))
+    assert count < TOKEN_BLOCKS[module], f"{module}.py has {count} tokens"
