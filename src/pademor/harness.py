@@ -29,7 +29,7 @@ from .modal import (
     pole_list,
     taylor_coefficients,
 )
-from .hilbert import complex_to_text, norm
+from .hilbert import complex_to_text, json_text, norm
 
 SLOPE_FIT_WINDOW = (1e-11, 1e-1)
 NEAR_POLE_DISTANCE = 1e-6
@@ -327,7 +327,7 @@ def cmd_build(config, model):
     serialized only when it is written."""
     approxs = [a for pair in _pairs(model, config, config.M_list, config.N) for a in pair]
     last = len(approxs) - 1
-    entries = (pade.approximant_line(a) + ("," if i < last else "")
+    entries = (json_text(pade.approximant_to_json(a)) + ("," if i < last else "")
                for i, a in enumerate(approxs))
     return itertools.chain(['{"approximants": ['], entries, ["]}"])
 

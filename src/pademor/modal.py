@@ -5,11 +5,9 @@ resolvent and of the source term over an orthogonal eigenbasis: three
 arrays, one eigenvalue, one source coefficient and one inner-product weight
 per mode.  The exact spectral Helmholtz backend on (0, pi)^2 and synthetic
 pole/residue fixtures both reduce to this form, so evaluation, Taylor
-expansion and pole listing are shared.  A model file holds the same three
-arrays and nothing else.
+expansion and pole listing are shared.  Its JSON object (model_to_json)
+holds the same three arrays and nothing else.
 """
-
-import json
 
 import numpy as np
 
@@ -21,13 +19,7 @@ from .errors import (
     PoleEvaluation,
     QuadratureNotConverged,
 )
-from .hilbert import (
-    InnerProductWeights,
-    finite_array,
-    json_text,
-    norm,
-    pairs_to_array,
-)
+from .hilbert import InnerProductWeights, finite_array, norm, pairs_to_array
 from .poly import ShiftedPolynomial
 from .quadrature import gauss_legendre
 
@@ -283,16 +275,3 @@ def model_from_json(obj):
         pairs_to_array(obj["coefficients"]),
         InnerProductWeights(obj["weights"]),
     )
-
-
-def save_model(model, path):
-    """model_to_json(model) as JSON text by hilbert.json_text, keys sorted
-    (NonFiniteValue on a non-finite entry)."""
-    text = json_text(model_to_json(model))
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def load_model(path):
-    with open(path) as fh:
-        return model_from_json(json.load(fh))

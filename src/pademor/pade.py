@@ -92,11 +92,11 @@ def _taylor_window(taylor, N, E):
     return cols
 
 
-def _scale_exponent(block):
+def _scale_exponent(block, weight=0.0):
     """Exponent k with the largest entry of 2^-k block in [1, 2) when that
-    entry exceeds 2^SCALE_EXPONENT or is nonzero and below
-    2^-SCALE_EXPONENT, 0 between; never below -1023, so that 2^-k is a
-    float.
+    entry, times 2^weight, exceeds 2^SCALE_EXPONENT, or when it is nonzero
+    and below 2^-SCALE_EXPONENT; 0 between; never below -1023, so that
+    2^-k is a float.
 
     Weighted sums of squares of larger entries can overflow, and those of
     smaller ones underflow; scaling by a power of two is exact, so the
@@ -104,7 +104,7 @@ def _scale_exponent(block):
     """
     amax = float(np.max(np.abs(block), initial=0.0))
     k = math.frexp(amax)[1] - 1
-    if k > SCALE_EXPONENT or (amax > 0.0 and k < -SCALE_EXPONENT):
+    if amax > 0.0 and (k + weight > SCALE_EXPONENT or k < -SCALE_EXPONENT):
         return max(k, -1023)
     return 0
 
@@ -126,11 +126,14 @@ def _gramian_denominator(taylor, M, N, E, rho, w):
     The minimizer is invariant under positive scaling of the matrix, so the
     rescaling only guards against overflow, as do the power-of-two
     scalings (_scale_exponent) of the Taylor windows and of the sum, whose
-    entries are squares of window entries: its Frobenius norm, which the
+    entries are squares of window entries times up to rho^{2(E-M-1)}: the
+    windows are scaled when their largest entry times rho^{E-M-1} passes
+    2^SCALE_EXPONENT, and the Frobenius norm of the sum, which the
     eigensolve takes, stays finite.  Each block is exactly Hermitian, and
     so is their positively weighted sum.
     """
-    k = _scale_exponent(taylor.coeffs[max(M + 1 - N, 0) : E + 1])
+    weight = (E - M - 1) * math.log2(rho) if rho > 1.0 else 0.0
+    k = _scale_exponent(taylor.coeffs[max(M + 1 - N, 0) : E + 1], weight)
     if k:
         taylor = poly.ShiftedPolynomial(taylor.center, taylor.coeffs * 2.0**-k)
     A = np.zeros((N + 1, N + 1), dtype=complex)
@@ -319,15 +322,18 @@ def evaluate(approx, z):
     No error or warning is raised near poles of the approximant, where a
     value may overflow to inf or be nan; the caller inspects the returned
     denominator magnitude instead.  Q is evaluated by one Horner pass over
-    all the points on Python complex numbers (poly.evaluate_points), and
-    |Q| by Python abs, which round differently from NumPy's array
-    arithmetic; P by Horner on NumPy arrays (poly.ShiftedPolynomial).
+    all the points on Python complex numbers (poly.evaluate_points), which
+    round differently from NumPy's array arithmetic, and |Q| by np.hypot,
+    bit-identical to Python abs but inf, not OverflowError, where the
+    modulus of finite parts overflows; P by Horner on NumPy arrays
+    (poly.ShiftedPolynomial).
     """
     points = np.asarray(z, dtype=complex)
     qz = poly.evaluate_points(approx.denominator, points.reshape(-1).tolist())
+    qz = np.reshape(qz, points.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = approx.numerator(points) / np.reshape(qz, points.shape + (1,))
-    qmag = np.reshape(list(map(abs, qz)), points.shape)
+        values = approx.numerator(points) / qz[..., None]
+        qmag = np.hypot(qz.real, qz.imag)  # inf where |Q| passes the float range
     return values, (float(qmag) if points.ndim == 0 else qmag)
 
 
@@ -355,48 +361,50 @@ def functional_value(Q, source, E, w=None):
         lam = source.poles
         if lam.size == 0:
             return 0.0
-        qmag = np.array(list(map(abs, poly.evaluate_points(Q, lam.tolist()))))
+        qz = np.array(poly.evaluate_points(Q, lam.tolist()))
         dist = np.abs(lam - z0)
-        # NumPy, not Python floats, whose ** raises where an array gives inf
+        # NumPy, not Python floats, whose ** and abs raise where an array
+        # gives inf
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            qmag = np.hypot(qz.real, qz.imag)
             top = source.residue_norms * qmag
             bottom = dist ** (E + 1)
             terms = top / bottom
-            # where a factor overflows, the ratio in log form
+            # where a factor overflows, the ratio in log form, |Q| as twice
+            # |Q / 2|, which is finite wherever Q is
             big = np.isinf(top) | np.isinf(bottom)
-            terms[big] = np.exp(np.log(source.residue_norms[big]) + np.log(qmag[big])
+            log_q = np.log(np.abs(qz[big] / 2)) + math.log(2)
+            terms[big] = np.exp(np.log(source.residue_norms[big]) + log_q
                                 - (E + 1) * np.log(dist[big]))
         return hilbert.norm(terms, hilbert.InnerProductWeights.l2(lam.size))
     raise TypeError(f"cannot evaluate functional against {type(source).__name__}")
 
 
 def approximant_to_json(approx):
-    """The JSON object of an approximant, as approximant_line writes it: the
-    BuildParams and Diagnostics fields by name, a non-finite diagnostic as
-    its float (json_text writes null), complex numbers as [re, im] pairs,
-    one row of pairs per numerator coefficient, the arrays as
-    hilbert.finite_array views.  A non-finite numerator entry raises
-    NonFiniteValue."""
-    p = approx.params
+    """The JSON object of an approximant, as a build artifact line holds it:
+    the BuildParams and Diagnostics fields by name, a non-finite diagnostic
+    as its float (hilbert.json_text writes null), complex numbers as
+    [re, im] pairs, the denominator as {"center", "coeffs"}, one row of
+    pairs per numerator coefficient, the arrays as hilbert.finite_array
+    views.  A non-finite numerator entry raises NonFiniteValue."""
+    p, den = approx.params, approx.denominator
     what = f"numerator of the {p.variant} approximant with M = {p.M}"
     return {
         "params": {**p._asdict(), "z0": hilbert.finite_array(p.z0, "z0")},
-        "denominator": poly.poly_to_json(approx.denominator),
+        "denominator": {
+            "center": hilbert.finite_array(den.center, "polynomial center"),
+            "coeffs": hilbert.finite_array(den.coeffs, "polynomial coefficients"),
+        },
         "diagnostics": approx.diagnostics._asdict(),
         "numerator": hilbert.finite_array(approx.numerator.coeffs, what),
     }
 
 
-def approximant_line(approx):
-    """approximant_to_json(approx) as one line of JSON text by
-    hilbert.json_text, the (M+1) x dimension numerator written straight
-    from its array."""
-    return hilbert.json_text(approximant_to_json(approx))
-
-
 def approximant_from_json(obj):
     z0 = hilbert.pairs_to_array(obj["params"]["z0"])
     params = BuildParams(**{**obj["params"], "z0": z0})
-    den = poly.poly_from_json(obj["denominator"])
+    den = obj["denominator"]
+    den = poly.ShiftedPolynomial(hilbert.pairs_to_array(den["center"]),
+                                 hilbert.pairs_to_array(den["coeffs"]))
     num = poly.ShiftedPolynomial(den.center, hilbert.pairs_to_array(obj["numerator"]))
     return PadeApproximant(num, den, params, Diagnostics(**obj["diagnostics"]))

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import numerics
 from .errors import ConstantPolynomial, NotNormalized, ZeroPolynomial
-from .hilbert import finite_array, pairs_to_array
 
 TRIM_THRESHOLD = 1e-13
 
@@ -95,13 +94,3 @@ def roots(p):
     raw = numerics.polynomial_roots(c)
     shifted = [r + p.center for r in raw]
     return sorted(shifted, key=lambda r: (abs(r - p.center), r.real, r.imag))
-
-
-def poly_to_json(p):
-    """{"center": pair, "coeffs": pairs} as hilbert.finite_array views."""
-    return {"center": finite_array(p.center, "polynomial center"),
-            "coeffs": finite_array(p.coeffs, "polynomial coefficients")}
-
-
-def poly_from_json(obj):
-    return ShiftedPolynomial(pairs_to_array(obj["center"]), pairs_to_array(obj["coeffs"]))

@@ -39,8 +39,8 @@ def approximant_line(approx):
     """An approximant's build-artifact line by a route independent of the
     package's encoder: [re, im] lists built here, a non-finite diagnostic
     as None, json.dumps with keys sorted.  Equal in value to
-    pade.approximant_line, not in spelling (json.dumps puts spaces after
-    ',' and ':')."""
+    hilbert.json_text(pade.approximant_to_json(approx)), not in spelling
+    (json.dumps puts spaces after ',' and ':')."""
     den = approx.denominator
     diagnostics = {key: None if isinstance(v, float) and not math.isfinite(v) else v
                    for key, v in approx.diagnostics._asdict().items()}

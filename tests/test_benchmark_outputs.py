@@ -68,5 +68,5 @@ def test_traced_study(workload, tmp_path):
     for command in COMMANDS:
         digests = {op["sha256"] for op in calls if op["command"] == command}
         assert len(digests) == 1, command
-    # artifact export, which build reaches through pade.approximant_line
+    # artifact export, which build reaches through pade.approximant_to_json
     assert res["layers"]["pade.approximant_to_json.s"] > 0

@@ -14,6 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from pademor import cli
 
+from conftest import OVERFLOWING_GRAMIAN_SUM, OVERFLOWING_Q_MODULUS
+
 COMMANDS = ("build", "sweep", "convergence", "poles", "compare")
 
 
@@ -113,6 +115,8 @@ HUGE_QUAD_ORDER = {**TWO_POLES, "model": {"kind": "helmholtz", "quad_order": 10*
 @settings(max_examples=60, deadline=None, database=None)
 @given(configs())
 @example(UNDERFLOWING_Q)
+@example(OVERFLOWING_Q_MODULUS)
+@example(OVERFLOWING_GRAMIAN_SUM)
 @example(HUGE_CENTER)
 @example(HUGE_POLE)
 @example(HUGE_INTERVAL)

@@ -13,7 +13,7 @@ import pytest
 from pademor import cli, harness, hilbert, modal, pade, poly
 from pademor.errors import ConfigError, PadeError
 
-from conftest import load_perfbench
+from conftest import OVERFLOWING_Q_MODULUS, load_perfbench
 from oracles import modal_error, point_errors
 
 SYNTH_CONFIG = {
@@ -402,7 +402,8 @@ class TestCommands:
         assert lines[0] == '{"approximants": [' and lines[-2:] == ["]}", ""]
         for line, entry in zip(lines[1:-2], entries, strict=True):
             approx = pade.approximant_from_json(entry)
-            assert pade.approximant_line(approx) == line.removesuffix(",")
+            line = line.removesuffix(",")
+            assert hilbert.json_text(pade.approximant_to_json(approx)) == line
 
     def test_build_center_on_pole(self, tmp_path):
         bad = {**SYNTH_CONFIG, "z0": [1.0, 0.0]}
@@ -552,6 +553,24 @@ class TestCli:
         cells = dict(zip(header.split(","), first.split(",")))
         assert float(cells["q_magnitude_fast_M0"]) < 1e-300
         assert cells["abs_error_fast_M0"] == "inf" and cells["near_pole"] == "0"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_denominator_magnitude_is_inf(self, tmp_path):
+        # the parts of Q(z) stay finite where its modulus overflows: |Q|
+        # reads inf there, and the errors stay finite
+        path = write_config(tmp_path, OVERFLOWING_Q_MODULUS)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        over = [c for c in cells if float(c["z"]) >= 2.72e154]
+        assert len(over) == 16
+        for c in over:
+            assert c["q_magnitude_fast_M2"] == c["q_magnitude_std_M2"] == "inf"
+            assert math.isfinite(float(c["abs_error_fast_M2"]))
+            assert math.isfinite(float(c["abs_error_std_M2"]))
+        assert all(math.isfinite(float(c["q_magnitude_fast_M2"]))
+                   for c in cells if c not in over)
 
     def test_center_on_pole_nonzero_exit(self, tmp_path):
         path = write_config(tmp_path, {**SYNTH_CONFIG, "z0": [2.0, 0.0]})
@@ -930,8 +949,9 @@ class TestSharedTaylorBlock:
         shared = modal.taylor_coefficients(model, cfg.z0, E_max + 3)
         for p in params:
             own = pade.build(model, p)
-            assert (pade.approximant_line(pade.build(model, p, shared))
-                    == pade.approximant_line(own))
+            shared_build = pade.build(model, p, shared)
+            assert (hilbert.json_text(pade.approximant_to_json(shared_build))
+                    == hilbert.json_text(pade.approximant_to_json(own)))
 
     @pytest.mark.parametrize("command", ["build", "sweep", "convergence", "poles",
                                          "compare"])

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pademor import modal, numerics, pade, poly
+from pademor import harness, modal, numerics, pade, poly
 from pademor.errors import InsufficientTaylorLength, RhoOverflow
 from pademor.hilbert import InnerProductWeights, norm
 
+from conftest import OVERFLOWING_GRAMIAN_SUM
 from oracles import column_mgs, loop_numerator, normalize, residual_norm
 
 L2_1 = InnerProductWeights.l2(1)
@@ -258,6 +259,27 @@ class TestWindowScaling:
         assert pade._scale_exponent(np.array([3 * 2.0**401, 1.0])) == 402
         assert pade._scale_exponent(np.zeros(3)) == 0
 
+    def test_rho_weight_moves_the_threshold(self):
+        # a window is scaled when its largest entry times 2^weight passes
+        # 2^400
+        assert pade._scale_exponent(np.array([2.0**300]), 100.0) == 0
+        assert pade._scale_exponent(np.array([2.0**300]), 100.5) == 300
+        assert pade._scale_exponent(np.zeros(3), 1000.0) == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_rho_weighted_sum_gives_the_scaled_model_denominator(self):
+        # the window's largest entry is below 2^400, and its weighted sum
+        # overflows unscaled; the same model with every residue norm times
+        # 2^-400 needs no scaling, and a power of two leaves the minimiser
+        cfg = harness.parse_config(OVERFLOWING_GRAMIAN_SUM)
+        spec = OVERFLOWING_GRAMIAN_SUM["model"]
+        scaled = modal.build_synthetic([complex(*p) for p in spec["poles"]],
+                                       [r * 2.0**-400 for r in spec["residue_norms"]])
+        params = pade.BuildParams(cfg.z0, 2, 3, 5, "standard", cfg.rho())
+        den, den_scaled = (pade.build(m, params).denominator
+                           for m in (harness.build_model(cfg), scaled))
+        assert np.array_equal(den.coeffs.view(np.uint64), den_scaled.coeffs.view(np.uint64))
+
     def test_tiny_windows_are_scaled_up(self):
         assert pade._scale_exponent(np.array([2.0**-500])) == -500
         assert pade._scale_exponent(np.array([2.0**-400, 0.0])) == 0
@@ -417,6 +439,19 @@ class TestBuildAndEvaluate:
         ap = pade.build(three_pole, pade.BuildParams(0.3, 0, 0, 0, "fast"))
         val, _ = pade.evaluate(ap, 0.9)
         assert np.allclose(val, modal.evaluate_exact(three_pole, 0.3))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_modulus_of_Q_is_inf(self):
+        # Q(z) = z^2 (1 + i) / sqrt(2): finite parts at z = 1.36e154, whose
+        # modulus 1.85e308 overflows; Python's abs would raise there
+        approx = pade.PadeApproximant(
+            poly.ShiftedPolynomial(0.0, [[1.0]]),
+            poly.ShiftedPolynomial(0.0, [0.0, 0.0, (1 + 1j) / math.sqrt(2)]),
+            pade.BuildParams(0.0, 0, 2, 2), pade.Diagnostics(0.0, False))
+        _, qmag = pade.evaluate(approx, 1.36e154)
+        assert qmag == math.inf
+        _, qmags = pade.evaluate(approx, np.array([1.0, 1.36e154]))
+        assert qmags.tolist() == [abs((1 + 1j) / math.sqrt(2)), math.inf]
 
     def test_near_pole_no_error(self, two_pole):
         ap = pade.build(two_pole, pade.BuildParams(0.0, 2, 2, 2, "fast"))
@@ -598,6 +633,15 @@ class TestFunctionalValue:
             Q, modal.taylor_coefficients(model, 0.5j, 30), 30, w=model.weights)
         assert taylor == pytest.approx(8.0e9, rel=1e-12, abs=0.0)
         assert modal_route == pytest.approx(taylor, rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_modal_route_where_the_modulus_of_Q_overflows(self):
+        # Q(lam) = lam^2 (1 + i) / sqrt(2) has finite parts and a modulus,
+        # 1.85e308, past the float range; the value is |Q(lam)| / lam^4
+        model = modal.build_synthetic([1.36e154], [1.0])
+        Q = poly.ShiftedPolynomial(0.0, [0.0, 0.0, (1 + 1j) / math.sqrt(2)])
+        value = pade.functional_value(Q, model, 3)
+        assert value == pytest.approx(1 / 1.36e154 / 1.36e154, rel=1e-12, abs=0.0)
 
     def test_modal_route_keeps_finite_terms(self, three_pole, rng):
         # terms that do not overflow are the plain ratios, bit for bit

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from pademor import poly
+from pademor import hilbert, pade, poly
 from pademor.errors import ConstantPolynomial, NotNormalized, ZeroPolynomial
 
 from oracles import copying_horner, normalize, numpy_horner
@@ -207,7 +208,12 @@ class TestInterpolationBounds:
 
 class TestSerialization:
     def test_round_trip(self):
+        # a polynomial is written as the denominator of an approximant
         p = poly.ShiftedPolynomial(1 - 2j, [1.0, 2.0j, -0.5])
-        back = poly.poly_from_json(poly.poly_to_json(p))
+        num = poly.ShiftedPolynomial(p.center, [[1.0]])
+        approx = pade.PadeApproximant(num, p, pade.BuildParams(p.center, 0, 2, 2),
+                                      pade.Diagnostics(0.0, False))
+        text = hilbert.json_text(pade.approximant_to_json(approx))
+        back = pade.approximant_from_json(json.loads(text)).denominator
         assert back.center == p.center
         assert np.array_equal(back.coeffs, p.coeffs)
