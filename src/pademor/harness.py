@@ -20,6 +20,7 @@ import numpy as np
 from . import pade
 from .errors import ConfigError
 from .modal import (
+    CENTER_DISTANCE,
     COORDINATE_LIMIT,
     POLE_SEPARATION,
     build_rectangle_helmholtz,
@@ -29,7 +30,7 @@ from .modal import (
     pole_list,
     taylor_coefficients,
 )
-from .hilbert import complex_to_text, json_text, norm
+from .hilbert import json_text, norm
 
 SLOPE_FIT_WINDOW = (1e-11, 1e-1)
 NEAR_POLE_DISTANCE = 1e-6
@@ -220,7 +221,7 @@ def _model(config):
     """The study's model; a center on one of its poles is a config error."""
     model = build_model(config)
     lam, dist = nearest_pole(model, config.z0)
-    if dist <= 1e-10:
+    if dist <= CENTER_DISTANCE:
         raise ConfigError(f"at $.z0: center {config.z0} lies on pole {lam}")
     return model
 
@@ -291,6 +292,12 @@ def predicted_point_factor(poles, config, z):
     if len(poles) <= config.N:
         return 0.0
     return abs(z - config.z0) / abs(poles[config.N] - config.z0)
+
+
+def complex_to_text(z):
+    """CSV form of a complex scalar: 're±imj'."""
+    z = complex(z)
+    return "%.17g%+.17gj" % (z.real, z.imag)
 
 
 def _write(fh, lines):

@@ -104,9 +104,3 @@ def pairs_to_array(pairs):
     a = np.array(pairs, dtype=float)
     # [re, im] pairs in C order are the memory layout of complex numbers.
     return a.view(complex).reshape(a.shape[:-1])
-
-
-def complex_to_text(z):
-    """CSV form of a complex scalar: 're±imj'."""
-    z = complex(z)
-    return "%.17g%+.17gj" % (z.real, z.imag)

@@ -20,12 +20,12 @@ from .errors import (
     QuadratureNotConverged,
 )
 from .hilbert import InnerProductWeights, finite_array, norm, pairs_to_array
-from .poly import ShiftedPolynomial
-from .quadrature import gauss_legendre
+from .poly import ShiftedPolynomial, gauss_legendre
 
 POLE_GROUP_TOL = 1e-12
 POLE_SEPARATION = 1e-10  # synthetic poles closer than this coincide
 POLE_EVAL_TOL = 1e-12  # S is not evaluated this close to a retained pole
+CENTER_DISTANCE = 1e-10  # an expansion center this close to a pole lies on it
 DROP_THRESHOLD = 1e-14  # relative to ||source||, below which a pole is dropped
 DEFAULT_MAX_INDEX = 40
 DEFAULT_QUAD_ORDER = 64
@@ -244,8 +244,8 @@ def taylor_coefficients(model, z0, E):
     """
     z0 = complex(z0)
     lam, dist = nearest_pole(model, z0)
-    if dist <= 1e-10:
-        raise CenterOnPole(f"point {z0} lies within 1e-10 of pole {lam}")
+    if dist <= CENTER_DISTANCE:
+        raise CenterOnPole(f"point {z0} lies within {CENTER_DISTANCE:g} of pole {lam}")
     base = model.eigenvalues - z0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         powers = base[None, :] ** np.arange(1, E + 2)[:, None]

@@ -25,6 +25,7 @@ HERMITIAN_TOL = 1e-13
 DEGENERACY_GAP = 1e-12
 EIGEN_TOL = 1e-12  # eigen-residual contract, relative to ||H||_F
 ROOT_TOL = 1e-10  # root-residual contract of polynomial_roots
+TRIM_THRESHOLD = 1e-13  # a leading coefficient this small against the largest vanishes
 MAX_JACOBI_SWEEPS = 100
 
 
@@ -199,7 +200,7 @@ def polynomial_roots(coeffs):
     if degree == 0:
         return []
     amax = np.max(np.abs(a))
-    if amax == 0.0 or abs(a[-1]) / amax <= 1e-13:
+    if abs(a[-1]) <= TRIM_THRESHOLD * amax:  # what poly.effective_coeffs trims
         raise DegenerateLeadingCoefficient(
             "leading coefficient vanishes relative to the coefficient scale"
         )

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hilbert, numerics, poly
-from .errors import InsufficientTaylorLength, RhoOverflow
+from .errors import InsufficientTaylorLength, NotNormalized, RhoOverflow
 from .modal import ModalModel, taylor_coefficients
 
 QR_DEGENERACY_THRESHOLD = 1e-14
@@ -92,6 +92,18 @@ def _taylor_window(taylor, N, E):
     return cols
 
 
+def denominator_from_eigvec(q, z0):
+    """Map a unit eigenvector to the denominator Q = sum_j q_j (z - z0)^{N-j}.
+
+    The eigenvector pairs q_j with the descending power (z - z0)^{N-j}, so
+    the ascending storage reads a_{N-j} = q_j.
+    """
+    q = np.asarray(q, dtype=complex)
+    if not abs(np.linalg.norm(q) - 1.0) <= 1e-12:  # a nan norm fails too
+        raise NotNormalized(f"eigenvector norm {np.linalg.norm(q):.15e} != 1")
+    return poly.ShiftedPolynomial(z0, q[::-1].copy())
+
+
 def _scale_exponent(block, weight=0.0):
     """Exponent k with the largest entry of 2^-k block in [1, 2) when that
     entry, times 2^weight, exceeds 2^SCALE_EXPONENT, or when it is nonzero
@@ -147,7 +159,7 @@ def _gramian_denominator(taylor, M, N, E, rho, w):
     res = numerics.min_eigenpair(vals, vecs, np.linalg.norm(A))
     # Python floats, so that an overflowing ratio is inf without a warning.
     top, bottom = float(vals[-1]), float(vals[0])
-    den = poly.denominator_from_eigvec(res.vector, taylor.center)
+    den = denominator_from_eigvec(res.vector, taylor.center)
     mu = max(res.value, 0.0)
     diag = Diagnostics(
         functional_value=_scaled(math.sqrt(mu), rho, M + 1, k),
@@ -250,7 +262,7 @@ def denominator_fast_qr(taylor, N, E, w):
         exact_degeneracy=exact,
         condition_estimate=cond,
     )
-    return poly.denominator_from_eigvec(q, taylor.center), diag
+    return denominator_from_eigvec(q, taylor.center), diag
 
 
 def denominator_standard(taylor, M, N, E, rho, w):

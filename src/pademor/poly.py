@@ -3,17 +3,18 @@
 Coefficients are stored ascending, one row per power (row j multiplies
 (z - z0)^j): a scalar per row for a denominator Q, a vector of mode
 coefficients for a Taylor block or a numerator P.  Denominators live on the
-unit coefficient sphere sum |a_j|^2 = 1; the reversed-index pairing used
-when a denominator is assembled from an eigenvector is confined to
-``denominator_from_eigvec``.
+unit coefficient sphere sum |a_j|^2 = 1.
+
+The module also holds the Gauss-Legendre rule, on the float operations of
+numpy.polynomial's, which the package does not import.  In modal, its one
+caller, the rule would take that module past its 2,048-token block
+(tests/test_token_blocks.py).
 """
 
 import numpy as np
 
 from . import numerics
-from .errors import ConstantPolynomial, NotNormalized, ZeroPolynomial
-
-TRIM_THRESHOLD = 1e-13
+from .errors import ConstantPolynomial, ZeroPolynomial
 
 
 class ShiftedPolynomial:
@@ -59,20 +60,9 @@ def evaluate(p, z):
     return evaluate_points(p, [complex(z)])[0]
 
 
-def denominator_from_eigvec(q, z0):
-    """Map a unit eigenvector to the denominator Q = sum_j q_j (z - z0)^{N-j}.
-
-    The eigenvector pairs q_j with the descending power (z - z0)^{N-j}, so
-    the ascending storage reads a_{N-j} = q_j.
-    """
-    q = np.asarray(q, dtype=complex)
-    if not abs(np.linalg.norm(q) - 1.0) <= 1e-12:  # a nan norm fails too
-        raise NotNormalized(f"eigenvector norm {np.linalg.norm(q):.15e} != 1")
-    return ShiftedPolynomial(z0, q[::-1].copy())
-
-
 def effective_coeffs(p):
-    """Trim trailing coefficients below 1e-13 of the max magnitude.
+    """Trim trailing coefficients at or below numerics.TRIM_THRESHOLD of the
+    max magnitude.
 
     Returns (coeffs, trimmed flag).  A vanishing leading coefficient means
     fewer poles in range, which is a legitimate outcome, not an error.
@@ -81,7 +71,7 @@ def effective_coeffs(p):
     scale = np.max(np.abs(c))
     if scale <= 1e-300:
         raise ZeroPolynomial("zero polynomial has no well-defined degree")
-    keep = np.nonzero(np.abs(c) > TRIM_THRESHOLD * scale)[0]
+    keep = np.nonzero(np.abs(c) > numerics.TRIM_THRESHOLD * scale)[0]
     last = keep[-1]
     return c[: last + 1], last < c.size - 1
 
@@ -94,3 +84,40 @@ def roots(p):
     raw = numerics.polynomial_roots(c)
     shifted = [r + p.center for r in raw]
     return sorted(shifted, key=lambda r: (abs(r - p.center), r.real, r.imag))
+
+
+def _legendre_series(x, c):
+    """sum_j c[j] P_j(x) by Legendre's Clenshaw recursion, len(c) >= 2, with
+    the float operations of numpy.polynomial.legendre.legval."""
+    c0, c1, nd = c[-2], c[-1], len(c)
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on (-1, 1),
+    n >= 2, by the float operations of numpy.polynomial.legendre.leggauss
+    in the same order, so bit-identical to it: the eigenvalues of the
+    symmetric companion matrix of P_n, one Newton step, weights from P_n'
+    at the first nodes and P_{n-1} at the new ones, symmetrised and scaled
+    to sum to 2."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    pn = [0.0] * n + [1.0]
+    dpn = [0.0] * n  # P_n' = sum of (2j - 1) P_{j-1} over j = n, n - 2, ...
+    for j in range(n, 0, -2):
+        dpn[j - 1] = 2.0 * j - 1.0
+    dy = _legendre_series(x, pn)
+    df = _legendre_series(x, dpn)
+    x -= dy / df
+    fm = _legendre_series(x, pn[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,6 +28,25 @@ def normalize(p):
     c = numerics.phase_fix(p.coeffs)
     c = c / np.linalg.norm(c)
     return poly.ShiftedPolynomial(p.center, c)
+
+
+def horner_magnitude(p, z):
+    """sum_a |p_a| |z - center|^a at each point z: a row per point for a
+    vector polynomial."""
+    return poly.ShiftedPolynomial(0.0, np.abs(p.coeffs))(np.abs(z - p.center)).real
+
+
+def exact_abs2(p, z):
+    """|p(z)|^2 of a scalar polynomial, exactly, as a Fraction: its float
+    coefficients and center and the float point z are dyadic rationals, and
+    Horner runs on (re, im) pairs of Fractions."""
+    z = complex(z)
+    dr = Fraction(z.real) - Fraction(p.center.real)
+    di = Fraction(z.imag) - Fraction(p.center.imag)
+    re = im = Fraction(0)
+    for a in p.coeffs[::-1].tolist():
+        re, im = re * dr - im * di + Fraction(a.real), re * di + im * dr + Fraction(a.imag)
+    return re * re + im * im
 
 
 def pairs(z):

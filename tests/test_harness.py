@@ -14,7 +14,7 @@ from pademor import cli, harness, hilbert, modal, pade, poly
 from pademor.errors import ConfigError, PadeError
 
 from conftest import OVERFLOWING_Q_MODULUS, load_perfbench
-from oracles import modal_error, point_errors
+from oracles import horner_magnitude, modal_error, point_errors
 
 SYNTH_CONFIG = {
     "model": {
@@ -61,7 +61,7 @@ class TestFmt:
         digits = [cell.split("e")[0].lstrip("-").replace(".", "").lstrip("0")
                   for cell in floats]
         assert max(map(len, digits)) == 17
-        assert hilbert.complex_to_text(1 / 3 + 0j) == "0.33333333333333331+0j"
+        assert harness.complex_to_text(1 / 3 + 0j) == "0.33333333333333331+0j"
 
     def test_special_values(self, tmp_path):
         _, rows = self._rows(tmp_path, "sweep")
@@ -70,7 +70,7 @@ class TestFmt:
         ratio = header.index("ratio")
         # inf / inf on a pole row
         assert [row[ratio] for row in rows if row[1] in ("1", "2")] == ["nan"] * 6
-        assert hilbert.complex_to_text(complex(-math.inf, math.inf)) == "-inf+infj"
+        assert harness.complex_to_text(complex(-math.inf, math.inf)) == "-inf+infj"
 
     def test_integers_stay_compact(self, tmp_path):
         _, rows = self._rows(tmp_path, "sweep")
@@ -228,12 +228,6 @@ class TestGridErrors:
         values, qmags = pade.evaluate(approx, np.array([0.9, 1.7]))
         assert values.shape == (2, 3) and qmags.shape == (2,)
         assert np.array_equal(values[0], value) and qmags[0] == qmag
-
-
-def horner_magnitude(p, z):
-    """sum_a |p_a| |z - center|^a at each point z: a row per point for a
-    vector polynomial."""
-    return poly.ShiftedPolynomial(0.0, np.abs(p.coeffs))(np.abs(z - p.center)).real
 
 
 class TestModalErrorIdentity:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pademor import hilbert
+from pademor import harness, hilbert
 from pademor.errors import DimensionMismatch
 
 from oracles import inner_product
@@ -142,5 +142,5 @@ class TestSerialization:
             assert back.tobytes() == z.T.copy().tobytes()
 
     def test_text_form(self):
-        assert hilbert.complex_to_text(1 + 2j) == "1+2j"
-        assert hilbert.complex_to_text(1 - 2j) == "1-2j"
+        assert harness.complex_to_text(1 + 2j) == "1+2j"
+        assert harness.complex_to_text(1 - 2j) == "1-2j"

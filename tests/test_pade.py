@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pademor import harness, modal, numerics, pade, poly
 from pademor.errors import InsufficientTaylorLength, RhoOverflow
@@ -13,6 +13,13 @@ from oracles import column_mgs, loop_numerator, normalize, residual_norm
 
 L2_1 = InnerProductWeights.l2(1)
 HIGHORDER_Z0 = 12 + 0.5j  # centre of the highorder_poles benchmark study
+# Parts of a complex value: any float (signed zeros, subnormals, inf and nan
+# among them), or one at the ends of the float range.
+EXTREME_PARTS = st.one_of(
+    st.floats(),
+    st.sampled_from([5e-324, -2.2250738585072014e-308, 1.3407807929942596e154,
+                     8.98846567431158e307, -1.7976931348623157e308]),
+)
 
 
 @pytest.fixture(scope="module")
@@ -312,7 +319,7 @@ class TestSingleEigensolve:
         ref = numerics.hermitian_min_eigenpair(solved[0])
         assert diag.functional_value == math.sqrt(max(ref.value, 0.0)) * rho ** (M + 1)
         assert diag.degenerate == ref.degenerate
-        expected = poly.denominator_from_eigvec(ref.vector, paper_z0)
+        expected = pade.denominator_from_eigvec(ref.vector, paper_z0)
         assert np.array_equal(den.coeffs, expected.coeffs)
 
 
@@ -452,6 +459,24 @@ class TestBuildAndEvaluate:
         assert qmag == math.inf
         _, qmags = pade.evaluate(approx, np.array([1.0, 1.36e154]))
         assert qmags.tolist() == [abs((1 + 1j) / math.sqrt(2)), math.inf]
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(re=EXTREME_PARTS, im=EXTREME_PARTS)
+    @example(re=1.7976931348623157e308, im=1.7976931348623157e308)  # abs raises
+    @example(re=math.inf, im=math.nan)
+    def test_q_magnitude_is_python_abs(self, re, im):
+        """|Q| by np.hypot in evaluate is Python's abs of Q(z) bit for bit
+        (any nan for a nan), and inf where abs raises OverflowError."""
+        Q = poly.ShiftedPolynomial(0.0, [complex(re, im)])
+        approx = pade.PadeApproximant(poly.ShiftedPolynomial(0.0, [[1.0]]), Q,
+                                      pade.BuildParams(0.0, 0, 0, 0),
+                                      pade.Diagnostics(0.0, False))
+        _, qmag = pade.evaluate(approx, 0.0)
+        try:
+            want = abs(poly.evaluate(Q, 0.0))
+        except OverflowError:
+            want = math.inf
+        assert math.isnan(qmag) if math.isnan(want) else qmag.hex() == want.hex()
 
     def test_near_pole_no_error(self, two_pole):
         ap = pade.build(two_pole, pade.BuildParams(0.0, 2, 2, 2, "fast"))

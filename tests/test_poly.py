@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pademor import hilbert, pade, poly
+from pademor import hilbert, numerics, pade, poly
 from pademor.errors import ConstantPolynomial, NotNormalized, ZeroPolynomial
 
 from oracles import copying_horner, normalize, numpy_horner
@@ -31,6 +32,19 @@ def poly_from_roots(z0, roots):
     """Normalized polynomial in (z - z0) with the given roots."""
     c = np.polynomial.polynomial.polyfromroots([r - z0 for r in roots])
     return normalize(poly.ShiftedPolynomial(z0, c))
+
+
+@st.composite
+def near_trim_boundary(draw):
+    """Real coefficients whose leading one lies within 3 ulps, either side,
+    of numerics.TRIM_THRESHOLD times the largest of the others, with either
+    sign."""
+    body = draw(st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=5))
+    lead = numerics.TRIM_THRESHOLD * max(map(abs, body))
+    steps = draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        lead = float(np.nextafter(lead, math.inf if steps > 0 else 0.0))
+    return body + [draw(st.sampled_from([1.0, -1.0])) * lead]
 
 
 class TestEvaluate:
@@ -132,27 +146,27 @@ class TestNormalize:
 
 class TestDenominatorFromEigvec:
     def test_index_reversal(self):
-        den = poly.denominator_from_eigvec([1.0, 0.0, 0.0], 2.0)
+        den = pade.denominator_from_eigvec([1.0, 0.0, 0.0], 2.0)
         assert np.allclose(den.coeffs, [0.0, 0.0, 1.0])
 
     def test_constant_case(self):
-        den = poly.denominator_from_eigvec([0.0, 0.0, 1.0], 2.0)
+        den = pade.denominator_from_eigvec([0.0, 0.0, 1.0], 2.0)
         assert np.allclose(den.coeffs, [1.0, 0.0, 0.0])
 
     def test_round_trip(self, rng):
         q = rng.normal(size=4) + 1j * rng.normal(size=4)
         q = q / np.linalg.norm(q)
-        den = poly.denominator_from_eigvec(q, 0.0)
+        den = pade.denominator_from_eigvec(q, 0.0)
         assert np.array_equal(den.coeffs[::-1], q)
 
     def test_not_normalized_rejected(self):
         with pytest.raises(NotNormalized):
-            poly.denominator_from_eigvec([1.0, 1.0], 0.0)
+            pade.denominator_from_eigvec([1.0, 1.0], 0.0)
 
     def test_nan_rejected(self):
         # abs(nan - 1) > 1e-12 is False: the check must fail on a nan norm
         with pytest.raises(NotNormalized):
-            poly.denominator_from_eigvec([math.nan, 0.0], 0.5j)
+            pade.denominator_from_eigvec([math.nan, 0.0], 0.5j)
 
 
 class TestRoots:
@@ -170,6 +184,20 @@ class TestRoots:
         c, trimmed = poly.effective_coeffs(p)
         assert trimmed and c.size == 2
         assert np.allclose(poly.roots(p), [1.0])
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(coeffs=near_trim_boundary())
+    # the trim kept this leading coefficient, 1e-13 of the largest in
+    # decimal; polynomial_roots refused it when it compared the ratio of
+    # the two, which rounds to 1e-13, and not the product
+    @example(coeffs=[0.008582960518738553, 1e-3, 8.582960518738553e-16])
+    def test_trimmed_leading_coefficient_is_never_refused(self, coeffs):
+        p = poly.ShiftedPolynomial(0.0, coeffs)
+        try:
+            roots = poly.roots(p)
+        except (ZeroPolynomial, ConstantPolynomial):
+            return
+        assert len(roots) == poly.effective_coeffs(p)[0].size - 1
 
     def test_constant_rejected(self):
         with pytest.raises(ConstantPolynomial):

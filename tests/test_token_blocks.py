@@ -25,7 +25,6 @@ TOKEN_BLOCKS = {
     "numerics": 2048,
     "pade": 4096,
     "poly": 1024,
-    "quadrature": 512,
 }
 
 
