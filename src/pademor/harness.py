@@ -243,18 +243,9 @@ def _pairs(model, config, degrees, extra):
     return pairs
 
 
-def _exact_rows(model, points):
-    """S at the points as the rows of evaluate_exact_grid, and each point's
-    distance to a pole of S: to the nearest retained pole, or 0 where S is
-    not finite, as on a pole whose residue was dropped."""
-    rows, dist = evaluate_exact_grid(model, points)
-    dist[~np.isfinite(rows).all(axis=1)] = 0.0
-    return rows, dist
-
-
 def _errors(model, approx, points, rows):
     """Error norms and |Q| of approx at the points, as lists of floats;
-    rows, S at the points, come from _exact_rows once per grid.
+    rows, S at the points, come from evaluate_exact_grid once per grid.
     The error is inf on a pole of S, whose row is inf, and where the
     approximant's value is not finite, |Q| having vanished or underflowed."""
     values, qmag = pade.evaluate(approx, points)
@@ -342,7 +333,7 @@ def cmd_build(config, model):
 @_command
 def cmd_sweep(config, model):
     grid = config.grid()
-    rows, dist = _exact_rows(model, grid)
+    rows, dist = evaluate_exact_grid(model, grid)
     fast, std = zip(*_pairs(model, config, config.M_list, config.N))
     errors, qmags = zip(*(_errors(model, approx, grid, rows) for approx in fast + std))
     near = (dist < NEAR_POLE_DISTANCE).tolist()
@@ -363,7 +354,7 @@ def cmd_convergence(config, model):
     probes = config.z_probes
     if not probes:
         raise ConfigError("at $.z_probes: convergence study needs probe points")
-    rows, dists = _exact_rows(model, probes)
+    rows, dists = evaluate_exact_grid(model, probes)
     for z, dist in zip(probes, dists.tolist()):
         if dist < 0.05:
             raise ConfigError(f"at $.z_probes: probe {z} is within 0.05 of a pole")
@@ -458,7 +449,7 @@ def cmd_compare(config, model):
     coefficients, so the two share a derivative budget only under MaxMN."""
     _check_E_list(config)
     grid = config.grid()
-    rows, dist = _exact_rows(model, grid)
+    rows, dist = evaluate_exact_grid(model, grid)
     near = (dist < NEAR_POLE_DISTANCE).tolist()
 
     header = ["E", "z", "error_fast", "error_std", "ratio",

@@ -21,6 +21,8 @@ class InnerProductWeights:
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=float)
+        if not np.isfinite(w).all():
+            raise NonFiniteValue("weights have a non-finite entry")
         if w.ndim != 1 or w.size == 0 or np.any(w <= 0.0):
             raise ValueError("weights must be a non-empty positive 1-d array")
         self.weights = w
@@ -49,13 +51,18 @@ def _check_dims(w, *vectors, ndims=(1,)):
             )
 
 
+def rescued(sums):
+    """Indices of the sums of squares that overflow or fall below the
+    smallest normal float: their norms are summed again, scaled."""
+    return np.flatnonzero(np.isinf(sums) | (sums < np.finfo(float).tiny))
+
+
 def norm(u, w):
     """V-norm of a vector, or of each row of an (n, dimension) block.
 
     A row of finite entries, not all zero, whose weighted sum of squares
-    overflows or falls below the smallest normal float is summed again
-    scaled by its largest magnitude, so its norm is accurate whenever it is
-    representable.
+    overflows or underflows (rescued) is summed again scaled by its largest
+    magnitude, so its norm is accurate whenever it is representable.
     """
     u = np.asarray(u, dtype=complex)
     _check_dims(w, u, ndims=(1, 2))
@@ -63,7 +70,7 @@ def norm(u, w):
     with np.errstate(over="ignore", under="ignore"):
         sums = np.sum(w.weights * mags**2, axis=-1)
         norms = np.sqrt(sums)
-        rows = np.flatnonzero(np.isinf(sums) | (sums < np.finfo(float).tiny))
+        rows = rescued(sums)
         if rows.size:
             top = mags[rows].max(axis=-1)
             keep = np.isfinite(top) & (top > 0.0)
@@ -100,7 +107,10 @@ def json_text(obj):
 def pairs_to_array(pairs):
     """Inverse of finite_array on a complex array, bit for bit (signed
     zeros included), from nested lists or a float array of [re, im] pairs:
-    a complex array, 0-d for a single pair."""
+    a complex array, 0-d for a single pair.  DimensionMismatch unless the
+    trailing axis holds pairs."""
     a = np.array(pairs, dtype=float)
+    if a.shape[-1:] != (2,):
+        raise DimensionMismatch(f"array of shape {a.shape} is not of [re, im] pairs")
     # [re, im] pairs in C order are the memory layout of complex numbers.
     return a.view(complex).reshape(a.shape[:-1])

@@ -16,10 +16,11 @@ from .errors import (
     DuplicatePoles,
     EigenvalueTooLarge,
     LengthMismatch,
+    NonFiniteValue,
     PoleEvaluation,
     QuadratureNotConverged,
 )
-from .hilbert import InnerProductWeights, finite_array, norm, pairs_to_array
+from .hilbert import InnerProductWeights, finite_array, norm, pairs_to_array, rescued
 from .poly import ShiftedPolynomial, gauss_legendre
 
 POLE_GROUP_TOL = 1e-12
@@ -44,6 +45,8 @@ class ModalModel:
     def __init__(self, eigenvalues, coefficients, weights):
         lam = np.ascontiguousarray(eigenvalues, dtype=complex)
         coef = np.asarray(coefficients, dtype=complex)
+        if not (np.isfinite(lam).all() and np.isfinite(coef).all()):
+            raise NonFiniteValue("an eigenvalue or a coefficient is not finite")
         if np.any(abs(lam.view(float)) >= COORDINATE_LIMIT):
             raise EigenvalueTooLarge("an eigenvalue has a part of magnitude >= 2^1021")
         if coef.shape != lam.shape or lam.shape != (weights.dimension,):
@@ -171,10 +174,11 @@ def _retained_poles(model):
             first = value
     # reduceat warns where a group of finite masses overflows only in its sum
     with np.errstate(over="ignore"):
-        norms = np.sqrt(np.add.reduceat(weights * np.abs(coef) ** 2, starts))
-    # a group whose sum of squares overflows takes hilbert.norm's scaled sum
+        sums = np.add.reduceat(weights * np.abs(coef) ** 2, starts)
+    norms = np.sqrt(sums)
+    # a group whose sum hilbert.norm would rescue takes its scaled sum
     bounds = starts + [lam.size]
-    for i in np.flatnonzero(np.isinf(norms)):
+    for i in rescued(sums):
         group = slice(bounds[i], bounds[i + 1])
         norms[i] = norm(coef[group], InnerProductWeights(weights[group]))
     keep = norms > DROP_THRESHOLD * model.source_norm()
@@ -221,7 +225,8 @@ def evaluate_exact(model, z):
 
 def evaluate_exact_grid(model, points):
     """S at each of a 1-d array of points as the rows of an (n, dimension)
-    array, and each point's distance to its nearest retained pole.  A row
+    array, and each point's distance to a pole of S: to its nearest retained
+    pole, or 0 where its row is not finite, as on a dropped pole.  A row
     within 1e-12 of a pole, where evaluate_exact raises PoleEvaluation, is
     inf."""
     points = np.asarray(points, dtype=complex)
@@ -229,6 +234,7 @@ def evaluate_exact_grid(model, points):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rows = _source_over(model, model.eigenvalues - points[:, None])
     rows[dist <= POLE_EVAL_TOL] = np.inf
+    dist[~np.isfinite(rows).all(axis=1)] = 0.0
     return rows, dist
 
 

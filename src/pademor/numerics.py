@@ -204,6 +204,9 @@ def polynomial_roots(coeffs):
         raise DegenerateLeadingCoefficient(
             "leading coefficient vanishes relative to the coefficient scale"
         )
+    if abs(a[-1]) < 2.0**-1000:
+        # a / a[-1] may overflow; a power of two scales every entry exactly
+        a, amax = a * 2.0**1000, amax * 2.0**1000
     b = a / a[-1]  # monic, ascending
     companion = np.eye(degree, k=-1, dtype=complex)
     companion[:, -1] = -b[:-1]

@@ -14,7 +14,7 @@ caller, the rule would take that module past its 2,048-token block
 import numpy as np
 
 from . import numerics
-from .errors import ConstantPolynomial, ZeroPolynomial
+from .errors import ConstantPolynomial, NonFiniteValue, ZeroPolynomial
 
 
 class ShiftedPolynomial:
@@ -61,24 +61,26 @@ def evaluate(p, z):
 
 
 def effective_coeffs(p):
-    """Trim trailing coefficients at or below numerics.TRIM_THRESHOLD of the
-    max magnitude.
+    """The coefficients of p less the trailing ones at or below
+    numerics.TRIM_THRESHOLD of the max magnitude.
 
-    Returns (coeffs, trimmed flag).  A vanishing leading coefficient means
-    fewer poles in range, which is a legitimate outcome, not an error.
+    A vanishing leading coefficient means fewer poles in range, which is a
+    legitimate outcome, not an error.  A non-finite coefficient raises
+    NonFiniteValue.
     """
     c = p.coeffs
+    if not np.isfinite(c).all():
+        raise NonFiniteValue("polynomial coefficients have a non-finite entry")
     scale = np.max(np.abs(c))
     if scale <= 1e-300:
         raise ZeroPolynomial("zero polynomial has no well-defined degree")
     keep = np.nonzero(np.abs(c) > numerics.TRIM_THRESHOLD * scale)[0]
-    last = keep[-1]
-    return c[: last + 1], last < c.size - 1
+    return c[: keep[-1] + 1]
 
 
 def roots(p):
     """Roots of p, sorted by distance from the center (ties by (Re, Im))."""
-    c, _ = effective_coeffs(p)
+    c = effective_coeffs(p)
     if c.size < 2:
         raise ConstantPolynomial("polynomial has effective degree 0")
     raw = numerics.polynomial_roots(c)

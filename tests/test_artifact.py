@@ -18,7 +18,7 @@ import pytest
 
 import pademor
 from pademor import cli, harness, hilbert, modal, pade, poly
-from pademor.errors import NonFiniteValue
+from pademor.errors import DimensionMismatch, NonFiniteValue
 
 from conftest import load_perfbench
 from oracles import approximant_line, model_object
@@ -113,11 +113,30 @@ def test_model_file_arrays():
 
 
 def test_non_finite_model_array_raises():
-    with np.errstate(invalid="ignore"):
-        model = modal.ModalModel([1.0, 2.0], [1.0, math.nan],
-                                 modal.InnerProductWeights.l2(2))
-    with pytest.raises(NonFiniteValue, match="model coefficients"):
-        hilbert.json_text(modal.model_to_json(model))
+    # the model itself refuses the entry that its JSON could not hold
+    with pytest.raises(NonFiniteValue, match="coefficient is not finite"):
+        modal.ModalModel([1.0, 2.0], [1.0, math.nan], modal.InnerProductWeights.l2(2))
+
+
+def artifact_object():
+    """The parsed artifact line of a hand-made approximant."""
+    return json.loads(hilbert.json_text(pade.approximant_to_json(hand_made([[1.0], [2.0]]))))
+
+
+def test_non_finite_denominator_read_back_raises():
+    # Python's json reads NaN; approximant_poles raised a bare IndexError
+    obj = artifact_object()
+    obj["denominator"]["coeffs"][1] = [math.nan, 0.0]
+    with pytest.raises(NonFiniteValue):
+        pade.approximant_poles(pade.approximant_from_json(obj))
+
+
+def test_z0_that_is_not_a_pair_raises():
+    # NumPy's view raised ValueError "When changing to a larger dtype..."
+    obj = artifact_object()
+    obj["params"]["z0"] = [1.0]
+    with pytest.raises(DimensionMismatch):
+        pade.approximant_from_json(obj)
 
 
 def test_cli_import_leaves_orjson_unloaded():

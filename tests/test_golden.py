@@ -16,8 +16,10 @@ output contract (perfbench/check.py, without a reference): its header, row
 labels and signs, and an infinite error only on a row flagged near_pole.
 """
 
+import csv
 import hashlib
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -132,6 +134,34 @@ def test_build_artifact(tmp_path):
 @pytest.mark.parametrize("command", sorted(CSV_SHA256))
 def test_csv_study(tmp_path, command):
     assert run_study(tmp_path, CONFIG, command) == CSV_SHA256[command]
+
+
+def study_rows(tmp_path, config, command):
+    """The CSV rows, header first, that command writes for config."""
+    tmp_path.mkdir()
+    run_study(tmp_path, config, command)
+    with open(tmp_path / "out", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_scaled_residue_norms_keep_the_studies(tmp_path):
+    # S is linear in the source.  Squares of these residue norms underflow:
+    # the model kept no pole, poles exited 2 and predicted_factor read 0.
+    norms = [math.ldexp(r, -560) for r in CONFIG["model"]["residue_norms"]]
+    scaled = {**CONFIG, "model": {**CONFIG["model"], "residue_norms": norms}}
+    base, rows = ({command: study_rows(tmp_path / f"{name}_{command}", config, command)
+                   for command in ("poles", "convergence")}
+                  for name, config in (("base", CONFIG), ("scaled", scaled)))
+    assert len(rows["poles"]) == len(base["poles"])
+    assert rows["poles"][0] == base["poles"][0]
+    for row, ref in zip(rows["poles"][1:], base["poles"][1:]):
+        # each cell read as a ';'-separated list of complex numbers
+        for cell, want in zip(row, ref):
+            got, want = ([complex(z) for z in c.split(";") if z] for c in (cell, want))
+            assert len(got) == len(want)
+            assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want))
+    predicted = [[r[-1] for r in runs["convergence"]] for runs in (base, rows)]
+    assert predicted[0] == predicted[1]
 
 
 @pytest.mark.parametrize("command", sorted(HIGH_ORDER_SHA256))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pademor import harness, hilbert
-from pademor.errors import DimensionMismatch
+from pademor.errors import DimensionMismatch, NonFiniteValue
 
 from oracles import inner_product
 
@@ -113,6 +113,12 @@ class TestWeights:
         with pytest.raises(ValueError):
             hilbert.InnerProductWeights(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN weight passed the positivity test: nan <= 0 is False
+        with pytest.raises(NonFiniteValue, match="weights"):
+            hilbert.InnerProductWeights([1.0, bad, 1.0])
+
     def test_rejects_negative_shift(self):
         with pytest.raises(ValueError):
             hilbert.InnerProductWeights.energy([1.0], -1.0)
@@ -140,6 +146,12 @@ class TestSerialization:
             back = hilbert.pairs_to_array(form)
             assert back.shape == z.shape and back.dtype == complex
             assert back.tobytes() == z.T.copy().tobytes()
+
+    @pytest.mark.parametrize("bad", [1.0, [1.0], [[1.0, 2.0, 3.0]], np.zeros((2, 0))])
+    def test_pairs_need_a_trailing_axis_of_two(self, bad):
+        # [1.0] made NumPy's view raise ValueError
+        with pytest.raises(DimensionMismatch, match="pairs"):
+            hilbert.pairs_to_array(bad)
 
     def test_text_form(self):
         assert harness.complex_to_text(1 + 2j) == "1+2j"

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pademor import modal, pade, poly
 from pademor.errors import (
@@ -13,6 +14,7 @@ from pademor.errors import (
     DuplicatePoles,
     EigenvalueTooLarge,
     LengthMismatch,
+    NonFiniteValue,
     PoleEvaluation,
     QuadratureNotConverged,
 )
@@ -158,6 +160,15 @@ class TestBuildSynthetic:
             modal.ModalModel([1.0, 2.0], [1.0], w)
         with pytest.raises(LengthMismatch):
             modal.ModalModel([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], w)
+
+    def test_non_finite_entry_rejected(self):
+        # |nan - x| > tol is False: the NaN mode joined the group of 4 + 0.5i,
+        # whose residue norm read 1.0308, not 0.25
+        w = modal.InnerProductWeights.l2(3)
+        with pytest.raises(NonFiniteValue):
+            modal.ModalModel([math.nan, 2.0, 4 + 0.5j], [1.0, 0.5, 0.25], w)
+        with pytest.raises(NonFiniteValue):
+            modal.ModalModel([1.0, 2.0, 4 + 0.5j], [1.0, math.inf, 0.25], w)
 
     @pytest.mark.parametrize("pole", [1.5e308 + 1.5e308j, 2.0**1021, -(2.0**1021) * 1j])
     def test_eigenvalue_part_beyond_limit_rejected(self, pole):
@@ -344,7 +355,8 @@ class TestEvaluateExactGrid:
     def test_pole_rows_are_inf(self, two_pole):
         rows, dist = modal.evaluate_exact_grid(two_pole, [1.0, 2.0 + 1e-13, 3.0])
         assert np.all(np.isinf(rows[:2])) and np.all(np.isfinite(rows[2]))
-        assert dist.tolist() == [0.0, (2.0 + 1e-13) - 2.0, 1.0]
+        # an inf row is on a pole of S: its distance reads 0
+        assert dist.tolist() == [0.0, 0.0, 1.0]
 
     def test_no_retained_pole(self):
         m = modal.ModalModel([2.0], [0.0], InnerProductWeights.l2(1))
@@ -496,6 +508,43 @@ class TestRetainedPoles:
         assert model.residue_norms.tolist() == [1.4142135623730953e154]
         assert_residue_norms_accurate(model)
 
+    @pytest.mark.filterwarnings("error")
+    def test_group_sum_underflows(self):
+        # each mass underflows to 0: no pole was kept
+        norms = [1e-170, 5e-171, 2.5e-171]
+        model = modal.build_synthetic([1.0, 2.0, 4 + 0.5j], norms)
+        assert model.poles.tolist() == [1.0, 2.0, 4 + 0.5j]
+        assert model.residue_norms.tolist() == norms
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        sites=st.lists(st.tuples(st.integers(-40, 40), st.integers(-8, 8)),
+                       min_size=1, max_size=8, unique=True),
+        mantissas=st.lists(st.floats(2.0**-20, 2.0**20), min_size=8, max_size=8),
+        k=st.integers(-1000, 1000),
+    )
+    def test_residue_norms_scale_with_the_source(self, sites, mantissas, k):
+        """S is linear in the source: residue norms scaled by 2^k keep every
+        pole and scale every residue norm.
+
+        The residue norm of a one-mode pole of residue R is sqrt(fl(R^2)),
+        within (u / 2 + u) R of R to first order and within 2u R in all,
+        when R^2 is normal; when it overflows or underflows, hilbert.norm's
+        rescued sum R * sqrt((R / R)^2) is R exactly.  With R between
+        2^-1020 and 2^1020 the scaling is exact, so the computed norms r_k
+        and r are each within 2u of their exact values 2^k R and R:
+        |r_k - 2^k r| <= 4u 2^k R <= 4u / (1 - 2u) 2^k r.  The largest
+        residue is at most 2^40 times the smallest, so no pole falls below
+        the drop threshold of 1e-14 of the source norm on either side.
+        """
+        poles = [complex(a / 4, b / 8) for a, b in sites]
+        residues = mantissas[: len(poles)]
+        base = modal.build_synthetic(poles, residues)
+        scaled = modal.build_synthetic(poles, [math.ldexp(r, k) for r in residues])
+        assert scaled.poles.tobytes() == base.poles.tobytes()
+        for rk, r in zip(scaled.residue_norms.tolist(), base.residue_norms.tolist()):
+            assert abs(rk - math.ldexp(r, k)) <= 4 * U / (1 - 2 * U) * math.ldexp(r, k)
+
     def test_tiny_residue_dropped_and_equal_eigenvalues_grouped(self):
         model = with_tiny_residue()
         assert model.poles.tolist() == [1.0, 3.0]
@@ -529,6 +578,14 @@ class TestSerialization:
         back = modal.model_from_json(modal.model_to_json(three_pole))
         assert np.allclose(back.eigenvalues, three_pole.eigenvalues)
         assert back.weights.weights.tolist() == [1.0, 1.0, 1.0]
+
+    def test_non_finite_coefficient_rejected(self, three_pole):
+        # the model built with 0 poles
+        obj = modal.model_to_json(three_pole)
+        obj["coefficients"] = obj["coefficients"].copy()
+        obj["coefficients"][1, 0] = math.inf
+        with pytest.raises(NonFiniteValue):
+            modal.model_from_json(obj)
 
     def test_three_array_layout(self, helmholtz, three_pole):
         obj = modal.model_to_json(helmholtz)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pademor import hilbert, numerics, pade, poly
-from pademor.errors import ConstantPolynomial, NotNormalized, ZeroPolynomial
+from pademor.errors import ConstantPolynomial, NonFiniteValue, NotNormalized, ZeroPolynomial
 
 from oracles import copying_horner, normalize, numpy_horner
 
@@ -181,8 +181,8 @@ class TestRoots:
     def test_trimmed_leading_coefficient(self):
         # numerically vanishing leading coefficient: degree drops by one
         p = poly.ShiftedPolynomial(0.0, [-1.0, 1.0, 1e-16])
-        c, trimmed = poly.effective_coeffs(p)
-        assert trimmed and c.size == 2
+        c = poly.effective_coeffs(p)
+        assert c.size == 2
         assert np.allclose(poly.roots(p), [1.0])
 
     @settings(max_examples=300, deadline=None, database=None)
@@ -191,13 +191,24 @@ class TestRoots:
     # decimal; polynomial_roots refused it when it compared the ratio of
     # the two, which rounds to 1e-13, and not the product
     @example(coeffs=[0.008582960518738553, 1e-3, 8.582960518738553e-16])
+    # a subnormal leading coefficient that the trim keeps: a / a[-1]
+    # overflowed in polynomial_roots
+    @example(coeffs=[4.769950004180396e-297, 4.76995000418046e-310])
+    @example(coeffs=[3.102627370652592e-296, 3.102627370652597e-309])
     def test_trimmed_leading_coefficient_is_never_refused(self, coeffs):
         p = poly.ShiftedPolynomial(0.0, coeffs)
         try:
             roots = poly.roots(p)
         except (ZeroPolynomial, ConstantPolynomial):
             return
-        assert len(roots) == poly.effective_coeffs(p)[0].size - 1
+        assert len(roots) == poly.effective_coeffs(p).size - 1
+
+    @pytest.mark.parametrize("coeffs", [[math.nan, 1.0], [1.0, math.inf]])
+    def test_non_finite_coefficient_rejected(self, coeffs):
+        # no coefficient compared above the trim's nan or inf scale, and
+        # the trim indexed an empty array (IndexError)
+        with pytest.raises(NonFiniteValue):
+            poly.roots(poly.ShiftedPolynomial(0.0, coeffs))
 
     def test_constant_rejected(self):
         with pytest.raises(ConstantPolynomial):
