@@ -78,3 +78,13 @@ class InsufficientTaylorLength(PadeError):
 
 class RhoOverflow(PadeError):
     pass
+
+
+def settled(outcomes):
+    """The results of a stack of problems solved together, each failed one
+    recorded in place as the PadeError it raised: raises the first such
+    error, as solving the problems one by one in order would."""
+    for item in outcomes:
+        if isinstance(item, PadeError):
+            raise item
+    return outcomes

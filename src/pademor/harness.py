@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pade
-from .errors import ConfigError
+from .errors import ConfigError, settled
 from .modal import (
     CENTER_DISTANCE,
     COORDINATE_LIMIT,
@@ -31,6 +31,7 @@ from .modal import (
     taylor_coefficients,
 )
 from .hilbert import json_text, norm
+from .poly import roots_stack
 
 SLOPE_FIT_WINDOW = (1e-11, 1e-1)
 NEAR_POLE_DISTANCE = 1e-6
@@ -226,21 +227,25 @@ def _model(config):
     return model
 
 
-def _pairs(model, config, degrees, extra):
+def _pairs(model, config, degrees, extra, numerators=True):
     """Per degree M in degrees, the fast approximant of degree M from
     config.fast_E(M) Taylor coefficients and the standard one of degree
     E - N from E = M + extra coefficients, all built from one Taylor block
-    long enough for the largest (fast_E(M) grows with M)."""
+    long enough for the largest (fast_E(M) grows with M): every denominator
+    first (pade.denominators raises the first failure in (M, fast,
+    standard) order), then the numerators, or None in their place."""
     top = max(degrees)
     taylor = taylor_coefficients(model, config.z0, max(config.fast_E(top), top + extra))
-    pairs = []
+    params = []
     for M in degrees:
         E = M + extra
-        fast = pade.BuildParams(config.z0, M, config.N, config.fast_E(M), "fast")
-        std = pade.BuildParams(config.z0, E - config.N, config.N, E, "standard",
-                               config.rho())
-        pairs.append((pade.build(model, fast, taylor), pade.build(model, std, taylor)))
-    return pairs
+        params += [pade.BuildParams(config.z0, M, config.N, config.fast_E(M), "fast"),
+                   pade.BuildParams(config.z0, E - config.N, config.N, E, "standard",
+                                    config.rho())]
+    approxs = [pade.PadeApproximant(pade.numerator(taylor, den, p.M) if numerators else None,
+                                    den, p, diag)
+               for p, (den, diag) in zip(params, pade.denominators(model, params, taylor))]
+    return list(zip(approxs[::2], approxs[1::2]))
 
 
 def _errors(model, approx, points, rows):
@@ -338,12 +343,9 @@ def cmd_sweep(config, model):
     errors, qmags = zip(*(_errors(model, approx, grid, rows) for approx in fast + std))
     near = (dist < NEAR_POLE_DISTANCE).tolist()
 
-    header = ["z"]
-    header += [f"abs_error_fast_M{M}" for M in config.M_list]
-    header += [f"abs_error_std_M{M}" for M in config.M_list]
-    header += [f"q_magnitude_fast_M{M}" for M in config.M_list]
-    header += [f"q_magnitude_std_M{M}" for M in config.M_list]
-    header.append("near_pole")
+    header = ["z", *(f"{cell}_M{M}" for cell in ("abs_error_fast", "abs_error_std",
+                                                 "q_magnitude_fast", "q_magnitude_std")
+                     for M in config.M_list), "near_pole"]
     row = "%.17g," * (len(header) - 1) + "%d"
     columns = (grid.tolist(), *errors, *qmags, near)
     return [",".join(header)] + [row % cells for cells in zip(*columns)]
@@ -386,16 +388,12 @@ def cmd_convergence(config, model):
 
 
 def _nearest_root_errors(roots, true_poles):
-    """Per-pole nearest-root error plus the leftover unmatched roots."""
-    errors = []
-    matched = set()
-    for lam in true_poles:
-        dists = [abs(r - lam) for r in roots]
-        best = int(np.argmin(dists))
-        matched.add(best)
-        errors.append(dists[best])
-    extras = [r for i, r in enumerate(roots) if i not in matched]
-    return errors, extras
+    """Per-pole nearest-root error plus the leftover unmatched roots as
+    CSV text."""
+    dists = [[abs(r - lam) for r in roots] for lam in true_poles]
+    best = [int(np.argmin(d)) for d in dists]
+    extras = [r for i, r in enumerate(roots) if i not in best]
+    return [d[i] for d, i in zip(dists, best)], ";".join(map(complex_to_text, extras))
 
 
 def _check_E_list(config):
@@ -419,25 +417,20 @@ def cmd_poles(config, model):
         )
     true_poles = poles[:N]
 
-    header = ["E"]
-    header += [f"abs_error_fast_lambda{a}" for a in range(1, N + 1)]
-    header += [f"abs_error_std_lambda{a}" for a in range(1, N + 1)]
-    header += [f"predicted_factor_lambda{a}" for a in range(1, N + 1)]
-    header += ["q_magnitude_fast", "q_magnitude_std",
-               "extra_roots_fast", "extra_roots_std"]
+    header = ["E", *(f"{cell}_lambda{a}" for cell in ("abs_error_fast", "abs_error_std",
+                                                      "predicted_factor")
+                     for a in range(1, N + 1)),
+              "q_magnitude_fast", "q_magnitude_std", "extra_roots_fast", "extra_roots_std"]
     row = "%d" + ",%.17g" * (len(header) - 3) + ",%s,%s"
     lines = [",".join(header)]
     predicted = [predicted_point_factor(poles, config, lam) ** 2 for lam in true_poles]
-    for E, (fast, std) in zip(config.E_list, _pairs(model, config, config.E_list, 0)):
-        err_f, extra_f = _nearest_root_errors(pade.approximant_poles(fast), true_poles)
-        err_s, extra_s = _nearest_root_errors(pade.approximant_poles(std), true_poles)
-        lines.append(row % (
-            E, *err_f, *err_s, *predicted,
-            abs(fast.denominator.coeffs[0]),  # Q(z0) = a_0
-            abs(std.denominator.coeffs[0]),
-            ";".join(complex_to_text(r) for r in extra_f),
-            ";".join(complex_to_text(r) for r in extra_s),
-        ))
+    pairs = _pairs(model, config, config.E_list, 0, numerators=False)
+    roots = settled(roots_stack([a.denominator for pair in pairs for a in pair]))
+    for E, pair, *found in zip(config.E_list, pairs, roots[::2], roots[1::2]):
+        (err_f, extra_f), (err_s, extra_s) = (_nearest_root_errors(r, true_poles)
+                                              for r in found)
+        q0 = [abs(a.denominator.coeffs[0]) for a in pair]  # Q(z0) = a_0
+        lines.append(row % (E, *err_f, *err_s, *predicted, *q0, extra_f, extra_s))
     return lines
 
 

@@ -80,6 +80,33 @@ def norm(u, w):
     return float(norms[0]) if u.ndim == 1 else norms
 
 
+def gram_schmidt(A, w, tol):
+    """The R factors of a weighted QR of each (dim, ncols) quasimatrix of a
+    (B, dim, ncols) stack: modified Gram-Schmidt with one reorthogonalization
+    pass under <u, v> = sum_k w_k u_k conj(v_k), on every quasimatrix at
+    once, each with the float operations it takes alone.  Each diagonal is
+    real and nonnegative (a sum of w_k |v_k|^2 is), R[b, 0, 0] the first
+    column norm.  A pivot at or below tol times that norm leaves a zero
+    basis vector, onto which later projections vanish.  The basis vectors
+    and their conjugates are kept as rows, Q[j] and Qc[j] for every window.
+    """
+    B, dim, ncols = A.shape
+    Q, Qc = np.zeros((2, ncols, B, dim), dtype=complex)
+    R = np.zeros((B, ncols, ncols), dtype=complex)
+    for j in range(ncols):
+        v = A[:, :, j].copy()
+        for _ in range(2):
+            for i in range(j):
+                c = np.add.reduce(w.weights * v * Qc[i], axis=-1)
+                R[:, i, j] += c
+                v = v - c[:, None] * Q[i]
+        R[:, j, j] = rjj = np.sqrt(np.add.reduce(w.weights * v * v.conj(), axis=-1).real)
+        keep = rjj > tol * np.maximum(R[:, 0, 0].real, 1e-300)
+        Q[j, keep] = v[keep] / rjj[keep, None]
+        Qc[j, keep] = Q[j, keep].conj()
+    return R
+
+
 def finite_array(a, what):
     """A float array, or a complex one (a complex scalar included) viewed as
     [re, im] float pairs, C-contiguous for json_text to write straight from
@@ -108,8 +135,8 @@ def pairs_to_array(pairs):
     """Inverse of finite_array on a complex array, bit for bit (signed
     zeros included), from nested lists or a float array of [re, im] pairs:
     a complex array, 0-d for a single pair.  DimensionMismatch unless the
-    trailing axis holds pairs."""
-    a = np.array(pairs, dtype=float)
+    trailing axis holds pairs, NonFiniteValue on a non-finite entry."""
+    a = finite_array(np.array(pairs, dtype=float), "an array of [re, im] pairs")
     if a.shape[-1:] != (2,):
         raise DimensionMismatch(f"array of shape {a.shape} is not of [re, im] pairs")
     # [re, im] pairs in C order are the memory layout of complex numbers.

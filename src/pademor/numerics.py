@@ -12,6 +12,12 @@ entry as the plain loop kept in tests/oracles.py (loop_jacobi) and is
 bit-identical to it.  Only the vectors compared or returned are
 phase-fixed, not whole eigensystems.  All routines are pure functions on
 value inputs.
+
+The singular vectors and the roots are solved for a whole stack at once
+(min_right_singular_vectors, polynomial_roots_stack): one LAPACK call for
+the stack, or per degree for roots, each item giving the bytes it gives
+alone.  A failed item is recorded in place (errors.settled); the
+single-problem routines are stacks of one.
 """
 
 import math
@@ -19,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateLeadingCoefficient, NoConvergence, NonHermitianInput
+from .errors import (DegenerateLeadingCoefficient, NoConvergence, NonHermitianInput,
+                     PadeError, settled)
 
 HERMITIAN_TOL = 1e-13
 DEGENERACY_GAP = 1e-12
@@ -162,23 +169,37 @@ def min_right_singular_vector(R):
     near tie: the two smallest sigma^2 within DEGENERACY_GAP * ||sigma^2||_2
     (that is ||R^H R||_F, as hermitian_min_eigenpair flags R^H R), all
     relative to sigma_max^2 so that no square overflows; it does not change
-    the choice.
+    the choice.  A stack of one of min_right_singular_vectors.
     """
-    R = np.asarray(R, dtype=complex)
-    if not np.isfinite(R).all():
-        raise NoConvergence("the factor R has a non-finite entry")
-    s, Vh = np.linalg.svd(R)[1:]
-    t = s / s[0] if s[0] > 0.0 else s
-    gap_tol = DEGENERACY_GAP * max(np.linalg.norm(t**2), 1e-300)
-    degenerate = s.size > 1 and bool(t[-2] ** 2 - t[-1] ** 2 < gap_tol)
-    return MinEigen(float(s[-1]), phase_fix(Vh[-1].conj()), degenerate)
+    return settled(min_right_singular_vectors(np.asarray(R, dtype=complex)[None]))[0]
+
+
+def min_right_singular_vectors(R):
+    """min_right_singular_vector of each factor of a (B, n, n) stack, by one
+    SVD of the finite ones, each giving what it gives alone: one outcome
+    (errors.settled) per factor, NoConvergence for one with a non-finite
+    entry."""
+    finite = np.isfinite(R).all(axis=(1, 2))
+    svds = zip(*np.linalg.svd(R[finite])[1:])
+    out = []
+    for ok in finite:
+        if not ok:
+            out.append(NoConvergence("the factor R has a non-finite entry"))
+            continue
+        s, Vh = next(svds)
+        t = s / s[0] if s[0] > 0.0 else s
+        gap_tol = DEGENERACY_GAP * max(np.linalg.norm(t**2), 1e-300)
+        degenerate = s.size > 1 and bool(t[-2] ** 2 - t[-1] ** 2 < gap_tol)
+        out.append(MinEigen(float(s[-1]), phase_fix(Vh[-1].conj()), degenerate))
+    return out
 
 
 def _horner(b, x):
-    """p(x) and p'(x) at each entry of x, for ascending coefficients b."""
+    """p(x) and p'(x) at each entry of each row of x, for the ascending
+    coefficients in the same row of b."""
     p = np.zeros_like(x)
     dp = np.zeros_like(x)
-    for c in b[::-1]:
+    for c in b.T[::-1, :, None]:
         dp = dp * x + p
         p = p * x + c
     return p, dp
@@ -191,40 +212,60 @@ def polynomial_roots(coeffs):
     polynomial (np.linalg.eigvals), each followed by one Newton step that is
     kept only where it lowers |p|.  The roots come in no set order (poly.roots
     sorts them), and each satisfies
-    |p(root)| <= ROOT_TOL * max|coeff| * (1 + |root|)^degree.
+    |p(root)| <= ROOT_TOL * max|coeff| * (1 + |root|)^degree.  A stack of one
+    of polynomial_roots_stack.
     """
-    a = np.asarray(coeffs, dtype=complex)
-    if a.ndim != 1 or a.size == 0:
-        raise DegenerateLeadingCoefficient("empty coefficient list")
-    degree = a.size - 1
-    if degree == 0:
-        return []
-    amax = np.max(np.abs(a))
-    if abs(a[-1]) <= TRIM_THRESHOLD * amax:  # what poly.effective_coeffs trims
-        raise DegenerateLeadingCoefficient(
-            "leading coefficient vanishes relative to the coefficient scale"
-        )
-    if abs(a[-1]) < 2.0**-1000:
-        # a / a[-1] may overflow; a power of two scales every entry exactly
-        a, amax = a * 2.0**1000, amax * 2.0**1000
-    b = a / a[-1]  # monic, ascending
-    companion = np.eye(degree, k=-1, dtype=complex)
-    companion[:, -1] = -b[:-1]
-    x = np.linalg.eigvals(companion)
+    return settled(polynomial_roots_stack([coeffs]))[0]
 
-    # At a multiple root p' vanishes and the step is not finite; the
-    # comparison is then false and the eigenvalue stays.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        px, dpx = _horner(b, x)
-        y = x - px / dpx
-        x = np.where(np.abs(_horner(b, y)[0]) < np.abs(px), y, x)
 
-    powers = np.arange(degree + 1)
-    residuals = np.abs((x[:, None] ** powers) @ a)
-    bounds = ROOT_TOL * amax * (1.0 + np.abs(x)) ** degree
-    if np.any(residuals > bounds):
-        worst = float(np.max(residuals / np.maximum(bounds, 1e-300)))
-        raise NoConvergence(
-            f"root residual check failed (worst ratio {worst:.3e})"
-        )
-    return x.tolist()
+def polynomial_roots_stack(polys):
+    """polynomial_roots of each coefficient array of polys, those of one
+    degree solved as one stack (one companion eigvals, Newton step and
+    residual check), each giving what it gives alone: one outcome
+    (errors.settled) per polynomial; an entry that is a PadeError stays."""
+    out = list(polys)
+    stacks = {}  # degree -> (index, coefficients, max |coefficient|) per polynomial
+    for i, a in enumerate(polys):
+        if isinstance(a, PadeError):
+            continue
+        a = np.asarray(a, dtype=complex)
+        if a.ndim != 1 or a.size == 0:
+            out[i] = DegenerateLeadingCoefficient("empty coefficient list")
+            continue
+        if a.size == 1:
+            out[i] = []
+            continue
+        amax = np.max(np.abs(a))
+        if abs(a[-1]) <= TRIM_THRESHOLD * amax:  # what poly.effective_coeffs trims
+            out[i] = DegenerateLeadingCoefficient(
+                "leading coefficient vanishes relative to the coefficient scale"
+            )
+            continue
+        if abs(a[-1]) < 2.0**-1000:
+            # a / a[-1] may overflow; a power of two scales every entry exactly
+            a, amax = a * 2.0**1000, amax * 2.0**1000
+        stacks.setdefault(a.size - 1, []).append((i, a, amax))
+    for degree, items in stacks.items():
+        index, a, amax = map(np.array, zip(*items))
+        b = a / a[:, -1:]  # monic, ascending
+        companion = np.zeros((len(index), degree, degree), dtype=complex)
+        companion[:] = np.eye(degree, k=-1)
+        companion[:, :, -1] = -b[:, :-1]
+        x = np.linalg.eigvals(companion)
+
+        # At a multiple root p' vanishes and the step is not finite; the
+        # comparison is then false and the eigenvalue stays.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            px, dpx = _horner(b, x)
+            y = x - px / dpx
+            x = np.where(np.abs(_horner(b, y)[0]) < np.abs(px), y, x)
+
+        residuals = np.abs((x[..., None] ** np.arange(degree + 1)) @ a[..., None])[..., 0]
+        bounds = ROOT_TOL * amax[:, None] * (1.0 + np.abs(x)) ** degree
+        for i, roots, res, bound in zip(index, x, residuals, bounds):
+            if np.any(res > bound):
+                worst = float(np.max(res / np.maximum(bound, 1e-300)))
+                out[i] = NoConvergence(f"root residual check failed (worst ratio {worst:.3e})")
+            else:
+                out[i] = roots.tolist()
+    return out

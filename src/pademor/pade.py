@@ -9,6 +9,12 @@ quasimatrix, then the minimal right-singular vector of its small factor R
 by LAPACK's SVD, never an eigensolve of R^H R.  Its Gramian route, the
 standard functional with the single block of order E and rho = 1, is kept
 as a cross-check.
+
+The fast denominators asked for together (denominators) are solved as one
+stack: one QR of all their windows (hilbert.gram_schmidt) and one SVD of
+all their full-rank factors, each giving the bytes it gives alone, so that
+NumPy's cost per call is paid once; a single build is a stack of one.  The
+standard route's Jacobi sweeps stay one matrix at a time.
 """
 
 import math
@@ -17,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hilbert, numerics, poly
-from .errors import InsufficientTaylorLength, NotNormalized, RhoOverflow
+from .errors import (DimensionMismatch, InsufficientTaylorLength, NotNormalized, PadeError,
+                     RhoOverflow, settled)
 from .modal import ModalModel, taylor_coefficients
 
 QR_DEGENERACY_THRESHOLD = 1e-14
@@ -190,46 +197,17 @@ def denominator_fast_gramian(taylor, N, E, w):
     return _gramian_denominator(taylor, E - 1, N, E, 1.0, w)
 
 
-def _weighted_mgs(A, w):
-    """Modified Gram-Schmidt with one reorthogonalization pass under the
-    weighted inner product <u, v> = sum_k w_k u_k conj(v_k).  Returns R;
-    its diagonal is real and nonnegative, R[0, 0] the first column norm.
-
-    A vanishing pivot leaves a zero basis vector and a (tiny) diagonal
-    entry in R; callers detect this as exact degeneracy.
-    """
-    ww = w.weights
-    ncols = A.shape[1]
-    Q = np.zeros((ncols, A.shape[0]), dtype=complex)  # basis vectors as rows
-    Qc = np.zeros_like(Q)  # and their conjugates, for the inner products
-    R = np.zeros((ncols, ncols), dtype=complex)
-    for j in range(ncols):
-        v = A[:, j].copy()
-        for _ in range(2):  # MGS + one reorthogonalization pass
-            for i in range(j):
-                c = complex(np.add.reduce(ww * v * Qc[i]))
-                R[i, j] += c
-                v = v - c * Q[i]
-        rjj = float(np.sqrt(max(np.add.reduce(ww * v * v.conj()).real, 0.0)))
-        R[j, j] = rjj
-        first_norm = R.real.item(0, 0)
-        if rjj > QR_DEGENERACY_THRESHOLD * max(first_norm, 1e-300):
-            Q[j] = v / rjj
-            Qc[j] = Q[j].conj()
-        # else: the basis vector stays zero; later projections onto it vanish
-    return R
-
-
 def _null_direction(R, j):
-    """Unit vector q with R q ~= 0, built from the rank-deficient column j."""
+    """Unit vector q with R q ~= 0, built from the rank-deficient column j,
+    as a MinEigen of value ||R q||, flagged degenerate."""
     q = np.zeros(R.shape[0], dtype=complex)
     q[j] = 1.0
     if j > 0:
         block = R[:j, :j]
         rhs = -R[:j, j]
         q[:j] = np.linalg.solve(block, rhs)
-    q = q / np.linalg.norm(q)
-    return numerics.phase_fix(q)
+    q = numerics.phase_fix(q / np.linalg.norm(q))
+    return numerics.MinEigen(float(np.linalg.norm(R @ q)), q, True)
 
 
 def denominator_fast_qr(taylor, N, E, w):
@@ -240,29 +218,46 @@ def denominator_fast_qr(taylor, N, E, w):
     R^H R, goes to the SVD (numerics.min_right_singular_vector).  A
     rank-deficient quasimatrix (diagonal of R below 1e-14 of the first
     column norm) is surfaced as an exact-degeneracy outcome and the
-    denominator is taken from the null direction.
+    denominator is taken from the null direction.  A stack of one of
+    _fast_denominators.
     """
-    if E < N:
+    return settled(_fast_denominators(taylor, N, [E], w))[0]
+
+
+def _fast_denominators(taylor, N, Es, w):
+    """denominator_fast_qr for each E of Es, each window scaled by its own
+    power of two (_scale_exponent), the windows factored as one stack and
+    the full-rank factors R given to one SVD: one outcome (errors.settled)
+    per E, a (denominator, diagnostics) pair or the PadeError raised."""
+    if min(Es) < N:
         raise ValueError("fast denominator requires E >= N")
-    A = _taylor_window(taylor, N, E)
-    k = _scale_exponent(A)
-    R = _weighted_mgs(A * 2.0**-k if k else A, w)
-    diags = np.abs(np.diag(R))
-    cond = float(np.max(diags)) / max(float(np.min(diags)), 1e-300)
-    deficient = np.nonzero(diags <= QR_DEGENERACY_THRESHOLD * max(diags[0], 1e-300))[0]
-    exact = deficient.size > 0
-    if exact:
-        q = _null_direction(R, int(deficient[0]))
-        sigma, degenerate = float(np.linalg.norm(R @ q)), True
-    else:
-        sigma, q, degenerate = numerics.min_right_singular_vector(R)
-    diag = Diagnostics(
-        functional_value=sigma * 2.0**k,
-        degenerate=degenerate,
-        exact_degeneracy=exact,
-        condition_estimate=cond,
-    )
-    return denominator_from_eigvec(q, taylor.center), diag
+    windows = np.empty((len(Es), taylor.coeffs.shape[1], N + 1), dtype=complex)
+    ks = []
+    for A, E in zip(windows, Es):
+        A[...] = _taylor_window(taylor, N, E)
+        ks.append(_scale_exponent(A))
+        if ks[-1]:
+            A *= 2.0**-ks[-1]
+    R = hilbert.gram_schmidt(windows, w, QR_DEGENERACY_THRESHOLD)
+    diags = np.abs(R.diagonal(axis1=1, axis2=2))
+    low = diags <= QR_DEGENERACY_THRESHOLD * np.maximum(diags[:, :1], 1e-300)
+    svds = iter(numerics.min_right_singular_vectors(R[~low.any(axis=1)]))
+    out = []
+    for Rb, d, deficient, k in zip(R, diags, low, ks):
+        exact = bool(deficient.any())
+        res = _null_direction(Rb, int(np.argmax(deficient))) if exact else next(svds)
+        try:  # raises a failure the SVD recorded, or NotNormalized
+            den = denominator_from_eigvec(settled([res])[0].vector, taylor.center)
+        except PadeError as exc:
+            out.append(exc)
+            continue
+        out.append((den, Diagnostics(
+            functional_value=res.value * 2.0**k,
+            degenerate=res.degenerate,
+            exact_degeneracy=exact,
+            condition_estimate=float(np.max(d)) / max(float(np.min(d)), 1e-300),
+        )))
+    return out
 
 
 def denominator_standard(taylor, M, N, E, rho, w):
@@ -293,9 +288,41 @@ def numerator(taylor, Q, M):
     return poly.ShiftedPolynomial(taylor.center, rows)
 
 
+def denominators(model, params, taylor):
+    """The first step of build for each of params: its (denominator,
+    diagnostics) pair from taylor, a block of Taylor coefficients as build
+    takes, centred at each params.z0.  The standard denominators are solved
+    one by one, then the fast ones of each N as one stack
+    (_fast_denominators), so that the stack's large arrays are freed right
+    before the caller builds numerators: in the other order a command's
+    heap grew by about 0.1 MB on the highorder_poles benchmark.  Each
+    failure is recorded, and the first in the order of params is raised, as
+    building them one by one would raise it."""
+    if taylor.coeffs.ndim != 2:
+        raise ValueError(
+            f"Taylor block of shape {taylor.coeffs.shape}, not one row per order"
+        )
+    for p in params:
+        if taylor.center != p.z0:
+            raise ValueError(f"Taylor block centred at {taylor.center}, approximant at {p.z0}")
+    stacks, solved = {}, {}
+    for i, p in enumerate(params):
+        if p.variant == "fast":
+            stacks.setdefault(p.N, []).append(i)
+            continue
+        try:
+            solved[i] = denominator_standard(taylor, p.M, p.N, p.E, p.rho, model.weights)
+        except PadeError as exc:
+            solved[i] = exc
+    for N, index in stacks.items():
+        Es = [params[i].E for i in index]
+        solved.update(zip(index, _fast_denominators(taylor, N, Es, model.weights)))
+    return settled([solved[i] for i in range(len(params))])
+
+
 def build(model, params, taylor=None):
     """Assemble a full approximant from the Taylor coefficients of a modal
-    model at params.z0.
+    model at params.z0: its denominator (denominators), then its numerator.
 
     taylor, if given, is a block of those coefficients shared by several
     builds: a 2-d array of one row per order, centred at params.z0
@@ -308,22 +335,8 @@ def build(model, params, taylor=None):
     """
     if taylor is None:
         taylor = taylor_coefficients(model, params.z0, params.E)
-    elif taylor.coeffs.ndim != 2:
-        raise ValueError(
-            f"Taylor block of shape {taylor.coeffs.shape}, not one row per order"
-        )
-    elif taylor.center != params.z0:
-        raise ValueError(
-            f"Taylor block centred at {taylor.center}, approximant at {params.z0}"
-        )
-    if params.variant == "fast":
-        den, diag = denominator_fast_qr(taylor, params.N, params.E, model.weights)
-    else:
-        den, diag = denominator_standard(
-            taylor, params.M, params.N, params.E, params.rho, model.weights
-        )
-    num = numerator(taylor, den, params.M)
-    return PadeApproximant(num, den, params, diag)
+    [(den, diag)] = denominators(model, [params], taylor)
+    return PadeApproximant(numerator(taylor, den, params.M), den, params, diag)
 
 
 def evaluate(approx, z):
@@ -413,10 +426,19 @@ def approximant_to_json(approx):
 
 
 def approximant_from_json(obj):
+    """The approximant of an artifact object, approximant_to_json's form:
+    NonFiniteValue on a non-finite entry (hilbert.pairs_to_array), and
+    DimensionMismatch unless the denominator holds N + 1 coefficients and
+    the numerator M + 1 rows of mode coefficients."""
     z0 = hilbert.pairs_to_array(obj["params"]["z0"])
     params = BuildParams(**{**obj["params"], "z0": z0})
     den = obj["denominator"]
     den = poly.ShiftedPolynomial(hilbert.pairs_to_array(den["center"]),
                                  hilbert.pairs_to_array(den["coeffs"]))
     num = poly.ShiftedPolynomial(den.center, hilbert.pairs_to_array(obj["numerator"]))
+    if den.coeffs.shape != (params.N + 1,) or num.coeffs.shape[:-1] != (params.M + 1,):
+        raise DimensionMismatch(
+            f"denominator of shape {den.coeffs.shape} and numerator of shape "
+            f"{num.coeffs.shape} for N = {params.N}, M = {params.M}"
+        )
     return PadeApproximant(num, den, params, Diagnostics(**obj["diagnostics"]))

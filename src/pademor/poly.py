@@ -14,7 +14,7 @@ caller, the rule would take that module past its 2,048-token block
 import numpy as np
 
 from . import numerics
-from .errors import ConstantPolynomial, NonFiniteValue, ZeroPolynomial
+from .errors import ConstantPolynomial, NonFiniteValue, PadeError, ZeroPolynomial, settled
 
 
 class ShiftedPolynomial:
@@ -80,12 +80,28 @@ def effective_coeffs(p):
 
 def roots(p):
     """Roots of p, sorted by distance from the center (ties by (Re, Im))."""
-    c = effective_coeffs(p)
-    if c.size < 2:
-        raise ConstantPolynomial("polynomial has effective degree 0")
-    raw = numerics.polynomial_roots(c)
-    shifted = [r + p.center for r in raw]
-    return sorted(shifted, key=lambda r: (abs(r - p.center), r.real, r.imag))
+    return settled(roots_stack([p]))[0]
+
+
+def roots_stack(ps):
+    """roots of each of ps, those of one effective degree solved as one
+    stack (numerics.polynomial_roots_stack): one outcome (errors.settled)
+    per polynomial."""
+    coeffs = []
+    for p in ps:
+        try:
+            c = effective_coeffs(p)
+            if c.size < 2:
+                raise ConstantPolynomial("polynomial has effective degree 0")
+        except PadeError as exc:
+            c = exc
+        coeffs.append(c)
+    out = numerics.polynomial_roots_stack(coeffs)
+    for i, (p, raw) in enumerate(zip(ps, out)):
+        if not isinstance(raw, PadeError):
+            shifted = [r + p.center for r in raw]
+            out[i] = sorted(shifted, key=lambda r: (abs(r - p.center), r.real, r.imag))
+    return out
 
 
 def _legendre_series(x, c):

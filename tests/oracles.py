@@ -203,8 +203,9 @@ def loop_numerator(taylor, Q, M):
 
 def column_mgs(A, w):
     """Weighted modified Gram-Schmidt with one reorthogonalization pass,
-    basis as columns and one inner_product call per projection: the
-    routine pade._weighted_mgs replaced.  Returns R."""
+    basis as columns and one inner_product call per projection, on one
+    quasimatrix: the loop that hilbert.gram_schmidt runs on a stack of
+    them.  Returns R."""
     ncols = A.shape[1]
     Q = np.zeros_like(A)
     R = np.zeros((ncols, ncols), dtype=complex)

@@ -131,6 +131,41 @@ def test_non_finite_denominator_read_back_raises():
         pade.approximant_poles(pade.approximant_from_json(obj))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["numerator", "coeffs", "center", "z0"])
+def test_non_finite_entry_is_refused_on_reading(where, value):
+    # a numerator row [NaN, 0] loaded, and evaluate then gave nan+nanj
+    obj = artifact_object()
+    if where == "numerator":
+        obj["numerator"][1] = [[value, 0.0]]
+    elif where == "coeffs":
+        obj["denominator"]["coeffs"][0] = [0.6, value]
+    elif where == "center":
+        obj["denominator"]["center"] = [value, 0.5]
+    else:
+        obj["params"]["z0"] = [0.0, value]
+    with pytest.raises(NonFiniteValue, match="non-finite"):
+        pade.approximant_from_json(obj)
+
+
+@pytest.mark.parametrize("where, value", [
+    ("coeffs", [[0.6, 0.0]]),  # one coefficient for N = 1
+    ("coeffs", [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]]),  # three
+    ("coeffs", [[[0.6, 0.0]], [[0.8, 0.0]]]),  # a column of coefficients
+    ("numerator", [[[1.0, 0.0]]]),  # one row for M = 1
+    ("numerator", [[1.0, 0.0], [2.0, 0.0]]),  # scalar rows
+    ("numerator", [[[[1.0, 0.0]]], [[[2.0, 0.0]]]]),  # rows of matrices
+])
+def test_artifact_of_the_wrong_shape_is_refused(where, value):
+    obj = artifact_object()
+    if where == "coeffs":
+        obj["denominator"]["coeffs"] = value
+    else:
+        obj["numerator"] = value
+    with pytest.raises(DimensionMismatch, match="for N = 1, M = 1"):
+        pade.approximant_from_json(obj)
+
+
 def test_z0_that_is_not_a_pair_raises():
     # NumPy's view raised ValueError "When changing to a larger dtype..."
     obj = artifact_object()

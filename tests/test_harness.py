@@ -10,8 +10,8 @@ import numpy as np
 import orjson
 import pytest
 
-from pademor import cli, harness, hilbert, modal, pade, poly
-from pademor.errors import ConfigError, PadeError
+from pademor import cli, harness, hilbert, modal, numerics, pade, poly
+from pademor.errors import ConfigError, NoConvergence, PadeError
 
 from conftest import OVERFLOWING_Q_MODULUS, load_perfbench
 from oracles import horner_magnitude, modal_error, point_errors
@@ -947,6 +947,23 @@ class TestSharedTaylorBlock:
             assert (hilbert.json_text(pade.approximant_to_json(shared_build))
                     == hilbert.json_text(pade.approximant_to_json(own)))
 
+    @pytest.mark.parametrize("workload", ["helmholtz_reference", "highorder_poles",
+                                          "synthetic_dense_grid"])
+    def test_stacked_denominators_are_each_build_alone(self, workload):
+        # the denominators of a command's approximants, solved together,
+        # are those of each build alone, byte for byte
+        cfg = harness.parse_config(load_perfbench("workloads").make_config(workload))
+        model = harness.build_model(cfg)
+        params = [pade.BuildParams(cfg.z0, E, cfg.N, cfg.fast_E(E), "fast")
+                  for E in cfg.E_list]
+        params += [pade.BuildParams(cfg.z0, E - cfg.N, cfg.N, E, "standard", cfg.rho())
+                   for E in cfg.E_list]
+        taylor = modal.taylor_coefficients(model, cfg.z0, max(p.E for p in params))
+        for p, (den, diag) in zip(params, pade.denominators(model, params, taylor)):
+            alone = pade.build(model, p)
+            assert den.coeffs.tobytes() == alone.denominator.coeffs.tobytes()
+            assert diag == alone.diagnostics
+
     @pytest.mark.parametrize("command", ["build", "sweep", "convergence", "poles",
                                          "compare"])
     def test_one_taylor_block_per_command(self, tmp_path, monkeypatch, command):
@@ -966,6 +983,69 @@ class TestSharedTaylorBlock:
         assert cli.main([command, "--config", path, "--out", out]) == 0
         # max(M_list) + N, or fast_E(max(E_list)) = 5 + N
         assert orders == [5 if command in ("build", "sweep", "convergence") else 7]
+
+
+class TestFailureOrder:
+    """A command reports the failure that building its approximants one by
+    one in (M, fast, standard) order, then finding their poles in (E, fast,
+    standard) order, meets first, though the stacked solves meet them in
+    another order."""
+
+    CONFIG = {**SYNTH_CONFIG, "model": {"kind": "synthetic",
+                                        "poles": [[1.0, 0.0], [2.0, 0.0], [4.0, 0.5]],
+                                        "residue_norms": [1.0, 0.5, 0.25]},
+              "M_list": [1, 2, 3], "E_list": [2, 3, 4]}
+
+    def run(self, tmp_path, capsys, command):
+        out = str(tmp_path / "out")
+        assert cli.main([command, "--config", write_config(tmp_path, self.CONFIG),
+                         "--out", out]) == 3
+        assert not os.path.exists(out)
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("fast, standard, first", [
+        (1, 2, "fast 1"), (2, 1, "standard 1"), (1, 1, "fast 1"), (2, 0, "standard 0"),
+    ])
+    def test_first_denominator_failure(self, tmp_path, capsys, monkeypatch,
+                                       fast, standard, first):
+        # the fast kernel records a failure for the item of M_list[fast]
+        # (one SVD for all three); the standard kernel, one eigensolve per
+        # M in order, raises on the one of M_list[standard]
+        svd, eig, calls = numerics.min_right_singular_vectors, numerics.hermitian_eigensystem, []
+
+        def failing_svd(R):
+            out = svd(R)
+            assert len(out) == 3
+            out[fast] = NoConvergence(f"fast {fast}")
+            return out
+
+        def failing_eig(H):
+            calls.append(H)
+            if len(calls) - 1 == standard:
+                raise NoConvergence(f"standard {standard}")
+            return eig(H)
+
+        monkeypatch.setattr(numerics, "min_right_singular_vectors", failing_svd)
+        monkeypatch.setattr(numerics, "hermitian_eigensystem", failing_eig)
+        err = self.run(tmp_path, capsys, "sweep")
+        assert err == f"numerical failure: NoConvergence: {first}\n"
+
+    @pytest.mark.parametrize("failing", [{3}, {4, 1}, {5, 0, 2}])
+    def test_first_root_failure(self, tmp_path, capsys, monkeypatch, failing):
+        # one roots stack for the six denominators of E_list, in (E, fast,
+        # standard) order
+        solve = numerics.polynomial_roots_stack
+
+        def failing_roots(polys):
+            out = solve(polys)
+            assert len(out) == 6
+            for i in failing:
+                out[i] = NoConvergence(f"roots {i}")
+            return out
+
+        monkeypatch.setattr(numerics, "polynomial_roots_stack", failing_roots)
+        err = self.run(tmp_path, capsys, "poles")
+        assert err == f"numerical failure: NoConvergence: roots {min(failing)}\n"
 
 
 class TestPoleGrouping:

@@ -1,10 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pademor import cli, numerics
-from pademor.errors import DegenerateLeadingCoefficient, NoConvergence, NonHermitianInput
+from pademor import cli, numerics, poly
+from pademor.errors import (DegenerateLeadingCoefficient, NoConvergence, NonHermitianInput,
+                            PadeError, settled)
 
 from conftest import load_perfbench
 from oracles import loop_jacobi
@@ -303,3 +306,75 @@ class TestPolynomialRoots:
         monkeypatch.setattr(numerics, "ROOT_TOL", 0.0)
         with pytest.raises(NoConvergence, match="root residual check failed"):
             numerics.polynomial_roots([0.3, -1.7, 0.9, 1.0])
+
+
+def same_outcome(stacked, alone):
+    """A stack's outcome for one item against that item solved alone
+    (alone() returns or raises): the same error, type and message, or the
+    same roots byte for byte, signed zeros included."""
+    try:
+        expected = alone()
+    except PadeError as exc:
+        assert type(stacked) is type(exc) and str(stacked) == str(exc)
+    else:
+        assert not isinstance(stacked, PadeError), stacked
+        got, want = np.array(stacked, dtype=complex), np.array(expected, dtype=complex)
+        assert got.tobytes() == want.tobytes()
+
+
+# One coefficient part: 0 (of either sign) or a float of a few decades.
+PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def coefficient_rows(draw):
+    """Ascending complex coefficients of degree 0 to 6.  Some rows are
+    scaled by 2^-1040, so that their leading coefficient is below 2^-1000
+    and the solve rescales them by 2^1000; some are the monomial
+    a_d z^d, whose roots, all 0, are exact, so that it passes any residual
+    bound."""
+    degree = draw(st.integers(0, 6))
+    row = [complex(draw(PARTS), draw(PARTS)) for _ in range(degree + 1)]
+    if draw(st.booleans()):
+        row = [0j] * degree + row[-1:]
+    if draw(st.booleans()):
+        row = [a * 2.0**-1040 for a in row]
+    return row
+
+
+class TestRootStacks:
+    """A stack of polynomials gives each one's roots, or error, as solving
+    it alone does."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(rows=st.lists(coefficient_rows(), min_size=1, max_size=8), strict=st.booleans())
+    def test_stack_is_each_row_alone(self, rows, strict):
+        # strict: a residual bound of 2^-60, which rows with rounded roots
+        # fail (NoConvergence) while the exact monomials pass
+        with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
+            stacked = numerics.polynomial_roots_stack(rows)
+            assert len(stacked) == len(rows)
+            for out, row in zip(stacked, rows):
+                same_outcome(out, lambda: numerics.polynomial_roots(row))
+            polys = [poly.ShiftedPolynomial(0.5 - 0.25j, row) for row in rows]
+            for out, p in zip(poly.roots_stack(polys), polys):
+                same_outcome(out, lambda: poly.roots(p))
+
+    def test_failed_row_keeps_its_place(self):
+        # the middle row fails a residual bound of 2^-60; the monomials
+        # around it pass
+        rows = [[0, 0, 2.0], [0.3, -1.7, 0.9, 1.0], [0, 0, 0, 1j]]
+        with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60):
+            first, failed, last = numerics.polynomial_roots_stack(rows)
+            assert first == [0j, 0j] and last == [0j, 0j, 0j]
+            assert isinstance(failed, NoConvergence)
+            with pytest.raises(NoConvergence, match="root residual check failed"):
+                settled([first, failed, last])
+
+    def test_first_failure_in_order_is_raised(self):
+        # degree 1 solves before degree 2, yet the degree-2 row comes first
+        stacked = numerics.polynomial_roots_stack([[1.0, 1.0, 1e-16], [], [1.0, 1.0]])
+        with pytest.raises(DegenerateLeadingCoefficient, match="vanishes"):
+            settled(stacked)
+        assert isinstance(stacked[1], DegenerateLeadingCoefficient)
+        assert stacked[2] == [-1 + 0j]

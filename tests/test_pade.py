@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pademor import harness, modal, numerics, pade, poly
+from pademor import harness, hilbert, modal, numerics, pade, poly
 from pademor.errors import InsufficientTaylorLength, RhoOverflow
 from pademor.hilbert import InnerProductWeights, norm
 
@@ -365,8 +365,8 @@ class TestNumerator:
 
 
 class TestLoopOracles:
-    """The sliced numerator and the row-basis Gram-Schmidt give the loops
-    they replaced, bit for bit."""
+    """The stacked Gram-Schmidt and the sliced numerator give the loops
+    they replaced, byte for byte (signed zeros included), for each item."""
 
     CASES = [  # model fixture, center, N, E
         ("helmholtz", 12 + 0.5j, 4, 12),
@@ -376,13 +376,16 @@ class TestLoopOracles:
 
     @pytest.mark.parametrize("name, z0, N, E", CASES)
     def test_gram_schmidt(self, name, z0, N, E, request):
+        # the windows of orders N..E as one stack, each factor as alone
         model = request.getfixturevalue(name)
         t = modal.taylor_coefficients(model, z0, E)
-        A = pade._taylor_window(t, N, E)
-        R = pade._weighted_mgs(A, model.weights)
-        assert np.array_equal(R, column_mgs(A, model.weights))
-        # denominator_fast_qr takes |R[0, 0]| as the first column norm
-        assert R[0, 0].imag == 0.0 and abs(R[0, 0]) == R[0, 0].real > 0.0
+        windows = [pade._taylor_window(t, N, e) for e in range(N, E + 1)]
+        R = hilbert.gram_schmidt(np.array(windows), model.weights,
+                                 pade.QR_DEGENERACY_THRESHOLD)
+        for A, Rb in zip(windows, R):
+            assert Rb.tobytes() == column_mgs(A, model.weights).tobytes()
+            # the fast route takes |R[0, 0]| as the first column norm
+            assert Rb[0, 0].imag == 0.0 and abs(Rb[0, 0]) == Rb[0, 0].real > 0.0
         _, diag = pade.denominator_fast_qr(t, N, E, model.weights)
         assert diag.exact_degeneracy == (name == "highorder")
 
@@ -394,7 +397,19 @@ class TestLoopOracles:
         for Q in (den, normalized_random_poly(rng, z0, N)):
             for M in sorted({0, N - 1, N, E}):
                 num = pade.numerator(t, Q, M)
-                assert np.array_equal(num.coeffs, loop_numerator(t, Q, M).coeffs)
+                assert num.coeffs.tobytes() == loop_numerator(t, Q, M).coeffs.tobytes()
+
+    @pytest.mark.parametrize("name, z0, N, E", CASES)
+    def test_fast_stack_is_each_window_alone(self, name, z0, N, E, request):
+        # every fast denominator of orders N..E from one stack, as alone:
+        # coefficients byte for byte and diagnostics equal
+        model = request.getfixturevalue(name)
+        t = modal.taylor_coefficients(model, z0, E)
+        params = [pade.BuildParams(z0, e, N, e) for e in range(N, E + 1)]
+        for p, (den, diag) in zip(params, pade.denominators(model, params, t)):
+            alone, alone_diag = pade.denominator_fast_qr(t, N, p.E, model.weights)
+            assert den.coeffs.tobytes() == alone.coeffs.tobytes()
+            assert diag == alone_diag
 
 
 class TestBuildAndEvaluate:
@@ -420,8 +435,8 @@ class TestBuildAndEvaluate:
         t = modal.taylor_coefficients(three_pole, 0.3, 4)
         ap = pade.build(three_pole, pade.BuildParams(0.3, 4, 2, 4, "fast"))
         den, diag = pade.denominator_fast_qr(t, 2, 4, three_pole.weights)
-        assert np.array_equal(ap.denominator.coeffs, den.coeffs)
-        assert np.array_equal(ap.numerator.coeffs, pade.numerator(t, den, 4).coeffs)
+        assert ap.denominator.coeffs.tobytes() == den.coeffs.tobytes()
+        assert ap.numerator.coeffs.tobytes() == pade.numerator(t, den, 4).coeffs.tobytes()
         assert ap.diagnostics == diag
 
     def test_shared_block_off_center_raises(self, three_pole):

@@ -5,6 +5,19 @@ module, and the parser's token buffer grows in powers of two: a module that
 crosses one adds about 0.1 MB to the peak RSS of every benchmark workload
 (`peak_rss_mb`), whatever code runs.  A module that must grow past its block
 raises its entry here, and says so with the benchmark figures it moves.
+
+Below its block a module is not free either: peak_rss_mb follows each
+module's compile peak.  The modules compiled after NumPy is imported
+(pade first, then hilbert, numerics, poly, modal and cli) compile on top
+of NumPy's memory, so the largest of their compile peaks sets the import's
+RSS peak; harness, compiled before NumPy loads, stays below it.  A version
+of the stacked fast denominators that grew pade.py from 2,947 to 3,901
+tokens, inside its 4,096 block, raised the compile() peak of pade.py from
+1,152 to 1,408 KB, the after-import ru_maxrss by 0.2-0.35 MB, and
+peak_rss_mb by 0.25-0.27 MB on synthetic_dense_grid, 0.14-0.21 MB on
+helmholtz_reference and 0.60-0.65 MB on highorder_poles (bound 0.1 MB).
+So code is moved or deleted rather than added beside, and a module that
+grows is measured, not assumed free.
 """
 
 import tokenize
