@@ -31,6 +31,10 @@ class NonFiniteValue(PadeError):
     pass
 
 
+class InvalidWeights(PadeError, ValueError):  # still a ValueError to callers that catch one
+    pass
+
+
 # modal
 class DuplicatePoles(PadeError):
     pass

@@ -11,7 +11,7 @@ pairs, which pairs_to_array reads back.
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import DimensionMismatch, InvalidWeights, NonFiniteValue
 
 
 class InnerProductWeights:
@@ -24,12 +24,8 @@ class InnerProductWeights:
         if not np.isfinite(w).all():
             raise NonFiniteValue("weights have a non-finite entry")
         if w.ndim != 1 or w.size == 0 or np.any(w <= 0.0):
-            raise ValueError("weights must be a non-empty positive 1-d array")
+            raise InvalidWeights("weights must be a non-empty positive 1-d array")
         self.weights = w
-
-    @property
-    def dimension(self):
-        return self.weights.size
 
     @staticmethod
     def l2(dimension):
@@ -39,15 +35,14 @@ class InnerProductWeights:
     def energy(eigenvalues, shift):
         if shift < 0.0:
             raise ValueError("energy shift must be nonnegative")
-        lam = np.real(np.asarray(eigenvalues, dtype=complex))
-        return InnerProductWeights(lam + shift)
+        return InnerProductWeights(np.real(np.asarray(eigenvalues, dtype=complex)) + shift)
 
 
 def _check_dims(w, *vectors, ndims=(1,)):
     for v in vectors:
-        if v.ndim not in ndims or v.shape[-1] != w.dimension:
+        if v.ndim not in ndims or v.shape[-1] != w.weights.size:
             raise DimensionMismatch(
-                f"vector of shape {v.shape} incompatible with {w.dimension} weights"
+                f"vector of shape {v.shape} incompatible with {w.weights.size} weights"
             )
 
 
@@ -127,16 +122,19 @@ def json_text(obj):
     # the CSV commands, which never write JSON, need not pay.
     import orjson
 
-    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS
-    return orjson.dumps(obj, option=option).decode()
+    return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS).decode()
 
 
 def pairs_to_array(pairs):
     """Inverse of finite_array on a complex array, bit for bit (signed
     zeros included), from nested lists or a float array of [re, im] pairs:
     a complex array, 0-d for a single pair.  DimensionMismatch unless the
-    trailing axis holds pairs, NonFiniteValue on a non-finite entry."""
-    a = finite_array(np.array(pairs, dtype=float), "an array of [re, im] pairs")
+    trailing axis holds pairs (lists of unequal lengths included),
+    NonFiniteValue on a non-finite entry."""
+    try:
+        a = finite_array(np.array(pairs, dtype=float), "an array of [re, im] pairs")
+    except ValueError as exc:  # lists of unequal lengths: a ragged array
+        raise DimensionMismatch(f"not an array of [re, im] pairs: {exc}") from None
     if a.shape[-1:] != (2,):
         raise DimensionMismatch(f"array of shape {a.shape} is not of [re, im] pairs")
     # [re, im] pairs in C order are the memory layout of complex numbers.

@@ -49,10 +49,10 @@ class ModalModel:
             raise NonFiniteValue("an eigenvalue or a coefficient is not finite")
         if np.any(abs(lam.view(float)) >= COORDINATE_LIMIT):
             raise EigenvalueTooLarge("an eigenvalue has a part of magnitude >= 2^1021")
-        if coef.shape != lam.shape or lam.shape != (weights.dimension,):
+        if coef.shape != lam.shape or lam.shape != weights.weights.shape:
             raise LengthMismatch(
                 f"{lam.size} eigenvalues, {coef.size} coefficients, "
-                f"{weights.dimension} weights"
+                f"{weights.weights.size} weights"
             )
         self.eigenvalues, self.coefficients, self.weights = lam, coef, weights
         self.poles, self.residue_norms = _retained_poles(self)

@@ -2,9 +2,10 @@
 
 Provides a cyclic complex Jacobi eigensolver for small Hermitian matrices,
 the minimal right-singular vector of a small triangular factor by LAPACK's
-SVD, and the roots of a polynomial of any degree, in no set order, as the
+SVD, the roots of a polynomial of any degree, in no set order, as the
 LAPACK eigenvalues of its companion matrix, each polished by one Newton
-step.  Jacobi, not LAPACK, solves the standard Gramian sum: the committed
+step, and the power-of-two scalings that keep weighted sums of squares
+finite.  Jacobi, not LAPACK, solves the standard Gramian sum: the committed
 benchmark reference holds its roundoff, and a LAPACK eigensolver in its
 place fails that reference's check until the reference is retaken.  The
 Jacobi rotation kernel does the same floating-point operations on every
@@ -13,9 +14,10 @@ bit-identical to it.  Only the vectors compared or returned are
 phase-fixed, not whole eigensystems.  All routines are pure functions on
 value inputs.
 
-The singular vectors and the roots are solved for a whole stack at once
-(min_right_singular_vectors, polynomial_roots_stack): one LAPACK call for
-the stack, or per degree for roots, each item giving the bytes it gives
+The eigensystems, the singular vectors and the roots are solved for a
+whole stack at once (hermitian_eigensystems, min_right_singular_vectors,
+polynomial_roots_stack): Jacobi in lockstep over the stack, one LAPACK call
+for the stack, or per degree for roots, each item giving the bytes it gives
 alone.  A failed item is recorded in place (errors.settled); the
 single-problem routines are stacks of one.
 """
@@ -34,6 +36,7 @@ EIGEN_TOL = 1e-12  # eigen-residual contract, relative to ||H||_F
 ROOT_TOL = 1e-10  # root-residual contract of polynomial_roots
 TRIM_THRESHOLD = 1e-13  # a leading coefficient this small against the largest vanishes
 MAX_JACOBI_SWEEPS = 100
+SCALE_EXPONENT = 400  # blocks whose entries stay below 2^400 are not scaled
 
 
 class MinEigen(NamedTuple):
@@ -76,62 +79,107 @@ def hermitian_eigensystem(H):
 
     Returns (values, vectors) with values ascending and vectors as columns,
     as the rotations leave them (not phase-fixed).  Residuals satisfy
-    ||H v - mu v|| <= EIGEN_TOL * ||H||_F.
+    ||H v - mu v|| <= EIGEN_TOL * ||H||_F.  A stack of one of
+    hermitian_eigensystems.
     """
-    A, scale = _check_hermitian(H)
-    n = A.shape[0]
-    # W = [A; V]: one column rotation turns A and the eigenvectors V together.
-    W = np.concatenate((A, np.eye(n, dtype=complex)))
-    A = W[:n]
-    cols = [W[:, j] for j in range(n)]
-    rows = list(A)
-    # Quadratic convergence: off-diagonal mass well below EIGEN_TOL * scale
-    # gives eigen-residuals within the contract.
-    target = 0.1 * EIGEN_TOL * scale
-    skip = float(np.finfo(float).eps * scale / n)
+    return settled(hermitian_eigensystems([H]))[0]
+
+
+def hermitian_eigensystems(matrices):
+    """hermitian_eigensystem of each of a list of matrices of one order, by
+    cyclic Jacobi on all of them in lockstep: one outcome (errors.settled)
+    per matrix, each giving what it gives alone.
+
+    The matrices not yet converged form one stack W of [A; V] blocks, made
+    again at each sweep without those that have converged.  At each pair
+    (p, q) every matrix takes its rotation scalars on Python floats, with
+    the skip rule of a matrix alone; the rotation is then applied once to
+    the matrices that rotate, with a coefficient column per matrix, or
+    Python scalars on 1-d views when only one rotates.
+    """
+    out, live, blocks = list(matrices), [], []
+    for i, H in enumerate(matrices):
+        try:
+            A, scale = _check_hermitian(H)
+        except PadeError as exc:
+            out[i] = exc
+            continue
+        # Quadratic convergence: off-diagonal mass well below EIGEN_TOL *
+        # scale gives eigen-residuals within the contract.
+        n = A.shape[0]
+        live.append((i, 0.1 * EIGEN_TOL * scale, float(np.finfo(float).eps * scale / n)))
+        # [A; V]: one column rotation turns A and the eigenvectors V together.
+        blocks.append(np.concatenate((A, np.eye(n, dtype=complex))))
+    if not live:
+        return out
+    W = np.array(blocks)
     mask = ~np.eye(n, dtype=bool)
     for sweep in range(MAX_JACOBI_SWEEPS + 1):
-        off = np.linalg.norm(A[mask])
-        if off <= target:
+        keep = []
+        for b, (i, target, _) in enumerate(live):
+            A = W[b, :n]
+            if np.linalg.norm(A[mask]) <= target:  # a nan target is never met
+                vals = A.real.diagonal().copy()
+                order = np.argsort(vals, kind="stable")
+                out[i] = vals[order], W[b][n:, order]
+            else:
+                keep.append(b)
+        if len(keep) < len(live):
+            # np.array, not W[keep]: a 3-d fancy take runs NumPy code that no
+            # other step runs, whose pages add 64 KB to the resident peak
+            live, W = [live[b] for b in keep], np.array([W[b] for b in keep])
+        if not live:
             break
         if sweep == MAX_JACOBI_SWEEPS:
-            raise NoConvergence(
-                f"Jacobi sweeps exceeded {MAX_JACOBI_SWEEPS} without reaching "
-                f"off-diagonal target {target:.3e}"
-            )
+            for i, target, _ in live:
+                out[i] = NoConvergence(
+                    f"Jacobi sweeps exceeded {MAX_JACOBI_SWEEPS} without reaching "
+                    f"off-diagonal target {target:.3e}"
+                )
+            break
+        skips = [skip for _, _, skip in live]
+        cols = [W[:, :, j] for j in range(n)]
+        rows = [W[:, j] for j in range(n)]
+        Wr, Wi = W.real, W.imag
         for p in range(n - 1):
             for q in range(p + 1, n):
-                h = W.item(p, q)
-                ah = abs(h)
-                if ah <= skip:
-                    W[p, q] = W[q, p] = 0.0
-                    continue
-                # u = h / |h| by NumPy's complex division rule, which
-                # Python's complex / float does not round alike.
-                inv = 1.0 / ah
-                hr, hi = h.real, h.imag
-                ur, ui = (hr + hi * 0.0) * inv, (hi - hr * 0.0) * inv
-                tau = (W.item(q, q).real - W.item(p, p).real) / (2.0 * ah)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                k, ku = s * complex(ur, -ui), s * complex(ur, ui)  # s u*, s u
-                # The products stay NumPy array operations: its vectorized
-                # complex product rounds unlike Python's scalar one.
-                Wp, Wq = cols[p], cols[q]  # W <- W J, J the (p,q) rotation
-                Wp[:], Wq[:] = c * Wp - k * Wq, ku * Wp + c * Wq
-                Ap, Aq = rows[p], rows[q]  # A <- J^H A
-                Ap[:], Aq[:] = c * Ap - ku * Aq, k * Ap + c * Aq
-                W[p, q] = W[q, p] = 0.0
-                W[p, p] = W.item(p, p).real
-                W[q, q] = W.item(q, q).real
-
-    vals = A.real.diagonal().copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], W[n:, order]
+                rot, coefs = [], []
+                entries = zip(skips, cols[q][:, p].tolist(), Wr[:, p, p].tolist(),
+                              Wr[:, q, q].tolist())
+                for b, (skip, h, dp, dq) in enumerate(entries):
+                    ah = abs(h)
+                    if ah <= skip:
+                        continue
+                    # u = h / |h| by NumPy's complex division rule, which
+                    # Python's complex / float does not round alike.
+                    inv = 1.0 / ah
+                    hr, hi = h.real, h.imag
+                    ur, ui = (hr + hi * 0.0) * inv, (hi - hr * 0.0) * inv
+                    tau = (dq - dp) / (2.0 * ah)
+                    if tau >= 0.0:
+                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                    else:
+                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                    c = 1.0 / math.sqrt(1.0 + t * t)
+                    s = t * c
+                    rot.append(b)
+                    coefs.append((c, s * complex(ur, -ui), s * complex(ur, ui)))  # c, s u*, s u
+                if rot:
+                    if len(rot) == 1:
+                        sel, (c, k, ku) = rot[0], coefs[0]
+                    else:  # c complex: NumPy casts a float factor so anyway
+                        sel = slice(None) if len(rot) == len(live) else np.array(rot)
+                        c, k, ku = np.array(coefs).T[:, :, None]
+                    # The products stay NumPy array operations: its
+                    # vectorized complex product rounds unlike Python's
+                    # scalar one.
+                    Wp, Wq = cols[p][sel], cols[q][sel]  # W <- W J, J the (p,q) rotation
+                    cols[p][sel], cols[q][sel] = c * Wp - k * Wq, ku * Wp + c * Wq
+                    Ap, Aq = rows[p][sel], rows[q][sel]  # A <- J^H A
+                    rows[p][sel], rows[q][sel] = c * Ap - ku * Aq, k * Ap + c * Aq
+                    Wi[sel, p, p] = Wi[sel, q, q] = 0.0
+                W[:, p, q] = W[:, q, p] = 0.0
+    return out
 
 
 def hermitian_min_eigenpair(H):
@@ -192,6 +240,37 @@ def min_right_singular_vectors(R):
         degenerate = s.size > 1 and bool(t[-2] ** 2 - t[-1] ** 2 < gap_tol)
         out.append(MinEigen(float(s[-1]), phase_fix(Vh[-1].conj()), degenerate))
     return out
+
+
+def scale_exponent(block, weight=0.0):
+    """Exponent k with the largest entry of 2^-k block in [1, 2) when that
+    entry, times 2^weight, exceeds 2^SCALE_EXPONENT, or when it is nonzero
+    and below 2^-SCALE_EXPONENT; 0 between; never below -1023, so that
+    2^-k is a float.
+
+    Weighted sums of squares of larger entries can overflow, and those of
+    smaller ones underflow; scaling by a power of two is exact, so a solve
+    on the scaled block undoes it exactly (pade's denominators).
+    """
+    amax = float(np.max(np.abs(block), initial=0.0))
+    k = math.frexp(amax)[1] - 1
+    if amax > 0.0 and (k + weight > SCALE_EXPONENT or k < -SCALE_EXPONENT):
+        return max(k, -1023)
+    return 0
+
+
+def scaled(x, rho, n, k):
+    """x rho^n 2^k for x >= 0 and rho > 0 as a float, inf if it overflows
+    (the functional value of a scaled standard solve): Python's ** raises
+    OverflowError where * gives inf."""
+    try:
+        return x * rho**n * 2.0**k
+    except OverflowError:
+        m, e = math.frexp(rho)  # rho = m 2^e, with m^n < 1
+        try:
+            return math.ldexp(x * m**n, e * n + k)
+        except OverflowError:
+            return math.inf
 
 
 def _horner(b, x):

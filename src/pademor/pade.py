@@ -10,11 +10,12 @@ by LAPACK's SVD, never an eigensolve of R^H R.  Its Gramian route, the
 standard functional with the single block of order E and rho = 1, is kept
 as a cross-check.
 
-The fast denominators asked for together (denominators) are solved as one
-stack: one QR of all their windows (hilbert.gram_schmidt) and one SVD of
-all their full-rank factors, each giving the bytes it gives alone, so that
-NumPy's cost per call is paid once; a single build is a stack of one.  The
-standard route's Jacobi sweeps stay one matrix at a time.
+The denominators asked for together (denominators) are solved as one
+stack per variant and N, each giving the bytes it gives alone, so that
+NumPy's cost per call is paid once: the fast ones by one QR of all their
+windows (hilbert.gram_schmidt) and one SVD of all their full-rank factors,
+the standard ones by one lockstep Jacobi over all their Gramian sums
+(numerics.hermitian_eigensystems).  A single build is a stack of one.
 """
 
 import math
@@ -28,7 +29,6 @@ from .errors import (DimensionMismatch, InsufficientTaylorLength, NotNormalized,
 from .modal import ModalModel, taylor_coefficients
 
 QR_DEGENERACY_THRESHOLD = 1e-14
-SCALE_EXPONENT = 400  # windows whose entries stay below 2^400 are not scaled
 
 
 class _BuildFields(NamedTuple):
@@ -111,23 +111,6 @@ def denominator_from_eigvec(q, z0):
     return poly.ShiftedPolynomial(z0, q[::-1].copy())
 
 
-def _scale_exponent(block, weight=0.0):
-    """Exponent k with the largest entry of 2^-k block in [1, 2) when that
-    entry, times 2^weight, exceeds 2^SCALE_EXPONENT, or when it is nonzero
-    and below 2^-SCALE_EXPONENT; 0 between; never below -1023, so that
-    2^-k is a float.
-
-    Weighted sums of squares of larger entries can overflow, and those of
-    smaller ones underflow; scaling by a power of two is exact, so the
-    solves below undo it exactly.
-    """
-    amax = float(np.max(np.abs(block), initial=0.0))
-    k = math.frexp(amax)[1] - 1
-    if amax > 0.0 and (k + weight > SCALE_EXPONENT or k < -SCALE_EXPONENT):
-        return max(k, -1023)
-    return 0
-
-
 def gramian(taylor, N, E, w):
     """Hermitian PSD matrix of V-inner products of the Taylor window:
     entry (i, j) = <S_{E-N+j}, S_{E-N+i}>."""
@@ -138,55 +121,55 @@ def gramian(taylor, N, E, w):
     return 0.5 * (G + G.conj().T)
 
 
-def _gramian_denominator(taylor, M, N, E, rho, w):
+def _gramian_denominators(taylor, N, items, w):
     """Minimal eigenvector of the rho-weighted Gramian sum over orders
-    M+1..E, rescaled by rho^{-2(M+1)} before the eigensolve.
+    M+1..E for each (M, E, rho) of items, rescaled by rho^{-2(M+1)}, all
+    sums solved by one numerics.hermitian_eigensystems call: one outcome
+    (errors.settled) per item, RhoOverflow where rho^(2(E-M)) overflows.
 
     The minimizer is invariant under positive scaling of the matrix, so the
     rescaling only guards against overflow, as do the power-of-two
-    scalings (_scale_exponent) of the Taylor windows and of the sum, whose
-    entries are squares of window entries times up to rho^{2(E-M-1)}: the
-    windows are scaled when their largest entry times rho^{E-M-1} passes
-    2^SCALE_EXPONENT, and the Frobenius norm of the sum, which the
-    eigensolve takes, stays finite.  Each block is exactly Hermitian, and
-    so is their positively weighted sum.
+    scalings (numerics.scale_exponent) of the Taylor windows and of the
+    sum, whose entries are squares of window entries times up to
+    rho^{2(E-M-1)}: the windows are scaled when their largest entry times
+    rho^{E-M-1} passes 2^numerics.SCALE_EXPONENT, and the Frobenius norm of
+    the sum, which the eigensolve takes, stays finite.  Each block is
+    exactly Hermitian, and so is their positively weighted sum.
     """
-    weight = (E - M - 1) * math.log2(rho) if rho > 1.0 else 0.0
-    k = _scale_exponent(taylor.coeffs[max(M + 1 - N, 0) : E + 1], weight)
-    if k:
-        taylor = poly.ShiftedPolynomial(taylor.center, taylor.coeffs * 2.0**-k)
-    A = np.zeros((N + 1, N + 1), dtype=complex)
-    for gamma in range(M + 1, E + 1):
-        A += rho ** (2 * (gamma - M - 1)) * gramian(taylor, N, gamma, w)
-    j = (_scale_exponent(A) + 1) // 2
-    if j:
-        A = A * 4.0**-j
-        k += j
-    vals, vecs = numerics.hermitian_eigensystem(A)
-    res = numerics.min_eigenpair(vals, vecs, np.linalg.norm(A))
-    # Python floats, so that an overflowing ratio is inf without a warning.
-    top, bottom = float(vals[-1]), float(vals[0])
-    den = denominator_from_eigvec(res.vector, taylor.center)
-    mu = max(res.value, 0.0)
-    diag = Diagnostics(
-        functional_value=_scaled(math.sqrt(mu), rho, M + 1, k),
-        degenerate=res.degenerate,
-        condition_estimate=top / max(bottom, 1e-300) if top > 0 else 1.0,
-    )
-    return den, diag
-
-
-def _scaled(x, rho, n, k):
-    """x rho^n 2^k for x >= 0 and rho > 0 as a float, inf if it overflows:
-    Python's ** raises OverflowError where * gives inf."""
-    try:
-        return x * rho**n * 2.0**k
-    except OverflowError:
-        m, e = math.frexp(rho)  # rho = m 2^e, with m^n < 1
-        try:
-            return math.ldexp(x * m**n, e * n + k)
-        except OverflowError:
-            return math.inf
+    out = []
+    for M, E, rho in items:
+        if 2.0 * (E - M) * math.log10(rho) > 300.0:
+            out.append(RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}"))
+            continue
+        weight = (E - M - 1) * math.log2(rho) if rho > 1.0 else 0.0
+        k = numerics.scale_exponent(taylor.coeffs[max(M + 1 - N, 0) : E + 1], weight)
+        t = poly.ShiftedPolynomial(taylor.center, taylor.coeffs * 2.0**-k) if k else taylor
+        A = np.zeros((N + 1, N + 1), dtype=complex)
+        for gamma in range(M + 1, E + 1):
+            A += rho ** (2 * (gamma - M - 1)) * gramian(t, N, gamma, w)
+        j = (numerics.scale_exponent(A) + 1) // 2
+        out.append((A * 4.0**-j if j else A, k + j))
+    systems = iter(numerics.hermitian_eigensystems(
+        [x[0] for x in out if not isinstance(x, PadeError)]))
+    for i, ((M, E, rho), x) in enumerate(zip(items, out)):
+        if isinstance(x, PadeError):
+            continue
+        A, k = x
+        try:  # raises a failure the eigensolve recorded, or NotNormalized
+            [(vals, vecs)] = settled([next(systems)])
+            res = numerics.min_eigenpair(vals, vecs, np.linalg.norm(A))
+            den = denominator_from_eigvec(res.vector, taylor.center)
+        except PadeError as exc:
+            out[i] = exc
+            continue
+        # Python floats, so that an overflowing ratio is inf without a warning.
+        top, bottom = float(vals[-1]), float(vals[0])
+        out[i] = den, Diagnostics(
+            functional_value=numerics.scaled(math.sqrt(max(res.value, 0.0)), rho, M + 1, k),
+            degenerate=res.degenerate,
+            condition_estimate=top / max(bottom, 1e-300) if top > 0 else 1.0,
+        )
+    return out
 
 
 def denominator_fast_gramian(taylor, N, E, w):
@@ -194,7 +177,7 @@ def denominator_fast_gramian(taylor, N, E, w):
     standard functional with the single block of order E."""
     if E < N:
         raise ValueError("fast denominator requires E >= N")
-    return _gramian_denominator(taylor, E - 1, N, E, 1.0, w)
+    return settled(_gramian_denominators(taylor, N, [(E - 1, E, 1.0)], w))[0]
 
 
 def _null_direction(R, j):
@@ -221,21 +204,22 @@ def denominator_fast_qr(taylor, N, E, w):
     denominator is taken from the null direction.  A stack of one of
     _fast_denominators.
     """
-    return settled(_fast_denominators(taylor, N, [E], w))[0]
+    return settled(_fast_denominators(taylor, N, [(E, E, 1.0)], w))[0]
 
 
-def _fast_denominators(taylor, N, Es, w):
-    """denominator_fast_qr for each E of Es, each window scaled by its own
-    power of two (_scale_exponent), the windows factored as one stack and
-    the full-rank factors R given to one SVD: one outcome (errors.settled)
-    per E, a (denominator, diagnostics) pair or the PadeError raised."""
-    if min(Es) < N:
+def _fast_denominators(taylor, N, items, w):
+    """denominator_fast_qr for the E of each (M, E, rho) of items, each
+    window scaled by its own power of two (numerics.scale_exponent), the
+    windows factored as one stack and the full-rank factors R given to one
+    SVD: one outcome (errors.settled) per item, a (denominator,
+    diagnostics) pair or the PadeError raised."""
+    if min(E for _, E, _ in items) < N:
         raise ValueError("fast denominator requires E >= N")
-    windows = np.empty((len(Es), taylor.coeffs.shape[1], N + 1), dtype=complex)
+    windows = np.empty((len(items), taylor.coeffs.shape[1], N + 1), dtype=complex)
     ks = []
-    for A, E in zip(windows, Es):
+    for A, (_, E, _) in zip(windows, items):
         A[...] = _taylor_window(taylor, N, E)
-        ks.append(_scale_exponent(A))
+        ks.append(numerics.scale_exponent(A))
         if ks[-1]:
             A *= 2.0**-ks[-1]
     R = hilbert.gram_schmidt(windows, w, QR_DEGENERACY_THRESHOLD)
@@ -267,9 +251,7 @@ def denominator_standard(taylor, M, N, E, rho, w):
         raise ValueError("standard denominator requires E >= M + N")
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    if 2.0 * (E - M) * math.log10(rho) > 300.0:
-        raise RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}")
-    return _gramian_denominator(taylor, M, N, E, rho, w)
+    return settled(_gramian_denominators(taylor, N, [(M, E, rho)], w))[0]
 
 
 def numerator(taylor, Q, M):
@@ -291,9 +273,9 @@ def numerator(taylor, Q, M):
 def denominators(model, params, taylor):
     """The first step of build for each of params: its (denominator,
     diagnostics) pair from taylor, a block of Taylor coefficients as build
-    takes, centred at each params.z0.  The standard denominators are solved
-    one by one, then the fast ones of each N as one stack
-    (_fast_denominators), so that the stack's large arrays are freed right
+    takes, centred at each params.z0.  The denominators of each variant and
+    N are solved as one stack, the standard ones first
+    (_gramian_denominators), then the fast ones (_fast_denominators), so that the stack's large arrays are freed right
     before the caller builds numerators: in the other order a command's
     heap grew by about 0.1 MB on the highorder_poles benchmark.  Each
     failure is recorded, and the first in the order of params is raised, as
@@ -307,16 +289,11 @@ def denominators(model, params, taylor):
             raise ValueError(f"Taylor block centred at {taylor.center}, approximant at {p.z0}")
     stacks, solved = {}, {}
     for i, p in enumerate(params):
-        if p.variant == "fast":
-            stacks.setdefault(p.N, []).append(i)
-            continue
-        try:
-            solved[i] = denominator_standard(taylor, p.M, p.N, p.E, p.rho, model.weights)
-        except PadeError as exc:
-            solved[i] = exc
-    for N, index in stacks.items():
-        Es = [params[i].E for i in index]
-        solved.update(zip(index, _fast_denominators(taylor, N, Es, model.weights)))
+        stacks.setdefault((p.variant == "fast", p.N), []).append(i)
+    for (fast, N), index in sorted(stacks.items()):  # the standard stacks first
+        items = [(params[i].M, params[i].E, params[i].rho) for i in index]
+        solve = _fast_denominators if fast else _gramian_denominators
+        solved.update(zip(index, solve(taylor, N, items, model.weights)))
     return settled([solved[i] for i in range(len(params))])
 
 

@@ -106,7 +106,8 @@ def roots_stack(ps):
 
 def _legendre_series(x, c):
     """sum_j c[j] P_j(x) by Legendre's Clenshaw recursion, len(c) >= 2, with
-    the float operations of numpy.polynomial.legendre.legval."""
+    the float operations of numpy.polynomial.legendre.legval; each c[j] a
+    number, or an array whose trailing axis broadcasts against x."""
     c0, c1, nd = c[-2], c[-1], len(c)
     for i in range(3, len(c) + 1):
         nd -= 1
@@ -128,8 +129,9 @@ def gauss_legendre(n):
     dpn = [0.0] * n  # P_n' = sum of (2j - 1) P_{j-1} over j = n, n - 2, ...
     for j in range(n, 0, -2):
         dpn[j - 1] = 2.0 * j - 1.0
-    dy = _legendre_series(x, pn)
-    df = _legendre_series(x, dpn)
+    # P_n and P_n' in one recursion: a trailing zero coefficient adds one
+    # step that leaves P_n' as it is
+    dy, df = _legendre_series(x, np.array([pn, dpn + [0.0]]).T[..., None])
     x -= dy / df
     fm = _legendre_series(x, pn[1:])
     fm /= np.abs(fm).max()

@@ -1009,9 +1009,9 @@ class TestFailureOrder:
     def test_first_denominator_failure(self, tmp_path, capsys, monkeypatch,
                                        fast, standard, first):
         # the fast kernel records a failure for the item of M_list[fast]
-        # (one SVD for all three); the standard kernel, one eigensolve per
-        # M in order, raises on the one of M_list[standard]
-        svd, eig, calls = numerics.min_right_singular_vectors, numerics.hermitian_eigensystem, []
+        # (one SVD for all three); the standard kernel (one lockstep Jacobi
+        # for all three, solved first) for the item of M_list[standard]
+        svd, eigs = numerics.min_right_singular_vectors, numerics.hermitian_eigensystems
 
         def failing_svd(R):
             out = svd(R)
@@ -1019,14 +1019,14 @@ class TestFailureOrder:
             out[fast] = NoConvergence(f"fast {fast}")
             return out
 
-        def failing_eig(H):
-            calls.append(H)
-            if len(calls) - 1 == standard:
-                raise NoConvergence(f"standard {standard}")
-            return eig(H)
+        def failing_eigs(matrices):
+            out = eigs(matrices)
+            assert len(out) == 3
+            out[standard] = NoConvergence(f"standard {standard}")
+            return out
 
         monkeypatch.setattr(numerics, "min_right_singular_vectors", failing_svd)
-        monkeypatch.setattr(numerics, "hermitian_eigensystem", failing_eig)
+        monkeypatch.setattr(numerics, "hermitian_eigensystems", failing_eigs)
         err = self.run(tmp_path, capsys, "sweep")
         assert err == f"numerical failure: NoConvergence: {first}\n"
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pademor import harness, hilbert
-from pademor.errors import DimensionMismatch, NonFiniteValue
+from pademor.errors import DimensionMismatch, InvalidWeights, NonFiniteValue, PadeError
 
 from oracles import inner_product
 
@@ -113,6 +113,14 @@ class TestWeights:
         with pytest.raises(ValueError):
             hilbert.InnerProductWeights(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [[1.0, 0.0], [1.0, -1e308], [], [[1.0]]])
+    def test_bad_weights_raise_a_typed_error(self, bad):
+        # a PadeError for a damaged model file, still the ValueError it was
+        with pytest.raises(InvalidWeights, match="non-empty positive 1-d"):
+            hilbert.InnerProductWeights(np.array(bad))
+        assert issubclass(InvalidWeights, PadeError)
+        assert issubclass(InvalidWeights, ValueError)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         # a NaN weight passed the positivity test: nan <= 0 is False
@@ -147,9 +155,11 @@ class TestSerialization:
             assert back.shape == z.shape and back.dtype == complex
             assert back.tobytes() == z.T.copy().tobytes()
 
-    @pytest.mark.parametrize("bad", [1.0, [1.0], [[1.0, 2.0, 3.0]], np.zeros((2, 0))])
+    @pytest.mark.parametrize("bad", [1.0, [1.0], [[1.0, 2.0, 3.0]], np.zeros((2, 0)),
+                                     [[1.0, 0.0], [2.0]], [[1.0, 0.0], [2.0, 0.0, 1.0]]])
     def test_pairs_need_a_trailing_axis_of_two(self, bad):
-        # [1.0] made NumPy's view raise ValueError
+        # [1.0] made NumPy's view raise ValueError, and ragged lists NumPy's
+        # array constructor
         with pytest.raises(DimensionMismatch, match="pairs"):
             hilbert.pairs_to_array(bad)
 

@@ -1,12 +1,15 @@
 """Property tests: approximants and models survive a JSON round trip bit
-for bit, on random synthetic pole sets."""
+for bit, on random synthetic pole sets, and a damaged object raises a
+typed error."""
 
 import json
+import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pademor import hilbert, modal, pade
+from pademor.errors import PadeError
 from pademor.hilbert import InnerProductWeights
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
@@ -88,3 +91,95 @@ def test_energy_model_round_trip(modes, shift):
     assert hilbert.json_text(modal.model_to_json(back)) == text
     assert np.array_equal(bits(back.coefficients), bits(model.coefficients))
     assert back.weights.weights.tolist() == model.weights.weights.tolist()
+
+
+# A mutation property: a reader given a damaged artifact or model
+# object, and the library calls on what it returns, either return or raise
+# a PadeError; BuildParams may raise its documented ValueError.
+BUILD_PARAMS_ERRORS = ("M and N must be nonnegative", "variant requires", "unknown variant")
+MODEL = modal.build_synthetic([1.0, 2.0, 4 + 0.5j], [1.0, 0.5, 0.25])
+MODEL_OBJECT = through_text(modal.model_to_json(MODEL))
+APPROX_OBJECT = through_text(pade.approximant_to_json(
+    pade.build(MODEL, pade.BuildParams(0.5j, 2, 2, 4))))
+
+
+def json_paths(obj, path=()):
+    """The path of every number and every list in a JSON object."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from json_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        yield path
+        for i, value in enumerate(obj):
+            yield from json_paths(value, path + (i,))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path
+
+
+def mutated(obj, path, mutation):
+    """A deep copy of obj with the entry at path replaced by a number, or
+    its list shortened by one entry or lengthened by a copy of the last."""
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    parent = obj
+    for key in head:
+        parent = parent[key]
+    entry = parent[last]
+    if not isinstance(entry, list):
+        parent[last] = mutation
+    elif mutation == "shorten":
+        parent[last] = entry[:-1]
+    else:
+        parent[last] = entry + entry[-1:] if entry else [0.0]
+    return obj
+
+
+@st.composite
+def damaged_objects(draw):
+    """A model or artifact object, random or the fixed ones above, with
+    one number or one list damaged."""
+    if draw(st.booleans()):
+        kind, obj = "model", MODEL_OBJECT
+        if draw(st.booleans()):
+            obj = through_text(modal.model_to_json(modal.build_synthetic(*draw(pole_sets()))))
+    else:
+        kind, obj = "approximant", APPROX_OBJECT
+        if draw(st.booleans()):
+            obj = through_text(pade.approximant_to_json(draw(approximants())))
+    path = draw(st.sampled_from(list(json_paths(obj))))
+    entry = obj
+    for key in path:
+        entry = entry[key]
+    options = ["shorten", "lengthen"] if isinstance(entry, list) else [
+        math.nan, math.inf, -math.inf, 1e308, -1e308]
+    return kind, mutated(obj, path, draw(st.sampled_from(options)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(damaged_objects())
+@example(("model", mutated(MODEL_OBJECT, ("eigenvalues", 0, 0), math.nan)))
+@example(("model", mutated(MODEL_OBJECT, ("weights", 1), math.nan)))
+@example(("model", mutated(MODEL_OBJECT, ("coefficients", 0, 0), math.inf)))
+@example(("model", mutated(MODEL_OBJECT, ("eigenvalues", 1), "shorten")))
+@example(("model", mutated(MODEL_OBJECT, ("weights", 2), -1e308)))
+@example(("model", {**MODEL_OBJECT, "eigenvalues": [[1.0, 0.0]], "coefficients": [[1.0, 0.0]],
+                    "weights": []}))
+@example(("approximant", mutated(APPROX_OBJECT, ("denominator", "coeffs", 2, 0), math.nan)))
+@example(("approximant", mutated(APPROX_OBJECT, ("numerator", 1, 0, 0), math.nan)))
+@example(("approximant", mutated(APPROX_OBJECT, ("params", "z0"), "shorten")))
+@example(("approximant", mutated(APPROX_OBJECT, ("denominator", "coeffs", 1), "shorten")))
+@example(("approximant", mutated(APPROX_OBJECT, ("numerator", 2, 1), "lengthen")))
+def test_damaged_objects_raise_typed_errors(case):
+    kind, obj = case
+    try:
+        if kind == "model":
+            model = modal.model_from_json(obj)
+            modal.taylor_coefficients(model, 0.5 + 5j, 4)
+        else:
+            approx = pade.approximant_from_json(obj)
+            pade.approximant_poles(approx)
+            pade.evaluate(approx, approx.params.z0 + 1.0)
+    except PadeError:
+        pass
+    except ValueError as exc:
+        assert any(text in str(exc) for text in BUILD_PARAMS_ERRORS), exc

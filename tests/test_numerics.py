@@ -130,6 +130,14 @@ def random_matrix(rng, n, kind):
     return X + X.conj().T
 
 
+def assert_loop_bytes(H, vals, vecs):
+    """vals and vecs are oracles.loop_jacobi's eigensystem of H, byte for
+    byte."""
+    ref_vals, ref_vecs = loop_jacobi(H)
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert vecs.tobytes() == ref_vecs.tobytes()
+
+
 class TestJacobiOracle:
     """The stacked, copy-free rotation kernel of hermitian_eigensystem gives
     the loop it replaced (oracles.loop_jacobi) bit for bit: values and
@@ -137,10 +145,7 @@ class TestJacobiOracle:
 
     @staticmethod
     def assert_same_bytes(H):
-        vals, vecs = numerics.hermitian_eigensystem(H)
-        ref_vals, ref_vecs = loop_jacobi(H)
-        assert vals.tobytes() == ref_vals.tobytes()
-        assert vecs.tobytes() == ref_vecs.tobytes()
+        assert_loop_bytes(H, *numerics.hermitian_eigensystem(H))
 
     @pytest.mark.parametrize("kind", ["complex", "scaled", "real", "near_diagonal"])
     def test_random_matrices(self, rng, kind):
@@ -157,24 +162,61 @@ class TestJacobiOracle:
     @pytest.mark.parametrize("workload, solves",
                              [("highorder_poles", 3), ("synthetic_dense_grid", 3)])
     def test_matrices_of_a_sweep(self, workload, solves, tmp_path, monkeypatch):
-        # every Gramian sum that one benchmark sweep solves
+        # every Gramian sum that one benchmark sweep solves, as one stack
         workloads = load_perfbench("workloads")
-        solved = []
-        eigensystem = numerics.hermitian_eigensystem
+        stacks = []
+        eigensystems = numerics.hermitian_eigensystems
 
-        def recorded(H):
-            solved.append(np.array(H, dtype=complex))
-            return eigensystem(H)
+        def recorded(matrices):
+            stacks.append(([np.array(H, dtype=complex) for H in matrices],
+                           eigensystems(matrices)))
+            return stacks[-1][1]
 
-        monkeypatch.setattr(numerics, "hermitian_eigensystem", recorded)
+        monkeypatch.setattr(numerics, "hermitian_eigensystems", recorded)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(workloads.make_config(workload)))
         out = str(tmp_path / "sweep.csv")
         assert cli.main(["sweep", "--config", str(path), "--out", out]) == 0
         monkeypatch.undo()
-        assert len(solved) == solves
-        for H in solved:
-            self.assert_same_bytes(H)
+        [(matrices, solved)] = stacks
+        assert len(matrices) == solves
+        for H, (vals, vecs) in zip(matrices, solved):
+            assert_loop_bytes(H, vals, vecs)
+
+
+class TestJacobiStack:
+    """hermitian_eigensystems solves a stack in lockstep, each matrix giving
+    what it gives alone (oracles.loop_jacobi), bytes compared, and each
+    failure recorded in its place."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(["complex", "scaled", "zero", "near_diagonal"]),
+                          min_size=1, max_size=8))
+    def test_stack_is_each_matrix_alone(self, n, seed, kinds):
+        rng = np.random.default_rng(seed)
+        matrices = [np.zeros((n, n)) if kind == "zero" else random_matrix(rng, n, kind)
+                    for kind in kinds]
+        for H, (vals, vecs) in zip(matrices, numerics.hermitian_eigensystems(matrices)):
+            assert_loop_bytes(H, vals, vecs)
+
+    def test_failures_are_recorded_in_place(self, rng, monkeypatch):
+        # one sweep allowed: the diagonal matrix needs none and the one
+        # with a single off-diagonal pair converges in one; the random one
+        # runs out of sweeps and the non-Hermitian one is refused, each
+        # recorded in its place, while the others keep their bytes
+        monkeypatch.setattr(numerics, "MAX_JACOBI_SWEEPS", 1)
+        matrices = [np.diag([3.0, 1.0, 2.0]), random_matrix(rng, 3, "complex"),
+                    np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]]),
+                    np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])]
+        out = numerics.hermitian_eigensystems(matrices)
+        assert isinstance(out[1], NoConvergence)
+        assert str(out[1]).startswith("Jacobi sweeps exceeded 1 without reaching")
+        assert isinstance(out[3], NonHermitianInput)
+        for k in (0, 2):
+            assert_loop_bytes(matrices[k], *out[k])
+        with pytest.raises(NoConvergence):
+            settled(out)
 
 
 class TestMinRightSingularVector:

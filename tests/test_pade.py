@@ -230,6 +230,33 @@ class TestStandardDenominator:
             pade.denominator_standard(t, 2, 2, 42, 1e10, helmholtz.weights)
 
 
+class TestStandardStacks:
+    def test_stacks_of_two_N_with_an_overflowing_item(self, helmholtz, paper_z0):
+        # the standard denominators of N = 2 and N = 3, one lockstep stack
+        # per N, are each the denominator alone; an item whose rho
+        # overflows is recorded in place, and denominators raises it
+        t = modal.taylor_coefficients(helmholtz, paper_z0, 42)
+        w = helmholtz.weights
+
+        def assert_alone(outcome, M, N, E):
+            den, diag = outcome
+            alone, alone_diag = pade.denominator_standard(t, M, N, E, 3.0, w)
+            assert den.coeffs.tobytes() == alone.coeffs.tobytes()
+            assert diag == alone_diag
+
+        params = [pade.BuildParams(paper_z0, M, N, M + N + 2, "standard", 3.0)
+                  for M in (2, 4, 6) for N in (2, 3)]
+        for p, outcome in zip(params, pade.denominators(helmholtz, params, t)):
+            assert_alone(outcome, p.M, p.N, p.E)
+        out = pade._gramian_denominators(t, 2, [(2, 6, 3.0), (2, 42, 1e10), (4, 8, 3.0)], w)
+        assert isinstance(out[1], RhoOverflow)
+        assert_alone(out[0], 2, 2, 6)
+        assert_alone(out[2], 4, 2, 8)
+        overflow = pade.BuildParams(paper_z0, 2, 2, 42, "standard", 1e10)
+        with pytest.raises(RhoOverflow):
+            pade.denominators(helmholtz, params[:3] + [overflow] + params[3:], t)
+
+
 class TestWindowScaling:
     """Taylor windows whose squares would overflow or underflow are solved
     scaled by a power of two, which changes nothing but the reported
@@ -262,16 +289,16 @@ class TestWindowScaling:
         self.check_scaled_series(helmholtz, paper_z0, variant, -600)
 
     def test_small_windows_are_not_scaled(self):
-        assert pade._scale_exponent(np.array([2.0**400, -1j])) == 0
-        assert pade._scale_exponent(np.array([3 * 2.0**401, 1.0])) == 402
-        assert pade._scale_exponent(np.zeros(3)) == 0
+        assert numerics.scale_exponent(np.array([2.0**400, -1j])) == 0
+        assert numerics.scale_exponent(np.array([3 * 2.0**401, 1.0])) == 402
+        assert numerics.scale_exponent(np.zeros(3)) == 0
 
     def test_rho_weight_moves_the_threshold(self):
         # a window is scaled when its largest entry times 2^weight passes
         # 2^400
-        assert pade._scale_exponent(np.array([2.0**300]), 100.0) == 0
-        assert pade._scale_exponent(np.array([2.0**300]), 100.5) == 300
-        assert pade._scale_exponent(np.zeros(3), 1000.0) == 0
+        assert numerics.scale_exponent(np.array([2.0**300]), 100.0) == 0
+        assert numerics.scale_exponent(np.array([2.0**300]), 100.5) == 300
+        assert numerics.scale_exponent(np.zeros(3), 1000.0) == 0
 
     @pytest.mark.filterwarnings("error")
     def test_rho_weighted_sum_gives_the_scaled_model_denominator(self):
@@ -288,11 +315,11 @@ class TestWindowScaling:
         assert np.array_equal(den.coeffs.view(np.uint64), den_scaled.coeffs.view(np.uint64))
 
     def test_tiny_windows_are_scaled_up(self):
-        assert pade._scale_exponent(np.array([2.0**-500])) == -500
-        assert pade._scale_exponent(np.array([2.0**-400, 0.0])) == 0
-        assert pade._scale_exponent(np.array([1j * 2.0**-401])) == -401
+        assert numerics.scale_exponent(np.array([2.0**-500])) == -500
+        assert numerics.scale_exponent(np.array([2.0**-400, 0.0])) == 0
+        assert numerics.scale_exponent(np.array([1j * 2.0**-401])) == -401
         # a subnormal maximum is scaled by 2^1023, the largest power of two
-        assert pade._scale_exponent(np.array([5e-324])) == -1023
+        assert numerics.scale_exponent(np.array([5e-324])) == -1023
 
 
 class TestSingleEigensolve:
@@ -300,23 +327,23 @@ class TestSingleEigensolve:
     def test_gramian_solved_once(self, helmholtz, paper_z0, monkeypatch, variant):
         t = modal.taylor_coefficients(helmholtz, paper_z0, 8)
         solved = []
-        eigensystem = numerics.hermitian_eigensystem
+        eigensystems = numerics.hermitian_eigensystems
 
-        def counted(H):
-            solved.append(H)
-            return eigensystem(H)
+        def counted(matrices):
+            solved.append(matrices)
+            return eigensystems(matrices)
 
-        monkeypatch.setattr(numerics, "hermitian_eigensystem", counted)
+        monkeypatch.setattr(numerics, "hermitian_eigensystems", counted)
         if variant == "standard":
             den, diag = pade.denominator_standard(t, 6, 2, 8, 3.0, helmholtz.weights)
             rho, M = 3.0, 6
         else:
             den, diag = pade.denominator_fast_gramian(t, 2, 8, helmholtz.weights)
             rho, M = 1.0, 7
-        assert len(solved) == 1
+        assert [len(matrices) for matrices in solved] == [1]
         # the same pair as a separate minimal-eigenpair solve of that matrix,
         # whose eigenvalue is the squared functional value over rho^2(M+1)
-        ref = numerics.hermitian_min_eigenpair(solved[0])
+        ref = numerics.hermitian_min_eigenpair(solved[0][0])
         assert diag.functional_value == math.sqrt(max(ref.value, 0.0)) * rho ** (M + 1)
         assert diag.degenerate == ref.degenerate
         expected = pade.denominator_from_eigvec(ref.vector, paper_z0)
