@@ -248,16 +248,23 @@ def _pairs(model, config, degrees, extra, numerators=True):
     return list(zip(approxs[::2], approxs[1::2]))
 
 
-def _errors(model, approx, points, rows):
-    """Error norms and |Q| of approx at the points, as lists of floats;
-    rows, S at the points, come from evaluate_exact_grid once per grid.
-    The error is inf on a pole of S, whose row is inf, and where the
+def _grid_errors(model, approxs, points, rows):
+    """Error norms and |Q| of each of approxs at the points, as two
+    (len(approxs), n) arrays; rows, S at the points, come from
+    evaluate_exact_grid once per grid.  One pade.evaluate_stack for all of
+    them, then one norm for each of its stacks, each error bit-identical
+    to the norm of its row alone (hilbert.norm sums each row apart).  The
+    error is inf on a pole of S, whose row is inf, and where the
     approximant's value is not finite, |Q| having vanished or underflowed."""
-    values, qmag = pade.evaluate(approx, points)
-    with np.errstate(invalid="ignore"):  # inf - inf on a shared pole
-        errors = norm(rows - values, model.weights)
-    errors[~np.isfinite(values).all(axis=1)] = math.inf
-    return errors.tolist(), qmag.tolist()
+    errors, qmags = np.empty((2, len(approxs), len(points)))
+    for index, values, qmag in pade.evaluate_stack(approxs, points):
+        finite = np.isfinite(values).all(axis=-1)
+        with np.errstate(invalid="ignore"):  # inf - inf on a shared pole
+            values -= rows[:, None]  # |P/Q - S| = |S - P/Q|, bit for bit
+            err = norm(values.reshape(-1, values.shape[-1]), model.weights).reshape(finite.shape)
+        err[~finite] = math.inf
+        errors[index], qmags[index] = err.T, qmag
+    return errors, qmags
 
 
 def fit_decay_factor(indices, errors, window=SLOPE_FIT_WINDOW):
@@ -340,14 +347,14 @@ def cmd_sweep(config, model):
     grid = config.grid()
     rows, dist = evaluate_exact_grid(model, grid)
     fast, std = zip(*_pairs(model, config, config.M_list, config.N))
-    errors, qmags = zip(*(_errors(model, approx, grid, rows) for approx in fast + std))
+    errors, qmags = _grid_errors(model, fast + std, grid, rows)
     near = (dist < NEAR_POLE_DISTANCE).tolist()
 
     header = ["z", *(f"{cell}_M{M}" for cell in ("abs_error_fast", "abs_error_std",
                                                  "q_magnitude_fast", "q_magnitude_std")
                      for M in config.M_list), "near_pole"]
     row = "%.17g," * (len(header) - 1) + "%d"
-    columns = (grid.tolist(), *errors, *qmags, near)
+    columns = (grid.tolist(), *errors.tolist(), *qmags.tolist(), near)
     return [",".join(header)] + [row % cells for cells in zip(*columns)]
 
 
@@ -367,8 +374,8 @@ def cmd_convergence(config, model):
             )
 
     fast, std = zip(*_pairs(model, config, config.M_list, config.N))
-    errs_f = [_errors(model, approx, probes, rows) for approx in fast]
-    errs_s = [_errors(model, approx, probes, rows) for approx in std]
+    errors, qmags = (a.tolist() for a in _grid_errors(model, fast + std, probes, rows))
+    m = len(fast)
     poles = pole_list(model, config.z0)
 
     header = [
@@ -379,9 +386,10 @@ def cmd_convergence(config, model):
     row = "%s,%d" + ",%.17g" * (len(header) - 2)
     lines = [",".join(header)]
     for j, z in enumerate(probes):
-        fitted = fit_decay_factor(config.M_list, [ef[j] for ef, _ in errs_f])
+        fitted = fit_decay_factor(config.M_list, [ef[j] for ef in errors[:m]])
         predicted = predicted_point_factor(poles, config, z)
-        for M, (ef, qf), (es, qs) in zip(config.M_list, errs_f, errs_s):
+        for M, ef, es, qf, qs in zip(config.M_list, errors[:m], errors[m:], qmags[:m],
+                                     qmags[m:]):
             lines.append(row % (complex_to_text(z), M, ef[j], es[j], qf[j], qs[j],
                                 fitted, predicted))
     return lines
@@ -445,13 +453,18 @@ def cmd_compare(config, model):
     rows, dist = evaluate_exact_grid(model, grid)
     near = (dist < NEAR_POLE_DISTANCE).tolist()
 
+    approxs = [a for pair in _pairs(model, config, config.E_list, 0) for a in pair]
+    errors, qmags = _grid_errors(model, approxs, grid, rows)
+    zs = ["%.17g" % z for z in grid.tolist()]  # each grid point formatted once
+
     header = ["E", "z", "error_fast", "error_std", "ratio",
               "q_magnitude_fast", "q_magnitude_std", "near_pole"]
-    row = "%d" + ",%.17g" * (len(header) - 2) + ",%d"
+    row = "%d,%s" + ",%.17g" * (len(header) - 3) + ",%d"
     lines = [",".join(header)]
-    for E, (fast, std) in zip(config.E_list, _pairs(model, config, config.E_list, 0)):
-        (err_f, q_f), (err_s, q_s) = (_errors(model, a, grid, rows) for a in (fast, std))
-        for z, ef, es, qf, qs, flag in zip(grid.tolist(), err_f, err_s, q_f, q_s, near):
+    for E, err, q in zip(config.E_list, errors.reshape(-1, 2, len(zs)),
+                         qmags.reshape(-1, 2, len(zs))):
+        (err_f, err_s), (q_f, q_s) = err.tolist(), q.tolist()
+        for z, ef, es, qf, qs, flag in zip(zs, err_f, err_s, q_f, q_s, near):
             ratio = ef / es if es > 0 else math.inf
             lines.append(row % (E, z, ef, es, ratio, qf, qs, flag))
     return lines

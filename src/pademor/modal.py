@@ -21,7 +21,8 @@ from .errors import (
     QuadratureNotConverged,
 )
 from .hilbert import InnerProductWeights, finite_array, norm, pairs_to_array, rescued
-from .poly import ShiftedPolynomial, gauss_legendre
+from .numerics import gauss_legendre
+from .poly import ShiftedPolynomial
 
 POLE_GROUP_TOL = 1e-12
 POLE_SEPARATION = 1e-10  # synthetic poles closer than this coincide

@@ -4,15 +4,18 @@ Provides a cyclic complex Jacobi eigensolver for small Hermitian matrices,
 the minimal right-singular vector of a small triangular factor by LAPACK's
 SVD, the roots of a polynomial of any degree, in no set order, as the
 LAPACK eigenvalues of its companion matrix, each polished by one Newton
-step, and the power-of-two scalings that keep weighted sums of squares
-finite.  Jacobi, not LAPACK, solves the standard Gramian sum: the committed
-benchmark reference holds its roundoff, and a LAPACK eigensolver in its
-place fails that reference's check until the reference is retaken.  The
-Jacobi rotation kernel does the same floating-point operations on every
-entry as the plain loop kept in tests/oracles.py (loop_jacobi) and is
-bit-identical to it.  Only the vectors compared or returned are
-phase-fixed, not whole eigensystems.  All routines are pure functions on
-value inputs.
+step, the power-of-two scalings that keep weighted sums of squares
+finite, and the Gauss-Legendre rule that modal integrates the Helmholtz
+source with, on the float operations of numpy.polynomial's, which the
+package does not import.  Jacobi, not LAPACK, solves the standard Gramian
+sum: the committed benchmark reference holds its roundoff, and a LAPACK
+eigensolver in its place fails that reference's check until the reference
+is retaken.  A matrix with a non-finite entry is refused
+(NonFiniteValue).  The Jacobi rotation kernel does the same floating-point
+operations on every entry as the plain loop kept in tests/oracles.py
+(loop_jacobi) and is bit-identical to it.  Only the vectors compared or
+returned are phase-fixed, not whole eigensystems.  All routines are pure
+functions on value inputs.
 
 The eigensystems, the singular vectors and the roots are solved for a
 whole stack at once (hermitian_eigensystems, min_right_singular_vectors,
@@ -27,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DegenerateLeadingCoefficient, NoConvergence, NonHermitianInput,
-                     PadeError, settled)
+from .errors import (DegenerateLeadingCoefficient, NoConvergence, NonFiniteValue,
+                     NonHermitianInput, PadeError, settled)
 
 HERMITIAN_TOL = 1e-13
 DEGENERACY_GAP = 1e-12
@@ -64,6 +67,8 @@ def _check_hermitian(H):
     H = np.ascontiguousarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 1:
         raise NonHermitianInput("expected a square matrix of order >= 1")
+    if not np.isfinite(H).all():  # nan tolerances would never stop the sweeps
+        raise NonFiniteValue("matrix has a non-finite entry")
     scale = np.linalg.norm(H)
     dev = np.max(np.abs(H - H.conj().T))
     if dev > HERMITIAN_TOL * max(scale, 1e-300):
@@ -348,3 +353,42 @@ def polynomial_roots_stack(polys):
             else:
                 out[i] = roots.tolist()
     return out
+
+
+def _legendre_series(x, c):
+    """sum_j c[j] P_j(x) by Legendre's Clenshaw recursion, len(c) >= 2, with
+    the float operations of numpy.polynomial.legendre.legval; each c[j] a
+    number, or an array whose trailing axis broadcasts against x."""
+    c0, c1, nd = c[-2], c[-1], len(c)
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on (-1, 1),
+    n >= 2, by the float operations of numpy.polynomial.legendre.leggauss
+    in the same order, so bit-identical to it: the eigenvalues of the
+    symmetric companion matrix of P_n, one Newton step, weights from P_n'
+    at the first nodes and P_{n-1} at the new ones, symmetrised and scaled
+    to sum to 2."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    pn = [0.0] * n + [1.0]
+    dpn = [0.0] * n  # P_n' = sum of (2j - 1) P_{j-1} over j = n, n - 2, ...
+    for j in range(n, 0, -2):
+        dpn[j - 1] = 2.0 * j - 1.0
+    # P_n and P_n' in one recursion: a trailing zero coefficient adds one
+    # step that leaves P_n' as it is
+    dy, df = _legendre_series(x, np.array([pn, dpn + [0.0]]).T[..., None])
+    x -= dy / df
+    fm = _legendre_series(x, pn[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w

@@ -16,6 +16,8 @@ NumPy's cost per call is paid once: the fast ones by one QR of all their
 windows (hilbert.gram_schmidt) and one SVD of all their full-rank factors,
 the standard ones by one lockstep Jacobi over all their Gramian sums
 (numerics.hermitian_eigensystems).  A single build is a stack of one.
+The approximants of a command are evaluated as one stack as well
+(evaluate_stack), and evaluate is a stack of one.
 """
 
 import math
@@ -316,27 +318,46 @@ def build(model, params, taylor=None):
     return PadeApproximant(numerator(taylor, den, params.M), den, params, diag)
 
 
+def evaluate_stack(approxs, points):
+    """P(z)/Q(z) and |Q(z)| of each of approxs, whose denominators share one
+    degree, along a 1-d array of points, one stack of numerators
+    (poly.call_stack) at a time, so that only one stack's values are held
+    at once: yields (indices, values, qmag), values an (n, len(indices),
+    dimension) array and qmag (len(indices), n).  Q is evaluated for all
+    of approxs by one Horner pass (poly.evaluate_stack), which rounds each
+    value as Horner on Python complex numbers does; each value is
+    bit-identical to that approximant's evaluated alone.  |Q| is taken by
+    np.hypot, bit-identical to Python abs but inf, not OverflowError,
+    where the modulus of finite parts overflows.
+
+    No error or warning is raised near poles of an approximant, where a
+    value may overflow to inf or be nan; the caller inspects the returned
+    denominator magnitude instead.
+    """
+    points = np.asarray(points, dtype=complex)
+    qz = poly.evaluate_stack([a.denominator for a in approxs], points)
+    for index, values in poly.call_stack([a.numerator for a in approxs], points):
+        q = qz[index]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values /= q.T[..., None]
+            qmag = np.hypot(q.real, q.imag)
+        yield index, values, qmag
+
+
 def evaluate(approx, z):
     """P(z)/Q(z) together with |Q(z)|: a (dimension,) array and a float at
-    a point, an (n, dimension) array and an (n,) array along a 1-d array
-    of points.
-
-    No error or warning is raised near poles of the approximant, where a
-    value may overflow to inf or be nan; the caller inspects the returned
-    denominator magnitude instead.  Q is evaluated by one Horner pass over
-    all the points on Python complex numbers (poly.evaluate_points), which
-    round differently from NumPy's array arithmetic, and |Q| by np.hypot,
-    bit-identical to Python abs but inf, not OverflowError, where the
-    modulus of finite parts overflows; P by Horner on NumPy arrays
-    (poly.ShiftedPolynomial).
-    """
+    a point, an array of one row per point and an array of one value per
+    point along an array of points.  A stack of one of evaluate_stack, so
+    that the commands, which evaluate all their approximants as one stack,
+    one Horner pass per numerator degree, write the bytes this gives: Q(z)
+    is rounded as Horner on Python complex numbers rounds it (the real-array
+    Horner of poly.evaluate_stack), P(z) as Horner on NumPy complex arrays
+    (ShiftedPolynomial.__call__)."""
     points = np.asarray(z, dtype=complex)
-    qz = poly.evaluate_points(approx.denominator, points.reshape(-1).tolist())
-    qz = np.reshape(qz, points.shape)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = approx.numerator(points) / qz[..., None]
-        qmag = np.hypot(qz.real, qz.imag)  # inf where |Q| passes the float range
-    return values, (float(qmag) if points.ndim == 0 else qmag)
+    [(_, values, qmag)] = evaluate_stack([approx], points.reshape(-1))
+    qmag = qmag[0].reshape(points.shape)
+    return values[:, 0].reshape(points.shape + values.shape[2:]), (
+        float(qmag) if points.ndim == 0 else qmag)
 
 
 def approximant_poles(approx):
@@ -363,7 +384,7 @@ def functional_value(Q, source, E, w=None):
         lam = source.poles
         if lam.size == 0:
             return 0.0
-        qz = np.array(poly.evaluate_points(Q, lam.tolist()))
+        qz = poly.evaluate_stack([Q], lam)[0]
         dist = np.abs(lam - z0)
         # NumPy, not Python floats, whose ** and abs raise where an array
         # gives inf

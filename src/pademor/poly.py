@@ -5,10 +5,12 @@ Coefficients are stored ascending, one row per power (row j multiplies
 coefficients for a Taylor block or a numerator P.  Denominators live on the
 unit coefficient sphere sum |a_j|^2 = 1.
 
-The module also holds the Gauss-Legendre rule, on the float operations of
-numpy.polynomial's, which the package does not import.  In modal, its one
-caller, the rule would take that module past its 2,048-token block
-(tests/test_token_blocks.py).
+Polynomials are evaluated by Horner, a stack at a time: scalar ones of one
+degree by evaluate_stack, rounded as Python's complex arithmetic rounds
+(evaluate and evaluate_points are stacks of one), and vector ones by
+call_stack, rounded as NumPy's complex arrays round
+(ShiftedPolynomial.__call__), each value bit-identical to its
+polynomial's evaluated alone.
 """
 
 import numpy as np
@@ -41,23 +43,68 @@ class ShiftedPolynomial:
         return acc
 
 
+def evaluate_stack(ps, points):
+    """Horner evaluation of each of a stack of scalar polynomials of one
+    degree at each of a 1-d array of points: a (len(ps), n) complex array.
+
+    The rounding contract: each value is rounded as Horner on Python
+    complex numbers rounds it (acc = acc * (z - center) + a_j), bit for bit,
+    signed zeros, inf and nan included.  Python's complex product rounds
+    the four real products, then one difference and one sum, and the
+    Horner step adds the coefficient after; NumPy's complex product fuses a
+    product into the sum or difference (FMA) on hosts that have it, and
+    which one depends on the operand order.  So the step runs on the real
+    and imaginary parts as real arrays, each real operation a separate
+    array operation, which NumPy rounds as IEEE does one float operation,
+    whatever the length or layout of the arrays: every value gives the
+    bytes it gives alone.
+    """
+    dz = np.asarray(points, dtype=complex) - np.array([[p.center] for p in ps])
+    dr, di = dz.real, dz.imag
+    re = im = np.zeros(dz.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in np.array([p.coeffs for p in ps]).T[::-1, :, None]:
+            re, im = re * dr - im * di + a.real, re * di + im * dr + a.imag
+    qz = re.astype(complex)
+    qz.imag = im
+    return qz
+
+
+def call_stack(ps, points):
+    """ShiftedPolynomial.__call__ of each of the vector polynomials ps along
+    a 1-d array of points, one stack of polynomials of one coefficient
+    shape and center at a time: yields the indices of a stack's
+    polynomials in ps, in their order, and an (n, len(indices), dimension)
+    array of their values, from one Horner pass on the coefficient rows
+    of the stack side by side.  No warning is raised where a value
+    overflows or is nan.
+
+    Each value is bit-identical to its polynomial's called alone.  NumPy's
+    complex product rounds as its array loop does (with FMA where the host
+    has it), whatever the length and layout of the arrays, except an
+    in-place product of one element, which it rounds as Python does: so a
+    polynomial whose Horner steps at the points are each one product (one
+    mode at one point) forms a stack of its own."""
+    groups = {}
+    for i, p in enumerate(ps):
+        lone = p.coeffs[0].size * np.size(points) == 1
+        # repr tells the signed zeros of a center apart
+        groups.setdefault((p.coeffs.shape, repr(p.center), i if lone else -1), []).append(i)
+    for index in groups.values():
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = ShiftedPolynomial(ps[index[0]].center, np.stack(
+                [ps[i].coeffs for i in index], axis=1))(points)
+        yield index, values
+
+
 def evaluate_points(p, points):
-    """Horner evaluation in powers of (z - center) at each of a list of
-    Python complex points, on Python complex numbers (bit-identical to
-    Horner on NumPy complex scalars): a list of complex values.  One Horner
-    step runs over all the points at a time, each point taking the same
-    operations in the same order as alone."""
-    center = p.center
-    dz = [z - center for z in points]
-    acc = [0j] * len(dz)
-    for a in p.coeffs[::-1].tolist():
-        acc = [q * d + a for q, d in zip(acc, dz)]
-    return acc
+    """evaluate_stack of p alone: a list of Python complex values."""
+    return evaluate_stack([p], points)[0].tolist()
 
 
 def evaluate(p, z):
-    """evaluate_points at the one point z."""
-    return evaluate_points(p, [complex(z)])[0]
+    """evaluate_stack of p alone at the one point z: a Python complex."""
+    return evaluate_points(p, [z])[0]
 
 
 def effective_coeffs(p):
@@ -102,42 +149,3 @@ def roots_stack(ps):
             shifted = [r + p.center for r in raw]
             out[i] = sorted(shifted, key=lambda r: (abs(r - p.center), r.real, r.imag))
     return out
-
-
-def _legendre_series(x, c):
-    """sum_j c[j] P_j(x) by Legendre's Clenshaw recursion, len(c) >= 2, with
-    the float operations of numpy.polynomial.legendre.legval; each c[j] a
-    number, or an array whose trailing axis broadcasts against x."""
-    c0, c1, nd = c[-2], c[-1], len(c)
-    for i in range(3, len(c) + 1):
-        nd -= 1
-        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
-def gauss_legendre(n):
-    """Nodes and weights of the n-point Gauss-Legendre rule on (-1, 1),
-    n >= 2, by the float operations of numpy.polynomial.legendre.leggauss
-    in the same order, so bit-identical to it: the eigenvalues of the
-    symmetric companion matrix of P_n, one Newton step, weights from P_n'
-    at the first nodes and P_{n-1} at the new ones, symmetrised and scaled
-    to sum to 2."""
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    off = np.arange(1, n) * scl[:-1] * scl[1:]
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    pn = [0.0] * n + [1.0]
-    dpn = [0.0] * n  # P_n' = sum of (2j - 1) P_{j-1} over j = n, n - 2, ...
-    for j in range(n, 0, -2):
-        dpn[j - 1] = 2.0 * j - 1.0
-    # P_n and P_n' in one recursion: a trailing zero coefficient adds one
-    # step that leaves P_n' as it is
-    dy, df = _legendre_series(x, np.array([pn, dpn + [0.0]]).T[..., None])
-    x -= dy / df
-    fm = _legendre_series(x, pn[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return x, w

@@ -36,17 +36,53 @@ def horner_magnitude(p, z):
     return poly.ShiftedPolynomial(0.0, np.abs(p.coeffs))(np.abs(z - p.center)).real
 
 
-def exact_abs2(p, z):
-    """|p(z)|^2 of a scalar polynomial, exactly, as a Fraction: its float
-    coefficients and center and the float point z are dyadic rationals, and
-    Horner runs on (re, im) pairs of Fractions."""
-    z = complex(z)
-    dr = Fraction(z.real) - Fraction(p.center.real)
-    di = Fraction(z.imag) - Fraction(p.center.imag)
+def exact_value(coeffs, center, z):
+    """The polynomial of ascending float coefficients in powers of
+    (z - center) at the float point z, exactly, as an (re, im) pair of
+    Fractions: the coefficients, the center and the point are dyadic
+    rationals, and Horner runs on (re, im) pairs of Fractions."""
+    z, center = complex(z), complex(center)
+    dr = Fraction(z.real) - Fraction(center.real)
+    di = Fraction(z.imag) - Fraction(center.imag)
     re = im = Fraction(0)
-    for a in p.coeffs[::-1].tolist():
+    for a in np.asarray(coeffs, dtype=complex)[::-1].tolist():
         re, im = re * dr - im * di + Fraction(a.real), re * di + im * dr + Fraction(a.imag)
+    return re, im
+
+
+def exact_abs2(p, z):
+    """|p(z)|^2 of a scalar polynomial, exactly, as a Fraction."""
+    re, im = exact_value(p.coeffs, p.center, z)
     return re * re + im * im
+
+
+def exact_quotient(a, b):
+    """a / b of two (re, im) pairs of Fractions, exactly: a conj(b) / |b|^2."""
+    (ar, ai), (br, bi) = a, b
+    b2 = br * br + bi * bi
+    return (ar * br + ai * bi) / b2, (ai * br - ar * bi) / b2
+
+
+def exact_error2(model, approx, z):
+    """sum_k w_k |S_k(z) - P_k(z)/Q(z)|^2 at the float point z, exactly, as
+    a Fraction: P and Q the approximant's float polynomials, and S_k(z) =
+    c_k / (lambda_k - z) of the model's float source coefficients,
+    eigenvalues and weights, 0 for a mode whose coefficient is 0."""
+    z = complex(z)
+    Q, P = approx.denominator, approx.numerator
+    q = exact_value(Q.coeffs, Q.center, z)
+    total = Fraction(0)
+    for k, (c, lam, w) in enumerate(zip(model.coefficients.tolist(),
+                                        model.eigenvalues.tolist(),
+                                        model.weights.weights.tolist())):
+        s = (Fraction(0), Fraction(0))
+        if c != 0:
+            d = (Fraction(lam.real) - Fraction(z.real), Fraction(lam.imag) - Fraction(z.imag))
+            s = exact_quotient((Fraction(c.real), Fraction(c.imag)), d)
+        v = exact_quotient(exact_value(P.coeffs[:, k], P.center, z), q)
+        er, ei = s[0] - v[0], s[1] - v[1]
+        total += Fraction(w) * (er * er + ei * ei)
+    return total
 
 
 def pairs(z):
@@ -116,6 +152,34 @@ def numpy_horner(p, z):
     for a in p.coeffs[::-1]:
         acc = acc * dz + a
     return complex(acc)
+
+
+def list_horner(p, points):
+    """Horner of a scalar polynomial at each of a list of points on Python
+    complex numbers, one step over all the points at a time: the list
+    Horner that poly.evaluate_stack replaced."""
+    center = p.center
+    dz = [complex(z) - center for z in points]
+    acc = [0j] * len(dz)
+    for a in p.coeffs[::-1].tolist():
+        acc = [q * d + a for q, d in zip(acc, dz)]
+    return acc
+
+
+def approximant_errors(model, approx, points, rows):
+    """Error norms and |Q| of one approximant at the points, as lists of
+    floats, computed as the harness did one approximant at a time before
+    it evaluated every approximant of a command as one stack: Q by
+    list_horner, P by ShiftedPolynomial.__call__, one hilbert.norm; rows
+    is S at the points (modal.evaluate_exact_grid)."""
+    points = np.asarray(points, dtype=complex)
+    qz = np.array(list_horner(approx.denominator, points.tolist()), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = approx.numerator(points) / qz[:, None]
+        qmag = np.hypot(qz.real, qz.imag)
+        errors = hilbert.norm(rows - values, model.weights)
+    errors[~np.isfinite(values).all(axis=1)] = math.inf
+    return errors.tolist(), qmag.tolist()
 
 
 def copying_horner(p, z):

@@ -22,18 +22,44 @@ where c > b.
 
 poles writes |Q(z0)| = |a_0| by Python's abs, the hypot of its parts, with
 no Horner step: b = gamma(2) |a_0|.
+
+The error cells of sweep on the golden study are held to the exact V-norm
+error of the stored float P and Q, E^2 = sum_k w_k |S_k(z) - P_k(z)/Q(z)|^2
+with S_k(z) = c_k / (lambda_k - z) of the model's float data
+(oracles.exact_error2), by the same first-order count as
+test_harness.TestModalErrorIdentity.  Per mode: P_k(z) errs by at most
+gamma(5 (M + 1)) H_P, Q(z) by gamma(5 (N + 1)) H_Q, as above, which adds
+gamma(5 (N + 1)) H_Q / |Q(z)| of |P/Q| to the quotient.  NumPy divides
+complex numbers by Smith's rule: each part of a / b errs by at most
+gamma(8) (|a_re| + |a_im|) |b| / |b|^2 <= gamma(8) sqrt(2) |a / b|, so the
+quotient by gamma(16) of itself.  S_k takes one rounding per part of
+lambda_k - z and one division, gamma(17) |S_k|, and the difference
+S_k - P_k/Q one rounding more.  So mode k of the computed error is within
+gamma(K), K = 5 (M + 1) + 5 (N + 1) + 18, of
+
+    beta_k = H_P,k / |Q(z)| + (1 + H_Q / |Q(z)|) |P_k(z) / Q(z)| + |S_k(z)|,
+
+and by the triangle inequality the V-norm of the computed modes is within
+gamma(K) ||beta||_V of E.  The V-norm itself adds gamma(dimension + 4) of
+the cell c: np.abs within one ulp (2 u), the square and the weight one
+rounding each, the sum of dimension nonnegative terms gamma(dimension - 1),
+their square root halving all that and adding u.  So with
+b = gamma(dimension + 4) c + gamma(K) ||beta||_V, every finite cell
+satisfies (c - b)^2 <= E^2 <= (c + b)^2, the left side where c > b.  A
+cell on a pole of S is inf.
 """
 
 import csv
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pademor import cli, pade
+from pademor import cli, harness, hilbert, pade
 
-from oracles import exact_abs2, horner_magnitude
+from oracles import exact_abs2, exact_error2, horner_magnitude
 from test_golden import CONFIG
 
 HELMHOLTZ_CONFIG = {
@@ -59,13 +85,18 @@ def gamma(k):
     return k * u / (1 - k * u)
 
 
-def denominators(tmp_path, config, degrees):
-    """Q of each approximant that build writes for config with M_list =
-    degrees, by (variant, M); standard is spelt std, as in the CSV columns."""
+def approximants(tmp_path, config, degrees):
+    """Each approximant that build writes for config with M_list = degrees,
+    by (variant, M); standard is spelt std, as in the CSV columns."""
     with open(run(tmp_path, {**config, "M_list": sorted(degrees)}, "build")) as fh:
         approxs = [pade.approximant_from_json(obj) for obj in json.load(fh)["approximants"]]
     label = {"fast": "fast", "standard": "std"}
-    return {(label[a.params.variant], a.params.M): a.denominator for a in approxs}
+    return {(label[a.params.variant], a.params.M): a for a in approxs}
+
+
+def denominators(tmp_path, config, degrees):
+    """Q of each approximant of approximants, by (variant, M)."""
+    return {key: a.denominator for key, a in approximants(tmp_path, config, degrees).items()}
 
 
 def csv_rows(tmp_path, config, command):
@@ -98,6 +129,35 @@ def test_sweep_q_magnitude_is_exact_to_roundoff(tmp_path, config):
             check_cell(row[column], Q, z, b)
             checked += 1
     assert checked == 2 * len(config["M_list"]) * len(rows) == 606
+
+
+def test_sweep_error_is_exact_to_roundoff(tmp_path):
+    model = harness.build_model(harness.parse_config(CONFIG))
+    approxs = approximants(tmp_path, CONFIG, CONFIG["M_list"])
+    rows = csv_rows(tmp_path, CONFIG, "sweep")
+    dim = model.dimension
+    checked = 0
+    for (variant, M), approx in approxs.items():
+        Q, P = approx.denominator, approx.numerator
+        K = 5 * (M + 1) + 5 * (Q.degree + 1) + 18
+        for row in rows:
+            z, cell = float(row["z"]), float(row[f"abs_error_{variant}_M{M}"])
+            if z in model.eigenvalues:
+                assert cell == math.inf, z
+                continue
+            point = np.array([z])
+            qz = np.abs(Q(point)).item()
+            hq = horner_magnitude(Q, point).item()
+            beta = (horner_magnitude(P, point)[0] / qz
+                    + (1 + hq / qz) * np.abs(P(point)[0]) / qz
+                    + np.abs(model.coefficients / (model.eigenvalues - z)))
+            bound = gamma(dim + 4) * cell + gamma(K) * hilbert.norm(beta, model.weights)
+            c, b = Fraction(cell), Fraction(bound)
+            exact = exact_error2(model, approx, z)
+            assert exact <= (c + b) ** 2, (variant, M, z)
+            assert c <= b or (c - b) ** 2 <= exact, (variant, M, z)
+            checked += 1
+    assert checked == 2 * len(CONFIG["M_list"]) * (len(rows) - 2) == 594
 
 
 # compare's E_list for the Helmholtz study; the golden one has its own.

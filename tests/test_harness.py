@@ -14,7 +14,7 @@ from pademor import cli, harness, hilbert, modal, numerics, pade, poly
 from pademor.errors import ConfigError, NoConvergence, PadeError
 
 from conftest import OVERFLOWING_Q_MODULUS, load_perfbench
-from oracles import horner_magnitude, modal_error, point_errors
+from oracles import approximant_errors, horner_magnitude, modal_error, point_errors
 
 SYNTH_CONFIG = {
     "model": {
@@ -166,7 +166,8 @@ class TestGridErrors:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows, dist = modal.evaluate_exact_grid(model, points)
-            errors, qmags = harness._errors(model, approx, points, rows)
+            [errors], [qmags] = (a.tolist() for a in
+                                 harness._grid_errors(model, [approx], points, rows))
         near = (dist < harness.NEAR_POLE_DISTANCE).tolist()
         assert list(zip(errors, qmags, near)) == point_errors(model, approx, points)
         return errors, near
@@ -230,8 +231,74 @@ class TestGridErrors:
         assert np.array_equal(values[0], value) and qmags[0] == qmag
 
 
+class TestStackedErrors:
+    """harness._grid_errors, one stacked pass over every approximant of a
+    command, equals oracles.approximant_errors, the per-approximant path it
+    replaced, byte for byte: signed zeros, inf and nan included."""
+
+    @staticmethod
+    def check(model, approxs, points):
+        rows = modal.evaluate_exact_grid(model, points)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors, qmags = harness._grid_errors(model, approxs, points, rows)
+        want = [approximant_errors(model, a, points, rows) for a in approxs]
+        assert np.array(errors).tobytes() == np.array([e for e, _ in want]).tobytes()
+        assert np.array(qmags).tobytes() == np.array([q for _, q in want]).tobytes()
+        return errors, qmags
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize("workload", ["helmholtz_reference", "highorder_poles",
+                                          "synthetic_dense_grid"])
+    def test_workload_seed_zero(self, workload, command):
+        cfg = harness.parse_config(load_perfbench("workloads").make_config(workload))
+        model = harness.build_model(cfg)
+        if command == "sweep":
+            pairs = harness._pairs(model, cfg, cfg.M_list, cfg.N)
+        else:
+            pairs = harness._pairs(model, cfg, cfg.E_list, 0)
+        self.check(model, [a for pair in pairs for a in pair], cfg.grid())
+
+    def test_mixed_degrees_and_non_finite_points(self, three_pole):
+        # numerators of degrees 3, 0, 4, 3, 1 and 1, the last two of
+        # different centers; the last denominator, (z - 0.5)(z - 3),
+        # vanishes exactly on the point 0.5; 1.0 is a pole of S, whose row
+        # is inf
+        approxs = [pade.build(three_pole, params) for params in (
+            pade.BuildParams(0.3 + 0.2j, 3, 2, 3, "fast"),
+            pade.BuildParams(0.3 + 0.2j, 0, 2, 3, "standard", 1.5),
+            pade.BuildParams(0.3 + 0.2j, 4, 2, 4, "fast"),
+            pade.BuildParams(0.3 + 0.2j, 3, 2, 5, "standard", 2.0),
+            pade.BuildParams(0.3 + 0.2j, 1, 2, 3, "standard", 1.5),
+        )]
+        approxs.append(pade.PadeApproximant(
+            poly.ShiftedPolynomial(0.0, [[1.0, 2.0, -1.0], [0.5, 0.0, 1e300]]),
+            poly.ShiftedPolynomial(0.0, [1.5, -3.5, 1.0]),
+            pade.BuildParams(0.0, 1, 2, 2), pade.Diagnostics(0.0, False)))
+        points = np.array([0.5, 1.0, -0.0, 2.5 - 1e-7j, 1e155, complex(math.inf, 0.0),
+                           complex(0.0, -math.inf), complex(math.nan, 1.0),
+                           complex(math.inf, math.nan)])
+        errors, qmags = self.check(three_pole, approxs, points)
+        assert qmags[-1][0] == 0.0 and errors[-1][0] == math.inf
+        assert all(e[1] == math.inf for e in errors)
+
+    def test_one_mode_at_one_point(self, rng):
+        # one product per Horner step of each numerator: NumPy rounds it
+        # as Python does when alone, not when stacked, so each numerator
+        # is evaluated apart
+        model = modal.build_synthetic([1.0], [1.0])
+        c = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+        approxs = [pade.PadeApproximant(
+            poly.ShiftedPolynomial(0.3 + 0.2j, row[:, None]),
+            poly.ShiftedPolynomial(0.3 + 0.2j, row[:3]),
+            pade.BuildParams(0.3 + 0.2j, 5, 2, 5), pade.Diagnostics(0.0, False))
+            for row in c]
+        for points in ([0.7 + 0.1j], [0.7 + 0.1j, 1.9]):
+            self.check(model, approxs, np.array(points))
+
+
 class TestModalErrorIdentity:
-    """harness._errors, by subtraction, against oracles.modal_error, by the
+    """harness._grid_errors, by subtraction, against oracles.modal_error, by the
     closed form, on random fast and standard builds with N = 0..8 and
     M >= N - 1.
 
@@ -303,7 +370,7 @@ class TestModalErrorIdentity:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     rows = modal.evaluate_exact_grid(model, points)[0]
-                    errors = np.array(harness._errors(model, approx, points, rows)[0])
+                    errors = np.array(harness._grid_errors(model, [approx], points, rows)[0][0])
                     identity = modal_error(model, approx, points)
                 bound = self.bound(model, approx, points, errors, identity)
                 assert np.all(np.abs(errors - identity) <= bound), (params, variant)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pademor import modal, pade, poly
+from pademor import modal, numerics, pade
 from pademor.errors import (
     CenterOnPole,
     DuplicatePoles,
@@ -226,7 +226,7 @@ class TestBuildHelmholtz:
     def test_gauss_rule_bit_identical_to_numpy(self):
         leggauss = np.polynomial.legendre.leggauss
         for order in [*range(2, 201), 256, 400]:
-            for got, want in zip(poly.gauss_legendre(order), leggauss(order)):
+            for got, want in zip(numerics.gauss_legendre(order), leggauss(order)):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), order
 
     def test_build_leaves_numpy_polynomial_unloaded(self, tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pademor import cli, numerics, poly
-from pademor.errors import (DegenerateLeadingCoefficient, NoConvergence, NonHermitianInput,
-                            PadeError, settled)
+from pademor.errors import (DegenerateLeadingCoefficient, NoConvergence, NonFiniteValue,
+                            NonHermitianInput, PadeError, settled)
 
 from conftest import load_perfbench
 from oracles import loop_jacobi
@@ -217,6 +217,34 @@ class TestJacobiStack:
             assert_loop_bytes(matrices[k], *out[k])
         with pytest.raises(NoConvergence):
             settled(out)
+
+
+class TestNonFiniteMatrices:
+    """A matrix with a non-finite entry is refused with NonFiniteValue.  A
+    nan entry passed the Hermitian test, whose comparison with nan is
+    false, and its nan tolerances never stopped the sweeps: a rotation
+    then divided by a zero entry (ZeroDivisionError).  An inf entry
+    warned twice and gave an inf eigenvalue."""
+
+    MATRICES = {
+        "nan_diagonal": [[np.nan, 0.0], [0.0, 1.0]],
+        "nan_off_diagonal": [[1.0, np.nan], [np.nan, 1.0]],
+        "inf_diagonal": [[np.inf, 0.0], [0.0, 1.0]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_refused(self, name):
+        with pytest.raises(NonFiniteValue, match="matrix has a non-finite entry"):
+            numerics.hermitian_eigensystem(np.array(self.MATRICES[name]))
+
+    def test_recorded_in_place_in_a_stack(self, rng):
+        matrices = [random_matrix(rng, 2, "complex"), np.array(self.MATRICES["nan_diagonal"]),
+                    np.diag([3.0, 1.0]), np.array(self.MATRICES["inf_diagonal"]),
+                    np.array(self.MATRICES["nan_off_diagonal"])]
+        out = numerics.hermitian_eigensystems(matrices)
+        assert [isinstance(x, NonFiniteValue) for x in out] == [False, True, False, True, True]
+        for k in (0, 2):
+            assert_loop_bytes(matrices[k], *out[k])
 
 
 class TestMinRightSingularVector:
