@@ -15,7 +15,10 @@ is retaken.  A matrix with a non-finite entry is refused
 operations on every entry as the plain loop kept in tests/oracles.py
 (loop_jacobi) and is bit-identical to it.  Only the vectors compared or
 returned are phase-fixed, not whole eigensystems.  All routines are pure
-functions on value inputs.
+functions on value inputs.  gauss_legendre also keeps its last
+GAUSS_RULES_KEPT rules by order, as read-only arrays that every caller
+shares, so a process computes each rule once however many models it
+builds.
 
 The eigensystems, the singular vectors and the roots are solved for a
 whole stack at once (hermitian_eigensystems, min_right_singular_vectors,
@@ -25,6 +28,7 @@ alone.  A failed item is recorded in place (errors.settled); the
 single-problem routines are stacks of one.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -40,6 +44,7 @@ ROOT_TOL = 1e-10  # root-residual contract of polynomial_roots
 TRIM_THRESHOLD = 1e-13  # a leading coefficient this small against the largest vanishes
 MAX_JACOBI_SWEEPS = 100
 SCALE_EXPONENT = 400  # blocks whose entries stay below 2^400 are not scaled
+GAUSS_RULES_KEPT = 8  # Gauss-Legendre rules memoized, by order
 
 
 class MinEigen(NamedTuple):
@@ -366,13 +371,18 @@ def _legendre_series(x, c):
     return c0 + c1 * x
 
 
+@functools.lru_cache(maxsize=GAUSS_RULES_KEPT)
 def gauss_legendre(n):
     """Nodes and weights of the n-point Gauss-Legendre rule on (-1, 1),
     n >= 2, by the float operations of numpy.polynomial.legendre.leggauss
     in the same order, so bit-identical to it: the eigenvalues of the
     symmetric companion matrix of P_n, one Newton step, weights from P_n'
     at the first nodes and P_{n-1} at the new ones, symmetrised and scaled
-    to sum to 2."""
+    to sum to 2.
+
+    Computed once per order: every caller gets the same two arrays, read
+    only over immutable bytes, so no caller can change what the next one
+    gets.  An exception, such as a MemoryError, is not memoized."""
     scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
     off = np.arange(1, n) * scl[:-1] * scl[1:]
     x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
@@ -391,4 +401,4 @@ def gauss_legendre(n):
     w = (w + w[::-1]) / 2
     x = (x - x[::-1]) / 2
     w *= 2.0 / w.sum()
-    return x, w
+    return np.frombuffer(x.tobytes()), np.frombuffer(w.tobytes())

@@ -7,7 +7,7 @@ unit coefficient sphere sum |a_j|^2 = 1.
 
 Polynomials are evaluated by Horner, a stack at a time: scalar ones of one
 degree by evaluate_stack, rounded as Python's complex arithmetic rounds
-(evaluate and evaluate_points are stacks of one), and vector ones by
+(evaluate is a stack of one at one point), and vector ones by
 call_stack, rounded as NumPy's complex arrays round
 (ShiftedPolynomial.__call__), each value bit-identical to its
 polynomial's evaluated alone.
@@ -97,14 +97,9 @@ def call_stack(ps, points):
         yield index, values
 
 
-def evaluate_points(p, points):
-    """evaluate_stack of p alone: a list of Python complex values."""
-    return evaluate_stack([p], points)[0].tolist()
-
-
 def evaluate(p, z):
     """evaluate_stack of p alone at the one point z: a Python complex."""
-    return evaluate_points(p, [z])[0]
+    return evaluate_stack([p], [z])[0, 0].item()
 
 
 def effective_coeffs(p):

@@ -12,9 +12,9 @@ coefficients: the approximants build writes for M = E and M = E - N.
 
 The bound is a first-order roundoff count, as in
 test_harness.TestModalErrorIdentity: u = eps / 2 and
-gamma(k) = k u / (1 - k u).  Horner of degree d on Python complex numbers
-(poly.evaluate_points) errs by at most gamma(5 (d + 1)) H, with
-H = sum_j |a_j| |z - z0|^j, five roundings per step.  np.hypot is within one
+gamma(k) = k u / (1 - k u).  Horner of degree d rounded as on Python
+complex numbers (poly.evaluate_stack) errs by at most gamma(5 (d + 1)) H,
+with H = sum_j |a_j| |z - z0|^j, five roundings per step.  np.hypot is within one
 ulp, 2 u of its result, two roundings more.  So with
 b = gamma(5 (d + 1) + 2) H, every cell c satisfies |c - |Q(z)|| <= b, which
 is checked exactly as (c - b)^2 <= |Q(z)|^2 <= (c + b)^2, the left side
@@ -23,12 +23,14 @@ where c > b.
 poles writes |Q(z0)| = |a_0| by Python's abs, the hypot of its parts, with
 no Horner step: b = gamma(2) |a_0|.
 
-The error cells of sweep on the golden study are held to the exact V-norm
-error of the stored float P and Q, E^2 = sum_k w_k |S_k(z) - P_k(z)/Q(z)|^2
+The error cells of sweep on the golden study, and of compare and
+convergence on both studies, are held to the exact V-norm error of the
+stored float P and Q, E^2 = sum_k w_k |S_k(z) - P_k(z)/Q(z)|^2
 with S_k(z) = c_k / (lambda_k - z) of the model's float data
 (oracles.exact_error2), by the same first-order count as
 test_harness.TestModalErrorIdentity.  Per mode: P_k(z) errs by at most
-gamma(5 (M + 1)) H_P, Q(z) by gamma(5 (N + 1)) H_Q, as above, which adds
+gamma(5 (M + 1)) H_P (NumPy's complex Horner, whose fused products round
+less often, not more), Q(z) by gamma(5 (N + 1)) H_Q, as above, which adds
 gamma(5 (N + 1)) H_Q / |Q(z)| of |P/Q| to the quotient.  NumPy divides
 complex numbers by Smith's rule: each part of a / b errs by at most
 gamma(8) (|a_re| + |a_im|) |b| / |b|^2 <= gamma(8) sqrt(2) |a / b|, so the
@@ -131,32 +133,39 @@ def test_sweep_q_magnitude_is_exact_to_roundoff(tmp_path, config):
     assert checked == 2 * len(config["M_list"]) * len(rows) == 606
 
 
+def check_error_cell(model, approx, z, cell):
+    """The roundoff bound around an error cell holds the exact V-norm error
+    of the stored approximant at z, checked exactly; a cell on an
+    eigenvalue is inf."""
+    cell = float(cell)
+    if z in model.eigenvalues:
+        assert cell == math.inf, z
+        return
+    Q, P = approx.denominator, approx.numerator
+    K = 5 * (P.degree + 1) + 5 * (Q.degree + 1) + 18
+    point = np.array([z])
+    qz = np.abs(Q(point)).item()
+    hq = horner_magnitude(Q, point).item()
+    beta = (horner_magnitude(P, point)[0] / qz
+            + (1 + hq / qz) * np.abs(P(point)[0]) / qz
+            + np.abs(model.coefficients / (model.eigenvalues - z)))
+    bound = gamma(model.dimension + 4) * cell + gamma(K) * hilbert.norm(beta, model.weights)
+    c, b = Fraction(cell), Fraction(bound)
+    exact = exact_error2(model, approx, z)
+    assert exact <= (c + b) ** 2, (approx.params, z)
+    assert c <= b or (c - b) ** 2 <= exact, (approx.params, z)
+
+
 def test_sweep_error_is_exact_to_roundoff(tmp_path):
     model = harness.build_model(harness.parse_config(CONFIG))
     approxs = approximants(tmp_path, CONFIG, CONFIG["M_list"])
     rows = csv_rows(tmp_path, CONFIG, "sweep")
-    dim = model.dimension
     checked = 0
     for (variant, M), approx in approxs.items():
-        Q, P = approx.denominator, approx.numerator
-        K = 5 * (M + 1) + 5 * (Q.degree + 1) + 18
         for row in rows:
-            z, cell = float(row["z"]), float(row[f"abs_error_{variant}_M{M}"])
-            if z in model.eigenvalues:
-                assert cell == math.inf, z
-                continue
-            point = np.array([z])
-            qz = np.abs(Q(point)).item()
-            hq = horner_magnitude(Q, point).item()
-            beta = (horner_magnitude(P, point)[0] / qz
-                    + (1 + hq / qz) * np.abs(P(point)[0]) / qz
-                    + np.abs(model.coefficients / (model.eigenvalues - z)))
-            bound = gamma(dim + 4) * cell + gamma(K) * hilbert.norm(beta, model.weights)
-            c, b = Fraction(cell), Fraction(bound)
-            exact = exact_error2(model, approx, z)
-            assert exact <= (c + b) ** 2, (variant, M, z)
-            assert c <= b or (c - b) ** 2 <= exact, (variant, M, z)
-            checked += 1
+            z = float(row["z"])
+            check_error_cell(model, approx, z, row[f"abs_error_{variant}_M{M}"])
+            checked += z not in model.eigenvalues
     assert checked == 2 * len(CONFIG["M_list"]) * (len(rows) - 2) == 594
 
 
@@ -178,6 +187,37 @@ def test_compare_q_magnitude_is_exact_to_roundoff(tmp_path, config):
             Q = dens[variant, M]
             check_cell(row[f"q_magnitude_{variant}"], Q, z, horner_bound(Q, [z]).item())
     assert len(rows) == len(E_list) * 101
+
+
+# the golden grid holds two eigenvalues, whose cells are inf
+@pytest.mark.parametrize("config, cells", [
+    (CONFIG, 2 * 4 * 99), ({**HELMHOLTZ_CONFIG, "E_list": HELMHOLTZ_E_LIST}, 2 * 3 * 101),
+], ids=["synthetic", "helmholtz"])
+def test_compare_error_is_exact_to_roundoff(tmp_path, config, cells):
+    model = harness.build_model(harness.parse_config(config))
+    E_list, N = config["E_list"], config["N"]
+    approxs = approximants(tmp_path, config, {*E_list, *(E - N for E in E_list)})
+    rows = csv_rows(tmp_path, config, "compare")
+    checked = 0
+    for row in rows:
+        E, z = int(row["E"]), float(row["z"])
+        for variant, M in (("fast", E), ("std", E - N)):
+            check_error_cell(model, approxs[variant, M], z, row[f"error_{variant}"])
+            checked += z not in model.eigenvalues
+    assert checked == cells
+
+
+@pytest.mark.parametrize("config", [CONFIG, {**HELMHOLTZ_CONFIG, "z_probes": HELMHOLTZ_PROBES}],
+                         ids=["synthetic", "helmholtz"])
+def test_convergence_error_is_exact_to_roundoff(tmp_path, config):
+    model = harness.build_model(harness.parse_config(config))
+    approxs = approximants(tmp_path, config, config["M_list"])
+    rows = csv_rows(tmp_path, config, "convergence")
+    for row in rows:
+        M, z = int(row["M"]), complex(row["probe"])
+        for variant in ("fast", "std"):
+            check_error_cell(model, approxs[variant, M], z, row[f"error_{variant}"])
+    assert len(rows) == len(config["M_list"]) * len(config["z_probes"])
 
 
 @pytest.mark.parametrize("config", [CONFIG, {**HELMHOLTZ_CONFIG, "z_probes": HELMHOLTZ_PROBES}],

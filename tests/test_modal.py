@@ -229,6 +229,55 @@ class TestBuildHelmholtz:
             for got, want in zip(numerics.gauss_legendre(order), leggauss(order)):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), order
 
+    def test_second_build_runs_no_clenshaw_pass(self, monkeypatch):
+        passes = []
+        legendre_series = numerics._legendre_series
+
+        def counted(x, c):
+            passes.append(x.size)
+            return legendre_series(x, c)
+
+        monkeypatch.setattr(numerics, "_legendre_series", counted)
+        numerics.gauss_legendre.cache_clear()
+        modal.build_rectangle_helmholtz(max_index=6, quad_order=40)
+        assert passes == [40, 40]
+        modal.build_rectangle_helmholtz(max_index=7, quad_order=40, nu_sq=5.0)
+        assert passes == [40, 40]  # the memoized rule
+        modal.build_rectangle_helmholtz(max_index=6, quad_order=41)
+        assert passes == [40, 40, 41, 41]
+
+    def test_gauss_rule_cannot_be_written_through(self):
+        want = [a.tobytes() for a in numerics.gauss_legendre(32)]
+        for a in numerics.gauss_legendre(32):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+            with pytest.raises(ValueError):
+                a *= 2.0
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+        assert [a.tobytes() for a in numerics.gauss_legendre(32)] == want
+
+    def test_warm_rule_builds_the_cold_model(self):
+        numerics.gauss_legendre.cache_clear()
+        cold = modal.build_rectangle_helmholtz(max_index=8, quad_order=48)
+        warm = modal.build_rectangle_helmholtz(max_index=8, quad_order=48)
+        info = numerics.gauss_legendre.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert warm.coefficients.tobytes() == cold.coefficients.tobytes()
+
+    def test_failed_rule_is_not_memoized(self, monkeypatch):
+        def out_of_memory(x, c):
+            raise MemoryError("Unable to allocate")
+
+        numerics.gauss_legendre.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "_legendre_series", out_of_memory)
+            with pytest.raises(MemoryError):
+                numerics.gauss_legendre(24)
+        for got, want in zip(numerics.gauss_legendre(24),
+                             np.polynomial.legendre.leggauss(24)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_build_leaves_numpy_polynomial_unloaded(self, tmp_path):
         # a fresh process builds the default model, then runs a small
         # Helmholtz convergence study (12 modes per direction, two probes)

@@ -80,13 +80,12 @@ class TestEvaluate:
                 p = poly.ShiftedPolynomial(complex(*rng.standard_normal(2)),
                                            wide_coeffs(rng, (N + 1,)))
                 z = points_with_non_finite(rng, 10)
-                got = poly.evaluate_points(p, z)
+                got = poly.evaluate_stack([p], z)[0]
                 want = [poly.evaluate(p, point) for point in z]
                 with np.errstate(all="ignore"):
                     oracle = [numpy_horner(p, point) for point in z]
-                assert all(type(v) is complex for v in got)
-                assert np.array(got).tobytes() == np.array(want).tobytes()
-                assert np.array(got).tobytes() == np.array(oracle).tobytes()
+                assert got.tobytes() == np.array(want).tobytes()
+                assert got.tobytes() == np.array(oracle).tobytes()
 
     def test_call_bit_identical_to_copying_horner(self, rng):
         with np.errstate(all="ignore"):
