@@ -92,3 +92,14 @@ def settled(outcomes):
         if isinstance(item, PadeError):
             raise item
     return outcomes
+
+
+def stacks(outcomes, key=len):
+    """{key(outcome): indices} of the outcomes that are not a PadeError,
+    each list of indices in order: the stacks that one array pass solves
+    together, whose failures settled then raises in order."""
+    found = {}
+    for i, item in enumerate(outcomes):
+        if not isinstance(item, PadeError):
+            found.setdefault(key(item), []).append(i)
+    return found

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pade
-from .errors import ConfigError, settled
+from .errors import ConfigError, settled, stacks
 from .modal import (
     CENTER_DISTANCE,
     COORDINATE_LIMIT,
@@ -396,12 +396,26 @@ def cmd_convergence(config, model):
 
 
 def _nearest_root_errors(roots, true_poles):
-    """Per-pole nearest-root error plus the leftover unmatched roots as
-    CSV text."""
-    dists = [[abs(r - lam) for r in roots] for lam in true_poles]
-    best = [int(np.argmin(d)) for d in dists]
-    extras = [r for i, r in enumerate(roots) if i not in best]
-    return [d[i] for d, i in zip(dists, best)], ";".join(map(complex_to_text, extras))
+    """Per list of roots, the distance from each pole to its nearest root
+    (the first, on a tie) and the roots no pole picked as CSV text: the
+    lists of one length as one pass over an (approximant, pole, root)
+    array of np.hypot distances, which Python's abs of a complex number
+    is."""
+    out = list(roots)
+    lam = np.array(true_poles)[:, None]
+    for index in stacks(roots).values():
+        r = np.array([roots[i] for i in index])
+        d = r[:, None] - lam
+        dists = np.hypot(d.real, d.imag)
+        # the picked roots by a mask: an integer comparison would run NumPy
+        # code no other step runs, whose pages add to the resident peak
+        picked = np.zeros(dists.shape, dtype=bool)
+        np.put_along_axis(picked, dists.argmin(axis=2)[..., None], True, axis=2)
+        extra = ~picked.any(axis=1)
+        for i, err, row, mask in zip(index, dists.min(axis=2).tolist(), r.tolist(),
+                                     extra.tolist()):
+            out[i] = err, ";".join(complex_to_text(z) for z, e in zip(row, mask) if e)
+    return out
 
 
 def _check_E_list(config):
@@ -434,9 +448,9 @@ def cmd_poles(config, model):
     predicted = [predicted_point_factor(poles, config, lam) ** 2 for lam in true_poles]
     pairs = _pairs(model, config, config.E_list, 0, numerators=False)
     roots = settled(roots_stack([a.denominator for pair in pairs for a in pair]))
-    for E, pair, *found in zip(config.E_list, pairs, roots[::2], roots[1::2]):
-        (err_f, extra_f), (err_s, extra_s) = (_nearest_root_errors(r, true_poles)
-                                              for r in found)
+    errors = _nearest_root_errors(roots, true_poles)
+    for E, pair, (err_f, extra_f), (err_s, extra_s) in zip(config.E_list, pairs, errors[::2],
+                                                           errors[1::2]):
         q0 = [abs(a.denominator.coeffs[0]) for a in pair]  # Q(z0) = a_0
         lines.append(row % (E, *err_f, *err_s, *predicted, *q0, extra_f, extra_s))
     return lines

@@ -25,7 +25,18 @@ whole stack at once (hermitian_eigensystems, min_right_singular_vectors,
 polynomial_roots_stack): Jacobi in lockstep over the stack, one LAPACK call
 for the stack, or per degree for roots, each item giving the bytes it gives
 alone.  A failed item is recorded in place (errors.settled); the
-single-problem routines are stacks of one.
+single-problem routines are stacks of one.  The roots' rules and checks,
+and their order (nearest_first), are array passes over each stack.
+
+The rounding contract of the stacks: every item takes the float
+operations it takes alone, in the same order.  A real array operation
+rounds as IEEE rounds one float operation whatever the array's length or
+layout.  NumPy's complex product fuses a product into a sum (FMA) where
+the host has it, and which one depends on the operand order, so k * a and
+a * k may differ in the last bit: each complex product keeps its operand
+order.  np.abs of a complex array may round otherwise than Python's abs,
+which is np.hypot of the parts: a modulus that must match one taken alone
+by abs is np.hypot.
 """
 
 import functools
@@ -35,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DegenerateLeadingCoefficient, NoConvergence, NonFiniteValue,
-                     NonHermitianInput, PadeError, settled)
+                     NonHermitianInput, PadeError, settled, stacks)
 
 HERMITIAN_TOL = 1e-13
 DEGENERACY_GAP = 1e-12
@@ -311,35 +322,31 @@ def polynomial_roots_stack(polys):
     """polynomial_roots of each coefficient array of polys, those of one
     degree solved as one stack (one companion eigvals, Newton step and
     residual check), each giving what it gives alone: one outcome
-    (errors.settled) per polynomial; an entry that is a PadeError stays."""
+    (errors.settled) per polynomial; an entry that is a PadeError stays.
+    The leading-coefficient and 2^1000 rules and the residual check are
+    array passes over each degree's stack."""
     out = list(polys)
-    stacks = {}  # degree -> (index, coefficients, max |coefficient|) per polynomial
     for i, a in enumerate(polys):
-        if isinstance(a, PadeError):
-            continue
-        a = np.asarray(a, dtype=complex)
-        if a.ndim != 1 or a.size == 0:
-            out[i] = DegenerateLeadingCoefficient("empty coefficient list")
-            continue
-        if a.size == 1:
-            out[i] = []
-            continue
-        amax = np.max(np.abs(a))
-        if abs(a[-1]) <= TRIM_THRESHOLD * amax:  # what poly.effective_coeffs trims
-            out[i] = DegenerateLeadingCoefficient(
-                "leading coefficient vanishes relative to the coefficient scale"
-            )
-            continue
-        if abs(a[-1]) < 2.0**-1000:
-            # a / a[-1] may overflow; a power of two scales every entry exactly
-            a, amax = a * 2.0**1000, amax * 2.0**1000
-        stacks.setdefault(a.size - 1, []).append((i, a, amax))
-    for degree, items in stacks.items():
-        index, a, amax = map(np.array, zip(*items))
+        if not isinstance(a, PadeError):
+            a = np.asarray(a, dtype=complex)
+            out[i] = a if a.ndim == 1 and a.size else DegenerateLeadingCoefficient(
+                "empty coefficient list")
+    for index in stacks(out).values():
+        a = np.array([out[i] for i in index])
+        degree = a.shape[1] - 1
+        amax = np.abs(a).max(axis=1)
+        lead = np.hypot(a[:, -1].real, a[:, -1].imag)  # abs of one coefficient
+        vanishes = lead <= TRIM_THRESHOLD * amax  # what poly.effective_coeffs trims
+        small = lead < 2.0**-1000
+        # a / a[-1] may overflow; a power of two scales every entry exactly.
+        # A row whose leading coefficient vanishes is solved as all ones, so
+        # that its steps stay finite, and fails after.
+        a[small], amax[small] = a[small] * 2.0**1000, amax[small] * 2.0**1000
+        a[vanishes] = 1.0
         b = a / a[:, -1:]  # monic, ascending
         companion = np.zeros((len(index), degree, degree), dtype=complex)
         companion[:] = np.eye(degree, k=-1)
-        companion[:, :, -1] = -b[:, :-1]
+        companion[:, :, -1:] = -b[:, :-1, None]  # no column at degree 0
         x = np.linalg.eigvals(companion)
 
         # At a multiple root p' vanishes and the step is not finite; the
@@ -351,12 +358,31 @@ def polynomial_roots_stack(polys):
 
         residuals = np.abs((x[..., None] ** np.arange(degree + 1)) @ a[..., None])[..., 0]
         bounds = ROOT_TOL * amax[:, None] * (1.0 + np.abs(x)) ** degree
-        for i, roots, res, bound in zip(index, x, residuals, bounds):
-            if np.any(res > bound):
-                worst = float(np.max(res / np.maximum(bound, 1e-300)))
-                out[i] = NoConvergence(f"root residual check failed (worst ratio {worst:.3e})")
-            else:
-                out[i] = roots.tolist()
+        rows = zip(index, x.tolist(), (vanishes & (degree > 0)).tolist(),
+                   (residuals > bounds).any(axis=1).tolist(), residuals, bounds)
+        for i, roots, gone, failed, res, bound in rows:
+            out[i] = (DegenerateLeadingCoefficient(
+                "leading coefficient vanishes relative to the coefficient scale") if gone
+                else NoConvergence("root residual check failed (worst ratio "
+                                   f"{np.max(res / np.maximum(bound, 1e-300)):.3e})")
+                if failed else roots)
+    return out
+
+
+def nearest_first(roots, centers):
+    """Each list of roots of roots (errors.settled outcomes; a PadeError
+    stays) shifted by its center and sorted by distance from it, ties by
+    (Re, Im), the lists of one length as one array pass: one stable lexsort
+    on np.hypot of the parts, as Python's abs of a complex number takes it
+    (np.abs may round otherwise), then on Re, then on Im."""
+    out = list(roots)
+    for index in stacks(roots).values():
+        c = np.array([centers[i] for i in index])[:, None]
+        r = np.array([roots[i] for i in index]) + c
+        d = r - c
+        order = np.lexsort((r.imag, r.real, np.hypot(d.real, d.imag)))
+        for i, row in zip(index, np.take_along_axis(r, order, axis=1).tolist()):
+            out[i] = row
     return out
 
 

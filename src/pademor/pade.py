@@ -15,7 +15,9 @@ stack per variant and N, each giving the bytes it gives alone, so that
 NumPy's cost per call is paid once: the fast ones by one QR of all their
 windows (hilbert.gram_schmidt) and one SVD of all their full-rank factors,
 the standard ones by one lockstep Jacobi over all their Gramian sums
-(numerics.hermitian_eigensystems).  A single build is a stack of one.
+(numerics.hermitian_eigensystems), whose blocks, shared by the sums of a
+stack, are each computed once, on windows sliced from one copy of the
+Taylor rows (_gramian_blocks).  A single build is a stack of one.
 The approximants of a command are evaluated as one stack as well
 (evaluate_stack), and evaluate is a stack of one.
 """
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import hilbert, numerics, poly
 from .errors import (DimensionMismatch, InsufficientTaylorLength, NotNormalized, PadeError,
-                     RhoOverflow, settled)
+                     RhoOverflow, settled, stacks)
 from .modal import ModalModel, taylor_coefficients
 
 QR_DEGENERACY_THRESHOLD = 1e-14
@@ -87,18 +89,21 @@ class PadeApproximant(NamedTuple):
     diagnostics: Diagnostics
 
 
+def _taylor_rows(taylor, N, top):
+    """Rows S_{-N}, ..., S_{top-1} as an (N + top, dim) array, zero for
+    negative orders: the window of order E is rows E..E+N."""
+    S = taylor.coeffs
+    if S.shape[0] < top:
+        raise InsufficientTaylorLength(f"need E+1 = {top} Taylor coefficients, have {S.shape[0]}")
+    rows = np.zeros((N + top, S.shape[1]), dtype=complex)
+    rows[N:] = S[:top]
+    return rows
+
+
 def _taylor_window(taylor, N, E):
     """Columns S_{E-N}, ..., S_E as a (dim, N+1) array, zero for negative
     orders."""
-    S = taylor.coeffs
-    if S.shape[0] < E + 1:
-        raise InsufficientTaylorLength(
-            f"need E+1 = {E + 1} Taylor coefficients, have {S.shape[0]}"
-        )
-    cols = np.zeros((S.shape[1], N + 1), dtype=complex)
-    lo = max(E - N, 0)
-    cols[:, lo - (E - N):] = S[lo : E + 1].T
-    return cols
+    return _taylor_rows(taylor, N, E + 1)[E:].T.copy()
 
 
 def denominator_from_eigvec(q, z0):
@@ -115,12 +120,29 @@ def denominator_from_eigvec(q, z0):
 
 def gramian(taylor, N, E, w):
     """Hermitian PSD matrix of V-inner products of the Taylor window:
-    entry (i, j) = <S_{E-N+j}, S_{E-N+i}>."""
+    entry (i, j) = <S_{E-N+j}, S_{E-N+i}>.  The one block of
+    _gramian_blocks."""
     if E < 0:
         raise ValueError("E must be nonnegative")
-    A = _taylor_window(taylor, N, E)
-    G = A.conj().T @ (w.weights[:, None] * A)
-    return 0.5 * (G + G.conj().T)
+    return _gramian_blocks(taylor, N, [(0, E)], w)[0, E]
+
+
+def _gramian_blocks(taylor, N, keys, w):
+    """{(k, gamma): gramian of order gamma of the Taylor rows scaled by
+    2^-k} for the (k, gamma) of keys, each block once.  The windows are
+    slices of one zero-padded copy of the rows per k (_taylor_rows), so each
+    block takes the float operations, operand order and BLAS call of the
+    block alone.  Each block conjugates and weights its own window: a
+    conjugated and a weighted copy of all the rows per k would hold two
+    more arrays of every row, to save a few percent of the blocks' time."""
+    rows, scaled, blocks = _taylor_rows(taylor, N, max(g for _, g in keys) + 1), {}, {}
+    for k, gamma in dict.fromkeys(keys):
+        if k not in scaled:
+            scaled[k] = rows * 2.0**-k if k else rows
+        window = scaled[k][gamma : gamma + N + 1]
+        G = window.conj() @ (w.weights * window).T
+        blocks[k, gamma] = 0.5 * (G + G.conj().T)
+    return blocks
 
 
 def _gramian_denominators(taylor, N, items, w):
@@ -138,19 +160,24 @@ def _gramian_denominators(taylor, N, items, w):
     the sum, which the eigensolve takes, stays finite.  Each block is
     exactly Hermitian, and so is their positively weighted sum.
     """
-    out = []
+    out, keys = [], []
     for M, E, rho in items:
         if 2.0 * (E - M) * math.log10(rho) > 300.0:
             out.append(RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}"))
             continue
         weight = (E - M - 1) * math.log2(rho) if rho > 1.0 else 0.0
         k = numerics.scale_exponent(taylor.coeffs[max(M + 1 - N, 0) : E + 1], weight)
-        t = poly.ShiftedPolynomial(taylor.center, taylor.coeffs * 2.0**-k) if k else taylor
+        out.append(k)
+        keys += [(k, gamma) for gamma in range(M + 1, E + 1)]
+    blocks = _gramian_blocks(taylor, N, keys, w) if keys else {}
+    for i, ((M, E, rho), k) in enumerate(zip(items, out)):
+        if isinstance(k, PadeError):
+            continue
         A = np.zeros((N + 1, N + 1), dtype=complex)
         for gamma in range(M + 1, E + 1):
-            A += rho ** (2 * (gamma - M - 1)) * gramian(t, N, gamma, w)
+            A += rho ** (2 * (gamma - M - 1)) * blocks[k, gamma]
         j = (numerics.scale_exponent(A) + 1) // 2
-        out.append((A * 4.0**-j if j else A, k + j))
+        out[i] = A * 4.0**-j if j else A, k + j
     systems = iter(numerics.hermitian_eigensystems(
         [x[0] for x in out if not isinstance(x, PadeError)]))
     for i, ((M, E, rho), x) in enumerate(zip(items, out)):
@@ -217,10 +244,11 @@ def _fast_denominators(taylor, N, items, w):
     diagnostics) pair or the PadeError raised."""
     if min(E for _, E, _ in items) < N:
         raise ValueError("fast denominator requires E >= N")
-    windows = np.empty((len(items), taylor.coeffs.shape[1], N + 1), dtype=complex)
+    rows = _taylor_rows(taylor, N, max(E for _, E, _ in items) + 1)
+    windows = np.array([rows[E : E + N + 1].T for _, E, _ in items])
+    del rows  # before the QR, whose arrays are the command's largest
     ks = []
-    for A, (_, E, _) in zip(windows, items):
-        A[...] = _taylor_window(taylor, N, E)
+    for A in windows:
         ks.append(numerics.scale_exponent(A))
         if ks[-1]:
             A *= 2.0**-ks[-1]
@@ -289,10 +317,9 @@ def denominators(model, params, taylor):
     for p in params:
         if taylor.center != p.z0:
             raise ValueError(f"Taylor block centred at {taylor.center}, approximant at {p.z0}")
-    stacks, solved = {}, {}
-    for i, p in enumerate(params):
-        stacks.setdefault((p.variant == "fast", p.N), []).append(i)
-    for (fast, N), index in sorted(stacks.items()):  # the standard stacks first
+    solved = {}
+    # the standard stacks first
+    for (fast, N), index in sorted(stacks(params, lambda p: (p.variant == "fast", p.N)).items()):
         items = [(params[i].M, params[i].E, params[i].rho) for i in index]
         solve = _fast_denominators if fast else _gramian_denominators
         solved.update(zip(index, solve(taylor, N, items, model.weights)))

@@ -16,7 +16,8 @@ polynomial's evaluated alone.
 import numpy as np
 
 from . import numerics
-from .errors import ConstantPolynomial, NonFiniteValue, PadeError, ZeroPolynomial, settled
+from .errors import (ConstantPolynomial, NonFiniteValue, PadeError, ZeroPolynomial, settled,
+                     stacks)
 
 
 class ShiftedPolynomial:
@@ -53,7 +54,9 @@ def evaluate_stack(ps, points):
     the four real products, then one difference and one sum, and the
     Horner step adds the coefficient after; NumPy's complex product fuses a
     product into the sum or difference (FMA) on hosts that have it, and
-    which one depends on the operand order.  So the step runs on the real
+    which one depends on the operand order, so that k * a and a * k may
+    differ in the last bit: wherever NumPy's complex product is kept, each
+    product keeps its operand order.  So the step runs on the real
     and imaginary parts as real arrays, each real operation a separate
     array operation, which NumPy rounds as IEEE does one float operation,
     whatever the length or layout of the arrays: every value gives the
@@ -104,20 +107,36 @@ def evaluate(p, z):
 
 def effective_coeffs(p):
     """The coefficients of p less the trailing ones at or below
-    numerics.TRIM_THRESHOLD of the max magnitude.
+    numerics.TRIM_THRESHOLD of the max magnitude: effective_stack of p
+    alone.
 
     A vanishing leading coefficient means fewer poles in range, which is a
     legitimate outcome, not an error.  A non-finite coefficient raises
     NonFiniteValue.
     """
-    c = p.coeffs
-    if not np.isfinite(c).all():
-        raise NonFiniteValue("polynomial coefficients have a non-finite entry")
-    scale = np.max(np.abs(c))
-    if scale <= 1e-300:
-        raise ZeroPolynomial("zero polynomial has no well-defined degree")
-    keep = np.nonzero(np.abs(c) > numerics.TRIM_THRESHOLD * scale)[0]
-    return c[: keep[-1] + 1]
+    return settled(effective_stack([p]))[0]
+
+
+def effective_stack(ps):
+    """effective_coeffs of each of ps, those of one coefficient shape as
+    one array pass: one outcome (errors.settled) per polynomial,
+    NonFiniteValue, or ZeroPolynomial for a largest magnitude at or below
+    1e-300."""
+    out = [p.coeffs for p in ps]
+    for index in stacks(out, np.shape).values():
+        a = np.array([out[i] for i in index])
+        top = np.abs(a).reshape(len(index), a.shape[1], -1).max(axis=2)  # per row
+        scale = top.max(axis=1)
+        # the place of the last row kept: np.where, as a boolean argmax runs
+        # NumPy code that no other step runs, whose pages add to the RSS
+        sizes = np.where(top > numerics.TRIM_THRESHOLD * scale[:, None],
+                         np.arange(1, a.shape[1] + 1), 0).max(axis=1)
+        finite = np.isfinite(a).reshape(len(index), -1).all(axis=1)
+        for i, row, ok, s, n in zip(index, a, finite.tolist(), scale.tolist(), sizes.tolist()):
+            out[i] = (NonFiniteValue("polynomial coefficients have a non-finite entry")
+                      if not ok else row[:n] if s > 1e-300 else
+                      ZeroPolynomial("zero polynomial has no well-defined degree"))
+    return out
 
 
 def roots(p):
@@ -127,20 +146,10 @@ def roots(p):
 
 def roots_stack(ps):
     """roots of each of ps, those of one effective degree solved as one
-    stack (numerics.polynomial_roots_stack): one outcome (errors.settled)
-    per polynomial."""
-    coeffs = []
-    for p in ps:
-        try:
-            c = effective_coeffs(p)
-            if c.size < 2:
-                raise ConstantPolynomial("polynomial has effective degree 0")
-        except PadeError as exc:
-            c = exc
-        coeffs.append(c)
-    out = numerics.polynomial_roots_stack(coeffs)
-    for i, (p, raw) in enumerate(zip(ps, out)):
-        if not isinstance(raw, PadeError):
-            shifted = [r + p.center for r in raw]
-            out[i] = sorted(shifted, key=lambda r: (abs(r - p.center), r.real, r.imag))
-    return out
+    stack: one outcome (errors.settled) per polynomial.  The trim
+    (effective_stack), the solve (numerics.polynomial_roots_stack) and the
+    order (numerics.nearest_first) are array passes over stacks."""
+    return numerics.nearest_first(numerics.polynomial_roots_stack(
+        [c if isinstance(c, PadeError) or c.size > 1 else
+         ConstantPolynomial("polynomial has effective degree 0") for c in effective_stack(ps)]),
+        [p.center for p in ps])

@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 
 from pademor import hilbert, modal, numerics, pade, poly
-from pademor.errors import NoConvergence, ZeroPolynomial
+from pademor.errors import (ConstantPolynomial, DegenerateLeadingCoefficient,
+                            InsufficientTaylorLength, NoConvergence, NonFiniteValue, RhoOverflow,
+                            ZeroPolynomial)
 
 
 def normalize(p):
@@ -348,3 +350,101 @@ def loop_jacobi(H):
     vals = A.real.diagonal().copy()
     order = np.argsort(vals, kind="stable")
     return vals[order], V[:, order]
+
+
+def window_gramian(taylor, N, E, w):
+    """pade.gramian from a copy of the window alone, columns S_{E-N}..S_E
+    zero for negative orders: the block as it was built before the blocks
+    of a stack were sliced from one copy of the Taylor rows."""
+    S = taylor.coeffs
+    if S.shape[0] < E + 1:
+        raise InsufficientTaylorLength(
+            f"need E+1 = {E + 1} Taylor coefficients, have {S.shape[0]}")
+    A = np.zeros((S.shape[1], N + 1), dtype=complex)
+    lo = max(E - N, 0)
+    A[:, lo - (E - N):] = S[lo : E + 1].T
+    G = A.conj().T @ (w.weights[:, None] * A)
+    return 0.5 * (G + G.conj().T)
+
+
+def loop_gramian_sums(taylor, N, items, w):
+    """The rho-weighted Gramian sum and its power-of-two exponent for each
+    (M, E, rho) of items, or RhoOverflow, one item and one window_gramian
+    block at a time, as pade._gramian_denominators built them before it
+    computed each (scale exponent, order) block once per stack."""
+    out = []
+    for M, E, rho in items:
+        if 2.0 * (E - M) * math.log10(rho) > 300.0:
+            out.append(RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}"))
+            continue
+        weight = (E - M - 1) * math.log2(rho) if rho > 1.0 else 0.0
+        k = numerics.scale_exponent(taylor.coeffs[max(M + 1 - N, 0) : E + 1], weight)
+        t = poly.ShiftedPolynomial(taylor.center, taylor.coeffs * 2.0**-k) if k else taylor
+        A = np.zeros((N + 1, N + 1), dtype=complex)
+        for gamma in range(M + 1, E + 1):
+            A += rho ** (2 * (gamma - M - 1)) * window_gramian(t, N, gamma, w)
+        j = (numerics.scale_exponent(A) + 1) // 2
+        out.append((A * 4.0**-j if j else A, k + j))
+    return out
+
+
+def loop_polynomial_roots(a):
+    """numerics.polynomial_roots of the coefficients a by the per-polynomial
+    steps polynomial_roots_stack took before they ran as array passes: the
+    leading-coefficient and 2^1000 rules with Python's abs, the companion
+    solve as a stack of one, the residual check on the row."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 1 or a.size == 0:
+        raise DegenerateLeadingCoefficient("empty coefficient list")
+    if a.size == 1:
+        return []
+    amax = np.max(np.abs(a))
+    if abs(a[-1]) <= numerics.TRIM_THRESHOLD * amax:
+        raise DegenerateLeadingCoefficient(
+            "leading coefficient vanishes relative to the coefficient scale")
+    if abs(a[-1]) < 2.0**-1000:
+        a, amax = a * 2.0**1000, amax * 2.0**1000
+    degree = a.size - 1
+    b = (a / a[-1])[None]
+    companion = np.zeros((1, degree, degree), dtype=complex)
+    companion[:] = np.eye(degree, k=-1)
+    companion[:, :, -1] = -b[:, :-1]
+    x = np.linalg.eigvals(companion)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        px, dpx = numerics._horner(b, x)
+        y = x - px / dpx
+        x = np.where(np.abs(numerics._horner(b, y)[0]) < np.abs(px), y, x)
+    res = np.abs((x[..., None] ** np.arange(degree + 1)) @ a[None, :, None])[0, :, 0]
+    bound = numerics.ROOT_TOL * amax * (1.0 + np.abs(x[0])) ** degree
+    if np.any(res > bound):
+        worst = float(np.max(res / np.maximum(bound, 1e-300)))
+        raise NoConvergence(f"root residual check failed (worst ratio {worst:.3e})")
+    return x[0].tolist()
+
+
+def loop_roots(p):
+    """poly.roots of p by the per-polynomial steps that poly.roots_stack took
+    before its passes ran over stacks: the trim of effective_coeffs,
+    loop_polynomial_roots, and Python's sort of the shifted roots."""
+    c = p.coeffs
+    if not np.isfinite(c).all():
+        raise NonFiniteValue("polynomial coefficients have a non-finite entry")
+    scale = np.max(np.abs(c))
+    if scale <= 1e-300:
+        raise ZeroPolynomial("zero polynomial has no well-defined degree")
+    a = c[: np.nonzero(np.abs(c) > numerics.TRIM_THRESHOLD * scale)[0][-1] + 1]
+    if a.size < 2:
+        raise ConstantPolynomial("polynomial has effective degree 0")
+    shifted = [r + p.center for r in loop_polynomial_roots(a)]
+    return sorted(shifted, key=lambda r: (abs(r - p.center), r.real, r.imag))
+
+
+def loop_nearest_root_errors(roots, true_poles):
+    """harness._nearest_root_errors of one approximant's roots, a list
+    comprehension per pole on Python complex numbers: the loop it
+    replaced."""
+    dists = [[abs(r - lam) for r in roots] for lam in true_poles]
+    best = [int(np.argmin(d)) for d in dists]
+    extras = [r for i, r in enumerate(roots) if i not in best]
+    return [d[i] for d, i in zip(dists, best)], ";".join(
+        "%.17g%+.17gj" % (r.real, r.imag) for r in extras)

@@ -21,7 +21,13 @@ is checked exactly as (c - b)^2 <= |Q(z)|^2 <= (c + b)^2, the left side
 where c > b.
 
 poles writes |Q(z0)| = |a_0| by Python's abs, the hypot of its parts, with
-no Horner step: b = gamma(2) |a_0|.
+no Horner step: b = gamma(2) |a_0|.  Its abs_error cells are np.hypot of the
+two parts of r - lambda, r the root of poly.roots nearest to the pole
+lambda: each part rounded once (u of itself), the hypot within one ulp
+(2 u), so each cell c is within gamma(3) of the exact distance d, and
+gamma(3) d <= gamma(4) c.  The root whose exact distance lies within that
+bound must be one no other root is exactly nearer than, and extra_roots
+must list, in their order, exactly the roots no pole picked.
 
 The error cells of sweep on the golden study, and of compare and
 convergence on both studies, are held to the exact V-norm error of the
@@ -59,7 +65,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pademor import cli, harness, hilbert, pade
+from pademor import cli, harness, hilbert, modal, pade, poly
 
 from oracles import exact_abs2, exact_error2, horner_magnitude
 from test_golden import CONFIG
@@ -246,3 +252,43 @@ def test_poles_q_magnitude_is_exact_to_roundoff(tmp_path, config):
             bound = gamma(2) * horner_magnitude(Q, np.array([Q.center])).item()
             check_cell(row[f"q_magnitude_{variant}"], Q, Q.center, bound)
     assert len(rows) == len(E_list)
+
+
+def exact_distance2(a, b):
+    """|a - b|^2 of two complex floats, exactly, as a Fraction."""
+    dr = Fraction(a.real) - Fraction(b.real)
+    di = Fraction(a.imag) - Fraction(b.imag)
+    return dr * dr + di * di
+
+
+@pytest.mark.parametrize("config, cells", [
+    (CONFIG, 4 * 2 * 2), ({**HELMHOLTZ_CONFIG, "E_list": HELMHOLTZ_E_LIST}, 3 * 2 * 4),
+], ids=["synthetic", "helmholtz"])
+def test_poles_errors_are_exact_to_roundoff(tmp_path, config, cells):
+    E_list, N = config["E_list"], config["N"]
+    model = harness.build_model(harness.parse_config(config))
+    true_poles = modal.pole_list(model, complex(*config["z0"]))[:N]
+    dens = denominators(tmp_path, config, {*E_list, *(E - N for E in E_list)})
+    rows = csv_rows(tmp_path, config, "poles")
+    checked = 0
+    for row in rows:
+        E = int(row["E"])
+        for variant, M in (("fast", E), ("std", E - N)):
+            roots = poly.roots(dens[variant, M])
+            matched = set()
+            for a, lam in enumerate(true_poles, 1):
+                cell = Fraction(float(row[f"abs_error_{variant}_lambda{a}"]))
+                b = Fraction(gamma(4)) * cell
+                d2 = [exact_distance2(r, lam) for r in roots]
+                # the cell is the distance to a root within the bound, and
+                # no other root is exactly nearer to lambda
+                [j, *_] = [j for j, d in enumerate(d2)
+                           if d <= (cell + b) ** 2 and (cell <= b or (cell - b) ** 2 <= d)]
+                assert min(d2) == d2[j], (row["E"], variant, a)
+                matched.add(j)
+                checked += 1
+            text = row[f"extra_roots_{variant}"]
+            extras = [complex(t) for t in text.split(";")] if text else []
+            assert [roots.index(r) for r in extras] == sorted(
+                set(range(len(roots))) - matched), (row["E"], variant)
+    assert checked == cells

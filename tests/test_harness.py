@@ -9,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pademor import cli, harness, hilbert, modal, numerics, pade, poly
 from pademor.errors import ConfigError, NoConvergence, PadeError
 
 from conftest import OVERFLOWING_Q_MODULUS, load_perfbench
-from oracles import approximant_errors, horner_magnitude, modal_error, point_errors
+from oracles import (approximant_errors, horner_magnitude, loop_nearest_root_errors, modal_error,
+                     point_errors)
 
 SYNTH_CONFIG = {
     "model": {
@@ -1050,6 +1052,31 @@ class TestSharedTaylorBlock:
         assert cli.main([command, "--config", path, "--out", out]) == 0
         # max(M_list) + N, or fast_E(max(E_list)) = 5 + N
         assert orders == [5 if command in ("build", "sweep", "convergence") else 7]
+
+
+# One part of a root or a pole: few values, so that distances tie often.
+TIED_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, 1e300])
+TIED_POINTS = st.builds(complex, TIED_PARTS, TIED_PARTS)
+
+
+class TestNearestRootErrors:
+    """_nearest_root_errors matches every approximant with the same root
+    count in one array pass, with the bytes of the per-approximant loop it
+    replaced (oracles.loop_nearest_root_errors): the first nearest root on
+    a tie, several poles on one root, the unpicked roots in their order."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(roots=st.lists(st.lists(TIED_POINTS, min_size=1, max_size=4), min_size=1,
+                          max_size=6),
+           poles=st.lists(TIED_POINTS, min_size=1, max_size=3))
+    @example(roots=[[1.5 + 0j, 10 + 0j]], poles=[1 + 0j, 2 + 0j])  # two poles on one root
+    @example(roots=[[1j, -1j, 1 + 0j]], poles=[0j])  # three roots at one distance
+    def test_pass_is_the_per_approximant_loop(self, roots, poles):
+        got = harness._nearest_root_errors(roots, poles)
+        for (errors, extra), r in zip(got, roots):
+            want_errors, want_extra = loop_nearest_root_errors(r, poles)
+            assert [e.hex() for e in errors] == [float(e).hex() for e in want_errors]
+            assert extra == want_extra
 
 
 class TestFailureOrder:

@@ -10,7 +10,7 @@ from pademor.errors import (DegenerateLeadingCoefficient, NoConvergence, NonFini
                             NonHermitianInput, PadeError, settled)
 
 from conftest import load_perfbench
-from oracles import loop_jacobi
+from oracles import loop_jacobi, loop_polynomial_roots, loop_roots
 
 
 def random_hermitian(rng, n):
@@ -448,3 +448,109 @@ class TestRootStacks:
             settled(stacked)
         assert isinstance(stacked[1], DegenerateLeadingCoefficient)
         assert stacked[2] == [-1 + 0j]
+
+
+# One part of a root, or of a center: few values, so that distances, real
+# parts and imaginary parts tie often, signed zeros among them.
+TIED_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 3.0, 1e-300, 1e300])
+
+
+@st.composite
+def root_polynomials(draw):
+    """A ShiftedPolynomial for poly.roots_stack, of one of the kinds its
+    array passes take apart: any coefficient_rows row (mixed degrees, rows
+    scaled by 2^-1040, monomials); a row whose leading coefficient is
+    TRIM_THRESHOLD times the largest magnitude, so trimmed, or the next
+    float up, so kept; a zero row; a row with a nan or inf entry; a
+    constant, alone or with trailing zeros; z^2 -+ r^2 or z^4 - r^4, whose
+    roots lie at one distance from the center."""
+    kind = draw(st.sampled_from(["row", "trim", "zero", "nonfinite", "constant", "tie"]))
+    size = draw(st.integers(1, 5))
+    if kind == "row":
+        row = draw(coefficient_rows())
+    elif kind == "trim":
+        lead = numerics.TRIM_THRESHOLD * 2.0
+        if draw(st.booleans()):
+            lead = np.nextafter(lead, 1.0)
+        row = [2.0] + [complex(draw(PARTS), draw(PARTS)) * 1e-14 for _ in range(size)] + [lead]
+        row += [0j] * draw(st.integers(0, 2))
+    elif kind == "zero":
+        row = [0j] * size
+    elif kind == "nonfinite":
+        row = [complex(draw(PARTS), draw(PARTS)) for _ in range(size + 1)]
+        row[draw(st.integers(0, size))] = draw(st.sampled_from([np.nan, np.inf, -np.inf,
+                                                                 complex(0, np.nan)]))
+    elif kind == "constant":
+        row = [complex(draw(PARTS), draw(PARTS)) or 1.0] + [0j] * (size - 1)
+    else:
+        r = draw(st.sampled_from([1.0, 0.5, 3.0, 1e-3]))
+        row = draw(st.sampled_from([[-r * r, 0, 1], [r * r, 0, 1], [-r**4, 0, 0, 0, 1]]))
+    center = complex(draw(TIED_PARTS), draw(TIED_PARTS)) if draw(st.booleans()) else 0.5 - 0.25j
+    return poly.ShiftedPolynomial(center, row)
+
+
+@st.composite
+def edge_rows(draw):
+    """Ascending coefficients, the largest 1, whose leading one sits at a
+    rule's edge: TRIM_THRESHOLD times the largest magnitude (it vanishes)
+    or the next float up; or a row scaled to a leading 2^-1000 (not
+    rescaled) or to the next float down (rescaled by 2^1000)."""
+    row = [1.0] + [complex(draw(PARTS), draw(PARTS)) * 1e-4 for _ in range(draw(st.integers(0, 4)))]
+    edge = draw(st.sampled_from(["trim", "kept", "unscaled", "rescaled"]))
+    if edge in ("trim", "kept"):
+        lead = numerics.TRIM_THRESHOLD
+        return row + [lead if edge == "trim" else np.nextafter(lead, 1.0)]
+    scale = 2.0**-1000 if edge == "unscaled" else np.nextafter(2.0**-1000, 0.0)
+    return [a * scale for a in row + [1.0]]
+
+
+class TestRootPasses:
+    """The trim, the leading-coefficient and 2^1000 rules, the residual
+    check and the root order run as array passes over a stack, each
+    polynomial giving the bytes, or the error, of the per-polynomial loop
+    they replaced (oracles.loop_roots)."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(ps=st.lists(root_polynomials(), min_size=1, max_size=8), strict=st.booleans())
+    def test_stack_is_the_per_polynomial_loop(self, ps, strict):
+        with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
+            for out, p in zip(poly.roots_stack(ps), ps):
+                same_outcome(out, lambda: loop_roots(p))
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(rows=st.lists(st.one_of(coefficient_rows(), edge_rows()), min_size=1, max_size=8),
+           strict=st.booleans())
+    def test_solve_is_the_per_row_loop(self, rows, strict):
+        # the rows reach the solve untrimmed, so that a leading
+        # coefficient of exactly TRIM_THRESHOLD times the largest fails
+        with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
+            for out, row in zip(numerics.polynomial_roots_stack(rows), rows):
+                same_outcome(out, lambda: loop_polynomial_roots(row))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(raw=st.lists(st.lists(st.builds(complex, TIED_PARTS, TIED_PARTS), min_size=1,
+                                 max_size=5), min_size=1, max_size=6),
+           centers=st.lists(st.builds(complex, TIED_PARTS, TIED_PARTS), min_size=6,
+                            max_size=6))
+    def test_order_is_pythons_sort(self, raw, centers):
+        # roots given at the solve's seam, so that distances, real parts
+        # and imaginary parts tie exactly; Python's sort is stable
+        ps = [poly.ShiftedPolynomial(c, [1.0, 1.0]) for c in centers[:len(raw)]]
+        with mock.patch.object(numerics, "polynomial_roots_stack", lambda polys: list(raw)):
+            got = poly.roots_stack(ps)
+        for roots, c, out in zip(raw, centers, got):
+            shifted = [r + c for r in roots]
+            want = sorted(shifted, key=lambda r: (abs(r - c), r.real, r.imag))
+            assert np.array(out).tobytes() == np.array(want).tobytes()
+
+    def test_mixed_effective_degrees(self):
+        # one coefficient length, effective degrees 1, 2 and 3, a trimmed
+        # leading coefficient and one kept by the next float up
+        edge = numerics.TRIM_THRESHOLD * 4.0
+        rows = [[4.0, 1.0, 1.0, edge], [4.0, 1.0, 1.0, np.nextafter(edge, 1.0)],
+                [4.0, 1.0, 2.0, 0.0], [1.0, 2.0, 0.0, 0.0]]
+        ps = [poly.ShiftedPolynomial(0.25j, row) for row in rows]
+        got = poly.roots_stack(ps)
+        assert [len(r) for r in got] == [2, 3, 2, 1]
+        for out, p in zip(got, ps):
+            same_outcome(out, lambda: loop_roots(p))

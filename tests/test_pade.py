@@ -1,15 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pademor import harness, hilbert, modal, numerics, pade, poly
-from pademor.errors import InsufficientTaylorLength, RhoOverflow
+from pademor.errors import InsufficientTaylorLength, NoConvergence, RhoOverflow
 from pademor.hilbert import InnerProductWeights, norm
 
 from conftest import OVERFLOWING_GRAMIAN_SUM
-from oracles import column_mgs, loop_numerator, normalize, residual_norm
+from oracles import (column_mgs, loop_gramian_sums, loop_numerator, normalize, residual_norm,
+                     window_gramian)
 
 L2_1 = InnerProductWeights.l2(1)
 HIGHORDER_Z0 = 12 + 0.5j  # centre of the highorder_poles benchmark study
@@ -228,6 +230,77 @@ class TestStandardDenominator:
         t = modal.taylor_coefficients(helmholtz, paper_z0, 42)
         with pytest.raises(RhoOverflow):
             pade.denominator_standard(t, 2, 2, 42, 1e10, helmholtz.weights)
+
+
+def taylor_rows(rng, rows, dim, exponents):
+    """A Taylor block of rows random complex rows, row g scaled by
+    2^exponents[g], about a tenth of the entries exactly 0 and about a
+    fifth of the rows -0 - 0j, whose blocks' signed zeros show any extra
+    rounding step."""
+    S = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+    S[rng.random(S.shape) < 0.1] = 0.0
+    S = S * np.ldexp(1.0, exponents)[:, None]
+    S[rng.random(rows) < 0.2] = complex(-0.0, -0.0)
+    return poly.ShiftedPolynomial(0.5j, S)
+
+
+class TestGramianBlocks:
+    """Each Gramian block is computed once per stack, on a window sliced
+    from one copy of the Taylor rows per scale exponent, yet each block and
+    each sum has the bytes of the per-window, per-item loop it replaced
+    (oracles.window_gramian, oracles.loop_gramian_sums)."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6), N=st.integers(0, 4),
+           rows=st.integers(1, 9))
+    def test_gramian_is_the_window_block(self, seed, dim, N, rows):
+        rng = np.random.default_rng(seed)
+        t = taylor_rows(rng, rows, dim, rng.choice([0, 300, -300], rows))
+        w = InnerProductWeights(rng.uniform(0.1, 2.0, dim))
+        for E in range(rows):
+            assert pade.gramian(t, N, E, w).tobytes() == window_gramian(t, N, E, w).tobytes()
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5), N=st.integers(0, 3),
+           exponents=st.lists(st.sampled_from([0, 0, 0, 450, -450]), min_size=1, max_size=9),
+           items=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3),
+                                    st.sampled_from([1.0, 0.5, 3.0, 1e40, 1e200])),
+                          min_size=1, max_size=6))
+    def test_sums_are_the_per_item_loop(self, seed, dim, N, exponents, items):
+        # rows of 2^450 or 2^-450 among rows of 1 give the windows of one
+        # stack two scale exponents over overlapping orders; rho = 1e40
+        # moves the threshold, rho = 1e200 overflows, and an E at or past
+        # the end of the block is InsufficientTaylorLength
+        rng = np.random.default_rng(seed)
+        t = taylor_rows(rng, len(exponents), dim, exponents)
+        w = InnerProductWeights(rng.uniform(0.1, 2.0, dim))
+        items = [(max(E - gap, 0), E, rho) for E, gap, rho in items]
+        try:
+            expected = loop_gramian_sums(t, N, items, w)
+        except InsufficientTaylorLength:
+            # the stack names the coefficients its blocks need, the largest
+            # order + 1; one item at a time named the first missing one
+            need = max(E for M, E, rho in items
+                       if M < E and 2.0 * (E - M) * math.log10(rho) <= 300.0)
+            with pytest.raises(InsufficientTaylorLength, match=(
+                    f"^need E\\+1 = {need + 1} Taylor coefficients, have {len(exponents)}$")):
+                pade._gramian_denominators(t, N, items, w)
+            return
+        solved = []
+
+        def recorded(matrices):
+            solved.extend(matrices)
+            return [NoConvergence("not solved")] * len(matrices)
+
+        with mock.patch.object(numerics, "hermitian_eigensystems", recorded):
+            out = pade._gramian_denominators(t, N, items, w)
+        sums = iter(solved)
+        for want, got in zip(expected, out):
+            if isinstance(want, RhoOverflow):
+                assert type(got) is RhoOverflow and str(got) == str(want)
+            else:
+                assert next(sums).tobytes() == want[0].tobytes()
+        assert next(sums, None) is None
 
 
 class TestStandardStacks:

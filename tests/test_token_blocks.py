@@ -28,6 +28,20 @@ after), so the import's peak did not move: the after-import ru_maxrss
 medians of `import pademor, pademor.cli` over 40 fresh
 PYTHONDONTWRITEBYTECODE=1 processes each, alternated, read 29,160 KB before
 and 29,128 KB after, within their 28.9-29.4 MB spread.
+
+Which compile sets that peak follows from the import order as well as
+from the sizes.  numerics compiles after pade and hilbert, on the memory
+their code takes, and so sets the peak although its own compile() peak
+is below that of pade.py: with PYTHONDONTWRITEBYTECODE=1, a prototype of
+the array root passes that grew numerics.py by 300 tokens (compile peak
+1,061 to 1,148 KB) raised the after-import ru_maxrss median by 124 KB
+(20 fresh processes each), and one that grew pade.py by 289 tokens (1,127
+to 1,206 KB) by 66 KB.  The passes were then placed so that numerics.py
+grew by 149 tokens (1,108 KB) and the grouping they share went to errors,
+compiled before NumPy loads: with pade.py at 3,380 tokens (1,181 KB) the
+median moved by 0-4 KB (24 processes each, two runs), at 3,429 tokens
+(1,205 KB) by 124 KB, and at the 3,337 tokens (1,173 KB) kept by 36 KB,
+inside the runs' 110 KB quartile distance.
 """
 
 import tokenize
