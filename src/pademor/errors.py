@@ -103,3 +103,17 @@ def stacks(outcomes, key=len):
         if not isinstance(item, PadeError):
             found.setdefault(key(item), []).append(i)
     return found
+
+
+def solved(outcomes):
+    """The outcomes that are not a PadeError, in order: the items that the
+    next pass over a stack takes further."""
+    return [x for x in outcomes if not isinstance(x, PadeError)]
+
+
+def placed(outcomes, results):
+    """outcomes with each one that is not a PadeError replaced by the next
+    of results, in order: a pass's results put back among the failures
+    recorded before it."""
+    results = iter(results)
+    return [x if isinstance(x, PadeError) else next(results) for x in outcomes]

@@ -14,85 +14,79 @@ is retaken.  A matrix with a non-finite entry is refused
 (NonFiniteValue).  The Jacobi rotation kernel does the same floating-point
 operations on every entry as the plain loop kept in tests/oracles.py
 (loop_jacobi) and is bit-identical to it.  Only the vectors compared or
-returned are phase-fixed, not whole eigensystems.  All routines are pure
-functions on value inputs.  gauss_legendre also keeps its last
-GAUSS_RULES_KEPT rules by order, as read-only arrays that every caller
-shares, so a process computes each rule once however many models it
-builds.
+returned are phase-fixed.  All routines are pure functions on value
+inputs; gauss_legendre keeps its last GAUSS_RULES_KEPT rules as read-only
+arrays.  EIGEN_TOL and ROOT_TOL are the eigen- and root-residual
+contracts; a leading coefficient TRIM_THRESHOLD times the largest or
+smaller vanishes.  A MinEigen is (value, vector, degenerate) and,
+for an eigenpair of hermitian_eigensystems, the largest eigenvalue.
 
 The eigensystems, the singular vectors and the roots are solved for a
-whole stack at once (hermitian_eigensystems, min_right_singular_vectors,
-polynomial_roots_stack): Jacobi in lockstep over the stack, one LAPACK call
-for the stack, or per degree for roots, each item giving the bytes it gives
-alone.  A failed item is recorded in place (errors.settled); the
-single-problem routines are stacks of one.  The roots' rules and checks,
-and their order (nearest_first), are array passes over each stack.
+whole stack at once, each item giving the bytes it gives alone, and so
+are the steps around the solves: checks, pick, phase fixes, norms, scale
+exponents.  A failed item is recorded in place (errors.settled); the
+single-problem routines are stacks of one.
 
 The rounding contract of the stacks: every item takes the float
 operations it takes alone, in the same order.  A real array operation
 rounds as IEEE rounds one float operation whatever the array's length or
 layout.  NumPy's complex product fuses a product into a sum (FMA) where
-the host has it, and which one depends on the operand order, so k * a and
-a * k may differ in the last bit: each complex product keeps its operand
-order.  np.abs of a complex array may round otherwise than Python's abs,
-which is np.hypot of the parts: a modulus that must match one taken alone
-by abs is np.hypot.
+the host has it, and which one depends on the operand order: each
+complex product keeps its operand order.  A modulus that Python's abs
+took is np.hypot of the parts, not np.abs.  A norm that feeds a
+threshold or a quotient is the two BLAS dots np.linalg.norm takes of the
+row alone, x.real.dot(x.real) + x.imag.dot(x.imag), then sqrt (norms,
+on the same strides); a sum along an axis adds in another order.  A
+square that Python's ** took stays libm's pow, not NumPy's x * x.  A
+power-of-two scaling multiplies only the items with k != 0: a complex
+product by 1 turns a real part -0 whose imaginary part is negative into
++0.
 """
 
+import collections
 import functools
+import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (DegenerateLeadingCoefficient, NoConvergence, NonFiniteValue,
-                     NonHermitianInput, PadeError, settled, stacks)
+                     NonHermitianInput, PadeError, placed, settled, stacks)
 
 HERMITIAN_TOL = 1e-13
 DEGENERACY_GAP = 1e-12
-EIGEN_TOL = 1e-12  # eigen-residual contract, relative to ||H||_F
-ROOT_TOL = 1e-10  # root-residual contract of polynomial_roots
-TRIM_THRESHOLD = 1e-13  # a leading coefficient this small against the largest vanishes
+EIGEN_TOL = 1e-12
+ROOT_TOL = 1e-10
+TRIM_THRESHOLD = 1e-13
 MAX_JACOBI_SWEEPS = 100
-SCALE_EXPONENT = 400  # blocks whose entries stay below 2^400 are not scaled
-GAUSS_RULES_KEPT = 8  # Gauss-Legendre rules memoized, by order
+SCALE_EXPONENT = 400
+GAUSS_RULES_KEPT = 8
 
 
-class MinEigen(NamedTuple):
-    value: float
-    vector: np.ndarray
-    degenerate: bool
+MinEigen = collections.namedtuple("MinEigen", "value vector degenerate top", defaults=[None])
 
 
 def phase_fix(v):
-    """Rotate v so its largest-magnitude entry is real nonnegative.
-
-    Ties pick the lowest index.  A zero vector is returned unchanged.
+    """Rotate each row of the array v, a vector or a stack of them, so that its
+    largest-magnitude entry, the first on ties, is real nonnegative.  A
+    zero row is returned unchanged.  The index is compared as a float: an
+    integer comparison runs NumPy code that no other step runs.
     """
-    v = np.asarray(v, dtype=complex)
-    k = int(np.argmax(np.abs(v)))
-    a = abs(v[k])
-    if a == 0.0:
-        return v.copy()
-    out = v * (v[k].conjugate() / a)
-    out[k] = a  # force exactly real
-    return out
+    at = np.arange(v.shape[-1] + 0.0) == np.argmax(np.abs(v), axis=-1)[..., None]
+    top = v[at].reshape(*v.shape[:-1], 1)
+    a = np.hypot(top.real, top.imag)
+    zero = a == 0.0
+    out = v * (top.conj() / np.where(zero, 1.0, a))
+    out[at] = a.ravel()
+    return np.where(zero, v, out)
 
 
-def _check_hermitian(H):
-    H = np.ascontiguousarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 1:
-        raise NonHermitianInput("expected a square matrix of order >= 1")
-    if not np.isfinite(H).all():  # nan tolerances would never stop the sweeps
-        raise NonFiniteValue("matrix has a non-finite entry")
-    scale = np.linalg.norm(H)
-    dev = np.max(np.abs(H - H.conj().T))
-    if dev > HERMITIAN_TOL * max(scale, 1e-300):
-        raise NonHermitianInput(
-            f"matrix deviates from Hermitian symmetry by {dev:.3e} "
-            f"(scale {scale:.3e})"
-        )
-    return 0.5 * (H + H.conj().T), scale
+def norms(X):
+    """np.linalg.norm of each row of a 2-d array, by the two BLAS dots it
+    takes of the row alone: matmul's vector-vector loop calls the same
+    ddot on the same strides."""
+    r, i = X.real[:, None], X.imag[:, None]
+    return np.sqrt((r @ r.mT + i @ i.mT)[:, 0, 0])
 
 
 def hermitian_eigensystem(H):
@@ -106,101 +100,100 @@ def hermitian_eigensystem(H):
     return settled(hermitian_eigensystems([H]))[0]
 
 
-def hermitian_eigensystems(matrices):
+def hermitian_eigensystems(matrices, smallest=False):
     """hermitian_eigensystem of each of a list of matrices of one order, by
     cyclic Jacobi on all of them in lockstep: one outcome (errors.settled)
-    per matrix, each giving what it gives alone.
+    per matrix, each giving what it gives alone; with smallest, its
+    hermitian_min_eigenpair instead, the pick, both phase fixes and the
+    normalisation as passes over the stack, and only a degenerate item
+    comparing its near-minimal columns, each phase-fixed alone.
 
-    The matrices not yet converged form one stack W of [A; V] blocks, made
-    again at each sweep without those that have converged.  At each pair
-    (p, q) every matrix takes its rotation scalars on Python floats, with
-    the skip rule of a matrix alone; the rotation is then applied once to
-    the matrices that rotate, with a coefficient column per matrix, or
-    Python scalars on 1-d views when only one rotates.
+    Matrices not all square of one order raise NonHermitianInput.  The
+    checks (finite, then Hermitian to HERMITIAN_TOL of the Frobenius
+    norm), each sweep's convergence test and harvest are passes over the
+    stack.  W stacks the [A; V] blocks not yet converged, one column
+    rotation turning A and the eigenvectors V together; S keeps each block
+    as it converged.  At each pair (p, q) every matrix takes its rotation
+    scalars on Python floats, u = h / |h| by NumPy's complex division
+    rule, with the skip rule of a matrix alone (|h| <= 2^-52 ||H||_F / n
+    is zeroed, not rotated); the rotation, W J then J^H A, is applied once
+    to the matrices that rotate, as NumPy products.  The harvest's boolean
+    takes and stores run NumPy code that the command path runs anyway, so
+    add no pages to the resident peak.
     """
-    out, live, blocks = list(matrices), [], []
-    for i, H in enumerate(matrices):
-        try:
-            A, scale = _check_hermitian(H)
-        except PadeError as exc:
-            out[i] = exc
-            continue
-        # Quadratic convergence: off-diagonal mass well below EIGEN_TOL *
-        # scale gives eigen-residuals within the contract.
-        n = A.shape[0]
-        live.append((i, 0.1 * EIGEN_TOL * scale, float(np.finfo(float).eps * scale / n)))
-        # [A; V]: one column rotation turns A and the eigenvectors V together.
-        blocks.append(np.concatenate((A, np.eye(n, dtype=complex))))
-    if not live:
-        return out
-    W = np.array(blocks)
-    mask = ~np.eye(n, dtype=bool)
+    shapes = {np.shape(H) for H in matrices}
+    if len(shapes) != 1 or (s := min(shapes))[:1] * 2 != s or s < (1,):
+        raise NonHermitianInput(f"expected square matrices of one order, not {sorted(shapes)}")
+    out, H, n = list(matrices), np.array(matrices, dtype=complex), s[0]
+    finite = np.isfinite(H).all(axis=(1, 2))
+    H[~finite] = 0.0
+    scales = norms(H.reshape(-1, n * n))
+    devs = np.abs(H - H.conj().mT).max(axis=(1, 2))
+    keep = finite & (devs <= HERMITIAN_TOL * np.maximum(scales, 1e-300))
+    for i in np.flatnonzero(~keep):
+        out[i] = NonHermitianInput(f"matrix deviates from Hermitian symmetry by {devs[i]:.3e} "
+                                   f"(scale {scales[i]:.3e})") if finite[i] else NonFiniteValue(
+                                       "matrix has a non-finite entry")
+    S = np.concatenate((0.5 * (H + H.conj().mT), np.zeros_like(H) + np.eye(n)), axis=1)
+    W, live, mask = S[keep], np.flatnonzero(keep), np.eye(n) == 0
     for sweep in range(MAX_JACOBI_SWEEPS + 1):
-        keep = []
-        for b, (i, target, _) in enumerate(live):
-            A = W[b, :n]
-            if np.linalg.norm(A[mask]) <= target:  # a nan target is never met
-                vals = A.real.diagonal().copy()
-                order = np.argsort(vals, kind="stable")
-                out[i] = vals[order], W[b][n:, order]
-            else:
-                keep.append(b)
-        if len(keep) < len(live):
-            # np.array, not W[keep]: a 3-d fancy take runs NumPy code that no
-            # other step runs, whose pages add 64 KB to the resident peak
-            live, W = [live[b] for b in keep], np.array([W[b] for b in keep])
-        if not live:
+        done = norms(W[:, :n][:, mask]) <= 0.1 * EIGEN_TOL * scales[live]
+        if done.any():
+            S[live[done]], W, live = W[done], W[~done], live[~done]
+        if not live.size:
             break
         if sweep == MAX_JACOBI_SWEEPS:
-            for i, target, _ in live:
+            for i in live:
                 out[i] = NoConvergence(
                     f"Jacobi sweeps exceeded {MAX_JACOBI_SWEEPS} without reaching "
-                    f"off-diagonal target {target:.3e}"
-                )
+                    f"off-diagonal target {0.1 * EIGEN_TOL * scales[i]:.3e}")
             break
-        skips = [skip for _, _, skip in live]
-        cols = [W[:, :, j] for j in range(n)]
-        rows = [W[:, j] for j in range(n)]
-        Wr, Wi = W.real, W.imag
+        cols, rows = list(W.transpose(2, 0, 1)), list(W[:, :n].transpose(1, 0, 2))
+        Wr, Wi, limits = W.real, W.imag, (2.0**-52 * scales[live] / n).tolist()
         for p in range(n - 1):
             for q in range(p + 1, n):
                 rot, coefs = [], []
-                entries = zip(skips, cols[q][:, p].tolist(), Wr[:, p, p].tolist(),
-                              Wr[:, q, q].tolist())
-                for b, (skip, h, dp, dq) in enumerate(entries):
+                for b, (skip, h, dp, dq) in enumerate(zip(
+                        limits, W[:, p, q].tolist(), Wr[:, p, p].tolist(), Wr[:, q, q].tolist())):
                     ah = abs(h)
                     if ah <= skip:
                         continue
-                    # u = h / |h| by NumPy's complex division rule, which
-                    # Python's complex / float does not round alike.
                     inv = 1.0 / ah
                     hr, hi = h.real, h.imag
                     ur, ui = (hr + hi * 0.0) * inv, (hi - hr * 0.0) * inv
                     tau = (dq - dp) / (2.0 * ah)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                    t = 1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                    if tau < 0.0:
+                        t = -t
                     c = 1.0 / math.sqrt(1.0 + t * t)
                     s = t * c
                     rot.append(b)
-                    coefs.append((c, s * complex(ur, -ui), s * complex(ur, ui)))  # c, s u*, s u
+                    coefs.append((c, s * complex(ur, -ui), s * complex(ur, ui)))
                 if rot:
                     if len(rot) == 1:
                         sel, (c, k, ku) = rot[0], coefs[0]
-                    else:  # c complex: NumPy casts a float factor so anyway
+                    else:
                         sel = slice(None) if len(rot) == len(live) else np.array(rot)
                         c, k, ku = np.array(coefs).T[:, :, None]
-                    # The products stay NumPy array operations: its
-                    # vectorized complex product rounds unlike Python's
-                    # scalar one.
-                    Wp, Wq = cols[p][sel], cols[q][sel]  # W <- W J, J the (p,q) rotation
-                    cols[p][sel], cols[q][sel] = c * Wp - k * Wq, ku * Wp + c * Wq
-                    Ap, Aq = rows[p][sel], rows[q][sel]  # A <- J^H A
-                    rows[p][sel], rows[q][sel] = c * Ap - ku * Aq, k * Ap + c * Aq
+                    for X, f, g in ((cols, k, ku), (rows, ku, k)):
+                        Xp, Xq = X[p][sel], X[q][sel]
+                        X[p][sel], X[q][sel] = c * Xp - f * Xq, g * Xp + c * Xq
                     Wi[sel, p, p] = Wi[sel, q, q] = 0.0
                 W[:, p, q] = W[:, q, p] = 0.0
-    return out
+    vals = S.real.diagonal(axis1=1, axis2=2)
+    order = np.argsort(vals, axis=1, kind="stable")
+    vals = np.take_along_axis(vals, order, 1)
+    vecs = np.take_along_axis(S[:, n:], order[:, None], 2)
+    systems = zip(vals, vecs)
+    if smallest:
+        near = vals - vals[:, :1] < DEGENERACY_GAP * np.maximum(scales, 1e-300)[:, None]
+        degenerate = near[:, 1:].any(axis=1)
+        v = phase_fix(vecs[:, :, 0])
+        for b in np.flatnonzero(degenerate):
+            v[b] = min(phase_fix(vecs[b].T[near[b]]), key=lambda u: (*u.real, *u.imag))
+        systems = map(MinEigen, vals[:, 0].tolist(), phase_fix(v / norms(v)[:, None]),
+                      degenerate.tolist(), vals[:, -1].tolist())
+    return [x if isinstance(x, PadeError) else system for x, system in zip(out, systems)]
 
 
 def hermitian_min_eigenpair(H):
@@ -212,21 +205,7 @@ def hermitian_min_eigenpair(H):
     near-minimal eigenvectors, the phase-fixed lexicographically smallest
     one (real parts, then imaginary parts) is returned.
     """
-    vals, vecs = hermitian_eigensystem(H)
-    return min_eigenpair(vals, vecs, np.linalg.norm(np.asarray(H)))
-
-
-def min_eigenpair(vals, vecs, scale):
-    """The smallest eigenpair, with hermitian_min_eigenpair's degeneracy and
-    phase rules, from an eigensystem already computed by
-    hermitian_eigensystem for a matrix of Frobenius norm `scale`.  Only the
-    near-minimal columns, which the tie-break compares, are phase-fixed."""
-    gap_tol = DEGENERACY_GAP * max(scale, 1e-300)
-    near = [phase_fix(vecs[:, j]) for j in np.nonzero(vals - vals[0] < gap_tol)[0]]
-    degenerate = len(near) > 1
-    v = min(near, key=lambda u: tuple(np.real(u)) + tuple(np.imag(u)))
-    v = v / np.linalg.norm(v)
-    return MinEigen(float(vals[0]), phase_fix(v), degenerate)
+    return settled(hermitian_eigensystems([H], True))[0]
 
 
 def min_right_singular_vector(R):
@@ -240,44 +219,38 @@ def min_right_singular_vector(R):
     relative to sigma_max^2 so that no square overflows; it does not change
     the choice.  A stack of one of min_right_singular_vectors.
     """
-    return settled(min_right_singular_vectors(np.asarray(R, dtype=complex)[None]))[0]
+    return settled(min_right_singular_vectors(np.array([R], dtype=complex)))[0]
 
 
 def min_right_singular_vectors(R):
     """min_right_singular_vector of each factor of a (B, n, n) stack, by one
     SVD of the finite ones, each giving what it gives alone: one outcome
     (errors.settled) per factor, NoConvergence for one with a non-finite
-    entry."""
+    entry.  The gap test's norms and the phase fix are row passes; the two
+    squares it compares stay Python's, libm's pow, which NumPy's array
+    square does not round alike."""
     finite = np.isfinite(R).all(axis=(1, 2))
-    svds = zip(*np.linalg.svd(R[finite])[1:])
-    out = []
-    for ok in finite:
-        if not ok:
-            out.append(NoConvergence("the factor R has a non-finite entry"))
-            continue
-        s, Vh = next(svds)
-        t = s / s[0] if s[0] > 0.0 else s
-        gap_tol = DEGENERACY_GAP * max(np.linalg.norm(t**2), 1e-300)
-        degenerate = s.size > 1 and bool(t[-2] ** 2 - t[-1] ** 2 < gap_tol)
-        out.append(MinEigen(float(s[-1]), phase_fix(Vh[-1].conj()), degenerate))
-    return out
+    s, Vh = np.linalg.svd(R[finite])[1:]
+    t = s / np.where(s[:, :1] > 0.0, s[:, :1], 1.0)
+    flags = [len(d) > 1 and d[0] ** 2 - d[1] ** 2 < gap for d, gap in zip(
+        t[:, -2:].tolist(), (DEGENERACY_GAP * np.maximum(norms(t**2), 1e-300)).tolist())]
+    return placed([None if ok else NoConvergence("the factor R has a non-finite entry")
+                   for ok in finite.tolist()], map(
+        MinEigen, s[:, -1].tolist(), phase_fix(Vh[:, -1].conj()), flags))
 
 
-def scale_exponent(block, weight=0.0):
-    """Exponent k with the largest entry of 2^-k block in [1, 2) when that
-    entry, times 2^weight, exceeds 2^SCALE_EXPONENT, or when it is nonzero
-    and below 2^-SCALE_EXPONENT; 0 between; never below -1023, so that
-    2^-k is a float.
-
-    Weighted sums of squares of larger entries can overflow, and those of
-    smaller ones underflow; scaling by a power of two is exact, so a solve
-    on the scaled block undoes it exactly (pade's denominators).
+def scale_exponents(amax, weights=None):
+    """Exponent k of each block of a stack, from the largest modulus amax of
+    each and its weight, 0 if none: the largest entry of 2^-k block lies in [1, 2)
+    when that entry, times 2^weight, exceeds 2^SCALE_EXPONENT, or when it is
+    nonzero and below 2^-SCALE_EXPONENT; k is 0 between, and never below
+    -1023.  Sums of squares of the scaled blocks stay finite, and a power
+    of two undoes exactly.  Python ints: integer array arithmetic would
+    run NumPy code no other step runs, adding to the resident peak.
     """
-    amax = float(np.max(np.abs(block), initial=0.0))
-    k = math.frexp(amax)[1] - 1
-    if amax > 0.0 and (k + weight > SCALE_EXPONENT or k < -SCALE_EXPONENT):
-        return max(k, -1023)
-    return 0
+    return [max(k, -1023) if a > 0.0 and (k + w > SCALE_EXPONENT or k < -SCALE_EXPONENT) else 0
+            for a, w in zip(amax, weights or itertools.repeat(0.0))
+            for k in [math.frexp(a)[1] - 1]]
 
 
 def scaled(x, rho, n, k):
@@ -287,7 +260,7 @@ def scaled(x, rho, n, k):
     try:
         return x * rho**n * 2.0**k
     except OverflowError:
-        m, e = math.frexp(rho)  # rho = m 2^e, with m^n < 1
+        m, e = math.frexp(rho)
         try:
             return math.ldexp(x * m**n, e * n + k)
         except OverflowError:
@@ -297,8 +270,7 @@ def scaled(x, rho, n, k):
 def _horner(b, x):
     """p(x) and p'(x) at each entry of each row of x, for the ascending
     coefficients in the same row of b."""
-    p = np.zeros_like(x)
-    dp = np.zeros_like(x)
+    p = dp = np.zeros_like(x)
     for c in b.T[::-1, :, None]:
         dp = dp * x + p
         p = p * x + c
@@ -324,33 +296,25 @@ def polynomial_roots_stack(polys):
     residual check), each giving what it gives alone: one outcome
     (errors.settled) per polynomial; an entry that is a PadeError stays.
     The leading-coefficient and 2^1000 rules and the residual check are
-    array passes over each degree's stack."""
-    out = list(polys)
-    for i, a in enumerate(polys):
-        if not isinstance(a, PadeError):
-            a = np.asarray(a, dtype=complex)
-            out[i] = a if a.ndim == 1 and a.size else DegenerateLeadingCoefficient(
-                "empty coefficient list")
+    array passes over each degree's stack.  A row whose leading
+    coefficient vanishes is solved as all ones, so that its steps stay
+    finite, and fails after."""
+    out = [p if isinstance(p, PadeError) else a if (a := np.asarray(p, dtype=complex)).ndim == 1
+           and a.size else DegenerateLeadingCoefficient("empty coefficient list") for p in polys]
     for index in stacks(out).values():
         a = np.array([out[i] for i in index])
         degree = a.shape[1] - 1
         amax = np.abs(a).max(axis=1)
-        lead = np.hypot(a[:, -1].real, a[:, -1].imag)  # abs of one coefficient
-        vanishes = lead <= TRIM_THRESHOLD * amax  # what poly.effective_coeffs trims
+        lead = np.hypot(a[:, -1].real, a[:, -1].imag)
+        vanishes = lead <= TRIM_THRESHOLD * amax
         small = lead < 2.0**-1000
-        # a / a[-1] may overflow; a power of two scales every entry exactly.
-        # A row whose leading coefficient vanishes is solved as all ones, so
-        # that its steps stay finite, and fails after.
         a[small], amax[small] = a[small] * 2.0**1000, amax[small] * 2.0**1000
         a[vanishes] = 1.0
-        b = a / a[:, -1:]  # monic, ascending
-        companion = np.zeros((len(index), degree, degree), dtype=complex)
-        companion[:] = np.eye(degree, k=-1)
-        companion[:, :, -1:] = -b[:, :-1, None]  # no column at degree 0
+        b = a / a[:, -1:]
+        companion = np.zeros((len(index), degree, degree), dtype=complex) + np.eye(degree, k=-1)
+        companion[:, :, -1:] = -b[:, :-1, None]
         x = np.linalg.eigvals(companion)
 
-        # At a multiple root p' vanishes and the step is not finite; the
-        # comparison is then false and the eigenvalue stays.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             px, dpx = _horner(b, x)
             y = x - px / dpx
@@ -358,9 +322,9 @@ def polynomial_roots_stack(polys):
 
         residuals = np.abs((x[..., None] ** np.arange(degree + 1)) @ a[..., None])[..., 0]
         bounds = ROOT_TOL * amax[:, None] * (1.0 + np.abs(x)) ** degree
-        rows = zip(index, x.tolist(), (vanishes & (degree > 0)).tolist(),
-                   (residuals > bounds).any(axis=1).tolist(), residuals, bounds)
-        for i, roots, gone, failed, res, bound in rows:
+        for i, roots, gone, failed, res, bound in zip(
+                index, x.tolist(), (vanishes & (degree > 0)).tolist(),
+                (residuals > bounds).any(axis=1).tolist(), residuals, bounds):
             out[i] = (DegenerateLeadingCoefficient(
                 "leading coefficient vanishes relative to the coefficient scale") if gone
                 else NoConvergence("root residual check failed (worst ratio "
@@ -413,11 +377,9 @@ def gauss_legendre(n):
     off = np.arange(1, n) * scl[:-1] * scl[1:]
     x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     pn = [0.0] * n + [1.0]
-    dpn = [0.0] * n  # P_n' = sum of (2j - 1) P_{j-1} over j = n, n - 2, ...
+    dpn = [0.0] * n
     for j in range(n, 0, -2):
         dpn[j - 1] = 2.0 * j - 1.0
-    # P_n and P_n' in one recursion: a trailing zero coefficient adds one
-    # step that leaves P_n' as it is
     dy, df = _legendre_series(x, np.array([pn, dpn + [0.0]]).T[..., None])
     x -= dy / df
     fm = _legendre_series(x, pn[1:])

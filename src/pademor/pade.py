@@ -22,6 +22,7 @@ The approximants of a command are evaluated as one stack as well
 (evaluate_stack), and evaluate is a stack of one.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import hilbert, numerics, poly
 from .errors import (DimensionMismatch, InsufficientTaylorLength, NotNormalized, PadeError,
-                     RhoOverflow, settled, stacks)
+                     RhoOverflow, placed, settled, solved, stacks)
 from .modal import ModalModel, taylor_coefficients
 
 QR_DEGENERACY_THRESHOLD = 1e-14
@@ -72,13 +73,15 @@ class BuildParams(_BuildFields):
 
 
 class Diagnostics(NamedTuple):
-    functional_value: float  # minimal j-value achieved by the denominator
-    # the two smallest eigenvalues (sigma^2 on the QR route) lie within
-    # 1e-12 of the matrix's Frobenius norm.  On the QR route only a report:
-    # its SVD returns a minimiser either way.  The Gramian routes then take
-    # the lexicographically smallest near-minimal eigenvector.
+    """functional_value: the minimal j-value of the denominator.
+    degenerate: the two smallest eigenvalues (sigma^2 on the QR route) lie
+    within 1e-12 of the matrix's Frobenius norm; on the QR route only a
+    report, the Gramian routes then take the lexicographically smallest
+    near-minimal eigenvector.  exact_degeneracy: a rank-deficient
+    quasimatrix."""
+    functional_value: float
     degenerate: bool
-    exact_degeneracy: bool = False  # rank-deficient quasimatrix
+    exact_degeneracy: bool = False
     condition_estimate: float | None = None
 
 
@@ -100,22 +103,25 @@ def _taylor_rows(taylor, N, top):
     return rows
 
 
-def _taylor_window(taylor, N, E):
-    """Columns S_{E-N}, ..., S_E as a (dim, N+1) array, zero for negative
-    orders."""
-    return _taylor_rows(taylor, N, E + 1)[E:].T.copy()
+def _eigvec_denominators(res, z0):
+    """Q = sum_j q_j (z - z0)^{N-j}, a_{N-j} = q_j, for the vector q of each
+    MinEigen of res, or the PadeError recorded in its place; the unit-norm
+    check (NotNormalized, a nan norm included) is one pass."""
+    vectors = np.array([r.vector for r in solved(res)], ndmin=2)
+    norms = numerics.norms(vectors)
+    return placed(res, (poly.ShiftedPolynomial(z0, q) if ok else NotNormalized(
+        f"eigenvector norm {x:.15e} != 1") for q, x, ok in zip(
+        vectors[:, ::-1].copy(), norms.tolist(), (abs(norms - 1.0) <= 1e-12).tolist())))
 
 
-def denominator_from_eigvec(q, z0):
-    """Map a unit eigenvector to the denominator Q = sum_j q_j (z - z0)^{N-j}.
-
-    The eigenvector pairs q_j with the descending power (z - z0)^{N-j}, so
-    the ascending storage reads a_{N-j} = q_j.
-    """
-    q = np.asarray(q, dtype=complex)
-    if not abs(np.linalg.norm(q) - 1.0) <= 1e-12:  # a nan norm fails too
-        raise NotNormalized(f"eigenvector norm {np.linalg.norm(q):.15e} != 1")
-    return poly.ShiftedPolynomial(z0, q[::-1].copy())
+def _scale(X, even=False):
+    """Exponents k (numerics.scale_exponents) of each matrix X[b], made even
+    upwards if even; X[b] is scaled by 2^-k in place where k != 0 only."""
+    ks = numerics.scale_exponents(abs(X).max(axis=(1, 2), initial=0.0).tolist())
+    ks = [k + k % 2 * even for k in ks]
+    if any(ks):
+        X[[k != 0 for k in ks]] *= np.array([2.0**-k for k in ks if k], complex)[:, None, None]
+    return ks
 
 
 def gramian(taylor, N, E, w):
@@ -135,7 +141,8 @@ def _gramian_blocks(taylor, N, keys, w):
     block alone.  Each block conjugates and weights its own window: a
     conjugated and a weighted copy of all the rows per k would hold two
     more arrays of every row, to save a few percent of the blocks' time."""
-    rows, scaled, blocks = _taylor_rows(taylor, N, max(g for _, g in keys) + 1), {}, {}
+    rows, scaled, blocks = _taylor_rows(
+        taylor, N, max((g for _, g in keys), default=0) + 1), {}, {}
     for k, gamma in dict.fromkeys(keys):
         if k not in scaled:
             scaled[k] = rows * 2.0**-k if k else rows
@@ -153,52 +160,41 @@ def _gramian_denominators(taylor, N, items, w):
 
     The minimizer is invariant under positive scaling of the matrix, so the
     rescaling only guards against overflow, as do the power-of-two
-    scalings (numerics.scale_exponent) of the Taylor windows and of the
+    scalings (numerics.scale_exponents) of the Taylor windows and of the
     sum, whose entries are squares of window entries times up to
     rho^{2(E-M-1)}: the windows are scaled when their largest entry times
     rho^{E-M-1} passes 2^numerics.SCALE_EXPONENT, and the Frobenius norm of
     the sum, which the eigensolve takes, stays finite.  Each block is
     exactly Hermitian, and so is their positively weighted sum.
+
+    The steps around the eigensolve are passes over the stack; a sum with
+    fewer terms adds zero blocks, which leave it as it is (a sum that
+    starts at +0 is never -0).  The weights rho^n, log2(rho) and the
+    diagnostics stay Python floats: libm rounds them, and an overflowing
+    ratio is inf without a warning.
     """
-    out, keys = [], []
-    for M, E, rho in items:
-        if 2.0 * (E - M) * math.log10(rho) > 300.0:
-            out.append(RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}"))
-            continue
-        weight = (E - M - 1) * math.log2(rho) if rho > 1.0 else 0.0
-        k = numerics.scale_exponent(taylor.coeffs[max(M + 1 - N, 0) : E + 1], weight)
-        out.append(k)
-        keys += [(k, gamma) for gamma in range(M + 1, E + 1)]
-    blocks = _gramian_blocks(taylor, N, keys, w) if keys else {}
-    for i, ((M, E, rho), k) in enumerate(zip(items, out)):
-        if isinstance(k, PadeError):
-            continue
-        A = np.zeros((N + 1, N + 1), dtype=complex)
-        for gamma in range(M + 1, E + 1):
-            A += rho ** (2 * (gamma - M - 1)) * blocks[k, gamma]
-        j = (numerics.scale_exponent(A) + 1) // 2
-        out[i] = A * 4.0**-j if j else A, k + j
-    systems = iter(numerics.hermitian_eigensystems(
-        [x[0] for x in out if not isinstance(x, PadeError)]))
-    for i, ((M, E, rho), x) in enumerate(zip(items, out)):
-        if isinstance(x, PadeError):
-            continue
-        A, k = x
-        try:  # raises a failure the eigensolve recorded, or NotNormalized
-            [(vals, vecs)] = settled([next(systems)])
-            res = numerics.min_eigenpair(vals, vecs, np.linalg.norm(A))
-            den = denominator_from_eigvec(res.vector, taylor.center)
-        except PadeError as exc:
-            out[i] = exc
-            continue
-        # Python floats, so that an overflowing ratio is inf without a warning.
-        top, bottom = float(vals[-1]), float(vals[0])
-        out[i] = den, Diagnostics(
-            functional_value=numerics.scaled(math.sqrt(max(res.value, 0.0)), rho, M + 1, k),
-            degenerate=res.degenerate,
-            condition_estimate=top / max(bottom, 1e-300) if top > 0 else 1.0,
-        )
-    return out
+    out = [RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}")
+           if 2.0 * (E - M) * math.log10(rho) > 300.0 else (M, E, rho) for M, E, rho in items]
+    if not (ok := solved(out)):
+        return out
+    peaks = np.abs(taylor.coeffs).max(axis=1, initial=0.0).tolist()
+    ks = numerics.scale_exponents(*zip(*[(max(peaks[max(M + 1 - N, 0) : E + 1], default=0.0), (
+        E - M - 1) * math.log2(rho) if rho > 1.0 else 0.0) for M, E, rho in ok]))
+    terms = [[(rho ** (2 * t), (k, M + 1 + t)) for t in range(E - M)]
+             for (M, E, rho), k in zip(ok, ks)]
+    blocks = _gramian_blocks(taylor, N, [key for row in terms for _, key in row], w)
+    A = np.zeros((len(ok), N + 1, N + 1), dtype=complex)
+    blocks[None] = 0 * A[0]
+    for column in itertools.zip_longest(*terms, fillvalue=(0.0, None)):
+        f, keys = zip(*column)
+        A += np.array(f, dtype=complex)[:, None, None] * np.array([blocks[key] for key in keys])
+    js = [k // 2 for k in _scale(A, even=True)]
+    res = numerics.hermitian_eigensystems(A, True)
+    return placed(out, (d if isinstance(d, PadeError) else (d, Diagnostics(
+        numerics.scaled(math.sqrt(max(r.value, 0.0)), rho, M + 1, k + j), r.degenerate, False,
+        r.top / max(r.value, 1e-300) if r.top > 0 else 1.0))
+        for d, r, (M, E, rho), k, j in zip(_eigvec_denominators(res, taylor.center), res, ok,
+                                            ks, js)))
 
 
 def denominator_fast_gramian(taylor, N, E, w):
@@ -214,10 +210,7 @@ def _null_direction(R, j):
     as a MinEigen of value ||R q||, flagged degenerate."""
     q = np.zeros(R.shape[0], dtype=complex)
     q[j] = 1.0
-    if j > 0:
-        block = R[:j, :j]
-        rhs = -R[:j, j]
-        q[:j] = np.linalg.solve(block, rhs)
+    q[:j] = np.linalg.solve(R[:j, :j], -R[:j, j])
     q = numerics.phase_fix(q / np.linalg.norm(q))
     return numerics.MinEigen(float(np.linalg.norm(R @ q)), q, True)
 
@@ -238,40 +231,29 @@ def denominator_fast_qr(taylor, N, E, w):
 
 def _fast_denominators(taylor, N, items, w):
     """denominator_fast_qr for the E of each (M, E, rho) of items, each
-    window scaled by its own power of two (numerics.scale_exponent), the
-    windows factored as one stack and the full-rank factors R given to one
-    SVD: one outcome (errors.settled) per item, a (denominator,
-    diagnostics) pair or the PadeError raised."""
-    if min(E for _, E, _ in items) < N:
+    window scaled by its own power of two (_scale), the windows factored as
+    one stack and the full-rank factors R given to one SVD: one outcome
+    (errors.settled) per item, a (denominator, diagnostics) pair or the
+    PadeError raised.  Only a rank-deficient window takes its null
+    direction alone; the Taylor rows are freed before the QR."""
+    Es = [E for _, E, _ in items]
+    if min(Es) < N:
         raise ValueError("fast denominator requires E >= N")
-    rows = _taylor_rows(taylor, N, max(E for _, E, _ in items) + 1)
-    windows = np.array([rows[E : E + N + 1].T for _, E, _ in items])
-    del rows  # before the QR, whose arrays are the command's largest
-    ks = []
-    for A in windows:
-        ks.append(numerics.scale_exponent(A))
-        if ks[-1]:
-            A *= 2.0**-ks[-1]
+    rows = _taylor_rows(taylor, N, max(Es) + 1)
+    windows = np.array([rows[E : E + N + 1].T for E in Es])
+    del rows
+    ks = _scale(windows)
     R = hilbert.gram_schmidt(windows, w, QR_DEGENERACY_THRESHOLD)
     diags = np.abs(R.diagonal(axis1=1, axis2=2))
     low = diags <= QR_DEGENERACY_THRESHOLD * np.maximum(diags[:, :1], 1e-300)
-    svds = iter(numerics.min_right_singular_vectors(R[~low.any(axis=1)]))
-    out = []
-    for Rb, d, deficient, k in zip(R, diags, low, ks):
-        exact = bool(deficient.any())
-        res = _null_direction(Rb, int(np.argmax(deficient))) if exact else next(svds)
-        try:  # raises a failure the SVD recorded, or NotNormalized
-            den = denominator_from_eigvec(settled([res])[0].vector, taylor.center)
-        except PadeError as exc:
-            out.append(exc)
-            continue
-        out.append((den, Diagnostics(
-            functional_value=res.value * 2.0**k,
-            degenerate=res.degenerate,
-            exact_degeneracy=exact,
-            condition_estimate=float(np.max(d)) / max(float(np.min(d)), 1e-300),
-        )))
-    return out
+    exact = low.any(axis=1)
+    svds = iter(numerics.min_right_singular_vectors(R[~exact]))
+    res = [_null_direction(R[b], low[b].argmax()) if e else next(svds)
+           for b, e in enumerate(exact.tolist())]
+    return [d if isinstance(d, PadeError) else (d, Diagnostics(
+        r.value * 2.0**k, r.degenerate, e, top / max(bottom, 1e-300))) for d, r, k, e, top, bottom
+        in zip(_eigvec_denominators(res, taylor.center), res, ks, exact.tolist(),
+               diags.max(axis=1).tolist(), diags.min(axis=1).tolist())]
 
 
 def denominator_standard(taylor, M, N, E, rho, w):
@@ -286,7 +268,8 @@ def denominator_standard(taylor, M, N, E, rho, w):
 
 def numerator(taylor, Q, M):
     """Numerator coefficients p_a = sum_l a_l S_{a-l} (truncated Cauchy
-    product of the denominator with the Taylor series), a = 0..M."""
+    product of the denominator with the Taylor series), a = 0..M, adding
+    the terms in order of l."""
     S = taylor.coeffs
     if S.shape[0] < M + 1:
         raise InsufficientTaylorLength(
@@ -294,7 +277,6 @@ def numerator(taylor, Q, M):
         )
     a = Q.coeffs
     rows = np.zeros((M + 1, S.shape[1]), dtype=complex)
-    # l ascending, so that each row adds its terms a_l S_{a-l} in order of l.
     for l in range(min(M, a.size - 1) + 1):
         rows[l:] += a[l] * S[: M + 1 - l]
     return poly.ShiftedPolynomial(taylor.center, rows)
@@ -317,13 +299,12 @@ def denominators(model, params, taylor):
     for p in params:
         if taylor.center != p.z0:
             raise ValueError(f"Taylor block centred at {taylor.center}, approximant at {p.z0}")
-    solved = {}
-    # the standard stacks first
+    found = {}
     for (fast, N), index in sorted(stacks(params, lambda p: (p.variant == "fast", p.N)).items()):
         items = [(params[i].M, params[i].E, params[i].rho) for i in index]
-        solve = _fast_denominators if fast else _gramian_denominators
-        solved.update(zip(index, solve(taylor, N, items, model.weights)))
-    return settled([solved[i] for i in range(len(params))])
+        solve = (_gramian_denominators, _fast_denominators)[fast]
+        found.update(zip(index, solve(taylor, N, items, model.weights)))
+    return settled([found[i] for i in range(len(params))])
 
 
 def build(model, params, taylor=None):
@@ -397,14 +378,17 @@ def functional_value(Q, source, E, w=None):
 
     From a Taylor series: the V-norm of the top-order coefficient of Q*S.
     From a modal model: the pole/residue sum obtained by orthogonality of
-    the residues.  Both agree to roundoff.
+    the residues.  Both agree to roundoff.  q_j pairs with the descending
+    power (z - z0)^{N-j}.  The modal route takes NumPy
+    floats, which give inf where Python's raise, and the ratio in log form
+    where a factor overflows, |Q| as twice |Q / 2|.
     """
     N = Q.degree
     if isinstance(source, poly.ShiftedPolynomial):
         if w is None:
             raise ValueError("weights are required with a Taylor series")
-        A = _taylor_window(source, N, E)
-        q = Q.coeffs[::-1]  # q_j pairs with descending powers
+        A = _taylor_rows(source, N, E + 1)[E:].T.copy()
+        q = Q.coeffs[::-1]
         return float(hilbert.norm(A @ q, w))
     if isinstance(source, ModalModel):
         z0 = Q.center
@@ -413,15 +397,11 @@ def functional_value(Q, source, E, w=None):
             return 0.0
         qz = poly.evaluate_stack([Q], lam)[0]
         dist = np.abs(lam - z0)
-        # NumPy, not Python floats, whose ** and abs raise where an array
-        # gives inf
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             qmag = np.hypot(qz.real, qz.imag)
             top = source.residue_norms * qmag
             bottom = dist ** (E + 1)
             terms = top / bottom
-            # where a factor overflows, the ratio in log form, |Q| as twice
-            # |Q / 2|, which is finite wherever Q is
             big = np.isinf(top) | np.isinf(bottom)
             log_q = np.log(np.abs(qz[big] / 2)) + math.log(2)
             terms[big] = np.exp(np.log(source.residue_norms[big]) + log_q

@@ -8,7 +8,8 @@ import numpy as np
 
 from pademor import hilbert, modal, numerics, pade, poly
 from pademor.errors import (ConstantPolynomial, DegenerateLeadingCoefficient,
-                            InsufficientTaylorLength, NoConvergence, NonFiniteValue, RhoOverflow,
+                            InsufficientTaylorLength, NoConvergence, NonFiniteValue,
+                            NonHermitianInput, NotNormalized, PadeError, RhoOverflow,
                             ZeroPolynomial)
 
 
@@ -290,13 +291,90 @@ def column_mgs(A, w):
     return R
 
 
+def check_hermitian(H):
+    """The per-matrix checks that numerics.hermitian_eigensystems runs as
+    passes over a stack: square, finite, Hermitian to HERMITIAN_TOL of the
+    Frobenius norm; returns the symmetrised matrix and that norm."""
+    H = np.ascontiguousarray(H, dtype=complex)
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 1:
+        raise NonHermitianInput("expected a square matrix of order >= 1")
+    if not np.isfinite(H).all():
+        raise NonFiniteValue("matrix has a non-finite entry")
+    scale = np.linalg.norm(H)
+    dev = np.max(np.abs(H - H.conj().T))
+    if dev > numerics.HERMITIAN_TOL * max(scale, 1e-300):
+        raise NonHermitianInput(
+            f"matrix deviates from Hermitian symmetry by {dev:.3e} "
+            f"(scale {scale:.3e})"
+        )
+    return 0.5 * (H + H.conj().T), scale
+
+
+def vector_phase_fix(v):
+    """numerics.phase_fix of one vector, by Python's abs and a NumPy
+    scalar factor: the per-vector form its row pass replaced."""
+    v = np.asarray(v, dtype=complex)
+    k = int(np.argmax(np.abs(v)))
+    a = abs(v[k])
+    if a == 0.0:
+        return v.copy()
+    out = v * (v[k].conjugate() / a)
+    out[k] = a
+    return out
+
+
+def min_eigenpair(vals, vecs, scale):
+    """The smallest eigenpair of one eigensystem, of a matrix of Frobenius
+    norm scale, with its two phase fixes: the per-item form of
+    numerics.hermitian_eigensystems(..., smallest=True).  Returns (value,
+    vector, degenerate)."""
+    gap_tol = numerics.DEGENERACY_GAP * max(scale, 1e-300)
+    near = [vector_phase_fix(vecs[:, j]) for j in np.nonzero(vals - vals[0] < gap_tol)[0]]
+    v = min(near, key=lambda u: tuple(np.real(u)) + tuple(np.imag(u)))
+    v = v / np.linalg.norm(v)
+    return float(vals[0]), vector_phase_fix(v), len(near) > 1
+
+
+def singular_min_eigen(R):
+    """numerics.min_right_singular_vector of one factor, its SVD taken as a
+    stack of one and post-processed alone: the per-factor form of
+    min_right_singular_vectors."""
+    R = np.asarray(R, dtype=complex)
+    if not np.isfinite(R).all():
+        raise NoConvergence("the factor R has a non-finite entry")
+    s, Vh = (x[0] for x in np.linalg.svd(R[None])[1:])
+    t = s / s[0] if s[0] > 0.0 else s
+    gap_tol = numerics.DEGENERACY_GAP * max(np.linalg.norm(t**2), 1e-300)
+    degenerate = s.size > 1 and bool(t[-2] ** 2 - t[-1] ** 2 < gap_tol)
+    return numerics.MinEigen(float(s[-1]), vector_phase_fix(Vh[-1].conj()), degenerate)
+
+
+def unit_denominator(q, z0):
+    """pade.denominator_from_eigvec with its unit-norm check on the vector
+    alone, as it was before the check ran as a pass over a stack."""
+    q = np.asarray(q, dtype=complex)
+    if not abs(np.linalg.norm(q) - 1.0) <= 1e-12:
+        raise NotNormalized(f"eigenvector norm {np.linalg.norm(q):.15e} != 1")
+    return poly.ShiftedPolynomial(z0, q[::-1].copy())
+
+
+def block_scale_exponent(block, weight=0.0):
+    """numerics.scale_exponent of one block on Python floats: the per-block
+    form of numerics.scale_exponents."""
+    amax = float(np.max(np.abs(block), initial=0.0))
+    k = math.frexp(amax)[1] - 1
+    if amax > 0.0 and (k + weight > numerics.SCALE_EXPONENT or k < -numerics.SCALE_EXPONENT):
+        return max(k, -1023)
+    return 0
+
+
 def loop_jacobi(H):
     """Cyclic complex Jacobi with separate A and V arrays, copied columns and
     rows and NumPy scalar algebra: the loop numerics.hermitian_eigensystem
     replaced.  Returns (values, vectors) in the same order, the vectors as
     the rotations leave them; a matrix of order 1 or a zero matrix returns
     the identity without a sweep."""
-    A, scale = numerics._check_hermitian(H)
+    A, scale = check_hermitian(H)
     n = A.shape[0]
     V = np.eye(n, dtype=complex)
     if n == 1 or scale == 0.0:
@@ -352,6 +430,12 @@ def loop_jacobi(H):
     return vals[order], V[:, order]
 
 
+def taylor_window(taylor, N, E):
+    """Columns S_{E-N}, ..., S_E of a Taylor block as a (dim, N+1) array,
+    zero for negative orders."""
+    return pade._taylor_rows(taylor, N, E + 1)[E:].T.copy()
+
+
 def window_gramian(taylor, N, E, w):
     """pade.gramian from a copy of the window alone, columns S_{E-N}..S_E
     zero for negative orders: the block as it was built before the blocks
@@ -378,14 +462,83 @@ def loop_gramian_sums(taylor, N, items, w):
             out.append(RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}"))
             continue
         weight = (E - M - 1) * math.log2(rho) if rho > 1.0 else 0.0
-        k = numerics.scale_exponent(taylor.coeffs[max(M + 1 - N, 0) : E + 1], weight)
+        k = block_scale_exponent(taylor.coeffs[max(M + 1 - N, 0) : E + 1], weight)
         t = poly.ShiftedPolynomial(taylor.center, taylor.coeffs * 2.0**-k) if k else taylor
         A = np.zeros((N + 1, N + 1), dtype=complex)
         for gamma in range(M + 1, E + 1):
             A += rho ** (2 * (gamma - M - 1)) * window_gramian(t, N, gamma, w)
-        j = (numerics.scale_exponent(A) + 1) // 2
+        j = (block_scale_exponent(A) + 1) // 2
         out.append((A * 4.0**-j if j else A, k + j))
     return out
+
+
+def loop_standard_denominators(taylor, N, items, w):
+    """pade._gramian_denominators by the per-item steps it took before they
+    ran as passes over the stack: each sum alone (loop_gramian_sums), its
+    eigensystem alone (loop_jacobi, whose checks are check_hermitian's),
+    min_eigenpair with its two phase fixes, the unit-norm check on the
+    vector alone, and the diagnostics.  One outcome per item, a
+    (denominator, diagnostics) pair or the PadeError raised."""
+    out = []
+    for (M, E, rho), x in zip(items, loop_gramian_sums(taylor, N, items, w)):
+        try:
+            if isinstance(x, PadeError):
+                raise x
+            A, k = x
+            vals, vecs = loop_jacobi(A)
+            value, vector, degenerate = min_eigenpair(vals, vecs, np.linalg.norm(A))
+            den = unit_denominator(vector, taylor.center)
+        except PadeError as exc:
+            out.append(exc)
+            continue
+        top = float(vals[-1])
+        out.append((den, pade.Diagnostics(
+            numerics.scaled(math.sqrt(max(value, 0.0)), rho, M + 1, k), degenerate, False,
+            top / max(value, 1e-300) if top > 0 else 1.0)))
+    return out
+
+
+def loop_fast_denominators(taylor, N, items, w):
+    """pade._fast_denominators by the per-item steps it took before they ran
+    as passes over the stack: each window scaled alone
+    (block_scale_exponent), its factor R (hilbert.gram_schmidt of a stack
+    of one), the null direction or the singular pair of R alone
+    (singular_min_eigen), the unit-norm check on the vector alone, and the
+    diagnostics.  One outcome per item, as loop_standard_denominators."""
+    out = []
+    for _, E, _ in items:
+        A = taylor_window(taylor, N, E)
+        k = block_scale_exponent(A)
+        if k:
+            A *= 2.0**-k
+        R = hilbert.gram_schmidt(A[None], w, pade.QR_DEGENERACY_THRESHOLD)[0]
+        d = np.abs(R.diagonal())
+        low = d <= pade.QR_DEGENERACY_THRESHOLD * max(d[0], 1e-300)
+        try:
+            res = (pade._null_direction(R, int(np.argmax(low))) if low.any()
+                   else singular_min_eigen(R))
+            den = unit_denominator(res.vector, taylor.center)
+        except PadeError as exc:
+            out.append(exc)
+            continue
+        out.append((den, pade.Diagnostics(res.value * 2.0**k, res.degenerate, bool(low.any()),
+                                          float(np.max(d)) / max(float(np.min(d)), 1e-300))))
+    return out
+
+
+def same_denominator(got, want):
+    """A stack's outcome for one denominator against the per-item loop's:
+    the same error, type and message, or the same coefficients and
+    diagnostics, byte for byte (signed zeros included)."""
+    if isinstance(want, PadeError):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+        return
+    assert not isinstance(got, PadeError), got
+    (den, diag), (den_want, diag_want) = got, want
+    assert den.coeffs.tobytes() == den_want.coeffs.tobytes()
+    assert den.center == den_want.center
+    assert [type(x) for x in diag] == [type(x) for x in diag_want]
+    assert np.array(diag, dtype=float).tobytes() == np.array(diag_want, dtype=float).tobytes()
 
 
 def loop_polynomial_roots(a):

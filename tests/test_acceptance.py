@@ -13,7 +13,7 @@ import pytest
 from pademor import harness, modal, numerics, pade, poly
 from pademor.hilbert import norm
 
-from oracles import normalize, residual_norm
+from oracles import normalize, residual_norm, taylor_window
 
 Z0 = 12 + 0.5j
 RK = max(abs(9 - Z0), abs(15 - Z0))
@@ -194,7 +194,7 @@ def _weighted_null_spaces(taylor, N, E, w):
     G = pade.gramian(taylor, N, E, w)
     vals, vecs = numerics.hermitian_eigensystem(G)
     U1 = vecs[:, vals <= 1e-10 * max(np.linalg.norm(G), 1e-300)]
-    A = pade._taylor_window(taylor, N, E)
+    A = taylor_window(taylor, N, E)
     s_full = np.zeros(N + 1)
     _, s, vh = np.linalg.svd(np.sqrt(w.weights)[:, None] * A)
     s_full[: s.size] = s

@@ -65,7 +65,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pademor import cli, harness, hilbert, modal, pade, poly
+from pademor import cli, harness, hilbert, modal, numerics, pade, poly
 
 from oracles import exact_abs2, exact_error2, horner_magnitude
 from test_golden import CONFIG
@@ -292,3 +292,83 @@ def test_poles_errors_are_exact_to_roundoff(tmp_path, config, cells):
             assert [roots.index(r) for r in extras] == sorted(
                 set(range(len(roots))) - matched), (row["E"], variant)
     assert checked == cells
+
+
+def exact_window_norms2(S, q, N, gamma, w):
+    """||sum_l q_l S_{gamma-N+l}||_V^2 and ||[S_{gamma-N} .. S_gamma]||_{V,F}^2
+    of the float Taylor rows S (zero for negative orders), exactly, as
+    Fractions: q_l pairs with S_{gamma-N+l}."""
+    value = frobenius = Fraction(0)
+    for k, wk in enumerate(w.weights.tolist()):
+        re = im = Fraction(0)
+        for l, ql in enumerate(q):
+            g = gamma - N + l
+            if g < 0:
+                continue
+            sr, si = Fraction(S[g, k].real), Fraction(S[g, k].imag)
+            qr, qi = Fraction(ql.real), Fraction(ql.imag)
+            re, im = re + qr * sr - qi * si, im + qr * si + qi * sr
+            frobenius += Fraction(wk) * (sr * sr + si * si)
+        value += Fraction(wk) * (re * re + im * im)
+    return value, frobenius
+
+
+@pytest.mark.parametrize("config", [CONFIG, HELMHOLTZ_CONFIG], ids=["synthetic", "helmholtz"])
+def test_build_functional_value_is_exact_to_roundoff(tmp_path, config):
+    """Each build artifact entry's functional_value holds the exact
+    j-functional of its stored float Q, computed from the float Taylor
+    coefficients with fractions.Fraction, within a bound derived from the
+    solve's backward error, not fitted.
+
+    j is the V-norm ||A q|| of the Taylor window A = [S_{E-N} .. S_E] for
+    the fast variant, q_l = a_{N-l} the stored coefficients reversed, and
+    j^2 = sum_{g=M+1..E} rho^(2g) ||A_g q||^2 for the standard one.
+
+    Fast: the weighted Gram-Schmidt with one reorthogonalization pass is
+    backward stable, R the exact factor of A + dA with
+    ||dA||_{V,F} <= gamma((2N + 1)(d + 4)) ||A||_{V,F} (d modes; per column
+    j, 2j projections of d + 4 roundings each and one norm), and LAPACK's
+    SVD gives an exact singular pair of R + dR with
+    ||dR||_F <= p(n) u ||R||_F, p(n) = 10 n^2 for the n = N + 1 columns (the
+    modestly growing p(n) of LAPACK's error bounds, taken generously).  So
+    the stored unit vector q, within gamma(n + 2) of unit norm, has
+    |j - f| <= gamma(K) ||A||_{V,F} + gamma(n + 2) f, K the sum of the two
+    counts; power-of-two scalings are exact.
+
+    Standard: Jacobi's contract ||H v - mu v|| <= EIGEN_TOL ||H||_F
+    (numerics.EIGEN_TOL) for the computed sum H, whose entries err from the
+    exact ones by gamma(d + T + 8) of sum_g rho^(2g') ||A_g||_{V,F}^2 (each
+    block's inner products, its symmetrisation, the T weights rho^(2t) and
+    their sum), bounds the Rayleigh quotient of the stored q: with
+    F = sum_g rho^(2g) ||A_g||_{V,F}^2, |j^2 - f^2| <= (EIGEN_TOL +
+    gamma(d + T + 8)) F (1 + gamma(n + 4)) + gamma(2n + 12) f^2, the last
+    term for the normalisation, the square root and the scalings of f."""
+    model = harness.build_model(harness.parse_config(config))
+    w, dim = model.weights, model.dimension
+    u = Fraction(np.finfo(float).eps) / 2
+    checked = 0
+    for approx in approximants(tmp_path, config, config["M_list"]).values():
+        p, f = approx.params, Fraction(approx.diagnostics.functional_value)
+        N, n = p.N, p.N + 1
+        S = modal.taylor_coefficients(model, p.z0, p.E).coeffs
+        q = approx.denominator.coeffs[::-1].tolist()
+        if p.variant == "fast":
+            j2, frob = exact_window_norms2(S, q, N, p.E, w)
+            K = (2 * N + 1) * (dim + 4) + 10 * n * n
+            # sqrt rounded up by a few ulps, so that the float stays a bound
+            b = (Fraction(gamma(K) * math.sqrt(frob) * (1 + 4 * float(u)))
+                 + Fraction(gamma(n + 2)) * f)
+            assert j2 <= (f + b) ** 2, p
+            assert f <= b or (f - b) ** 2 <= j2, p
+        else:
+            j2 = frob = Fraction(0)
+            for g in range(p.M + 1, p.E + 1):
+                value, window = exact_window_norms2(S, q, N, g, w)
+                weight = Fraction(p.rho) ** (2 * g)
+                j2, frob = j2 + weight * value, frob + weight * window
+            T = p.E - p.M
+            B = ((Fraction(numerics.EIGEN_TOL) + Fraction(gamma(dim + T + 8))) * frob
+                 * (1 + Fraction(gamma(n + 4))) + Fraction(gamma(2 * n + 12)) * f * f)
+            assert f * f - B <= j2 <= f * f + B, p
+        checked += 1
+    assert checked == 2 * len(config["M_list"])

@@ -1113,8 +1113,8 @@ class TestFailureOrder:
             out[fast] = NoConvergence(f"fast {fast}")
             return out
 
-        def failing_eigs(matrices):
-            out = eigs(matrices)
+        def failing_eigs(matrices, *args):
+            out = eigs(matrices, *args)
             assert len(out) == 3
             out[standard] = NoConvergence(f"standard {standard}")
             return out

@@ -1,4 +1,5 @@
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,8 @@ from pademor.errors import (DegenerateLeadingCoefficient, NoConvergence, NonFini
                             NonHermitianInput, PadeError, settled)
 
 from conftest import load_perfbench
-from oracles import loop_jacobi, loop_polynomial_roots, loop_roots
+from oracles import (block_scale_exponent, loop_jacobi, loop_polynomial_roots, loop_roots,
+                     min_eigenpair, singular_min_eigen, vector_phase_fix)
 
 
 def random_hermitian(rng, n):
@@ -167,10 +169,10 @@ class TestJacobiOracle:
         stacks = []
         eigensystems = numerics.hermitian_eigensystems
 
-        def recorded(matrices):
+        def recorded(matrices, *args):
             stacks.append(([np.array(H, dtype=complex) for H in matrices],
                            eigensystems(matrices)))
-            return stacks[-1][1]
+            return eigensystems(matrices, *args)
 
         monkeypatch.setattr(numerics, "hermitian_eigensystems", recorded)
         path = tmp_path / "config.json"
@@ -245,6 +247,130 @@ class TestNonFiniteMatrices:
         assert [isinstance(x, NonFiniteValue) for x in out] == [False, True, False, True, True]
         for k in (0, 2):
             assert_loop_bytes(matrices[k], *out[k])
+
+
+def stack_matrix(rng, n, kind):
+    """A matrix of order n for the stack passes: random_matrix's kinds, a
+    zero matrix, one with eigenvalues 1, 1 + 1e-14 and up (a near tie
+    within DEGENERACY_GAP), a non-finite one and a non-Hermitian one."""
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "tie":
+        U = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        return (U * (1.0 + 1e-14 * np.arange(n) ** 2)) @ U.conj().T
+    if kind == "nan":
+        H = random_matrix(rng, n, "complex")
+        H[rng.integers(n), rng.integers(n)] = np.nan
+        return H
+    if kind == "skew":
+        return random_matrix(rng, n, "complex") + 1e-6j * np.triu(np.ones((n, n)), 1)
+    return random_matrix(rng, n, kind)
+
+
+def per_matrix(H, smallest):
+    """One matrix's outcome from the per-matrix steps the stack passes
+    replaced: check_hermitian and loop_jacobi, then min_eigenpair with the
+    norm of the matrix alone."""
+    vals, vecs = loop_jacobi(H)
+    if not smallest:
+        return vals, vecs
+    value, vector, degenerate = min_eigenpair(vals, vecs, np.linalg.norm(np.asarray(H, complex)))
+    return numerics.MinEigen(value, vector, degenerate, float(vals[-1]))
+
+
+def assert_same_outcome(got, alone):
+    """alone() returns or raises; got is its stacked outcome, the same error
+    (type and message) or the same arrays and flags byte for byte."""
+    try:
+        want = alone()
+    except PadeError as exc:
+        assert type(got) is type(exc) and str(got) == str(exc)
+        return exc
+    assert not isinstance(got, PadeError), got
+    assert len(got) == len(want)
+    for g, x in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(x).tobytes() and type(g) is type(x)
+
+
+class TestStackPasses:
+    """The checks, convergence tests and harvest of the Jacobi stack, the
+    minimal eigenpair's pick and phase fixes, the singular vectors' gap test
+    and phase fix, and the scale exponents run as passes over a stack, each
+    item giving the bytes, or the error, of the per-item code they replaced
+    (oracles.check_hermitian, loop_jacobi, min_eigenpair,
+    singular_min_eigen, vector_phase_fix, block_scale_exponent), and the
+    stack raising the first failure in item order."""
+
+    KINDS = ["complex", "scaled", "near_diagonal", "zero", "tie", "nan", "skew"]
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), smallest=st.booleans(),
+           kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=7))
+    def test_stack_is_each_matrix_alone(self, n, seed, smallest, kinds):
+        rng = np.random.default_rng(seed)
+        matrices = [stack_matrix(rng, n, kind) for kind in kinds]
+        out = numerics.hermitian_eigensystems(matrices, smallest)
+        failures = [assert_same_outcome(got, lambda H=H: per_matrix(H, smallest))
+                    for got, H in zip(out, matrices)]
+        first = next((exc for exc in failures if exc is not None), None)
+        if first is not None:
+            with pytest.raises(type(first), match=f"^{re.escape(str(first))}$"):
+                settled(out)
+
+    def test_smallest_is_hermitian_min_eigenpair(self, rng):
+        for n in (1, 2, 5):
+            for kind in ("tie", "zero", "complex"):
+                H = stack_matrix(rng, n, kind)
+                res = numerics.hermitian_min_eigenpair(H)
+                assert_same_outcome(res, lambda: per_matrix(H, True))
+
+    def test_mixed_orders_raise_before_any_solve(self, monkeypatch):
+        def solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(numerics, "norms", solve)
+        with pytest.raises(NonHermitianInput, match=r"\(2, 2\), \(3, 3\)"):
+            numerics.hermitian_eigensystems([np.eye(2), np.eye(3)])
+        with pytest.raises(NonHermitianInput, match=r"\(2, 2\), \(2, 3\)"):
+            numerics.hermitian_eigensystems([np.eye(2), np.ones((2, 3))])
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(rows=st.lists(st.lists(st.builds(complex, st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                                             st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0])),
+                                   min_size=3, max_size=3), min_size=1, max_size=6),
+           n=st.integers(1, 3))
+    def test_phase_fix_rows_are_each_vector_alone(self, rows, n):
+        # ties, zero rows and rows of -0 - 0j, rows of one entry
+        V = np.array(rows)[:, :n]
+        for got, v in zip(numerics.phase_fix(V), V):
+            assert got.tobytes() == vector_phase_fix(v).tobytes()
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(["triu", "tie", "zero", "nan"]), min_size=1,
+                          max_size=6))
+    def test_singular_vectors_are_each_factor_alone(self, n, seed, kinds):
+        rng = np.random.default_rng(seed)
+        R = np.array([np.diag(1.0 - 1e-14 * np.arange(n)) if kind == "tie" else
+                      np.zeros((n, n)) if kind == "zero" else
+                      np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                      for kind in kinds], dtype=complex)
+        R[[kind == "nan" for kind in kinds], 0, -1] = np.nan
+        out = numerics.min_right_singular_vectors(R)
+        for got, Rb in zip(out, R):
+            assert_same_outcome(got, lambda Rb=Rb: singular_min_eigen(Rb))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(blocks=st.lists(st.tuples(st.sampled_from([0, 0, 450, -450, 401, -401, -1074, 1023]),
+                                     st.floats(0.5, 1.99),
+                                     st.sampled_from([0.0, 100.5, 1000.0, -1.0])),
+                           min_size=1, max_size=6))
+    def test_scale_exponents_are_each_block_alone(self, blocks):
+        # entries of 2^0, 2^+-450, 2^+-401, a subnormal, 2^1023, and 0
+        arrays = [np.array([m * 2.0**e, -1j]) if e else np.zeros(2) for e, m, _ in blocks]
+        got = numerics.scale_exponents([float(np.max(np.abs(a))) for a in arrays],
+                                       [w for *_, w in blocks])
+        assert got == [block_scale_exponent(a, w) for a, (*_, w) in zip(arrays, blocks)]
 
 
 class TestMinRightSingularVector:

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pademor import harness, hilbert, modal, numerics, pade, poly
-from pademor.errors import InsufficientTaylorLength, NoConvergence, RhoOverflow
+from pademor.errors import (InsufficientTaylorLength, NoConvergence, NotNormalized, RhoOverflow,
+                            settled)
 from pademor.hilbert import InnerProductWeights, norm
 
 from conftest import OVERFLOWING_GRAMIAN_SUM
-from oracles import (column_mgs, loop_gramian_sums, loop_numerator, normalize, residual_norm,
-                     window_gramian)
+from oracles import (column_mgs, loop_fast_denominators, loop_gramian_sums, loop_numerator,
+                     loop_standard_denominators, normalize, residual_norm, same_denominator,
+                     taylor_window, unit_denominator, window_gramian)
+from oracles import block_scale_exponent
 
 L2_1 = InnerProductWeights.l2(1)
 HIGHORDER_Z0 = 12 + 0.5j  # centre of the highorder_poles benchmark study
@@ -288,7 +292,7 @@ class TestGramianBlocks:
             return
         solved = []
 
-        def recorded(matrices):
+        def recorded(matrices, *args):
             solved.extend(matrices)
             return [NoConvergence("not solved")] * len(matrices)
 
@@ -301,6 +305,128 @@ class TestGramianBlocks:
             else:
                 assert next(sums).tobytes() == want[0].tobytes()
         assert next(sums, None) is None
+
+
+class TestDenominatorPasses:
+    """The steps around the stacked solves run as passes over the stack:
+    the checks, convergence tests and harvest of the Jacobi stack, the
+    minimal eigenpair's pick, phase fixes and normalisation, the singular
+    vectors' gap test and phase fix, the scale exponents, the weighted sums
+    and the unit-norm check.  Each item still gets the bytes, or the error,
+    of the per-item steps they replaced (oracles.loop_standard_denominators,
+    oracles.loop_fast_denominators), and the stack raises the first failure
+    in item order, as the one-by-one steps would."""
+
+    STACK = dict(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5), N=st.integers(0, 3),
+                 exponents=st.lists(st.sampled_from([0, 0, 0, 450, -450]), min_size=8,
+                                    max_size=10))
+
+    @staticmethod
+    def block(seed, dim, exponents):
+        rng = np.random.default_rng(seed)
+        return (taylor_rows(rng, len(exponents), dim, exponents),
+                InnerProductWeights(rng.uniform(0.1, 2.0, dim)))
+
+    @staticmethod
+    def assert_same(got, want):
+        for g, x in zip(got, want, strict=True):
+            same_denominator(g, x)
+        first = next((x for x in want if isinstance(x, Exception)), None)
+        if first is None:
+            settled(got)
+        else:
+            with pytest.raises(type(first), match=f"^{re.escape(str(first))}$"):
+                settled(got)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(**STACK, items=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3),
+                                             st.sampled_from([1.0, 0.5, 3.0, 1e40, 1e200])),
+                                   min_size=1, max_size=6))
+    def test_standard_stack_is_the_per_item_loop(self, seed, dim, N, exponents, items):
+        # sums of 0 to 3 terms in one stack, windows scaled by 2^-450,
+        # 2^450 or not at all, rho = 1e200 overflowing
+        t, w = self.block(seed, dim, exponents)
+        items = [(max(E - gap, 0), E, rho) for E, gap, rho in items]
+        self.assert_same(pade._gramian_denominators(t, N, items, w),
+                         loop_standard_denominators(t, N, items, w))
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(**STACK, Es=st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    def test_fast_stack_is_the_per_item_loop(self, seed, dim, N, exponents, Es):
+        # windows of one to five modes, rank-deficient ones among them
+        t, w = self.block(seed, dim, exponents)
+        items = [(E + N, E + N, 1.0) for E in Es]
+        self.assert_same(pade._fast_denominators(t, N, items, w),
+                         loop_fast_denominators(t, N, items, w))
+
+    def test_failures_keep_their_place(self, monkeypatch):
+        # a stack whose second sum the eigensolve refuses and whose fourth
+        # vector fails the unit-norm check: each failure in its place, the
+        # others as alone, and the first one raised
+        m = modal.build_synthetic([1.0, 2.0, 4.0 + 0.5j], [1.0, 0.5, 0.25])
+        t = modal.taylor_coefficients(m, 0.3 + 0.2j, 9)
+        items = [(M, M + 2, 1.5) for M in (2, 3, 4, 5)]
+        eigensystems = numerics.hermitian_eigensystems
+
+        def failing(matrices, *args):
+            out = eigensystems(matrices, *args)
+            out[1] = numerics.NonHermitianInput("refused")
+            out[3] = out[3]._replace(vector=out[3].vector * 2.0)
+            return out
+
+        monkeypatch.setattr(numerics, "hermitian_eigensystems", failing)
+        got = pade._gramian_denominators(t, 2, items, m.weights)
+        monkeypatch.undo()
+        want = loop_standard_denominators(t, 2, items, m.weights)
+        assert [type(x).__name__ for x in got[1::2]] == ["NonHermitianInput", "NotNormalized"]
+        assert str(got[3]).startswith("eigenvector norm 2.0")
+        for g, x in zip(got[::2], want[::2]):
+            same_denominator(g, x)
+        with pytest.raises(numerics.NonHermitianInput, match="^refused$"):
+            settled(got)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(exponents=st.lists(st.sampled_from([0, 0, 450, -450, 401, -1000]), min_size=1,
+                              max_size=6), even=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_scalings_are_each_item_alone(self, exponents, even, seed):
+        # entries -0 - 2j among others: 2^0, taken as 1 + 0j, would turn
+        # their real part into +0, so an item with k = 0 is not multiplied
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(len(exponents), 2, 3)) + 1j * rng.normal(size=(len(exponents), 2, 3))
+        X *= np.ldexp(1.0, exponents)[:, None, None]
+        X[:, 0, 0] = [complex(-0.0, -2.0 * 2.0**e) for e in exponents]
+        want, ks = X.copy(), []
+        for b, A in enumerate(want):
+            k = block_scale_exponent(A)
+            if even:  # the sums' 4^-j, j = (k + 1) // 2, not in place
+                j = (k + 1) // 2
+                want[b], k = A * 4.0**-j if j else A, 2 * j
+            elif k:  # the windows' 2^-k, in place
+                A *= 2.0**-k
+            ks.append(k)
+        assert pade._scale(X, even) == ks
+        assert X.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(vectors=st.lists(st.lists(st.builds(complex, st.sampled_from([0.0, -0.0, 0.6, -0.8]),
+                                                st.sampled_from([0.0, -0.0, 0.6, -0.8])),
+                                      min_size=3, max_size=3), min_size=1, max_size=6),
+           skew=st.lists(st.sampled_from([1.0, 1.0 + 2e-12, 1.0 - 5e-13, math.nan]),
+                         min_size=6, max_size=6))
+    def test_unit_norm_check_is_each_vector_alone(self, vectors, skew):
+        # vectors of norm 1, a little off or far off, nan, 0 and -0 - 0j
+        # entries; a PadeError in the stack keeps its place
+        qs = [np.array(v) / (np.linalg.norm(v) or 1.0) * f for v, f in zip(vectors, skew)]
+        res = [numerics.MinEigen(0.0, q, False) for q in qs] + [NoConvergence("kept")]
+        got = pade._eigvec_denominators(res, 0.5j)
+        assert type(got[-1]) is NoConvergence
+        for g, q in zip(got, qs):
+            try:
+                want = unit_denominator(q, 0.5j)
+            except NotNormalized as exc:
+                assert type(g) is NotNormalized and str(g) == str(exc)
+            else:
+                assert g.coeffs.tobytes() == want.coeffs.tobytes() and g.center == want.center
 
 
 class TestStandardStacks:
@@ -328,6 +454,12 @@ class TestStandardStacks:
         overflow = pade.BuildParams(paper_z0, 2, 2, 42, "standard", 1e10)
         with pytest.raises(RhoOverflow):
             pade.denominators(helmholtz, params[:3] + [overflow] + params[3:], t)
+
+
+def scale_exponent(block, weight=0.0):
+    """numerics.scale_exponents of one block: a stack of one."""
+    [k] = numerics.scale_exponents([float(np.max(np.abs(block), initial=0.0))], [weight])
+    return k
 
 
 class TestWindowScaling:
@@ -362,16 +494,16 @@ class TestWindowScaling:
         self.check_scaled_series(helmholtz, paper_z0, variant, -600)
 
     def test_small_windows_are_not_scaled(self):
-        assert numerics.scale_exponent(np.array([2.0**400, -1j])) == 0
-        assert numerics.scale_exponent(np.array([3 * 2.0**401, 1.0])) == 402
-        assert numerics.scale_exponent(np.zeros(3)) == 0
+        assert scale_exponent(np.array([2.0**400, -1j])) == 0
+        assert scale_exponent(np.array([3 * 2.0**401, 1.0])) == 402
+        assert scale_exponent(np.zeros(3)) == 0
 
     def test_rho_weight_moves_the_threshold(self):
         # a window is scaled when its largest entry times 2^weight passes
         # 2^400
-        assert numerics.scale_exponent(np.array([2.0**300]), 100.0) == 0
-        assert numerics.scale_exponent(np.array([2.0**300]), 100.5) == 300
-        assert numerics.scale_exponent(np.zeros(3), 1000.0) == 0
+        assert scale_exponent(np.array([2.0**300]), 100.0) == 0
+        assert scale_exponent(np.array([2.0**300]), 100.5) == 300
+        assert scale_exponent(np.zeros(3), 1000.0) == 0
 
     @pytest.mark.filterwarnings("error")
     def test_rho_weighted_sum_gives_the_scaled_model_denominator(self):
@@ -388,11 +520,11 @@ class TestWindowScaling:
         assert np.array_equal(den.coeffs.view(np.uint64), den_scaled.coeffs.view(np.uint64))
 
     def test_tiny_windows_are_scaled_up(self):
-        assert numerics.scale_exponent(np.array([2.0**-500])) == -500
-        assert numerics.scale_exponent(np.array([2.0**-400, 0.0])) == 0
-        assert numerics.scale_exponent(np.array([1j * 2.0**-401])) == -401
+        assert scale_exponent(np.array([2.0**-500])) == -500
+        assert scale_exponent(np.array([2.0**-400, 0.0])) == 0
+        assert scale_exponent(np.array([1j * 2.0**-401])) == -401
         # a subnormal maximum is scaled by 2^1023, the largest power of two
-        assert numerics.scale_exponent(np.array([5e-324])) == -1023
+        assert scale_exponent(np.array([5e-324])) == -1023
 
 
 class TestSingleEigensolve:
@@ -402,9 +534,9 @@ class TestSingleEigensolve:
         solved = []
         eigensystems = numerics.hermitian_eigensystems
 
-        def counted(matrices):
+        def counted(matrices, *args):
             solved.append(matrices)
-            return eigensystems(matrices)
+            return eigensystems(matrices, *args)
 
         monkeypatch.setattr(numerics, "hermitian_eigensystems", counted)
         if variant == "standard":
@@ -419,7 +551,7 @@ class TestSingleEigensolve:
         ref = numerics.hermitian_min_eigenpair(solved[0][0])
         assert diag.functional_value == math.sqrt(max(ref.value, 0.0)) * rho ** (M + 1)
         assert diag.degenerate == ref.degenerate
-        expected = pade.denominator_from_eigvec(ref.vector, paper_z0)
+        [expected] = pade._eigvec_denominators([ref], paper_z0)
         assert np.array_equal(den.coeffs, expected.coeffs)
 
 
@@ -479,7 +611,7 @@ class TestLoopOracles:
         # the windows of orders N..E as one stack, each factor as alone
         model = request.getfixturevalue(name)
         t = modal.taylor_coefficients(model, z0, E)
-        windows = [pade._taylor_window(t, N, e) for e in range(N, E + 1)]
+        windows = [taylor_window(t, N, e) for e in range(N, E + 1)]
         R = hilbert.gram_schmidt(np.array(windows), model.weights,
                                  pade.QR_DEGENERACY_THRESHOLD)
         for A, Rb in zip(windows, R):

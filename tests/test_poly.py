@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pademor import hilbert, numerics, pade, poly
-from pademor.errors import ConstantPolynomial, NonFiniteValue, NotNormalized, ZeroPolynomial
+from pademor.errors import (ConstantPolynomial, NonFiniteValue, NotNormalized, ZeroPolynomial,
+                            settled)
 
 from oracles import copying_horner, normalize, numpy_horner
 
@@ -143,29 +144,36 @@ class TestNormalize:
         )
 
 
+def denominator_from_eigvec(q, z0):
+    """The denominator of one eigenvector: pade._eigvec_denominators of a
+    stack of one."""
+    res = numerics.MinEigen(0.0, np.asarray(q, dtype=complex), False)
+    return settled(pade._eigvec_denominators([res], z0))[0]
+
+
 class TestDenominatorFromEigvec:
     def test_index_reversal(self):
-        den = pade.denominator_from_eigvec([1.0, 0.0, 0.0], 2.0)
+        den = denominator_from_eigvec([1.0, 0.0, 0.0], 2.0)
         assert np.allclose(den.coeffs, [0.0, 0.0, 1.0])
 
     def test_constant_case(self):
-        den = pade.denominator_from_eigvec([0.0, 0.0, 1.0], 2.0)
+        den = denominator_from_eigvec([0.0, 0.0, 1.0], 2.0)
         assert np.allclose(den.coeffs, [1.0, 0.0, 0.0])
 
     def test_round_trip(self, rng):
         q = rng.normal(size=4) + 1j * rng.normal(size=4)
         q = q / np.linalg.norm(q)
-        den = pade.denominator_from_eigvec(q, 0.0)
+        den = denominator_from_eigvec(q, 0.0)
         assert np.array_equal(den.coeffs[::-1], q)
 
     def test_not_normalized_rejected(self):
         with pytest.raises(NotNormalized):
-            pade.denominator_from_eigvec([1.0, 1.0], 0.0)
+            denominator_from_eigvec([1.0, 1.0], 0.0)
 
     def test_nan_rejected(self):
         # abs(nan - 1) > 1e-12 is False: the check must fail on a nan norm
         with pytest.raises(NotNormalized):
-            pade.denominator_from_eigvec([math.nan, 0.0], 0.5j)
+            denominator_from_eigvec([math.nan, 0.0], 0.5j)
 
 
 class TestRoots:
