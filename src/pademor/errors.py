@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all subpackages."""
+"""Exception hierarchy shared by all subpackages, and the pure-Python
+groupings that decide several of their failures (stacks, close_pairs),
+compiled before NumPy loads."""
 
 
 class PadeError(Exception):
@@ -84,36 +86,28 @@ class RhoOverflow(PadeError):
     pass
 
 
-def settled(outcomes):
-    """The results of a stack of problems solved together, each failed one
-    recorded in place as the PadeError it raised: raises the first such
-    error, as solving the problems one by one in order would."""
-    for item in outcomes:
-        if isinstance(item, PadeError):
-            raise item
-    return outcomes
-
-
-def stacks(outcomes, key=len):
-    """{key(outcome): indices} of the outcomes that are not a PadeError,
-    each list of indices in order: the stacks that one array pass solves
-    together, whose failures settled then raises in order."""
+def stacks(items, key=len):
+    """{key(item): indices} of items, each list of indices in order: the
+    stacks that one array pass solves together."""
     found = {}
-    for i, item in enumerate(outcomes):
-        if not isinstance(item, PadeError):
-            found.setdefault(key(item), []).append(i)
+    for i, item in enumerate(items):
+        found.setdefault(key(item), []).append(i)
     return found
 
 
-def solved(outcomes):
-    """The outcomes that are not a PadeError, in order: the items that the
-    next pass over a stack takes further."""
-    return [x for x in outcomes if not isinstance(x, PadeError)]
-
-
-def placed(outcomes, results):
-    """outcomes with each one that is not a PadeError replaced by the next
-    of results, in order: a pass's results put back among the failures
-    recorded before it."""
-    results = iter(results)
-    return [x if isinstance(x, PadeError) else next(results) for x in outcomes]
+def close_pairs(points, tol):
+    """The pairs (i, j), i < j, of the complex points within tol of each
+    other by Python's abs, in no set order.  Sorted by real part, a point
+    is compared only with the next ones whose real parts lie within tol of
+    its own: the real part of a difference is the difference of the real
+    parts, and abs, a hypot, is at least it."""
+    order = sorted(range(len(points)), key=lambda i: points[i].real)
+    pairs = []
+    for a, i in enumerate(order):
+        for b in range(a + 1, len(order)):
+            j = order[b]
+            if points[j].real - points[i].real > tol:
+                break
+            if abs(points[j] - points[i]) <= tol:
+                pairs.append((min(i, j), max(i, j)))
+    return pairs

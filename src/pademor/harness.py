@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pade
-from .errors import ConfigError, settled, stacks
+from .errors import ConfigError, close_pairs, stacks
 from .modal import (
     CENTER_DISTANCE,
     COORDINATE_LIMIT,
@@ -143,10 +143,9 @@ def _model_constructor(spec):
     _known_keys(spec, "$.model", ("kind", "poles", "residue_norms"))
     poles = _list(spec.get("poles"), "$.model.poles", _complex, "[re, im] pairs",
                   nonempty=True)
-    for j, lam in enumerate(poles):
-        for i in range(j):
-            _require(abs(lam - poles[i]) > POLE_SEPARATION, f"$.model.poles[{j}]",
-                     f"lies within {POLE_SEPARATION} of poles[{i}]")
+    if pairs := close_pairs(poles, POLE_SEPARATION):
+        j, i = min((j, i) for i, j in pairs)
+        raise ConfigError(f"at $.model.poles[{j}]: lies within {POLE_SEPARATION} of poles[{i}]")
     norms = spec.get("residue_norms")
     _require(isinstance(norms, list) and len(norms) == len(poles),
              "$.model.residue_norms", f"must be a list of {len(poles)} positive "
@@ -232,8 +231,8 @@ def _pairs(model, config, degrees, extra, numerators=True):
     config.fast_E(M) Taylor coefficients and the standard one of degree
     E - N from E = M + extra coefficients, all built from one Taylor block
     long enough for the largest (fast_E(M) grows with M): every denominator
-    first (pade.denominators raises the first failure in (M, fast,
-    standard) order), then the numerators, or None in their place."""
+    first (pade.denominators raises the first failure its stacks meet),
+    then the numerators, or None in their place."""
     top = max(degrees)
     taylor = taylor_coefficients(model, config.z0, max(config.fast_E(top), top + extra))
     params = []
@@ -447,7 +446,7 @@ def cmd_poles(config, model):
     lines = [",".join(header)]
     predicted = [predicted_point_factor(poles, config, lam) ** 2 for lam in true_poles]
     pairs = _pairs(model, config, config.E_list, 0, numerators=False)
-    roots = settled(roots_stack([a.denominator for pair in pairs for a in pair]))
+    roots = roots_stack([a.denominator for pair in pairs for a in pair])
     errors = _nearest_root_errors(roots, true_poles)
     for E, pair, (err_f, extra_f), (err_s, extra_s) in zip(config.E_list, pairs, errors[::2],
                                                            errors[1::2]):

@@ -19,6 +19,7 @@ from .errors import (
     NonFiniteValue,
     PoleEvaluation,
     QuadratureNotConverged,
+    close_pairs,
 )
 from .hilbert import InnerProductWeights, finite_array, norm, pairs_to_array, rescued
 from .numerics import gauss_legendre
@@ -74,10 +75,9 @@ def build_synthetic(poles, residue_norms):
     # built first: it rejects a pole whose differences could overflow below,
     # and residue norms that are not one per pole (LengthMismatch)
     model = ModalModel(poles, norms, InnerProductWeights.l2(len(poles)))
-    for i in range(len(poles)):
-        for j in range(i + 1, len(poles)):
-            if abs(poles[i] - poles[j]) <= POLE_SEPARATION:
-                raise DuplicatePoles(f"poles {poles[i]} and {poles[j]} coincide")
+    if pairs := close_pairs(poles, POLE_SEPARATION):
+        i, j = min(pairs)
+        raise DuplicatePoles(f"poles {poles[i]} and {poles[j]} coincide")
     if any(r <= 0.0 for r in norms):
         raise ValueError("residue norms must be positive")
     return model

@@ -24,8 +24,9 @@ for an eigenpair of hermitian_eigensystems, the largest eigenvalue.
 The eigensystems, the singular vectors and the roots are solved for a
 whole stack at once, each item giving the bytes it gives alone, and so
 are the steps around the solves: checks, pick, phase fixes, norms, scale
-exponents.  A failed item is recorded in place (errors.settled); the
-single-problem routines are stacks of one.
+exponents.  A stack raises the first failure that its passes, check by
+check and item by item, meet; the single-problem routines are stacks of
+one.
 
 The rounding contract of the stacks: every item takes the float
 operations it takes alone, in the same order.  A real array operation
@@ -51,7 +52,7 @@ import math
 import numpy as np
 
 from .errors import (DegenerateLeadingCoefficient, NoConvergence, NonFiniteValue,
-                     NonHermitianInput, PadeError, placed, settled, stacks)
+                     NonHermitianInput, stacks)
 
 HERMITIAN_TOL = 1e-13
 DEGENERACY_GAP = 1e-12
@@ -97,23 +98,23 @@ def hermitian_eigensystem(H):
     ||H v - mu v|| <= EIGEN_TOL * ||H||_F.  A stack of one of
     hermitian_eigensystems.
     """
-    return settled(hermitian_eigensystems([H]))[0]
+    return hermitian_eigensystems([H])[0]
 
 
 def hermitian_eigensystems(matrices, smallest=False):
     """hermitian_eigensystem of each of a list of matrices of one order, by
-    cyclic Jacobi on all of them in lockstep: one outcome (errors.settled)
-    per matrix, each giving what it gives alone; with smallest, its
-    hermitian_min_eigenpair instead, the pick, both phase fixes and the
-    normalisation as passes over the stack, and only a degenerate item
-    comparing its near-minimal columns, each phase-fixed alone.
+    cyclic Jacobi on all of them in lockstep, each giving what it gives
+    alone; with smallest, its hermitian_min_eigenpair instead, the pick,
+    both phase fixes and the normalisation as passes over the stack, and
+    only a degenerate item comparing its near-minimal columns, each
+    phase-fixed alone.
 
     Matrices not all square of one order raise NonHermitianInput.  The
     checks (finite, then Hermitian to HERMITIAN_TOL of the Frobenius
     norm), each sweep's convergence test and harvest are passes over the
     stack.  W stacks the [A; V] blocks not yet converged, one column
     rotation turning A and the eigenvectors V together; S keeps each block
-    as it converged.  At each pair (p, q) every matrix takes its rotation
+    as it converged, and W is S itself until the first harvest.  At each pair (p, q) every matrix takes its rotation
     scalars on Python floats, u = h / |h| by NumPy's complex division
     rule, with the skip rule of a matrix alone (|h| <= 2^-52 ||H||_F / n
     is zeroed, not rotated); the rotation, W J then J^H A, is applied once
@@ -124,18 +125,17 @@ def hermitian_eigensystems(matrices, smallest=False):
     shapes = {np.shape(H) for H in matrices}
     if len(shapes) != 1 or (s := min(shapes))[:1] * 2 != s or s < (1,):
         raise NonHermitianInput(f"expected square matrices of one order, not {sorted(shapes)}")
-    out, H, n = list(matrices), np.array(matrices, dtype=complex), s[0]
-    finite = np.isfinite(H).all(axis=(1, 2))
-    H[~finite] = 0.0
+    H, n = np.array(matrices, dtype=complex), s[0]
+    if not np.isfinite(H).all():
+        raise NonFiniteValue("matrix has a non-finite entry")
     scales = norms(H.reshape(-1, n * n))
     devs = np.abs(H - H.conj().mT).max(axis=(1, 2))
-    keep = finite & (devs <= HERMITIAN_TOL * np.maximum(scales, 1e-300))
-    for i in np.flatnonzero(~keep):
-        out[i] = NonHermitianInput(f"matrix deviates from Hermitian symmetry by {devs[i]:.3e} "
-                                   f"(scale {scales[i]:.3e})") if finite[i] else NonFiniteValue(
-                                       "matrix has a non-finite entry")
-    S = np.concatenate((0.5 * (H + H.conj().mT), np.zeros_like(H) + np.eye(n)), axis=1)
-    W, live, mask = S[keep], np.flatnonzero(keep), np.eye(n) == 0
+    skew = np.flatnonzero(devs > HERMITIAN_TOL * np.maximum(scales, 1e-300))
+    if skew.size:
+        raise NonHermitianInput(f"matrix deviates from Hermitian symmetry by "
+                                f"{devs[skew[0]]:.3e} (scale {scales[skew[0]]:.3e})")
+    W = S = np.concatenate((0.5 * (H + H.conj().mT), np.zeros_like(H) + np.eye(n)), axis=1)
+    live, mask = np.arange(len(S)), np.eye(n) == 0
     for sweep in range(MAX_JACOBI_SWEEPS + 1):
         done = norms(W[:, :n][:, mask]) <= 0.1 * EIGEN_TOL * scales[live]
         if done.any():
@@ -143,11 +143,8 @@ def hermitian_eigensystems(matrices, smallest=False):
         if not live.size:
             break
         if sweep == MAX_JACOBI_SWEEPS:
-            for i in live:
-                out[i] = NoConvergence(
-                    f"Jacobi sweeps exceeded {MAX_JACOBI_SWEEPS} without reaching "
-                    f"off-diagonal target {0.1 * EIGEN_TOL * scales[i]:.3e}")
-            break
+            raise NoConvergence(f"Jacobi sweeps exceeded {MAX_JACOBI_SWEEPS} without reaching "
+                                f"off-diagonal target {0.1 * EIGEN_TOL * scales[live[0]]:.3e}")
         cols, rows = list(W.transpose(2, 0, 1)), list(W[:, :n].transpose(1, 0, 2))
         Wr, Wi, limits = W.real, W.imag, (2.0**-52 * scales[live] / n).tolist()
         for p in range(n - 1):
@@ -193,7 +190,7 @@ def hermitian_eigensystems(matrices, smallest=False):
             v[b] = min(phase_fix(vecs[b].T[near[b]]), key=lambda u: (*u.real, *u.imag))
         systems = map(MinEigen, vals[:, 0].tolist(), phase_fix(v / norms(v)[:, None]),
                       degenerate.tolist(), vals[:, -1].tolist())
-    return [x if isinstance(x, PadeError) else system for x, system in zip(out, systems)]
+    return list(systems)
 
 
 def hermitian_min_eigenpair(H):
@@ -205,7 +202,7 @@ def hermitian_min_eigenpair(H):
     near-minimal eigenvectors, the phase-fixed lexicographically smallest
     one (real parts, then imaginary parts) is returned.
     """
-    return settled(hermitian_eigensystems([H], True))[0]
+    return hermitian_eigensystems([H], True)[0]
 
 
 def min_right_singular_vector(R):
@@ -219,24 +216,22 @@ def min_right_singular_vector(R):
     relative to sigma_max^2 so that no square overflows; it does not change
     the choice.  A stack of one of min_right_singular_vectors.
     """
-    return settled(min_right_singular_vectors(np.array([R], dtype=complex)))[0]
+    return min_right_singular_vectors(np.array([R], dtype=complex))[0]
 
 
 def min_right_singular_vectors(R):
     """min_right_singular_vector of each factor of a (B, n, n) stack, by one
-    SVD of the finite ones, each giving what it gives alone: one outcome
-    (errors.settled) per factor, NoConvergence for one with a non-finite
-    entry.  The gap test's norms and the phase fix are row passes; the two
-    squares it compares stay Python's, libm's pow, which NumPy's array
-    square does not round alike."""
-    finite = np.isfinite(R).all(axis=(1, 2))
-    s, Vh = np.linalg.svd(R[finite])[1:]
+    SVD, each giving what it gives alone; a non-finite entry raises
+    NoConvergence.  The gap test's norms and the phase fix are row passes;
+    the two squares it compares stay Python's, libm's pow, which NumPy's
+    array square does not round alike."""
+    if not np.isfinite(R).all():
+        raise NoConvergence("the factor R has a non-finite entry")
+    s, Vh = np.linalg.svd(R)[1:]
     t = s / np.where(s[:, :1] > 0.0, s[:, :1], 1.0)
     flags = [len(d) > 1 and d[0] ** 2 - d[1] ** 2 < gap for d, gap in zip(
         t[:, -2:].tolist(), (DEGENERACY_GAP * np.maximum(norms(t**2), 1e-300)).tolist())]
-    return placed([None if ok else NoConvergence("the factor R has a non-finite entry")
-                   for ok in finite.tolist()], map(
-        MinEigen, s[:, -1].tolist(), phase_fix(Vh[:, -1].conj()), flags))
+    return list(map(MinEigen, s[:, -1].tolist(), phase_fix(Vh[:, -1].conj()), flags))
 
 
 def scale_exponents(amax, weights=None):
@@ -287,58 +282,55 @@ def polynomial_roots(coeffs):
     |p(root)| <= ROOT_TOL * max|coeff| * (1 + |root|)^degree.  A stack of one
     of polynomial_roots_stack.
     """
-    return settled(polynomial_roots_stack([coeffs]))[0]
+    return polynomial_roots_stack([coeffs])[0]
 
 
 def polynomial_roots_stack(polys):
     """polynomial_roots of each coefficient array of polys, those of one
     degree solved as one stack (one companion eigvals, Newton step and
-    residual check), each giving what it gives alone: one outcome
-    (errors.settled) per polynomial; an entry that is a PadeError stays.
-    The leading-coefficient and 2^1000 rules and the residual check are
-    array passes over each degree's stack.  A row whose leading
-    coefficient vanishes is solved as all ones, so that its steps stay
-    finite, and fails after."""
-    out = [p if isinstance(p, PadeError) else a if (a := np.asarray(p, dtype=complex)).ndim == 1
-           and a.size else DegenerateLeadingCoefficient("empty coefficient list") for p in polys]
+    residual check), each giving what it gives alone.  The
+    leading-coefficient and 2^1000 rules and the residual check are array
+    passes over each degree's stack; a vanishing leading coefficient raises
+    before the solve."""
+    out = [np.asarray(p, dtype=complex) for p in polys]
+    if any(a.ndim != 1 or not a.size for a in out):
+        raise DegenerateLeadingCoefficient("empty coefficient list")
     for index in stacks(out).values():
         a = np.array([out[i] for i in index])
         degree = a.shape[1] - 1
         amax = np.abs(a).max(axis=1)
         lead = np.hypot(a[:, -1].real, a[:, -1].imag)
-        vanishes = lead <= TRIM_THRESHOLD * amax
+        if degree and (lead <= TRIM_THRESHOLD * amax).any():
+            raise DegenerateLeadingCoefficient(
+                "leading coefficient vanishes relative to the coefficient scale")
         small = lead < 2.0**-1000
         a[small], amax[small] = a[small] * 2.0**1000, amax[small] * 2.0**1000
-        a[vanishes] = 1.0
-        b = a / a[:, -1:]
-        companion = np.zeros((len(index), degree, degree), dtype=complex) + np.eye(degree, k=-1)
-        companion[:, :, -1:] = -b[:, :-1, None]
-        x = np.linalg.eigvals(companion)
-
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            b = a / a[:, -1:]  # 0 / 0 only for a zero constant, which has no roots
+            companion = np.zeros((len(index), degree, degree), complex) + np.eye(degree, k=-1)
+            companion[:, :, -1:] = -b[:, :-1, None]
+            x = np.linalg.eigvals(companion)
             px, dpx = _horner(b, x)
             y = x - px / dpx
             x = np.where(np.abs(_horner(b, y)[0]) < np.abs(px), y, x)
 
         residuals = np.abs((x[..., None] ** np.arange(degree + 1)) @ a[..., None])[..., 0]
         bounds = ROOT_TOL * amax[:, None] * (1.0 + np.abs(x)) ** degree
-        for i, roots, gone, failed, res, bound in zip(
-                index, x.tolist(), (vanishes & (degree > 0)).tolist(),
-                (residuals > bounds).any(axis=1).tolist(), residuals, bounds):
-            out[i] = (DegenerateLeadingCoefficient(
-                "leading coefficient vanishes relative to the coefficient scale") if gone
-                else NoConvergence("root residual check failed (worst ratio "
-                                   f"{np.max(res / np.maximum(bound, 1e-300)):.3e})")
-                if failed else roots)
+        failed = np.flatnonzero((residuals > bounds).any(axis=1))
+        if failed.size:
+            ratio = np.max(residuals[failed[0]] / np.maximum(bounds[failed[0]], 1e-300))
+            raise NoConvergence(f"root residual check failed (worst ratio {ratio:.3e})")
+        for i, roots in zip(index, x.tolist()):
+            out[i] = roots
     return out
 
 
 def nearest_first(roots, centers):
-    """Each list of roots of roots (errors.settled outcomes; a PadeError
-    stays) shifted by its center and sorted by distance from it, ties by
-    (Re, Im), the lists of one length as one array pass: one stable lexsort
-    on np.hypot of the parts, as Python's abs of a complex number takes it
-    (np.abs may round otherwise), then on Re, then on Im."""
+    """Each list of roots of roots shifted by its center and sorted by
+    distance from it, ties by (Re, Im), the lists of one length as one
+    array pass: one stable lexsort on np.hypot of the parts, as Python's
+    abs of a complex number takes it (np.abs may round otherwise), then on
+    Re, then on Im."""
     out = list(roots)
     for index in stacks(roots).values():
         c = np.array([centers[i] for i in index])[:, None]

@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hilbert, numerics, poly
-from .errors import (DimensionMismatch, InsufficientTaylorLength, NotNormalized, PadeError,
-                     RhoOverflow, placed, settled, solved, stacks)
+from .errors import (DimensionMismatch, InsufficientTaylorLength, NotNormalized, RhoOverflow,
+                     stacks)
 from .modal import ModalModel, taylor_coefficients
 
 QR_DEGENERACY_THRESHOLD = 1e-14
@@ -105,13 +105,14 @@ def _taylor_rows(taylor, N, top):
 
 def _eigvec_denominators(res, z0):
     """Q = sum_j q_j (z - z0)^{N-j}, a_{N-j} = q_j, for the vector q of each
-    MinEigen of res, or the PadeError recorded in its place; the unit-norm
-    check (NotNormalized, a nan norm included) is one pass."""
-    vectors = np.array([r.vector for r in solved(res)], ndmin=2)
+    MinEigen of res; the unit-norm check (NotNormalized, a nan norm
+    included) is one pass."""
+    vectors = np.array([r.vector for r in res])
     norms = numerics.norms(vectors)
-    return placed(res, (poly.ShiftedPolynomial(z0, q) if ok else NotNormalized(
-        f"eigenvector norm {x:.15e} != 1") for q, x, ok in zip(
-        vectors[:, ::-1].copy(), norms.tolist(), (abs(norms - 1.0) <= 1e-12).tolist())))
+    off = np.flatnonzero(~(abs(norms - 1.0) <= 1e-12))
+    if off.size:
+        raise NotNormalized(f"eigenvector norm {float(norms[off[0]]):.15e} != 1")
+    return [poly.ShiftedPolynomial(z0, q) for q in vectors[:, ::-1].copy()]
 
 
 def _scale(X, even=False):
@@ -155,8 +156,8 @@ def _gramian_blocks(taylor, N, keys, w):
 def _gramian_denominators(taylor, N, items, w):
     """Minimal eigenvector of the rho-weighted Gramian sum over orders
     M+1..E for each (M, E, rho) of items, rescaled by rho^{-2(M+1)}, all
-    sums solved by one numerics.hermitian_eigensystems call: one outcome
-    (errors.settled) per item, RhoOverflow where rho^(2(E-M)) overflows.
+    sums solved by one numerics.hermitian_eigensystems call; an item whose
+    rho^(2(E-M)) overflows raises RhoOverflow first.
 
     The minimizer is invariant under positive scaling of the matrix, so the
     rescaling only guards against overflow, as do the power-of-two
@@ -173,28 +174,27 @@ def _gramian_denominators(taylor, N, items, w):
     diagnostics stay Python floats: libm rounds them, and an overflowing
     ratio is inf without a warning.
     """
-    out = [RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}")
-           if 2.0 * (E - M) * math.log10(rho) > 300.0 else (M, E, rho) for M, E, rho in items]
-    if not (ok := solved(out)):
-        return out
+    for M, E, rho in items:
+        if 2.0 * (E - M) * math.log10(rho) > 300.0:
+            raise RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}")
     peaks = np.abs(taylor.coeffs).max(axis=1, initial=0.0).tolist()
     ks = numerics.scale_exponents(*zip(*[(max(peaks[max(M + 1 - N, 0) : E + 1], default=0.0), (
-        E - M - 1) * math.log2(rho) if rho > 1.0 else 0.0) for M, E, rho in ok]))
+        E - M - 1) * math.log2(rho) if rho > 1.0 else 0.0) for M, E, rho in items]))
     terms = [[(rho ** (2 * t), (k, M + 1 + t)) for t in range(E - M)]
-             for (M, E, rho), k in zip(ok, ks)]
+             for (M, E, rho), k in zip(items, ks)]
     blocks = _gramian_blocks(taylor, N, [key for row in terms for _, key in row], w)
-    A = np.zeros((len(ok), N + 1, N + 1), dtype=complex)
+    A = np.zeros((len(items), N + 1, N + 1), dtype=complex)
     blocks[None] = 0 * A[0]
     for column in itertools.zip_longest(*terms, fillvalue=(0.0, None)):
         f, keys = zip(*column)
         A += np.array(f, dtype=complex)[:, None, None] * np.array([blocks[key] for key in keys])
     js = [k // 2 for k in _scale(A, even=True)]
     res = numerics.hermitian_eigensystems(A, True)
-    return placed(out, (d if isinstance(d, PadeError) else (d, Diagnostics(
+    return [(d, Diagnostics(
         numerics.scaled(math.sqrt(max(r.value, 0.0)), rho, M + 1, k + j), r.degenerate, False,
         r.top / max(r.value, 1e-300) if r.top > 0 else 1.0))
-        for d, r, (M, E, rho), k, j in zip(_eigvec_denominators(res, taylor.center), res, ok,
-                                            ks, js)))
+        for d, r, (M, E, rho), k, j in zip(_eigvec_denominators(res, taylor.center), res, items,
+                                            ks, js)]
 
 
 def denominator_fast_gramian(taylor, N, E, w):
@@ -202,7 +202,7 @@ def denominator_fast_gramian(taylor, N, E, w):
     standard functional with the single block of order E."""
     if E < N:
         raise ValueError("fast denominator requires E >= N")
-    return settled(_gramian_denominators(taylor, N, [(E - 1, E, 1.0)], w))[0]
+    return _gramian_denominators(taylor, N, [(E - 1, E, 1.0)], w)[0]
 
 
 def _null_direction(R, j):
@@ -226,16 +226,16 @@ def denominator_fast_qr(taylor, N, E, w):
     denominator is taken from the null direction.  A stack of one of
     _fast_denominators.
     """
-    return settled(_fast_denominators(taylor, N, [(E, E, 1.0)], w))[0]
+    return _fast_denominators(taylor, N, [(E, E, 1.0)], w)[0]
 
 
 def _fast_denominators(taylor, N, items, w):
     """denominator_fast_qr for the E of each (M, E, rho) of items, each
     window scaled by its own power of two (_scale), the windows factored as
-    one stack and the full-rank factors R given to one SVD: one outcome
-    (errors.settled) per item, a (denominator, diagnostics) pair or the
-    PadeError raised.  Only a rank-deficient window takes its null
-    direction alone; the Taylor rows are freed before the QR."""
+    one stack and the full-rank factors R given to one SVD: a
+    (denominator, diagnostics) pair per item.  Only a rank-deficient window
+    takes its null direction alone; the Taylor rows are freed before the
+    QR."""
     Es = [E for _, E, _ in items]
     if min(Es) < N:
         raise ValueError("fast denominator requires E >= N")
@@ -250,10 +250,10 @@ def _fast_denominators(taylor, N, items, w):
     svds = iter(numerics.min_right_singular_vectors(R[~exact]))
     res = [_null_direction(R[b], low[b].argmax()) if e else next(svds)
            for b, e in enumerate(exact.tolist())]
-    return [d if isinstance(d, PadeError) else (d, Diagnostics(
-        r.value * 2.0**k, r.degenerate, e, top / max(bottom, 1e-300))) for d, r, k, e, top, bottom
-        in zip(_eigvec_denominators(res, taylor.center), res, ks, exact.tolist(),
-               diags.max(axis=1).tolist(), diags.min(axis=1).tolist())]
+    return [(d, Diagnostics(r.value * 2.0**k, r.degenerate, e, top / max(bottom, 1e-300)))
+            for d, r, k, e, top, bottom in zip(
+                _eigvec_denominators(res, taylor.center), res, ks, exact.tolist(),
+                diags.max(axis=1).tolist(), diags.min(axis=1).tolist())]
 
 
 def denominator_standard(taylor, M, N, E, rho, w):
@@ -263,7 +263,7 @@ def denominator_standard(taylor, M, N, E, rho, w):
         raise ValueError("standard denominator requires E >= M + N")
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    return settled(_gramian_denominators(taylor, N, [(M, E, rho)], w))[0]
+    return _gramian_denominators(taylor, N, [(M, E, rho)], w)[0]
 
 
 def numerator(taylor, Q, M):
@@ -287,11 +287,11 @@ def denominators(model, params, taylor):
     diagnostics) pair from taylor, a block of Taylor coefficients as build
     takes, centred at each params.z0.  The denominators of each variant and
     N are solved as one stack, the standard ones first
-    (_gramian_denominators), then the fast ones (_fast_denominators), so that the stack's large arrays are freed right
-    before the caller builds numerators: in the other order a command's
-    heap grew by about 0.1 MB on the highorder_poles benchmark.  Each
-    failure is recorded, and the first in the order of params is raised, as
-    building them one by one would raise it."""
+    (_gramian_denominators), then the fast ones (_fast_denominators), so
+    that the stack's large arrays are freed right before the caller builds
+    numerators: in the other order a command's heap grew by about 0.1 MB on
+    the highorder_poles benchmark.  The first failure that these stacks
+    meet is raised."""
     if taylor.coeffs.ndim != 2:
         raise ValueError(
             f"Taylor block of shape {taylor.coeffs.shape}, not one row per order"
@@ -304,7 +304,7 @@ def denominators(model, params, taylor):
         items = [(params[i].M, params[i].E, params[i].rho) for i in index]
         solve = (_gramian_denominators, _fast_denominators)[fast]
         found.update(zip(index, solve(taylor, N, items, model.weights)))
-    return settled([found[i] for i in range(len(params))])
+    return [found[i] for i in range(len(params))]
 
 
 def build(model, params, taylor=None):

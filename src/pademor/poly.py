@@ -16,8 +16,7 @@ polynomial's evaluated alone.
 import numpy as np
 
 from . import numerics
-from .errors import (ConstantPolynomial, NonFiniteValue, PadeError, ZeroPolynomial, settled,
-                     stacks)
+from .errors import ConstantPolynomial, NonFiniteValue, ZeroPolynomial, stacks
 
 
 class ShiftedPolynomial:
@@ -114,42 +113,43 @@ def effective_coeffs(p):
     legitimate outcome, not an error.  A non-finite coefficient raises
     NonFiniteValue.
     """
-    return settled(effective_stack([p]))[0]
+    return effective_stack([p])[0]
 
 
 def effective_stack(ps):
     """effective_coeffs of each of ps, those of one coefficient shape as
-    one array pass: one outcome (errors.settled) per polynomial,
-    NonFiniteValue, or ZeroPolynomial for a largest magnitude at or below
-    1e-300."""
+    one array pass; a largest magnitude at or below 1e-300 raises
+    ZeroPolynomial."""
     out = [p.coeffs for p in ps]
     for index in stacks(out, np.shape).values():
         a = np.array([out[i] for i in index])
+        if not np.isfinite(a).all():
+            raise NonFiniteValue("polynomial coefficients have a non-finite entry")
         top = np.abs(a).reshape(len(index), a.shape[1], -1).max(axis=2)  # per row
         scale = top.max(axis=1)
+        if (scale <= 1e-300).any():
+            raise ZeroPolynomial("zero polynomial has no well-defined degree")
         # the place of the last row kept: np.where, as a boolean argmax runs
         # NumPy code that no other step runs, whose pages add to the RSS
         sizes = np.where(top > numerics.TRIM_THRESHOLD * scale[:, None],
                          np.arange(1, a.shape[1] + 1), 0).max(axis=1)
-        finite = np.isfinite(a).reshape(len(index), -1).all(axis=1)
-        for i, row, ok, s, n in zip(index, a, finite.tolist(), scale.tolist(), sizes.tolist()):
-            out[i] = (NonFiniteValue("polynomial coefficients have a non-finite entry")
-                      if not ok else row[:n] if s > 1e-300 else
-                      ZeroPolynomial("zero polynomial has no well-defined degree"))
+        for i, row, n in zip(index, a, sizes.tolist()):
+            out[i] = row[:n]
     return out
 
 
 def roots(p):
     """Roots of p, sorted by distance from the center (ties by (Re, Im))."""
-    return settled(roots_stack([p]))[0]
+    return roots_stack([p])[0]
 
 
 def roots_stack(ps):
     """roots of each of ps, those of one effective degree solved as one
-    stack: one outcome (errors.settled) per polynomial.  The trim
-    (effective_stack), the solve (numerics.polynomial_roots_stack) and the
-    order (numerics.nearest_first) are array passes over stacks."""
-    return numerics.nearest_first(numerics.polynomial_roots_stack(
-        [c if isinstance(c, PadeError) or c.size > 1 else
-         ConstantPolynomial("polynomial has effective degree 0") for c in effective_stack(ps)]),
-        [p.center for p in ps])
+    stack.  The trim (effective_stack), the solve
+    (numerics.polynomial_roots_stack) and the order
+    (numerics.nearest_first) are array passes over stacks."""
+    coeffs = effective_stack(ps)
+    if any(c.size < 2 for c in coeffs):
+        raise ConstantPolynomial("polynomial has effective degree 0")
+    return numerics.nearest_first(numerics.polynomial_roots_stack(coeffs),
+                                  [p.center for p in ps])

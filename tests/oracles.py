@@ -13,6 +13,30 @@ from pademor.errors import (ConstantPolynomial, DegenerateLeadingCoefficient,
                             ZeroPolynomial)
 
 
+def check_stack(stack, alones, same):
+    """The failure rule of a stacked pass: stack() raises if and only if one
+    of alones, each of its items solved alone, raises, and then an error
+    (type and message) that one of them raises; otherwise stack() returns
+    one result per item, and same(result, what the item gives alone)
+    passes for each."""
+    outcomes = []
+    for alone in alones:
+        try:
+            outcomes.append(alone())
+        except PadeError as exc:
+            outcomes.append(exc)
+    failures = {(type(x), str(x)) for x in outcomes if isinstance(x, PadeError)}
+    try:
+        got = stack()
+    except PadeError as exc:
+        assert (type(exc), str(exc)) in failures, (exc, failures)
+        return
+    assert not failures, failures
+    assert len(got) == len(outcomes)
+    for result, want in zip(got, outcomes):
+        same(result, want)
+
+
 def normalize(p):
     """Scale to the unit coefficient sphere and fix the global phase.
 
@@ -451,89 +475,67 @@ def window_gramian(taylor, N, E, w):
     return 0.5 * (G + G.conj().T)
 
 
-def loop_gramian_sums(taylor, N, items, w):
-    """The rho-weighted Gramian sum and its power-of-two exponent for each
-    (M, E, rho) of items, or RhoOverflow, one item and one window_gramian
-    block at a time, as pade._gramian_denominators built them before it
-    computed each (scale exponent, order) block once per stack."""
-    out = []
-    for M, E, rho in items:
-        if 2.0 * (E - M) * math.log10(rho) > 300.0:
-            out.append(RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}"))
-            continue
-        weight = (E - M - 1) * math.log2(rho) if rho > 1.0 else 0.0
-        k = block_scale_exponent(taylor.coeffs[max(M + 1 - N, 0) : E + 1], weight)
-        t = poly.ShiftedPolynomial(taylor.center, taylor.coeffs * 2.0**-k) if k else taylor
-        A = np.zeros((N + 1, N + 1), dtype=complex)
-        for gamma in range(M + 1, E + 1):
-            A += rho ** (2 * (gamma - M - 1)) * window_gramian(t, N, gamma, w)
-        j = (block_scale_exponent(A) + 1) // 2
-        out.append((A * 4.0**-j if j else A, k + j))
-    return out
+def loop_gramian_sum(taylor, N, M, E, rho, w):
+    """The rho-weighted Gramian sum over orders M+1..E and its power-of-two
+    exponent, one window_gramian block at a time, as
+    pade._gramian_denominators built it before it computed each (scale
+    exponent, order) block once per stack.  RhoOverflow, and
+    InsufficientTaylorLength naming the E + 1 coefficients of its top
+    block, as the item raises alone."""
+    if 2.0 * (E - M) * math.log10(rho) > 300.0:
+        raise RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}")
+    if M < E:
+        taylor_window(taylor, N, E)  # raises InsufficientTaylorLength past the block
+    weight = (E - M - 1) * math.log2(rho) if rho > 1.0 else 0.0
+    k = block_scale_exponent(taylor.coeffs[max(M + 1 - N, 0) : E + 1], weight)
+    t = poly.ShiftedPolynomial(taylor.center, taylor.coeffs * 2.0**-k) if k else taylor
+    A = np.zeros((N + 1, N + 1), dtype=complex)
+    for gamma in range(M + 1, E + 1):
+        A += rho ** (2 * (gamma - M - 1)) * window_gramian(t, N, gamma, w)
+    j = (block_scale_exponent(A) + 1) // 2
+    return A * 4.0**-j if j else A, k + j
 
 
-def loop_standard_denominators(taylor, N, items, w):
-    """pade._gramian_denominators by the per-item steps it took before they
-    ran as passes over the stack: each sum alone (loop_gramian_sums), its
-    eigensystem alone (loop_jacobi, whose checks are check_hermitian's),
-    min_eigenpair with its two phase fixes, the unit-norm check on the
-    vector alone, and the diagnostics.  One outcome per item, a
-    (denominator, diagnostics) pair or the PadeError raised."""
-    out = []
-    for (M, E, rho), x in zip(items, loop_gramian_sums(taylor, N, items, w)):
-        try:
-            if isinstance(x, PadeError):
-                raise x
-            A, k = x
-            vals, vecs = loop_jacobi(A)
-            value, vector, degenerate = min_eigenpair(vals, vecs, np.linalg.norm(A))
-            den = unit_denominator(vector, taylor.center)
-        except PadeError as exc:
-            out.append(exc)
-            continue
-        top = float(vals[-1])
-        out.append((den, pade.Diagnostics(
-            numerics.scaled(math.sqrt(max(value, 0.0)), rho, M + 1, k), degenerate, False,
-            top / max(value, 1e-300) if top > 0 else 1.0)))
-    return out
+def loop_standard_denominator(taylor, N, M, E, rho, w):
+    """pade._gramian_denominators of one item by the per-item steps it took
+    before they ran as passes over the stack: the sum alone
+    (loop_gramian_sum), its eigensystem alone (loop_jacobi, whose checks
+    are check_hermitian's), min_eigenpair with its two phase fixes, the
+    unit-norm check on the vector alone, and the diagnostics: a
+    (denominator, diagnostics) pair."""
+    A, k = loop_gramian_sum(taylor, N, M, E, rho, w)
+    vals, vecs = loop_jacobi(A)
+    value, vector, degenerate = min_eigenpair(vals, vecs, np.linalg.norm(A))
+    den = unit_denominator(vector, taylor.center)
+    top = float(vals[-1])
+    return den, pade.Diagnostics(
+        numerics.scaled(math.sqrt(max(value, 0.0)), rho, M + 1, k), degenerate, False,
+        top / max(value, 1e-300) if top > 0 else 1.0)
 
 
-def loop_fast_denominators(taylor, N, items, w):
-    """pade._fast_denominators by the per-item steps it took before they ran
-    as passes over the stack: each window scaled alone
+def loop_fast_denominator(taylor, N, E, w):
+    """pade._fast_denominators of one window by the per-item steps it took
+    before they ran as passes over the stack: the window scaled alone
     (block_scale_exponent), its factor R (hilbert.gram_schmidt of a stack
     of one), the null direction or the singular pair of R alone
     (singular_min_eigen), the unit-norm check on the vector alone, and the
-    diagnostics.  One outcome per item, as loop_standard_denominators."""
-    out = []
-    for _, E, _ in items:
-        A = taylor_window(taylor, N, E)
-        k = block_scale_exponent(A)
-        if k:
-            A *= 2.0**-k
-        R = hilbert.gram_schmidt(A[None], w, pade.QR_DEGENERACY_THRESHOLD)[0]
-        d = np.abs(R.diagonal())
-        low = d <= pade.QR_DEGENERACY_THRESHOLD * max(d[0], 1e-300)
-        try:
-            res = (pade._null_direction(R, int(np.argmax(low))) if low.any()
-                   else singular_min_eigen(R))
-            den = unit_denominator(res.vector, taylor.center)
-        except PadeError as exc:
-            out.append(exc)
-            continue
-        out.append((den, pade.Diagnostics(res.value * 2.0**k, res.degenerate, bool(low.any()),
-                                          float(np.max(d)) / max(float(np.min(d)), 1e-300))))
-    return out
+    diagnostics, as loop_standard_denominator."""
+    A = taylor_window(taylor, N, E)
+    k = block_scale_exponent(A)
+    if k:
+        A *= 2.0**-k
+    R = hilbert.gram_schmidt(A[None], w, pade.QR_DEGENERACY_THRESHOLD)[0]
+    d = np.abs(R.diagonal())
+    low = d <= pade.QR_DEGENERACY_THRESHOLD * max(d[0], 1e-300)
+    res = pade._null_direction(R, int(np.argmax(low))) if low.any() else singular_min_eigen(R)
+    den = unit_denominator(res.vector, taylor.center)
+    return den, pade.Diagnostics(res.value * 2.0**k, res.degenerate, bool(low.any()),
+                                 float(np.max(d)) / max(float(np.min(d)), 1e-300))
 
 
 def same_denominator(got, want):
-    """A stack's outcome for one denominator against the per-item loop's:
-    the same error, type and message, or the same coefficients and
-    diagnostics, byte for byte (signed zeros included)."""
-    if isinstance(want, PadeError):
-        assert type(got) is type(want) and str(got) == str(want), (got, want)
-        return
-    assert not isinstance(got, PadeError), got
+    """A stack's denominator against the per-item loop's: the same
+    coefficients and diagnostics, byte for byte (signed zeros included)."""
     (den, diag), (den_want, diag_want) = got, want
     assert den.coeffs.tobytes() == den_want.coeffs.tobytes()
     assert den.center == den_want.center
@@ -590,6 +592,29 @@ def loop_roots(p):
         raise ConstantPolynomial("polynomial has effective degree 0")
     shifted = [r + p.center for r in loop_polynomial_roots(a)]
     return sorted(shifted, key=lambda r: (abs(r - p.center), r.real, r.imag))
+
+
+def loop_config_separation(poles):
+    """The message of the first pair of poles within modal.POLE_SEPARATION,
+    smallest j, then smallest i, or None: the loop over every pair that
+    harness._model_constructor ran before errors.close_pairs."""
+    for j, lam in enumerate(poles):
+        for i in range(j):
+            if not abs(lam - poles[i]) > modal.POLE_SEPARATION:
+                return f"at $.model.poles[{j}]: lies within {modal.POLE_SEPARATION} of poles[{i}]"
+    return None
+
+
+def loop_duplicate_poles(poles):
+    """The DuplicatePoles message of the first pair of poles within
+    modal.POLE_SEPARATION, smallest i, then smallest j, or None: the loop
+    over every pair that modal.build_synthetic ran before
+    errors.close_pairs."""
+    for i in range(len(poles)):
+        for j in range(i + 1, len(poles)):
+            if abs(poles[i] - poles[j]) <= modal.POLE_SEPARATION:
+                return f"poles {poles[i]} and {poles[j]} coincide"
+    return None
 
 
 def loop_nearest_root_errors(roots, true_poles):

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pademor import cli, harness, hilbert, modal, numerics, pade, poly
-from pademor.errors import ConfigError, NoConvergence, PadeError
+from pademor.errors import ConfigError, DuplicatePoles, NoConvergence, PadeError, close_pairs
 
 from conftest import OVERFLOWING_Q_MODULUS, load_perfbench
-from oracles import (approximant_errors, horner_magnitude, loop_nearest_root_errors, modal_error,
-                     point_errors)
+from oracles import (approximant_errors, horner_magnitude, loop_config_separation,
+                     loop_duplicate_poles, loop_nearest_root_errors, modal_error, point_errors)
 
 SYNTH_CONFIG = {
     "model": {
@@ -80,6 +80,67 @@ class TestFmt:
         assert [row[-1] for row in rows] == ["0", "0", "1", "1"] + ["0"] * 7
         header, rows = self._rows(tmp_path, "compare")
         assert [row[0] for row in rows] == [str(E) for E in (2, 3, 4) for _ in range(11)]
+
+
+# Pole parts for the separation checks: signed zeros, subnormals, parts
+# near 2^1020 (differences up to 2^1021 stay finite) and a few others; and
+# offsets of 0, of the tolerance, of its neighbours one ulp either side,
+# and of a fraction of it or more.
+SEPARATION_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0,
+                                    -1.0, 0.1, 3.0, 2.0**1020, -(2.0**1020), 1.5 * 2.0**1019])
+TOL = modal.POLE_SEPARATION
+SEPARATION_OFFSETS = st.sampled_from([0.0, -0.0, TOL, -TOL, np.nextafter(TOL, 0.0),
+                                      np.nextafter(TOL, 1.0), -np.nextafter(TOL, 1.0),
+                                      0.5 * TOL, -0.7 * TOL, 0.7 * TOL, 2 * TOL, 1.0])
+
+
+@st.composite
+def pole_sets(draw):
+    """Up to 10 poles, each a new point or an earlier one moved by an offset
+    in its real part, its imaginary part or both, so that equal real parts
+    and pairs at the tolerance, one ulp either side, are common."""
+    poles = [complex(draw(SEPARATION_PARTS), draw(SEPARATION_PARTS))]
+    for _ in range(draw(st.integers(0, 9))):
+        if draw(st.booleans()):
+            poles.append(complex(draw(SEPARATION_PARTS), draw(SEPARATION_PARTS)))
+        else:
+            base = draw(st.sampled_from(poles))
+            poles.append(complex(base.real + draw(SEPARATION_OFFSETS),
+                                 base.imag + draw(SEPARATION_OFFSETS)))
+    return poles
+
+
+class TestPoleSeparation:
+    """errors.close_pairs, behind the config check and build_synthetic's
+    DuplicatePoles, finds every pair within the tolerance that the loops
+    over all pairs found (oracles.loop_config_separation,
+    oracles.loop_duplicate_poles), and each caller reports the same first
+    pair, byte for byte."""
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(poles=pole_sets())
+    @example(poles=[complex(2.0**1020, 0.0), complex(-(2.0**1020), 0.0)])
+    @example(poles=[0j, complex(-0.0, TOL), complex(0.0, -np.nextafter(TOL, 1.0))])
+    def test_checks_are_the_loops_over_all_pairs(self, poles):
+        pairs = close_pairs(poles, TOL)
+        assert sorted(pairs) == [(i, j) for i in range(len(poles))
+                                 for j in range(i + 1, len(poles))
+                                 if abs(poles[i] - poles[j]) <= TOL]
+        spec = {"kind": "synthetic", "poles": [[z.real, z.imag] for z in poles],
+                "residue_norms": [1.0] * len(poles)}
+        config_message, duplicate_message = loop_config_separation(poles), loop_duplicate_poles(poles)
+        if config_message is None:
+            harness._model_constructor(spec)
+        else:
+            with pytest.raises(ConfigError) as exc:
+                harness._model_constructor(spec)
+            assert str(exc.value) == config_message
+        if duplicate_message is None:
+            modal.build_synthetic(poles, spec["residue_norms"])
+        else:
+            with pytest.raises(DuplicatePoles) as exc:
+                modal.build_synthetic(poles, spec["residue_norms"])
+            assert str(exc.value) == duplicate_message
 
 
 class TestParseConfig:
@@ -1080,10 +1141,10 @@ class TestNearestRootErrors:
 
 
 class TestFailureOrder:
-    """A command reports the failure that building its approximants one by
-    one in (M, fast, standard) order, then finding their poles in (E, fast,
-    standard) order, meets first, though the stacked solves meet them in
-    another order."""
+    """A command reports the first failure that its stacked passes meet:
+    the standard denominators' stack before the fast one, then the roots'
+    checks one after the other, each over the stack in (E, fast, standard)
+    order."""
 
     CONFIG = {**SYNTH_CONFIG, "model": {"kind": "synthetic",
                                         "poles": [[1.0, 0.0], [2.0, 0.0], [4.0, 0.5]],
@@ -1098,26 +1159,25 @@ class TestFailureOrder:
         return capsys.readouterr().err
 
     @pytest.mark.parametrize("fast, standard, first", [
-        (1, 2, "fast 1"), (2, 1, "standard 1"), (1, 1, "fast 1"), (2, 0, "standard 0"),
+        (1, 2, "standard 2"), (2, 1, "standard 1"), (1, 1, "standard 1"),
+        (2, 0, "standard 0"), (1, None, "fast 1"),
     ])
     def test_first_denominator_failure(self, tmp_path, capsys, monkeypatch,
                                        fast, standard, first):
-        # the fast kernel records a failure for the item of M_list[fast]
-        # (one SVD for all three); the standard kernel (one lockstep Jacobi
-        # for all three, solved first) for the item of M_list[standard]
+        # the fast kernel (one SVD for all three) fails on the item of
+        # M_list[fast], the standard kernel (one lockstep Jacobi for all
+        # three, solved first) on the item of M_list[standard], if any
         svd, eigs = numerics.min_right_singular_vectors, numerics.hermitian_eigensystems
 
         def failing_svd(R):
-            out = svd(R)
-            assert len(out) == 3
-            out[fast] = NoConvergence(f"fast {fast}")
-            return out
+            assert len(R) == 3
+            raise NoConvergence(f"fast {fast}")
 
         def failing_eigs(matrices, *args):
-            out = eigs(matrices, *args)
-            assert len(out) == 3
-            out[standard] = NoConvergence(f"standard {standard}")
-            return out
+            assert len(matrices) == 3
+            if standard is None:
+                return eigs(matrices, *args)
+            raise NoConvergence(f"standard {standard}")
 
         monkeypatch.setattr(numerics, "min_right_singular_vectors", failing_svd)
         monkeypatch.setattr(numerics, "hermitian_eigensystems", failing_eigs)
@@ -1127,19 +1187,28 @@ class TestFailureOrder:
     @pytest.mark.parametrize("failing", [{3}, {4, 1}, {5, 0, 2}])
     def test_first_root_failure(self, tmp_path, capsys, monkeypatch, failing):
         # one roots stack for the six denominators of E_list, in (E, fast,
-        # standard) order
-        solve = numerics.polynomial_roots_stack
+        # standard) order.  With no residual tolerance each denominator
+        # fails the check with its own worst ratio, and the others, made
+        # monomials z^2 with exact roots 0, pass: the check meets the
+        # first failing row of the stack first
+        solve, rows = numerics.polynomial_roots_stack, []
 
         def failing_roots(polys):
-            out = solve(polys)
-            assert len(out) == 6
-            for i in failing:
-                out[i] = NoConvergence(f"roots {i}")
-            return out
+            assert len(polys) == 6
+            rows.extend(polys)
+            return solve([p if i in failing else [0.0, 0.0, 1.0] for i, p in enumerate(polys)])
 
         monkeypatch.setattr(numerics, "polynomial_roots_stack", failing_roots)
+        monkeypatch.setattr(numerics, "ROOT_TOL", 0.0)
         err = self.run(tmp_path, capsys, "poles")
-        assert err == f"numerical failure: NoConvergence: roots {min(failing)}\n"
+        alone = []
+        for row in rows:
+            with pytest.raises(NoConvergence) as exc:
+                solve([row])
+            alone.append(f"numerical failure: NoConvergence: {exc.value}\n")
+        first = min(failing)
+        assert err == alone[first]
+        assert err not in {alone[i] for i in failing - {first}}  # each row's own ratio
 
 
 class TestPoleGrouping:

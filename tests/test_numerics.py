@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from pademor import cli, numerics, poly
 from pademor.errors import (DegenerateLeadingCoefficient, NoConvergence, NonFiniteValue,
-                            NonHermitianInput, PadeError, settled)
+                            NonHermitianInput)
 
 from conftest import load_perfbench
-from oracles import (block_scale_exponent, loop_jacobi, loop_polynomial_roots, loop_roots,
-                     min_eigenpair, singular_min_eigen, vector_phase_fix)
+from oracles import (block_scale_exponent, check_stack, loop_jacobi, loop_polynomial_roots,
+                     loop_roots, min_eigenpair, singular_min_eigen, vector_phase_fix)
 
 
 def random_hermitian(rng, n):
@@ -188,8 +188,8 @@ class TestJacobiOracle:
 
 class TestJacobiStack:
     """hermitian_eigensystems solves a stack in lockstep, each matrix giving
-    what it gives alone (oracles.loop_jacobi), bytes compared, and each
-    failure recorded in its place."""
+    what it gives alone (oracles.loop_jacobi), bytes compared; a failing
+    matrix stops the stack."""
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
@@ -202,23 +202,31 @@ class TestJacobiStack:
         for H, (vals, vecs) in zip(matrices, numerics.hermitian_eigensystems(matrices)):
             assert_loop_bytes(H, vals, vecs)
 
-    def test_failures_are_recorded_in_place(self, rng, monkeypatch):
+    def test_a_failure_stops_the_stack(self, rng, monkeypatch):
         # one sweep allowed: the diagonal matrix needs none and the one
         # with a single off-diagonal pair converges in one; the random one
-        # runs out of sweeps and the non-Hermitian one is refused, each
-        # recorded in its place, while the others keep their bytes
+        # runs out of sweeps and the non-Hermitian one is refused.  The
+        # checks run before the sweeps, so the refusal stops the whole
+        # stack first; without it the stack stops at the sweep limit with
+        # the random matrix's own message, and the two others keep their
+        # bytes
         monkeypatch.setattr(numerics, "MAX_JACOBI_SWEEPS", 1)
         matrices = [np.diag([3.0, 1.0, 2.0]), random_matrix(rng, 3, "complex"),
                     np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]]),
                     np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])]
-        out = numerics.hermitian_eigensystems(matrices)
-        assert isinstance(out[1], NoConvergence)
-        assert str(out[1]).startswith("Jacobi sweeps exceeded 1 without reaching")
-        assert isinstance(out[3], NonHermitianInput)
-        for k in (0, 2):
-            assert_loop_bytes(matrices[k], *out[k])
-        with pytest.raises(NoConvergence):
-            settled(out)
+        with pytest.raises(NonHermitianInput) as refused:
+            numerics.hermitian_eigensystems(matrices)
+        with pytest.raises(NonHermitianInput) as alone:
+            numerics.hermitian_eigensystem(matrices[3])
+        assert str(refused.value) == str(alone.value)
+        with pytest.raises(NoConvergence) as stopped:
+            numerics.hermitian_eigensystems(matrices[:3])
+        with pytest.raises(NoConvergence) as alone:
+            numerics.hermitian_eigensystem(matrices[1])
+        assert str(stopped.value) == str(alone.value)
+        assert str(alone.value).startswith("Jacobi sweeps exceeded 1 without reaching")
+        for k, (vals, vecs) in zip((0, 2), numerics.hermitian_eigensystems(matrices[::2])):
+            assert_loop_bytes(matrices[k], vals, vecs)
 
 
 class TestNonFiniteMatrices:
@@ -239,14 +247,15 @@ class TestNonFiniteMatrices:
         with pytest.raises(NonFiniteValue, match="matrix has a non-finite entry"):
             numerics.hermitian_eigensystem(np.array(self.MATRICES[name]))
 
-    def test_recorded_in_place_in_a_stack(self, rng):
-        matrices = [random_matrix(rng, 2, "complex"), np.array(self.MATRICES["nan_diagonal"]),
-                    np.diag([3.0, 1.0]), np.array(self.MATRICES["inf_diagonal"]),
+    def test_refused_in_a_stack(self, rng):
+        # a non-Hermitian matrix before the non-finite ones: the finite
+        # check runs first, over the whole stack
+        skew = random_matrix(rng, 2, "complex") + 1e-6j * np.triu(np.ones((2, 2)), 1)
+        matrices = [skew, np.array(self.MATRICES["nan_diagonal"]), np.diag([3.0, 1.0]),
+                    np.array(self.MATRICES["inf_diagonal"]),
                     np.array(self.MATRICES["nan_off_diagonal"])]
-        out = numerics.hermitian_eigensystems(matrices)
-        assert [isinstance(x, NonFiniteValue) for x in out] == [False, True, False, True, True]
-        for k in (0, 2):
-            assert_loop_bytes(matrices[k], *out[k])
+        with pytest.raises(NonFiniteValue, match="^matrix has a non-finite entry$"):
+            numerics.hermitian_eigensystems(matrices)
 
 
 def stack_matrix(rng, n, kind):
@@ -278,15 +287,8 @@ def per_matrix(H, smallest):
     return numerics.MinEigen(value, vector, degenerate, float(vals[-1]))
 
 
-def assert_same_outcome(got, alone):
-    """alone() returns or raises; got is its stacked outcome, the same error
-    (type and message) or the same arrays and flags byte for byte."""
-    try:
-        want = alone()
-    except PadeError as exc:
-        assert type(got) is type(exc) and str(got) == str(exc)
-        return exc
-    assert not isinstance(got, PadeError), got
+def same_arrays(got, want):
+    """The same arrays and flags, byte for byte."""
     assert len(got) == len(want)
     for g, x in zip(got, want):
         assert np.asarray(g).tobytes() == np.asarray(x).tobytes() and type(g) is type(x)
@@ -298,8 +300,9 @@ class TestStackPasses:
     and phase fix, and the scale exponents run as passes over a stack, each
     item giving the bytes, or the error, of the per-item code they replaced
     (oracles.check_hermitian, loop_jacobi, min_eigenpair,
-    singular_min_eigen, vector_phase_fix, block_scale_exponent), and the
-    stack raising the first failure in item order."""
+    singular_min_eigen, vector_phase_fix, block_scale_exponent); a stack
+    with a failing item raises an error that item raises alone
+    (oracles.check_stack)."""
 
     KINDS = ["complex", "scaled", "near_diagonal", "zero", "tie", "nan", "skew"]
 
@@ -309,20 +312,14 @@ class TestStackPasses:
     def test_stack_is_each_matrix_alone(self, n, seed, smallest, kinds):
         rng = np.random.default_rng(seed)
         matrices = [stack_matrix(rng, n, kind) for kind in kinds]
-        out = numerics.hermitian_eigensystems(matrices, smallest)
-        failures = [assert_same_outcome(got, lambda H=H: per_matrix(H, smallest))
-                    for got, H in zip(out, matrices)]
-        first = next((exc for exc in failures if exc is not None), None)
-        if first is not None:
-            with pytest.raises(type(first), match=f"^{re.escape(str(first))}$"):
-                settled(out)
+        check_stack(lambda: numerics.hermitian_eigensystems(matrices, smallest),
+                    [lambda H=H: per_matrix(H, smallest) for H in matrices], same_arrays)
 
     def test_smallest_is_hermitian_min_eigenpair(self, rng):
         for n in (1, 2, 5):
             for kind in ("tie", "zero", "complex"):
                 H = stack_matrix(rng, n, kind)
-                res = numerics.hermitian_min_eigenpair(H)
-                assert_same_outcome(res, lambda: per_matrix(H, True))
+                same_arrays(numerics.hermitian_min_eigenpair(H), per_matrix(H, True))
 
     def test_mixed_orders_raise_before_any_solve(self, monkeypatch):
         def solve(*args):
@@ -356,9 +353,8 @@ class TestStackPasses:
                       np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
                       for kind in kinds], dtype=complex)
         R[[kind == "nan" for kind in kinds], 0, -1] = np.nan
-        out = numerics.min_right_singular_vectors(R)
-        for got, Rb in zip(out, R):
-            assert_same_outcome(got, lambda Rb=Rb: singular_min_eigen(Rb))
+        check_stack(lambda: numerics.min_right_singular_vectors(R),
+                    [lambda Rb=Rb: singular_min_eigen(Rb) for Rb in R], same_arrays)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(blocks=st.lists(st.tuples(st.sampled_from([0, 0, 450, -450, 401, -401, -1074, 1023]),
@@ -504,18 +500,9 @@ class TestPolynomialRoots:
             numerics.polynomial_roots([0.3, -1.7, 0.9, 1.0])
 
 
-def same_outcome(stacked, alone):
-    """A stack's outcome for one item against that item solved alone
-    (alone() returns or raises): the same error, type and message, or the
-    same roots byte for byte, signed zeros included."""
-    try:
-        expected = alone()
-    except PadeError as exc:
-        assert type(stacked) is type(exc) and str(stacked) == str(exc)
-    else:
-        assert not isinstance(stacked, PadeError), stacked
-        got, want = np.array(stacked, dtype=complex), np.array(expected, dtype=complex)
-        assert got.tobytes() == want.tobytes()
+def same_roots(got, want):
+    """The same roots byte for byte, signed zeros included."""
+    assert np.array(got, dtype=complex).tobytes() == np.array(want, dtype=complex).tobytes()
 
 
 # One coefficient part: 0 (of either sign) or a float of a few decades.
@@ -539,8 +526,8 @@ def coefficient_rows(draw):
 
 
 class TestRootStacks:
-    """A stack of polynomials gives each one's roots, or error, as solving
-    it alone does."""
+    """A stack of polynomials gives each one's roots as solving it alone
+    does, or raises an error that one of them raises alone."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(rows=st.lists(coefficient_rows(), min_size=1, max_size=8), strict=st.booleans())
@@ -548,32 +535,33 @@ class TestRootStacks:
         # strict: a residual bound of 2^-60, which rows with rounded roots
         # fail (NoConvergence) while the exact monomials pass
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
-            stacked = numerics.polynomial_roots_stack(rows)
-            assert len(stacked) == len(rows)
-            for out, row in zip(stacked, rows):
-                same_outcome(out, lambda: numerics.polynomial_roots(row))
+            check_stack(lambda: numerics.polynomial_roots_stack(rows),
+                        [lambda row=row: numerics.polynomial_roots(row) for row in rows],
+                        same_roots)
             polys = [poly.ShiftedPolynomial(0.5 - 0.25j, row) for row in rows]
-            for out, p in zip(poly.roots_stack(polys), polys):
-                same_outcome(out, lambda: poly.roots(p))
+            check_stack(lambda: poly.roots_stack(polys), [lambda p=p: poly.roots(p) for p in polys],
+                        same_roots)
 
-    def test_failed_row_keeps_its_place(self):
-        # the middle row fails a residual bound of 2^-60; the monomials
-        # around it pass
+    def test_a_failed_row_stops_the_stack(self):
+        # the middle row fails a residual bound of 2^-60, with its own
+        # worst ratio; the monomials around it pass
         rows = [[0, 0, 2.0], [0.3, -1.7, 0.9, 1.0], [0, 0, 0, 1j]]
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60):
-            first, failed, last = numerics.polynomial_roots_stack(rows)
-            assert first == [0j, 0j] and last == [0j, 0j, 0j]
-            assert isinstance(failed, NoConvergence)
-            with pytest.raises(NoConvergence, match="root residual check failed"):
-                settled([first, failed, last])
+            with pytest.raises(NoConvergence) as alone:
+                numerics.polynomial_roots(rows[1])
+            with pytest.raises(NoConvergence, match=f"^{re.escape(str(alone.value))}$"):
+                numerics.polynomial_roots_stack(rows)
+            assert numerics.polynomial_roots_stack(rows[::2]) == [[0j, 0j], [0j, 0j, 0j]]
 
     def test_first_failure_in_order_is_raised(self):
-        # degree 1 solves before degree 2, yet the degree-2 row comes first
-        stacked = numerics.polynomial_roots_stack([[1.0, 1.0, 1e-16], [], [1.0, 1.0]])
+        # in the order of the passes: the empty-row check runs over the
+        # whole stack first; then each degree's stack, in the order of its
+        # first row, raises a vanishing leading coefficient before its solve
+        with pytest.raises(DegenerateLeadingCoefficient, match="^empty coefficient list$"):
+            numerics.polynomial_roots_stack([[1.0, 1.0, 1e-16], [], [1.0, 1.0]])
         with pytest.raises(DegenerateLeadingCoefficient, match="vanishes"):
-            settled(stacked)
-        assert isinstance(stacked[1], DegenerateLeadingCoefficient)
-        assert stacked[2] == [-1 + 0j]
+            numerics.polynomial_roots_stack([[1.0, 1.0, 1e-16], [1.0, 1.0]])
+        assert numerics.polynomial_roots_stack([[1.0, 1.0]]) == [[-1 + 0j]]
 
 
 # One part of a root, or of a center: few values, so that distances, real
@@ -633,15 +621,16 @@ def edge_rows(draw):
 class TestRootPasses:
     """The trim, the leading-coefficient and 2^1000 rules, the residual
     check and the root order run as array passes over a stack, each
-    polynomial giving the bytes, or the error, of the per-polynomial loop
-    they replaced (oracles.loop_roots)."""
+    polynomial giving the bytes of the per-polynomial loop they replaced
+    (oracles.loop_roots), or the stack raising an error that a failing
+    polynomial raises there (oracles.check_stack)."""
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(ps=st.lists(root_polynomials(), min_size=1, max_size=8), strict=st.booleans())
     def test_stack_is_the_per_polynomial_loop(self, ps, strict):
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
-            for out, p in zip(poly.roots_stack(ps), ps):
-                same_outcome(out, lambda: loop_roots(p))
+            check_stack(lambda: poly.roots_stack(ps), [lambda p=p: loop_roots(p) for p in ps],
+                        same_roots)
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(rows=st.lists(st.one_of(coefficient_rows(), edge_rows()), min_size=1, max_size=8),
@@ -650,8 +639,8 @@ class TestRootPasses:
         # the rows reach the solve untrimmed, so that a leading
         # coefficient of exactly TRIM_THRESHOLD times the largest fails
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
-            for out, row in zip(numerics.polynomial_roots_stack(rows), rows):
-                same_outcome(out, lambda: loop_polynomial_roots(row))
+            check_stack(lambda: numerics.polynomial_roots_stack(rows),
+                        [lambda row=row: loop_polynomial_roots(row) for row in rows], same_roots)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(raw=st.lists(st.lists(st.builds(complex, TIED_PARTS, TIED_PARTS), min_size=1,
@@ -679,4 +668,4 @@ class TestRootPasses:
         got = poly.roots_stack(ps)
         assert [len(r) for r in got] == [2, 3, 2, 1]
         for out, p in zip(got, ps):
-            same_outcome(out, lambda: loop_roots(p))
+            same_roots(out, loop_roots(p))

@@ -1,5 +1,4 @@
 import math
-import re
 from unittest import mock
 
 import numpy as np
@@ -7,14 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pademor import harness, hilbert, modal, numerics, pade, poly
-from pademor.errors import (InsufficientTaylorLength, NoConvergence, NotNormalized, RhoOverflow,
-                            settled)
+from pademor.errors import InsufficientTaylorLength, NotNormalized, RhoOverflow
 from pademor.hilbert import InnerProductWeights, norm
 
 from conftest import OVERFLOWING_GRAMIAN_SUM
-from oracles import (column_mgs, loop_fast_denominators, loop_gramian_sums, loop_numerator,
-                     loop_standard_denominators, normalize, residual_norm, same_denominator,
-                     taylor_window, unit_denominator, window_gramian)
+from oracles import (check_stack, column_mgs, loop_fast_denominator, loop_gramian_sum,
+                     loop_numerator, loop_standard_denominator, normalize, residual_norm,
+                     same_denominator, taylor_window, unit_denominator, window_gramian)
 from oracles import block_scale_exponent
 
 L2_1 = InnerProductWeights.l2(1)
@@ -252,7 +250,7 @@ class TestGramianBlocks:
     """Each Gramian block is computed once per stack, on a window sliced
     from one copy of the Taylor rows per scale exponent, yet each block and
     each sum has the bytes of the per-window, per-item loop it replaced
-    (oracles.window_gramian, oracles.loop_gramian_sums)."""
+    (oracles.window_gramian, oracles.loop_gramian_sum)."""
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6), N=st.integers(0, 4),
@@ -273,38 +271,33 @@ class TestGramianBlocks:
     def test_sums_are_the_per_item_loop(self, seed, dim, N, exponents, items):
         # rows of 2^450 or 2^-450 among rows of 1 give the windows of one
         # stack two scale exponents over overlapping orders; rho = 1e40
-        # moves the threshold, rho = 1e200 overflows, and an E at or past
-        # the end of the block is InsufficientTaylorLength
+        # moves the threshold, rho = 1e200 overflows (RhoOverflow), and an
+        # E at or past the end of the block is InsufficientTaylorLength:
+        # the stack raises an error that one item raises alone
         rng = np.random.default_rng(seed)
         t = taylor_rows(rng, len(exponents), dim, exponents)
         w = InnerProductWeights(rng.uniform(0.1, 2.0, dim))
         items = [(max(E - gap, 0), E, rho) for E, gap, rho in items]
-        try:
-            expected = loop_gramian_sums(t, N, items, w)
-        except InsufficientTaylorLength:
-            # the stack names the coefficients its blocks need, the largest
-            # order + 1; one item at a time named the first missing one
-            need = max(E for M, E, rho in items
-                       if M < E and 2.0 * (E - M) * math.log10(rho) <= 300.0)
-            with pytest.raises(InsufficientTaylorLength, match=(
-                    f"^need E\\+1 = {need + 1} Taylor coefficients, have {len(exponents)}$")):
-                pade._gramian_denominators(t, N, items, w)
-            return
         solved = []
+
+        class Solved(Exception):
+            pass
 
         def recorded(matrices, *args):
             solved.extend(matrices)
-            return [NoConvergence("not solved")] * len(matrices)
+            raise Solved
 
-        with mock.patch.object(numerics, "hermitian_eigensystems", recorded):
-            out = pade._gramian_denominators(t, N, items, w)
-        sums = iter(solved)
-        for want, got in zip(expected, out):
-            if isinstance(want, RhoOverflow):
-                assert type(got) is RhoOverflow and str(got) == str(want)
-            else:
-                assert next(sums).tobytes() == want[0].tobytes()
-        assert next(sums, None) is None
+        def stack():
+            with mock.patch.object(numerics, "hermitian_eigensystems", recorded):
+                with pytest.raises(Solved):
+                    pade._gramian_denominators(t, N, items, w)
+            return solved
+
+        def same_sum(got, want):
+            assert got.tobytes() == want[0].tobytes()
+
+        check_stack(stack, [lambda item=item: loop_gramian_sum(t, N, *item, w) for item in items],
+                    same_sum)
 
 
 class TestDenominatorPasses:
@@ -312,10 +305,10 @@ class TestDenominatorPasses:
     the checks, convergence tests and harvest of the Jacobi stack, the
     minimal eigenpair's pick, phase fixes and normalisation, the singular
     vectors' gap test and phase fix, the scale exponents, the weighted sums
-    and the unit-norm check.  Each item still gets the bytes, or the error,
-    of the per-item steps they replaced (oracles.loop_standard_denominators,
-    oracles.loop_fast_denominators), and the stack raises the first failure
-    in item order, as the one-by-one steps would."""
+    and the unit-norm check.  Each item still gets the bytes of the
+    per-item steps they replaced (oracles.loop_standard_denominator,
+    oracles.loop_fast_denominator), or the stack raises an error that a
+    failing item raises there (oracles.check_stack)."""
 
     STACK = dict(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5), N=st.integers(0, 3),
                  exponents=st.lists(st.sampled_from([0, 0, 0, 450, -450]), min_size=8,
@@ -327,17 +320,6 @@ class TestDenominatorPasses:
         return (taylor_rows(rng, len(exponents), dim, exponents),
                 InnerProductWeights(rng.uniform(0.1, 2.0, dim)))
 
-    @staticmethod
-    def assert_same(got, want):
-        for g, x in zip(got, want, strict=True):
-            same_denominator(g, x)
-        first = next((x for x in want if isinstance(x, Exception)), None)
-        if first is None:
-            settled(got)
-        else:
-            with pytest.raises(type(first), match=f"^{re.escape(str(first))}$"):
-                settled(got)
-
     @settings(max_examples=80, deadline=None, database=None)
     @given(**STACK, items=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3),
                                              st.sampled_from([1.0, 0.5, 3.0, 1e40, 1e200])),
@@ -347,8 +329,9 @@ class TestDenominatorPasses:
         # 2^450 or not at all, rho = 1e200 overflowing
         t, w = self.block(seed, dim, exponents)
         items = [(max(E - gap, 0), E, rho) for E, gap, rho in items]
-        self.assert_same(pade._gramian_denominators(t, N, items, w),
-                         loop_standard_denominators(t, N, items, w))
+        check_stack(lambda: pade._gramian_denominators(t, N, items, w),
+                    [lambda item=item: loop_standard_denominator(t, N, *item, w)
+                     for item in items], same_denominator)
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(**STACK, Es=st.lists(st.integers(0, 4), min_size=1, max_size=6))
@@ -356,13 +339,13 @@ class TestDenominatorPasses:
         # windows of one to five modes, rank-deficient ones among them
         t, w = self.block(seed, dim, exponents)
         items = [(E + N, E + N, 1.0) for E in Es]
-        self.assert_same(pade._fast_denominators(t, N, items, w),
-                         loop_fast_denominators(t, N, items, w))
+        check_stack(lambda: pade._fast_denominators(t, N, items, w),
+                    [lambda E=E: loop_fast_denominator(t, N, E + N, w) for E in Es],
+                    same_denominator)
 
-    def test_failures_keep_their_place(self, monkeypatch):
-        # a stack whose second sum the eigensolve refuses and whose fourth
-        # vector fails the unit-norm check: each failure in its place, the
-        # others as alone, and the first one raised
+    def test_a_failure_stops_the_stack(self, monkeypatch):
+        # a stack whose fourth vector fails the unit-norm check raises it,
+        # with that vector's norm; unbroken, each item is as alone
         m = modal.build_synthetic([1.0, 2.0, 4.0 + 0.5j], [1.0, 0.5, 0.25])
         t = modal.taylor_coefficients(m, 0.3 + 0.2j, 9)
         items = [(M, M + 2, 1.5) for M in (2, 3, 4, 5)]
@@ -370,20 +353,15 @@ class TestDenominatorPasses:
 
         def failing(matrices, *args):
             out = eigensystems(matrices, *args)
-            out[1] = numerics.NonHermitianInput("refused")
             out[3] = out[3]._replace(vector=out[3].vector * 2.0)
             return out
 
         monkeypatch.setattr(numerics, "hermitian_eigensystems", failing)
-        got = pade._gramian_denominators(t, 2, items, m.weights)
+        with pytest.raises(NotNormalized, match="^eigenvector norm 2.0"):
+            pade._gramian_denominators(t, 2, items, m.weights)
         monkeypatch.undo()
-        want = loop_standard_denominators(t, 2, items, m.weights)
-        assert [type(x).__name__ for x in got[1::2]] == ["NonHermitianInput", "NotNormalized"]
-        assert str(got[3]).startswith("eigenvector norm 2.0")
-        for g, x in zip(got[::2], want[::2]):
-            same_denominator(g, x)
-        with pytest.raises(numerics.NonHermitianInput, match="^refused$"):
-            settled(got)
+        for g, item in zip(pade._gramian_denominators(t, 2, items, m.weights), items):
+            same_denominator(g, loop_standard_denominator(t, 2, *item, m.weights))
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(exponents=st.lists(st.sampled_from([0, 0, 450, -450, 401, -1000]), min_size=1,
@@ -415,25 +393,22 @@ class TestDenominatorPasses:
                          min_size=6, max_size=6))
     def test_unit_norm_check_is_each_vector_alone(self, vectors, skew):
         # vectors of norm 1, a little off or far off, nan, 0 and -0 - 0j
-        # entries; a PadeError in the stack keeps its place
+        # entries
         qs = [np.array(v) / (np.linalg.norm(v) or 1.0) * f for v, f in zip(vectors, skew)]
-        res = [numerics.MinEigen(0.0, q, False) for q in qs] + [NoConvergence("kept")]
-        got = pade._eigvec_denominators(res, 0.5j)
-        assert type(got[-1]) is NoConvergence
-        for g, q in zip(got, qs):
-            try:
-                want = unit_denominator(q, 0.5j)
-            except NotNormalized as exc:
-                assert type(g) is NotNormalized and str(g) == str(exc)
-            else:
-                assert g.coeffs.tobytes() == want.coeffs.tobytes() and g.center == want.center
+
+        def same(got, want):
+            assert got.coeffs.tobytes() == want.coeffs.tobytes() and got.center == want.center
+
+        check_stack(lambda: pade._eigvec_denominators(
+                        [numerics.MinEigen(0.0, q, False) for q in qs], 0.5j),
+                    [lambda q=q: unit_denominator(q, 0.5j) for q in qs], same)
 
 
 class TestStandardStacks:
     def test_stacks_of_two_N_with_an_overflowing_item(self, helmholtz, paper_z0):
         # the standard denominators of N = 2 and N = 3, one lockstep stack
         # per N, are each the denominator alone; an item whose rho
-        # overflows is recorded in place, and denominators raises it
+        # overflows stops its stack, and denominators raises it
         t = modal.taylor_coefficients(helmholtz, paper_z0, 42)
         w = helmholtz.weights
 
@@ -447,10 +422,8 @@ class TestStandardStacks:
                   for M in (2, 4, 6) for N in (2, 3)]
         for p, outcome in zip(params, pade.denominators(helmholtz, params, t)):
             assert_alone(outcome, p.M, p.N, p.E)
-        out = pade._gramian_denominators(t, 2, [(2, 6, 3.0), (2, 42, 1e10), (4, 8, 3.0)], w)
-        assert isinstance(out[1], RhoOverflow)
-        assert_alone(out[0], 2, 2, 6)
-        assert_alone(out[2], 4, 2, 8)
+        with pytest.raises(RhoOverflow, match=r"for rho=10000000000\.0, E-M=40$"):
+            pade._gramian_denominators(t, 2, [(2, 6, 3.0), (2, 42, 1e10), (4, 8, 3.0)], w)
         overflow = pade.BuildParams(paper_z0, 2, 2, 42, "standard", 1e10)
         with pytest.raises(RhoOverflow):
             pade.denominators(helmholtz, params[:3] + [overflow] + params[3:], t)

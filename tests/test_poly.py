@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pademor import hilbert, numerics, pade, poly
-from pademor.errors import (ConstantPolynomial, NonFiniteValue, NotNormalized, ZeroPolynomial,
-                            settled)
+from pademor.errors import ConstantPolynomial, NonFiniteValue, NotNormalized, ZeroPolynomial
 
 from oracles import copying_horner, normalize, numpy_horner
 
@@ -148,7 +147,7 @@ def denominator_from_eigvec(q, z0):
     """The denominator of one eigenvector: pade._eigvec_denominators of a
     stack of one."""
     res = numerics.MinEigen(0.0, np.asarray(q, dtype=complex), False)
-    return settled(pade._eigvec_denominators([res], z0))[0]
+    return pade._eigvec_denominators([res], z0)[0]
 
 
 class TestDenominatorFromEigvec:
