@@ -97,17 +97,6 @@ def stacks(items, key=len):
 
 def close_pairs(points, tol):
     """The pairs (i, j), i < j, of the complex points within tol of each
-    other by Python's abs, in no set order.  Sorted by real part, a point
-    is compared only with the next ones whose real parts lie within tol of
-    its own: the real part of a difference is the difference of the real
-    parts, and abs, a hypot, is at least it."""
-    order = sorted(range(len(points)), key=lambda i: points[i].real)
-    pairs = []
-    for a, i in enumerate(order):
-        for b in range(a + 1, len(order)):
-            j = order[b]
-            if points[j].real - points[i].real > tol:
-                break
-            if abs(points[j] - points[i]) <= tol:
-                pairs.append((min(i, j), max(i, j)))
-    return pairs
+    other by Python's abs, each pair compared once."""
+    return [(i, j) for j in range(len(points)) for i in range(j)
+            if abs(points[i] - points[j]) <= tol]

@@ -1,13 +1,14 @@
 """Compare what two source trees write, output by output, byte for byte.
 
-    python tools/compare_outputs.py OLD_TREE NEW_TREE [--tiny]
+    python tools/compare_outputs.py OLD_TREE NEW_TREE
 
 Each tree is a checkout of this repository; its package is imported from
 TREE/src.  Both trees run the five commands (build, sweep, convergence,
 poles, compare) on the three benchmark workloads of this checkout's
 perfbench/workloads.py at seeds 0 to 10 and on the README study, the
-README's example config: 170 outputs each.  --tiny takes the workloads'
-tiny configs and leaves the README study out (165 outputs).
+README's example config: 170 outputs each.  An exception that a command
+does not catch is recorded as exit code 1, Python's own on one, with its
+type and message as stderr, and the run goes on.
 
 Every output whose bytes, exit code or stderr differ between the trees is
 printed; the script exits 1 if any does, 0 if none.  Each tree runs all of
@@ -41,15 +42,14 @@ def readme_config():
     return json.loads(block)
 
 
-def studies(tiny):
+def studies():
     """{label: config} of every study to run."""
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    found = {f"{name}/seed{seed}": workloads.make_config(name, seed, tiny)
+    found = {f"{name}/seed{seed}": workloads.make_config(name, seed)
              for name in workloads.WORKLOADS for seed in SEEDS}
-    if not tiny:
-        found["readme"] = readme_config()
+    found["readme"] = readme_config()
     return found
 
 
@@ -68,7 +68,11 @@ def run_jobs(jobs_path, outdir):
         name = f"{label.replace('/', '_')}.{command}"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = cli.main([command, "--config", config, "--out", str(Path(outdir, name))])
+            try:
+                code = cli.main([command, "--config", config, "--out", str(Path(outdir, name))])
+            except Exception as exc:
+                code = 1
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         results[name] = [code, err.getvalue()]
     Path(outdir, "results.json").write_text(json.dumps(results))
 
@@ -77,12 +81,12 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16] if path.exists() else "no file"
 
 
-def compare(old, new, tiny):
+def compare(old, new):
     """Run both trees and print every difference; the number of outputs
     that differ."""
     with tempfile.TemporaryDirectory() as tmp:
         jobs = []
-        for label, config in studies(tiny).items():
+        for label, config in studies().items():
             path = Path(tmp, f"{label.replace('/', '_')}.json")
             path.write_text(json.dumps(config))
             jobs += [(label, command, str(path)) for command in COMMANDS]
@@ -125,10 +129,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", help="the tree to compare against")
     parser.add_argument("new", help="the tree under test")
-    parser.add_argument("--tiny", action="store_true",
-                        help="the workloads' tiny configs, without the README study")
     args = parser.parse_args(argv)
-    return 1 if compare(args.old, args.new, args.tiny) else 0
+    return 1 if compare(args.old, args.new) else 0
 
 
 if __name__ == "__main__":
