@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import pade
+from . import pade, poly
 from .errors import ConfigError, close_pairs, stacks
 from .modal import (
     CENTER_DISTANCE,
@@ -31,7 +31,6 @@ from .modal import (
     taylor_coefficients,
 )
 from .hilbert import json_text, norm
-from .poly import roots_stack
 
 SLOPE_FIT_WINDOW = (1e-11, 1e-1)
 NEAR_POLE_DISTANCE = 1e-6
@@ -446,7 +445,7 @@ def cmd_poles(config, model):
     lines = [",".join(header)]
     predicted = [predicted_point_factor(poles, config, lam) ** 2 for lam in true_poles]
     pairs = _pairs(model, config, config.E_list, 0, numerators=False)
-    roots = roots_stack([a.denominator for pair in pairs for a in pair])
+    roots = poly.roots([a.denominator for pair in pairs for a in pair])
     errors = _nearest_root_errors(roots, true_poles)
     for E, pair, (err_f, extra_f), (err_s, extra_s) in zip(config.E_list, pairs, errors[::2],
                                                            errors[1::2]):

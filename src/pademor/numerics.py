@@ -19,14 +19,13 @@ inputs; gauss_legendre keeps its last GAUSS_RULES_KEPT rules as read-only
 arrays.  EIGEN_TOL and ROOT_TOL are the eigen- and root-residual
 contracts; a leading coefficient TRIM_THRESHOLD times the largest or
 smaller vanishes.  A MinEigen is (value, vector, degenerate) and,
-for an eigenpair of hermitian_eigensystems, the largest eigenvalue.
+for an eigenpair of hermitian_min_eigenpair, the largest eigenvalue.
 
 The eigensystems, the singular vectors and the roots are solved for a
 whole stack at once, each item giving the bytes it gives alone, and so
 are the steps around the solves: checks, pick, phase fixes, norms, scale
 exponents.  A stack raises the first failure that its passes, check by
-check and item by item, meet; the single-problem routines are stacks of
-one.
+check and item by item, meet; an empty stack gives [].
 
 The rounding contract of the stacks: every item takes the float
 operations it takes alone, in the same order.  A real array operation
@@ -90,37 +89,24 @@ def norms(X):
     return np.sqrt((r @ r.mT + i @ i.mT)[:, 0, 0])
 
 
-def hermitian_eigensystem(H):
-    """Full eigendecomposition of a Hermitian matrix by cyclic complex Jacobi.
-
-    Returns (values, vectors) with values ascending and vectors as columns,
-    as the rotations leave them (not phase-fixed).  Residuals satisfy
-    ||H v - mu v|| <= EIGEN_TOL * ||H||_F.  A stack of one of
-    hermitian_eigensystems.
-    """
-    return hermitian_eigensystems([H])[0]
-
-
-def hermitian_eigensystems(matrices, smallest=False):
-    """hermitian_eigensystem of each of a list of matrices of one order, by
-    cyclic Jacobi on all of them in lockstep, each giving what it gives
-    alone; with smallest, its hermitian_min_eigenpair instead, the pick,
-    both phase fixes and the normalisation as passes over the stack, and
-    only a degenerate item comparing its near-minimal columns, each
-    phase-fixed alone.
+def _jacobi(matrices):
+    """Eigenvalues ascending, eigenvectors as columns in their order and the
+    Frobenius norm of each of a list of matrices of one order, by cyclic
+    Jacobi on all of them in lockstep, each giving what it gives alone.
 
     Matrices not all square of one order raise NonHermitianInput.  The
     checks (finite, then Hermitian to HERMITIAN_TOL of the Frobenius
     norm), each sweep's convergence test and harvest are passes over the
     stack.  W stacks the [A; V] blocks not yet converged, one column
     rotation turning A and the eigenvectors V together; S keeps each block
-    as it converged, and W is S itself until the first harvest.  At each pair (p, q) every matrix takes its rotation
-    scalars on Python floats, u = h / |h| by NumPy's complex division
-    rule, with the skip rule of a matrix alone (|h| <= 2^-52 ||H||_F / n
-    is zeroed, not rotated); the rotation, W J then J^H A, is applied once
-    to the matrices that rotate, as NumPy products.  The harvest's boolean
-    takes and stores run NumPy code that the command path runs anyway, so
-    add no pages to the resident peak.
+    as it converged, and W is S itself until the first harvest.  At each
+    pair (p, q) every matrix takes its rotation scalars on Python floats,
+    u = h / |h| by NumPy's complex division rule, with the skip rule of a
+    matrix alone (|h| <= 2^-52 ||H||_F / n is zeroed, not rotated); the
+    rotation, W J then J^H A, is applied once to the matrices that rotate,
+    as NumPy products.  The harvest's boolean takes and stores run NumPy
+    code that the command path runs anyway, so add no pages to the
+    resident peak.
     """
     shapes = {np.shape(H) for H in matrices}
     if len(shapes) != 1 or (s := min(shapes))[:1] * 2 != s or s < (1,):
@@ -179,52 +165,57 @@ def hermitian_eigensystems(matrices, smallest=False):
                 W[:, p, q] = W[:, q, p] = 0.0
     vals = S.real.diagonal(axis1=1, axis2=2)
     order = np.argsort(vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, 1)
-    vecs = np.take_along_axis(S[:, n:], order[:, None], 2)
-    systems = zip(vals, vecs)
-    if smallest:
-        near = vals - vals[:, :1] < DEGENERACY_GAP * np.maximum(scales, 1e-300)[:, None]
-        degenerate = near[:, 1:].any(axis=1)
-        v = phase_fix(vecs[:, :, 0])
-        for b in np.flatnonzero(degenerate):
-            v[b] = min(phase_fix(vecs[b].T[near[b]]), key=lambda u: (*u.real, *u.imag))
-        systems = map(MinEigen, vals[:, 0].tolist(), phase_fix(v / norms(v)[:, None]),
-                      degenerate.tolist(), vals[:, -1].tolist())
-    return list(systems)
+    return (np.take_along_axis(vals, order, 1),
+            np.take_along_axis(S[:, n:], order[:, None], 2), scales)
 
 
-def hermitian_min_eigenpair(H):
-    """Smallest eigenpair of a Hermitian matrix.
+def hermitian_eigensystem(matrices):
+    """Full eigendecomposition (values ascending, vectors as columns, not
+    phase-fixed) of each of a list of Hermitian matrices of one order
+    (_jacobi): ||H v - mu v|| <= EIGEN_TOL * ||H||_F."""
+    if not len(matrices):
+        return []
+    return list(zip(*_jacobi(matrices)[:2]))
+
+
+def hermitian_min_eigenpair(matrices):
+    """Smallest eigenpair of each of a list of Hermitian matrices of one
+    order (_jacobi), as a MinEigen, the pick, both phase fixes and the
+    normalisation as passes over the stack.
 
     The eigenvector is unit-norm with its largest-magnitude entry real
     nonnegative.  When the two smallest eigenvalues differ by less than
-    1e-12 * ||H||_F the result is flagged degenerate and, among the
+    DEGENERACY_GAP * ||H||_F the result is flagged degenerate and, among the
     near-minimal eigenvectors, the phase-fixed lexicographically smallest
-    one (real parts, then imaginary parts) is returned.
+    one (real parts, then imaginary parts) is returned: only a degenerate
+    item compares its near-minimal columns, each phase-fixed alone.
     """
-    return hermitian_eigensystems([H], True)[0]
+    if not len(matrices):
+        return []
+    vals, vecs, scales = _jacobi(matrices)
+    near = vals - vals[:, :1] < DEGENERACY_GAP * np.maximum(scales, 1e-300)[:, None]
+    degenerate = near[:, 1:].any(axis=1)
+    v = phase_fix(vecs[:, :, 0])
+    for b in np.flatnonzero(degenerate):
+        v[b] = min(phase_fix(vecs[b].T[near[b]]), key=lambda u: (*u.real, *u.imag))
+    return list(map(MinEigen, vals[:, 0].tolist(), phase_fix(v / norms(v)[:, None]),
+                    degenerate.tolist(), vals[:, -1].tolist()))
 
 
 def min_right_singular_vector(R):
-    """Right-singular vector of a small square R for its smallest singular
-    value, as a MinEigen whose value is that singular value.
+    """Right-singular vector for the smallest singular value of each small
+    square factor of a (B, n, n) stack, as a MinEigen whose value is that
+    singular value, by one SVD, each giving what it gives alone; a
+    non-finite entry raises NoConvergence.
 
     Takes LAPACK's SVD of R itself, so the vector is always a minimiser of
     ||R v|| over unit v, phase-fixed.  The degenerate flag only reports a
     near tie: the two smallest sigma^2 within DEGENERACY_GAP * ||sigma^2||_2
     (that is ||R^H R||_F, as hermitian_min_eigenpair flags R^H R), all
     relative to sigma_max^2 so that no square overflows; it does not change
-    the choice.  A stack of one of min_right_singular_vectors.
-    """
-    return min_right_singular_vectors(np.array([R], dtype=complex))[0]
-
-
-def min_right_singular_vectors(R):
-    """min_right_singular_vector of each factor of a (B, n, n) stack, by one
-    SVD, each giving what it gives alone; a non-finite entry raises
-    NoConvergence.  The gap test's norms and the phase fix are row passes;
-    the two squares it compares stay Python's, libm's pow, which NumPy's
-    array square does not round alike."""
+    the choice.  The gap test's norms and the phase fix are row passes; the
+    two squares it compares stay Python's, libm's pow, which NumPy's array
+    square does not round alike."""
     if not np.isfinite(R).all():
         raise NoConvergence("the factor R has a non-finite entry")
     s, Vh = np.linalg.svd(R)[1:]
@@ -272,31 +263,28 @@ def _horner(b, x):
     return p, dp
 
 
-def polynomial_roots(coeffs):
-    """All roots (with multiplicity) of a polynomial in ascending coefficients.
+def polynomial_roots(polys):
+    """All roots (with multiplicity) of each of a list of polynomials in
+    ascending coefficients, those of one degree solved as one stack, each
+    giving what it gives alone.
 
     The roots are the eigenvalues of the companion matrix of the monic
     polynomial (np.linalg.eigvals), each followed by one Newton step that is
     kept only where it lowers |p|.  The roots come in no set order (poly.roots
     sorts them), and each satisfies
-    |p(root)| <= ROOT_TOL * max|coeff| * (1 + |root|)^degree.  A stack of one
-    of polynomial_roots_stack.
-    """
-    return polynomial_roots_stack([coeffs])[0]
-
-
-def polynomial_roots_stack(polys):
-    """polynomial_roots of each coefficient array of polys, those of one
-    degree solved as one stack (one companion eigvals, Newton step and
-    residual check), each giving what it gives alone.  The
+    |p(root)| <= ROOT_TOL * max|coeff| * (1 + |root|)^degree.  The finite,
     leading-coefficient and 2^1000 rules and the residual check are array
-    passes over each degree's stack; a vanishing leading coefficient raises
-    before the solve."""
+    passes over each degree's stack; a non-finite coefficient
+    (NonFiniteValue) or a vanishing leading coefficient raises before the
+    solve.
+    """
     out = [np.asarray(p, dtype=complex) for p in polys]
     if any(a.ndim != 1 or not a.size for a in out):
         raise DegenerateLeadingCoefficient("empty coefficient list")
     for index in stacks(out).values():
         a = np.array([out[i] for i in index])
+        if not np.isfinite(a).all():
+            raise NonFiniteValue("polynomial coefficients have a non-finite entry")
         degree = a.shape[1] - 1
         amax = np.abs(a).max(axis=1)
         lead = np.hypot(a[:, -1].real, a[:, -1].imag)

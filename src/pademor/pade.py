@@ -15,11 +15,10 @@ stack per variant and N, each giving the bytes it gives alone, so that
 NumPy's cost per call is paid once: the fast ones by one QR of all their
 windows (hilbert.gram_schmidt) and one SVD of all their full-rank factors,
 the standard ones by one lockstep Jacobi over all their Gramian sums
-(numerics.hermitian_eigensystems), whose blocks, shared by the sums of a
+(numerics.hermitian_min_eigenpair), whose blocks, shared by the sums of a
 stack, are each computed once, on windows sliced from one copy of the
-Taylor rows (_gramian_blocks).  A single build is a stack of one.
-The approximants of a command are evaluated as one stack as well
-(evaluate_stack), and evaluate is a stack of one.
+Taylor rows (_gramian_blocks).  The approximants of a command are
+evaluated as one stack as well (evaluate_stack).
 """
 
 import itertools
@@ -125,26 +124,21 @@ def _scale(X, even=False):
     return ks
 
 
-def gramian(taylor, N, E, w):
-    """Hermitian PSD matrix of V-inner products of the Taylor window:
-    entry (i, j) = <S_{E-N+j}, S_{E-N+i}>.  The one block of
-    _gramian_blocks."""
-    if E < 0:
-        raise ValueError("E must be nonnegative")
-    return _gramian_blocks(taylor, N, [(0, E)], w)[0, E]
-
-
 def _gramian_blocks(taylor, N, keys, w):
-    """{(k, gamma): gramian of order gamma of the Taylor rows scaled by
-    2^-k} for the (k, gamma) of keys, each block once.  The windows are
-    slices of one zero-padded copy of the rows per k (_taylor_rows), so each
-    block takes the float operations, operand order and BLAS call of the
-    block alone.  Each block conjugates and weights its own window: a
+    """{(k, gamma): Gramian of order gamma of the Taylor rows scaled by
+    2^-k} for the (k, gamma) of keys, each block once: the Hermitian PSD
+    matrix of V-inner products of the window of order gamma, entry (i, j)
+    = <S_{gamma-N+j}, S_{gamma-N+i}>; a negative order raises ValueError.
+    The windows are slices of one zero-padded copy of the rows per k
+    (_taylor_rows), so each block takes the float operations, operand
+    order and BLAS call of the block alone.  Each block conjugates and weights its own window: a
     conjugated and a weighted copy of all the rows per k would hold two
     more arrays of every row, to save a few percent of the blocks' time."""
     rows, scaled, blocks = _taylor_rows(
         taylor, N, max((g for _, g in keys), default=0) + 1), {}, {}
     for k, gamma in dict.fromkeys(keys):
+        if gamma < 0:
+            raise ValueError("E must be nonnegative")
         if k not in scaled:
             scaled[k] = rows * 2.0**-k if k else rows
         window = scaled[k][gamma : gamma + N + 1]
@@ -153,11 +147,13 @@ def _gramian_blocks(taylor, N, keys, w):
     return blocks
 
 
-def _gramian_denominators(taylor, N, items, w):
-    """Minimal eigenvector of the rho-weighted Gramian sum over orders
-    M+1..E for each (M, E, rho) of items, rescaled by rho^{-2(M+1)}, all
-    sums solved by one numerics.hermitian_eigensystems call; an item whose
-    rho^(2(E-M)) overflows raises RhoOverflow first.
+def denominator_standard(taylor, N, items, w):
+    """Standard denominator: the minimal eigenvector of the rho-weighted
+    Gramian sum over orders M+1..E for each (M, E, rho) of items, rescaled
+    by rho^{-2(M+1)}, all sums solved by one numerics.hermitian_min_eigenpair
+    call: a (denominator, diagnostics) pair per item.  An item whose rho is
+    not positive raises ValueError, one whose rho^(2(E-M)) overflows
+    RhoOverflow, both before the solve.
 
     The minimizer is invariant under positive scaling of the matrix, so the
     rescaling only guards against overflow, as do the power-of-two
@@ -174,7 +170,11 @@ def _gramian_denominators(taylor, N, items, w):
     diagnostics stay Python floats: libm rounds them, and an overflowing
     ratio is inf without a warning.
     """
+    if not items:
+        return []
     for M, E, rho in items:
+        if rho <= 0.0:
+            raise ValueError("rho must be positive")
         if 2.0 * (E - M) * math.log10(rho) > 300.0:
             raise RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}")
     peaks = np.abs(taylor.coeffs).max(axis=1, initial=0.0).tolist()
@@ -189,7 +189,7 @@ def _gramian_denominators(taylor, N, items, w):
         f, keys = zip(*column)
         A += np.array(f, dtype=complex)[:, None, None] * np.array([blocks[key] for key in keys])
     js = [k // 2 for k in _scale(A, even=True)]
-    res = numerics.hermitian_eigensystems(A, True)
+    res = numerics.hermitian_min_eigenpair(A)
     return [(d, Diagnostics(
         numerics.scaled(math.sqrt(max(r.value, 0.0)), rho, M + 1, k + j), r.degenerate, False,
         r.top / max(r.value, 1e-300) if r.top > 0 else 1.0))
@@ -197,12 +197,13 @@ def _gramian_denominators(taylor, N, items, w):
                                             ks, js)]
 
 
-def denominator_fast_gramian(taylor, N, E, w):
-    """Fast denominator via the minimal eigenvector of the Gramian: the
-    standard functional with the single block of order E."""
-    if E < N:
+def denominator_fast_gramian(taylor, N, Es, w):
+    """Fast denominator of each E of Es via the minimal eigenvector of the
+    Gramian: the standard functional with the single block of order E, a
+    cross-check of denominator_fast_qr."""
+    if min(Es, default=N) < N:
         raise ValueError("fast denominator requires E >= N")
-    return _gramian_denominators(taylor, N, [(E - 1, E, 1.0)], w)[0]
+    return denominator_standard(taylor, N, [(E - 1, E, 1.0) for E in Es], w)
 
 
 def _null_direction(R, j):
@@ -215,27 +216,23 @@ def _null_direction(R, j):
     return numerics.MinEigen(float(np.linalg.norm(R @ q)), q, True)
 
 
-def denominator_fast_qr(taylor, N, E, w):
-    """Fast denominator via QR of the quasimatrix [S_{E-N} | ... | S_E].
+def denominator_fast_qr(taylor, N, items, w):
+    """Fast denominator via QR of the quasimatrix [S_{E-N} | ... | S_E] for
+    the E of each (M, E, rho) of items: a (denominator, diagnostics) pair
+    per item.
 
     Better conditioned than the Gramian route: the singular values of R
     are the square roots of the Gramian eigenvalues, and R itself, not
     R^H R, goes to the SVD (numerics.min_right_singular_vector).  A
     rank-deficient quasimatrix (diagonal of R below 1e-14 of the first
     column norm) is surfaced as an exact-degeneracy outcome and the
-    denominator is taken from the null direction.  A stack of one of
-    _fast_denominators.
-    """
-    return _fast_denominators(taylor, N, [(E, E, 1.0)], w)[0]
-
-
-def _fast_denominators(taylor, N, items, w):
-    """denominator_fast_qr for the E of each (M, E, rho) of items, each
-    window scaled by its own power of two (_scale), the windows factored as
-    one stack and the full-rank factors R given to one SVD: a
-    (denominator, diagnostics) pair per item.  Only a rank-deficient window
+    denominator is taken from the null direction.  Each window is scaled by
+    its own power of two (_scale), the windows factored as one stack and
+    the full-rank factors R given to one SVD.  Only a rank-deficient window
     takes its null direction alone; the Taylor rows are freed before the
     QR."""
+    if not items:
+        return []
     Es = [E for _, E, _ in items]
     if min(Es) < N:
         raise ValueError("fast denominator requires E >= N")
@@ -247,23 +244,13 @@ def _fast_denominators(taylor, N, items, w):
     diags = np.abs(R.diagonal(axis1=1, axis2=2))
     low = diags <= QR_DEGENERACY_THRESHOLD * np.maximum(diags[:, :1], 1e-300)
     exact = low.any(axis=1)
-    svds = iter(numerics.min_right_singular_vectors(R[~exact]))
+    svds = iter(numerics.min_right_singular_vector(R[~exact]))
     res = [_null_direction(R[b], low[b].argmax()) if e else next(svds)
            for b, e in enumerate(exact.tolist())]
     return [(d, Diagnostics(r.value * 2.0**k, r.degenerate, e, top / max(bottom, 1e-300)))
             for d, r, k, e, top, bottom in zip(
                 _eigvec_denominators(res, taylor.center), res, ks, exact.tolist(),
                 diags.max(axis=1).tolist(), diags.min(axis=1).tolist())]
-
-
-def denominator_standard(taylor, M, N, E, rho, w):
-    """Standard denominator: minimal eigenvector of the rho-weighted Gramian
-    sum over orders M+1..E."""
-    if E < M + N:
-        raise ValueError("standard denominator requires E >= M + N")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    return _gramian_denominators(taylor, N, [(M, E, rho)], w)[0]
 
 
 def numerator(taylor, Q, M):
@@ -287,7 +274,7 @@ def denominators(model, params, taylor):
     diagnostics) pair from taylor, a block of Taylor coefficients as build
     takes, centred at each params.z0.  The denominators of each variant and
     N are solved as one stack, the standard ones first
-    (_gramian_denominators), then the fast ones (_fast_denominators), so
+    (denominator_standard), then the fast ones (denominator_fast_qr), so
     that the stack's large arrays are freed right before the caller builds
     numerators: in the other order a command's heap grew by about 0.1 MB on
     the highorder_poles benchmark.  The first failure that these stacks
@@ -302,7 +289,7 @@ def denominators(model, params, taylor):
     found = {}
     for (fast, N), index in sorted(stacks(params, lambda p: (p.variant == "fast", p.N)).items()):
         items = [(params[i].M, params[i].E, params[i].rho) for i in index]
-        solve = (_gramian_denominators, _fast_denominators)[fast]
+        solve = (denominator_standard, denominator_fast_qr)[fast]
         found.update(zip(index, solve(taylor, N, items, model.weights)))
     return [found[i] for i in range(len(params))]
 
@@ -332,7 +319,7 @@ def evaluate_stack(approxs, points):
     (poly.call_stack) at a time, so that only one stack's values are held
     at once: yields (indices, values, qmag), values an (n, len(indices),
     dimension) array and qmag (len(indices), n).  Q is evaluated for all
-    of approxs by one Horner pass (poly.evaluate_stack), which rounds each
+    of approxs by one Horner pass (poly.evaluate), which rounds each
     value as Horner on Python complex numbers does; each value is
     bit-identical to that approximant's evaluated alone.  |Q| is taken by
     np.hypot, bit-identical to Python abs but inf, not OverflowError,
@@ -343,7 +330,7 @@ def evaluate_stack(approxs, points):
     denominator magnitude instead.
     """
     points = np.asarray(points, dtype=complex)
-    qz = poly.evaluate_stack([a.denominator for a in approxs], points)
+    qz = poly.evaluate([a.denominator for a in approxs], points)
     for index, values in poly.call_stack([a.numerator for a in approxs], points):
         q = qz[index]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -355,11 +342,11 @@ def evaluate_stack(approxs, points):
 def evaluate(approx, z):
     """P(z)/Q(z) together with |Q(z)|: a (dimension,) array and a float at
     a point, an array of one row per point and an array of one value per
-    point along an array of points.  A stack of one of evaluate_stack, so
-    that the commands, which evaluate all their approximants as one stack,
-    one Horner pass per numerator degree, write the bytes this gives: Q(z)
-    is rounded as Horner on Python complex numbers rounds it (the real-array
-    Horner of poly.evaluate_stack), P(z) as Horner on NumPy complex arrays
+    point along an array of points, by evaluate_stack, so that the
+    commands, which evaluate all their approximants as one stack, one
+    Horner pass per numerator degree, write the bytes this gives: Q(z) is
+    rounded as Horner on Python complex numbers rounds it (the real-array
+    Horner of poly.evaluate), P(z) as Horner on NumPy complex arrays
     (ShiftedPolynomial.__call__)."""
     points = np.asarray(z, dtype=complex)
     [(_, values, qmag)] = evaluate_stack([approx], points.reshape(-1))
@@ -370,7 +357,7 @@ def evaluate(approx, z):
 
 def approximant_poles(approx):
     """Roots of the denominator, sorted by distance from the center."""
-    return poly.roots(approx.denominator)
+    return poly.roots([approx.denominator])[0]
 
 
 def functional_value(Q, source, E, w=None):
@@ -395,7 +382,7 @@ def functional_value(Q, source, E, w=None):
         lam = source.poles
         if lam.size == 0:
             return 0.0
-        qz = poly.evaluate_stack([Q], lam)[0]
+        qz = poly.evaluate([Q], lam)[0]
         dist = np.abs(lam - z0)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             qmag = np.hypot(qz.real, qz.imag)

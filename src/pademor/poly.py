@@ -6,9 +6,8 @@ coefficients for a Taylor block or a numerator P.  Denominators live on the
 unit coefficient sphere sum |a_j|^2 = 1.
 
 Polynomials are evaluated by Horner, a stack at a time: scalar ones of one
-degree by evaluate_stack, rounded as Python's complex arithmetic rounds
-(evaluate is a stack of one at one point), and vector ones by
-call_stack, rounded as NumPy's complex arrays round
+degree by evaluate, rounded as Python's complex arithmetic rounds, and
+vector ones by call_stack, rounded as NumPy's complex arrays round
 (ShiftedPolynomial.__call__), each value bit-identical to its
 polynomial's evaluated alone.
 """
@@ -43,7 +42,7 @@ class ShiftedPolynomial:
         return acc
 
 
-def evaluate_stack(ps, points):
+def evaluate(ps, points):
     """Horner evaluation of each of a stack of scalar polynomials of one
     degree at each of a 1-d array of points: a (len(ps), n) complex array.
 
@@ -61,6 +60,8 @@ def evaluate_stack(ps, points):
     whatever the length or layout of the arrays: every value gives the
     bytes it gives alone.
     """
+    if not ps:
+        return np.zeros((0, np.size(points)), complex)
     dz = np.asarray(points, dtype=complex) - np.array([[p.center] for p in ps])
     dr, di = dz.real, dz.imag
     re = im = np.zeros(dz.shape)
@@ -99,27 +100,15 @@ def call_stack(ps, points):
         yield index, values
 
 
-def evaluate(p, z):
-    """evaluate_stack of p alone at the one point z: a Python complex."""
-    return evaluate_stack([p], [z])[0, 0].item()
-
-
-def effective_coeffs(p):
-    """The coefficients of p less the trailing ones at or below
-    numerics.TRIM_THRESHOLD of the max magnitude: effective_stack of p
-    alone.
+def effective_stack(ps):
+    """The coefficients of each of ps less the trailing ones at or below
+    numerics.TRIM_THRESHOLD of its max magnitude, those of one coefficient
+    shape as one array pass.
 
     A vanishing leading coefficient means fewer poles in range, which is a
     legitimate outcome, not an error.  A non-finite coefficient raises
-    NonFiniteValue.
+    NonFiniteValue, a largest magnitude at or below 1e-300 ZeroPolynomial.
     """
-    return effective_stack([p])[0]
-
-
-def effective_stack(ps):
-    """effective_coeffs of each of ps, those of one coefficient shape as
-    one array pass; a largest magnitude at or below 1e-300 raises
-    ZeroPolynomial."""
     out = [p.coeffs for p in ps]
     for index in stacks(out, np.shape).values():
         a = np.array([out[i] for i in index])
@@ -138,18 +127,13 @@ def effective_stack(ps):
     return out
 
 
-def roots(p):
-    """Roots of p, sorted by distance from the center (ties by (Re, Im))."""
-    return roots_stack([p])[0]
-
-
-def roots_stack(ps):
-    """roots of each of ps, those of one effective degree solved as one
-    stack.  The trim (effective_stack), the solve
-    (numerics.polynomial_roots_stack) and the order
+def roots(ps):
+    """Roots of each of ps, sorted by distance from its center (ties by
+    (Re, Im)), those of one effective degree solved as one stack.  The trim
+    (effective_stack), the solve (numerics.polynomial_roots) and the order
     (numerics.nearest_first) are array passes over stacks."""
     coeffs = effective_stack(ps)
     if any(c.size < 2 for c in coeffs):
         raise ConstantPolynomial("polynomial has effective degree 0")
-    return numerics.nearest_first(numerics.polynomial_roots_stack(coeffs),
+    return numerics.nearest_first(numerics.polynomial_roots(coeffs),
                                   [p.center for p in ps])

@@ -184,7 +184,7 @@ def numpy_horner(p, z):
 def list_horner(p, points):
     """Horner of a scalar polynomial at each of a list of points on Python
     complex numbers, one step over all the points at a time: the list
-    Horner that poly.evaluate_stack replaced."""
+    Horner that poly.evaluate replaced."""
     center = p.center
     dz = [complex(z) - center for z in points]
     acc = [0j] * len(dz)
@@ -268,7 +268,7 @@ def modal_error(model, approx, points):
 def residual_norm(model, approx, z):
     """V-norm of the residual H(z) = Q(z) S(z) - P(z)."""
     s = modal.evaluate_exact(model, z)
-    qz = poly.evaluate(approx.denominator, z)
+    qz = poly.evaluate([approx.denominator], [z])[0, 0]
     pz = approx.numerator(z)
     return hilbert.norm(qz * s - pz, model.weights)
 
@@ -316,7 +316,7 @@ def column_mgs(A, w):
 
 
 def check_hermitian(H):
-    """The per-matrix checks that numerics.hermitian_eigensystems runs as
+    """The per-matrix checks that numerics._jacobi runs as
     passes over a stack: square, finite, Hermitian to HERMITIAN_TOL of the
     Frobenius norm; returns the symmetrised matrix and that norm."""
     H = np.ascontiguousarray(H, dtype=complex)
@@ -350,8 +350,8 @@ def vector_phase_fix(v):
 def min_eigenpair(vals, vecs, scale):
     """The smallest eigenpair of one eigensystem, of a matrix of Frobenius
     norm scale, with its two phase fixes: the per-item form of
-    numerics.hermitian_eigensystems(..., smallest=True).  Returns (value,
-    vector, degenerate)."""
+    numerics.hermitian_min_eigenpair.  Returns (value, vector,
+    degenerate)."""
     gap_tol = numerics.DEGENERACY_GAP * max(scale, 1e-300)
     near = [vector_phase_fix(vecs[:, j]) for j in np.nonzero(vals - vals[0] < gap_tol)[0]]
     v = min(near, key=lambda u: tuple(np.real(u)) + tuple(np.imag(u)))
@@ -361,8 +361,8 @@ def min_eigenpair(vals, vecs, scale):
 
 def singular_min_eigen(R):
     """numerics.min_right_singular_vector of one factor, its SVD taken as a
-    stack of one and post-processed alone: the per-factor form of
-    min_right_singular_vectors."""
+    stack of one and post-processed alone: the per-factor form of its
+    passes."""
     R = np.asarray(R, dtype=complex)
     if not np.isfinite(R).all():
         raise NoConvergence("the factor R has a non-finite entry")
@@ -461,9 +461,10 @@ def taylor_window(taylor, N, E):
 
 
 def window_gramian(taylor, N, E, w):
-    """pade.gramian from a copy of the window alone, columns S_{E-N}..S_E
-    zero for negative orders: the block as it was built before the blocks
-    of a stack were sliced from one copy of the Taylor rows."""
+    """The block of order E of pade._gramian_blocks from a copy of the
+    window alone, columns S_{E-N}..S_E zero for negative orders: the block
+    as it was built before the blocks of a stack were sliced from one copy
+    of the Taylor rows."""
     S = taylor.coeffs
     if S.shape[0] < E + 1:
         raise InsufficientTaylorLength(
@@ -478,7 +479,7 @@ def window_gramian(taylor, N, E, w):
 def loop_gramian_sum(taylor, N, M, E, rho, w):
     """The rho-weighted Gramian sum over orders M+1..E and its power-of-two
     exponent, one window_gramian block at a time, as
-    pade._gramian_denominators built it before it computed each (scale
+    pade.denominator_standard built it before it computed each (scale
     exponent, order) block once per stack.  RhoOverflow, and
     InsufficientTaylorLength naming the E + 1 coefficients of its top
     block, as the item raises alone."""
@@ -497,7 +498,7 @@ def loop_gramian_sum(taylor, N, M, E, rho, w):
 
 
 def loop_standard_denominator(taylor, N, M, E, rho, w):
-    """pade._gramian_denominators of one item by the per-item steps it took
+    """pade.denominator_standard of one item by the per-item steps it took
     before they ran as passes over the stack: the sum alone
     (loop_gramian_sum), its eigensystem alone (loop_jacobi, whose checks
     are check_hermitian's), min_eigenpair with its two phase fixes, the
@@ -514,7 +515,7 @@ def loop_standard_denominator(taylor, N, M, E, rho, w):
 
 
 def loop_fast_denominator(taylor, N, E, w):
-    """pade._fast_denominators of one window by the per-item steps it took
+    """pade.denominator_fast_qr of one window by the per-item steps it took
     before they ran as passes over the stack: the window scaled alone
     (block_scale_exponent), its factor R (hilbert.gram_schmidt of a stack
     of one), the null direction or the singular pair of R alone
@@ -545,12 +546,14 @@ def same_denominator(got, want):
 
 def loop_polynomial_roots(a):
     """numerics.polynomial_roots of the coefficients a by the per-polynomial
-    steps polynomial_roots_stack took before they ran as array passes: the
+    steps it took before they ran as array passes: the finite,
     leading-coefficient and 2^1000 rules with Python's abs, the companion
     solve as a stack of one, the residual check on the row."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 1 or a.size == 0:
         raise DegenerateLeadingCoefficient("empty coefficient list")
+    if not np.isfinite(a).all():
+        raise NonFiniteValue("polynomial coefficients have a non-finite entry")
     if a.size == 1:
         return []
     amax = np.max(np.abs(a))
@@ -578,8 +581,8 @@ def loop_polynomial_roots(a):
 
 
 def loop_roots(p):
-    """poly.roots of p by the per-polynomial steps that poly.roots_stack took
-    before its passes ran over stacks: the trim of effective_coeffs,
+    """poly.roots of p alone by the per-polynomial steps it took before its
+    passes ran over stacks: the trim of one polynomial,
     loop_polynomial_roots, and Python's sort of the shifted roots."""
     c = p.coeffs
     if not np.isfinite(c).all():

@@ -181,7 +181,7 @@ def test_criterion_5_interpolation_bounds(rng):
         )
         q = poly_from_roots(z0, roots)
         z = complex(rng.normal(scale=4), rng.normal(scale=4))
-        qz = abs(poly.evaluate(q, z))
+        qz = abs(poly.evaluate([q], [z])[0, 0])
         lower = np.prod([abs(r - z) / (1 + abs(r - z0)) for r in roots])
         ok &= qz >= lower - 1e-10
         if min(abs(r - z0) for r in roots) > 1e-6:
@@ -191,8 +191,8 @@ def test_criterion_5_interpolation_bounds(rng):
 
 
 def _weighted_null_spaces(taylor, N, E, w):
-    G = pade.gramian(taylor, N, E, w)
-    vals, vecs = numerics.hermitian_eigensystem(G)
+    G = pade._gramian_blocks(taylor, N, [(0, E)], w)[0, E]
+    vals, vecs = numerics.hermitian_eigensystem([G])[0]
     U1 = vecs[:, vals <= 1e-10 * max(np.linalg.norm(G), 1e-300)]
     A = taylor_window(taylor, N, E)
     s_full = np.zeros(N + 1)
@@ -215,8 +215,8 @@ def test_criterion_6_path_equivalence(rng):
         N = int(rng.integers(P, P + 2)) if degenerate_wanted else int(rng.integers(1, P))
         E = N + int(rng.integers(0, 4))
         taylor = modal.taylor_coefficients(model, 0.0, E)
-        g_den, g_diag = pade.denominator_fast_gramian(taylor, N, E, model.weights)
-        q_den, q_diag = pade.denominator_fast_qr(taylor, N, E, model.weights)
+        g_den, g_diag = pade.denominator_fast_gramian(taylor, N, [E], model.weights)[0]
+        q_den, q_diag = pade.denominator_fast_qr(taylor, N, [(E, E, 1.0)], model.weights)[0]
         if g_diag.degenerate or q_diag.degenerate:
             U1, U2 = _weighted_null_spaces(taylor, N, E, model.weights)
             if U1.shape[1] and U1.shape[1] == U2.shape[1]:
@@ -293,7 +293,7 @@ def test_criterion_9_rho_invariance(helmholtz):
     taylor = modal.taylor_coefficients(helmholtz, Z0, 5)
     dens = []
     for rho in rhos:
-        den, diag = pade.denominator_standard(taylor, 4, 1, 5, rho, helmholtz.weights)
+        den, diag = pade.denominator_standard(taylor, 1, [(4, 5, rho)], helmholtz.weights)[0]
         if not diag.degenerate:
             dens.append(den.coeffs)
     single = max(float(np.max(np.abs(d - dens[0]))) for d in dens)
@@ -304,8 +304,8 @@ def test_criterion_9_rho_invariance(helmholtz):
     multi = []
     base = None
     for rho in rhos:
-        den, _ = pade.denominator_standard(taylor, 8, 2, 10, rho, helmholtz.weights)
-        roots = poly.roots(den)
+        den, _ = pade.denominator_standard(taylor, 2, [(8, 10, rho)], helmholtz.weights)[0]
+        roots = poly.roots([den])[0]
         # the dominant (worst-approximated) pole error gauges the accuracy
         errs.append(max(min(abs(r - lam) for r in roots) for lam in (13.0, 10.0)))
         if base is None:

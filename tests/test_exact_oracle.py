@@ -13,7 +13,7 @@ coefficients: the approximants build writes for M = E and M = E - N.
 The bound is a first-order roundoff count, as in
 test_harness.TestModalErrorIdentity: u = eps / 2 and
 gamma(k) = k u / (1 - k u).  Horner of degree d rounded as on Python
-complex numbers (poly.evaluate_stack) errs by at most gamma(5 (d + 1)) H,
+complex numbers (poly.evaluate) errs by at most gamma(5 (d + 1)) H,
 with H = sum_j |a_j| |z - z0|^j, five roundings per step.  np.hypot is within one
 ulp, 2 u of its result, two roundings more.  So with
 b = gamma(5 (d + 1) + 2) H, every cell c satisfies |c - |Q(z)|| <= b, which
@@ -274,7 +274,7 @@ def test_poles_errors_are_exact_to_roundoff(tmp_path, config, cells):
     for row in rows:
         E = int(row["E"])
         for variant, M in (("fast", E), ("std", E - N)):
-            roots = poly.roots(dens[variant, M])
+            roots = poly.roots([dens[variant, M]])[0]
             matched = set()
             for a, lam in enumerate(true_poles, 1):
                 cell = Fraction(float(row[f"abs_error_{variant}_lambda{a}"]))

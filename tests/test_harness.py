@@ -1167,20 +1167,20 @@ class TestFailureOrder:
         # the fast kernel (one SVD for all three) fails on the item of
         # M_list[fast], the standard kernel (one lockstep Jacobi for all
         # three, solved first) on the item of M_list[standard], if any
-        svd, eigs = numerics.min_right_singular_vectors, numerics.hermitian_eigensystems
+        eigs = numerics.hermitian_min_eigenpair
 
         def failing_svd(R):
             assert len(R) == 3
             raise NoConvergence(f"fast {fast}")
 
-        def failing_eigs(matrices, *args):
+        def failing_eigs(matrices):
             assert len(matrices) == 3
             if standard is None:
-                return eigs(matrices, *args)
+                return eigs(matrices)
             raise NoConvergence(f"standard {standard}")
 
-        monkeypatch.setattr(numerics, "min_right_singular_vectors", failing_svd)
-        monkeypatch.setattr(numerics, "hermitian_eigensystems", failing_eigs)
+        monkeypatch.setattr(numerics, "min_right_singular_vector", failing_svd)
+        monkeypatch.setattr(numerics, "hermitian_min_eigenpair", failing_eigs)
         err = self.run(tmp_path, capsys, "sweep")
         assert err == f"numerical failure: NoConvergence: {first}\n"
 
@@ -1191,14 +1191,14 @@ class TestFailureOrder:
         # fails the check with its own worst ratio, and the others, made
         # monomials z^2 with exact roots 0, pass: the check meets the
         # first failing row of the stack first
-        solve, rows = numerics.polynomial_roots_stack, []
+        solve, rows = numerics.polynomial_roots, []
 
         def failing_roots(polys):
             assert len(polys) == 6
             rows.extend(polys)
             return solve([p if i in failing else [0.0, 0.0, 1.0] for i, p in enumerate(polys)])
 
-        monkeypatch.setattr(numerics, "polynomial_roots_stack", failing_roots)
+        monkeypatch.setattr(numerics, "polynomial_roots", failing_roots)
         monkeypatch.setattr(numerics, "ROOT_TOL", 0.0)
         err = self.run(tmp_path, capsys, "poles")
         alone = []

@@ -41,44 +41,44 @@ class TestPhaseFix:
 
 class TestHermitianMinEigenpair:
     def test_diagonal(self):
-        res = numerics.hermitian_min_eigenpair(np.diag([3.0, 1.0, 2.0]))
+        res = numerics.hermitian_min_eigenpair([np.diag([3.0, 1.0, 2.0])])[0]
         assert res.value == pytest.approx(1.0)
         assert np.allclose(res.vector, [0, 1, 0])
 
     def test_identity(self):
         H = np.eye(4, dtype=complex)
-        res = numerics.hermitian_min_eigenpair(H)
+        res = numerics.hermitian_min_eigenpair([H])[0]
         assert res.value == pytest.approx(1.0)
         assert np.linalg.norm(H @ res.vector - res.value * res.vector) <= 1e-12 * 2.0
         assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-14)
 
     def test_two_by_two_hand_oracle(self):
         # [[2,1],[1,2]] has eigenpairs (1, (1,-1)/sqrt2) and (3, (1,1)/sqrt2)
-        res = numerics.hermitian_min_eigenpair(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        res = numerics.hermitian_min_eigenpair([np.array([[2.0, 1.0], [1.0, 2.0]])])[0]
         assert res.value == pytest.approx(1.0)
         s = 1 / np.sqrt(2)
         assert np.allclose(res.vector, [s, -s], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
-            numerics.hermitian_min_eigenpair(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            numerics.hermitian_min_eigenpair([np.array([[1.0, 2.0], [0.0, 1.0]])])[0]
 
     def test_out_of_sweeps(self, monkeypatch):
         monkeypatch.setattr(numerics, "MAX_JACOBI_SWEEPS", 0)
         with pytest.raises(NoConvergence, match="Jacobi sweeps exceeded 0 without "
                            "reaching off-diagonal target"):
-            numerics.hermitian_eigensystem(np.array([[2.0, 1.0], [1.0, 2.0]]))
+            numerics.hermitian_eigensystem([np.array([[2.0, 1.0], [1.0, 2.0]])])[0]
 
     def test_rejects_non_square(self):
         with pytest.raises(NonHermitianInput):
-            numerics.hermitian_min_eigenpair(np.ones((2, 3)))
+            numerics.hermitian_min_eigenpair([np.ones((2, 3))])[0]
 
     def test_rayleigh_quotient_lower_bound(self, rng):
         # mu_min <= v*Hv for random unit v, and the eigen-residual contract
         for _ in range(100):
             n = int(rng.integers(1, 9))
             H = random_hermitian(rng, n)
-            res = numerics.hermitian_min_eigenpair(H)
+            res = numerics.hermitian_min_eigenpair([H])[0]
             scale = np.linalg.norm(H)
             assert (
                 np.linalg.norm(H @ res.vector - res.value * res.vector)
@@ -92,7 +92,7 @@ class TestHermitianMinEigenpair:
     def test_eigensystem_matches_numpy(self, rng):
         for n in (2, 3, 5, 8, 16):
             H = random_hermitian(rng, n)
-            vals, vecs = numerics.hermitian_eigensystem(H)
+            vals, vecs = numerics.hermitian_eigensystem([H])[0]
             assert np.allclose(vals, np.linalg.eigvalsh(H), atol=1e-11 * n)
             assert np.allclose(vecs.conj().T @ vecs, np.eye(n), atol=1e-12 * n)
             # the eigen-residual contract, for every pair
@@ -100,11 +100,11 @@ class TestHermitianMinEigenpair:
             assert np.all(residuals <= numerics.EIGEN_TOL * np.linalg.norm(H))
 
     def test_degenerate_minimum_flagged(self):
-        res = numerics.hermitian_min_eigenpair(np.eye(3, dtype=complex))
+        res = numerics.hermitian_min_eigenpair([np.eye(3, dtype=complex)])[0]
         assert res.degenerate
 
     def test_simple_minimum_not_flagged(self):
-        res = numerics.hermitian_min_eigenpair(np.diag([1.0, 2.0, 3.0]))
+        res = numerics.hermitian_min_eigenpair([np.diag([1.0, 2.0, 3.0])])[0]
         assert not res.degenerate
 
 
@@ -147,7 +147,7 @@ class TestJacobiOracle:
 
     @staticmethod
     def assert_same_bytes(H):
-        assert_loop_bytes(H, *numerics.hermitian_eigensystem(H))
+        assert_loop_bytes(H, *numerics.hermitian_eigensystem([H])[0])
 
     @pytest.mark.parametrize("kind", ["complex", "scaled", "real", "near_diagonal"])
     def test_random_matrices(self, rng, kind):
@@ -167,14 +167,14 @@ class TestJacobiOracle:
         # every Gramian sum that one benchmark sweep solves, as one stack
         workloads = load_perfbench("workloads")
         stacks = []
-        eigensystems = numerics.hermitian_eigensystems
+        min_eigenpair = numerics.hermitian_min_eigenpair
 
-        def recorded(matrices, *args):
+        def recorded(matrices):
             stacks.append(([np.array(H, dtype=complex) for H in matrices],
-                           eigensystems(matrices)))
-            return eigensystems(matrices, *args)
+                           numerics.hermitian_eigensystem(matrices)))
+            return min_eigenpair(matrices)
 
-        monkeypatch.setattr(numerics, "hermitian_eigensystems", recorded)
+        monkeypatch.setattr(numerics, "hermitian_min_eigenpair", recorded)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(workloads.make_config(workload)))
         out = str(tmp_path / "sweep.csv")
@@ -187,7 +187,7 @@ class TestJacobiOracle:
 
 
 class TestJacobiStack:
-    """hermitian_eigensystems solves a stack in lockstep, each matrix giving
+    """hermitian_eigensystem solves a stack in lockstep, each matrix giving
     what it gives alone (oracles.loop_jacobi), bytes compared; a failing
     matrix stops the stack."""
 
@@ -199,7 +199,7 @@ class TestJacobiStack:
         rng = np.random.default_rng(seed)
         matrices = [np.zeros((n, n)) if kind == "zero" else random_matrix(rng, n, kind)
                     for kind in kinds]
-        for H, (vals, vecs) in zip(matrices, numerics.hermitian_eigensystems(matrices)):
+        for H, (vals, vecs) in zip(matrices, numerics.hermitian_eigensystem(matrices)):
             assert_loop_bytes(H, vals, vecs)
 
     def test_a_failure_stops_the_stack(self, rng, monkeypatch):
@@ -215,17 +215,17 @@ class TestJacobiStack:
                     np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]]),
                     np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])]
         with pytest.raises(NonHermitianInput) as refused:
-            numerics.hermitian_eigensystems(matrices)
+            numerics.hermitian_eigensystem(matrices)
         with pytest.raises(NonHermitianInput) as alone:
-            numerics.hermitian_eigensystem(matrices[3])
+            numerics.hermitian_eigensystem([matrices[3]])[0]
         assert str(refused.value) == str(alone.value)
         with pytest.raises(NoConvergence) as stopped:
-            numerics.hermitian_eigensystems(matrices[:3])
+            numerics.hermitian_eigensystem(matrices[:3])
         with pytest.raises(NoConvergence) as alone:
-            numerics.hermitian_eigensystem(matrices[1])
+            numerics.hermitian_eigensystem([matrices[1]])[0]
         assert str(stopped.value) == str(alone.value)
         assert str(alone.value).startswith("Jacobi sweeps exceeded 1 without reaching")
-        for k, (vals, vecs) in zip((0, 2), numerics.hermitian_eigensystems(matrices[::2])):
+        for k, (vals, vecs) in zip((0, 2), numerics.hermitian_eigensystem(matrices[::2])):
             assert_loop_bytes(matrices[k], vals, vecs)
 
 
@@ -245,7 +245,7 @@ class TestNonFiniteMatrices:
     @pytest.mark.parametrize("name", sorted(MATRICES))
     def test_refused(self, name):
         with pytest.raises(NonFiniteValue, match="matrix has a non-finite entry"):
-            numerics.hermitian_eigensystem(np.array(self.MATRICES[name]))
+            numerics.hermitian_eigensystem([np.array(self.MATRICES[name])])[0]
 
     def test_refused_in_a_stack(self, rng):
         # a non-Hermitian matrix before the non-finite ones: the finite
@@ -255,7 +255,7 @@ class TestNonFiniteMatrices:
                     np.array(self.MATRICES["inf_diagonal"]),
                     np.array(self.MATRICES["nan_off_diagonal"])]
         with pytest.raises(NonFiniteValue, match="^matrix has a non-finite entry$"):
-            numerics.hermitian_eigensystems(matrices)
+            numerics.hermitian_eigensystem(matrices)
 
 
 def stack_matrix(rng, n, kind):
@@ -312,14 +312,15 @@ class TestStackPasses:
     def test_stack_is_each_matrix_alone(self, n, seed, smallest, kinds):
         rng = np.random.default_rng(seed)
         matrices = [stack_matrix(rng, n, kind) for kind in kinds]
-        check_stack(lambda: numerics.hermitian_eigensystems(matrices, smallest),
+        solve = (numerics.hermitian_eigensystem, numerics.hermitian_min_eigenpair)[smallest]
+        check_stack(lambda: solve(matrices),
                     [lambda H=H: per_matrix(H, smallest) for H in matrices], same_arrays)
 
     def test_smallest_is_hermitian_min_eigenpair(self, rng):
         for n in (1, 2, 5):
             for kind in ("tie", "zero", "complex"):
                 H = stack_matrix(rng, n, kind)
-                same_arrays(numerics.hermitian_min_eigenpair(H), per_matrix(H, True))
+                same_arrays(numerics.hermitian_min_eigenpair([H])[0], per_matrix(H, True))
 
     def test_mixed_orders_raise_before_any_solve(self, monkeypatch):
         def solve(*args):
@@ -327,9 +328,9 @@ class TestStackPasses:
 
         monkeypatch.setattr(numerics, "norms", solve)
         with pytest.raises(NonHermitianInput, match=r"\(2, 2\), \(3, 3\)"):
-            numerics.hermitian_eigensystems([np.eye(2), np.eye(3)])
+            numerics.hermitian_eigensystem([np.eye(2), np.eye(3)])
         with pytest.raises(NonHermitianInput, match=r"\(2, 2\), \(2, 3\)"):
-            numerics.hermitian_eigensystems([np.eye(2), np.ones((2, 3))])
+            numerics.hermitian_eigensystem([np.eye(2), np.ones((2, 3))])
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(rows=st.lists(st.lists(st.builds(complex, st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
@@ -353,7 +354,7 @@ class TestStackPasses:
                       np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
                       for kind in kinds], dtype=complex)
         R[[kind == "nan" for kind in kinds], 0, -1] = np.nan
-        check_stack(lambda: numerics.min_right_singular_vectors(R),
+        check_stack(lambda: numerics.min_right_singular_vector(R),
                     [lambda Rb=Rb: singular_min_eigen(Rb) for Rb in R], same_arrays)
 
     @settings(max_examples=200, deadline=None, database=None)
@@ -371,21 +372,21 @@ class TestStackPasses:
 
 class TestMinRightSingularVector:
     def test_diagonal(self):
-        res = numerics.min_right_singular_vector(np.diag([3.0, 1.0, 2.0]))
+        res = numerics.min_right_singular_vector([np.diag([3.0, 1.0, 2.0])])[0]
         assert res.value == pytest.approx(1.0)
         assert np.allclose(np.abs(res.vector), [0, 1, 0], atol=1e-12)
 
     def test_identity(self):
         # an exact tie: flagged, and any unit vector is a minimiser
         R = np.eye(3, dtype=complex)
-        res = numerics.min_right_singular_vector(R)
+        res = numerics.min_right_singular_vector([R])[0]
         assert res.value == 1.0 and res.degenerate
         assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-15)
         assert np.linalg.norm(R @ res.vector) == pytest.approx(1.0, abs=1e-15)
 
     def test_one_by_one(self):
         # N = 0: the factor of a single column
-        res = numerics.min_right_singular_vector(np.array([[-2.0 + 1.5j]]))
+        res = numerics.min_right_singular_vector([np.array([[-2.0 + 1.5j]])])[0]
         assert res.value == 2.5
         assert res.vector.tolist() == [1.0] and not res.degenerate
 
@@ -394,14 +395,14 @@ class TestMinRightSingularVector:
         # e_0, the minimiser, not the lexicographically smaller e_1 that
         # hermitian_min_eigenpair picks from R^H R
         R = np.diag([1.0 - 1e-14, 1.0]).astype(complex)
-        res = numerics.min_right_singular_vector(R)
+        res = numerics.min_right_singular_vector([R])[0]
         assert res.degenerate and res.value == 1.0 - 1e-14
         assert res.vector.tolist() == [1.0, 0.0]
-        assert numerics.hermitian_min_eigenpair(R.conj().T @ R).vector.tolist() == [0.0, 1.0]
+        assert numerics.hermitian_min_eigenpair([R.conj().T @ R])[0].vector.tolist() == [0.0, 1.0]
 
     def test_non_finite_factor_raises(self):
         with pytest.raises(NoConvergence):
-            numerics.min_right_singular_vector(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+            numerics.min_right_singular_vector([np.array([[np.nan, 1.0], [0.0, 1.0]])])[0]
 
     def test_two_by_two_closed_form(self):
         R = np.array([[1.0, 1.0], [0.0, 1e-3]])
@@ -411,7 +412,7 @@ class TestMinRightSingularVector:
         mu = (a + d) / 2 - np.sqrt(((a - d) / 2) ** 2 + abs(b) ** 2)
         v = np.array([b, mu - a])
         v = v / np.linalg.norm(v)
-        res = numerics.min_right_singular_vector(R)
+        res = numerics.min_right_singular_vector([R])[0]
         assert res.value == pytest.approx(np.sqrt(mu), rel=1e-10)
         assert np.allclose(np.abs(res.vector), np.abs(v), atol=1e-10)
 
@@ -419,8 +420,8 @@ class TestMinRightSingularVector:
         for _ in range(30):
             n = int(rng.integers(1, 7))
             R = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-            res = numerics.min_right_singular_vector(R)
-            ref = numerics.hermitian_min_eigenpair(R.conj().T @ R)
+            res = numerics.min_right_singular_vector([R])[0]
+            ref = numerics.hermitian_min_eigenpair([R.conj().T @ R])[0]
             assert res.value**2 == pytest.approx(ref.value, abs=1e-10)
             if not ref.degenerate:
                 assert np.allclose(res.vector, ref.vector, atol=1e-10)
@@ -428,17 +429,17 @@ class TestMinRightSingularVector:
 
 class TestPolynomialRoots:
     def test_factored_quadratic(self):
-        roots = numerics.polynomial_roots([2.0, -3.0, 1.0])
+        roots = numerics.polynomial_roots([[2.0, -3.0, 1.0]])[0]
         assert np.allclose(sorted(r.real for r in roots), [1.0, 2.0], atol=1e-10)
 
     def test_pure_imaginary_pair(self):
-        roots = numerics.polynomial_roots([1.0, 0.0, 1.0])
+        roots = numerics.polynomial_roots([[1.0, 0.0, 1.0]])[0]
         assert np.allclose(sorted(r.imag for r in roots), [-1.0, 1.0], atol=1e-10)
 
     def test_double_root_expand_and_compare(self):
         # (z - (1+i))^2 (z - 3)
         target = np.polynomial.polynomial.polyfromroots([1 + 1j, 1 + 1j, 3.0])
-        roots = numerics.polynomial_roots(list(target))
+        roots = numerics.polynomial_roots([list(target)])[0]
         back = np.polynomial.polynomial.polyfromroots(roots)
         assert np.allclose(back, target, atol=1e-6)
 
@@ -447,7 +448,7 @@ class TestPolynomialRoots:
             deg = int(rng.integers(1, 9))
             known = rng.normal(size=deg) + 1j * rng.normal(size=deg)
             coeffs = np.polynomial.polynomial.polyfromroots(known)
-            roots = numerics.polynomial_roots(list(coeffs))
+            roots = numerics.polynomial_roots([list(coeffs)])[0]
             # the root-residual contract
             r = np.abs(np.array(roots))
             residuals = np.abs(np.polynomial.polynomial.polyval(np.array(roots), coeffs))
@@ -460,44 +461,53 @@ class TestPolynomialRoots:
     def test_exact_zero_roots(self):
         # six vanishing low-order coefficients: a root of multiplicity six
         # at 0, which the companion matrix gives exactly
-        roots = numerics.polynomial_roots([0.0] * 6 + [0.799, 0.491, 0.347])
+        roots = numerics.polynomial_roots([[0.0] * 6 + [0.799, 0.491, 0.347]])[0]
         assert len(roots) == 8 and roots.count(0) == 6
 
     def test_degree_forty(self, rng):
         # above the former degree cap of 32
         coeffs = np.append(rng.normal(size=40) + 1j * rng.normal(size=40), 1.0)
-        roots = np.array(numerics.polynomial_roots(coeffs))
+        roots = np.array(numerics.polynomial_roots([coeffs])[0])
         assert roots.size == 40
         residuals = np.abs(np.polynomial.polynomial.polyval(roots, coeffs))
         bounds = numerics.ROOT_TOL * np.max(np.abs(coeffs)) * (1 + np.abs(roots)) ** 40
         assert np.all(residuals <= bounds)
 
     def test_deterministic(self):
-        a = numerics.polynomial_roots([2.0, -3.0, 1.0])
-        b = numerics.polynomial_roots([2.0, -3.0, 1.0])
+        a = numerics.polynomial_roots([[2.0, -3.0, 1.0]])[0]
+        b = numerics.polynomial_roots([[2.0, -3.0, 1.0]])[0]
         assert a == b
 
     def test_root_with_underflowing_phase(self):
         # the phase of r underflows: cmath.phase would raise OverflowError
         r = complex(1e3, 5e-324)
-        assert sorted(numerics.polynomial_roots([2 * r, -(r + 2), 1.0]), key=abs) == [2, r]
+        assert sorted(numerics.polynomial_roots([[2 * r, -(r + 2), 1.0]])[0], key=abs) == [2, r]
 
     def test_constant_has_no_roots(self):
-        assert numerics.polynomial_roots([3.0]) == []
+        assert numerics.polynomial_roots([[3.0]])[0] == []
 
     def test_vanishing_leading_coefficient(self):
         with pytest.raises(DegenerateLeadingCoefficient):
-            numerics.polynomial_roots([1.0, 1.0, 1e-16])
+            numerics.polynomial_roots([[1.0, 1.0, 1e-16]])[0]
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateLeadingCoefficient):
-            numerics.polynomial_roots([])
+            numerics.polynomial_roots([[]])[0]
+
+    @pytest.mark.parametrize("coeffs", [[np.nan, 1.0], [1.0, np.inf], [complex(0.0, np.nan)]])
+    def test_non_finite_coefficient_refused(self, coeffs):
+        # refused before the leading-coefficient rule and the companion
+        # solve: eigvals fails on a nan (LinAlgError), the rule takes an inf
+        # lead for a vanishing one (inf <= TRIM_THRESHOLD * inf), and a
+        # constant has no roots to solve for
+        with pytest.raises(NonFiniteValue, match="^polynomial coefficients have a non-finite"):
+            numerics.polynomial_roots([[1.0, 2.0], coeffs])
 
     def test_residual_bound_failure(self, monkeypatch):
         # no rounded root has a residual of exactly 0
         monkeypatch.setattr(numerics, "ROOT_TOL", 0.0)
         with pytest.raises(NoConvergence, match="root residual check failed"):
-            numerics.polynomial_roots([0.3, -1.7, 0.9, 1.0])
+            numerics.polynomial_roots([[0.3, -1.7, 0.9, 1.0]])[0]
 
 
 def same_roots(got, want):
@@ -535,11 +545,11 @@ class TestRootStacks:
         # strict: a residual bound of 2^-60, which rows with rounded roots
         # fail (NoConvergence) while the exact monomials pass
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
-            check_stack(lambda: numerics.polynomial_roots_stack(rows),
-                        [lambda row=row: numerics.polynomial_roots(row) for row in rows],
+            check_stack(lambda: numerics.polynomial_roots(rows),
+                        [lambda row=row: numerics.polynomial_roots([row])[0] for row in rows],
                         same_roots)
             polys = [poly.ShiftedPolynomial(0.5 - 0.25j, row) for row in rows]
-            check_stack(lambda: poly.roots_stack(polys), [lambda p=p: poly.roots(p) for p in polys],
+            check_stack(lambda: poly.roots(polys), [lambda p=p: poly.roots([p])[0] for p in polys],
                         same_roots)
 
     def test_a_failed_row_stops_the_stack(self):
@@ -548,20 +558,20 @@ class TestRootStacks:
         rows = [[0, 0, 2.0], [0.3, -1.7, 0.9, 1.0], [0, 0, 0, 1j]]
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60):
             with pytest.raises(NoConvergence) as alone:
-                numerics.polynomial_roots(rows[1])
+                numerics.polynomial_roots([rows[1]])[0]
             with pytest.raises(NoConvergence, match=f"^{re.escape(str(alone.value))}$"):
-                numerics.polynomial_roots_stack(rows)
-            assert numerics.polynomial_roots_stack(rows[::2]) == [[0j, 0j], [0j, 0j, 0j]]
+                numerics.polynomial_roots(rows)
+            assert numerics.polynomial_roots(rows[::2]) == [[0j, 0j], [0j, 0j, 0j]]
 
     def test_first_failure_in_order_is_raised(self):
         # in the order of the passes: the empty-row check runs over the
         # whole stack first; then each degree's stack, in the order of its
         # first row, raises a vanishing leading coefficient before its solve
         with pytest.raises(DegenerateLeadingCoefficient, match="^empty coefficient list$"):
-            numerics.polynomial_roots_stack([[1.0, 1.0, 1e-16], [], [1.0, 1.0]])
+            numerics.polynomial_roots([[1.0, 1.0, 1e-16], [], [1.0, 1.0]])
         with pytest.raises(DegenerateLeadingCoefficient, match="vanishes"):
-            numerics.polynomial_roots_stack([[1.0, 1.0, 1e-16], [1.0, 1.0]])
-        assert numerics.polynomial_roots_stack([[1.0, 1.0]]) == [[-1 + 0j]]
+            numerics.polynomial_roots([[1.0, 1.0, 1e-16], [1.0, 1.0]])
+        assert numerics.polynomial_roots([[1.0, 1.0]]) == [[-1 + 0j]]
 
 
 # One part of a root, or of a center: few values, so that distances, real
@@ -571,7 +581,7 @@ TIED_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 3.0, 1e-300,
 
 @st.composite
 def root_polynomials(draw):
-    """A ShiftedPolynomial for poly.roots_stack, of one of the kinds its
+    """A ShiftedPolynomial for poly.roots, of one of the kinds its
     array passes take apart: any coefficient_rows row (mixed degrees, rows
     scaled by 2^-1040, monomials); a row whose leading coefficient is
     TRIM_THRESHOLD times the largest magnitude, so trimmed, or the next
@@ -629,7 +639,7 @@ class TestRootPasses:
     @given(ps=st.lists(root_polynomials(), min_size=1, max_size=8), strict=st.booleans())
     def test_stack_is_the_per_polynomial_loop(self, ps, strict):
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
-            check_stack(lambda: poly.roots_stack(ps), [lambda p=p: loop_roots(p) for p in ps],
+            check_stack(lambda: poly.roots(ps), [lambda p=p: loop_roots(p) for p in ps],
                         same_roots)
 
     @settings(max_examples=150, deadline=None, database=None)
@@ -639,7 +649,7 @@ class TestRootPasses:
         # the rows reach the solve untrimmed, so that a leading
         # coefficient of exactly TRIM_THRESHOLD times the largest fails
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
-            check_stack(lambda: numerics.polynomial_roots_stack(rows),
+            check_stack(lambda: numerics.polynomial_roots(rows),
                         [lambda row=row: loop_polynomial_roots(row) for row in rows], same_roots)
 
     @settings(max_examples=200, deadline=None, database=None)
@@ -651,8 +661,8 @@ class TestRootPasses:
         # roots given at the solve's seam, so that distances, real parts
         # and imaginary parts tie exactly; Python's sort is stable
         ps = [poly.ShiftedPolynomial(c, [1.0, 1.0]) for c in centers[:len(raw)]]
-        with mock.patch.object(numerics, "polynomial_roots_stack", lambda polys: list(raw)):
-            got = poly.roots_stack(ps)
+        with mock.patch.object(numerics, "polynomial_roots", lambda polys: list(raw)):
+            got = poly.roots(ps)
         for roots, c, out in zip(raw, centers, got):
             shifted = [r + c for r in roots]
             want = sorted(shifted, key=lambda r: (abs(r - c), r.real, r.imag))
@@ -665,7 +675,7 @@ class TestRootPasses:
         rows = [[4.0, 1.0, 1.0, edge], [4.0, 1.0, 1.0, np.nextafter(edge, 1.0)],
                 [4.0, 1.0, 2.0, 0.0], [1.0, 2.0, 0.0, 0.0]]
         ps = [poly.ShiftedPolynomial(0.25j, row) for row in rows]
-        got = poly.roots_stack(ps)
+        got = poly.roots(ps)
         assert [len(r) for r in got] == [2, 3, 2, 1]
         for out, p in zip(got, ps):
             same_roots(out, loop_roots(p))

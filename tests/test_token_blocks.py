@@ -19,7 +19,7 @@ helmholtz_reference and 0.60-0.65 MB on highorder_poles (bound 0.1 MB).
 So code is moved or deleted rather than added beside, and a module that
 grows is measured, not assumed free.
 
-The lockstep Jacobi stack (numerics.hermitian_eigensystems) took
+The lockstep Jacobi stack (then numerics.hermitian_eigensystems) took
 numerics.py from 2,016 to 2,605 tokens, past its 2,048 block, with
 pade._scale_exponent and pade._scaled moved in beside it (now
 numerics.scale_exponent and numerics.scaled); its compile() peak went from
