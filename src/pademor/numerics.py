@@ -204,9 +204,9 @@ def hermitian_min_eigenpair(matrices):
 
 def min_right_singular_vector(R):
     """Right-singular vector for the smallest singular value of each small
-    square factor of a (B, n, n) stack, as a MinEigen whose value is that
-    singular value, by one SVD, each giving what it gives alone; a
-    non-finite entry raises NoConvergence.
+    square factor of a (B, n, n) stack, taken as complex, as a MinEigen
+    whose value is that singular value, by one SVD, each giving what it
+    gives alone; a non-finite entry raises NoConvergence.
 
     Takes LAPACK's SVD of R itself, so the vector is always a minimiser of
     ||R v|| over unit v, phase-fixed.  The degenerate flag only reports a
@@ -216,6 +216,9 @@ def min_right_singular_vector(R):
     the choice.  The gap test's norms and the phase fix are row passes; the
     two squares it compares stay Python's, libm's pow, which NumPy's array
     square does not round alike."""
+    R = np.asarray(R, dtype=complex)
+    if not len(R):
+        return []
     if not np.isfinite(R).all():
         raise NoConvergence("the factor R has a non-finite entry")
     s, Vh = np.linalg.svd(R)[1:]

@@ -315,13 +315,13 @@ def build(model, params, taylor=None):
 
 def evaluate_stack(approxs, points):
     """P(z)/Q(z) and |Q(z)| of each of approxs, whose denominators share one
-    degree, along a 1-d array of points, one stack of numerators
-    (poly.call_stack) at a time, so that only one stack's values are held
-    at once: yields (indices, values, qmag), values an (n, len(indices),
-    dimension) array and qmag (len(indices), n).  Q is evaluated for all
-    of approxs by one Horner pass (poly.evaluate), which rounds each
-    value as Horner on Python complex numbers does; each value is
-    bit-identical to that approximant's evaluated alone.  |Q| is taken by
+    degree, along a 1-d array of points, one stack of numerators of one
+    coefficient shape and center at a time, so that only one stack's
+    values are held at once: yields (indices, values, qmag), values an
+    (n, len(indices), dimension) array and qmag (len(indices), n).  Q is
+    evaluated by one Horner pass (poly.evaluate), P by one per stack
+    (ShiftedPolynomial.__call__ of the rows side by side); each value is
+    bit-identical to its approximant's evaluated alone.  |Q| is taken by
     np.hypot, bit-identical to Python abs but inf, not OverflowError,
     where the modulus of finite parts overflows.
 
@@ -331,9 +331,13 @@ def evaluate_stack(approxs, points):
     """
     points = np.asarray(points, dtype=complex)
     qz = poly.evaluate([a.denominator for a in approxs], points)
-    for index, values in poly.call_stack([a.numerator for a in approxs], points):
+    nums = [a.numerator for a in approxs]
+    # repr tells the signed zeros of a center apart
+    for index in stacks(nums, lambda p: (p.coeffs.shape, repr(p.center))).values():
         q = qz[index]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = poly.ShiftedPolynomial(nums[index[0]].center, np.stack(
+                [nums[i].coeffs for i in index], axis=1))(points)
             values /= q.T[..., None]
             qmag = np.hypot(q.real, q.imag)
         yield index, values, qmag
@@ -343,11 +347,9 @@ def evaluate(approx, z):
     """P(z)/Q(z) together with |Q(z)|: a (dimension,) array and a float at
     a point, an array of one row per point and an array of one value per
     point along an array of points, by evaluate_stack, so that the
-    commands, which evaluate all their approximants as one stack, one
-    Horner pass per numerator degree, write the bytes this gives: Q(z) is
-    rounded as Horner on Python complex numbers rounds it (the real-array
-    Horner of poly.evaluate), P(z) as Horner on NumPy complex arrays
-    (ShiftedPolynomial.__call__)."""
+    commands, which evaluate all their approximants as one stack, write the
+    bytes this gives, whatever the other points: Q(z) rounded as Horner on
+    Python complex numbers, P(z) as Horner on NumPy complex arrays."""
     points = np.asarray(z, dtype=complex)
     [(_, values, qmag)] = evaluate_stack([approx], points.reshape(-1))
     qmag = qmag[0].reshape(points.shape)

@@ -5,11 +5,11 @@ Coefficients are stored ascending, one row per power (row j multiplies
 coefficients for a Taylor block or a numerator P.  Denominators live on the
 unit coefficient sphere sum |a_j|^2 = 1.
 
-Polynomials are evaluated by Horner, a stack at a time: scalar ones of one
-degree by evaluate, rounded as Python's complex arithmetic rounds, and
-vector ones by call_stack, rounded as NumPy's complex arrays round
-(ShiftedPolynomial.__call__), each value bit-identical to its
-polynomial's evaluated alone.
+Polynomials are evaluated by Horner: a stack of scalar ones of one degree
+by evaluate, rounded as Python's complex arithmetic rounds, and one
+polynomial, or a vector one whose rows hold a stack side by side, by
+ShiftedPolynomial.__call__, every value rounded as NumPy's complex array
+product rounds, whatever the grid or stack it is evaluated in.
 """
 
 import numpy as np
@@ -33,13 +33,17 @@ class ShiftedPolynomial:
     def __call__(self, z):
         """Horner evaluation on NumPy arrays at a point, or at each of an
         array of points: one value (a row for a vector polynomial) each."""
-        dz = np.asarray(z, dtype=complex) - self.center
-        acc = np.zeros(dz.shape + self.coeffs.shape[1:], dtype=complex)
-        dz = dz.reshape(dz.shape + (1,) * (self.coeffs.ndim - 1))
+        z = np.asarray(z, dtype=complex)
+        # points as an array, never a NumPy scalar, whose products round apart
+        dz = z.reshape((-1,) + (1,) * (self.coeffs.ndim - 1)) - self.center
+        acc = np.zeros(dz.shape[:1] + self.coeffs.shape[1:], dtype=complex)
         for row in self.coeffs[::-1]:
-            acc *= dz
+            if acc.size == 1:  # NumPy rounds a one-element product in place without FMA
+                acc = acc * dz
+            else:
+                acc *= dz
             acc += row
-        return acc
+        return acc.reshape(z.shape + self.coeffs.shape[1:])
 
 
 def evaluate(ps, points):
@@ -71,33 +75,6 @@ def evaluate(ps, points):
     qz = re.astype(complex)
     qz.imag = im
     return qz
-
-
-def call_stack(ps, points):
-    """ShiftedPolynomial.__call__ of each of the vector polynomials ps along
-    a 1-d array of points, one stack of polynomials of one coefficient
-    shape and center at a time: yields the indices of a stack's
-    polynomials in ps, in their order, and an (n, len(indices), dimension)
-    array of their values, from one Horner pass on the coefficient rows
-    of the stack side by side.  No warning is raised where a value
-    overflows or is nan.
-
-    Each value is bit-identical to its polynomial's called alone.  NumPy's
-    complex product rounds as its array loop does (with FMA where the host
-    has it), whatever the length and layout of the arrays, except an
-    in-place product of one element, which it rounds as Python does: so a
-    polynomial whose Horner steps at the points are each one product (one
-    mode at one point) forms a stack of its own."""
-    groups = {}
-    for i, p in enumerate(ps):
-        lone = p.coeffs[0].size * np.size(points) == 1
-        # repr tells the signed zeros of a center apart
-        groups.setdefault((p.coeffs.shape, repr(p.center), i if lone else -1), []).append(i)
-    for index in groups.values():
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = ShiftedPolynomial(ps[index[0]].center, np.stack(
-                [ps[i].coeffs for i in index], axis=1))(points)
-        yield index, values
 
 
 def effective_stack(ps):

@@ -211,13 +211,14 @@ def approximant_errors(model, approx, points, rows):
 
 def copying_horner(p, z):
     """ShiftedPolynomial.__call__ with a new array per Horner step,
-    acc = acc * dz + row, where the package updates acc in place."""
-    dz = np.asarray(z, dtype=complex) - p.center
-    acc = np.zeros(dz.shape + p.coeffs.shape[1:], dtype=complex)
-    dz = dz.reshape(dz.shape + (1,) * (p.coeffs.ndim - 1))
+    acc = acc * dz + row, where the package updates acc in place; a point
+    is taken as a grid of one point, as NumPy scalars round apart."""
+    z = np.asarray(z, dtype=complex)
+    dz = z.reshape((-1,) + (1,) * (p.coeffs.ndim - 1)) - p.center
+    acc = np.zeros(dz.shape[:1] + p.coeffs.shape[1:], dtype=complex)
     for row in p.coeffs[::-1]:
         acc = acc * dz + row
-    return acc
+    return acc.reshape(z.shape + p.coeffs.shape[1:])
 
 
 def point_errors(model, approx, points, near_distance=1e-6):

@@ -346,9 +346,10 @@ class TestStackedErrors:
         assert all(e[1] == math.inf for e in errors)
 
     def test_one_mode_at_one_point(self, rng):
-        # one product per Horner step of each numerator: NumPy rounds it
-        # as Python does when alone, not when stacked, so each numerator
-        # is evaluated apart
+        # one product per Horner step of each numerator, a product of one
+        # element at one point: it rounds as it does inside a longer stack
+        # or grid, so the stacked numerators give each one's bytes alone,
+        # and each point alone gives its column of the grid
         model = modal.build_synthetic([1.0], [1.0])
         c = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
         approxs = [pade.PadeApproximant(
@@ -357,7 +358,12 @@ class TestStackedErrors:
             pade.BuildParams(0.3 + 0.2j, 5, 2, 5), pade.Diagnostics(0.0, False))
             for row in c]
         for points in ([0.7 + 0.1j], [0.7 + 0.1j, 1.9]):
-            self.check(model, approxs, np.array(points))
+            errors, qmags = self.check(model, approxs, np.array(points))
+        rows = modal.evaluate_exact_grid(model, points)[0]
+        for j, z in enumerate(points):
+            at_z = harness._grid_errors(model, approxs, [z], rows[j:j + 1])
+            assert at_z[0].tobytes() == errors[:, j:j + 1].tobytes()
+            assert at_z[1].tobytes() == qmags[:, j:j + 1].tobytes()
 
 
 class TestModalErrorIdentity:

@@ -536,8 +536,7 @@ EMPTY_STACKS = {
     "pade.denominator_fast_gramian": lambda t, w: pade.denominator_fast_gramian(t, 2, [], w),
     "numerics.hermitian_eigensystem": lambda t, w: numerics.hermitian_eigensystem([]),
     "numerics.hermitian_min_eigenpair": lambda t, w: numerics.hermitian_min_eigenpair([]),
-    "numerics.min_right_singular_vector":
-        lambda t, w: numerics.min_right_singular_vector(np.zeros((0, 3, 3), complex)),
+    "numerics.min_right_singular_vector": lambda t, w: numerics.min_right_singular_vector([]),
     "numerics.polynomial_roots": lambda t, w: numerics.polynomial_roots([]),
     "poly.evaluate": lambda t, w: poly.evaluate([], np.linspace(0.0, 1.0, 5)),
     "poly.roots": lambda t, w: poly.roots([]),
@@ -550,6 +549,17 @@ def test_empty_stack_gives_nothing(three_pole, kernel):
     assert list(out) == []
     if kernel == "poly.evaluate":
         assert out.shape == (0, 5) and out.dtype == complex
+
+
+def test_real_factors_are_taken_as_complex():
+    # a real stack gives the complex vectors of the same stack as complex
+    R = np.array([np.diag([3.0, 1.0, 2.0]), np.triu(np.arange(1.0, 10.0).reshape(3, 3))])
+    got = numerics.min_right_singular_vector(R)
+    want = numerics.min_right_singular_vector(R.astype(complex))
+    assert [r.vector.dtype for r in got] == [np.dtype(complex)] * 2
+    assert [(r.value, r.vector.tobytes(), r.degenerate) for r in got] == [
+        (r.value, r.vector.tobytes(), r.degenerate) for r in want]
+    assert numerics.min_right_singular_vector(np.zeros((0, 3, 3))) == []
 
 
 class TestNumerator:
@@ -763,6 +773,51 @@ class TestBuildAndEvaluate:
         assert np.all(rel <= 1e-8)
         roots = np.array(pade.approximant_poles(ap))
         assert all(np.min(np.abs(roots - lam)) <= 1e-9 for lam in poles)
+
+
+# A synthetic model's poles as (real part in halves, imaginary part,
+# residue norm), at least 0.5 apart, and grid points around them.
+POLES = st.lists(st.tuples(st.integers(-6, 6), st.floats(-1, 1), st.floats(0.2, 2)),
+                 min_size=1, max_size=4, unique_by=lambda pole: pole[0])
+POINTS = st.lists(st.builds(complex, st.floats(-3, 3), st.floats(-1, 1)), min_size=1,
+                  max_size=5)
+
+
+def synthetic(poles):
+    return modal.build_synthetic([complex(k / 2, y) for k, y, _ in poles],
+                                 [r for *_, r in poles])
+
+
+class TestGridIndependence:
+    """A value's bytes do not depend on the points or the approximants it is
+    evaluated with.  NumPy rounds a complex product of one element taken in
+    place, or of two NumPy scalars, without FMA, and every other one with
+    FMA where the host has it; a one-mode numerator at one point, or a
+    scalar polynomial at a scalar point, is such a product at every Horner
+    step unless ShiftedPolynomial.__call__ takes it out of place."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(poles=POLES, z0=st.builds(complex, st.floats(-3, 3), st.floats(1.5, 2.5)),
+           variant=st.sampled_from(["fast", "standard"]), M=st.integers(0, 5),
+           N=st.integers(1, 3), extra=st.integers(0, 2), points=POINTS, more=POINTS)
+    @example(poles=[(2, 0.0, 1.0)], z0=0.3 + 0.2j, variant="fast", M=5, N=2, extra=2,
+             points=[0.1 - 0.4j, 2.5 + 0.3j], more=[-1.0 + 0.5j])
+    def test_value_at_a_point_is_its_value_in_any_grid(self, poles, z0, variant, M, N,
+                                                       extra, points, more):
+        model = synthetic(poles)
+        E = (max(M, N) if variant == "fast" else M + N) + extra
+        approx = pade.build(model, pade.BuildParams(z0, M, N, E, variant, 2.0))
+        values, qmags = pade.evaluate(approx, points)
+        longer, longer_qmags = pade.evaluate(approx, points + more)
+        assert values.tobytes() == longer[:len(points)].tobytes()
+        assert qmags.tobytes() == longer_qmags[:len(points)].tobytes()
+        P, Q = approx.numerator, approx.denominator
+        for i, z in enumerate(points):
+            value, qmag = pade.evaluate(approx, z)
+            assert value.tobytes() == values[i].tobytes()
+            assert np.float64(qmag).tobytes() == qmags[i].tobytes()
+            assert P(z).tobytes() == P(points)[i].tobytes()
+            assert Q(z).tobytes() == Q(points)[i].tobytes()
 
 
 class TestFunctionalValue:
