@@ -262,6 +262,7 @@ def _grid_errors(model, approxs, points, rows):
             err = norm(values.reshape(-1, values.shape[-1]), model.weights).reshape(finite.shape)
         err[~finite] = math.inf
         errors[index], qmags[index] = err.T, qmag
+        del values  # before the next stack's Horner pass
     return errors, qmags
 
 
@@ -363,7 +364,11 @@ def cmd_convergence(config, model):
         raise ConfigError("at $.z_probes: convergence study needs probe points")
     rows, dists = evaluate_exact_grid(model, probes)
     for z, dist in zip(probes, dists.tolist()):
-        if dist < 0.05:
+        if dist < 0.05:  # a retained pole within 0.05, or a row not finite
+            near = np.abs(model.eigenvalues[model.coefficients != 0] - z).min(initial=math.inf)
+            if near >= 0.05:  # no pole of S, dropped or retained, is near
+                raise ConfigError(f"at $.z_probes: S overflows at probe {z}, {near:.3g} from "
+                                  f"the nearest pole")
             raise ConfigError(f"at $.z_probes: probe {z} is within 0.05 of a pole")
     for M in config.M_list:
         if M < config.N - 1:

@@ -38,14 +38,6 @@ class InnerProductWeights:
         return InnerProductWeights(np.real(np.asarray(eigenvalues, dtype=complex)) + shift)
 
 
-def _check_dims(w, *vectors, ndims=(1,)):
-    for v in vectors:
-        if v.ndim not in ndims or v.shape[-1] != w.weights.size:
-            raise DimensionMismatch(
-                f"vector of shape {v.shape} incompatible with {w.weights.size} weights"
-            )
-
-
 def rescued(sums):
     """Indices of the sums of squares that overflow or fall below the
     smallest normal float: their norms are summed again, scaled."""
@@ -60,18 +52,23 @@ def norm(u, w):
     magnitude, so its norm is accurate whenever it is representable.
     """
     u = np.asarray(u, dtype=complex)
-    _check_dims(w, u, ndims=(1, 2))
-    mags = np.abs(np.atleast_2d(u))
+    if u.ndim not in (1, 2) or u.shape[-1] != w.weights.size:
+        raise DimensionMismatch(f"vector of shape {u.shape} incompatible with "
+                                f"{w.weights.size} weights")
+    block = np.atleast_2d(u)
+    sq = np.abs(block)
     with np.errstate(over="ignore", under="ignore"):
-        sums = np.sum(w.weights * mags**2, axis=-1)
+        sq **= 2  # squared and weighted in place: one real array of the block's shape
+        sq *= w.weights
+        sums = sq.sum(axis=-1)
         norms = np.sqrt(sums)
         rows = rescued(sums)
         if rows.size:
-            top = mags[rows].max(axis=-1)
+            mags = np.abs(block[rows])
+            top = mags.max(axis=-1)
             keep = np.isfinite(top) & (top > 0.0)
-            rows, top = rows[keep], top[keep]
-            scaled = np.sum(w.weights * (mags[rows] / top[:, None]) ** 2, axis=-1)
-            norms[rows] = top * np.sqrt(scaled)
+            rows, top, mags = rows[keep], top[keep], mags[keep]
+            norms[rows] = top * np.sqrt(np.sum(w.weights * (mags / top[:, None]) ** 2, axis=-1))
     return float(norms[0]) if u.ndim == 1 else norms
 
 

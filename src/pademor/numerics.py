@@ -2,15 +2,15 @@
 
 Provides a cyclic complex Jacobi eigensolver for small Hermitian matrices,
 the minimal right-singular vector of a small triangular factor by LAPACK's
-SVD, the roots of a polynomial of any degree, in no set order, as the
-LAPACK eigenvalues of its companion matrix, each polished by one Newton
-step, the power-of-two scalings that keep weighted sums of squares
-finite, and the Gauss-Legendre rule that modal integrates the Helmholtz
-source with, on the float operations of numpy.polynomial's, which the
-package does not import.  Jacobi, not LAPACK, solves the standard Gramian
-sum: the committed benchmark reference holds its roundoff, and a LAPACK
-eigensolver in its place fails that reference's check until the reference
-is retaken.  A matrix with a non-finite entry is refused
+SVD, the roots of each of a stack of polynomials of one degree, in no
+set order, as the LAPACK eigenvalues of its companion matrix, each
+polished by one Newton step, the power-of-two scalings that keep
+weighted sums of squares finite, and the Gauss-Legendre rule that modal
+integrates the Helmholtz source with, on the float operations of
+numpy.polynomial's, which the package does not import.  Jacobi, not
+LAPACK, solves the standard Gramian sum: the committed benchmark
+reference holds its roundoff, and a LAPACK eigensolver in its place fails
+that reference's check until the reference is retaken.  A matrix with a non-finite entry is refused
 (NonFiniteValue).  The Jacobi rotation kernel does the same floating-point
 operations on every entry as the plain loop kept in tests/oracles.py
 (loop_jacobi) and is bit-identical to it.  Only the vectors compared or
@@ -25,7 +25,9 @@ The eigensystems, the singular vectors and the roots are solved for a
 whole stack at once, each item giving the bytes it gives alone, and so
 are the steps around the solves: checks, pick, phase fixes, norms, scale
 exponents.  A stack raises the first failure that its passes, check by
-check and item by item, meet; an empty stack gives [].
+check and item by item, meet; an empty stack gives [], or an empty array
+of roots.  Each kernel takes a stack of one shape: poly.roots groups the
+roots by effective degree.
 
 The rounding contract of the stacks: every item takes the float
 operations it takes alone, in the same order.  A real array operation
@@ -50,8 +52,8 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateLeadingCoefficient, NoConvergence, NonFiniteValue,
-                     NonHermitianInput, stacks)
+from .errors import (DegenerateLeadingCoefficient, DimensionMismatch, NoConvergence,
+                     NonFiniteValue, NonHermitianInput)
 
 HERMITIAN_TOL = 1e-13
 DEGENERACY_GAP = 1e-12
@@ -266,71 +268,58 @@ def _horner(b, x):
     return p, dp
 
 
-def polynomial_roots(polys):
-    """All roots (with multiplicity) of each of a list of polynomials in
-    ascending coefficients, those of one degree solved as one stack, each
-    giving what it gives alone.
+def polynomial_roots(a):
+    """All roots (with multiplicity) of each of a stack of polynomials of
+    one degree n, the rows of a (B, n + 1) array of ascending
+    coefficients: a (B, n) complex array, each row giving what it gives
+    alone.
 
     The roots are the eigenvalues of the companion matrix of the monic
     polynomial (np.linalg.eigvals), each followed by one Newton step that is
     kept only where it lowers |p|.  The roots come in no set order (poly.roots
     sorts them), and each satisfies
-    |p(root)| <= ROOT_TOL * max|coeff| * (1 + |root|)^degree.  The finite,
-    leading-coefficient and 2^1000 rules and the residual check are array
-    passes over each degree's stack; a non-finite coefficient
-    (NonFiniteValue) or a vanishing leading coefficient raises before the
-    solve.
+    |p(root)| <= ROOT_TOL * max|coeff| * (1 + |root|)^degree.  A ragged
+    stack (DimensionMismatch), a non-finite coefficient (NonFiniteValue) or
+    a vanishing leading coefficient raises before the solve; the finite,
+    leading-coefficient and 2^1000 rules and the residual check are passes
+    over the stack.  An empty stack gives an empty array.
     """
-    out = [np.asarray(p, dtype=complex) for p in polys]
-    if any(a.ndim != 1 or not a.size for a in out):
+    if not len(a):
+        return np.zeros((0, 0), complex)
+    try:
+        a = np.array(a, dtype=complex)
+    except ValueError as exc:  # rows of unequal lengths
+        raise DimensionMismatch(f"not a stack of one degree: {exc}") from None
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a (B, n + 1) stack, not shape {a.shape}")
+    if not a.size:
         raise DegenerateLeadingCoefficient("empty coefficient list")
-    for index in stacks(out).values():
-        a = np.array([out[i] for i in index])
-        if not np.isfinite(a).all():
-            raise NonFiniteValue("polynomial coefficients have a non-finite entry")
-        degree = a.shape[1] - 1
-        amax = np.abs(a).max(axis=1)
-        lead = np.hypot(a[:, -1].real, a[:, -1].imag)
-        if degree and (lead <= TRIM_THRESHOLD * amax).any():
-            raise DegenerateLeadingCoefficient(
-                "leading coefficient vanishes relative to the coefficient scale")
-        small = lead < 2.0**-1000
-        a[small], amax[small] = a[small] * 2.0**1000, amax[small] * 2.0**1000
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            b = a / a[:, -1:]  # 0 / 0 only for a zero constant, which has no roots
-            companion = np.zeros((len(index), degree, degree), complex) + np.eye(degree, k=-1)
-            companion[:, :, -1:] = -b[:, :-1, None]
-            x = np.linalg.eigvals(companion)
-            px, dpx = _horner(b, x)
-            y = x - px / dpx
-            x = np.where(np.abs(_horner(b, y)[0]) < np.abs(px), y, x)
+    if not np.isfinite(a).all():
+        raise NonFiniteValue("polynomial coefficients have a non-finite entry")
+    degree = a.shape[1] - 1
+    amax = np.abs(a).max(axis=1)
+    lead = np.hypot(a[:, -1].real, a[:, -1].imag)
+    if degree and (lead <= TRIM_THRESHOLD * amax).any():
+        raise DegenerateLeadingCoefficient(
+            "leading coefficient vanishes relative to the coefficient scale")
+    small = lead < 2.0**-1000
+    a[small], amax[small] = a[small] * 2.0**1000, amax[small] * 2.0**1000
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b = a / a[:, -1:]  # 0 / 0 only for a zero constant, which has no roots
+        companion = np.zeros((len(a), degree, degree), complex) + np.eye(degree, k=-1)
+        companion[:, :, -1:] = -b[:, :-1, None]
+        x = np.linalg.eigvals(companion)
+        px, dpx = _horner(b, x)
+        y = x - px / dpx
+        x = np.where(np.abs(_horner(b, y)[0]) < np.abs(px), y, x)
 
-        residuals = np.abs((x[..., None] ** np.arange(degree + 1)) @ a[..., None])[..., 0]
-        bounds = ROOT_TOL * amax[:, None] * (1.0 + np.abs(x)) ** degree
-        failed = np.flatnonzero((residuals > bounds).any(axis=1))
-        if failed.size:
-            ratio = np.max(residuals[failed[0]] / np.maximum(bounds[failed[0]], 1e-300))
-            raise NoConvergence(f"root residual check failed (worst ratio {ratio:.3e})")
-        for i, roots in zip(index, x.tolist()):
-            out[i] = roots
-    return out
-
-
-def nearest_first(roots, centers):
-    """Each list of roots of roots shifted by its center and sorted by
-    distance from it, ties by (Re, Im), the lists of one length as one
-    array pass: one stable lexsort on np.hypot of the parts, as Python's
-    abs of a complex number takes it (np.abs may round otherwise), then on
-    Re, then on Im."""
-    out = list(roots)
-    for index in stacks(roots).values():
-        c = np.array([centers[i] for i in index])[:, None]
-        r = np.array([roots[i] for i in index]) + c
-        d = r - c
-        order = np.lexsort((r.imag, r.real, np.hypot(d.real, d.imag)))
-        for i, row in zip(index, np.take_along_axis(r, order, axis=1).tolist()):
-            out[i] = row
-    return out
+    residuals = np.abs((x[..., None] ** np.arange(degree + 1)) @ a[..., None])[..., 0]
+    bounds = ROOT_TOL * amax[:, None] * (1.0 + np.abs(x)) ** degree
+    failed = np.flatnonzero((residuals > bounds).any(axis=1))
+    if failed.size:
+        ratio = np.max(residuals[failed[0]] / np.maximum(bounds[failed[0]], 1e-300))
+        raise NoConvergence(f"root residual check failed (worst ratio {ratio:.3e})")
+    return x
 
 
 def _legendre_series(x, c):

@@ -341,6 +341,7 @@ def evaluate_stack(approxs, points):
             values /= q.T[..., None]
             qmag = np.hypot(q.real, q.imag)
         yield index, values, qmag
+        del values  # not held while the next stack's Horner pass runs
 
 
 def evaluate(approx, z):

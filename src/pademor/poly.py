@@ -15,7 +15,8 @@ product rounds, whatever the grid or stack it is evaluated in.
 import numpy as np
 
 from . import numerics
-from .errors import ConstantPolynomial, NonFiniteValue, ZeroPolynomial, stacks
+from .errors import (ConstantPolynomial, DimensionMismatch, NonFiniteValue, ZeroPolynomial,
+                     stacks)
 
 
 class ShiftedPolynomial:
@@ -77,40 +78,43 @@ def evaluate(ps, points):
     return qz
 
 
-def effective_stack(ps):
-    """The coefficients of each of ps less the trailing ones at or below
-    numerics.TRIM_THRESHOLD of its max magnitude, those of one coefficient
-    shape as one array pass.
-
-    A vanishing leading coefficient means fewer poles in range, which is a
-    legitimate outcome, not an error.  A non-finite coefficient raises
-    NonFiniteValue, a largest magnitude at or below 1e-300 ZeroPolynomial.
-    """
-    out = [p.coeffs for p in ps]
-    for index in stacks(out, np.shape).values():
-        a = np.array([out[i] for i in index])
-        if not np.isfinite(a).all():
-            raise NonFiniteValue("polynomial coefficients have a non-finite entry")
-        top = np.abs(a).reshape(len(index), a.shape[1], -1).max(axis=2)  # per row
-        scale = top.max(axis=1)
-        if (scale <= 1e-300).any():
-            raise ZeroPolynomial("zero polynomial has no well-defined degree")
-        # the place of the last row kept: np.where, as a boolean argmax runs
-        # NumPy code that no other step runs, whose pages add to the RSS
-        sizes = np.where(top > numerics.TRIM_THRESHOLD * scale[:, None],
-                         np.arange(1, a.shape[1] + 1), 0).max(axis=1)
-        for i, row, n in zip(index, a, sizes.tolist()):
-            out[i] = row[:n]
-    return out
-
-
 def roots(ps):
     """Roots of each of ps, sorted by distance from its center (ties by
-    (Re, Im)), those of one effective degree solved as one stack.  The trim
-    (effective_stack), the solve (numerics.polynomial_roots) and the order
-    (numerics.nearest_first) are array passes over stacks."""
-    coeffs = effective_stack(ps)
-    if any(c.size < 2 for c in coeffs):
+    (Re, Im)): one pass over all their coefficients, zero-padded to the
+    longest.  A vector polynomial raises DimensionMismatch, a non-finite
+    coefficient NonFiniteValue, a largest magnitude at or below 1e-300
+    ZeroPolynomial.  The trailing coefficients at or below
+    numerics.TRIM_THRESHOLD of the largest magnitude, a padded zero always,
+    are trimmed (fewer poles in range, not an error), but an effective
+    degree 0 raises ConstantPolynomial.  The rows of each effective degree
+    are solved as one stack (numerics.polynomial_roots) and ordered by one
+    stable lexsort on np.hypot of the parts, as Python's abs of a complex
+    number takes it (np.abs may round otherwise), then on Re, then on Im.
+    """
+    a = np.zeros((len(ps), max((p.coeffs.size for p in ps), default=0)), complex)
+    for row, p in zip(a, ps):
+        if p.coeffs.ndim != 1:
+            raise DimensionMismatch(f"no roots of coefficients of shape {p.coeffs.shape}")
+        row[:p.coeffs.size] = p.coeffs
+    if not np.isfinite(a).all():
+        raise NonFiniteValue("polynomial coefficients have a non-finite entry")
+    mags = np.abs(a)
+    scale = mags.max(axis=1, initial=0.0)
+    if (scale <= 1e-300).any():
+        raise ZeroPolynomial("zero polynomial has no well-defined degree")
+    # the place of the last coefficient kept by np.where, and the degree
+    # check on Python ints: a boolean argmax or an integer comparison runs
+    # NumPy code that no other step runs, whose pages add to the RSS
+    sizes = np.where(mags > numerics.TRIM_THRESHOLD * scale[:, None],
+                     np.arange(1, a.shape[1] + 1), 0).max(axis=1, initial=0).tolist()
+    if min(sizes, default=2) < 2:
         raise ConstantPolynomial("polynomial has effective degree 0")
-    return numerics.nearest_first(numerics.polynomial_roots(coeffs),
-                                  [p.center for p in ps])
+    out, centers = list(ps), np.array([p.center for p in ps])[:, None]
+    for n, index in stacks(sizes, int).items():
+        c = centers[index]
+        r = numerics.polynomial_roots(a[index, :n]) + c
+        d = r - c
+        order = np.lexsort((r.imag, r.real, np.hypot(d.real, d.imag)))
+        for i, row in zip(index, np.take_along_axis(r, order, axis=1).tolist()):
+            out[i] = row
+    return out

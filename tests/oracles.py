@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from pademor import hilbert, modal, numerics, pade, poly
-from pademor.errors import (ConstantPolynomial, DegenerateLeadingCoefficient,
+from pademor.errors import (ConstantPolynomial, DegenerateLeadingCoefficient, DimensionMismatch,
                             InsufficientTaylorLength, NoConvergence, NonFiniteValue,
                             NonHermitianInput, NotNormalized, PadeError, RhoOverflow,
                             ZeroPolynomial)
@@ -278,7 +278,9 @@ def inner_product(u, v, w):
     """<u, v> = sum_k w_k u_k conj(v_k); conjugate-linear in v."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    hilbert._check_dims(w, u, v)
+    if u.shape != w.weights.shape or v.shape != w.weights.shape:
+        raise DimensionMismatch(f"vectors of shapes {u.shape} and {v.shape}, "
+                                f"{w.weights.size} weights")
     return complex(np.sum(w.weights * u * np.conj(v)))
 
 

@@ -372,3 +372,81 @@ def test_build_functional_value_is_exact_to_roundoff(tmp_path, config):
             assert f * f - B <= j2 <= f * f + B, p
         checked += 1
     assert checked == 2 * len(config["M_list"])
+
+
+def exact_r_diagonal2(S, N, E, w):
+    """R_jj^2, j = 0..N, of the weighted QR of the window [S_{E-N} .. S_E]
+    of the float Taylor rows S (zero for negative orders), exactly, as
+    Fractions: the pivots D_j / D_{j-1} of Gaussian elimination on the
+    window's Gram matrix W^H diag(w) W, D_j its leading principal minors;
+    and that Gram matrix rounded to floats."""
+    n, zero = N + 1, (Fraction(0), Fraction(0))
+    cols = [[(Fraction(S[g, k].real), Fraction(S[g, k].imag)) if g >= 0 else zero
+             for k in range(S.shape[1])] for g in range(E - N, E + 1)]
+    weights = [Fraction(x) for x in w.weights.tolist()]
+    G = [[[sum(wk * (ar * br + ai * bi) for wk, (ar, ai), (br, bi) in zip(weights, a, b)),
+           sum(wk * (ar * bi - ai * br) for wk, (ar, ai), (br, bi) in zip(weights, a, b))]
+          for b in cols] for a in cols]
+    gram = np.array([[complex(float(re), float(im)) for re, im in row] for row in G])
+    pivots = []
+    for k in range(n):
+        p = G[k][k][0]  # real, a ratio of two minors of a Hermitian matrix
+        pivots.append(p)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                (xr, xi), (yr, yi) = G[i][k], G[k][j]
+                G[i][j] = [G[i][j][0] - (xr * yr - xi * yi) / p,
+                           G[i][j][1] - (xr * yi + xi * yr) / p]
+    return pivots, gram
+
+
+@pytest.mark.parametrize("config", [CONFIG, HELMHOLTZ_CONFIG], ids=["synthetic", "helmholtz"])
+def test_build_condition_estimate_is_exact_to_roundoff(tmp_path, config):
+    """Each fast build entry's condition_estimate, max_j R_jj / min_j R_jj
+    of its window's weighted QR factor, against the exact ratio
+    sqrt(max_j R_jj^2 / min_j R_jj^2), R_jj^2 = D_j / D_{j-1} from the
+    leading principal minors of the window's Gram matrix in Fractions
+    (exact_r_diagonal2), within a bound derived from the backward error of
+    the Gram-Schmidt, not fitted.
+
+    The weighted Gram-Schmidt with one reorthogonalization pass gives the
+    exact R factor of A + dA, ||dA||_{V,F} <= eta ||A||_{V,F} with
+    eta = gamma((2N + 1)(d + 4)) (d modes; as in
+    test_build_functional_value_is_exact_to_roundoff), and power-of-two
+    scalings are exact.  R_jj is the V-distance of column a_j from the span
+    of a_0..a_{j-1}: moving a_j by at most eta ||A|| moves it by as much,
+    and turning that span by an angle whose sine is at most
+    eta ||A|| / sigma_{j-1}, sigma_{j-1} the smallest singular value of
+    a_0..a_{j-1}, moves it by at most ||a_j|| times that sine (first
+    order).  So each computed R_jj is within
+    b_j = eta ||A|| (1 + ||a_j|| / sigma_{j-1}) of the exact one, the
+    largest by B = max_j b_j and the smallest as well, and the quotient,
+    rounded once, is within (B / R_max + B / R_min + u) of the exact ratio,
+    relatively; the oracle's own ratio, a Fraction rounded to a float and
+    its square root, adds 2 u.  ||a_j|| and ||A|| come from the exact Gram
+    diagonal, sigma_{j-1}^2 from eigvalsh of its leading block in floats,
+    both first order.  The standard entries' estimates are Jacobi
+    eigenvalue ratios of a Gramian sum, which no rational computation
+    gives: they stay open."""
+    model = harness.build_model(harness.parse_config(config))
+    degrees = set(config["M_list"]) | set(config.get("E_list", []))
+    checked = 0
+    for approx in approximants(tmp_path, config, degrees).values():
+        p, diag = approx.params, approx.diagnostics
+        if p.variant != "fast":
+            continue
+        assert not diag.exact_degeneracy, p  # every window of both studies has full rank
+        S = modal.taylor_coefficients(model, p.z0, p.E).coeffs
+        pivots, gram = exact_r_diagonal2(S, p.N, p.E, model.weights)
+        r = [math.sqrt(x) for x in pivots]
+        norms = np.sqrt(gram.diagonal().real)
+        sigmas = [math.inf] + [math.sqrt(np.linalg.eigvalsh(gram[:j, :j])[0])
+                               for j in range(1, p.N + 1)]
+        eta = gamma((2 * p.N + 1) * (model.dimension + 4))
+        frob = math.sqrt(gram.diagonal().real.sum())
+        B = max(eta * frob * (1 + a / s) for a, s in zip(norms, sigmas))
+        exact = math.sqrt(max(pivots) / min(pivots))
+        rel = B / max(r) + B / min(r) + gamma(3)
+        assert abs(diag.condition_estimate - exact) <= rel * exact, (p, rel)
+        checked += 1
+    assert checked == len(degrees)

@@ -1,8 +1,10 @@
+import collections
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from pademor.errors import ConfigError, DuplicatePoles, NoConvergence, PadeError
 from conftest import OVERFLOWING_Q_MODULUS, load_perfbench
 from oracles import (approximant_errors, horner_magnitude, loop_config_separation,
                      loop_duplicate_poles, loop_nearest_root_errors, modal_error, point_errors)
+from test_golden import README_CONFIG
 
 SYNTH_CONFIG = {
     "model": {
@@ -366,6 +369,48 @@ class TestStackedErrors:
             assert at_z[1].tobytes() == qmags[:, j:j + 1].tobytes()
 
 
+class TestGridErrorsPeak:
+    """What the tracemalloc peak of harness._grid_errors gains per mode
+    added, on sweep's approximants of the README study at max_index 12
+    and 24 (144 and 576 modes, 101 points), against the arrays the pass
+    must hold.  The parts that do not grow with the modes (Q at the
+    points, the outputs, one ufunc buffer) cancel in the difference.
+
+    Per mode, a stack of k numerators of degree M (coefficient rows M + 1)
+    at n points holds its values, 16 n k bytes, and beside them either
+    the copy of its coefficient rows that its Horner pass runs on,
+    16 (M + 1) k, or hilbert.norm's one real array of weighted squares,
+    8 n k; the budget is the largest stack's.  Measured (NumPy 2.4.6):
+    4,848.2 B per mode, against a budget of 4,848.  Holding the previous stack's values
+    during the next Horner pass, or |v|, |v|^2 and w |v|^2 at once in the
+    norm, as the pass did before, reads 8,080 B per mode."""
+
+    @staticmethod
+    def peak(max_index):
+        cfg = harness.parse_config(
+            dict(README_CONFIG, model=dict(README_CONFIG["model"], max_index=max_index)))
+        model = harness.build_model(cfg)
+        grid = cfg.grid()
+        rows = modal.evaluate_exact_grid(model, grid)[0]
+        approxs = [a for pair in harness._pairs(model, cfg, cfg.M_list, cfg.N) for a in pair]
+        harness._grid_errors(model, approxs, grid, rows)  # warm
+        tracemalloc.start()
+        try:
+            harness._grid_errors(model, approxs, grid, rows)
+            return tracemalloc.get_traced_memory()[1], approxs, len(grid)
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_per_mode_within_budget(self):
+        (small, _, _), (large, approxs, n) = self.peak(12), self.peak(24)
+        stacks = collections.Counter(a.numerator.degree for a in approxs)
+        budget = max(16 * n * k + max(16 * (M + 1) * k, 8 * n * k) for M, k in stacks.items())
+        # 1 KiB for the Python objects whose sizes differ between the two
+        # runs by a few bytes (96 B measured)
+        assert large - small <= budget * (24**2 - 12**2) + 1024, (
+            (large - small) / (24**2 - 12**2), budget)
+
+
 class TestModalErrorIdentity:
     """harness._grid_errors, by subtraction, against oracles.modal_error, by the
     closed form, on random fast and standard builds with N = 0..8 and
@@ -626,6 +671,19 @@ class TestDroppedPoleRows:
         out = tmp_path / "convergence.csv"
         assert cli.main(["convergence", "--config", path, "--out", str(out)]) == 2
         assert "at $.z_probes: probe (2+0j)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_convergence_names_an_overflow_far_from_every_pole(self, tmp_path, capsys):
+        # S overflows at 0.5, half a unit from both poles: the row is not
+        # finite, but no pole is near
+        config = dict(self.CONFIG, z_probes=[[0.5, 0.0]],
+                      model=dict(self.CONFIG["model"], residue_norms=[1e308, 1e308]))
+        path = write_config(tmp_path, config)
+        out = tmp_path / "convergence.csv"
+        assert cli.main(["convergence", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: at $.z_probes: S overflows at probe (0.5+0j), 0.5 from the "
+            "nearest pole\n")
         assert not out.exists()
 
 

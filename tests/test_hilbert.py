@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,25 @@ class TestNorm:
         assert hilbert.norm([3e-160, 4e-160], w) == pytest.approx(5e-160, rel=1e-15, abs=0.0)
         norms = hilbert.norm(np.array([[3e-160, 4e-160j], [0.0, 0.0], [3.0, 4.0]]), w)
         assert norms.tolist() == [hilbert.norm([3e-160, 4e-160], w), 0.0, 5.0]
+
+
+    def test_one_real_array_of_the_block(self, rng):
+        # the weighted squares are taken in place, in one real array of the
+        # block's shape, and |u| again only for the rescued rows (here
+        # three overflowing ones): the tracemalloc peak stays below 1.5 such
+        # arrays (three when |u|, its square and w |u|^2 were held at once)
+        block = rng.standard_normal((200, 5000)) + 1j * rng.standard_normal((200, 5000))
+        block[:3] *= 1e200
+        w = hilbert.InnerProductWeights(rng.uniform(0.5, 2.0, 5000))
+        hilbert.norm(block, w)
+        tracemalloc.start()
+        try:
+            norms = hilbert.norm(block, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * block.real.nbytes, peak / block.real.nbytes
+        assert np.isfinite(norms).all()
 
 
 class TestWeights:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pademor import cli, numerics, poly
-from pademor.errors import (DegenerateLeadingCoefficient, NoConvergence, NonFiniteValue,
-                            NonHermitianInput)
+from pademor.errors import (DegenerateLeadingCoefficient, DimensionMismatch, NoConvergence,
+                            NonFiniteValue, NonHermitianInput, stacks)
 
 from conftest import load_perfbench
 from oracles import (block_scale_exponent, check_stack, loop_jacobi, loop_polynomial_roots,
@@ -462,7 +462,7 @@ class TestPolynomialRoots:
         # six vanishing low-order coefficients: a root of multiplicity six
         # at 0, which the companion matrix gives exactly
         roots = numerics.polynomial_roots([[0.0] * 6 + [0.799, 0.491, 0.347]])[0]
-        assert len(roots) == 8 and roots.count(0) == 6
+        assert len(roots) == 8 and np.count_nonzero(roots == 0) == 6
 
     def test_degree_forty(self, rng):
         # above the former degree cap of 32
@@ -476,7 +476,7 @@ class TestPolynomialRoots:
     def test_deterministic(self):
         a = numerics.polynomial_roots([[2.0, -3.0, 1.0]])[0]
         b = numerics.polynomial_roots([[2.0, -3.0, 1.0]])[0]
-        assert a == b
+        assert a.tobytes() == b.tobytes()
 
     def test_root_with_underflowing_phase(self):
         # the phase of r underflows: cmath.phase would raise OverflowError
@@ -484,7 +484,7 @@ class TestPolynomialRoots:
         assert sorted(numerics.polynomial_roots([[2 * r, -(r + 2), 1.0]])[0], key=abs) == [2, r]
 
     def test_constant_has_no_roots(self):
-        assert numerics.polynomial_roots([[3.0]])[0] == []
+        assert numerics.polynomial_roots([[3.0]]).shape == (1, 0)
 
     def test_vanishing_leading_coefficient(self):
         with pytest.raises(DegenerateLeadingCoefficient):
@@ -499,9 +499,9 @@ class TestPolynomialRoots:
         # refused before the leading-coefficient rule and the companion
         # solve: eigvals fails on a nan (LinAlgError), the rule takes an inf
         # lead for a vanishing one (inf <= TRIM_THRESHOLD * inf), and a
-        # constant has no roots to solve for
+        # constant has no roots to solve for; in a stack of one degree
         with pytest.raises(NonFiniteValue, match="^polynomial coefficients have a non-finite"):
-            numerics.polynomial_roots([[1.0, 2.0], coeffs])
+            numerics.polynomial_roots([[1.0, 2.0][:len(coeffs)], coeffs])
 
     def test_residual_bound_failure(self, monkeypatch):
         # no rounded root has a residual of exactly 0
@@ -545,9 +545,11 @@ class TestRootStacks:
         # strict: a residual bound of 2^-60, which rows with rounded roots
         # fail (NoConvergence) while the exact monomials pass
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
-            check_stack(lambda: numerics.polynomial_roots(rows),
-                        [lambda row=row: numerics.polynomial_roots([row])[0] for row in rows],
-                        same_roots)
+            for index in stacks(rows).values():  # the solve takes one degree
+                same = [rows[i] for i in index]
+                check_stack(lambda: numerics.polynomial_roots(same),
+                            [lambda row=row: numerics.polynomial_roots([row])[0] for row in same],
+                            same_roots)
             polys = [poly.ShiftedPolynomial(0.5 - 0.25j, row) for row in rows]
             check_stack(lambda: poly.roots(polys), [lambda p=p: poly.roots([p])[0] for p in polys],
                         same_roots)
@@ -555,23 +557,43 @@ class TestRootStacks:
     def test_a_failed_row_stops_the_stack(self):
         # the middle row fails a residual bound of 2^-60, with its own
         # worst ratio; the monomials around it pass
-        rows = [[0, 0, 2.0], [0.3, -1.7, 0.9, 1.0], [0, 0, 0, 1j]]
+        rows = [[0, 0, 0, 2.0], [0.3, -1.7, 0.9, 1.0], [0, 0, 0, 1j]]
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60):
             with pytest.raises(NoConvergence) as alone:
                 numerics.polynomial_roots([rows[1]])[0]
             with pytest.raises(NoConvergence, match=f"^{re.escape(str(alone.value))}$"):
                 numerics.polynomial_roots(rows)
-            assert numerics.polynomial_roots(rows[::2]) == [[0j, 0j], [0j, 0j, 0j]]
+            assert np.array_equal(numerics.polynomial_roots(rows[::2]), np.zeros((2, 3)))
+
+    def test_ragged_stack_raises_before_the_solve(self):
+        with mock.patch.object(np.linalg, "eigvals", side_effect=AssertionError("solved")):
+            with pytest.raises(DimensionMismatch, match="^not a stack of one degree"):
+                numerics.polynomial_roots([[2.0, -3.0, 1.0], [1.0, 1.0]])
+            with pytest.raises(DimensionMismatch, match=r"not shape \(3,\)$"):
+                numerics.polynomial_roots([2.0, -3.0, 1.0])
+
+    def test_one_array_of_the_stack(self):
+        # a (B, n) complex array, row b the roots of row b alone
+        rows = np.array([[2.0, -3.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 1j]])
+        got = numerics.polynomial_roots(rows)
+        assert isinstance(got, np.ndarray) and got.shape == (3, 2) and got.dtype == complex
+        for out, row in zip(got, rows):
+            same_roots(out, numerics.polynomial_roots(row[None])[0])
+        assert rows[2, 2] == 1j  # the 2^1000 rule rescales a copy, never the caller's rows
 
     def test_first_failure_in_order_is_raised(self):
-        # in the order of the passes: the empty-row check runs over the
-        # whole stack first; then each degree's stack, in the order of its
-        # first row, raises a vanishing leading coefficient before its solve
-        with pytest.raises(DegenerateLeadingCoefficient, match="^empty coefficient list$"):
+        # in the order of the passes over the stack: its shape (rows of
+        # unequal lengths, then rows of no coefficient), the finite check,
+        # then a vanishing leading coefficient, all before the solve
+        with pytest.raises(DimensionMismatch, match="^not a stack of one degree"):
             numerics.polynomial_roots([[1.0, 1.0, 1e-16], [], [1.0, 1.0]])
+        with pytest.raises(DegenerateLeadingCoefficient, match="^empty coefficient list$"):
+            numerics.polynomial_roots([[], []])
+        with pytest.raises(NonFiniteValue):
+            numerics.polynomial_roots([[1.0, 1.0, 1e-16], [1.0, np.nan, 1.0]])
         with pytest.raises(DegenerateLeadingCoefficient, match="vanishes"):
-            numerics.polynomial_roots([[1.0, 1.0, 1e-16], [1.0, 1.0]])
-        assert numerics.polynomial_roots([[1.0, 1.0]]) == [[-1 + 0j]]
+            numerics.polynomial_roots([[1.0, 1.0, 1.0], [1.0, 1.0, 1e-16]])
+        assert np.array_equal(numerics.polynomial_roots([[1.0, 1.0]]), [[-1 + 0j]])
 
 
 # One part of a root, or of a center: few values, so that distances, real
@@ -649,19 +671,24 @@ class TestRootPasses:
         # the rows reach the solve untrimmed, so that a leading
         # coefficient of exactly TRIM_THRESHOLD times the largest fails
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
-            check_stack(lambda: numerics.polynomial_roots(rows),
-                        [lambda row=row: loop_polynomial_roots(row) for row in rows], same_roots)
+            for index in stacks(rows).values():  # the solve takes one degree
+                same = [rows[i] for i in index]
+                check_stack(lambda: numerics.polynomial_roots(same),
+                            [lambda row=row: loop_polynomial_roots(row) for row in same],
+                            same_roots)
 
     @settings(max_examples=200, deadline=None, database=None)
-    @given(raw=st.lists(st.lists(st.builds(complex, TIED_PARTS, TIED_PARTS), min_size=1,
-                                 max_size=5), min_size=1, max_size=6),
+    @given(raw=st.integers(1, 5).flatmap(lambda n: st.lists(
+               st.lists(st.builds(complex, TIED_PARTS, TIED_PARTS), min_size=n, max_size=n),
+               min_size=1, max_size=6)),
            centers=st.lists(st.builds(complex, TIED_PARTS, TIED_PARTS), min_size=6,
                             max_size=6))
     def test_order_is_pythons_sort(self, raw, centers):
         # roots given at the solve's seam, so that distances, real parts
-        # and imaginary parts tie exactly; Python's sort is stable
-        ps = [poly.ShiftedPolynomial(c, [1.0, 1.0]) for c in centers[:len(raw)]]
-        with mock.patch.object(numerics, "polynomial_roots", lambda polys: list(raw)):
+        # and imaginary parts tie exactly; Python's sort is stable.  The
+        # solve takes one degree: the polynomials are of the roots' count
+        ps = [poly.ShiftedPolynomial(c, [1.0] * (len(raw[0]) + 1)) for c in centers[:len(raw)]]
+        with mock.patch.object(numerics, "polynomial_roots", lambda a: np.array(raw)):
             got = poly.roots(ps)
         for roots, c, out in zip(raw, centers, got):
             shifted = [r + c for r in roots]

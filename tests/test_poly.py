@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pademor import hilbert, numerics, pade, poly
-from pademor.errors import ConstantPolynomial, NonFiniteValue, NotNormalized, ZeroPolynomial
+from pademor.errors import (ConstantPolynomial, DimensionMismatch, NonFiniteValue, NotNormalized,
+                            ZeroPolynomial)
 
 from oracles import copying_horner, normalize, numpy_horner
 
@@ -187,9 +188,9 @@ class TestRoots:
     def test_trimmed_leading_coefficient(self):
         # numerically vanishing leading coefficient: degree drops by one
         p = poly.ShiftedPolynomial(0.0, [-1.0, 1.0, 1e-16])
-        c = poly.effective_stack([p])[0]
-        assert c.size == 2
-        assert np.allclose(poly.roots([p])[0], [1.0])
+        roots = poly.roots([p])[0]
+        assert len(roots) == 1
+        assert np.allclose(roots, [1.0])
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(coeffs=near_trim_boundary())
@@ -207,7 +208,9 @@ class TestRoots:
             roots = poly.roots([p])[0]
         except (ZeroPolynomial, ConstantPolynomial):
             return
-        assert len(roots) == poly.effective_stack([p])[0].size - 1
+        # one root per coefficient up to the last above the trim
+        kept = np.abs(p.coeffs) > numerics.TRIM_THRESHOLD * np.abs(p.coeffs).max()
+        assert len(roots) == np.flatnonzero(kept)[-1]
 
     @pytest.mark.parametrize("coeffs", [[math.nan, 1.0], [1.0, math.inf]])
     def test_non_finite_coefficient_rejected(self, coeffs):
@@ -216,13 +219,22 @@ class TestRoots:
         with pytest.raises(NonFiniteValue):
             poly.roots([poly.ShiftedPolynomial(0.0, coeffs)])[0]
 
+    def test_vector_polynomial_refused(self):
+        # a Taylor block or a numerator has no roots to find
+        p = poly.ShiftedPolynomial(0.0, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        with pytest.raises(DimensionMismatch, match=r"coefficients of shape \(3, 2\)$"):
+            poly.roots([poly.ShiftedPolynomial(0.0, [1.0, 1.0]), p])
+
     def test_constant_rejected(self):
         with pytest.raises(ConstantPolynomial):
             poly.roots([poly.ShiftedPolynomial(0.0, [1.0])])[0]
 
     def test_zero_polynomial_has_no_degree(self):
         with pytest.raises(ZeroPolynomial, match="zero polynomial has no well-defined degree"):
-            poly.effective_stack([poly.ShiftedPolynomial(0.0, [0.0, 0.0, 0.0])])[0]
+            poly.roots([poly.ShiftedPolynomial(0.0, [0.0, 0.0, 0.0])])[0]
+        # no coefficient at all, beside one that has some
+        with pytest.raises(ZeroPolynomial, match="zero polynomial has no well-defined degree"):
+            poly.roots([poly.ShiftedPolynomial(0.0, [1.0, 1.0]), poly.ShiftedPolynomial(0.0, [])])
 
     def test_sorted_by_distance_from_center(self):
         p = poly_from_roots(5.0, [9.0, 4.0, 7.0])

@@ -14,12 +14,24 @@ machine over the session falls on both sides alike.  The workloads default
 to BENCHMARK.json's, and every run lasts its `run_seconds`.
 
 For each workload and seed, every end-to-end metric is summarised over the
-pairs: the median on each side, the quartiles of the old side, and the
-wins of the new side (pairs in which it is better, by the metric's
-direction in this checkout's BENCHMARK.json).  The summary is printed and
-written to --out as JSON with every run's metrics; a run that fails is
-recorded with its exit code and left out of the summary.  The script exits
-1 if any run failed, 0 otherwise.  Nothing in either tree is written.
+pairs: the median on each side, the quartiles of the old side, the wins
+of the new side (pairs in which it is better, by the metric's direction
+in this checkout's BENCHMARK.json; a tie wins for neither side) and a
+verdict.  The metric's `bound` is read as a fraction of the old median,
+as perfbench/baseline.py reads it:
+
+  unresolved  the old quartile distance is wider than the bound, and not
+              every new run beats every old run;
+  worse       the new median is worse than the old one by more than the
+              bound;
+  gain        the new side wins at least nine tenths of the pairs, and the
+              medians differ by more than the old quartile distance;
+  same        none of these.
+
+The summary is printed and written to --out as JSON with every run's
+metrics; a run that fails is recorded with its exit code and left out of
+the summary.  The script exits 1 if any run failed, 0 otherwise.  Nothing
+in either tree is written.
 """
 
 import argparse
@@ -36,11 +48,11 @@ SIDES = ("old", "new")
 
 
 def benchmark():
-    """From this checkout's BENCHMARK.json: {metric: True if lower is
-    better} of its end-to-end metrics, its workload names, both in its
-    order, and its run length in seconds."""
+    """From this checkout's BENCHMARK.json: {metric: (True if lower is
+    better, bound)} of its end-to-end metrics, its workload names, both in
+    its order, and its run length in seconds."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return ({m["name"]: m["better"] == "lower" for m in spec["end_to_end"]},
+    return ({m["name"]: (m["better"] == "lower", m["bound"]) for m in spec["end_to_end"]},
             [w["name"] for w in spec["workloads"]], spec["run_seconds"])
 
 
@@ -75,10 +87,25 @@ def run_benchmark(copy, workload, seed, seconds):
     return proc.returncode, json.loads(lines[-1]) if proc.returncode == 0 and lines else None
 
 
+def verdict(old, new, spread, wins, pairs, bound):
+    """The verdict on one metric (module docstring), its values given so
+    that lower is better: old and new the runs of each side, spread the
+    old quartile distance, wins of pairs the new side's."""
+    median = statistics.median(old)
+    tolerance, change = bound * abs(median), statistics.median(new) - median
+    if spread > tolerance and not max(new) < min(old):
+        return "unresolved"
+    if change > tolerance:
+        return "worse"
+    if pairs and 10 * wins >= 9 * pairs and -change > spread:
+        return "gain"
+    return "same"
+
+
 def summarise(runs, metrics):
     """{"workload/seedN": {metric: figures}} over the runs that succeeded:
-    each side's median, the old side's quartiles, and the new side's wins
-    over the pairs in which both sides ran."""
+    each side's median, the old side's quartiles, the new side's wins over
+    the pairs in which both sides ran, and the verdict."""
     values = {}
     for run in runs:
         if run["summary"] is None:
@@ -95,13 +122,15 @@ def summarise(runs, metrics):
             if not (old and new):
                 continue
             q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else old * 3
-            sign = 1 if metrics[name] else -1  # lower is better, or higher
+            lower, bound = metrics[name]
+            sign = 1 if lower else -1  # lower is better, or higher
             both = [p for p in by_pair.values() if len(p) == 2]
+            wins = sum(sign * p["new"] < sign * p["old"] for p in both)
             summary.setdefault(key, {})[name] = {
                 "old_median": statistics.median(old), "new_median": statistics.median(new),
-                "old_q1": q1, "old_q3": q3,
-                "wins": sum(sign * p["new"] < sign * p["old"] for p in both),
-                "pairs": len(both),
+                "old_q1": q1, "old_q3": q3, "wins": wins, "pairs": len(both),
+                "verdict": verdict([sign * x for x in old], [sign * x for x in new], q3 - q1,
+                                   wins, len(both), bound),
             }
     return summary
 
@@ -109,13 +138,13 @@ def summarise(runs, metrics):
 def report(summary):
     """The summary as text lines, one per workload, seed and metric."""
     lines = [f"{'workload/seed':34s} {'metric':14s} {'old median':>12s} {'new median':>12s} "
-             f"{'change':>8s} {'old q1':>12s} {'old q3':>12s}  wins"]
+             f"{'change':>8s} {'old q1':>12s} {'old q3':>12s} {'verdict':>10s}  wins"]
     for key, by_metric in summary.items():
         for name, s in by_metric.items():
             change = (s["new_median"] / s["old_median"] - 1) * 100 if s["old_median"] else 0.0
             lines.append(f"{key:34s} {name:14s} {s['old_median']:12.6g} {s['new_median']:12.6g} "
-                         f"{change:+7.2f}% {s['old_q1']:12.6g} {s['old_q3']:12.6g}  "
-                         f"{s['wins']}/{s['pairs']}")
+                         f"{change:+7.2f}% {s['old_q1']:12.6g} {s['old_q3']:12.6g} "
+                         f"{s['verdict']:>10s}  {s['wins']}/{s['pairs']}")
     return lines
 
 
