@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pade, poly
-from .errors import ConfigError, close_pairs, stacks
+from .errors import ConfigError, close_pairs
 from .modal import (
     CENTER_DISTANCE,
     COORDINATE_LIMIT,
@@ -225,25 +225,18 @@ def _model(config):
     return model
 
 
-def _pairs(model, config, degrees, extra, numerators=True):
-    """Per degree M in degrees, the fast approximant of degree M from
-    config.fast_E(M) Taylor coefficients and the standard one of degree
-    E - N from E = M + extra coefficients, all built from one Taylor block
-    long enough for the largest (fast_E(M) grows with M): every denominator
-    first (pade.denominators raises the first failure its stacks meet),
-    then the numerators, or None in their place."""
-    top = max(degrees)
-    taylor = taylor_coefficients(model, config.z0, max(config.fast_E(top), top + extra))
+def _params(config, degrees, extra):
+    """Per degree M in degrees, the BuildParams of the fast approximant of
+    degree M from config.fast_E(M) Taylor coefficients, then of the
+    standard one of degree E - N from E = M + extra coefficients: the flat
+    [fast, standard, ...] list that pade.build and pade.denominators take."""
     params = []
     for M in degrees:
         E = M + extra
         params += [pade.BuildParams(config.z0, M, config.N, config.fast_E(M), "fast"),
                    pade.BuildParams(config.z0, E - config.N, config.N, E, "standard",
                                     config.rho())]
-    approxs = [pade.PadeApproximant(pade.numerator(taylor, den, p.M) if numerators else None,
-                                    den, p, diag)
-               for p, (den, diag) in zip(params, pade.denominators(model, params, taylor))]
-    return list(zip(approxs[::2], approxs[1::2]))
+    return params
 
 
 def _grid_errors(model, approxs, points, rows):
@@ -334,7 +327,7 @@ def _command(study):
 def cmd_build(config, model):
     """{"approximants": [...]}, one approximant per line, each line
     serialized only when it is written."""
-    approxs = [a for pair in _pairs(model, config, config.M_list, config.N) for a in pair]
+    approxs = pade.build(model, _params(config, config.M_list, config.N))
     last = len(approxs) - 1
     entries = (json_text(pade.approximant_to_json(a)) + ("," if i < last else "")
                for i, a in enumerate(approxs))
@@ -345,8 +338,8 @@ def cmd_build(config, model):
 def cmd_sweep(config, model):
     grid = config.grid()
     rows, dist = evaluate_exact_grid(model, grid)
-    fast, std = zip(*_pairs(model, config, config.M_list, config.N))
-    errors, qmags = _grid_errors(model, fast + std, grid, rows)
+    approxs = pade.build(model, _params(config, config.M_list, config.N))
+    errors, qmags = _grid_errors(model, approxs[::2] + approxs[1::2], grid, rows)
     near = (dist < NEAR_POLE_DISTANCE).tolist()
 
     header = ["z", *(f"{cell}_M{M}" for cell in ("abs_error_fast", "abs_error_std",
@@ -376,9 +369,10 @@ def cmd_convergence(config, model):
                 f"at $.M_list: M={M} violates the rate guarantee M >= N-1"
             )
 
-    fast, std = zip(*_pairs(model, config, config.M_list, config.N))
-    errors, qmags = (a.tolist() for a in _grid_errors(model, fast + std, probes, rows))
-    m = len(fast)
+    approxs = pade.build(model, _params(config, config.M_list, config.N))
+    errors, qmags = (a.tolist() for a in _grid_errors(model, approxs[::2] + approxs[1::2],
+                                                      probes, rows))
+    m = len(config.M_list)
     poles = pole_list(model, config.z0)
 
     header = [
@@ -400,24 +394,15 @@ def cmd_convergence(config, model):
 
 def _nearest_root_errors(roots, true_poles):
     """Per list of roots, the distance from each pole to its nearest root
-    (the first, on a tie) and the roots no pole picked as CSV text: the
-    lists of one length as one pass over an (approximant, pole, root)
-    array of np.hypot distances, which Python's abs of a complex number
-    is."""
-    out = list(roots)
-    lam = np.array(true_poles)[:, None]
-    for index in stacks(roots).values():
-        r = np.array([roots[i] for i in index])
-        d = r[:, None] - lam
+    (the first, on a tie) and the roots no pole picked as CSV text, the
+    distances by np.hypot, which Python's abs of a complex number is."""
+    lam, out = np.array(true_poles)[:, None], []
+    for r in roots:
+        d = np.array(r) - lam
         dists = np.hypot(d.real, d.imag)
-        # the picked roots by a mask: an integer comparison would run NumPy
-        # code no other step runs, whose pages add to the resident peak
-        picked = np.zeros(dists.shape, dtype=bool)
-        np.put_along_axis(picked, dists.argmin(axis=2)[..., None], True, axis=2)
-        extra = ~picked.any(axis=1)
-        for i, err, row, mask in zip(index, dists.min(axis=2).tolist(), r.tolist(),
-                                     extra.tolist()):
-            out[i] = err, ";".join(complex_to_text(z) for z, e in zip(row, mask) if e)
+        picked = set(dists.argmin(axis=1).tolist())
+        out.append((dists.min(axis=1).tolist(), ";".join(
+            complex_to_text(z) for j, z in enumerate(r) if j not in picked)))
     return out
 
 
@@ -449,13 +434,14 @@ def cmd_poles(config, model):
     row = "%d" + ",%.17g" * (len(header) - 3) + ",%s,%s"
     lines = [",".join(header)]
     predicted = [predicted_point_factor(poles, config, lam) ** 2 for lam in true_poles]
-    pairs = _pairs(model, config, config.E_list, 0, numerators=False)
-    roots = poly.roots([a.denominator for pair in pairs for a in pair])
-    errors = _nearest_root_errors(roots, true_poles)
-    for E, pair, (err_f, extra_f), (err_s, extra_s) in zip(config.E_list, pairs, errors[::2],
-                                                           errors[1::2]):
-        q0 = [abs(a.denominator.coeffs[0]) for a in pair]  # Q(z0) = a_0
-        lines.append(row % (E, *err_f, *err_s, *predicted, *q0, extra_f, extra_s))
+    params = _params(config, config.E_list, 0)
+    dens = [den for den, _ in pade.denominators(model, params, taylor_coefficients(
+        model, config.z0, max(p.E for p in params)))]
+    errors = _nearest_root_errors(poly.roots(dens), true_poles)
+    q0 = [abs(q.coeffs[0]) for q in dens]  # Q(z0) = a_0
+    for E, (err_f, extra_f), (err_s, extra_s), q_f, q_s in zip(
+            config.E_list, errors[::2], errors[1::2], q0[::2], q0[1::2]):
+        lines.append(row % (E, *err_f, *err_s, *predicted, q_f, q_s, extra_f, extra_s))
     return lines
 
 
@@ -470,7 +456,7 @@ def cmd_compare(config, model):
     rows, dist = evaluate_exact_grid(model, grid)
     near = (dist < NEAR_POLE_DISTANCE).tolist()
 
-    approxs = [a for pair in _pairs(model, config, config.E_list, 0) for a in pair]
+    approxs = pade.build(model, _params(config, config.E_list, 0))
     errors, qmags = _grid_errors(model, approxs, grid, rows)
     zs = ["%.17g" % z for z in grid.tolist()]  # each grid point formatted once
 

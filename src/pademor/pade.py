@@ -10,15 +10,16 @@ by LAPACK's SVD, never an eigensolve of R^H R.  Its Gramian route, the
 standard functional with the single block of order E and rho = 1, is kept
 as a cross-check.
 
-The denominators asked for together (denominators) are solved as one
-stack per variant and N, each giving the bytes it gives alone, so that
-NumPy's cost per call is paid once: the fast ones by one QR of all their
-windows (hilbert.gram_schmidt) and one SVD of all their full-rank factors,
-the standard ones by one lockstep Jacobi over all their Gramian sums
+The approximants of a command are built as one stack (build): every
+denominator first, solved as one stack per variant and N (denominators),
+each giving the bytes it gives alone, so that NumPy's cost per call is
+paid once: the fast ones by one QR of all their windows
+(hilbert.gram_schmidt) and one SVD of all their full-rank factors, the
+standard ones by one lockstep Jacobi over all their Gramian sums
 (numerics.hermitian_min_eigenpair), whose blocks, shared by the sums of a
 stack, are each computed once, on windows sliced from one copy of the
-Taylor rows (_gramian_blocks).  The approximants of a command are
-evaluated as one stack as well (evaluate_stack).
+Taylor rows (_gramian_blocks); then the numerators.  They are evaluated as
+one stack as well (evaluate_stack).
 """
 
 import itertools
@@ -275,7 +276,7 @@ def denominators(model, params, taylor):
     takes, centred at each params.z0.  The denominators of each variant and
     N are solved as one stack, the standard ones first
     (denominator_standard), then the fast ones (denominator_fast_qr), so
-    that the stack's large arrays are freed right before the caller builds
+    that the stack's large arrays are freed right before build builds the
     numerators: in the other order a command's heap grew by about 0.1 MB on
     the highorder_poles benchmark.  The first failure that these stacks
     meet is raised."""
@@ -295,22 +296,26 @@ def denominators(model, params, taylor):
 
 
 def build(model, params, taylor=None):
-    """Assemble a full approximant from the Taylor coefficients of a modal
-    model at params.z0: its denominator (denominators), then its numerator.
+    """The approximant of each of params, a list of BuildParams of one
+    center z0: every denominator first (denominators), then the numerators.
+    One approximant is build(model, [p])[0]; a lone BuildParams raises
+    TypeError, as its fields would be taken for items.
 
-    taylor, if given, is a block of those coefficients shared by several
-    builds: a 2-d array of one row per order, centred at params.z0
-    (ValueError otherwise), and of any length from params.E + 1 up.  Row g
-    of the block depends only on g, so a build from a longer block is
-    bit-identical to one from its own.
-
-    The fast variant uses the QR denominator path.  Deterministic for fixed
-    inputs.
+    taylor, if given, is a block of the model's Taylor coefficients at z0
+    (2-d, one row per order, ValueError otherwise) of any length from the
+    largest E + 1 up; without it, the block of the largest E is taken.  Row
+    g of the block depends only on g, so each approximant is bit-identical
+    to one built alone from its own block.  The fast variant uses the QR
+    denominator path.
     """
+    if isinstance(params, BuildParams):
+        raise TypeError("build takes a list of BuildParams: build(model, [params])[0]")
+    if not params:
+        return []
     if taylor is None:
-        taylor = taylor_coefficients(model, params.z0, params.E)
-    [(den, diag)] = denominators(model, [params], taylor)
-    return PadeApproximant(numerator(taylor, den, params.M), den, params, diag)
+        taylor = taylor_coefficients(model, params[0].z0, max(p.E for p in params))
+    return [PadeApproximant(numerator(taylor, den, p.M), den, p, diag)
+            for p, (den, diag) in zip(params, denominators(model, params, taylor))]
 
 
 def evaluate_stack(approxs, points):

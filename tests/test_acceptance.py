@@ -33,7 +33,7 @@ def poly_from_roots(z0, roots):
 def fast_pole_errors(model, z0, N, E_values, true_poles):
     out = {lam: [] for lam in true_poles}
     for E in E_values:
-        ap = pade.build(model, pade.BuildParams(z0, E, N, E, "fast"))
+        ap = pade.build(model, [pade.BuildParams(z0, E, N, E, "fast")])[0]
         roots = pade.approximant_poles(ap)
         for lam in true_poles:
             out[lam].append(min(abs(r - lam) for r in roots))
@@ -56,7 +56,7 @@ def test_criterion_1_exact_recovery():
         for N in (P, P + 1):
             for M in (N - 1, N, N + 2):
                 E = max(M, N)
-                ap = pade.build(model, pade.BuildParams(z0, M, N, E, "fast"))
+                ap = pade.build(model, [pade.BuildParams(z0, M, N, E, "fast")])[0]
                 scale = model.source_norm() / mind ** (E + 1)
                 jval = ap.diagnostics.functional_value
                 ok &= jval <= 1e-10 * scale
@@ -130,7 +130,7 @@ def test_criterion_3_approximant_rate(helmholtz):
     for z, target in ((9.0, np.sqrt(9.25 / 16.25)), (11.0, np.sqrt(1.25 / 16.25))):
         errors = []
         for M in M_values:
-            ap = pade.build(helmholtz, pade.BuildParams(Z0, M, 2, M, "fast"))
+            ap = pade.build(helmholtz, [pade.BuildParams(Z0, M, 2, M, "fast")])[0]
             val, _ = pade.evaluate(ap, z)
             exact = modal.evaluate_exact(helmholtz, z)
             errors.append(norm(val - exact, helmholtz.weights))
@@ -152,7 +152,7 @@ def test_criterion_4_residual_bound(helmholtz):
         )
         for M in (N - 1, N, N + 3):
             E = max(M, N)
-            ap = pade.build(helmholtz, pade.BuildParams(Z0, M, N, E, "fast"))
+            ap = pade.build(helmholtz, [pade.BuildParams(Z0, M, N, E, "fast")])[0]
             grid = [
                 z
                 for z in np.linspace(9.0, 15.0, 75)
@@ -261,10 +261,10 @@ def test_criterion_8_fast_vs_standard(helmholtz, tmp_path):
     medians = {}
     grid = np.linspace(9.0, 15.0, 101)
     for E in range(4, 9):
-        fast = pade.build(helmholtz, pade.BuildParams(Z0, E, 2, E, "fast"))
+        fast = pade.build(helmholtz, [pade.BuildParams(Z0, E, 2, E, "fast")])[0]
         std = pade.build(
-            helmholtz, pade.BuildParams(Z0, E - 2, 2, E, "standard", RK)
-        )
+            helmholtz, [pade.BuildParams(Z0, E - 2, 2, E, "standard", RK)]
+        )[0]
         ratios = []
         for z in grid:
             exact = modal.evaluate_exact(helmholtz, z)
@@ -348,7 +348,7 @@ def test_criterion_10_convergence_in_measure():
             ("fast", pade.BuildParams(Z0, N, N, N, "fast")),
             ("standard", pade.BuildParams(Z0, N, N, 2 * N, "standard", 3.5)),
         ):
-            values, _ = pade.evaluate(pade.build(model, params), points)
+            values, _ = pade.evaluate(pade.build(model, [params])[0], points)
             rel = norm(values - exact, model.weights) / scale
             fractions[variant].append(float(np.mean(~(rel <= 1e-3))))
     fast = fractions["fast"]

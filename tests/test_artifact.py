@@ -60,8 +60,7 @@ def test_workload_artifact_lines(workload, tmp_path):
 
     study = harness.parse_config(config)
     model = harness.build_model(study)
-    approxs = [a for pair in harness._pairs(model, study, study.M_list, study.N)
-               for a in pair]
+    approxs = pade.build(model, harness._params(study, study.M_list, study.N))
     assert len(lines) == len(approxs) + 2
     for line, approx in zip(lines[1:-1], approxs):
         obj = orjson.loads(line.removesuffix(","))

@@ -26,9 +26,9 @@ def fake_tree(path):
     return path
 
 
-def result(**values):
+def result(failed=0, **values):
     """What run.py prints last, its metrics holding values."""
-    return {"correct": True, "attempted": 3, "failed": 0,
+    return {"correct": True, "attempted": 3, "failed": failed,
             "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
 
 
@@ -147,3 +147,23 @@ def test_verdict(tmp_path, capsys, case):
     [line] = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("w/seed0 ")]
     assert line.split()[-2] == want
+
+
+@pytest.mark.parametrize("failed, code", [({"old": 1, "new": 2}, 1), ({"old": 1, "new": 1}, 0)])
+def test_larger_share_of_failed_operations(tmp_path, capsys, failed, code):
+    # of 3 operations per run, the old side fails failed["old"] on workload
+    # v, the new side failed["new"]; on workload w both sides fail none
+    def run(copy, workload, seed, seconds):
+        return 0, result(failed=failed[copy.name] if workload == "v" else 0, study_s=1.0)
+
+    trees = [fake_tree(tmp_path / name) for name in ("a", "b")]
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(trees[0]), str(trees[1]), "--out", str(out), "--pairs", "2",
+                             "--workloads", "v", "w"], run=run) == code
+    shares = json.loads(out.read_text())["failure_shares"]
+    assert shares == {"v/seed0": {"old": failed["old"] / 3, "new": failed["new"] / 3},
+                      "w/seed0": {"old": 0.0, "new": 0.0}}
+    flagged = [line for line in capsys.readouterr().out.splitlines()
+               if "of its operations" in line]
+    assert flagged == ([f"v/seed0: the new side fails {2 / 3:.4g} of its operations, "
+                        f"the old side {1 / 3:.4g}"] if code else [])

@@ -100,8 +100,8 @@ def test_traced_study(workload, tmp_path):
         assert len(digests) == 1, command
     # artifact export, which build reaches through pade.approximant_to_json
     assert res["layers"]["pade.approximant_to_json.s"] > 0
-    # the stacked solves and grid evaluations bear the traced names
-    solves = ["pade.denominator_fast_qr.s", "pade.denominator_standard.s",
+    # the stacked builds, solves and grid evaluations bear the traced names
+    solves = ["pade.build.s", "pade.denominator_fast_qr.s", "pade.denominator_standard.s",
               "numerics.hermitian_min_eigenpair.s", "numerics.polynomial_roots.s",
               "poly.evaluate.s", "poly.roots.s", "layer.numerics.self_s", "layer.poly.self_s"]
     assert [key for key in solves if not res["layers"][key] > 0] == []

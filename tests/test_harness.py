@@ -243,7 +243,7 @@ class TestGridErrors:
         # 13 = 2^2 + 3^2 is a pole of the map
         points = np.concatenate((np.linspace(9.0, 15.0, 41), [13.0, 13.0 + 1e-13]))
         params = pade.BuildParams(paper_z0, 4, 2, 6, variant, 3.0)
-        errors, near = self.check(helmholtz, pade.build(helmholtz, params), points)
+        errors, near = self.check(helmholtz, pade.build(helmholtz, [params])[0], points)
         assert errors[-2:] == [math.inf, math.inf] and near[-2:] == [True, True]
         assert all(math.isfinite(e) for e in errors[:-2])
 
@@ -251,7 +251,7 @@ class TestGridErrors:
         # the approximant shares the poles of S, so its values there are
         # infinite too; the error is still inf, not nan
         points = np.array([-1.0, 0.5, 1.0, 1.0 + 1e-13, 2.0 - 1e-13, 2.0, 3.5])
-        approx = pade.build(two_pole, pade.BuildParams(0.0, 1, 2, 2, "fast"))
+        approx = pade.build(two_pole, [pade.BuildParams(0.0, 1, 2, 2, "fast")])[0]
         errors, near = self.check(two_pole, approx, points)
         assert [e == math.inf for e in errors] == [False, False] + [True] * 4 + [False]
         assert near == [False, False] + [True] * 4 + [False]
@@ -284,12 +284,12 @@ class TestGridErrors:
 
     def test_complex_points(self, three_pole):
         points = np.array([0.5 + 0.5j, 2.0, 3.0 - 1e-7j, 5.0 + 2j])
-        approx = pade.build(three_pole, pade.BuildParams(0.3 + 0.2j, 3, 2, 3, "fast"))
+        approx = pade.build(three_pole, [pade.BuildParams(0.3 + 0.2j, 3, 2, 3, "fast")])[0]
         errors, near = self.check(three_pole, approx, points)
         assert near == [False, True, False, False]
 
     def test_scalar_evaluate(self, three_pole):
-        approx = pade.build(three_pole, pade.BuildParams(0.3, 3, 2, 3, "fast"))
+        approx = pade.build(three_pole, [pade.BuildParams(0.3, 3, 2, 3, "fast")])[0]
         value, qmag = pade.evaluate(approx, 0.9)
         assert value.shape == (3,) and type(qmag) is float
         values, qmags = pade.evaluate(approx, np.array([0.9, 1.7]))
@@ -320,17 +320,17 @@ class TestStackedErrors:
         cfg = harness.parse_config(load_perfbench("workloads").make_config(workload))
         model = harness.build_model(cfg)
         if command == "sweep":
-            pairs = harness._pairs(model, cfg, cfg.M_list, cfg.N)
+            params = harness._params(cfg, cfg.M_list, cfg.N)
         else:
-            pairs = harness._pairs(model, cfg, cfg.E_list, 0)
-        self.check(model, [a for pair in pairs for a in pair], cfg.grid())
+            params = harness._params(cfg, cfg.E_list, 0)
+        self.check(model, pade.build(model, params), cfg.grid())
 
     def test_mixed_degrees_and_non_finite_points(self, three_pole):
         # numerators of degrees 3, 0, 4, 3, 1 and 1, the last two of
         # different centers; the last denominator, (z - 0.5)(z - 3),
         # vanishes exactly on the point 0.5; 1.0 is a pole of S, whose row
         # is inf
-        approxs = [pade.build(three_pole, params) for params in (
+        approxs = [pade.build(three_pole, [params])[0] for params in (
             pade.BuildParams(0.3 + 0.2j, 3, 2, 3, "fast"),
             pade.BuildParams(0.3 + 0.2j, 0, 2, 3, "standard", 1.5),
             pade.BuildParams(0.3 + 0.2j, 4, 2, 4, "fast"),
@@ -392,7 +392,7 @@ class TestGridErrorsPeak:
         model = harness.build_model(cfg)
         grid = cfg.grid()
         rows = modal.evaluate_exact_grid(model, grid)[0]
-        approxs = [a for pair in harness._pairs(model, cfg, cfg.M_list, cfg.N) for a in pair]
+        approxs = pade.build(model, harness._params(cfg, cfg.M_list, cfg.N))
         harness._grid_errors(model, approxs, grid, rows)  # warm
         tracemalloc.start()
         try:
@@ -480,7 +480,7 @@ class TestModalErrorIdentity:
                 else:
                     params = pade.BuildParams(z0, M, N, M + N + extra, "standard",
                                               float(rng.uniform(0.5, 4.0)))
-                approx = pade.build(model, params)
+                approx = pade.build(model, [params])[0]
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     rows = modal.evaluate_exact_grid(model, points)[0]
@@ -1136,27 +1136,27 @@ class TestSharedTaylorBlock:
         E_max = max(p.E for p in params)
         shared = modal.taylor_coefficients(model, cfg.z0, E_max + 3)
         for p in params:
-            own = pade.build(model, p)
-            shared_build = pade.build(model, p, shared)
+            own = pade.build(model, [p])[0]
+            shared_build = pade.build(model, [p], shared)[0]
             assert (hilbert.json_text(pade.approximant_to_json(shared_build))
                     == hilbert.json_text(pade.approximant_to_json(own)))
 
     @pytest.mark.parametrize("workload", ["helmholtz_reference", "highorder_poles",
                                           "synthetic_dense_grid"])
     def test_stacked_denominators_are_each_build_alone(self, workload):
-        # the denominators of a command's approximants, solved together,
-        # are those of each build alone, byte for byte
+        # the denominators of a command's approximants, built together, are
+        # those of each build alone, byte for byte
         cfg = harness.parse_config(load_perfbench("workloads").make_config(workload))
         model = harness.build_model(cfg)
         params = [pade.BuildParams(cfg.z0, E, cfg.N, cfg.fast_E(E), "fast")
                   for E in cfg.E_list]
         params += [pade.BuildParams(cfg.z0, E - cfg.N, cfg.N, E, "standard", cfg.rho())
                    for E in cfg.E_list]
-        taylor = modal.taylor_coefficients(model, cfg.z0, max(p.E for p in params))
-        for p, (den, diag) in zip(params, pade.denominators(model, params, taylor)):
-            alone = pade.build(model, p)
-            assert den.coeffs.tobytes() == alone.denominator.coeffs.tobytes()
-            assert diag == alone.diagnostics
+        stacked = pade.build(model, params)
+        for i in range(len(params)):
+            alone = pade.build(model, [params[i]])[0]
+            assert stacked[i].denominator.coeffs.tobytes() == alone.denominator.coeffs.tobytes()
+            assert stacked[i].diagnostics == alone.diagnostics
 
     @pytest.mark.parametrize("command", ["build", "sweep", "convergence", "poles",
                                          "compare"])

@@ -41,7 +41,7 @@ def approximants(draw):
     else:
         rho = draw(st.floats(0.5, 3))
         params = pade.BuildParams(z0, M, N, M + N + extra, "standard", rho)
-    return pade.build(model, params)
+    return pade.build(model, [params])[0]
 
 
 def bits(a):
@@ -100,7 +100,7 @@ BUILD_PARAMS_ERRORS = ("M and N must be nonnegative", "variant requires", "unkno
 MODEL = modal.build_synthetic([1.0, 2.0, 4 + 0.5j], [1.0, 0.5, 0.25])
 MODEL_OBJECT = through_text(modal.model_to_json(MODEL))
 APPROX_OBJECT = through_text(pade.approximant_to_json(
-    pade.build(MODEL, pade.BuildParams(0.5j, 2, 2, 4))))
+    pade.build(MODEL, [pade.BuildParams(0.5j, 2, 2, 4)])[0]))
 
 
 def json_paths(obj, path=()):

@@ -339,8 +339,8 @@ class TestBuildHelmholtz:
         # enlarging the mode cutoff must not move the acceptance-level results
         big = modal.build_rectangle_helmholtz(max_index=60, quad_order=160)
         params = pade.BuildParams(paper_z0, 8, 2, 8, "fast")
-        r40 = pade.approximant_poles(pade.build(helmholtz, params))
-        r60 = pade.approximant_poles(pade.build(big, params))
+        r40 = pade.approximant_poles(pade.build(helmholtz, [params])[0])
+        r60 = pade.approximant_poles(pade.build(big, [params])[0])
         assert max(abs(a - b) for a, b in zip(r40, r60)) < 1e-8
 
 

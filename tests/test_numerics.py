@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -706,3 +707,11 @@ class TestRootPasses:
         assert [len(r) for r in got] == [2, 3, 2, 1]
         for out, p in zip(got, ps):
             same_roots(out, loop_roots(p))
+
+
+def test_declared_numpy_floor_has_mT():
+    # numerics.norms and numerics._jacobi take ndarray.mT, which NumPy added in
+    # 2.0: on NumPy 1.x every command ends in an AttributeError traceback
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    [floor] = re.findall(r'"numpy>=([0-9.]+)"', text)
+    assert int(floor.split(".")[0]) >= 2, floor

@@ -68,7 +68,7 @@ class TestBuildParams:
                                "variant": "fast", "rho": None}
 
     def test_records_are_immutable(self, two_pole):
-        ap = pade.build(two_pole, pade.BuildParams(0.0, 2, 2, 2))
+        ap = pade.build(two_pole, [pade.BuildParams(0.0, 2, 2, 2)])[0]
         for record, field in ((ap.params, "M"), (ap.diagnostics, "degenerate"),
                               (ap, "numerator")):
             with pytest.raises(AttributeError):
@@ -187,7 +187,7 @@ class TestFastRouteAccuracy:
         den, diag = pade.denominator_fast_qr(taylor, N, [(E, E, 1.0)], w)[0]
         assert pade.functional_value(den, taylor, E, w) == pytest.approx(
             diag.functional_value, rel=1e-6)
-        approx = pade.build(helmholtz, pade.BuildParams(paper_z0, E, N, E), taylor)
+        approx = pade.build(helmholtz, [pade.BuildParams(paper_z0, E, N, E)], taylor)[0]
         values = pade.evaluate(approx, points)[0]
         errors = norm(exact - values, w) / norm(exact, w)
         assert np.median(errors) <= bound
@@ -489,7 +489,7 @@ class TestWindowScaling:
         scaled = modal.build_synthetic([complex(*p) for p in spec["poles"]],
                                        [r * 2.0**-400 for r in spec["residue_norms"]])
         params = pade.BuildParams(cfg.z0, 2, 3, 5, "standard", cfg.rho())
-        den, den_scaled = (pade.build(m, params).denominator
+        den, den_scaled = (pade.build(m, [params])[0].denominator
                            for m in (harness.build_model(cfg), scaled))
         assert np.array_equal(den.coeffs.view(np.uint64), den_scaled.coeffs.view(np.uint64))
 
@@ -529,23 +529,25 @@ class TestSingleEigensolve:
         assert np.array_equal(den.coeffs, expected.coeffs)
 
 
-# Each stacked kernel on an empty stack; t is a Taylor block and w its weights.
+# Each stacked kernel on an empty stack; m is a model and t a Taylor block of it.
 EMPTY_STACKS = {
-    "pade.denominator_fast_qr": lambda t, w: pade.denominator_fast_qr(t, 2, [], w),
-    "pade.denominator_standard": lambda t, w: pade.denominator_standard(t, 2, [], w),
-    "pade.denominator_fast_gramian": lambda t, w: pade.denominator_fast_gramian(t, 2, [], w),
-    "numerics.hermitian_eigensystem": lambda t, w: numerics.hermitian_eigensystem([]),
-    "numerics.hermitian_min_eigenpair": lambda t, w: numerics.hermitian_min_eigenpair([]),
-    "numerics.min_right_singular_vector": lambda t, w: numerics.min_right_singular_vector([]),
-    "numerics.polynomial_roots": lambda t, w: numerics.polynomial_roots([]),
-    "poly.evaluate": lambda t, w: poly.evaluate([], np.linspace(0.0, 1.0, 5)),
-    "poly.roots": lambda t, w: poly.roots([]),
+    "pade.build": lambda m, t: pade.build(m, []),
+    "pade.denominator_fast_qr": lambda m, t: pade.denominator_fast_qr(t, 2, [], m.weights),
+    "pade.denominator_standard": lambda m, t: pade.denominator_standard(t, 2, [], m.weights),
+    "pade.denominator_fast_gramian": lambda m, t: pade.denominator_fast_gramian(
+        t, 2, [], m.weights),
+    "numerics.hermitian_eigensystem": lambda m, t: numerics.hermitian_eigensystem([]),
+    "numerics.hermitian_min_eigenpair": lambda m, t: numerics.hermitian_min_eigenpair([]),
+    "numerics.min_right_singular_vector": lambda m, t: numerics.min_right_singular_vector([]),
+    "numerics.polynomial_roots": lambda m, t: numerics.polynomial_roots([]),
+    "poly.evaluate": lambda m, t: poly.evaluate([], np.linspace(0.0, 1.0, 5)),
+    "poly.roots": lambda m, t: poly.roots([]),
 }
 
 
 @pytest.mark.parametrize("kernel", sorted(EMPTY_STACKS))
 def test_empty_stack_gives_nothing(three_pole, kernel):
-    out = EMPTY_STACKS[kernel](modal.taylor_coefficients(three_pole, 0.3, 4), three_pole.weights)
+    out = EMPTY_STACKS[kernel](three_pole, modal.taylor_coefficients(three_pole, 0.3, 4))
     assert list(out) == []
     if kernel == "poly.evaluate":
         assert out.shape == (0, 5) and out.dtype == complex
@@ -653,7 +655,7 @@ class TestLoopOracles:
 
 class TestBuildAndEvaluate:
     def test_exact_at_center(self, helmholtz, paper_z0):
-        ap = pade.build(helmholtz, pade.BuildParams(paper_z0, 4, 2, 4, "fast"))
+        ap = pade.build(helmholtz, [pade.BuildParams(paper_z0, 4, 2, 4, "fast")])[0]
         val, _ = pade.evaluate(ap, paper_z0)
         exact = modal.evaluate_exact(helmholtz, paper_z0)
         assert norm(val - exact, helmholtz.weights) <= 1e-12 * norm(
@@ -661,7 +663,7 @@ class TestBuildAndEvaluate:
         )
 
     def test_exact_recovery_on_grid(self, two_pole):
-        ap = pade.build(two_pole, pade.BuildParams(0.0, 1, 2, 2, "fast"))
+        ap = pade.build(two_pole, [pade.BuildParams(0.0, 1, 2, 2, "fast")])[0]
         for z in np.linspace(-3, 4, 100):
             if min(abs(z - 1), abs(z - 2)) < 0.1:
                 continue
@@ -672,21 +674,31 @@ class TestBuildAndEvaluate:
     def test_build_from_taylor_series(self, three_pole):
         # build is the QR denominator and the numerator of the model's series
         t = modal.taylor_coefficients(three_pole, 0.3, 4)
-        ap = pade.build(three_pole, pade.BuildParams(0.3, 4, 2, 4, "fast"))
+        ap = pade.build(three_pole, [pade.BuildParams(0.3, 4, 2, 4, "fast")])[0]
         den, diag = pade.denominator_fast_qr(t, 2, [(4, 4, 1.0)], three_pole.weights)[0]
         assert ap.denominator.coeffs.tobytes() == den.coeffs.tobytes()
         assert ap.numerator.coeffs.tobytes() == pade.numerator(t, den, 4).coeffs.tobytes()
         assert ap.diagnostics == diag
 
+    def test_lone_params_raise(self, three_pole):
+        # a BuildParams is a tuple: taken as a stack, its fields would be items
+        with pytest.raises(TypeError, match=r"build\(model, \[params\]\)\[0\]"):
+            pade.build(three_pole, pade.BuildParams(0.3, 2, 2, 2))
+
+    def test_stack_of_two_centers_raises(self, three_pole):
+        params = [pade.BuildParams(z0, 2, 2, 2) for z0 in (0.3, 0.3 + 1e-12j)]
+        with pytest.raises(ValueError, match="centred at"):
+            pade.build(three_pole, params)
+
     def test_shared_block_off_center_raises(self, three_pole):
         t = modal.taylor_coefficients(three_pole, 0.3, 6)
         with pytest.raises(ValueError, match="centred at"):
-            pade.build(three_pole, pade.BuildParams(0.3 + 1e-12j, 4, 2, 4, "fast"), t)
+            pade.build(three_pole, [pade.BuildParams(0.3 + 1e-12j, 4, 2, 4, "fast")], t)[0]
 
     def test_shared_block_too_short_raises(self, three_pole):
         t = modal.taylor_coefficients(three_pole, 0.3, 3)
         with pytest.raises(InsufficientTaylorLength):
-            pade.build(three_pole, pade.BuildParams(0.3, 4, 2, 4, "fast"), t)
+            pade.build(three_pole, [pade.BuildParams(0.3, 4, 2, 4, "fast")], t)[0]
 
     @pytest.mark.parametrize("variant", ["fast", "standard"])
     def test_shared_block_not_2d_raises(self, three_pole, variant):
@@ -694,10 +706,10 @@ class TestBuildAndEvaluate:
         params = pade.BuildParams(0.3, 2, 2, 4, variant, 1.0)
         for coeffs in (t.coeffs[:, 0], t.coeffs[None]):
             with pytest.raises(ValueError, match="not one row per order"):
-                pade.build(three_pole, params, poly.ShiftedPolynomial(0.3, coeffs))
+                pade.build(three_pole, [params], poly.ShiftedPolynomial(0.3, coeffs))[0]
 
     def test_constant_approximant(self, three_pole):
-        ap = pade.build(three_pole, pade.BuildParams(0.3, 0, 0, 0, "fast"))
+        ap = pade.build(three_pole, [pade.BuildParams(0.3, 0, 0, 0, "fast")])[0]
         val, _ = pade.evaluate(ap, 0.9)
         assert np.allclose(val, modal.evaluate_exact(three_pole, 0.3))
 
@@ -733,7 +745,7 @@ class TestBuildAndEvaluate:
         assert math.isnan(qmag) if math.isnan(want) else qmag.hex() == want.hex()
 
     def test_near_pole_no_error(self, two_pole):
-        ap = pade.build(two_pole, pade.BuildParams(0.0, 2, 2, 2, "fast"))
+        ap = pade.build(two_pole, [pade.BuildParams(0.0, 2, 2, 2, "fast")])[0]
         _, qmag = pade.evaluate(ap, 1.0 + 1e-12)
         assert qmag < 1e-9
 
@@ -762,7 +774,7 @@ class TestBuildAndEvaluate:
         model = modal.build_synthetic(poles, norms)
         z0 = complex(data.draw(st.floats(-3, 3)), data.draw(st.floats(1.5, 2.5)))
         N = len(poles) + data.draw(st.integers(0, 1))
-        ap = pade.build(model, pade.BuildParams(z0, N - 1, N, N, "fast"))
+        ap = pade.build(model, [pade.BuildParams(z0, N - 1, N, N, "fast")])[0]
 
         x, y = np.meshgrid(np.linspace(-3, 3, 25), np.linspace(-1, 1, 9))
         grid = (x + 1j * y).ravel()
@@ -806,7 +818,7 @@ class TestGridIndependence:
                                                        extra, points, more):
         model = synthetic(poles)
         E = (max(M, N) if variant == "fast" else M + N) + extra
-        approx = pade.build(model, pade.BuildParams(z0, M, N, E, variant, 2.0))
+        approx = pade.build(model, [pade.BuildParams(z0, M, N, E, variant, 2.0)])[0]
         values, qmags = pade.evaluate(approx, points)
         longer, longer_qmags = pade.evaluate(approx, points + more)
         assert values.tobytes() == longer[:len(points)].tobytes()
@@ -978,11 +990,11 @@ class TestFunctionalValue:
 
 class TestResidual:
     def test_exact_case_vanishes(self, two_pole):
-        ap = pade.build(two_pole, pade.BuildParams(0.0, 2, 2, 2, "fast"))
+        ap = pade.build(two_pole, [pade.BuildParams(0.0, 2, 2, 2, "fast")])[0]
         assert residual_norm(two_pole, ap, 0.7) <= 1e-10
 
     def test_at_center(self, helmholtz, paper_z0):
-        ap = pade.build(helmholtz, pade.BuildParams(paper_z0, 4, 2, 4, "fast"))
+        ap = pade.build(helmholtz, [pade.BuildParams(paper_z0, 4, 2, 4, "fast")])[0]
         s = modal.evaluate_exact(helmholtz, paper_z0)
         assert residual_norm(helmholtz, ap, paper_z0) <= 1e-12 * norm(
             s, helmholtz.weights
@@ -1013,7 +1025,7 @@ class TestPathEquivalence:
 
 class TestSerialization:
     def test_round_trip(self, helmholtz, paper_z0):
-        ap = pade.build(helmholtz, pade.BuildParams(paper_z0, 3, 2, 3, "fast"))
+        ap = pade.build(helmholtz, [pade.BuildParams(paper_z0, 3, 2, 3, "fast")])[0]
         back = pade.approximant_from_json(pade.approximant_to_json(ap))
         assert np.allclose(back.denominator.coeffs, ap.denominator.coeffs)
         assert np.allclose(back.numerator.coeffs, ap.numerator.coeffs)

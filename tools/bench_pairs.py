@@ -28,10 +28,15 @@ as perfbench/baseline.py reads it:
               medians differ by more than the old quartile distance;
   same        none of these.
 
+For each workload and seed, the share of failed operations (failed /
+attempted, over the runs of a side) is compared as well: a workload on
+which the new side's share is larger is printed.
+
 The summary is printed and written to --out as JSON with every run's
 metrics; a run that fails is recorded with its exit code and left out of
-the summary.  The script exits 1 if any run failed, 0 otherwise.  Nothing
-in either tree is written.
+the summary.  The script exits 1 if any run failed or the new side fails a
+larger share of operations on any workload, 0 otherwise.  Nothing in
+either tree is written.
 """
 
 import argparse
@@ -135,6 +140,21 @@ def summarise(runs, metrics):
     return summary
 
 
+def failure_shares(runs):
+    """{"workload/seedN": {side: failed / attempted}} over the runs that
+    succeeded, 0.0 for a side that attempted nothing."""
+    counts = {}
+    for run in runs:
+        if run["summary"] is not None:
+            key = f"{run['workload']}/seed{run['seed']}"
+            count = counts.setdefault(key, {}).setdefault(run["side"], [0, 0])
+            count[0] += run["summary"]["failed"]
+            count[1] += run["summary"]["attempted"]
+    return {key: {side: failed / attempted if attempted else 0.0
+                  for side, (failed, attempted) in by_side.items()}
+            for key, by_side in counts.items()}
+
+
 def report(summary):
     """The summary as text lines, one per workload, seed and metric."""
     lines = [f"{'workload/seed':34s} {'metric':14s} {'old median':>12s} {'new median':>12s} "
@@ -171,6 +191,11 @@ def main(argv=None, run=run_benchmark):
                      if summary else ""), flush=True)
     summary = summarise(runs, metrics)
     print("\n".join(report(summary)))
+    shares = failure_shares(runs)
+    more = [key for key, share in shares.items() if share.get("new", 0.0) > share.get("old", 0.0)]
+    for key in more:
+        print(f"{key}: the new side fails {shares[key]['new']:.4g} of its operations, "
+              f"the old side {shares[key].get('old', 0.0):.4g}")
     failed = sum(r["summary"] is None for r in runs)
     operations = {side: sum(r["summary"]["failed"] for r in runs
                             if r["summary"] and r["side"] == side) for side in SIDES}
@@ -178,8 +203,8 @@ def main(argv=None, run=run_benchmark):
     Path(args.out).write_text(json.dumps({
         "old": str(args.old), "new": str(args.new), "pairs": args.pairs,
         "workloads": args.workloads, "seeds": args.seeds, "seconds": seconds,
-        "summary": summary, "runs": runs}, indent=1) + "\n")
-    return 1 if failed else 0
+        "summary": summary, "failure_shares": shares, "runs": runs}, indent=1) + "\n")
+    return 1 if failed or more else 0
 
 
 if __name__ == "__main__":
