@@ -1,11 +1,15 @@
 """Command-line entry point: pade-mor build|sweep|convergence|poles|compare.
 
+main may be called repeatedly in one process: it builds its argument
+parser on the first call and reuses it after.
+
 Exit codes: 0 on success, 2 on configuration errors (running out of
 memory among them: every array size comes from the config), 3 on
 numerical failures.
 """
 
 import argparse
+import functools
 import sys
 
 from . import harness
@@ -20,7 +24,11 @@ COMMANDS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use: building it at import
+    would load locale through gettext.  Its choices are COMMANDS itself,
+    so a command added to or taken from that dict is seen."""
     parser = argparse.ArgumentParser(
         prog="pade-mor",
         description="Least-squares Pade approximation studies for meromorphic "
@@ -29,7 +37,11 @@ def main(argv=None):
     parser.add_argument("command", choices=COMMANDS, help="the study to run")
     parser.add_argument("--config", required=True, help="study config (JSON)")
     parser.add_argument("--out", required=True, help="output file (CSV or JSON)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         config = harness.load_config(args.config)
         COMMANDS[args.command](config, args.out)

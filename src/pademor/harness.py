@@ -395,11 +395,13 @@ def cmd_convergence(config, model):
 def _nearest_root_errors(roots, true_poles):
     """Per list of roots, the distance from each pole to its nearest root
     (the first, on a tie) and the roots no pole picked as CSV text, the
-    distances by np.hypot, which Python's abs of a complex number is."""
-    lam, out = np.array(true_poles)[:, None], []
+    distances by one np.hypot over all the lists' roots, which Python's abs
+    of a complex number is, sliced per list."""
+    d = np.array([z for r in roots for z in r]) - np.array(true_poles)[:, None]
+    all_dists, out, stop = np.hypot(d.real, d.imag), [], 0
     for r in roots:
-        d = np.array(r) - lam
-        dists = np.hypot(d.real, d.imag)
+        start, stop = stop, stop + len(r)
+        dists = all_dists[:, start:stop]
         picked = set(dists.argmin(axis=1).tolist())
         out.append((dists.min(axis=1).tolist(), ";".join(
             complex_to_text(z) for j, z in enumerate(r) if j not in picked)))

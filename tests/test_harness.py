@@ -724,6 +724,26 @@ class TestCli:
         assert exc.value.code == 2
         assert "usage: pade-mor" in capsys.readouterr().err
 
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        # after one call, main runs without building another parser: with
+        # ArgumentParser made to raise, a command still writes the bytes of
+        # the first call, and a usage error still exits 2 with the usage
+        path = write_config(tmp_path, SYNTH_CONFIG)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert cli.main(["poles", "--config", path, "--out", str(first)]) == 0
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a second ArgumentParser was built")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", boom)
+        assert cli.main(["poles", "--config", path, "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["frobnicate", "--config", path, "--out", str(second)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: pade-mor")
+
     @pytest.mark.filterwarnings("error")
     def test_underflowing_denominator_error_is_inf(self, tmp_path):
         # |Q| of the fast approximant underflows to 1e-316 at the first grid
@@ -1185,10 +1205,11 @@ TIED_POINTS = st.builds(complex, TIED_PARTS, TIED_PARTS)
 
 
 class TestNearestRootErrors:
-    """_nearest_root_errors matches every approximant with the same root
-    count in one array pass, with the bytes of the per-approximant loop it
-    replaced (oracles.loop_nearest_root_errors): the first nearest root on
-    a tie, several poles on one root, the unpicked roots in their order."""
+    """_nearest_root_errors takes one distance pass over every
+    approximant's roots and matches each approximant's slice, with the
+    bytes of the per-approximant loop (oracles.loop_nearest_root_errors):
+    the first nearest root on a tie, several poles on one root, the
+    unpicked roots in their order."""
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(roots=st.lists(st.lists(TIED_POINTS, min_size=1, max_size=4), min_size=1,

@@ -8,12 +8,15 @@ and the largest temporaries it makes, in bytes per mode.  The difference
 leaves out what does not grow with the modes (the grid, the CSV lines,
 Python objects), which is most of the peak at 144 modes.
 
-Peaks measured on NumPy 2.4.6, Python 3.11 (144 / 576 modes): sweep 1.61 /
-6.11 MB, compare 1.71 / 6.40 MB, convergence 0.20 / 0.73 MB, poles 0.26 /
-0.98 MB.  Taking every Horner product of ShiftedPolynomial.__call__ out of
-place (acc = acc * dz; acc += row) holds one more stack of values during
-each step and raises sweep to 1.95 / 7.27 MB and compare to 2.04 / 7.53 MB,
-past their budgets.
+Peaks measured on NumPy 2.4.6, Python 3.11 (144 / 576 modes): sweep 1.15 /
+4.25 MB, compare 1.24 / 4.54 MB, convergence 0.19 / 0.69 MB, poles 0.26 /
+0.98 MB; sweep and compare grow by 4.45 and 4.72 units (defined in budget)
+per mode, about 0.9 of their budgets.  Each of these holds one more stack
+of values, or two more real arrays, and takes them past their budgets (5.6
+to 6.7 units): every Horner product of ShiftedPolynomial.__call__ out of
+place (acc = acc * dz; acc += row), _grid_errors keeping the previous
+stack's values through the next Horner pass (no del values), and
+hilbert.norm summing w.weights * |v|**2 out of place (three real arrays).
 """
 
 import tracemalloc
@@ -62,14 +65,14 @@ def budget(command, cfg):
     _grid_errors holds S at the points (1 unit) and evaluates the
     numerators one stack of one degree at a time; a fast and a standard
     numerator share a degree, so a stack holds 2 units of values.
-    hilbert.norm then takes |v|, |v|^2 and w |v|^2 of the stack, three real
-    arrays of 1 unit each: 6 units.  A stack's Horner pass, in place, holds
-    1 + 2 units and the previous stack's values, still bound to the loop
-    variable: 5 units, while a Horner product out of place would add a
-    third stack (7).  Beside the 6 units, the approximants hold their
+    hilbert.norm then takes |v| of the stack and squares and weights it in
+    place, one real array of two reals per point, 1 unit: 4 units.  A
+    stack's Horner pass, in place, holds 1 + 2 units, since _grid_errors
+    and evaluate_stack drop the previous stack's values before it, which
+    would add 2.  Beside the 4 units, the approximants hold their
     numerators' coefficient rows (rows / points units), and the finiteness
-    mask and the distances to the poles are small: 0.5 unit is left for
-    them.
+    mask (1/8 unit) and the distances to the poles are small: 0.5 unit is
+    left for them.
 
     convergence.  Unit: one coefficient row, 16 B.  At its two probes the
     values are a few rows; what the command holds is C rows, the
@@ -90,7 +93,7 @@ def budget(command, cfg):
     """
     points = cfg.grid_points
     if command in ("sweep", "compare"):
-        return (6 + numerator_rows(cfg, command) / points + 0.5) * COMPLEX * points
+        return (4 + numerator_rows(cfg, command) / points + 0.5) * COMPLEX * points
     if command == "convergence":
         taylor = max(max(cfg.fast_E(M), M + cfg.N) for M in cfg.M_list) + 1
         return 2 * (numerator_rows(cfg, command) + taylor) * COMPLEX
