@@ -1,10 +1,11 @@
 """Experiment driver: frequency sweeps, convergence studies, pole studies.
 
 All commands consume a JSON study configuration.  The CSV commands write
-each row by one %-template ('%.17g' floats: 17 significant digits, 'inf',
-'nan'; '\\n' line endings).  Every data row carries the denominator
-magnitude so near-pole rows can be masked after the fact instead of being
-dropped.
+each float cell as '%.17g' spells it (17 significant digits, 'inf', 'nan')
+and join each row's cells by ',' ('\\n' line endings); see _cells for how
+the cells of a long CSV are spelled at once.  Every data row carries the
+denominator magnitude so near-pole rows can be masked after the fact
+instead of being dropped.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +35,8 @@ from .hilbert import json_text, norm
 
 SLOPE_FIT_WINDOW = (1e-11, 1e-1)
 NEAR_POLE_DISTANCE = 1e-6
+CELL_CROSSOVER = 512  # fewer float cells than this are spelled one by one
+CELL_CHUNK = 1024  # cells per array pass
 
 
 class StudyConfig(NamedTuple):
@@ -295,23 +298,139 @@ def complex_to_text(z):
     return "%.17g%+.17gj" % (z.real, z.imag)
 
 
+def _layout(X, nd):
+    """The source columns of the characters of a positive cell of decimal
+    exponent X and nd digits up to the last nonzero one, NUL-padded to
+    24: a row holds the 17 digits, then '.', '-', 'e', '+', NUL and '0'
+    to '9'."""
+    dot, minus, e, plus, nul, zero = range(17, 23)
+    if X < -4 or X > 16:
+        cols = [0] + [dot] * (nd > 1) + [*range(1, nd), e, minus if X < 0 else plus,
+                                         zero + abs(X) // 10, zero + abs(X) % 10]
+    elif X < 0:
+        cols = [zero, dot] + [zero] * (-1 - X) + [*range(nd)]
+    else:
+        cols = [*range(X + 1)] + [dot] * (nd > X + 1) + [*range(X + 1, nd)]
+    return bytes(cols).ljust(24, bytes([nul]))
+
+
+@cache
+def _cell_tables():
+    """Tables of _cell_chunk, built on first use by Python arithmetic:
+    10^k for k from -31 to 47 as hi + lo, the least double >= 10^k and
+    hi's Dekker halves; each cell's layout by its key (X + 30, nd - 1,
+    sign); the texts '00' to '99' and the characters after the digits."""
+    hi, lo, least, hh, hl = [], [], [], [], []
+    for k in range(-31, 48):
+        n, d = (10**k, 1) if k >= 0 else (1, 10**-k)
+        h = n / d  # int / int rounds correctly
+        a, b = h.as_integer_ratio()
+        c = 134217729.0 * h
+        hi.append(h)
+        lo.append((n * b - a * d) / (d * b))
+        least.append(math.nextafter(h, math.inf) if lo[-1] > 0 else h)
+        hh.append(c - (c - h))
+        hl.append(h - hh[-1])
+    pos = np.frombuffer(b"".join(_layout(X, nd) for X in range(-30, 31) for nd in range(1, 18)),
+                        np.uint8).reshape(61, 17, 1, 24)
+    neg = np.concatenate([np.full_like(pos[..., :1], 18), pos[..., :23]], axis=-1)  # '-' first
+    return (*map(np.array, (hi, lo, least, hh, hl)),
+            np.concatenate([pos, neg], axis=2).reshape(-1, 24),
+            np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16),
+            np.frombuffer(b".-e+\0" b"0123456789", np.uint8))
+
+
+def _cell_chunk(v):
+    """'%.17g' % x for each x of the 1-d float array v, in one array pass.
+
+    For finite |x| in [1e-30, 1e30) the decimal exponent X of log10 is
+    corrected against the table of 10^k, the 17-digit significand
+    D = round(|x| 10^(16 - X)) is taken from a double-double product
+    (Dekker 1971, no FMA) of error below 1e-14, its digits from the
+    texts '00' to '99', and the cell's characters gathered by its
+    layout; .tolist() strips the NULs that end it.  The other cells, and
+    those whose |x| 10^(16 - X) has a fraction within 1e-9 of 1/2 (a tie,
+    which doubles such as 1000000000000000.25 hit, or too near one for
+    the product's error), are spelled by '%.17g'."""
+    hi, lo, least, hh, hl, layouts, pairs, consts = _cell_tables()
+    a, n = abs(v), len(v)
+    ok = (a >= 1e-30) & (a < 1e30)
+    a[~ok] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp) + 31
+    e = k - (a < least.take(k)) + (a >= least.take(k + 1))  # X + 31
+    s = 78 - e  # 16 - X + 31
+    p = a * hi.take(s)
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    al, hs, ls = a - ah, hh.take(s), hl.take(s)
+    t = ((ah * hs - p) + ah * ls + al * hs) + al * ls + a * lo.take(s)  # |x| 10^s - p
+    r = np.rint(t)
+    ok &= abs(abs(t - r) - 0.5) >= 1e-9
+    D = p.astype(np.int64) + r.astype(np.int64)
+    carry = D == 10**17  # rounded up into the next decade
+    D[carry] = 10**16
+    e += carry
+    src = np.empty((n, 32), np.uint8)  # D's 17 digits, then consts
+    lead, D = np.divmod(D, 10**16)
+    src[:, 0] = lead + 48
+    q = np.empty((n, 2, 4), np.int64)  # the two-digit groups of D's last 16 digits
+    x = np.stack(np.divmod(D, 10**8), axis=1)
+    for col in range(3, -1, -1):
+        x, q[:, :, col] = np.divmod(x, 100)
+    src[:, 1:17] = pairs.take(q).view(np.uint8).reshape(n, 16)
+    src[:, 17:] = consts
+    last = 16 - (src[:, 16::-1] != 48).argmax(axis=1)
+    idx = layouts.take(((e - 1) * 17 + last) * 2 + np.signbit(v), axis=0)
+    text = src.take(idx + np.arange(0, 32 * n, 32)[:, None])  # ASCII
+    cells = text.astype(np.uint32).view("U24").ravel().tolist()
+    for i in np.flatnonzero(~ok).tolist():
+        cells[i] = "%.17g" % v[i]
+    return cells
+
+
+def _cells(values):
+    """'%.17g' % x for each float x of the array values, in C order, as a
+    list of str: by _cell_chunk, CELL_CHUNK cells at a time to bound its
+    memory (about 500 B per cell, the texts included), from CELL_CROSSOVER
+    cells up, else one by one.  The pass breaks even at 150 to 250 cells,
+    but its first use in a process maps about 0.9 MB of NumPy code and
+    tables, which a few hundred cells do not repay."""
+    v = np.asarray(values, float).ravel()
+    if len(v) < CELL_CROSSOVER:
+        return ["%.17g" % x for x in v.tolist()]
+    cells = []
+    for start in range(0, len(v), CELL_CHUNK):
+        cells += _cell_chunk(v[start:start + CELL_CHUNK])
+    return cells
+
+
+def _lines(header, *columns):
+    """The CSV lines: the header, then one row per item of the columns,
+    each an iterable of cell texts."""
+    return [",".join(header), *map(",".join, zip(*columns))]
+
+
 def _write(fh, lines):
-    """Each line followed by '\\n' to the open file fh; lines may be
-    produced while writing."""
+    """Each line followed by '\\n' to fh, a file open for appending,
+    after emptying it (a file that cannot seek, a pipe or a device, is not
+    emptied); lines may be produced while writing."""
+    if fh.seekable() and fh.tell():
+        fh.truncate(0)
     fh.writelines(line + "\n" for line in lines)
 
 
 def _command(study):
     """study(config, model), which returns its output lines, as a command on
-    an --out path.  The path is opened once, before the model is built:
-    ConfigError if it cannot be opened or written.  A failed study removes
-    the file if the open created it.  No __wrapped__: a tracer marks its
-    own wrappers with it."""
+    an --out path.  The path is opened once, before the model is built, but
+    not emptied until the study's lines are written: ConfigError if it
+    cannot be opened or written.  A failed study leaves an earlier file as
+    it was and removes the file if the open created it.  No __wrapped__: a
+    tracer marks its own wrappers with it."""
 
     def run(config, out):
         created, done = not os.path.exists(out), False
         try:
-            with open(out, "w", newline="") as fh:
+            with open(out, "a", newline="") as fh:
                 _write(fh, study(config, _model(config)))
             done = True
         except OSError as exc:
@@ -340,14 +459,13 @@ def cmd_sweep(config, model):
     rows, dist = evaluate_exact_grid(model, grid)
     approxs = pade.build(model, _params(config, config.M_list, config.N))
     errors, qmags = _grid_errors(model, approxs[::2] + approxs[1::2], grid, rows)
-    near = (dist < NEAR_POLE_DISTANCE).tolist()
+    flags = np.where(dist < NEAR_POLE_DISTANCE, "1", "0").tolist()
 
     header = ["z", *(f"{cell}_M{M}" for cell in ("abs_error_fast", "abs_error_std",
                                                  "q_magnitude_fast", "q_magnitude_std")
                      for M in config.M_list), "near_pole"]
-    row = "%.17g," * (len(header) - 1) + "%d"
-    columns = (grid.tolist(), *errors.tolist(), *qmags.tolist(), near)
-    return [",".join(header)] + [row % cells for cells in zip(*columns)]
+    cells = iter(_cells(np.vstack([grid, errors, qmags]).T))  # row by row
+    return _lines(header, *[cells] * (len(header) - 1), flags)
 
 
 @_command
@@ -370,8 +488,7 @@ def cmd_convergence(config, model):
             )
 
     approxs = pade.build(model, _params(config, config.M_list, config.N))
-    errors, qmags = (a.tolist() for a in _grid_errors(model, approxs[::2] + approxs[1::2],
-                                                      probes, rows))
+    errors, qmags = _grid_errors(model, approxs[::2] + approxs[1::2], probes, rows)
     m = len(config.M_list)
     poles = pole_list(model, config.z0)
 
@@ -380,16 +497,15 @@ def cmd_convergence(config, model):
         "q_magnitude_fast", "q_magnitude_std",
         "fitted_factor_fast", "predicted_factor",
     ]
-    row = "%s,%d" + ",%.17g" * (len(header) - 2)
-    lines = [",".join(header)]
+    floats = []
     for j, z in enumerate(probes):
-        fitted = fit_decay_factor(config.M_list, [ef[j] for ef in errors[:m]])
-        predicted = predicted_point_factor(poles, config, z)
-        for M, ef, es, qf, qs in zip(config.M_list, errors[:m], errors[m:], qmags[:m],
-                                     qmags[m:]):
-            lines.append(row % (complex_to_text(z), M, ef[j], es[j], qf[j], qs[j],
-                                fitted, predicted))
-    return lines
+        factors = (fit_decay_factor(config.M_list, errors[:m, j].tolist()),
+                   predicted_point_factor(poles, config, z))
+        for ef, es, qf, qs in zip(errors[:m, j], errors[m:, j], qmags[:m, j], qmags[m:, j]):
+            floats += (ef, es, qf, qs, *factors)
+    cells = iter(_cells(floats))
+    return _lines(header, [complex_to_text(z) for z in probes for _ in range(m)],
+                  [str(M) for _ in probes for M in config.M_list], *[cells] * 6)
 
 
 def _nearest_root_errors(roots, true_poles):
@@ -433,18 +549,18 @@ def cmd_poles(config, model):
                                                       "predicted_factor")
                      for a in range(1, N + 1)),
               "q_magnitude_fast", "q_magnitude_std", "extra_roots_fast", "extra_roots_std"]
-    row = "%d" + ",%.17g" * (len(header) - 3) + ",%s,%s"
-    lines = [",".join(header)]
     predicted = [predicted_point_factor(poles, config, lam) ** 2 for lam in true_poles]
     params = _params(config, config.E_list, 0)
     dens = [den for den, _ in pade.denominators(model, params, taylor_coefficients(
         model, config.z0, max(p.E for p in params)))]
     errors = _nearest_root_errors(poly.roots(dens), true_poles)
     q0 = [abs(q.coeffs[0]) for q in dens]  # Q(z0) = a_0
-    for E, (err_f, extra_f), (err_s, extra_s), q_f, q_s in zip(
-            config.E_list, errors[::2], errors[1::2], q0[::2], q0[1::2]):
-        lines.append(row % (E, *err_f, *err_s, *predicted, q_f, q_s, extra_f, extra_s))
-    return lines
+    floats = []
+    for (err_f, _), (err_s, _), q_f, q_s in zip(errors[::2], errors[1::2], q0[::2], q0[1::2]):
+        floats += (*err_f, *err_s, *predicted, q_f, q_s)
+    cells = iter(_cells(floats))
+    return _lines(header, map(str, config.E_list), *[cells] * (3 * N + 2),
+                  [extra for _, extra in errors[::2]], [extra for _, extra in errors[1::2]])
 
 
 @_command
@@ -456,20 +572,19 @@ def cmd_compare(config, model):
     _check_E_list(config)
     grid = config.grid()
     rows, dist = evaluate_exact_grid(model, grid)
-    near = (dist < NEAR_POLE_DISTANCE).tolist()
+    flags = np.where(dist < NEAR_POLE_DISTANCE, "1", "0").tolist()
 
     approxs = pade.build(model, _params(config, config.E_list, 0))
-    errors, qmags = _grid_errors(model, approxs, grid, rows)
-    zs = ["%.17g" % z for z in grid.tolist()]  # each grid point formatted once
+    errors, qmags = (a.reshape(-1, 2, len(grid))
+                     for a in _grid_errors(model, approxs, grid, rows))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(errors[:, 1] > 0, errors[:, 0] / errors[:, 1], math.inf)
+    # per E, row by row: error_fast, error_std, ratio, q_magnitude_fast, q_magnitude_std
+    cells = iter(_cells(np.concatenate([errors, ratio[:, None], qmags], 1).transpose(0, 2, 1)))
+    zs = _cells(grid)  # each grid point spelled once
 
     header = ["E", "z", "error_fast", "error_std", "ratio",
               "q_magnitude_fast", "q_magnitude_std", "near_pole"]
-    row = "%d,%s" + ",%.17g" * (len(header) - 3) + ",%d"
-    lines = [",".join(header)]
-    for E, err, q in zip(config.E_list, errors.reshape(-1, 2, len(zs)),
-                         qmags.reshape(-1, 2, len(zs))):
-        (err_f, err_s), (q_f, q_s) = err.tolist(), q.tolist()
-        for z, ef, es, qf, qs, flag in zip(zs, err_f, err_s, q_f, q_s, near):
-            ratio = ef / es if es > 0 else math.inf
-            lines.append(row % (E, z, ef, es, ratio, qf, qs, flag))
-    return lines
+    n = len(config.E_list)
+    return _lines(header, [str(E) for E in config.E_list for _ in zs], zs * n, *[cells] * 5,
+                  flags * n)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from pademor import hilbert, modal, numerics, pade, poly
+from pademor import harness, hilbert, modal, numerics, pade, poly
 from pademor.errors import (ConstantPolynomial, DegenerateLeadingCoefficient, DimensionMismatch,
                             InsufficientTaylorLength, NoConvergence, NonFiniteValue,
                             NonHermitianInput, NotNormalized, PadeError, RhoOverflow,
@@ -632,3 +632,86 @@ def loop_nearest_root_errors(roots, true_poles):
     extras = [r for i, r in enumerate(roots) if i not in best]
     return [d[i] for d, i in zip(dists, best)], ";".join(
         "%.17g%+.17gj" % (r.real, r.imag) for r in extras)
+
+
+def template_sweep(config, model):
+    """The sweep's CSV lines, each row by one %-template over Python floats:
+    the writer that harness._cells replaced, as are the three below."""
+    grid = config.grid()
+    rows, dist = modal.evaluate_exact_grid(model, grid)
+    approxs = pade.build(model, harness._params(config, config.M_list, config.N))
+    errors, qmags = harness._grid_errors(model, approxs[::2] + approxs[1::2], grid, rows)
+    near = (dist < harness.NEAR_POLE_DISTANCE).tolist()
+
+    header = ["z", *(f"{cell}_M{M}" for cell in ("abs_error_fast", "abs_error_std",
+                                                 "q_magnitude_fast", "q_magnitude_std")
+                     for M in config.M_list), "near_pole"]
+    row = "%.17g," * (len(header) - 1) + "%d"
+    columns = (grid.tolist(), *errors.tolist(), *qmags.tolist(), near)
+    return [",".join(header)] + [row % cells for cells in zip(*columns)]
+
+
+def template_convergence(config, model):
+    probes = config.z_probes
+    rows, _ = modal.evaluate_exact_grid(model, probes)
+    approxs = pade.build(model, harness._params(config, config.M_list, config.N))
+    errors, qmags = (a.tolist() for a in harness._grid_errors(
+        model, approxs[::2] + approxs[1::2], probes, rows))
+    m = len(config.M_list)
+    poles = modal.pole_list(model, config.z0)
+
+    header = ["probe", "M", "error_fast", "error_std", "q_magnitude_fast", "q_magnitude_std",
+              "fitted_factor_fast", "predicted_factor"]
+    row = "%s,%d" + ",%.17g" * (len(header) - 2)
+    lines = [",".join(header)]
+    for j, z in enumerate(probes):
+        fitted = harness.fit_decay_factor(config.M_list, [ef[j] for ef in errors[:m]])
+        predicted = harness.predicted_point_factor(poles, config, z)
+        for M, ef, es, qf, qs in zip(config.M_list, errors[:m], errors[m:], qmags[:m],
+                                     qmags[m:]):
+            lines.append(row % (harness.complex_to_text(z), M, ef[j], es[j], qf[j], qs[j],
+                                fitted, predicted))
+    return lines
+
+
+def template_poles(config, model):
+    N = config.N
+    poles = modal.pole_list(model, config.z0)
+    true_poles = poles[:N]
+    header = ["E", *(f"{cell}_lambda{a}" for cell in ("abs_error_fast", "abs_error_std",
+                                                      "predicted_factor")
+                     for a in range(1, N + 1)),
+              "q_magnitude_fast", "q_magnitude_std", "extra_roots_fast", "extra_roots_std"]
+    row = "%d" + ",%.17g" * (len(header) - 3) + ",%s,%s"
+    lines = [",".join(header)]
+    predicted = [harness.predicted_point_factor(poles, config, lam) ** 2 for lam in true_poles]
+    params = harness._params(config, config.E_list, 0)
+    dens = [den for den, _ in pade.denominators(model, params, modal.taylor_coefficients(
+        model, config.z0, max(p.E for p in params)))]
+    errors = [loop_nearest_root_errors(r, true_poles) for r in poly.roots(dens)]
+    q0 = [abs(q.coeffs[0]) for q in dens]
+    for E, (err_f, extra_f), (err_s, extra_s), q_f, q_s in zip(
+            config.E_list, errors[::2], errors[1::2], q0[::2], q0[1::2]):
+        lines.append(row % (E, *err_f, *err_s, *predicted, q_f, q_s, extra_f, extra_s))
+    return lines
+
+
+def template_compare(config, model):
+    grid = config.grid()
+    rows, dist = modal.evaluate_exact_grid(model, grid)
+    near = (dist < harness.NEAR_POLE_DISTANCE).tolist()
+    approxs = pade.build(model, harness._params(config, config.E_list, 0))
+    errors, qmags = harness._grid_errors(model, approxs, grid, rows)
+    zs = ["%.17g" % z for z in grid.tolist()]
+
+    header = ["E", "z", "error_fast", "error_std", "ratio",
+              "q_magnitude_fast", "q_magnitude_std", "near_pole"]
+    row = "%d,%s" + ",%.17g" * (len(header) - 3) + ",%d"
+    lines = [",".join(header)]
+    for E, err, q in zip(config.E_list, errors.reshape(-1, 2, len(zs)),
+                         qmags.reshape(-1, 2, len(zs))):
+        (err_f, err_s), (q_f, q_s) = err.tolist(), q.tolist()
+        for z, ef, es, qf, qs, flag in zip(zs, err_f, err_s, q_f, q_s, near):
+            ratio = ef / es if es > 0 else math.inf
+            lines.append(row % (E, z, ef, es, ratio, qf, qs, flag))
+    return lines

@@ -1,4 +1,4 @@
-"""tools/compare_outputs.py on its 170 outputs: a tree run against itself
+"""tools/compare_outputs.py on its 175 outputs: a tree run against itself
 differs nowhere, and a changed output or an uncaught exception is
 reported."""
 
@@ -10,7 +10,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_outputs.py"
 STUDIES = [f"{name}_seed{seed}" for seed in range(11)
-           for name in ("helmholtz_reference", "highorder_poles", "synthetic_dense_grid")] + ["readme"]
+           for name in ("helmholtz_reference", "highorder_poles", "synthetic_dense_grid")] + [
+               "synthetic_dense_grid_points2001", "readme"]
 
 
 def compare(old, new):
@@ -33,16 +34,17 @@ def patched_copy(tmp_path, module, old, new):
 def test_this_checkout_against_itself():
     run = compare(ROOT, ROOT)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert run.stdout == "170 outputs compared, 0 differ\n"
+    assert run.stdout == "175 outputs compared, 0 differ\n"
 
 
 def test_a_changed_output_is_reported(tmp_path):
-    # the sweep's cells written with 16 significant digits, not 17
-    row = 'row = "%.17g," * (len(header) - 1) + "%d"'
-    run = compare(ROOT, patched_copy(tmp_path, "harness.py", row, row.replace("17", "16")))
+    # the sweep's float cells spelled with 16 significant digits, not 17
+    cells = "_cells(np.vstack([grid, errors, qmags]).T)"
+    run = compare(ROOT, patched_copy(tmp_path, "harness.py", cells, (
+        '["%.16g" % x for x in np.vstack([grid, errors, qmags]).T.ravel().tolist()]')))
     assert run.returncode == 1, run.stdout + run.stderr
     lines = run.stdout.splitlines()
-    assert lines[-1] == "170 outputs compared, 34 differ"
+    assert lines[-1] == "175 outputs compared, 35 differ"
     assert sorted(line.split(":")[0] for line in lines[:-1]) == sorted(
         f"{study}.sweep" for study in STUDIES)
 
@@ -53,9 +55,9 @@ def test_an_uncaught_exception_is_reported(tmp_path):
                                      start + '    raise RuntimeError("injected")\n'))
     assert run.returncode == 1, run.stdout + run.stderr
     lines = run.stdout.splitlines()
-    assert lines[-1] == "170 outputs compared, 34 differ"
+    assert lines[-1] == "175 outputs compared, 35 differ"
     reported = [line for line in lines[:-1] if not line.startswith("  ")]
     assert sorted(line.split(":")[0] for line in reported) == sorted(
         f"{study}.poles" for study in STUDIES)
     assert all(": exit 0 -> 1, " in line for line in reported)
-    assert lines.count("  stderr new: 'RuntimeError: injected\\n'") == 34
+    assert lines.count("  stderr new: 'RuntimeError: injected\\n'") == 35

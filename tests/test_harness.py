@@ -17,6 +17,7 @@ from pademor import cli, harness, hilbert, modal, numerics, pade, poly
 from pademor.errors import ConfigError, DuplicatePoles, NoConvergence, PadeError, close_pairs
 
 from conftest import OVERFLOWING_Q_MODULUS, load_perfbench
+import oracles
 from oracles import (approximant_errors, horner_magnitude, loop_config_separation,
                      loop_duplicate_poles, loop_nearest_root_errors, modal_error, point_errors)
 from test_golden import README_CONFIG
@@ -83,6 +84,67 @@ class TestFmt:
         assert [row[-1] for row in rows] == ["0", "0", "1", "1"] + ["0"] * 7
         header, rows = self._rows(tmp_path, "compare")
         assert [row[0] for row in rows] == [str(E) for E in (2, 3, 4) for _ in range(11)]
+
+    @staticmethod
+    def check_cells(values):
+        values = np.asarray(values, dtype=float)
+        want = ["%.17g" % x for x in values.tolist()]
+        assert harness._cells(values) == want
+        assert harness._cell_chunk(values.copy()) == want
+
+    # The double nearest 10^k, and its neighbours, for k from -35 to 35.
+    POWERS = [np.nextafter(float(f"1e{k}"), to) for k in range(-35, 36)
+              for to in (0.0, float(f"1e{k}"), math.inf)]
+    EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+             2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+             *(np.nextafter(x, to) for x in (1e-30, 1e30) for to in (0.0, x, math.inf)),
+             1e-14,  # lies below 10^-14, and its 17 digits round up to '1e-14'
+             0.99999999999999989, 9.9999999999999982e29, 99999999999999984.0,
+             1000000000000000.25, 1000000000000000.75,  # 18 digits: exact ties at 17
+             1.0, 10.0, 0.5, 1.25, 100.0, 1e16, 1e17, 123456789.0, 0.1, 0.001, 1e-5, 2.0**60]
+
+    def test_table(self):
+        values = np.array(self.POWERS + self.EDGES)
+        self.check_cells(np.concatenate([values, -values]))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_every_bit_pattern(self, patterns):
+        self.check_cells(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.floats(-1e30, 1e30), min_size=1, max_size=64))
+    def test_array_pass_range(self, values):
+        self.check_cells(values)
+
+    @pytest.mark.parametrize("n", [harness.CELL_CROSSOVER - 1, harness.CELL_CROSSOVER,
+                                   harness.CELL_CHUNK + 1, 2 * harness.CELL_CHUNK + 7])
+    def test_crossover_and_chunks(self, rng, n):
+        magnitudes = 10.0 ** rng.uniform(-35, 35, n)
+        values = np.where(rng.random(n) < 0.5, -magnitudes, magnitudes)
+        values[::97] = rng.integers(-1000, 1000, len(values[::97])) / 8
+        self.check_cells(values)
+
+
+class TestTemplateOracle:
+    """Each CSV command writes the bytes of its per-row %-template writer
+    in oracles, on the benchmark workloads at seed 0 and on a study whose
+    sweep (3,505 cells) and compare (14,020 cells) span several chunks of
+    the array pass."""
+
+    CHUNKED = {**SYNTH_CONFIG, "grid_points": 701, "E_list": [2, 3, 4, 5]}
+
+    @pytest.mark.parametrize("command", ["sweep", "convergence", "poles", "compare"])
+    @pytest.mark.parametrize("study", ["helmholtz_reference", "highorder_poles",
+                                       "synthetic_dense_grid", "chunked"])
+    def test_bytes(self, tmp_path, study, command):
+        obj = (self.CHUNKED if study == "chunked"
+               else load_perfbench("workloads").make_config(study))
+        cfg = harness.parse_config(obj)
+        out = tmp_path / "out.csv"
+        getattr(harness, f"cmd_{command}")(cfg, str(out))
+        want = getattr(oracles, f"template_{command}")(cfg, harness.build_model(cfg))
+        assert out.read_bytes() == "".join(line + "\n" for line in want).encode()
 
 
 # Pole parts for the separation checks: signed zeros, subnormals, parts
@@ -888,8 +950,8 @@ class TestCli:
 
     @pytest.mark.parametrize("cmd", ["build", "sweep", "convergence", "poles", "compare"])
     def test_study_failing_after_the_open(self, tmp_path, capsys, cmd):
-        # the file the open created is removed; an earlier one is left as
-        # the open truncated it
+        # the file the open created is removed; an earlier one keeps its
+        # bytes, since the file is emptied only when its lines are written
         path = write_config(tmp_path, self.COARSE_RULE)
         out = tmp_path / "x.out"
         assert cli.main([cmd, "--config", path, "--out", str(out)]) == 3
@@ -897,7 +959,20 @@ class TestCli:
         assert not out.exists()
         out.write_text("an earlier output\n")
         assert cli.main([cmd, "--config", path, "--out", str(out)]) == 3
-        assert out.read_bytes() == b""
+        assert out.read_bytes() == b"an earlier output\n"
+
+    @pytest.mark.parametrize("cmd", ["build", "sweep", "convergence", "poles", "compare"])
+    def test_output_replaces_a_longer_earlier_one(self, tmp_path, cmd):
+        path = write_config(tmp_path, SYNTH_CONFIG)
+        fresh, out = tmp_path / "fresh.out", tmp_path / "x.out"
+        assert cli.main([cmd, "--config", path, "--out", str(fresh)]) == 0
+        out.write_bytes(b"x" * (2 * fresh.stat().st_size))
+        assert cli.main([cmd, "--config", path, "--out", str(out)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_output_to_a_device(self, tmp_path):
+        path = write_config(tmp_path, SYNTH_CONFIG)
+        assert cli.main(["sweep", "--config", path, "--out", os.devnull]) == 0
 
     @pytest.mark.parametrize("cmd", ["build", "sweep", "convergence", "poles", "compare"])
     def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch, cmd):

@@ -42,6 +42,19 @@ compiled before NumPy loads: with pade.py at 3,380 tokens (1,181 KB) the
 median moved by 0-4 KB (24 processes each, two runs), at 3,429 tokens
 (1,205 KB) by 124 KB, and at the 3,337 tokens (1,173 KB) kept by 36 KB,
 inside the runs' 110 KB quartile distance.
+
+The array pass that spells CSV float cells (harness._cell_chunk and its
+tables) took harness.py from 3,862 to 5,171 tokens, past its 4,096 block,
+and its compile() peak from 1,387 to 1,968 KB.  It stays in harness, the
+one module that spells CSV cells (tests/test_io_boundary.py).  harness
+compiles before NumPy loads, and the after-import ru_maxrss medians of
+`import pademor, pademor.cli` over 40 fresh PYTHONDONTWRITEBYTECODE=1
+processes per side, alternated, read 29,212 KB before and 29,246 KB after
+(quartiles 29,184-29,248 and 29,206-29,294 KB), and 29,224 and 29,218 KB
+in a second set.  peak_rss_mb (BENCH_40.json, 10 pairs) moved by +0.20 MB
+on helmholtz_reference, +0.09 MB on highorder_poles and +0.95 MB on
+synthetic_dense_grid, the one workload whose CSVs take the array pass:
+the NumPy code its first use maps, its tables and its temporaries.
 """
 
 import tokenize
@@ -56,7 +69,7 @@ TOKEN_BLOCKS = {
     "__init__": 64,
     "cli": 512,
     "errors": 512,
-    "harness": 4096,
+    "harness": 8192,
     "hilbert": 1024,
     "modal": 2048,
     "numerics": 4096,

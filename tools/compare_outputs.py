@@ -5,8 +5,10 @@
 Each tree is a checkout of this repository; its package is imported from
 TREE/src.  Both trees run the five commands (build, sweep, convergence,
 poles, compare) on the three benchmark workloads of this checkout's
-perfbench/workloads.py at seeds 0 to 10 and on the README study, the
-README's example config: 170 outputs each.  An exception that a command
+perfbench/workloads.py at seeds 0 to 10, on synthetic_dense_grid at seed 0
+on 2,001 grid points, whose sweep and compare CSVs span several chunks of
+the array pass that spells their float cells, and on the README study, the
+README's example config: 175 outputs each.  An exception that a command
 does not catch is recorded as exit code 1, Python's own on one, with its
 type and message as stderr, and the run goes on.
 
@@ -49,6 +51,8 @@ def studies():
     spec.loader.exec_module(workloads)
     found = {f"{name}/seed{seed}": workloads.make_config(name, seed)
              for name in workloads.WORKLOADS for seed in SEEDS}
+    found["synthetic_dense_grid/points2001"] = {
+        **workloads.make_config("synthetic_dense_grid", 0), "grid_points": 2001}
     found["readme"] = readme_config()
     return found
 
