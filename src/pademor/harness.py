@@ -246,19 +246,21 @@ def _grid_errors(model, approxs, points, rows):
     """Error norms and |Q| of each of approxs at the points, as two
     (len(approxs), n) arrays; rows, S at the points, come from
     evaluate_exact_grid once per grid.  One pade.evaluate_stack for all of
-    them, then one norm for each of its stacks, each error bit-identical
-    to the norm of its row alone (hilbert.norm sums each row apart).  The
-    error is inf on a pole of S, whose row is inf, and where the
-    approximant's value is not finite, |Q| having vanished or underflowed."""
+    them, then one finiteness test, one subtraction of S and one norm for
+    each block of points it yields, each error bit-identical to the norm
+    of its row alone (hilbert.norm sums each row apart), whatever the
+    block.  The error is inf on a pole of S, whose row is inf, and where
+    the approximant's value is not finite, |Q| having vanished or
+    underflowed."""
     errors, qmags = np.empty((2, len(approxs), len(points)))
-    for index, values, qmag in pade.evaluate_stack(approxs, points):
+    for index, block, values, qmag in pade.evaluate_stack(approxs, points):
         finite = np.isfinite(values).all(axis=-1)
         with np.errstate(invalid="ignore"):  # inf - inf on a shared pole
-            values -= rows[:, None]  # |P/Q - S| = |S - P/Q|, bit for bit
+            values -= rows[block]  # |P/Q - S| = |S - P/Q|, bit for bit
             err = norm(values.reshape(-1, values.shape[-1]), model.weights).reshape(finite.shape)
         err[~finite] = math.inf
-        errors[index], qmags[index] = err.T, qmag
-        del values  # before the next stack's Horner pass
+        errors[index, block], qmags[index, block] = err, qmag
+        del values  # before the next block's Horner pass
     return errors, qmags
 
 

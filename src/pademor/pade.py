@@ -19,7 +19,9 @@ standard ones by one lockstep Jacobi over all their Gramian sums
 (numerics.hermitian_min_eigenpair), whose blocks, shared by the sums of a
 stack, are each computed once, on windows sliced from one copy of the
 Taylor rows (_gramian_blocks); then the numerators.  They are evaluated as
-one stack as well (evaluate_stack).
+one stack as well (evaluate_stack): per block of points, of at most
+BLOCK_VALUES values, Q by one Horner pass and P by one pass over all the
+numerators of one center and mode count (poly.horner).
 """
 
 import itertools
@@ -34,6 +36,8 @@ from .errors import (DimensionMismatch, InsufficientTaylorLength, NotNormalized,
 from .modal import ModalModel, taylor_coefficients
 
 QR_DEGENERACY_THRESHOLD = 1e-14
+# complex values of one block of evaluate_stack, 2 MiB
+BLOCK_VALUES = 2**17
 
 
 class _BuildFields(NamedTuple):
@@ -320,33 +324,38 @@ def build(model, params, taylor=None):
 
 def evaluate_stack(approxs, points):
     """P(z)/Q(z) and |Q(z)| of each of approxs, whose denominators share one
-    degree, along a 1-d array of points, one stack of numerators of one
-    coefficient shape and center at a time, so that only one stack's
-    values are held at once: yields (indices, values, qmag), values an
-    (n, len(indices), dimension) array and qmag (len(indices), n).  Q is
-    evaluated by one Horner pass (poly.evaluate), P by one per stack
-    (ShiftedPolynomial.__call__ of the rows side by side); each value is
-    bit-identical to its approximant's evaluated alone.  |Q| is taken by
-    np.hypot, bit-identical to Python abs but inf, not OverflowError,
-    where the modulus of finite parts overflows.
+    degree, along a 1-d array of points, one block of points of one stack
+    of numerators of one center and row shape at a time, so that only one
+    block's values are held at once: yields (indices, block, values, qmag),
+    block a slice of the points, values a (len(indices), points of the
+    block, dimension) array and qmag (len(indices), points of the block).
+    A block of max(1, BLOCK_VALUES // (len(indices) * dimension)) points
+    takes one Horner pass for Q (poly.evaluate) and one for P (poly.horner
+    on the stack sorted by degree, highest first, as indices are); each
+    value is bit-identical to its approximant's evaluated alone.  |Q| is
+    taken by np.hypot, bit-identical to Python abs but inf, not
+    OverflowError, where the modulus of finite parts overflows.
 
     No error or warning is raised near poles of an approximant, where a
     value may overflow to inf or be nan; the caller inspects the returned
     denominator magnitude instead.
     """
     points = np.asarray(points, dtype=complex)
-    qz = poly.evaluate([a.denominator for a in approxs], points)
     nums = [a.numerator for a in approxs]
     # repr tells the signed zeros of a center apart
-    for index in stacks(nums, lambda p: (p.coeffs.shape, repr(p.center))).values():
-        q = qz[index]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values = poly.ShiftedPolynomial(nums[index[0]].center, np.stack(
-                [nums[i].coeffs for i in index], axis=1))(points)
-            values /= q.T[..., None]
-            qmag = np.hypot(q.real, q.imag)
-        yield index, values, qmag
-        del values  # not held while the next stack's Horner pass runs
+    for index in stacks(nums, lambda p: (p.coeffs.shape[1:], repr(p.center))).values():
+        index.sort(key=lambda i: -nums[i].degree)
+        ps, dens = [nums[i] for i in index], [approxs[i].denominator for i in index]
+        size = max(1, BLOCK_VALUES // max(1, len(index) * ps[0].coeffs[0].size))
+        for start in range(0, len(points), size):
+            block = slice(start, start + size)
+            qz = poly.evaluate(dens, points[block])
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                values = poly.horner(ps, points[block] - ps[0].center)
+                values /= qz[..., None]
+                qmag = np.hypot(qz.real, qz.imag)
+            yield index, block, values, qmag
+            del values  # not held while the next block's Horner pass runs
 
 
 def evaluate(approx, z):
@@ -357,9 +366,12 @@ def evaluate(approx, z):
     bytes this gives, whatever the other points: Q(z) rounded as Horner on
     Python complex numbers, P(z) as Horner on NumPy complex arrays."""
     points = np.asarray(z, dtype=complex)
-    [(_, values, qmag)] = evaluate_stack([approx], points.reshape(-1))
-    qmag = qmag[0].reshape(points.shape)
-    return values[:, 0].reshape(points.shape + values.shape[2:]), (
+    values = np.empty((points.size,) + approx.numerator.coeffs.shape[1:], complex)
+    qmag = np.empty(points.size)
+    for _, block, v, q in evaluate_stack([approx], points.reshape(-1)):
+        values[block], qmag[block] = v[0], q[0]
+    qmag = qmag.reshape(points.shape)
+    return values.reshape(points.shape + values.shape[1:]), (
         float(qmag) if points.ndim == 0 else qmag)
 
 

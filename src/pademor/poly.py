@@ -6,10 +6,11 @@ coefficients for a Taylor block or a numerator P.  Denominators live on the
 unit coefficient sphere sum |a_j|^2 = 1.
 
 Polynomials are evaluated by Horner: a stack of scalar ones of one degree
-by evaluate, rounded as Python's complex arithmetic rounds, and one
-polynomial, or a vector one whose rows hold a stack side by side, by
-ShiftedPolynomial.__call__, every value rounded as NumPy's complex array
-product rounds, whatever the grid or stack it is evaluated in.
+by evaluate, rounded as Python's complex arithmetic rounds, and a stack of
+one center and coefficient row shape, of any degrees, by horner, one step
+per coefficient row, every value rounded as NumPy's complex array product
+rounds, whatever the grid or stack it is evaluated in;
+ShiftedPolynomial.__call__ is horner on a stack of one.
 """
 
 import numpy as np
@@ -33,18 +34,41 @@ class ShiftedPolynomial:
 
     def __call__(self, z):
         """Horner evaluation on NumPy arrays at a point, or at each of an
-        array of points: one value (a row for a vector polynomial) each."""
+        array of points: one value (a row for a vector polynomial) each, by
+        horner on a stack of one."""
         z = np.asarray(z, dtype=complex)
         # points as an array, never a NumPy scalar, whose products round apart
-        dz = z.reshape((-1,) + (1,) * (self.coeffs.ndim - 1)) - self.center
-        acc = np.zeros(dz.shape[:1] + self.coeffs.shape[1:], dtype=complex)
-        for row in self.coeffs[::-1]:
-            if acc.size == 1:  # NumPy rounds a one-element product in place without FMA
-                acc = acc * dz
-            else:
-                acc *= dz
-            acc += row
-        return acc.reshape(z.shape + self.coeffs.shape[1:])
+        [values] = horner([self], z.reshape(-1) - self.center)
+        return values.reshape(z.shape + self.coeffs.shape[1:])
+
+
+def horner(ps, dz):
+    """Horner evaluation of each of ps, polynomials of one coefficient row
+    shape listed by degree, highest first, at each offset z - center of a
+    1-d array dz: a (len(ps), len(dz)) + row shape array, by one pass.
+
+    The polynomials still active at power d are the prefix acc[:a] of one
+    accumulator, each step acc[:a] *= dz; acc[:a] += their rows of power
+    d, gathered for that step alone: sum(degree + 1) row steps, each value
+    rounded as NumPy's complex array product rounds, whatever the points or
+    the stack.  NumPy rounds a product of one element taken in place as
+    Python does, without FMA, so such a product is taken out of place, on
+    1-d arrays.
+    """
+    shape = ps[0].coeffs.shape[1:]
+    dz = dz.reshape((-1,) + (1,) * len(shape))
+    acc = np.zeros((len(ps),) + dz.shape[:1] + shape, complex)
+    a = 0
+    for d in range(ps[0].degree, -1, -1):
+        while a < len(ps) and ps[a].degree >= d:
+            a += 1
+        head = acc[:a]
+        if head.size == 1:  # 1-d: NumPy rounds a broadcast one as well without FMA
+            head[...] = head.ravel() * dz.ravel()
+        else:
+            head *= dz
+        head += np.array([p.coeffs[d] for p in ps[:a]]).reshape((a, 1) + shape)
+    return acc
 
 
 def evaluate(ps, points):

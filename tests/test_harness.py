@@ -1,4 +1,3 @@
-import collections
 import json
 import math
 import os
@@ -7,6 +6,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -359,6 +359,52 @@ class TestGridErrors:
         assert np.array_equal(values[0], value) and qmags[0] == qmag
 
 
+def workload_stack(workload, command):
+    """The model, the approximants of command (sweep or compare) and the
+    grid of a benchmark workload at seed 0."""
+    cfg = harness.parse_config(load_perfbench("workloads").make_config(workload))
+    model = harness.build_model(cfg)
+    if command == "sweep":
+        params = harness._params(cfg, cfg.M_list, cfg.N)
+    else:
+        params = harness._params(cfg, cfg.E_list, 0)
+    return model, pade.build(model, params), cfg.grid()
+
+
+def mixed_stack(model):
+    """Numerators of degrees 3, 0, 4, 3, 1 and 1, the last two of different
+    centers, and points that are not finite or on poles: the last
+    denominator, (z - 0.5)(z - 3), vanishes exactly on the point 0.5; 1.0
+    is a pole of three_pole, whose row is inf."""
+    approxs = [pade.build(model, [params])[0] for params in (
+        pade.BuildParams(0.3 + 0.2j, 3, 2, 3, "fast"),
+        pade.BuildParams(0.3 + 0.2j, 0, 2, 3, "standard", 1.5),
+        pade.BuildParams(0.3 + 0.2j, 4, 2, 4, "fast"),
+        pade.BuildParams(0.3 + 0.2j, 3, 2, 5, "standard", 2.0),
+        pade.BuildParams(0.3 + 0.2j, 1, 2, 3, "standard", 1.5),
+    )]
+    approxs.append(pade.PadeApproximant(
+        poly.ShiftedPolynomial(0.0, [[1.0, 2.0, -1.0], [0.5, 0.0, 1e300]]),
+        poly.ShiftedPolynomial(0.0, [1.5, -3.5, 1.0]),
+        pade.BuildParams(0.0, 1, 2, 2), pade.Diagnostics(0.0, False)))
+    points = np.array([0.5, 1.0, -0.0, 2.5 - 1e-7j, 1e155, complex(math.inf, 0.0),
+                       complex(0.0, -math.inf), complex(math.nan, 1.0),
+                       complex(math.inf, math.nan)])
+    return approxs, points
+
+
+def one_mode_stack(rng):
+    """A one-mode model and eight numerators of degree 5 with one mode, one
+    product per Horner step of each."""
+    model = modal.build_synthetic([1.0], [1.0])
+    c = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+    return model, [pade.PadeApproximant(
+        poly.ShiftedPolynomial(0.3 + 0.2j, row[:, None]),
+        poly.ShiftedPolynomial(0.3 + 0.2j, row[:3]),
+        pade.BuildParams(0.3 + 0.2j, 5, 2, 5), pade.Diagnostics(0.0, False))
+        for row in c]
+
+
 class TestStackedErrors:
     """harness._grid_errors, one stacked pass over every approximant of a
     command, equals oracles.approximant_errors, the per-approximant path it
@@ -379,49 +425,18 @@ class TestStackedErrors:
     @pytest.mark.parametrize("workload", ["helmholtz_reference", "highorder_poles",
                                           "synthetic_dense_grid"])
     def test_workload_seed_zero(self, workload, command):
-        cfg = harness.parse_config(load_perfbench("workloads").make_config(workload))
-        model = harness.build_model(cfg)
-        if command == "sweep":
-            params = harness._params(cfg, cfg.M_list, cfg.N)
-        else:
-            params = harness._params(cfg, cfg.E_list, 0)
-        self.check(model, pade.build(model, params), cfg.grid())
+        self.check(*workload_stack(workload, command))
 
     def test_mixed_degrees_and_non_finite_points(self, three_pole):
-        # numerators of degrees 3, 0, 4, 3, 1 and 1, the last two of
-        # different centers; the last denominator, (z - 0.5)(z - 3),
-        # vanishes exactly on the point 0.5; 1.0 is a pole of S, whose row
-        # is inf
-        approxs = [pade.build(three_pole, [params])[0] for params in (
-            pade.BuildParams(0.3 + 0.2j, 3, 2, 3, "fast"),
-            pade.BuildParams(0.3 + 0.2j, 0, 2, 3, "standard", 1.5),
-            pade.BuildParams(0.3 + 0.2j, 4, 2, 4, "fast"),
-            pade.BuildParams(0.3 + 0.2j, 3, 2, 5, "standard", 2.0),
-            pade.BuildParams(0.3 + 0.2j, 1, 2, 3, "standard", 1.5),
-        )]
-        approxs.append(pade.PadeApproximant(
-            poly.ShiftedPolynomial(0.0, [[1.0, 2.0, -1.0], [0.5, 0.0, 1e300]]),
-            poly.ShiftedPolynomial(0.0, [1.5, -3.5, 1.0]),
-            pade.BuildParams(0.0, 1, 2, 2), pade.Diagnostics(0.0, False)))
-        points = np.array([0.5, 1.0, -0.0, 2.5 - 1e-7j, 1e155, complex(math.inf, 0.0),
-                           complex(0.0, -math.inf), complex(math.nan, 1.0),
-                           complex(math.inf, math.nan)])
-        errors, qmags = self.check(three_pole, approxs, points)
+        errors, qmags = self.check(three_pole, *mixed_stack(three_pole))
         assert qmags[-1][0] == 0.0 and errors[-1][0] == math.inf
         assert all(e[1] == math.inf for e in errors)
 
     def test_one_mode_at_one_point(self, rng):
-        # one product per Horner step of each numerator, a product of one
-        # element at one point: it rounds as it does inside a longer stack
-        # or grid, so the stacked numerators give each one's bytes alone,
-        # and each point alone gives its column of the grid
-        model = modal.build_synthetic([1.0], [1.0])
-        c = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
-        approxs = [pade.PadeApproximant(
-            poly.ShiftedPolynomial(0.3 + 0.2j, row[:, None]),
-            poly.ShiftedPolynomial(0.3 + 0.2j, row[:3]),
-            pade.BuildParams(0.3 + 0.2j, 5, 2, 5), pade.Diagnostics(0.0, False))
-            for row in c]
+        # a product of one element at one point rounds as it does inside a
+        # longer stack or grid, so the stacked numerators give each one's
+        # bytes alone, and each point alone gives its column of the grid
+        model, approxs = one_mode_stack(rng)
         for points in ([0.7 + 0.1j], [0.7 + 0.1j, 1.9]):
             errors, qmags = self.check(model, approxs, np.array(points))
         rows = modal.evaluate_exact_grid(model, points)[0]
@@ -431,26 +446,84 @@ class TestStackedErrors:
             assert at_z[1].tobytes() == qmags[:, j:j + 1].tobytes()
 
 
-class TestGridErrorsPeak:
-    """What the tracemalloc peak of harness._grid_errors gains per mode
-    added, on sweep's approximants of the README study at max_index 12
-    and 24 (144 and 576 modes, 101 points), against the arrays the pass
-    must hold.  The parts that do not grow with the modes (Q at the
-    points, the outputs, one ufunc buffer) cancel in the difference.
-
-    Per mode, a stack of k numerators of degree M (coefficient rows M + 1)
-    at n points holds its values, 16 n k bytes, and beside them either
-    the copy of its coefficient rows that its Horner pass runs on,
-    16 (M + 1) k, or hilbert.norm's one real array of weighted squares,
-    8 n k; the budget is the largest stack's.  Measured (NumPy 2.4.6):
-    4,848.2 B per mode, against a budget of 4,848.  Holding the previous stack's values
-    during the next Horner pass, or |v|, |v|^2 and w |v|^2 at once in the
-    norm, as the pass did before, reads 8,080 B per mode."""
+class TestBlocks:
+    """pade.evaluate_stack evaluates a stack one block of points at a time.
+    With blocks of one point and with the whole grid as one block,
+    harness._grid_errors and pade.evaluate give the same bytes, and an
+    empty grid gives empty arrays."""
 
     @staticmethod
-    def peak(max_index):
-        cfg = harness.parse_config(
-            dict(README_CONFIG, model=dict(README_CONFIG["model"], max_index=max_index)))
+    def both_ways(model, approxs, points):
+        points = np.asarray(points, dtype=complex)
+        rows = modal.evaluate_exact_grid(model, points)[0]
+        blocks, found = [], []
+        for block_values in (1, 2**62):
+            with mock.patch.object(pade, "BLOCK_VALUES", block_values), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                blocks.append(len(list(pade.evaluate_stack(approxs, points))))
+                errors, qmags = harness._grid_errors(model, approxs, points, rows)
+                evaluated = [pade.evaluate(a, points) for a in approxs]
+            found.append([errors.tobytes(), qmags.tobytes()] +
+                         [v.tobytes() + q.tobytes() for v, q in evaluated])
+        assert blocks[0] == len(points) * blocks[1]  # one point, then one block, per stack
+        assert found[0] == found[1]
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize("workload", ["helmholtz_reference", "highorder_poles",
+                                          "synthetic_dense_grid"])
+    def test_workload_seed_zero(self, workload, command):
+        self.both_ways(*workload_stack(workload, command))
+
+    def test_mixed_degrees_and_non_finite_points(self, three_pole):
+        self.both_ways(three_pole, *mixed_stack(three_pole))
+
+    def test_one_mode_at_one_point(self, rng):
+        # prefixes of one element: the stack of eight at one point, and the
+        # first numerator alone at one and at two points
+        model, approxs = one_mode_stack(rng)
+        for points in ([0.7 + 0.1j], [0.7 + 0.1j, 1.9]):
+            self.both_ways(model, approxs, points)
+            self.both_ways(model, approxs[:1], points)
+
+    def test_empty_grid(self, three_pole):
+        approxs, _ = mixed_stack(three_pole)
+        rows = modal.evaluate_exact_grid(three_pole, np.array([], complex))[0]
+        errors, qmags = harness._grid_errors(three_pole, approxs, np.array([], complex), rows)
+        assert errors.shape == qmags.shape == (len(approxs), 0)
+        values, qmag = pade.evaluate(approxs[0], [])
+        assert values.shape == (0, 3) and qmag.shape == (0,)
+
+
+class TestGridErrorsPeak:
+    """The tracemalloc peak of harness._grid_errors on sweep's six
+    approximants of the README study, against the arrays the pass must
+    hold.  S at the points is the caller's and is not counted.
+
+    pade.evaluate_stack holds one block of points at a time, at most
+    pade.BLOCK_VALUES values of the stack and more than BLOCK_VALUES -
+    approximants x modes (the block size is a floor); from 256 modes
+    (max_index 16) a block is smaller than the 101-point grid.  The peak
+    is then one block: its values (16 B each), hilbert.norm's real array of
+    them (8 B each) and one ufunc buffer of 8,192 floats, beside what grows
+    with the grid: the error and |Q| outputs, 16 B per approximant and
+    point, and the points as a complex array, 16 B per point.  Q, like P,
+    is evaluated per block.  Per mode added, only one step's gathered
+    numerator rows grow, 16 B per approximant, beside the block's floor.
+
+    Measured (NumPy 2.4.6): a peak of 3,156,504 B at 576 modes against a
+    budget of 3,178,544; -220 B per mode between 256 and 576 modes against
+    211; 112.3 B per point between 101 and 401 points against 112
+    (+1 KiB).  Holding the previous block's values through the next Horner
+    pass (no del values) reads a peak of 4,300,144 B; one block of the whole
+    grid grows by 14,541 B per mode and 83,206 B per point.  The pass
+    before the blocks, one stack of numerators of one degree at a time on
+    the whole grid, grew by 4,845 B per mode and 27,922 B per point."""
+
+    @staticmethod
+    def peak(max_index, grid_points=101):
+        cfg = harness.parse_config(dict(README_CONFIG, grid_points=grid_points, model=dict(
+            README_CONFIG["model"], max_index=max_index)))
         model = harness.build_model(cfg)
         grid = cfg.grid()
         rows = modal.evaluate_exact_grid(model, grid)[0]
@@ -459,18 +532,31 @@ class TestGridErrorsPeak:
         tracemalloc.start()
         try:
             harness._grid_errors(model, approxs, grid, rows)
-            return tracemalloc.get_traced_memory()[1], approxs, len(grid)
+            return tracemalloc.get_traced_memory()[1], len(approxs)
         finally:
             tracemalloc.stop()
 
+    def test_peak_is_one_block(self):
+        peak, k = self.peak(24)
+        values = k * 24**2 * (pade.BLOCK_VALUES // (k * 24**2))
+        # 32 KiB for the block's small arrays (its finiteness mask, Q and
+        # |Q| at its points, the norms) and Python objects
+        budget = 24 * values + (16 * k + 16) * 101 + 8 * 8192 + 32 * 1024
+        assert peak <= budget, (peak, budget)
+
     def test_peak_per_mode_within_budget(self):
-        (small, _, _), (large, approxs, n) = self.peak(12), self.peak(24)
-        stacks = collections.Counter(a.numerator.degree for a in approxs)
-        budget = max(16 * n * k + max(16 * (M + 1) * k, 8 * n * k) for M, k in stacks.items())
+        (small, k), (large, _) = self.peak(16), self.peak(24)
+        budget = 16 * k * (24**2 - 16**2) + 24 * k * 16**2
         # 1 KiB for the Python objects whose sizes differ between the two
-        # runs by a few bytes (96 B measured)
-        assert large - small <= budget * (24**2 - 12**2) + 1024, (
-            (large - small) / (24**2 - 12**2), budget)
+        # runs by a few bytes
+        assert large - small <= budget + 1024, ((large - small) / (24**2 - 16**2), budget)
+
+    def test_peak_per_point_is_outputs(self):
+        """At a fixed mode count, the peak grows with the grid only by the
+        (approximants x points) outputs and the points: not by values."""
+        (small, k), (large, _) = self.peak(24, 101), self.peak(24, 401)
+        budget = (16 * k + 16) * (401 - 101)
+        assert large - small <= budget + 1024, ((large - small) / (401 - 101), budget)
 
 
 class TestModalErrorIdentity:

@@ -1,22 +1,29 @@
 """Allocation budget of the four CSV commands on the README study.
 
-The tracemalloc peak of one warm call of each command is taken at
-max_index 12 and 24 (144 and 576 modes, 101 grid points, the README's
-other keys unchanged).  What the peak gains per mode added, between the two
+The tracemalloc peak of one warm call of each command is taken at two
+sizes, max_index 12 and 24 (144 and 576 modes, 101 grid points, the
+README's other keys unchanged) for convergence and poles, max_index 16
+and 24 (256 and 576 modes) for sweep and compare, whose grid errors are
+evaluated one block of points at a time (pade.evaluate_stack): at 144
+modes sweep's block is still the whole grid, so its values would grow
+between the sizes.  What the peak gains per mode added, between the two
 sizes, is held to a budget derived below from the arrays the command holds
 and the largest temporaries it makes, in bytes per mode.  The difference
 leaves out what does not grow with the modes (the grid, the CSV lines,
-Python objects), which is most of the peak at 144 modes.
+Python objects, a block of values once it is smaller than the grid),
+which is most of the peak.
 
-Peaks measured on NumPy 2.4.6, Python 3.11 (144 / 576 modes): sweep 1.15 /
-4.25 MB, compare 1.24 / 4.54 MB, convergence 0.19 / 0.69 MB, poles 0.26 /
-0.98 MB; sweep and compare grow by 4.45 and 4.72 units (defined in budget)
-per mode, about 0.9 of their budgets.  Each of these holds one more stack
-of values, or two more real arrays, and takes them past their budgets (5.6
-to 6.7 units): every Horner product of ShiftedPolynomial.__call__ out of
-place (acc = acc * dz; acc += row), _grid_errors keeping the previous
-stack's values through the next Horner pass (no del values), and
-hilbert.norm summing w.weights * |v|**2 out of place (three real arrays).
+Peaks measured on NumPy 2.4.6, Python 3.11: sweep 3.84 / 4.52 MB and
+compare 3.94 / 4.82 MB (256 / 576 modes), growing by 2,117 and 2,754 B per
+mode against budgets of 3,192 and 3,768; convergence 0.19 / 0.73 MB and
+poles 0.26 / 0.98 MB (144 / 576 modes).  Before the blocks, sweep and
+compare held one stack of numerators of one degree on the whole grid and
+grew by 4.45 and 4.72 units per mode (7,186 and 7,579 B, 144 / 576 modes)
+against budgets of 7,944 and 8,392 B; at 256 / 576 modes that pass grows by
+7,183 and 7,631 B per mode, more than twice the budgets above.
+convergence's 2 C rows are why the Horner pass gathers its rows one step
+at a time: zero-padded rows of every step, gathered at once, read 2,002 B
+per mode against 1,696.
 """
 
 import tracemalloc
@@ -27,7 +34,8 @@ from pademor import harness
 
 from test_golden import README_CONFIG
 
-SIZES = (12, 24)  # max_index: 144 and 576 modes
+SIZES = {"sweep": (16, 24), "compare": (16, 24),  # max_index: 256 and 576 modes
+         "convergence": (12, 24), "poles": (12, 24)}  # 144 and 576 modes
 COMPLEX = 16  # bytes
 
 
@@ -62,17 +70,16 @@ def budget(command, cfg):
     """Bytes per mode that one call of command may hold at its peak.
 
     sweep and compare.  Unit: one complex per grid point, 16 B x points.
-    _grid_errors holds S at the points (1 unit) and evaluates the
-    numerators one stack of one degree at a time; a fast and a standard
-    numerator share a degree, so a stack holds 2 units of values.
-    hilbert.norm then takes |v| of the stack and squares and weights it in
-    place, one real array of two reals per point, 1 unit: 4 units.  A
-    stack's Horner pass, in place, holds 1 + 2 units, since _grid_errors
-    and evaluate_stack drop the previous stack's values before it, which
-    would add 2.  Beside the 4 units, the approximants hold their
-    numerators' coefficient rows (rows / points units), and the finiteness
-    mask (1/8 unit) and the distances to the poles are small: 0.5 unit is
-    left for them.
+    _grid_errors holds S at the points (1 unit) and evaluates all the
+    numerators one block of points at a time, a block of at most
+    pade.BLOCK_VALUES values, which stops growing with the modes once it is
+    smaller than the grid; so does hilbert.norm's real array of the block.
+    Per mode, what grows beside S is the approximants' numerator
+    coefficient rows (rows / points units) and one Horner step's gathered
+    rows, at most one per approximant (approximants / points units).  The
+    finiteness mask, the distances to the poles and the floor of the block
+    size, which holds between BLOCK_VALUES - approximants x modes and
+    BLOCK_VALUES values, are small: 0.5 unit is left for them.
 
     convergence.  Unit: one coefficient row, 16 B.  At its two probes the
     values are a few rows; what the command holds is C rows, the
@@ -93,7 +100,9 @@ def budget(command, cfg):
     """
     points = cfg.grid_points
     if command in ("sweep", "compare"):
-        return (4 + numerator_rows(cfg, command) / points + 0.5) * COMPLEX * points
+        approximants = 2 * len(cfg.E_list if command == "compare" else cfg.M_list)
+        rows = numerator_rows(cfg, command) + approximants
+        return (1 + rows / points + 0.5) * COMPLEX * points
     if command == "convergence":
         taylor = max(max(cfg.fast_E(M), M + cfg.N) for M in cfg.M_list) + 1
         return 2 * (numerator_rows(cfg, command) + taylor) * COMPLEX
@@ -103,9 +112,9 @@ def budget(command, cfg):
 @pytest.mark.parametrize("command", ["sweep", "compare", "convergence", "poles"])
 def test_peak_per_mode_within_budget(tmp_path, command):
     run = getattr(harness, f"cmd_{command}")
-    cfgs = [config(n) for n in SIZES]
+    cfgs = [config(n) for n in SIZES[command]]
     peaks = [peak(run, cfg, str(tmp_path / "out.csv")) for cfg in cfgs]
-    modes = [n * n for n in SIZES]
+    modes = [n * n for n in SIZES[command]]
     per_mode = (peaks[1] - peaks[0]) / (modes[1] - modes[0])
     limit = budget(command, cfgs[0])
     assert per_mode <= limit, (

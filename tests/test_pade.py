@@ -803,10 +803,11 @@ def synthetic(poles):
 class TestGridIndependence:
     """A value's bytes do not depend on the points or the approximants it is
     evaluated with.  NumPy rounds a complex product of one element taken in
-    place, or of two NumPy scalars, without FMA, and every other one with
-    FMA where the host has it; a one-mode numerator at one point, or a
-    scalar polynomial at a scalar point, is such a product at every Horner
-    step unless ShiftedPolynomial.__call__ takes it out of place."""
+    place or broadcast, or of two NumPy scalars, without FMA, and every
+    other one with FMA where the host has it; a one-mode numerator at one
+    point, or a scalar polynomial at a scalar point, is such a product at
+    every Horner step unless poly.horner takes it out of place on 1-d
+    arrays."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(poles=POLES, z0=st.builds(complex, st.floats(-3, 3), st.floats(1.5, 2.5)),

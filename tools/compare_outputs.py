@@ -8,9 +8,14 @@ poles, compare) on the three benchmark workloads of this checkout's
 perfbench/workloads.py at seeds 0 to 10, on synthetic_dense_grid at seed 0
 on 2,001 grid points, whose sweep and compare CSVs span several chunks of
 the array pass that spells their float cells, and on the README study, the
-README's example config: 175 outputs each.  An exception that a command
-does not catch is recorded as exit code 1, Python's own on one, with its
-type and message as stderr, and the run goes on.
+README's example config: 175 outputs each.  The grid errors of sweep and
+compare cross block boundaries of pade.evaluate_stack on two studies:
+the README study's (1,600 modes: 8 blocks of 13 points and 21 of 5) and
+the 2,001-point study's (2 blocks of up to 1,820 points and 3 of up to
+780); every other study, and every convergence, is one block per command.
+An exception that a command does not catch is recorded as exit code 1,
+Python's own on one, with its type and message as stderr, and the run goes
+on.
 
 Every output whose bytes, exit code or stderr differ between the trees is
 printed; the script exits 1 if any does, 0 if none.  Each tree runs all of
