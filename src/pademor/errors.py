@@ -1,6 +1,4 @@
-"""Exception hierarchy shared by all subpackages, and the pure-Python
-groupings that decide several of their failures (stacks, close_pairs),
-compiled before NumPy loads."""
+"""Exception hierarchy shared by all subpackages."""
 
 
 class PadeError(Exception):
@@ -85,18 +83,3 @@ class InsufficientTaylorLength(PadeError):
 class RhoOverflow(PadeError):
     pass
 
-
-def stacks(items, key=len):
-    """{key(item): indices} of items, each list of indices in order: the
-    stacks that one array pass solves together."""
-    found = {}
-    for i, item in enumerate(items):
-        found.setdefault(key(item), []).append(i)
-    return found
-
-
-def close_pairs(points, tol):
-    """The pairs (i, j), i < j, of the complex points within tol of each
-    other by Python's abs, each pair compared once."""
-    return [(i, j) for j in range(len(points)) for i in range(j)
-            if abs(points[i] - points[j]) <= tol]

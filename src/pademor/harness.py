@@ -19,13 +19,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pade, poly
-from .errors import ConfigError, close_pairs
+from .errors import ConfigError
 from .modal import (
     CENTER_DISTANCE,
     COORDINATE_LIMIT,
     POLE_SEPARATION,
     build_rectangle_helmholtz,
     build_synthetic,
+    close_pairs,
     evaluate_exact_grid,
     nearest_pole,
     pole_list,
@@ -208,7 +209,8 @@ def load_config(path):
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8; nested too deeply
+    # not UTF-8 or an integer of more than 4,300 digits; nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

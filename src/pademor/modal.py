@@ -6,8 +6,14 @@ arrays, one eigenvalue, one source coefficient and one inner-product weight
 per mode.  The exact spectral Helmholtz backend on (0, pi)^2 and synthetic
 pole/residue fixtures both reduce to this form, so evaluation, Taylor
 expansion and pole listing are shared.  Its JSON object (model_to_json)
-holds the same three arrays and nothing else.
+holds the same three arrays and nothing else.  The Helmholtz backend
+integrates its source by a Gauss-Legendre rule computed here
+(_gauss_legendre), on the float operations of numpy.polynomial's, which
+the package does not import; the last GAUSS_RULES_KEPT rules are kept as
+read-only arrays.
 """
+
+import functools
 
 import numpy as np
 
@@ -19,10 +25,8 @@ from .errors import (
     NonFiniteValue,
     PoleEvaluation,
     QuadratureNotConverged,
-    close_pairs,
 )
 from .hilbert import InnerProductWeights, finite_array, norm, pairs_to_array, rescued
-from .numerics import gauss_legendre
 from .poly import ShiftedPolynomial
 
 POLE_GROUP_TOL = 1e-12
@@ -32,6 +36,7 @@ CENTER_DISTANCE = 1e-10  # an expansion center this close to a pole lies on it
 DROP_THRESHOLD = 1e-14  # relative to ||source||, below which a pole is dropped
 DEFAULT_MAX_INDEX = 40
 DEFAULT_QUAD_ORDER = 64
+GAUSS_RULES_KEPT = 8
 # Parts below this bound keep every difference of two points and its modulus
 # finite: |a - b| < 2^1022 * sqrt(2).
 COORDINATE_LIMIT = 2.0**1021
@@ -68,6 +73,13 @@ class ModalModel:
         return norm(self.coefficients, self.weights)
 
 
+def close_pairs(points, tol):
+    """The pairs (i, j), i < j, of the complex points within tol of each
+    other by Python's abs, each pair compared once."""
+    return [(i, j) for j in range(len(points)) for i in range(j)
+            if abs(points[i] - points[j]) <= tol]
+
+
 def build_synthetic(poles, residue_norms):
     """One-mode-per-pole fixture with real residue magnitudes and L2 weights."""
     poles = [complex(p) for p in poles]
@@ -81,6 +93,48 @@ def build_synthetic(poles, residue_norms):
     if any(r <= 0.0 for r in norms):
         raise ValueError("residue norms must be positive")
     return model
+
+
+def _legendre_series(x, c):
+    """sum_j c[j] P_j(x) by Legendre's Clenshaw recursion, len(c) >= 2, with
+    the float operations of numpy.polynomial.legendre.legval; each c[j] a
+    number, or an array whose trailing axis broadcasts against x."""
+    c0, c1, nd = c[-2], c[-1], len(c)
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+@functools.lru_cache(maxsize=GAUSS_RULES_KEPT)
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on (-1, 1),
+    n >= 2, by the float operations of numpy.polynomial.legendre.leggauss
+    in the same order, so bit-identical to it: the eigenvalues of the
+    symmetric companion matrix of P_n, one Newton step, weights from P_n'
+    at the first nodes and P_{n-1} at the new ones, symmetrised and scaled
+    to sum to 2.
+
+    Computed once per order: every caller gets the same two arrays, read
+    only over immutable bytes, so no caller can change what the next one
+    gets.  An exception, such as a MemoryError, is not memoized."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    pn = [0.0] * n + [1.0]
+    dpn = [0.0] * n
+    for j in range(n, 0, -2):
+        dpn[j - 1] = 2.0 * j - 1.0
+    dy, df = _legendre_series(x, np.array([pn, dpn + [0.0]]).T[..., None])
+    x -= dy / df
+    fm = _legendre_series(x, pn[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return np.frombuffer(x.tobytes()), np.frombuffer(w.tobytes())
 
 
 def _bubble_line_integrals(sines, freq, x, w):
@@ -124,7 +178,7 @@ def build_rectangle_helmholtz(
     The inner product is the energy one with shift nu_sq.
 
     The coefficients come from the quad_order-point Gauss-Legendre rule on
-    (0, pi), by gauss_legendre.  They are validated once at build time
+    (0, pi), by _gauss_legendre.  They are validated once at build time
     against the same rule applied on each half, (0, pi/2) and (pi/2, pi):
     QuadratureNotConverged unless the two agree to 1e-10 of the largest
     coefficient.
@@ -136,7 +190,7 @@ def build_rectangle_helmholtz(
     if nu_sq <= 0.0:
         raise ValueError("nu_sq must be positive")
 
-    nodes, wts = gauss_legendre(quad_order)
+    nodes, wts = _gauss_legendre(quad_order)
     x = 0.5 * np.pi * (nodes + 1.0)
     w = 0.5 * np.pi * wts
     coef = _helmholtz_coefficients(max_index, nu_sq, theta, x, w)

@@ -2,32 +2,28 @@
 
 Provides a cyclic complex Jacobi eigensolver for small Hermitian matrices,
 the minimal right-singular vector of a small triangular factor by LAPACK's
-SVD, the roots of each of a stack of polynomials of one degree, in no
+SVD, and the roots of each of a stack of polynomials of one degree, in no
 set order, as the LAPACK eigenvalues of its companion matrix, each
-polished by one Newton step, the power-of-two scalings that keep
-weighted sums of squares finite, and the Gauss-Legendre rule that modal
-integrates the Helmholtz source with, on the float operations of
-numpy.polynomial's, which the package does not import.  Jacobi, not
-LAPACK, solves the standard Gramian sum: the committed benchmark
-reference holds its roundoff, and a LAPACK eigensolver in its place fails
-that reference's check until the reference is retaken.  A matrix with a non-finite entry is refused
+polished by one Newton step.  Jacobi, not LAPACK, solves the standard
+Gramian sum: the committed benchmark reference holds its roundoff, and a
+LAPACK eigensolver in its place fails that reference's check until the
+reference is retaken.  A matrix with a non-finite entry is refused
 (NonFiniteValue).  The Jacobi rotation kernel does the same floating-point
 operations on every entry as the plain loop kept in tests/oracles.py
 (loop_jacobi) and is bit-identical to it.  Only the vectors compared or
 returned are phase-fixed.  All routines are pure functions on value
-inputs; gauss_legendre keeps its last GAUSS_RULES_KEPT rules as read-only
-arrays.  EIGEN_TOL and ROOT_TOL are the eigen- and root-residual
+inputs.  EIGEN_TOL and ROOT_TOL are the eigen- and root-residual
 contracts; a leading coefficient TRIM_THRESHOLD times the largest or
 smaller vanishes.  A MinEigen is (value, vector, degenerate) and,
 for an eigenpair of hermitian_min_eigenpair, the largest eigenvalue.
 
 The eigensystems, the singular vectors and the roots are solved for a
 whole stack at once, each item giving the bytes it gives alone, and so
-are the steps around the solves: checks, pick, phase fixes, norms, scale
-exponents.  A stack raises the first failure that its passes, check by
-check and item by item, meet; an empty stack gives [], or an empty array
-of roots.  Each kernel takes a stack of one shape: poly.roots groups the
-roots by effective degree.
+are the steps around the solves: checks, pick, phase fixes, norms.  A
+stack raises the first failure that its passes, check by check and item
+by item, meet; an empty stack gives [], or an empty array of roots.  Each
+kernel takes a stack of one shape: poly.roots groups the roots by
+effective degree.
 
 The rounding contract of the stacks: every item takes the float
 operations it takes alone, in the same order.  A real array operation
@@ -39,15 +35,10 @@ took is np.hypot of the parts, not np.abs.  A norm that feeds a
 threshold or a quotient is the two BLAS dots np.linalg.norm takes of the
 row alone, x.real.dot(x.real) + x.imag.dot(x.imag), then sqrt (norms,
 on the same strides); a sum along an axis adds in another order.  A
-square that Python's ** took stays libm's pow, not NumPy's x * x.  A
-power-of-two scaling multiplies only the items with k != 0: a complex
-product by 1 turns a real part -0 whose imaginary part is negative into
-+0.
+square that Python's ** took stays libm's pow, not NumPy's x * x.
 """
 
 import collections
-import functools
-import itertools
 import math
 
 import numpy as np
@@ -61,8 +52,6 @@ EIGEN_TOL = 1e-12
 ROOT_TOL = 1e-10
 TRIM_THRESHOLD = 1e-13
 MAX_JACOBI_SWEEPS = 100
-SCALE_EXPONENT = 400
-GAUSS_RULES_KEPT = 8
 
 
 MinEigen = collections.namedtuple("MinEigen", "value vector degenerate top", defaults=[None])
@@ -230,34 +219,6 @@ def min_right_singular_vector(R):
     return list(map(MinEigen, s[:, -1].tolist(), phase_fix(Vh[:, -1].conj()), flags))
 
 
-def scale_exponents(amax, weights=None):
-    """Exponent k of each block of a stack, from the largest modulus amax of
-    each and its weight, 0 if none: the largest entry of 2^-k block lies in [1, 2)
-    when that entry, times 2^weight, exceeds 2^SCALE_EXPONENT, or when it is
-    nonzero and below 2^-SCALE_EXPONENT; k is 0 between, and never below
-    -1023.  Sums of squares of the scaled blocks stay finite, and a power
-    of two undoes exactly.  Python ints: integer array arithmetic would
-    run NumPy code no other step runs, adding to the resident peak.
-    """
-    return [max(k, -1023) if a > 0.0 and (k + w > SCALE_EXPONENT or k < -SCALE_EXPONENT) else 0
-            for a, w in zip(amax, weights or itertools.repeat(0.0))
-            for k in [math.frexp(a)[1] - 1]]
-
-
-def scaled(x, rho, n, k):
-    """x rho^n 2^k for x >= 0 and rho > 0 as a float, inf if it overflows
-    (the functional value of a scaled standard solve): Python's ** raises
-    OverflowError where * gives inf."""
-    try:
-        return x * rho**n * 2.0**k
-    except OverflowError:
-        m, e = math.frexp(rho)
-        try:
-            return math.ldexp(x * m**n, e * n + k)
-        except OverflowError:
-            return math.inf
-
-
 def _horner(b, x):
     """p(x) and p'(x) at each entry of each row of x, for the ascending
     coefficients in the same row of b."""
@@ -320,45 +281,3 @@ def polynomial_roots(a):
         ratio = np.max(residuals[failed[0]] / np.maximum(bounds[failed[0]], 1e-300))
         raise NoConvergence(f"root residual check failed (worst ratio {ratio:.3e})")
     return x
-
-
-def _legendre_series(x, c):
-    """sum_j c[j] P_j(x) by Legendre's Clenshaw recursion, len(c) >= 2, with
-    the float operations of numpy.polynomial.legendre.legval; each c[j] a
-    number, or an array whose trailing axis broadcasts against x."""
-    c0, c1, nd = c[-2], c[-1], len(c)
-    for i in range(3, len(c) + 1):
-        nd -= 1
-        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
-@functools.lru_cache(maxsize=GAUSS_RULES_KEPT)
-def gauss_legendre(n):
-    """Nodes and weights of the n-point Gauss-Legendre rule on (-1, 1),
-    n >= 2, by the float operations of numpy.polynomial.legendre.leggauss
-    in the same order, so bit-identical to it: the eigenvalues of the
-    symmetric companion matrix of P_n, one Newton step, weights from P_n'
-    at the first nodes and P_{n-1} at the new ones, symmetrised and scaled
-    to sum to 2.
-
-    Computed once per order: every caller gets the same two arrays, read
-    only over immutable bytes, so no caller can change what the next one
-    gets.  An exception, such as a MemoryError, is not memoized."""
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    off = np.arange(1, n) * scl[:-1] * scl[1:]
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    pn = [0.0] * n + [1.0]
-    dpn = [0.0] * n
-    for j in range(n, 0, -2):
-        dpn[j - 1] = 2.0 * j - 1.0
-    dy, df = _legendre_series(x, np.array([pn, dpn + [0.0]]).T[..., None])
-    x -= dy / df
-    fm = _legendre_series(x, pn[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return np.frombuffer(x.tobytes()), np.frombuffer(w.tobytes())

@@ -31,11 +31,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hilbert, numerics, poly
-from .errors import (DimensionMismatch, InsufficientTaylorLength, NotNormalized, RhoOverflow,
-                     stacks)
+from .errors import DimensionMismatch, InsufficientTaylorLength, NotNormalized, RhoOverflow
 from .modal import ModalModel, taylor_coefficients
 
 QR_DEGENERACY_THRESHOLD = 1e-14
+SCALE_EXPONENT = 400
 # complex values of one block of evaluate_stack, 2 MiB
 BLOCK_VALUES = 2**17
 
@@ -119,10 +119,40 @@ def _eigvec_denominators(res, z0):
     return [poly.ShiftedPolynomial(z0, q) for q in vectors[:, ::-1].copy()]
 
 
+def _scale_exponents(amax, weights=None):
+    """Exponent k of each block of a stack, from the largest modulus amax of
+    each and its weight, 0 if none: the largest entry of 2^-k block lies in [1, 2)
+    when that entry, times 2^weight, exceeds 2^SCALE_EXPONENT, or when it is
+    nonzero and below 2^-SCALE_EXPONENT; k is 0 between, and never below
+    -1023.  Sums of squares of the scaled blocks stay finite, and a power
+    of two undoes exactly.  Python ints: integer array arithmetic would
+    run NumPy code no other step runs, adding to the resident peak.
+    """
+    return [max(k, -1023) if a > 0.0 and (k + w > SCALE_EXPONENT or k < -SCALE_EXPONENT) else 0
+            for a, w in zip(amax, weights or itertools.repeat(0.0))
+            for k in [math.frexp(a)[1] - 1]]
+
+
+def _scaled(x, rho, n, k):
+    """x rho^n 2^k for x >= 0 and rho > 0 as a float, inf if it overflows
+    (the functional value of a scaled standard solve): Python's ** raises
+    OverflowError where * gives inf."""
+    try:
+        return x * rho**n * 2.0**k
+    except OverflowError:
+        m, e = math.frexp(rho)
+        try:
+            return math.ldexp(x * m**n, e * n + k)
+        except OverflowError:
+            return math.inf
+
+
 def _scale(X, even=False):
-    """Exponents k (numerics.scale_exponents) of each matrix X[b], made even
-    upwards if even; X[b] is scaled by 2^-k in place where k != 0 only."""
-    ks = numerics.scale_exponents(abs(X).max(axis=(1, 2), initial=0.0).tolist())
+    """Exponents k (_scale_exponents) of each matrix X[b], made even
+    upwards if even; X[b] is scaled by 2^-k in place where k != 0 only: a
+    complex product by 1 turns a real part -0 whose imaginary part is
+    negative into +0."""
+    ks = _scale_exponents(abs(X).max(axis=(1, 2), initial=0.0).tolist())
     ks = [k + k % 2 * even for k in ks]
     if any(ks):
         X[[k != 0 for k in ks]] *= np.array([2.0**-k for k in ks if k], complex)[:, None, None]
@@ -162,10 +192,10 @@ def denominator_standard(taylor, N, items, w):
 
     The minimizer is invariant under positive scaling of the matrix, so the
     rescaling only guards against overflow, as do the power-of-two
-    scalings (numerics.scale_exponents) of the Taylor windows and of the
+    scalings (_scale_exponents) of the Taylor windows and of the
     sum, whose entries are squares of window entries times up to
     rho^{2(E-M-1)}: the windows are scaled when their largest entry times
-    rho^{E-M-1} passes 2^numerics.SCALE_EXPONENT, and the Frobenius norm of
+    rho^{E-M-1} passes 2^SCALE_EXPONENT, and the Frobenius norm of
     the sum, which the eigensolve takes, stays finite.  Each block is
     exactly Hermitian, and so is their positively weighted sum.
 
@@ -183,7 +213,7 @@ def denominator_standard(taylor, N, items, w):
         if 2.0 * (E - M) * math.log10(rho) > 300.0:
             raise RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}")
     peaks = np.abs(taylor.coeffs).max(axis=1, initial=0.0).tolist()
-    ks = numerics.scale_exponents(*zip(*[(max(peaks[max(M + 1 - N, 0) : E + 1], default=0.0), (
+    ks = _scale_exponents(*zip(*[(max(peaks[max(M + 1 - N, 0) : E + 1], default=0.0), (
         E - M - 1) * math.log2(rho) if rho > 1.0 else 0.0) for M, E, rho in items]))
     terms = [[(rho ** (2 * t), (k, M + 1 + t)) for t in range(E - M)]
              for (M, E, rho), k in zip(items, ks)]
@@ -196,7 +226,7 @@ def denominator_standard(taylor, N, items, w):
     js = [k // 2 for k in _scale(A, even=True)]
     res = numerics.hermitian_min_eigenpair(A)
     return [(d, Diagnostics(
-        numerics.scaled(math.sqrt(max(r.value, 0.0)), rho, M + 1, k + j), r.degenerate, False,
+        _scaled(math.sqrt(max(r.value, 0.0)), rho, M + 1, k + j), r.degenerate, False,
         r.top / max(r.value, 1e-300) if r.top > 0 else 1.0))
         for d, r, (M, E, rho), k, j in zip(_eigvec_denominators(res, taylor.center), res, items,
                                             ks, js)]
@@ -276,9 +306,11 @@ def numerator(taylor, Q, M):
 
 def denominators(model, params, taylor):
     """The first step of build for each of params: its (denominator,
-    diagnostics) pair from taylor, a block of Taylor coefficients as build
-    takes, centred at each params.z0.  The denominators of each variant and
-    N are solved as one stack, the standard ones first
+    diagnostics) pair from taylor, a block of the model's Taylor
+    coefficients (modal.taylor_coefficients) centred at each params.z0,
+    one row per order and of any length from the largest E + 1 up
+    (ValueError or InsufficientTaylorLength otherwise).  The denominators
+    of each variant and N are solved as one stack, the standard ones first
     (denominator_standard), then the fast ones (denominator_fast_qr), so
     that the stack's large arrays are freed right before build builds the
     numerators: in the other order a command's heap grew by about 0.1 MB on
@@ -292,32 +324,30 @@ def denominators(model, params, taylor):
         if taylor.center != p.z0:
             raise ValueError(f"Taylor block centred at {taylor.center}, approximant at {p.z0}")
     found = {}
-    for (fast, N), index in sorted(stacks(params, lambda p: (p.variant == "fast", p.N)).items()):
+    groups = poly.stacks(params, lambda p: (p.variant == "fast", p.N))
+    for (fast, N), index in sorted(groups.items()):
         items = [(params[i].M, params[i].E, params[i].rho) for i in index]
         solve = (denominator_standard, denominator_fast_qr)[fast]
         found.update(zip(index, solve(taylor, N, items, model.weights)))
     return [found[i] for i in range(len(params))]
 
 
-def build(model, params, taylor=None):
+def build(model, params):
     """The approximant of each of params, a list of BuildParams of one
-    center z0: every denominator first (denominators), then the numerators.
-    One approximant is build(model, [p])[0]; a lone BuildParams raises
+    center z0: every denominator first (denominators), then the numerators,
+    all from the one block of Taylor coefficients of the largest E.  One
+    approximant is build(model, [p])[0]; a lone BuildParams raises
     TypeError, as its fields would be taken for items.
 
-    taylor, if given, is a block of the model's Taylor coefficients at z0
-    (2-d, one row per order, ValueError otherwise) of any length from the
-    largest E + 1 up; without it, the block of the largest E is taken.  Row
-    g of the block depends only on g, so each approximant is bit-identical
-    to one built alone from its own block.  The fast variant uses the QR
-    denominator path.
+    Row g of the block depends only on g, so each approximant is
+    bit-identical to one built alone from its own block.  The fast variant
+    uses the QR denominator path.
     """
     if isinstance(params, BuildParams):
         raise TypeError("build takes a list of BuildParams: build(model, [params])[0]")
     if not params:
         return []
-    if taylor is None:
-        taylor = taylor_coefficients(model, params[0].z0, max(p.E for p in params))
+    taylor = taylor_coefficients(model, params[0].z0, max(p.E for p in params))
     return [PadeApproximant(numerator(taylor, den, p.M), den, p, diag)
             for p, (den, diag) in zip(params, denominators(model, params, taylor))]
 
@@ -343,7 +373,7 @@ def evaluate_stack(approxs, points):
     points = np.asarray(points, dtype=complex)
     nums = [a.numerator for a in approxs]
     # repr tells the signed zeros of a center apart
-    for index in stacks(nums, lambda p: (p.coeffs.shape[1:], repr(p.center))).values():
+    for index in poly.stacks(nums, lambda p: (p.coeffs.shape[1:], repr(p.center))).values():
         index.sort(key=lambda i: -nums[i].degree)
         ps, dens = [nums[i] for i in index], [approxs[i].denominator for i in index]
         size = max(1, BLOCK_VALUES // max(1, len(index) * ps[0].coeffs[0].size))

@@ -16,8 +16,7 @@ ShiftedPolynomial.__call__ is horner on a stack of one.
 import numpy as np
 
 from . import numerics
-from .errors import (ConstantPolynomial, DimensionMismatch, NonFiniteValue, ZeroPolynomial,
-                     stacks)
+from .errors import ConstantPolynomial, DimensionMismatch, NonFiniteValue, ZeroPolynomial
 
 
 class ShiftedPolynomial:
@@ -100,6 +99,15 @@ def evaluate(ps, points):
     qz = re.astype(complex)
     qz.imag = im
     return qz
+
+
+def stacks(items, key):
+    """{key(item): indices} of items, each list of indices in order: the
+    stacks that one array pass solves together."""
+    found = {}
+    for i, item in enumerate(items):
+        found.setdefault(key(item), []).append(i)
+    return found
 
 
 def roots(ps):

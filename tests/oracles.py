@@ -386,11 +386,11 @@ def unit_denominator(q, z0):
 
 
 def block_scale_exponent(block, weight=0.0):
-    """numerics.scale_exponent of one block on Python floats: the per-block
-    form of numerics.scale_exponents."""
+    """pade._scale_exponents of one block on Python floats: the per-block
+    form."""
     amax = float(np.max(np.abs(block), initial=0.0))
     k = math.frexp(amax)[1] - 1
-    if amax > 0.0 and (k + weight > numerics.SCALE_EXPONENT or k < -numerics.SCALE_EXPONENT):
+    if amax > 0.0 and (k + weight > pade.SCALE_EXPONENT or k < -pade.SCALE_EXPONENT):
         return max(k, -1023)
     return 0
 
@@ -513,7 +513,7 @@ def loop_standard_denominator(taylor, N, M, E, rho, w):
     den = unit_denominator(vector, taylor.center)
     top = float(vals[-1])
     return den, pade.Diagnostics(
-        numerics.scaled(math.sqrt(max(value, 0.0)), rho, M + 1, k), degenerate, False,
+        pade._scaled(math.sqrt(max(value, 0.0)), rho, M + 1, k), degenerate, False,
         top / max(value, 1e-300) if top > 0 else 1.0)
 
 
@@ -603,7 +603,7 @@ def loop_roots(p):
 def loop_config_separation(poles):
     """The message of the first pair of poles within modal.POLE_SEPARATION,
     smallest j, then smallest i, or None: the loop over every pair that
-    harness._model_constructor ran before errors.close_pairs."""
+    harness._model_constructor ran before modal.close_pairs."""
     for j, lam in enumerate(poles):
         for i in range(j):
             if not abs(lam - poles[i]) > modal.POLE_SEPARATION:
@@ -615,7 +615,7 @@ def loop_duplicate_poles(poles):
     """The DuplicatePoles message of the first pair of poles within
     modal.POLE_SEPARATION, smallest i, then smallest j, or None: the loop
     over every pair that modal.build_synthetic ran before
-    errors.close_pairs."""
+    modal.close_pairs."""
     for i in range(len(poles)):
         for j in range(i + 1, len(poles)):
             if abs(poles[i] - poles[j]) <= modal.POLE_SEPARATION:

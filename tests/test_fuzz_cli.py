@@ -1,10 +1,14 @@
-"""Random study configs through all five commands of the CLI.
+"""Random study configs, and config texts, through all five commands of
+the CLI.
 
 Whatever the config, a command exits 0, 2 (config error) or 3 (numerical
 failure), raises no exception past cli.main and emits no warning; on exit 0
 every CSV row has as many cells as its header and the build artifact is
-JSON."""
+JSON.  Whatever the config text, a command that fails says so in one
+stderr line."""
 
+import contextlib
+import io
 import json
 import tempfile
 import warnings
@@ -62,19 +66,22 @@ def configs(draw):
     }
 
 
-def run_study(config):
-    """{command: (exit code, output text or None)} for one config."""
+def run_text(data):
+    """{command: (exit code, output text or None, stderr text)} for one
+    config file holding the bytes data."""
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_bytes(data)
         for command in COMMANDS:
             out = Path(tmp) / f"{command}.out"
-            with warnings.catch_warnings(record=True) as caught:
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
                 warnings.simplefilter("always")
                 code = cli.main([command, "--config", str(path), "--out", str(out)])
             assert [str(w.message) for w in caught] == [], command
-            results[command] = (code, out.read_text() if out.exists() else None)
+            results[command] = (code, out.read_text() if out.exists() else None,
+                                err.getvalue())
     return results
 
 
@@ -129,7 +136,7 @@ HUGE_QUAD_ORDER = {**TWO_POLES, "model": {"kind": "helmholtz", "quad_order": 10*
 @example(HUGE_MAX_INDEX)
 @example(HUGE_QUAD_ORDER)
 def test_every_command_keeps_the_exit_contract(config):
-    for command, (code, text) in run_study(config).items():
+    for command, (code, text, _) in run_text(json.dumps(config).encode()).items():
         assert code in (0, 2, 3), command
         if code != 0:
             continue
@@ -139,3 +146,50 @@ def test_every_command_keeps_the_exit_contract(config):
         header, *rows = text.splitlines()
         width = header.count(",")
         assert rows and all(row.count(",") == width for row in rows), command
+
+
+# What a config file may hold that no config object from configs() gives:
+# a literal that json reads but a config never holds (NaN, Infinity, an
+# overflowing float), one that json refuses (an integer of more than 4,300
+# digits), deep nesting, a duplicate key (json keeps the last), a UTF-8
+# byte order mark and bytes that are not UTF-8.
+LITERALS = ["2", "NaN", "Infinity", "-Infinity", "1e400", "1" * 4301, "-" + "7" * 5000]
+NOT_UTF8 = [b"\xff", b"\xc3(", b"\x80", b"\xed\xa0\x80"]
+TEXT = json.dumps(TWO_POLES)
+
+
+@st.composite
+def config_texts(draw):
+    """TWO_POLES' JSON text with a duplicate of one of its keys appended,
+    whose value is a drawn literal nested to a drawn depth; then, maybe, a
+    byte order mark in front and bytes that are not UTF-8 spliced in."""
+    key = draw(st.sampled_from(["N", "M_list", "grid_points", "z0", "K", "model"]))
+    depth = draw(st.sampled_from([0, 1, 3, 100_000]))
+    value = "[" * depth + draw(st.sampled_from(LITERALS)) + "]" * depth
+    data = f'{TEXT[:-1]}, "{key}": {value}}}'.encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    return data
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(config_texts())
+@example(TEXT[:-1].encode() + b', "N": ' + b"1" * 5000 + b"}")
+@example(TEXT[:-1].encode() + b', "N": NaN}')
+@example(TEXT[:-1].encode() + b', "K": [-Infinity, Infinity]}')
+@example(TEXT[:-1].encode() + b', "N": 2}')
+@example(b"\xef\xbb\xbf" + TEXT.encode())
+@example(b"[" * 100_000 + b"]" * 100_000)
+@example(TEXT.encode().replace(b"synthetic", b"synth\xe9tic"))
+def test_every_config_text_keeps_the_exit_contract(data):
+    for command, (code, _, err) in run_text(data).items():
+        assert code in (0, 2, 3), command
+        lines = err.splitlines()
+        if code == 0:
+            assert lines == [], command
+        else:
+            assert len(lines) == 1 and lines[0].startswith(
+                ("config error: ", "numerical failure: ")), (command, err)

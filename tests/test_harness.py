@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pademor import cli, harness, hilbert, modal, numerics, pade, poly
-from pademor.errors import ConfigError, DuplicatePoles, NoConvergence, PadeError, close_pairs
+from pademor.errors import ConfigError, DuplicatePoles, NoConvergence, PadeError
 
 from conftest import OVERFLOWING_Q_MODULUS, load_perfbench
 import oracles
@@ -176,7 +176,7 @@ def pole_sets(draw):
 
 
 class TestPoleSeparation:
-    """errors.close_pairs, behind the config check and build_synthetic's
+    """modal.close_pairs, behind the config check and build_synthetic's
     DuplicatePoles, finds every pair within the tolerance that the loops
     over all pairs found (oracles.loop_config_separation,
     oracles.loop_duplicate_poles), and each caller reports the same first
@@ -187,7 +187,7 @@ class TestPoleSeparation:
     @example(poles=[complex(2.0**1020, 0.0), complex(-(2.0**1020), 0.0)])
     @example(poles=[0j, complex(-0.0, TOL), complex(0.0, -np.nextafter(TOL, 1.0))])
     def test_checks_are_the_loops_over_all_pairs(self, poles):
-        pairs = close_pairs(poles, TOL)
+        pairs = modal.close_pairs(poles, TOL)
         assert sorted(pairs) == [(i, j) for i in range(len(poles))
                                  for j in range(i + 1, len(poles))
                                  if abs(poles[i] - poles[j]) <= TOL]
@@ -1001,7 +1001,8 @@ class TestCli:
             assert f"at {needle}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["out_in_missing_dir", "out_is_dir",
-                                      "config_not_utf8", "config_too_deep"])
+                                      "config_not_utf8", "config_too_deep",
+                                      "config_integer_too_long"])
     def test_file_error_exit_two_without_traceback(self, tmp_path, case):
         config = write_config(tmp_path, SYNTH_CONFIG)
         out = str(tmp_path / "build.json")
@@ -1011,6 +1012,8 @@ class TestCli:
             out = str(tmp_path)
         elif case == "config_not_utf8":
             (tmp_path / "config.json").write_bytes(b"\xff\xfe" + b"{}")
+        elif case == "config_integer_too_long":  # json refuses more than 4,300 digits
+            (tmp_path / "config.json").write_text('{"N": ' + "1" * 5000 + "}")
         else:
             (tmp_path / "config.json").write_text("[" * 100_000)
         env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
@@ -1314,11 +1317,10 @@ class TestSharedTaylorBlock:
         for E in cfg.E_list:
             params += [pade.BuildParams(cfg.z0, E, N, cfg.fast_E(E), "fast"),
                        pade.BuildParams(cfg.z0, E - N, N, E, "standard", rho)]
-        E_max = max(p.E for p in params)
-        shared = modal.taylor_coefficients(model, cfg.z0, E_max + 3)
-        for p in params:
+        # the stack builds every approximant from the block of the largest E
+        stacked = pade.build(model, params)
+        for p, shared_build in zip(params, stacked, strict=True):
             own = pade.build(model, [p])[0]
-            shared_build = pade.build(model, [p], shared)[0]
             assert (hilbert.json_text(pade.approximant_to_json(shared_build))
                     == hilbert.json_text(pade.approximant_to_json(own)))
 

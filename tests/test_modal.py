@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pademor import modal, numerics, pade
+from pademor import modal, pade
 from pademor.errors import (
     CenterOnPole,
     DuplicatePoles,
@@ -213,32 +213,32 @@ class TestBuildHelmholtz:
 
     def test_one_gauss_rule_per_order(self, monkeypatch):
         orders = []
-        gauss_legendre = modal.gauss_legendre
+        gauss_legendre = modal._gauss_legendre
 
         def counted(order):
             orders.append(order)
             return gauss_legendre(order)
 
-        monkeypatch.setattr(modal, "gauss_legendre", counted)
+        monkeypatch.setattr(modal, "_gauss_legendre", counted)
         modal.build_rectangle_helmholtz(max_index=6, quad_order=40)
         assert orders == [40]  # the half-interval check reuses the one rule
 
     def test_gauss_rule_bit_identical_to_numpy(self):
         leggauss = np.polynomial.legendre.leggauss
         for order in [*range(2, 201), 256, 400]:
-            for got, want in zip(numerics.gauss_legendre(order), leggauss(order)):
+            for got, want in zip(modal._gauss_legendre(order), leggauss(order)):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), order
 
     def test_second_build_runs_no_clenshaw_pass(self, monkeypatch):
         passes = []
-        legendre_series = numerics._legendre_series
+        legendre_series = modal._legendre_series
 
         def counted(x, c):
             passes.append(x.size)
             return legendre_series(x, c)
 
-        monkeypatch.setattr(numerics, "_legendre_series", counted)
-        numerics.gauss_legendre.cache_clear()
+        monkeypatch.setattr(modal, "_legendre_series", counted)
+        modal._gauss_legendre.cache_clear()
         modal.build_rectangle_helmholtz(max_index=6, quad_order=40)
         assert passes == [40, 40]
         modal.build_rectangle_helmholtz(max_index=7, quad_order=40, nu_sq=5.0)
@@ -247,21 +247,21 @@ class TestBuildHelmholtz:
         assert passes == [40, 40, 41, 41]
 
     def test_gauss_rule_cannot_be_written_through(self):
-        want = [a.tobytes() for a in numerics.gauss_legendre(32)]
-        for a in numerics.gauss_legendre(32):
+        want = [a.tobytes() for a in modal._gauss_legendre(32)]
+        for a in modal._gauss_legendre(32):
             with pytest.raises(ValueError):
                 a[0] = 1.0
             with pytest.raises(ValueError):
                 a *= 2.0
             with pytest.raises(ValueError):
                 a.flags.writeable = True
-        assert [a.tobytes() for a in numerics.gauss_legendre(32)] == want
+        assert [a.tobytes() for a in modal._gauss_legendre(32)] == want
 
     def test_warm_rule_builds_the_cold_model(self):
-        numerics.gauss_legendre.cache_clear()
+        modal._gauss_legendre.cache_clear()
         cold = modal.build_rectangle_helmholtz(max_index=8, quad_order=48)
         warm = modal.build_rectangle_helmholtz(max_index=8, quad_order=48)
-        info = numerics.gauss_legendre.cache_info()
+        info = modal._gauss_legendre.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert warm.coefficients.tobytes() == cold.coefficients.tobytes()
 
@@ -269,12 +269,12 @@ class TestBuildHelmholtz:
         def out_of_memory(x, c):
             raise MemoryError("Unable to allocate")
 
-        numerics.gauss_legendre.cache_clear()
+        modal._gauss_legendre.cache_clear()
         with monkeypatch.context() as patch:
-            patch.setattr(numerics, "_legendre_series", out_of_memory)
+            patch.setattr(modal, "_legendre_series", out_of_memory)
             with pytest.raises(MemoryError):
-                numerics.gauss_legendre(24)
-        for got, want in zip(numerics.gauss_legendre(24),
+                modal._gauss_legendre(24)
+        for got, want in zip(modal._gauss_legendre(24),
                              np.polynomial.legendre.leggauss(24)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pademor import cli, numerics, poly
+from pademor import cli, numerics, pade, poly
 from pademor.errors import (DegenerateLeadingCoefficient, DimensionMismatch, NoConvergence,
-                            NonFiniteValue, NonHermitianInput, stacks)
+                            NonFiniteValue, NonHermitianInput)
 
 from conftest import load_perfbench
 from oracles import (block_scale_exponent, check_stack, loop_jacobi, loop_polynomial_roots,
@@ -366,8 +366,8 @@ class TestStackPasses:
     def test_scale_exponents_are_each_block_alone(self, blocks):
         # entries of 2^0, 2^+-450, 2^+-401, a subnormal, 2^1023, and 0
         arrays = [np.array([m * 2.0**e, -1j]) if e else np.zeros(2) for e, m, _ in blocks]
-        got = numerics.scale_exponents([float(np.max(np.abs(a))) for a in arrays],
-                                       [w for *_, w in blocks])
+        got = pade._scale_exponents([float(np.max(np.abs(a))) for a in arrays],
+                                    [w for *_, w in blocks])
         assert got == [block_scale_exponent(a, w) for a, (*_, w) in zip(arrays, blocks)]
 
 
@@ -546,7 +546,7 @@ class TestRootStacks:
         # strict: a residual bound of 2^-60, which rows with rounded roots
         # fail (NoConvergence) while the exact monomials pass
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
-            for index in stacks(rows).values():  # the solve takes one degree
+            for index in poly.stacks(rows, len).values():  # the solve takes one degree
                 same = [rows[i] for i in index]
                 check_stack(lambda: numerics.polynomial_roots(same),
                             [lambda row=row: numerics.polynomial_roots([row])[0] for row in same],
@@ -672,7 +672,7 @@ class TestRootPasses:
         # the rows reach the solve untrimmed, so that a leading
         # coefficient of exactly TRIM_THRESHOLD times the largest fails
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
-            for index in stacks(rows).values():  # the solve takes one degree
+            for index in poly.stacks(rows, len).values():  # the solve takes one degree
                 same = [rows[i] for i in index]
                 check_stack(lambda: numerics.polynomial_roots(same),
                             [lambda row=row: loop_polynomial_roots(row) for row in same],
