@@ -415,26 +415,40 @@ def _lines(header, *columns):
 
 
 def _write(fh, lines):
-    """Each line followed by '\\n' to fh, a file open for appending,
-    after emptying it (a file that cannot seek, a pipe or a device, is not
-    emptied); lines may be produced while writing."""
-    if fh.seekable() and fh.tell():
-        fh.truncate(0)
-    fh.writelines(line + "\n" for line in lines)
+    """Each line followed by '\\n' to fh, a file open for writing from
+    offset 0 and not emptied; lines may be produced while writing.  An
+    earlier file's bytes are overwritten in place, and a longer tail is cut
+    after the last line written, also when producing a line fails.  A file
+    that cannot seek (a pipe) or is no longer than what was written (a
+    device) is not cut.  The cut runs here, so a process killed while
+    writing (SIGKILL, power loss) can leave the new lines followed by the
+    earlier file's tail."""
+    try:
+        fh.writelines(line + "\n" for line in lines)
+    finally:
+        fh.flush()
+        if fh.seekable() and (end := fh.tell()) < os.fstat(fh.fileno()).st_size:
+            fh.truncate(end)
+
+
+def _in_place(path, flags):
+    """An opener for a file written over from offset 0: O_TRUNC cleared,
+    so that an earlier file keeps its blocks."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _command(study):
     """study(config, model), which returns its output lines, as a command on
-    an --out path.  The path is opened once, before the model is built, but
-    not emptied until the study's lines are written: ConfigError if it
-    cannot be opened or written.  A failed study leaves an earlier file as
-    it was and removes the file if the open created it.  No __wrapped__: a
-    tracer marks its own wrappers with it."""
+    an --out path.  The path is opened once, before the model is built, and
+    never emptied: _write overwrites it and cuts a longer tail.  ConfigError
+    if it cannot be opened or written.  A study that fails before its first
+    line leaves an earlier file as it was and removes the file if the open
+    created it.  No __wrapped__: a tracer marks its own wrappers with it."""
 
     def run(config, out):
         created, done = not os.path.exists(out), False
         try:
-            with open(out, "a", newline="") as fh:
+            with open(out, "w", newline="", opener=_in_place) as fh:
                 _write(fh, study(config, _model(config)))
             done = True
         except OSError as exc:

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pademor import cli, harness, hilbert, modal, numerics, pade, poly
-from pademor.errors import ConfigError, DuplicatePoles, NoConvergence, PadeError
+from pademor.errors import (ConfigError, DuplicatePoles, NoConvergence, NonFiniteValue,
+                            PadeError)
 
 from conftest import OVERFLOWING_Q_MODULUS, load_perfbench
 import oracles
@@ -1040,7 +1041,7 @@ class TestCli:
     @pytest.mark.parametrize("cmd", ["build", "sweep", "convergence", "poles", "compare"])
     def test_study_failing_after_the_open(self, tmp_path, capsys, cmd):
         # the file the open created is removed; an earlier one keeps its
-        # bytes, since the file is emptied only when its lines are written
+        # bytes, since the file is written only when its lines are
         path = write_config(tmp_path, self.COARSE_RULE)
         out = tmp_path / "x.out"
         assert cli.main([cmd, "--config", path, "--out", str(out)]) == 3
@@ -1062,6 +1063,71 @@ class TestCli:
     def test_output_to_a_device(self, tmp_path):
         path = write_config(tmp_path, SYNTH_CONFIG)
         assert cli.main(["sweep", "--config", path, "--out", os.devnull]) == 0
+
+    @pytest.mark.parametrize("cmd", ["build", "sweep", "convergence", "poles", "compare"])
+    def test_rerun_overwrites_in_place(self, tmp_path, monkeypatch, cmd):
+        # a rerun onto an output of equal length writes the same bytes over
+        # it and cuts nothing; onto a longer one it cuts once, after the
+        # last line
+        path = write_config(tmp_path, SYNTH_CONFIG)
+        out = tmp_path / "x.out"
+        assert cli.main([cmd, "--config", path, "--out", str(out)]) == 0
+        fresh, write, cuts = out.read_bytes(), harness._write, []
+
+        class Spy:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def truncate(self, *args):
+                cuts.append(args)
+                return self.fh.truncate(*args)
+
+        monkeypatch.setattr(harness, "_write", lambda fh, lines: write(Spy(fh), lines))
+        assert cli.main([cmd, "--config", path, "--out", str(out)]) == 0
+        assert (out.read_bytes(), cuts) == (fresh, [])
+        out.write_bytes(fresh + b"an earlier tail\n")
+        assert cli.main([cmd, "--config", path, "--out", str(out)]) == 0
+        assert (out.read_bytes(), cuts) == (fresh, [(len(fresh),)])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_output_to_a_pipe(self, tmp_path):
+        # --out /dev/stdout with stdout a pipe, which cannot seek or be
+        # cut, gets the bytes a file gets
+        path = write_config(tmp_path, SYNTH_CONFIG)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pademor.cli", "sweep", "--config", path,
+             "--out", "/dev/stdout"], env=env, capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == out.read_bytes()
+
+    def test_build_failing_partway_onto_a_longer_file(self, tmp_path, capsys, monkeypatch):
+        # the artifact's second approximant fails to serialize: the earlier,
+        # longer file holds exactly the complete lines written before the
+        # failure, with no old tail
+        path = write_config(tmp_path, SYNTH_CONFIG)
+        fresh, out = tmp_path / "fresh.json", tmp_path / "x.json"
+        assert cli.main(["build", "--config", path, "--out", str(fresh)]) == 0
+        lines = fresh.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 3
+        out.write_bytes(b"x" * (2 * fresh.stat().st_size))
+        to_json, calls = pade.approximant_to_json, []
+
+        def failing_to_json(approx):
+            calls.append(approx)
+            if len(calls) == 2:
+                raise NonFiniteValue("second approximant")
+            return to_json(approx)
+
+        monkeypatch.setattr(pade, "approximant_to_json", failing_to_json)
+        assert cli.main(["build", "--config", path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: NonFiniteValue: second approximant\n"
+        assert out.read_bytes() == b"".join(lines[:2])
 
     @pytest.mark.parametrize("cmd", ["build", "sweep", "convergence", "poles", "compare"])
     def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch, cmd):
