@@ -8,9 +8,11 @@ polished by one Newton step.  Jacobi, not LAPACK, solves the standard
 Gramian sum: the committed benchmark reference holds its roundoff, and a
 LAPACK eigensolver in its place fails that reference's check until the
 reference is retaken.  A matrix with a non-finite entry is refused
-(NonFiniteValue).  The Jacobi rotation kernel does the same floating-point
-operations on every entry as the plain loop kept in tests/oracles.py
-(loop_jacobi) and is bit-identical to it.  Only the vectors compared or
+(NonFiniteValue).  The Jacobi rotation kernel gives each matrix the bytes
+of the plain loop kept in tests/oracles.py (loop_jacobi): a matrix that
+rotates takes its float operations on every entry, and one that skips
+takes the identity rotation, which changes at most the sign of a zero,
+its zero diagonal entries written back.  Only the vectors compared or
 returned are phase-fixed.  All routines are pure functions on value
 inputs.  EIGEN_TOL and ROOT_TOL are the eigen- and root-residual
 contracts; a leading coefficient TRIM_THRESHOLD times the largest or
@@ -52,6 +54,8 @@ EIGEN_TOL = 1e-12
 ROOT_TOL = 1e-10
 TRIM_THRESHOLD = 1e-13
 MAX_JACOBI_SWEEPS = 100
+# the rotation coefficients (c, k, ku) of a matrix that skips a pair
+IDENTITY = (1.0, 0j, 0j)
 
 
 MinEigen = collections.namedtuple("MinEigen", "value vector degenerate top", defaults=[None])
@@ -94,9 +98,15 @@ def _jacobi(matrices):
     pair (p, q) every matrix takes its rotation scalars on Python floats,
     u = h / |h| by NumPy's complex division rule, with the skip rule of a
     matrix alone (|h| <= 2^-52 ||H||_F / n is zeroed, not rotated); the
-    rotation, W J then J^H A, is applied once to the matrices that rotate,
-    as NumPy products.  The harvest's boolean takes and stores run NumPy
-    code that the command path runs anyway, so add no pages to the
+    rotation, W J then J^H A, is applied as NumPy products, through 1-d
+    views when one matrix rotates and to the whole stack when more do, a
+    skipping matrix taking the coefficients (c, k, ku) = IDENTITY, so that
+    no step gathers or scatters rows through an index array.  That product
+    is no identity on signed zeros ((1 + 0j)(-0 - 2j) is +0 - 2j): a zero
+    diagonal entry of a skipping matrix is written back as it was, and the
+    imaginary parts of the diagonals are zeroed over the stack, +0 already
+    where nothing rotated.  The harvest's boolean takes and stores run
+    NumPy code that the command path runs anyway, so add no pages to the
     resident peak.
     """
     shapes = {np.shape(H) for H in matrices}
@@ -126,11 +136,14 @@ def _jacobi(matrices):
         Wr, Wi, limits = W.real, W.imag, (2.0**-52 * scales[live] / n).tolist()
         for p in range(n - 1):
             for q in range(p + 1, n):
-                rot, coefs = [], []
+                rot, coefs, zeros = [], [], []
                 for b, (skip, h, dp, dq) in enumerate(zip(
                         limits, W[:, p, q].tolist(), Wr[:, p, p].tolist(), Wr[:, q, q].tolist())):
                     ah = abs(h)
                     if ah <= skip:
+                        coefs.append(IDENTITY)
+                        if not (dp and dq):
+                            zeros.append((b, dp, dq))
                         continue
                     inv = 1.0 / ah
                     hr, hi = h.real, h.imag
@@ -145,14 +158,15 @@ def _jacobi(matrices):
                     coefs.append((c, s * complex(ur, -ui), s * complex(ur, ui)))
                 if rot:
                     if len(rot) == 1:
-                        sel, (c, k, ku) = rot[0], coefs[0]
+                        sel, (c, k, ku) = rot[0], coefs[rot[0]]
                     else:
-                        sel = slice(None) if len(rot) == len(live) else np.array(rot)
-                        c, k, ku = np.array(coefs).T[:, :, None]
+                        sel, (c, k, ku) = slice(None), np.array(coefs).T[:, :, None]
                     for X, f, g in ((cols, k, ku), (rows, ku, k)):
                         Xp, Xq = X[p][sel], X[q][sel]
                         X[p][sel], X[q][sel] = c * Xp - f * Xq, g * Xp + c * Xq
-                    Wi[sel, p, p] = Wi[sel, q, q] = 0.0
+                    Wi[:, p, p] = Wi[:, q, q] = 0.0
+                    for b, dp, dq in zeros:
+                        Wr[b, p, p], Wr[b, q, q] = dp, dq
                 W[:, p, q] = W[:, q, p] = 0.0
     vals = S.real.diagonal(axis1=1, axis2=2)
     order = np.argsort(vals, axis=1, kind="stable")

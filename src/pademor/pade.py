@@ -14,11 +14,13 @@ The approximants of a command are built as one stack (build): every
 denominator first, solved as one stack per variant and N (denominators),
 each giving the bytes it gives alone, so that NumPy's cost per call is
 paid once: the fast ones by one QR of all their windows
-(hilbert.gram_schmidt) and one SVD of all their full-rank factors, the
+(hilbert.gram_schmidt), one SVD of all their full-rank factors and one
+null-direction pass over the rank-deficient ones (_null_directions), the
 standard ones by one lockstep Jacobi over all their Gramian sums
 (numerics.hermitian_min_eigenpair), whose blocks, shared by the sums of a
-stack, are each computed once, on windows sliced from one copy of the
-Taylor rows (_gramian_blocks); then the numerators.  They are evaluated as
+stack, are each computed once, on windows sliced from one conjugated and
+one weighted copy of the Taylor rows (_gramian_blocks); then the
+numerators.  They are evaluated as
 one stack as well (evaluate_stack): per block of points, of at most
 BLOCK_VALUES values, Q by one Horner pass and P by one pass over all the
 numerators of one center and mode count (poly.horner).
@@ -164,22 +166,22 @@ def _gramian_blocks(taylor, N, keys, w):
     2^-k} for the (k, gamma) of keys, each block once: the Hermitian PSD
     matrix of V-inner products of the window of order gamma, entry (i, j)
     = <S_{gamma-N+j}, S_{gamma-N+i}>; a negative order raises ValueError.
-    The windows are slices of one zero-padded copy of the rows per k
-    (_taylor_rows), so each block takes the float operations, operand
-    order and BLAS call of the block alone.  Each block conjugates and weights its own window: a
-    conjugated and a weighted copy of all the rows per k would hold two
-    more arrays of every row, to save a few percent of the blocks' time."""
-    rows, scaled, blocks = _taylor_rows(
-        taylor, N, max((g for _, g in keys), default=0) + 1), {}, {}
-    for k, gamma in dict.fromkeys(keys):
+    The windows are slices of one conjugated and one weighted copy of the
+    zero-padded rows per k (_taylor_rows), so each block takes the float
+    operations, operand order and BLAS call of the block alone; the blocks
+    are symmetrised as one stack."""
+    rows, copies = _taylor_rows(taylor, N, max((g for _, g in keys), default=0) + 1), {}
+    keys = list(dict.fromkeys(keys))
+    G = np.empty((len(keys), N + 1, N + 1), dtype=complex)
+    for b, (k, gamma) in enumerate(keys):
         if gamma < 0:
             raise ValueError("E must be nonnegative")
-        if k not in scaled:
-            scaled[k] = rows * 2.0**-k if k else rows
-        window = scaled[k][gamma : gamma + N + 1]
-        G = window.conj() @ (w.weights * window).T
-        blocks[k, gamma] = 0.5 * (G + G.conj().T)
-    return blocks
+        if k not in copies:
+            scaled = rows * 2.0**-k if k else rows
+            copies[k] = scaled.conj(), w.weights * scaled
+        conj, weighted = copies[k]
+        G[b] = conj[gamma : gamma + N + 1] @ weighted[gamma : gamma + N + 1].T
+    return dict(zip(keys, 0.5 * (G + G.conj().mT)))
 
 
 def denominator_standard(taylor, N, items, w):
@@ -241,14 +243,30 @@ def denominator_fast_gramian(taylor, N, Es, w):
     return denominator_standard(taylor, N, [(E - 1, E, 1.0) for E in Es], w)
 
 
-def _null_direction(R, j):
-    """Unit vector q with R q ~= 0, built from the rank-deficient column j,
-    as a MinEigen of value ||R q||, flagged degenerate."""
-    q = np.zeros(R.shape[0], dtype=complex)
-    q[j] = 1.0
-    q[:j] = np.linalg.solve(R[:j, :j], -R[:j, j])
-    q = numerics.phase_fix(q / np.linalg.norm(q))
-    return numerics.MinEigen(float(np.linalg.norm(R @ q)), q, True)
+def _null_directions(R, cols):
+    """Unit vector q with R q ~= 0 of each factor of a (B, n, n) stack,
+    built from its rank-deficient column, the entry of cols, as a MinEigen
+    of value ||R q||, flagged degenerate: one solve and one R q per factor,
+    the norms, the division and the phase fix as passes over the stack.  A
+    vector whose norm overflows is first scaled by the power of two that
+    brings its largest part into [1, 2), exactly (np.ldexp); no other
+    vector is touched."""
+    if not len(R):
+        return []
+    Q = np.zeros(R.shape[:2], dtype=complex)
+    for q, Rb, j in zip(Q, R, cols):
+        q[j] = 1.0
+        q[:j] = np.linalg.solve(Rb[:j, :j], -Rb[:j, j])
+    with np.errstate(over="ignore"):
+        sizes = numerics.norms(Q)
+    big = np.isinf(sizes)
+    if big.any():
+        parts = Q[big].view(float)
+        Q[big] = np.ldexp(parts, 1 - np.frexp(abs(parts).max(axis=1))[1][:, None]).view(complex)
+        sizes[big] = numerics.norms(Q[big])
+    Q = numerics.phase_fix(Q / sizes[:, None])
+    values = numerics.norms(np.array([Rb @ q for Rb, q in zip(R, Q)]))
+    return [numerics.MinEigen(value, q, True) for value, q in zip(values.tolist(), Q)]
 
 
 def denominator_fast_qr(taylor, N, items, w):
@@ -261,11 +279,11 @@ def denominator_fast_qr(taylor, N, items, w):
     R^H R, goes to the SVD (numerics.min_right_singular_vector).  A
     rank-deficient quasimatrix (diagonal of R below 1e-14 of the first
     column norm) is surfaced as an exact-degeneracy outcome and the
-    denominator is taken from the null direction.  Each window is scaled by
-    its own power of two (_scale), the windows factored as one stack and
-    the full-rank factors R given to one SVD.  Only a rank-deficient window
-    takes its null direction alone; the Taylor rows are freed before the
-    QR."""
+    denominator is taken from the null direction (_null_directions).  Each
+    window is scaled by its own power of two (_scale), the windows factored
+    as one stack, the full-rank factors R given to one SVD and the
+    rank-deficient ones to one null-direction pass; the Taylor rows are
+    freed before the QR."""
     if not items:
         return []
     Es = [E for _, E, _ in items]
@@ -279,9 +297,9 @@ def denominator_fast_qr(taylor, N, items, w):
     diags = np.abs(R.diagonal(axis1=1, axis2=2))
     low = diags <= QR_DEGENERACY_THRESHOLD * np.maximum(diags[:, :1], 1e-300)
     exact = low.any(axis=1)
-    svds = iter(numerics.min_right_singular_vector(R[~exact]))
-    res = [_null_direction(R[b], low[b].argmax()) if e else next(svds)
-           for b, e in enumerate(exact.tolist())]
+    found = (iter(numerics.min_right_singular_vector(R[~exact])),
+             iter(_null_directions(R[exact], low[exact].argmax(axis=1))))
+    res = [next(found[e]) for e in exact.tolist()]
     return [(d, Diagnostics(r.value * 2.0**k, r.degenerate, e, top / max(bottom, 1e-300)))
             for d, r, k, e, top, bottom in zip(
                 _eigvec_denominators(res, taylor.center), res, ks, exact.tolist(),

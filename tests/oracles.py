@@ -517,12 +517,30 @@ def loop_standard_denominator(taylor, N, M, E, rho, w):
         top / max(value, 1e-300) if top > 0 else 1.0)
 
 
+def null_direction(R, j):
+    """pade._null_directions of one factor R, from its rank-deficient column
+    j, by NumPy calls on the vector alone: the per-factor form of its
+    passes.  A vector whose norm overflows is scaled by the power of two
+    that brings its largest part into [1, 2) first."""
+    q = np.zeros(R.shape[0], dtype=complex)
+    q[j] = 1.0
+    q[:j] = np.linalg.solve(R[:j, :j], -R[:j, j])
+    with np.errstate(over="ignore"):
+        size = np.linalg.norm(q)
+    if np.isinf(size):
+        parts = q.view(float)
+        q = np.ldexp(parts, 1 - np.frexp(np.abs(parts).max())[1]).view(complex)
+        size = np.linalg.norm(q)
+    q = vector_phase_fix(q / size)
+    return numerics.MinEigen(float(np.linalg.norm(R @ q)), q, True)
+
+
 def loop_fast_denominator(taylor, N, E, w):
     """pade.denominator_fast_qr of one window by the per-item steps it took
     before they ran as passes over the stack: the window scaled alone
     (block_scale_exponent), its factor R (hilbert.gram_schmidt of a stack
     of one), the null direction or the singular pair of R alone
-    (singular_min_eigen), the unit-norm check on the vector alone, and the
+    (null_direction, singular_min_eigen), the unit-norm check on the vector alone, and the
     diagnostics, as loop_standard_denominator."""
     A = taylor_window(taylor, N, E)
     k = block_scale_exponent(A)
@@ -531,7 +549,7 @@ def loop_fast_denominator(taylor, N, E, w):
     R = hilbert.gram_schmidt(A[None], w, pade.QR_DEGENERACY_THRESHOLD)[0]
     d = np.abs(R.diagonal())
     low = d <= pade.QR_DEGENERACY_THRESHOLD * max(d[0], 1e-300)
-    res = pade._null_direction(R, int(np.argmax(low))) if low.any() else singular_min_eigen(R)
+    res = null_direction(R, int(np.argmax(low))) if low.any() else singular_min_eigen(R)
     den = unit_denominator(res.vector, taylor.center)
     return den, pade.Diagnostics(res.value * 2.0**k, res.degenerate, bool(low.any()),
                                  float(np.max(d)) / max(float(np.min(d)), 1e-300))

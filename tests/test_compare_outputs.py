@@ -1,4 +1,4 @@
-"""tools/compare_outputs.py on its 175 outputs: a tree run against itself
+"""tools/compare_outputs.py on its 185 outputs: a tree run against itself
 differs nowhere, and a changed output or an uncaught exception is
 reported."""
 
@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_outputs.py"
 STUDIES = [f"{name}_seed{seed}" for seed in range(11)
            for name in ("helmholtz_reference", "highorder_poles", "synthetic_dense_grid")] + [
-               "synthetic_dense_grid_points2001", "readme"]
+               "synthetic_dense_grid_points2001", "readme", "real_smoke", "real_synthetic"]
 
 
 def compare(old, new):
@@ -34,7 +34,7 @@ def patched_copy(tmp_path, module, old, new):
 def test_this_checkout_against_itself():
     run = compare(ROOT, ROOT)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert run.stdout == "175 outputs compared, 0 differ\n"
+    assert run.stdout == "185 outputs compared, 0 differ\n"
 
 
 def test_a_changed_output_is_reported(tmp_path):
@@ -44,7 +44,7 @@ def test_a_changed_output_is_reported(tmp_path):
         '["%.16g" % x for x in np.vstack([grid, errors, qmags]).T.ravel().tolist()]')))
     assert run.returncode == 1, run.stdout + run.stderr
     lines = run.stdout.splitlines()
-    assert lines[-1] == "175 outputs compared, 35 differ"
+    assert lines[-1] == "185 outputs compared, 37 differ"
     assert sorted(line.split(":")[0] for line in lines[:-1]) == sorted(
         f"{study}.sweep" for study in STUDIES)
 
@@ -55,9 +55,9 @@ def test_an_uncaught_exception_is_reported(tmp_path):
                                      start + '    raise RuntimeError("injected")\n'))
     assert run.returncode == 1, run.stdout + run.stderr
     lines = run.stdout.splitlines()
-    assert lines[-1] == "175 outputs compared, 35 differ"
+    assert lines[-1] == "185 outputs compared, 37 differ"
     reported = [line for line in lines[:-1] if not line.startswith("  ")]
     assert sorted(line.split(":")[0] for line in reported) == sorted(
         f"{study}.poles" for study in STUDIES)
     assert all(": exit 0 -> 1, " in line for line in reported)
-    assert lines.count("  stderr new: 'RuntimeError: injected\\n'") == 35
+    assert lines.count("  stderr new: 'RuntimeError: injected\\n'") == 37

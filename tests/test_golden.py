@@ -50,7 +50,7 @@ CONFIG = {
 
 # highorder_poles' centre, interval, N, M and E on a 64-mode Helmholtz model:
 # the three standard denominators are 9 x 9 eigensolves, the three fast ones
-# take the exact-degeneracy null direction (pade._null_direction), and all
+# take the exact-degeneracy null direction (pade._null_directions), and all
 # six are flagged degenerate.
 HIGH_ORDER_CONFIG = {
     "model": {"kind": "helmholtz", "max_index": 8},

@@ -187,10 +187,54 @@ class TestJacobiOracle:
             assert_loop_bytes(H, vals, vecs)
 
 
+def signed_zero_matrix(rng, n, kind):
+    """A Hermitian matrix of order n made of blocks on its diagonal, every
+    zero off them +-0 +-0i, its sign drawn at random: "dense" one block
+    X + X^H, "real" one real symmetric block X + X^T, "signed" one block of
+    entries -0 + yi off its diagonal, "diagonal" n blocks of order 1,
+    "block" blocks of random orders, each dense, real or signed.  A block of
+    order 1 holds a random real, -0 or +0."""
+    H = np.zeros((n, n), dtype=complex)
+    H.real, H.imag = rng.choice([0.0, -0.0], size=(2, n, n))
+    lower = np.tril_indices(n, -1)
+    H[lower] = H.T[lower].conj()
+    cuts = {"block": rng.integers(1, n + 1, size=n), "diagonal": range(1, n)}.get(kind, [])
+    edges = sorted({0, n, *(int(c) for c in cuts)})
+    for a, b in zip(edges, edges[1:]):
+        X = rng.normal(size=(2, b - a, b - a))
+        filling = rng.choice(["dense", "real", "signed"]) if kind in ("block", "diagonal") else kind
+        if b - a == 1:
+            block = [[rng.choice([rng.normal(), -0.0, 0.0])]]
+        elif filling == "dense":
+            block = (X[0] + 1j * X[1]) + (X[0] + 1j * X[1]).conj().T
+        elif filling == "real":
+            block = X[0] + X[0].T
+        else:
+            block = np.zeros((b - a, b - a), dtype=complex)
+            block.real, block.imag = -0.0, X[1] - X[1].T
+            block[np.diag_indices(b - a)] = X[0].diagonal()
+        H[a:b, a:b] = block
+    return H
+
+
 class TestJacobiStack:
     """hermitian_eigensystem solves a stack in lockstep, each matrix giving
     what it gives alone (oracles.loop_jacobi), bytes compared; a failing
     matrix stops the stack."""
+
+    # a pair step with two or more rotating matrices turns the skipping
+    # ones by the coefficients (1, 0, 0), which is no identity on signed
+    # zeros: (1 + 0j)(-0 - 2j) is +0 - 2j, and a diagonal -0 of a skipping
+    # matrix turns +0 unless restored
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(["dense", "diagonal", "block", "real", "signed"]),
+                          min_size=2, max_size=6))
+    def test_signed_zeros_of_a_partial_step(self, n, seed, kinds):
+        rng = np.random.default_rng(seed)
+        matrices = [signed_zero_matrix(rng, n, kind) for kind in kinds]
+        for H, (vals, vecs) in zip(matrices, numerics.hermitian_eigensystem(matrices)):
+            assert_loop_bytes(H, vals, vecs)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),

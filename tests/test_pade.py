@@ -305,8 +305,9 @@ class TestDenominatorPasses:
     """The steps around the stacked solves run as passes over the stack:
     the checks, convergence tests and harvest of the Jacobi stack, the
     minimal eigenpair's pick, phase fixes and normalisation, the singular
-    vectors' gap test and phase fix, the scale exponents, the weighted sums
-    and the unit-norm check.  Each item still gets the bytes of the
+    vectors' gap test and phase fix, the null directions' norms, division
+    and phase fix, the symmetrisation of the Gramian blocks, the scale
+    exponents, the weighted sums and the unit-norm check.  Each item still gets the bytes of the
     per-item steps they replaced (oracles.loop_standard_denominator,
     oracles.loop_fast_denominator), or the stack raises an error that a
     failing item raises there (oracles.check_stack)."""
@@ -336,8 +337,10 @@ class TestDenominatorPasses:
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(**STACK, Es=st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    @example(seed=1, dim=1, N=3, exponents=[0, 450, 450, 450, 0, 0, 0, 0], Es=[0])
     def test_fast_stack_is_the_per_item_loop(self, seed, dim, N, exponents, Es):
-        # windows of one to five modes, rank-deficient ones among them
+        # windows of one to five modes, rank-deficient ones among them; in
+        # the example, a null direction whose norm overflows unscaled
         t, w = self.block(seed, dim, exponents)
         items = [(E + N, E + N, 1.0) for E in Es]
         check_stack(lambda: pade.denominator_fast_qr(t, N, items, w),

@@ -7,8 +7,9 @@ TREE/src.  Both trees run the five commands (build, sweep, convergence,
 poles, compare) on the three benchmark workloads of this checkout's
 perfbench/workloads.py at seeds 0 to 10, on synthetic_dense_grid at seed 0
 on 2,001 grid points, whose sweep and compare CSVs span several chunks of
-the array pass that spells their float cells, and on the README study, the
-README's example config: 175 outputs each.  The grid errors of sweep and
+the array pass that spells their float cells, on the README study, the
+README's example config, and on two real-axis studies
+(REAL_AXIS_STUDIES): 185 outputs each.  The grid errors of sweep and
 compare cross block boundaries of pade.evaluate_stack on two studies:
 the README study's (1,600 modes: 8 blocks of 13 points and 21 of 5) and
 the 2,001-point study's (2 blocks of up to 1,820 points and 3 of up to
@@ -40,6 +41,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("build", "sweep", "convergence", "poles", "compare")
 SEEDS = range(11)
+# Studies on the real axis: real poles and a real center give real Taylor
+# coefficients, so every Gramian is real symmetric and its imaginary parts
+# are signed zeros, which a Jacobi pair step that turns a skipping matrix
+# by the identity rotation could flip.  The first is the smoke study of
+# .github/workflows/tier1.yml.
+REAL_AXIS_STUDIES = {
+    "real/smoke": {
+        "model": {"kind": "synthetic", "poles": [[1.0, 0.0], [2.0, 0.0]],
+                  "residue_norms": [1.0, 1.0]},
+        "z0": [0.0, 0.0], "K": [-1.0, 3.0], "M_list": [2], "N": 2, "E_list": [2, 3, 4],
+        "z_probes": [[0.5, 0.0], [-0.5, 0.0]]},
+    "real/synthetic": {
+        "model": {"kind": "synthetic",
+                  "poles": [[0.6, 0.0], [1.1, 0.0], [1.7, 0.0], [2.35, 0.0], [2.8, 0.0],
+                            [3.45, 0.0], [3.9, 0.0], [4.6, 0.0]],
+                  "residue_norms": [1.0, 0.9, 0.8, 0.75, 0.7, 0.6, 0.55, 0.5]},
+        "z0": [3.2, 0.0], "K": [1.5, 4.5], "M_list": [4, 6, 8], "N": 4, "E_rule": "MaxMN",
+        "rho_rule": {"factor": 1.0}, "grid_points": 101,
+        "z_probes": [[2.0, 0.0], [4.25, 0.0]], "E_list": [4, 5, 6, 7, 8, 9, 10]},
+}
 
 
 def readme_config():
@@ -59,7 +80,7 @@ def studies():
     found["synthetic_dense_grid/points2001"] = {
         **workloads.make_config("synthetic_dense_grid", 0), "grid_points": 2001}
     found["readme"] = readme_config()
-    return found
+    return {**found, **REAL_AXIS_STUDIES}
 
 
 def run_jobs(jobs_path, outdir):
