@@ -5,7 +5,9 @@ each float cell as '%.17g' spells it (17 significant digits, 'inf', 'nan')
 and join each row's cells by ',' ('\\n' line endings); see _cells for how
 the cells of a long CSV are spelled at once.  Every data row carries the
 denominator magnitude so near-pole rows can be masked after the fact
-instead of being dropped.
+instead of being dropped.  sweep, convergence and compare measure their
+approximants against S one block of points at a time (_grid_errors), so
+that no command holds S, or the approximants' values, on the whole grid.
 """
 
 import itertools
@@ -38,6 +40,7 @@ SLOPE_FIT_WINDOW = (1e-11, 1e-1)
 NEAR_POLE_DISTANCE = 1e-6
 CELL_CROSSOVER = 512  # fewer float cells than this are spelled one by one
 CELL_CHUNK = 1024  # cells per array pass
+BLOCK_VALUES = 2**17  # complex values of one block of _grid_errors, 2 MiB
 
 
 class StudyConfig(NamedTuple):
@@ -244,26 +247,30 @@ def _params(config, degrees, extra):
     return params
 
 
-def _grid_errors(model, approxs, points, rows):
+def _grid_errors(model, approxs, points):
     """Error norms and |Q| of each of approxs at the points, as two
-    (len(approxs), n) arrays; rows, S at the points, come from
-    evaluate_exact_grid once per grid.  One pade.evaluate_stack for all of
-    them, then one finiteness test, one subtraction of S and one norm for
-    each block of points it yields, each error bit-identical to the norm
-    of its row alone (hilbert.norm sums each row apart), whatever the
-    block.  The error is inf on a pole of S, whose row is inf, and where
-    the approximant's value is not finite, |Q| having vanished or
-    underflowed."""
-    errors, qmags = np.empty((2, len(approxs), len(points)))
-    for index, block, values, qmag in pade.evaluate_stack(approxs, points):
+    (len(approxs), n) arrays, and the points' distances to the poles of S.
+    Per block of max(1, BLOCK_VALUES // (approximants x modes)) points: S
+    and the distances (evaluate_exact_grid), every approximant
+    (pade.evaluate_stack), one finiteness test, one subtraction of S and
+    one norm, each error bit-identical to the norm of its row alone
+    (hilbert.norm sums each row apart), whatever the block.  The error is
+    inf on a pole of S, whose row is inf, and where the approximant's
+    value is not finite, |Q| having vanished or underflowed."""
+    (errors, qmags), dist = np.empty((2, len(approxs), len(points))), np.empty(len(points))
+    size = max(1, BLOCK_VALUES // (len(approxs) * model.dimension))
+    for start in range(0, len(points), size):
+        block = slice(start, start + size)
+        rows, dist[block] = evaluate_exact_grid(model, points[block])
+        index, values, qmag = pade.evaluate_stack(approxs, points[block])
         finite = np.isfinite(values).all(axis=-1)
         with np.errstate(invalid="ignore"):  # inf - inf on a shared pole
-            values -= rows[block]  # |P/Q - S| = |S - P/Q|, bit for bit
+            values -= rows  # |P/Q - S| = |S - P/Q|, bit for bit
             err = norm(values.reshape(-1, values.shape[-1]), model.weights).reshape(finite.shape)
         err[~finite] = math.inf
         errors[index, block], qmags[index, block] = err, qmag
-        del values  # before the next block's Horner pass
-    return errors, qmags
+        del rows, values  # before the next block's S and Horner pass
+    return errors, qmags, dist
 
 
 def fit_decay_factor(indices, errors, window=SLOPE_FIT_WINDOW):
@@ -474,9 +481,8 @@ def cmd_build(config, model):
 @_command
 def cmd_sweep(config, model):
     grid = config.grid()
-    rows, dist = evaluate_exact_grid(model, grid)
     approxs = pade.build(model, _params(config, config.M_list, config.N))
-    errors, qmags = _grid_errors(model, approxs[::2] + approxs[1::2], grid, rows)
+    errors, qmags, dist = _grid_errors(model, approxs[::2] + approxs[1::2], grid)
     flags = np.where(dist < NEAR_POLE_DISTANCE, "1", "0").tolist()
 
     header = ["z", *(f"{cell}_M{M}" for cell in ("abs_error_fast", "abs_error_std",
@@ -491,8 +497,7 @@ def cmd_convergence(config, model):
     probes = config.z_probes
     if not probes:
         raise ConfigError("at $.z_probes: convergence study needs probe points")
-    rows, dists = evaluate_exact_grid(model, probes)
-    for z, dist in zip(probes, dists.tolist()):
+    for z, dist in zip(probes, evaluate_exact_grid(model, probes)[1].tolist()):
         if dist < 0.05:  # a retained pole within 0.05, or a row not finite
             near = np.abs(model.eigenvalues[model.coefficients != 0] - z).min(initial=math.inf)
             if near >= 0.05:  # no pole of S, dropped or retained, is near
@@ -506,7 +511,7 @@ def cmd_convergence(config, model):
             )
 
     approxs = pade.build(model, _params(config, config.M_list, config.N))
-    errors, qmags = _grid_errors(model, approxs[::2] + approxs[1::2], probes, rows)
+    errors, qmags, _ = _grid_errors(model, approxs[::2] + approxs[1::2], probes)
     m = len(config.M_list)
     poles = pole_list(model, config.z0)
 
@@ -589,12 +594,10 @@ def cmd_compare(config, model):
     coefficients, so the two share a derivative budget only under MaxMN."""
     _check_E_list(config)
     grid = config.grid()
-    rows, dist = evaluate_exact_grid(model, grid)
-    flags = np.where(dist < NEAR_POLE_DISTANCE, "1", "0").tolist()
-
     approxs = pade.build(model, _params(config, config.E_list, 0))
-    errors, qmags = (a.reshape(-1, 2, len(grid))
-                     for a in _grid_errors(model, approxs, grid, rows))
+    errors, qmags, dist = _grid_errors(model, approxs, grid)
+    errors, qmags = errors.reshape(-1, 2, len(grid)), qmags.reshape(-1, 2, len(grid))
+    flags = np.where(dist < NEAR_POLE_DISTANCE, "1", "0").tolist()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(errors[:, 1] > 0, errors[:, 0] / errors[:, 1], math.inf)
     # per E, row by row: error_fast, error_std, ratio, q_magnitude_fast, q_magnitude_std

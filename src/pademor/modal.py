@@ -187,8 +187,10 @@ def build_rectangle_helmholtz(
         raise ValueError("max_index must be >= 4")
     if quad_order < 20:
         raise ValueError("quad_order must be >= 20")
-    if nu_sq <= 0.0:
-        raise ValueError("nu_sq must be positive")
+    if not 0.0 < nu_sq < np.inf:
+        raise ValueError("nu_sq must be positive and finite")
+    if not np.isfinite(theta):
+        raise ValueError("theta must be finite")
 
     nodes, wts = _gauss_legendre(quad_order)
     x = 0.5 * np.pi * (nodes + 1.0)
@@ -301,9 +303,12 @@ def taylor_coefficients(model, z0, E):
 
     Where the power overflows, the coefficient is the zero it rounds to.  A
     coefficient that is itself not finite, the center being too close to an
-    eigenvalue for the order, raises CenterOnPole.
+    eigenvalue for the order, raises CenterOnPole; a center that is not
+    finite raises NonFiniteValue.
     """
     z0 = complex(z0)
+    if not np.isfinite(z0):
+        raise NonFiniteValue(f"Taylor center {z0} is not finite")
     lam, dist = nearest_pole(model, z0)
     if dist <= CENTER_DISTANCE:
         raise CenterOnPole(f"point {z0} lies within {CENTER_DISTANCE:g} of pole {lam}")

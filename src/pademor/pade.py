@@ -20,10 +20,10 @@ standard ones by one lockstep Jacobi over all their Gramian sums
 (numerics.hermitian_min_eigenpair), whose blocks, shared by the sums of a
 stack, are each computed once, on windows sliced from one conjugated and
 one weighted copy of the Taylor rows (_gramian_blocks); then the
-numerators.  They are evaluated as
-one stack as well (evaluate_stack): per block of points, of at most
-BLOCK_VALUES values, Q by one Horner pass and P by one pass over all the
-numerators of one center and mode count (poly.horner).
+numerators.  They are evaluated as one stack as well (evaluate_stack), at
+the points given: Q by one Horner pass and P by one pass over all the
+numerators (poly.horner); the caller (harness._grid_errors) chooses the
+blocks of points.
 """
 
 import itertools
@@ -38,8 +38,6 @@ from .modal import ModalModel, taylor_coefficients
 
 QR_DEGENERACY_THRESHOLD = 1e-14
 SCALE_EXPONENT = 400
-# complex values of one block of evaluate_stack, 2 MiB
-BLOCK_VALUES = 2**17
 
 
 class _BuildFields(NamedTuple):
@@ -59,6 +57,8 @@ class BuildParams(_BuildFields):
 
     def __new__(cls, z0, M, N, E, variant="fast", rho=None):
         z0 = complex(z0)
+        if not np.isfinite(z0):
+            raise ValueError(f"center z0 = {z0} is not finite")
         if M < 0 or N < 0:
             raise ValueError("M and N must be nonnegative")
         if variant == "fast":
@@ -67,7 +67,7 @@ class BuildParams(_BuildFields):
         elif variant == "standard":
             if E < M + N:
                 raise ValueError("standard variant requires E >= M + N")
-            if rho is None or rho <= 0.0:
+            if rho is None or not rho > 0.0:
                 raise ValueError("standard variant requires rho > 0")
         else:
             raise ValueError(f"unknown variant {variant!r}")
@@ -210,7 +210,7 @@ def denominator_standard(taylor, N, items, w):
     if not items:
         return []
     for M, E, rho in items:
-        if rho <= 0.0:
+        if not rho > 0.0:
             raise ValueError("rho must be positive")
         if 2.0 * (E - M) * math.log10(rho) > 300.0:
             raise RhoOverflow(f"rho^(2(E-M)) overflows for rho={rho}, E-M={E - M}")
@@ -371,39 +371,33 @@ def build(model, params):
 
 
 def evaluate_stack(approxs, points):
-    """P(z)/Q(z) and |Q(z)| of each of approxs, whose denominators share one
-    degree, along a 1-d array of points, one block of points of one stack
-    of numerators of one center and row shape at a time, so that only one
-    block's values are held at once: yields (indices, block, values, qmag),
-    block a slice of the points, values a (len(indices), points of the
-    block, dimension) array and qmag (len(indices), points of the block).
-    A block of max(1, BLOCK_VALUES // (len(indices) * dimension)) points
-    takes one Horner pass for Q (poly.evaluate) and one for P (poly.horner
-    on the stack sorted by degree, highest first, as indices are); each
-    value is bit-identical to its approximant's evaluated alone.  |Q| is
-    taken by np.hypot, bit-identical to Python abs but inf, not
-    OverflowError, where the modulus of finite parts overflows.
-
-    No error or warning is raised near poles of an approximant, where a
-    value may overflow to inf or be nan; the caller inspects the returned
-    denominator magnitude instead.
-    """
+    """(index, values, qmag): P(z)/Q(z) and |Q(z)| of each of approxs, a
+    stack of one center, numerator row shape and denominator degree
+    (ValueError otherwise), at each of a 1-d array of points, as a
+    (len(approxs), points, dimension) and a (len(approxs), points) array in
+    the order index, by numerator degree, highest first; empty arrays for
+    an empty stack.  One Horner pass for Q (poly.evaluate) and one for P
+    (poly.horner); each value is bit-identical to its approximant's
+    evaluated alone, whatever the other points.  |Q| is taken by np.hypot,
+    bit-identical to Python abs but inf, not OverflowError, where the
+    modulus of finite parts overflows.  No error or warning is raised near
+    poles of an approximant, where a value may overflow to inf or be nan;
+    the caller inspects |Q| instead."""
     points = np.asarray(points, dtype=complex)
-    nums = [a.numerator for a in approxs]
     # repr tells the signed zeros of a center apart
-    for index in poly.stacks(nums, lambda p: (p.coeffs.shape[1:], repr(p.center))).values():
-        index.sort(key=lambda i: -nums[i].degree)
-        ps, dens = [nums[i] for i in index], [approxs[i].denominator for i in index]
-        size = max(1, BLOCK_VALUES // max(1, len(index) * ps[0].coeffs[0].size))
-        for start in range(0, len(points), size):
-            block = slice(start, start + size)
-            qz = poly.evaluate(dens, points[block])
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                values = poly.horner(ps, points[block] - ps[0].center)
-                values /= qz[..., None]
-                qmag = np.hypot(qz.real, qz.imag)
-            yield index, block, values, qmag
-            del values  # not held while the next block's Horner pass runs
+    if len({(a.numerator.coeffs.shape[1:], repr(a.numerator.center), a.denominator.degree)
+            for a in approxs}) > 1:
+        raise ValueError("a stack of more than one center, row shape or denominator degree")
+    if not approxs:
+        return [], np.empty((0, points.size), complex), np.empty((0, points.size))
+    index = sorted(range(len(approxs)), key=lambda i: -approxs[i].numerator.degree)
+    ps = [approxs[i].numerator for i in index]
+    qz = poly.evaluate([approxs[i].denominator for i in index], points)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = poly.horner(ps, points - ps[0].center)
+        values /= qz[..., None]
+        qmag = np.hypot(qz.real, qz.imag)
+    return index, values, qmag
 
 
 def evaluate(approx, z):
@@ -414,13 +408,9 @@ def evaluate(approx, z):
     bytes this gives, whatever the other points: Q(z) rounded as Horner on
     Python complex numbers, P(z) as Horner on NumPy complex arrays."""
     points = np.asarray(z, dtype=complex)
-    values = np.empty((points.size,) + approx.numerator.coeffs.shape[1:], complex)
-    qmag = np.empty(points.size)
-    for _, block, v, q in evaluate_stack([approx], points.reshape(-1)):
-        values[block], qmag[block] = v[0], q[0]
-    qmag = qmag.reshape(points.shape)
+    _, [values], [qmag] = evaluate_stack([approx], points.reshape(-1))
     return values.reshape(points.shape + values.shape[1:]), (
-        float(qmag) if points.ndim == 0 else qmag)
+        float(qmag[0]) if points.ndim == 0 else qmag.reshape(points.shape))
 
 
 def approximant_poles(approx):

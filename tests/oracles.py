@@ -656,9 +656,8 @@ def template_sweep(config, model):
     """The sweep's CSV lines, each row by one %-template over Python floats:
     the writer that harness._cells replaced, as are the three below."""
     grid = config.grid()
-    rows, dist = modal.evaluate_exact_grid(model, grid)
     approxs = pade.build(model, harness._params(config, config.M_list, config.N))
-    errors, qmags = harness._grid_errors(model, approxs[::2] + approxs[1::2], grid, rows)
+    errors, qmags, dist = harness._grid_errors(model, approxs[::2] + approxs[1::2], grid)
     near = (dist < harness.NEAR_POLE_DISTANCE).tolist()
 
     header = ["z", *(f"{cell}_M{M}" for cell in ("abs_error_fast", "abs_error_std",
@@ -671,10 +670,9 @@ def template_sweep(config, model):
 
 def template_convergence(config, model):
     probes = config.z_probes
-    rows, _ = modal.evaluate_exact_grid(model, probes)
     approxs = pade.build(model, harness._params(config, config.M_list, config.N))
-    errors, qmags = (a.tolist() for a in harness._grid_errors(
-        model, approxs[::2] + approxs[1::2], probes, rows))
+    errors, qmags, _ = (a.tolist() for a in harness._grid_errors(
+        model, approxs[::2] + approxs[1::2], probes))
     m = len(config.M_list)
     poles = modal.pole_list(model, config.z0)
 
@@ -716,10 +714,9 @@ def template_poles(config, model):
 
 def template_compare(config, model):
     grid = config.grid()
-    rows, dist = modal.evaluate_exact_grid(model, grid)
-    near = (dist < harness.NEAR_POLE_DISTANCE).tolist()
     approxs = pade.build(model, harness._params(config, config.E_list, 0))
-    errors, qmags = harness._grid_errors(model, approxs, grid, rows)
+    errors, qmags, dist = harness._grid_errors(model, approxs, grid)
+    near = (dist < harness.NEAR_POLE_DISTANCE).tolist()
     zs = ["%.17g" % z for z in grid.tolist()]
 
     header = ["E", "z", "error_fast", "error_std", "ratio",

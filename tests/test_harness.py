@@ -294,10 +294,9 @@ class TestGridErrors:
     def check(self, model, approx, points):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows, dist = modal.evaluate_exact_grid(model, points)
-            [errors], [qmags] = (a.tolist() for a in
-                                 harness._grid_errors(model, [approx], points, rows))
-        near = (dist < harness.NEAR_POLE_DISTANCE).tolist()
+            [errors], [qmags], dist = (a.tolist() for a in
+                                       harness._grid_errors(model, [approx], points))
+        near = [d < harness.NEAR_POLE_DISTANCE for d in dist]
         assert list(zip(errors, qmags, near)) == point_errors(model, approx, points)
         return errors, near
 
@@ -372,11 +371,12 @@ def workload_stack(workload, command):
     return model, pade.build(model, params), cfg.grid()
 
 
-def mixed_stack(model):
-    """Numerators of degrees 3, 0, 4, 3, 1 and 1, the last two of different
-    centers, and points that are not finite or on poles: the last
-    denominator, (z - 0.5)(z - 3), vanishes exactly on the point 0.5; 1.0
-    is a pole of three_pole, whose row is inf."""
+def mixed_stacks(model):
+    """Two stacks, one per center, and points that are not finite or on
+    poles: numerators of degrees 3, 0, 4, 3 and 1 centred at 0.3 + 0.2j,
+    then one of degree 1 centred at 0.0, whose denominator, (z - 0.5)(z - 3),
+    vanishes exactly on the point 0.5; 1.0 is a pole of three_pole, whose
+    row is inf."""
     approxs = [pade.build(model, [params])[0] for params in (
         pade.BuildParams(0.3 + 0.2j, 3, 2, 3, "fast"),
         pade.BuildParams(0.3 + 0.2j, 0, 2, 3, "standard", 1.5),
@@ -384,14 +384,14 @@ def mixed_stack(model):
         pade.BuildParams(0.3 + 0.2j, 3, 2, 5, "standard", 2.0),
         pade.BuildParams(0.3 + 0.2j, 1, 2, 3, "standard", 1.5),
     )]
-    approxs.append(pade.PadeApproximant(
+    at_zero = pade.PadeApproximant(
         poly.ShiftedPolynomial(0.0, [[1.0, 2.0, -1.0], [0.5, 0.0, 1e300]]),
         poly.ShiftedPolynomial(0.0, [1.5, -3.5, 1.0]),
-        pade.BuildParams(0.0, 1, 2, 2), pade.Diagnostics(0.0, False)))
+        pade.BuildParams(0.0, 1, 2, 2), pade.Diagnostics(0.0, False))
     points = np.array([0.5, 1.0, -0.0, 2.5 - 1e-7j, 1e155, complex(math.inf, 0.0),
                        complex(0.0, -math.inf), complex(math.nan, 1.0),
                        complex(math.inf, math.nan)])
-    return approxs, points
+    return [approxs, [at_zero]], points
 
 
 def one_mode_stack(rng):
@@ -413,10 +413,11 @@ class TestStackedErrors:
 
     @staticmethod
     def check(model, approxs, points):
-        rows = modal.evaluate_exact_grid(model, points)[0]
+        rows, dist = modal.evaluate_exact_grid(model, points)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            errors, qmags = harness._grid_errors(model, approxs, points, rows)
+            errors, qmags, found = harness._grid_errors(model, approxs, points)
+        assert found.tobytes() == dist.tobytes()
         want = [approximant_errors(model, a, points, rows) for a in approxs]
         assert np.array(errors).tobytes() == np.array([e for e, _ in want]).tobytes()
         assert np.array(qmags).tobytes() == np.array([q for _, q in want]).tobytes()
@@ -429,9 +430,21 @@ class TestStackedErrors:
         self.check(*workload_stack(workload, command))
 
     def test_mixed_degrees_and_non_finite_points(self, three_pole):
-        errors, qmags = self.check(three_pole, *mixed_stack(three_pole))
-        assert qmags[-1][0] == 0.0 and errors[-1][0] == math.inf
-        assert all(e[1] == math.inf for e in errors)
+        stacks, points = mixed_stacks(three_pole)
+        found = [self.check(three_pole, approxs, points) for approxs in stacks]
+        [errors], [qmags] = found[1]  # the approximant centred at 0.0
+        assert qmags[0] == 0.0 and errors[0] == math.inf
+        assert all(e[1] == math.inf for errors, _ in found for e in errors)
+
+    def test_one_center_per_stack(self, three_pole):
+        stacks, points = mixed_stacks(three_pole)
+        with pytest.raises(ValueError, match="more than one center"):
+            pade.evaluate_stack(stacks[0] + stacks[1], points)
+        low = pade.build(three_pole, [pade.BuildParams(0.3 + 0.2j, 3, 1, 3)])
+        with pytest.raises(ValueError, match="denominator degree"):
+            pade.evaluate_stack(stacks[0] + low, points)
+        index, values, qmag = pade.evaluate_stack([], points)
+        assert index == [] and values.shape == qmag.shape == (0, len(points))
 
     def test_one_mode_at_one_point(self, rng):
         # a product of one element at one point rounds as it does inside a
@@ -440,34 +453,33 @@ class TestStackedErrors:
         model, approxs = one_mode_stack(rng)
         for points in ([0.7 + 0.1j], [0.7 + 0.1j, 1.9]):
             errors, qmags = self.check(model, approxs, np.array(points))
-        rows = modal.evaluate_exact_grid(model, points)[0]
         for j, z in enumerate(points):
-            at_z = harness._grid_errors(model, approxs, [z], rows[j:j + 1])
+            at_z = harness._grid_errors(model, approxs, [z])
             assert at_z[0].tobytes() == errors[:, j:j + 1].tobytes()
             assert at_z[1].tobytes() == qmags[:, j:j + 1].tobytes()
 
 
 class TestBlocks:
-    """pade.evaluate_stack evaluates a stack one block of points at a time.
-    With blocks of one point and with the whole grid as one block,
-    harness._grid_errors and pade.evaluate give the same bytes, and an
-    empty grid gives empty arrays."""
+    """harness._grid_errors evaluates S and the approximants one block of
+    points at a time.  With blocks of one point and with the whole grid as
+    one block it gives the same bytes, no evaluate_exact_grid call takes
+    more than one block of points, and an empty grid gives empty arrays."""
 
     @staticmethod
     def both_ways(model, approxs, points):
         points = np.asarray(points, dtype=complex)
-        rows = modal.evaluate_exact_grid(model, points)[0]
-        blocks, found = [], []
+        found = []
         for block_values in (1, 2**62):
-            with mock.patch.object(pade, "BLOCK_VALUES", block_values), \
+            size = max(1, block_values // (len(approxs) * model.dimension))
+            with mock.patch.object(harness, "BLOCK_VALUES", block_values), \
+                    mock.patch.object(harness, "evaluate_exact_grid",
+                                      wraps=modal.evaluate_exact_grid) as exact, \
                     warnings.catch_warnings():
                 warnings.simplefilter("error")
-                blocks.append(len(list(pade.evaluate_stack(approxs, points))))
-                errors, qmags = harness._grid_errors(model, approxs, points, rows)
-                evaluated = [pade.evaluate(a, points) for a in approxs]
-            found.append([errors.tobytes(), qmags.tobytes()] +
-                         [v.tobytes() + q.tobytes() for v, q in evaluated])
-        assert blocks[0] == len(points) * blocks[1]  # one point, then one block, per stack
+                found.append([a.tobytes() for a in harness._grid_errors(model, approxs, points)])
+            sizes = [len(call.args[1]) for call in exact.call_args_list]
+            assert sum(sizes) == len(points) and max(sizes, default=0) <= size
+        assert len(exact.call_args_list) == min(1, len(points))  # the whole grid at once
         assert found[0] == found[1]
 
     @pytest.mark.parametrize("command", ["sweep", "compare"])
@@ -477,7 +489,9 @@ class TestBlocks:
         self.both_ways(*workload_stack(workload, command))
 
     def test_mixed_degrees_and_non_finite_points(self, three_pole):
-        self.both_ways(three_pole, *mixed_stack(three_pole))
+        stacks, points = mixed_stacks(three_pole)
+        for approxs in stacks:
+            self.both_ways(three_pole, approxs, points)
 
     def test_one_mode_at_one_point(self, rng):
         # prefixes of one element: the stack of eight at one point, and the
@@ -488,10 +502,9 @@ class TestBlocks:
             self.both_ways(model, approxs[:1], points)
 
     def test_empty_grid(self, three_pole):
-        approxs, _ = mixed_stack(three_pole)
-        rows = modal.evaluate_exact_grid(three_pole, np.array([], complex))[0]
-        errors, qmags = harness._grid_errors(three_pole, approxs, np.array([], complex), rows)
-        assert errors.shape == qmags.shape == (len(approxs), 0)
+        [approxs, _], _ = mixed_stacks(three_pole)
+        errors, qmags, dist = harness._grid_errors(three_pole, approxs, np.array([], complex))
+        assert errors.shape == qmags.shape == (len(approxs), 0) and dist.shape == (0,)
         values, qmag = pade.evaluate(approxs[0], [])
         assert values.shape == (0, 3) and qmag.shape == (0,)
 
@@ -499,27 +512,32 @@ class TestBlocks:
 class TestGridErrorsPeak:
     """The tracemalloc peak of harness._grid_errors on sweep's six
     approximants of the README study, against the arrays the pass must
-    hold.  S at the points is the caller's and is not counted.
+    hold, S at the points included.
 
-    pade.evaluate_stack holds one block of points at a time, at most
-    pade.BLOCK_VALUES values of the stack and more than BLOCK_VALUES -
+    _grid_errors holds one block of points at a time, at most
+    harness.BLOCK_VALUES values of the stack and more than BLOCK_VALUES -
     approximants x modes (the block size is a floor); from 256 modes
     (max_index 16) a block is smaller than the 101-point grid.  The peak
     is then one block: its values (16 B each), hilbert.norm's real array of
-    them (8 B each) and one ufunc buffer of 8,192 floats, beside what grows
+    them (8 B each), S at its points (16 B per point and mode, a sixth of
+    the values) and one ufunc buffer of 8,192 floats, beside what grows
     with the grid: the error and |Q| outputs, 16 B per approximant and
-    point, and the points as a complex array, 16 B per point.  Q, like P,
-    is evaluated per block.  Per mode added, only one step's gathered
+    point, and the points' distances to the poles, 8 B per point.  The
+    points are converted to complex per block, and Q, like P and S, is
+    evaluated per block.  Per mode added, only one step's gathered
     numerator rows grow, 16 B per approximant, beside the block's floor.
 
-    Measured (NumPy 2.4.6): a peak of 3,156,504 B at 576 modes against a
-    budget of 3,178,544; -220 B per mode between 256 and 576 modes against
-    211; 112.3 B per point between 101 and 401 points against 112
-    (+1 KiB).  Holding the previous block's values through the next Horner
-    pass (no del values) reads a peak of 4,300,144 B; one block of the whole
-    grid grows by 14,541 B per mode and 83,206 B per point.  The pass
-    before the blocks, one stack of numerators of one degree at a time on
-    the whole grid, grew by 4,845 B per mode and 27,922 B per point."""
+    Measured (NumPy 2.4.6): a peak of 3,492,206 B at 576 modes against a
+    budget of 3,518,728; -229 B per mode between 256 and 576 modes against
+    211; 104.6 B per point between 101 and 401 points against 104
+    (+1 KiB).  With S evaluated on the whole grid by the caller and not
+    counted, and the points converted to one complex array (16 B per
+    point), the peak was 3,156,504 B and grew by 112.3 B per point.
+    Holding the previous block's values through the next Horner pass (no
+    del values) read a peak of 4,300,144 B; one block of the whole grid
+    grows by 14,541 B per mode and 83,206 B per point.  The pass before
+    the blocks, one stack of numerators of one degree at a time on the
+    whole grid, grew by 4,845 B per mode and 27,922 B per point."""
 
     @staticmethod
     def peak(max_index, grid_points=101):
@@ -527,22 +545,23 @@ class TestGridErrorsPeak:
             README_CONFIG["model"], max_index=max_index)))
         model = harness.build_model(cfg)
         grid = cfg.grid()
-        rows = modal.evaluate_exact_grid(model, grid)[0]
         approxs = pade.build(model, harness._params(cfg, cfg.M_list, cfg.N))
-        harness._grid_errors(model, approxs, grid, rows)  # warm
+        harness._grid_errors(model, approxs, grid)  # warm
         tracemalloc.start()
         try:
-            harness._grid_errors(model, approxs, grid, rows)
+            harness._grid_errors(model, approxs, grid)
             return tracemalloc.get_traced_memory()[1], len(approxs)
         finally:
             tracemalloc.stop()
 
     def test_peak_is_one_block(self):
         peak, k = self.peak(24)
-        values = k * 24**2 * (pade.BLOCK_VALUES // (k * 24**2))
+        points = harness.BLOCK_VALUES // (k * 24**2)
+        values = k * 24**2 * points
         # 32 KiB for the block's small arrays (its finiteness mask, Q and
         # |Q| at its points, the norms) and Python objects
-        budget = 24 * values + (16 * k + 16) * 101 + 8 * 8192 + 32 * 1024
+        budget = (24 * values + 16 * 24**2 * points + (16 * k + 8) * 101 + 8 * 8192
+                  + 32 * 1024)
         assert peak <= budget, (peak, budget)
 
     def test_peak_per_mode_within_budget(self):
@@ -554,9 +573,10 @@ class TestGridErrorsPeak:
 
     def test_peak_per_point_is_outputs(self):
         """At a fixed mode count, the peak grows with the grid only by the
-        (approximants x points) outputs and the points: not by values."""
+        (approximants x points) outputs and the points' distances: not by
+        values or S."""
         (small, k), (large, _) = self.peak(24, 101), self.peak(24, 401)
-        budget = (16 * k + 16) * (401 - 101)
+        budget = (16 * k + 8) * (401 - 101)
         assert large - small <= budget + 1024, ((large - small) / (401 - 101), budget)
 
 
@@ -632,8 +652,7 @@ class TestModalErrorIdentity:
                 approx = pade.build(model, [params])[0]
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    rows = modal.evaluate_exact_grid(model, points)[0]
-                    errors = np.array(harness._grid_errors(model, [approx], points, rows)[0][0])
+                    errors = harness._grid_errors(model, [approx], points)[0][0]
                     identity = modal_error(model, approx, points)
                 bound = self.bound(model, approx, points, errors, identity)
                 assert np.all(np.abs(errors - identity) <= bound), (params, variant)

@@ -3,24 +3,27 @@
 The tracemalloc peak of one warm call of each command is taken at two
 sizes, max_index 12 and 24 (144 and 576 modes, 101 grid points, the
 README's other keys unchanged) for convergence and poles, max_index 16
-and 24 (256 and 576 modes) for sweep and compare, whose grid errors are
-evaluated one block of points at a time (pade.evaluate_stack): at 144
-modes sweep's block is still the whole grid, so its values would grow
-between the sizes.  What the peak gains per mode added, between the two
-sizes, is held to a budget derived below from the arrays the command holds
-and the largest temporaries it makes, in bytes per mode.  The difference
-leaves out what does not grow with the modes (the grid, the CSV lines,
-Python objects, a block of values once it is smaller than the grid),
-which is most of the peak.
+and 24 (256 and 576 modes) for sweep and compare, whose grid errors, S at
+the points included, are evaluated one block of points at a time
+(harness._grid_errors): at 144 modes sweep's block is still the whole
+grid, so its values would grow between the sizes.  What the peak gains
+per mode added, between the two sizes, is held to a budget derived below
+from the arrays the command holds and the largest temporaries it makes,
+in bytes per mode.  The difference leaves out what does not grow with
+the modes (the grid, the CSV lines, Python objects, a block of values or
+of S once it is smaller than the grid), which is most of the peak.
 
-Peaks measured on NumPy 2.4.6, Python 3.11: sweep 3.84 / 4.52 MB and
-compare 3.94 / 4.82 MB (256 / 576 modes), growing by 2,117 and 2,754 B per
-mode against budgets of 3,192 and 3,768; convergence 0.19 / 0.73 MB and
-poles 0.26 / 0.98 MB (144 / 576 modes).  Before the blocks, sweep and
-compare held one stack of numerators of one degree on the whole grid and
-grew by 4.45 and 4.72 units per mode (7,186 and 7,579 B, 144 / 576 modes)
-against budgets of 7,944 and 8,392 B; at 256 / 576 modes that pass grows by
-7,183 and 7,631 B per mode, more than twice the budgets above.
+Peaks measured on NumPy 2.4.6, Python 3.11: sweep 3.76 / 3.92 MB and
+compare 3.66 / 4.03 MB (256 / 576 modes), growing by 493 and 1,152 B per
+mode against budgets of 1,576 and 2,152; convergence 0.19 / 0.73 MB and
+poles 0.26 / 0.98 MB (144 / 576 modes).  While the commands held S on the
+whole grid, sweep and compare grew by 2,117 and 2,754 B per mode against
+budgets of 3,192 and 3,768, one unit (1,616 B) more.  Before the blocks,
+they held one stack of numerators of one degree on the whole grid as well
+and grew by 4.45 and 4.72 units per mode (7,186 and 7,579 B, 144 / 576
+modes) against budgets of 7,944 and 8,392 B; at 256 / 576 modes that pass
+grows by 7,183 and 7,631 B per mode, more than three times the budgets
+above.
 convergence's 2 C rows are why the Horner pass gathers its rows one step
 at a time: zero-padded rows of every step, gathered at once, read 2,002 B
 per mode against 1,696.
@@ -70,16 +73,16 @@ def budget(command, cfg):
     """Bytes per mode that one call of command may hold at its peak.
 
     sweep and compare.  Unit: one complex per grid point, 16 B x points.
-    _grid_errors holds S at the points (1 unit) and evaluates all the
-    numerators one block of points at a time, a block of at most
-    pade.BLOCK_VALUES values, which stops growing with the modes once it is
-    smaller than the grid; so does hilbert.norm's real array of the block.
-    Per mode, what grows beside S is the approximants' numerator
-    coefficient rows (rows / points units) and one Horner step's gathered
-    rows, at most one per approximant (approximants / points units).  The
-    finiteness mask, the distances to the poles and the floor of the block
-    size, which holds between BLOCK_VALUES - approximants x modes and
-    BLOCK_VALUES values, are small: 0.5 unit is left for them.
+    _grid_errors evaluates S and all the numerators one block of points at
+    a time, a block of at most harness.BLOCK_VALUES values, which stops
+    growing with the modes once it is smaller than the grid; so do S at the
+    block and hilbert.norm's real array of the block.  Per mode, what grows
+    is the approximants' numerator coefficient rows (rows / points units)
+    and one Horner step's gathered rows, at most one per approximant
+    (approximants / points units).  The finiteness mask, the distances to
+    the poles and the floor of the block size, which holds between
+    BLOCK_VALUES - approximants x modes and BLOCK_VALUES values, are
+    small: 0.5 unit is left for them.
 
     convergence.  Unit: one coefficient row, 16 B.  At its two probes the
     values are a few rows; what the command holds is C rows, the
@@ -102,7 +105,7 @@ def budget(command, cfg):
     if command in ("sweep", "compare"):
         approximants = 2 * len(cfg.E_list if command == "compare" else cfg.M_list)
         rows = numerator_rows(cfg, command) + approximants
-        return (1 + rows / points + 0.5) * COMPLEX * points
+        return (rows / points + 0.5) * COMPLEX * points
     if command == "convergence":
         taylor = max(max(cfg.fast_E(M), M + cfg.N) for M in cfg.M_list) + 1
         return 2 * (numerator_rows(cfg, command) + taylor) * COMPLEX

@@ -206,6 +206,14 @@ class TestBuildHelmholtz:
         poles = modal.pole_list(helmholtz, paper_z0)
         assert poles[:3] == [13, 10, 8]
 
+    @pytest.mark.parametrize("arg", [{"theta": math.inf}, {"theta": -math.inf},
+                                     {"theta": math.nan}, {"nu_sq": math.inf},
+                                     {"nu_sq": math.nan}])
+    def test_argument_not_finite_rejected(self, arg):
+        # cos(inf) and inf * 0 would warn and give nan coefficients
+        with pytest.raises(ValueError, match="must be (positive and )?finite"):
+            modal.build_rectangle_helmholtz(max_index=4, **arg)
+
     def test_energy_weights(self, helmholtz):
         assert helmholtz.weights.weights[0] == pytest.approx(
             helmholtz.eigenvalues[0].real + 12.0
@@ -440,6 +448,12 @@ class TestTaylor:
     def test_center_on_pole_rejected(self, two_pole):
         with pytest.raises(CenterOnPole):
             modal.taylor_coefficients(two_pole, 2.0, 3)
+
+    @pytest.mark.parametrize("z0", [math.nan, complex(0.0, math.inf), complex(-math.inf, 1.0)])
+    def test_center_not_finite_rejected(self, two_pole, z0):
+        # a nan center once gave an all-zero block, an infinite one zeros too
+        with pytest.raises(NonFiniteValue, match="Taylor center"):
+            modal.taylor_coefficients(two_pole, z0, 3)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_power_gives_zero(self):

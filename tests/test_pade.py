@@ -50,6 +50,19 @@ class TestBuildParams:
         with pytest.raises(ValueError, match="standard variant requires rho > 0"):
             pade.BuildParams(0.0, 2, 2, 4, "standard")
 
+    @pytest.mark.parametrize("rho", [math.nan, 0.0, -1.0])
+    def test_standard_rho_not_positive(self, rho):
+        with pytest.raises(ValueError, match="standard variant requires rho > 0"):
+            pade.BuildParams(0.0, 2, 2, 4, "standard", rho)
+
+    @pytest.mark.parametrize("z0", [math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0)])
+    def test_center_not_finite(self, z0):
+        # a center at infinity once built an all-zero numerator
+        with pytest.raises(ValueError, match="is not finite"):
+            pade.BuildParams(z0, 2, 2, 4, "standard", 1.0)
+        with pytest.raises(ValueError, match="is not finite"):
+            pade.BuildParams(0.0, 2, 2, 2)._replace(z0=z0)
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant 'other'"):
             pade.BuildParams(0.0, 2, 2, 4, "other")
@@ -222,6 +235,7 @@ class TestStandardDenominator:
     @pytest.mark.parametrize("M, E, rho, message", [
         (2, 4, 0.0, "rho must be positive"),
         (2, 4, -1.0, "rho must be positive"),
+        (2, 4, math.nan, "rho must be positive"),
     ])
     def test_invalid_arguments(self, two_pole, M, E, rho, message):
         t = modal.taylor_coefficients(two_pole, 0.0, 4)

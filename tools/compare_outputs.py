@@ -10,10 +10,11 @@ on 2,001 grid points, whose sweep and compare CSVs span several chunks of
 the array pass that spells their float cells, on the README study, the
 README's example config, and on two real-axis studies
 (REAL_AXIS_STUDIES): 185 outputs each.  The grid errors of sweep and
-compare cross block boundaries of pade.evaluate_stack on two studies:
-the README study's (1,600 modes: 8 blocks of 13 points and 21 of 5) and
-the 2,001-point study's (2 blocks of up to 1,820 points and 3 of up to
-780); every other study, and every convergence, is one block per command.
+compare, S included, cross block boundaries of harness._grid_errors on
+two studies: the README study's (1,600 modes: 8 blocks of 13 points and
+21 of 5) and the 2,001-point study's (2 blocks of up to 1,820 points and 3
+of up to 780); every other study, and every convergence, is one block per
+command.
 An exception that a command does not catch is recorded as exit code 1,
 Python's own on one, with its type and message as stderr, and the run goes
 on.
