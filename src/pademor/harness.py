@@ -10,7 +10,6 @@ approximants against S one block of points at a time (_grid_errors), so
 that no command holds S, or the approximants' values, on the whole grid.
 """
 
-import itertools
 import json
 import math
 import os
@@ -34,7 +33,7 @@ from .modal import (
     pole_list,
     taylor_coefficients,
 )
-from .hilbert import json_text, norm
+from .hilbert import json_bytes, norm
 
 SLOPE_FIT_WINDOW = (1e-11, 1e-1)
 NEAR_POLE_DISTANCE = 1e-6
@@ -416,22 +415,23 @@ def _cells(values):
 
 
 def _lines(header, *columns):
-    """The CSV lines: the header, then one row per item of the columns,
-    each an iterable of cell texts."""
-    return [",".join(header), *map(",".join, zip(*columns))]
+    """The CSV as one chunk of ASCII bytes, in a tuple of one: the header,
+    then one row per item of the columns, each an iterable of cell texts,
+    every line ended by '\\n'."""
+    return ("\n".join([",".join(header), *map(",".join, zip(*columns)), ""]).encode(),)
 
 
-def _write(fh, lines):
-    """Each line followed by '\\n' to fh, a file open for writing from
-    offset 0 and not emptied; lines may be produced while writing.  An
-    earlier file's bytes are overwritten in place, and a longer tail is cut
-    after the last line written, also when producing a line fails.  A file
-    that cannot seek (a pipe) or is no longer than what was written (a
-    device) is not cut.  The cut runs here, so a process killed while
-    writing (SIGKILL, power loss) can leave the new lines followed by the
-    earlier file's tail."""
+def _write(fh, chunks):
+    """The chunks of bytes, each carrying its own line ends, as given to
+    fh, a binary file open for writing from offset 0 and not emptied;
+    chunks may be produced while writing.  An earlier file's bytes are
+    overwritten in place, and a longer tail is cut after the last chunk
+    written, also when producing a chunk fails.  A file that cannot seek
+    (a pipe) or is no longer than what was written (a device) is not cut.
+    The cut runs here, so a process killed while writing (SIGKILL, power
+    loss) can leave the new chunks followed by the earlier file's tail."""
     try:
-        fh.writelines(line + "\n" for line in lines)
+        fh.writelines(chunks)
     finally:
         fh.flush()
         if fh.seekable() and (end := fh.tell()) < os.fstat(fh.fileno()).st_size:
@@ -445,17 +445,18 @@ def _in_place(path, flags):
 
 
 def _command(study):
-    """study(config, model), which returns its output lines, as a command on
-    an --out path.  The path is opened once, before the model is built, and
-    never emptied: _write overwrites it and cuts a longer tail.  ConfigError
-    if it cannot be opened or written.  A study that fails before its first
-    line leaves an earlier file as it was and removes the file if the open
-    created it.  No __wrapped__: a tracer marks its own wrappers with it."""
+    """study(config, model), which returns chunks of bytes, as a command on
+    an --out path.  The path is opened once, in binary mode, before the
+    model is built, and never emptied: _write overwrites it and cuts a
+    longer tail.  ConfigError if it cannot be opened or written.  A study
+    that fails before its first chunk leaves an earlier file as it was and
+    removes the file if the open created it.  No __wrapped__: a tracer
+    marks its own wrappers with it."""
 
     def run(config, out):
         created, done = not os.path.exists(out), False
         try:
-            with open(out, "w", newline="", opener=_in_place) as fh:
+            with open(out, "wb", opener=_in_place) as fh:
                 _write(fh, study(config, _model(config)))
             done = True
         except OSError as exc:
@@ -469,13 +470,21 @@ def _command(study):
 
 @_command
 def cmd_build(config, model):
-    """{"approximants": [...]}, one approximant per line, each line
-    serialized only when it is written."""
+    """{"approximants": [...]}, one line per approximant, serialized only
+    when written and never copied: its ",\\n" or "\\n" is a chunk apart."""
+    # built before the first chunk is asked for, so that a failing build
+    # leaves an earlier file as it was
     approxs = pade.build(model, _params(config, config.M_list, config.N))
     last = len(approxs) - 1
-    entries = (json_text(pade.approximant_to_json(a)) + ("," if i < last else "")
-               for i, a in enumerate(approxs))
-    return itertools.chain(['{"approximants": ['], entries, ["]}"])
+
+    def chunks():
+        yield b'{"approximants": [\n'
+        for i, a in enumerate(approxs):
+            yield json_bytes(pade.approximant_to_json(a))
+            yield b",\n" if i < last else b"\n"
+        yield b"]}\n"
+
+    return chunks()
 
 
 @_command

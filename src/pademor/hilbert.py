@@ -4,7 +4,7 @@ Vectors are plain complex numpy arrays indexed by mode; the inner product
 is given by positive diagonal weights alone, built as plain L2 (all ones)
 or as the energy product ``weight_k = Re eigenvalue_k + shift``.
 
-json_text is the package's one JSON writer and finite_array its one
+json_bytes is the package's one JSON writer and finite_array its one
 encoder of arrays: it checks them and views complex ones as [re, im] float
 pairs, which pairs_to_array reads back.
 """
@@ -101,7 +101,7 @@ def gram_schmidt(A, w, tol):
 
 def finite_array(a, what):
     """A float array, or a complex one (a complex scalar included) viewed as
-    [re, im] float pairs, C-contiguous for json_text to write straight from
+    [re, im] float pairs, C-contiguous for json_bytes to write straight from
     its memory; a real scalar gives a NumPy float.  A non-finite entry,
     which JSON cannot hold, raises NonFiniteValue naming what the array is."""
     a = np.asarray(a, order="C")
@@ -111,15 +111,15 @@ def finite_array(a, what):
     return a[..., None].view(float) if np.iscomplexobj(a) else a[()]
 
 
-def json_text(obj):
-    """JSON text of obj, keys sorted, no spaces, each float in the shortest
-    spelling that round-trips (0.00001, 1e16, -0.0), NumPy arrays written
-    from their memory, a non-finite float as null."""
+def json_bytes(obj):
+    """JSON text of obj as orjson's UTF-8 bytes: keys sorted, no spaces,
+    each float in the shortest spelling that round-trips (0.00001, 1e16,
+    -0.0), NumPy arrays from their memory, a non-finite float as null."""
     # Imported here: importing orjson loads uuid and zoneinfo, a cost that
     # the CSV commands, which never write JSON, need not pay.
     import orjson
 
-    return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS).decode()
+    return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS)
 
 
 def pairs_to_array(pairs):

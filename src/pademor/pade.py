@@ -456,12 +456,13 @@ def functional_value(Q, source, E, w=None):
 
 
 def approximant_to_json(approx):
-    """The JSON object of an approximant, as a build artifact line holds it:
-    the BuildParams and Diagnostics fields by name, a non-finite diagnostic
-    as its float (hilbert.json_text writes null), complex numbers as
-    [re, im] pairs, the denominator as {"center", "coeffs"}, one row of
-    pairs per numerator coefficient, the arrays as hilbert.finite_array
-    views.  A non-finite numerator entry raises NonFiniteValue."""
+    """The JSON object of an approximant, one build artifact line as
+    hilbert.json_bytes writes it: the BuildParams and Diagnostics fields by
+    name, a non-finite diagnostic as its float (json_bytes writes null),
+    complex numbers as [re, im] pairs, the denominator as {"center",
+    "coeffs"}, one row of pairs per numerator coefficient, the arrays as
+    hilbert.finite_array views.  A non-finite numerator entry raises
+    NonFiniteValue."""
     p, den = approx.params, approx.denominator
     what = f"numerator of the {p.variant} approximant with M = {p.M}"
     return {

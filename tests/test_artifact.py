@@ -1,6 +1,6 @@
 """The text of build artifacts and model files.
 
-Both are written by hilbert.json_text (orjson: keys sorted, no spaces,
+Both are written by hilbert.json_bytes (orjson: keys sorted, no spaces,
 shortest round-trip spelling, numerators and model arrays straight from
 their memory) and must hold the values of an independent json.dumps route,
 bit for bit, on the benchmark workloads and on hand-made extreme floats.
@@ -74,13 +74,13 @@ def test_extreme_floats_round_trip():
     pairs = np.array([[[-0.0, 1e16], [5e-324, -big], [1e-05, 0.1]],
                       [[0.1, -0.0], [1e16, 5e-324], [-big, 1e-05]]])
     approx = hand_made(pairs.view(complex)[..., 0])
-    line = hilbert.json_text(pade.approximant_to_json(approx))
-    assert ('"numerator":[[[-0.0,1e16],[5e-324,-1.7976931348623157e308],'
-            '[0.00001,0.1]],[[0.1,-0.0],[1e16,5e-324],'
-            '[-1.7976931348623157e308,0.00001]]],"params":{' in line)
-    assert line.startswith('{"denominator":{"center":[0.0,0.5],"coeffs":[[0.6,0.0],')
+    line = hilbert.json_bytes(pade.approximant_to_json(approx))
+    assert (b'"numerator":[[[-0.0,1e16],[5e-324,-1.7976931348623157e308],'
+            b'[0.00001,0.1]],[[0.1,-0.0],[1e16,5e-324],'
+            b'[-1.7976931348623157e308,0.00001]]],"params":{' in line)
+    assert line.startswith(b'{"denominator":{"center":[0.0,0.5],"coeffs":[[0.6,0.0],')
     # an overflowed diagnostic reads null, which strict JSON holds
-    assert '"diagnostics":{"condition_estimate":null,"degenerate":false,' in line
+    assert b'"diagnostics":{"condition_estimate":null,"degenerate":false,' in line
     assert orjson.loads(line) == json.loads(line) == json.loads(approximant_line(approx))
     back = pade.approximant_from_json(orjson.loads(line))
     assert back.diagnostics.condition_estimate is None
@@ -92,7 +92,7 @@ def test_non_finite_numerator_raises(bad):
     approx = hand_made(np.array([[1.0, 2.0], [3.0, complex(0.0, bad)]]), M=1,
                        variant="standard")
     with pytest.raises(NonFiniteValue, match="standard approximant with M = 1"):
-        hilbert.json_text(pade.approximant_to_json(approx))
+        hilbert.json_bytes(pade.approximant_to_json(approx))
 
 
 def test_model_file_arrays():
@@ -101,11 +101,11 @@ def test_model_file_arrays():
     model = modal.ModalModel(np.array([5e-324, 1e-05, 1e16, 0.0, 0.1]) + 1j,
                              [1.0, 1.0, 1.0, -sys.float_info.max, 1.0],
                              hilbert.InnerProductWeights.l2(5))
-    text = hilbert.json_text(modal.model_to_json(model))
+    text = hilbert.json_bytes(modal.model_to_json(model))
     assert orjson.loads(text) == json.loads(text) == model_object(model)
-    assert text.startswith('{"coefficients":[[1.0,0.0],')  # keys sorted
-    assert ',"eigenvalues":[[5e-324,1.0],[0.00001,1.0],' in text
-    assert text.endswith('],"weights":[1.0,1.0,1.0,1.0,1.0]}')
+    assert text.startswith(b'{"coefficients":[[1.0,0.0],')  # keys sorted
+    assert b',"eigenvalues":[[5e-324,1.0],[0.00001,1.0],' in text
+    assert text.endswith(b'],"weights":[1.0,1.0,1.0,1.0,1.0]}')
     back = modal.model_from_json(json.loads(text))
     assert np.array_equal(bits(back.eigenvalues), bits(model.eigenvalues))
     assert np.array_equal(bits(back.coefficients), bits(model.coefficients))
@@ -119,7 +119,7 @@ def test_non_finite_model_array_raises():
 
 def artifact_object():
     """The parsed artifact line of a hand-made approximant."""
-    return json.loads(hilbert.json_text(pade.approximant_to_json(hand_made([[1.0], [2.0]]))))
+    return json.loads(hilbert.json_bytes(pade.approximant_to_json(hand_made([[1.0], [2.0]]))))
 
 
 def test_non_finite_denominator_read_back_raises():

@@ -2,7 +2,7 @@
 them, and of two model files; the README's examples as written.
 
 The serialization code must write these bytes exactly: the JSON writer
-hilbert.json_text of pade.approximant_to_json and modal.model_to_json, and
+hilbert.json_bytes of pade.approximant_to_json and modal.model_to_json, and
 the one %-template per CSV command in harness.  The N = 8 study
 also pins the roundoff of the 9 x 9 Jacobi eigensolves behind its standard
 denominators, degenerate minimal eigenvalues included, and of the
@@ -191,9 +191,9 @@ def test_model_file_and_round_trip(tmp_path, name):
     else:
         model = modal.build_rectangle_helmholtz(max_index=6)
     path = tmp_path / "model.json"
-    path.write_text(hilbert.json_text(modal.model_to_json(model)))
+    path.write_bytes(hilbert.json_bytes(modal.model_to_json(model)))
     assert sha256(path) == MODEL_SHA256[name]
     with open(path) as fh:
         back = modal.model_from_json(json.load(fh))
-    path.write_text(hilbert.json_text(modal.model_to_json(back)))
+    path.write_bytes(hilbert.json_bytes(modal.model_to_json(back)))
     assert sha256(path) == MODEL_SHA256[name]

@@ -737,16 +737,16 @@ class TestCommands:
         cfg = harness.parse_config({**SYNTH_CONFIG, "M_list": [1, 2, 3]})
         out = tmp_path / "build.json"
         harness.cmd_build(cfg, str(out))
-        text = out.read_text()
-        entries = json.loads(text)["approximants"]
+        data = out.read_bytes()
+        entries = json.loads(data)["approximants"]
         assert len(entries) == 6
         # one approximant per line, between the opening and closing lines
-        lines = text.split("\n")
-        assert lines[0] == '{"approximants": [' and lines[-2:] == ["]}", ""]
+        lines = data.split(b"\n")
+        assert lines[0] == b'{"approximants": [' and lines[-2:] == [b"]}", b""]
         for line, entry in zip(lines[1:-2], entries, strict=True):
             approx = pade.approximant_from_json(entry)
-            line = line.removesuffix(",")
-            assert hilbert.json_text(pade.approximant_to_json(approx)) == line
+            line = line.removesuffix(b",")
+            assert hilbert.json_bytes(pade.approximant_to_json(approx)) == line
 
     def test_build_center_on_pole(self, tmp_path):
         bad = {**SYNTH_CONFIG, "z0": [1.0, 0.0]}
@@ -1070,6 +1070,24 @@ class TestCli:
         assert cli.main([cmd, "--config", path, "--out", str(out)]) == 3
         assert out.read_bytes() == b"an earlier output\n"
 
+    # the model builds; the standard denominator's rho^(2(E-M)) overflows
+    RHO_OVERFLOW = {"model": {"kind": "synthetic", "poles": [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0],
+                                                             [4.0, 0.0], [5.0, 0.0]],
+                              "residue_norms": [1.0] * 5},
+                    "z0": [0.0, 0.5], "K": [-1.0, 6.0], "M_list": [3], "N": 4,
+                    "rho_rule": {"factor": 1e40}, "E_list": [6], "z_probes": [[0.5, 0.3]]}
+
+    @pytest.mark.parametrize("cmd", ["build", "sweep", "convergence", "poles", "compare"])
+    def test_study_failing_after_the_model(self, tmp_path, capsys, cmd):
+        # the approximants fail before the first chunk is asked for, so an
+        # earlier file keeps its bytes and is not cut
+        path = write_config(tmp_path, self.RHO_OVERFLOW)
+        out = tmp_path / "x.out"
+        out.write_text("an earlier output\n")
+        assert cli.main([cmd, "--config", path, "--out", str(out)]) == 3
+        assert "RhoOverflow" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier output\n"
+
     @pytest.mark.parametrize("cmd", ["build", "sweep", "convergence", "poles", "compare"])
     def test_output_replaces_a_longer_earlier_one(self, tmp_path, cmd):
         path = write_config(tmp_path, SYNTH_CONFIG)
@@ -1080,8 +1098,11 @@ class TestCli:
         assert out.read_bytes() == fresh.read_bytes()
 
     def test_output_to_a_device(self, tmp_path):
+        # the artifact's chunks and the CSV's one chunk, each written to a
+        # device that cannot be cut
         path = write_config(tmp_path, SYNTH_CONFIG)
-        assert cli.main(["sweep", "--config", path, "--out", os.devnull]) == 0
+        for cmd in ("build", "sweep"):
+            assert cli.main([cmd, "--config", path, "--out", os.devnull]) == 0
 
     @pytest.mark.parametrize("cmd", ["build", "sweep", "convergence", "poles", "compare"])
     def test_rerun_overwrites_in_place(self, tmp_path, monkeypatch, cmd):
@@ -1104,7 +1125,7 @@ class TestCli:
                 cuts.append(args)
                 return self.fh.truncate(*args)
 
-        monkeypatch.setattr(harness, "_write", lambda fh, lines: write(Spy(fh), lines))
+        monkeypatch.setattr(harness, "_write", lambda fh, chunks: write(Spy(fh), chunks))
         assert cli.main([cmd, "--config", path, "--out", str(out)]) == 0
         assert (out.read_bytes(), cuts) == (fresh, [])
         out.write_bytes(fresh + b"an earlier tail\n")
@@ -1114,16 +1135,17 @@ class TestCli:
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
     def test_output_to_a_pipe(self, tmp_path):
         # --out /dev/stdout with stdout a pipe, which cannot seek or be
-        # cut, gets the bytes a file gets
+        # cut, gets the bytes a file gets: the build artifact's and a CSV's
         path = write_config(tmp_path, SYNTH_CONFIG)
-        out = tmp_path / "sweep.csv"
-        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
         env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pademor.cli", "sweep", "--config", path,
-             "--out", "/dev/stdout"], env=env, capture_output=True)
-        assert (proc.returncode, proc.stderr) == (0, b"")
-        assert proc.stdout == out.read_bytes()
+        for cmd in ("build", "sweep"):
+            out = tmp_path / f"{cmd}.out"
+            assert cli.main([cmd, "--config", path, "--out", str(out)]) == 0
+            proc = subprocess.run(
+                [sys.executable, "-m", "pademor.cli", cmd, "--config", path,
+                 "--out", "/dev/stdout"], env=env, capture_output=True)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert proc.stdout == out.read_bytes()
 
     def test_build_failing_partway_onto_a_longer_file(self, tmp_path, capsys, monkeypatch):
         # the artifact's second approximant fails to serialize: the earlier,
@@ -1406,8 +1428,8 @@ class TestSharedTaylorBlock:
         stacked = pade.build(model, params)
         for p, shared_build in zip(params, stacked, strict=True):
             own = pade.build(model, [p])[0]
-            assert (hilbert.json_text(pade.approximant_to_json(shared_build))
-                    == hilbert.json_text(pade.approximant_to_json(own)))
+            assert (hilbert.json_bytes(pade.approximant_to_json(shared_build))
+                    == hilbert.json_bytes(pade.approximant_to_json(own)))
 
     @pytest.mark.parametrize("workload", ["helmholtz_reference", "highorder_poles",
                                           "synthetic_dense_grid"])

@@ -2,8 +2,9 @@
 
 The library modules build each record's JSON object and the record from
 one (pade.approximant_to_json, modal.model_to_json and their inverses);
-hilbert.json_text turns an object into text.  Reading and writing files,
-and the '%.17g' spelling of the CSV cells, are the harness's work alone."""
+hilbert.json_bytes turns an object into JSON bytes.  Reading and writing
+files, and the '%.17g' spelling of the CSV cells, are the harness's work
+alone."""
 
 import ast
 from pathlib import Path

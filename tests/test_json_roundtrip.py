@@ -49,15 +49,15 @@ def bits(a):
 
 
 def through_text(obj):
-    return json.loads(hilbert.json_text(obj))
+    return json.loads(hilbert.json_bytes(obj))
 
 
 @SETTINGS
 @given(approximants())
 def test_approximant_round_trip(approx):
     back = pade.approximant_from_json(through_text(pade.approximant_to_json(approx)))
-    assert (hilbert.json_text(pade.approximant_to_json(back))
-            == hilbert.json_text(pade.approximant_to_json(approx)))
+    assert (hilbert.json_bytes(pade.approximant_to_json(back))
+            == hilbert.json_bytes(pade.approximant_to_json(approx)))
     assert np.array_equal(bits(back.numerator.coeffs), bits(approx.numerator.coeffs))
     assert np.array_equal(bits(back.denominator.coeffs), bits(approx.denominator.coeffs))
     assert back.numerator.center == approx.numerator.center
@@ -69,9 +69,9 @@ def test_approximant_round_trip(approx):
 @given(pole_sets())
 def test_synthetic_model_round_trip(poles_norms):
     model = modal.build_synthetic(*poles_norms)
-    text = hilbert.json_text(modal.model_to_json(model))
+    text = hilbert.json_bytes(modal.model_to_json(model))
     back = modal.model_from_json(json.loads(text))
-    assert hilbert.json_text(modal.model_to_json(back)) == text
+    assert hilbert.json_bytes(modal.model_to_json(back)) == text
     assert np.array_equal(bits(back.eigenvalues), bits(model.eigenvalues))
     assert np.array_equal(bits(back.coefficients), bits(model.coefficients))
     assert np.array_equal(bits(back.poles), bits(model.poles))
@@ -86,9 +86,9 @@ def test_synthetic_model_round_trip(poles_norms):
 def test_energy_model_round_trip(modes, shift):
     lam, re, im = (np.array(col) for col in zip(*modes))
     model = modal.ModalModel(lam, re + 1j * im, InnerProductWeights.energy(lam, shift))
-    text = hilbert.json_text(modal.model_to_json(model))
+    text = hilbert.json_bytes(modal.model_to_json(model))
     back = modal.model_from_json(json.loads(text))
-    assert hilbert.json_text(modal.model_to_json(back)) == text
+    assert hilbert.json_bytes(modal.model_to_json(back)) == text
     assert np.array_equal(bits(back.coefficients), bits(model.coefficients))
     assert back.weights.weights.tolist() == model.weights.weights.tolist()
 

@@ -19,7 +19,7 @@ from pademor.errors import (
     QuadratureNotConverged,
 )
 
-from pademor.hilbert import InnerProductWeights, json_text
+from pademor.hilbert import InnerProductWeights, json_bytes
 
 from oracles import doubled_order_converged, gauss_rule, recursive_taylor
 
@@ -630,7 +630,7 @@ class TestRetainedPoles:
 class TestSerialization:
     def test_round_trip(self, helmholtz, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(json_text(modal.model_to_json(helmholtz)))
+        path.write_bytes(json_bytes(modal.model_to_json(helmholtz)))
         with open(path) as fh:
             back = modal.model_from_json(json.load(fh))
         for name in ("eigenvalues", "coefficients", "poles", "residue_norms"):
@@ -658,7 +658,7 @@ class TestSerialization:
         c = helmholtz.coefficients[1]
         assert obj["coefficients"][1].tolist() == [c.real, c.imag]
         assert obj["weights"][1] == 17.0  # 1 + 4 plus the shift nu^2 = 12
-        assert json_text(modal.model_to_json(three_pole)) == (
-            '{"coefficients":[[1.0,0.0],[0.5,0.0],[0.25,0.0]],'
-            '"eigenvalues":[[1.0,0.0],[2.0,0.0],[4.0,0.0]],'
-            '"weights":[1.0,1.0,1.0]}')
+        assert json_bytes(modal.model_to_json(three_pole)) == (
+            b'{"coefficients":[[1.0,0.0],[0.5,0.0],[0.25,0.0]],'
+            b'"eigenvalues":[[1.0,0.0],[2.0,0.0],[4.0,0.0]],'
+            b'"weights":[1.0,1.0,1.0]}')

@@ -270,7 +270,7 @@ class TestSerialization:
         num = poly.ShiftedPolynomial(p.center, [[1.0]])
         approx = pade.PadeApproximant(num, p, pade.BuildParams(p.center, 0, 2, 2),
                                       pade.Diagnostics(0.0, False))
-        text = hilbert.json_text(pade.approximant_to_json(approx))
+        text = hilbert.json_bytes(pade.approximant_to_json(approx))
         back = pade.approximant_from_json(json.loads(text)).denominator
         assert back.center == p.center
         assert np.array_equal(back.coeffs, p.coeffs)
