@@ -5,7 +5,9 @@ each float cell as '%.17g' spells it (17 significant digits, 'inf', 'nan')
 and join each row's cells by ',' ('\\n' line endings); see _cells for how
 the cells of a long CSV are spelled at once.  Every data row carries the
 denominator magnitude so near-pole rows can be masked after the fact
-instead of being dropped.  sweep, convergence and compare measure their
+instead of being dropped.  Each command makes one pade.build call, and
+poles, which builds no numerator, one pade.denominators call and one
+poly.roots pass.  sweep, convergence and compare measure their
 approximants against S one block of points at a time (_grid_errors), so
 that no command holds S, or the approximants' values, on the whole grid.
 """
@@ -25,11 +27,11 @@ from .modal import (
     CENTER_DISTANCE,
     COORDINATE_LIMIT,
     POLE_SEPARATION,
+    _close_pairs,
+    _nearest_pole,
     build_rectangle_helmholtz,
     build_synthetic,
-    close_pairs,
     evaluate_exact_grid,
-    nearest_pole,
     pole_list,
     taylor_coefficients,
 )
@@ -37,6 +39,7 @@ from .hilbert import json_bytes, norm
 
 SLOPE_FIT_WINDOW = (1e-11, 1e-1)
 NEAR_POLE_DISTANCE = 1e-6
+PROBE_DISTANCE = 0.05  # a convergence probe this close to a pole of S is refused
 CELL_CROSSOVER = 512  # fewer float cells than this are spelled one by one
 CELL_CHUNK = 1024  # cells per array pass
 BLOCK_VALUES = 2**17  # complex values of one block of _grid_errors, 2 MiB
@@ -148,7 +151,7 @@ def _model_constructor(spec):
     _known_keys(spec, "$.model", ("kind", "poles", "residue_norms"))
     poles = _list(spec.get("poles"), "$.model.poles", _complex, "[re, im] pairs",
                   nonempty=True)
-    if pairs := close_pairs(poles, POLE_SEPARATION):
+    if pairs := _close_pairs(poles, POLE_SEPARATION):
         j, i = min((j, i) for i, j in pairs)
         raise ConfigError(f"at $.model.poles[{j}]: lies within {POLE_SEPARATION} of poles[{i}]")
     norms = spec.get("residue_norms")
@@ -226,7 +229,7 @@ def build_model(config):
 def _model(config):
     """The study's model; a center on one of its poles is a config error."""
     model = build_model(config)
-    lam, dist = nearest_pole(model, config.z0)
+    lam, dist = _nearest_pole(model, config.z0)
     if dist <= CENTER_DISTANCE:
         raise ConfigError(f"at $.z0: center {config.z0} lies on pole {lam}")
     return model
@@ -251,7 +254,7 @@ def _grid_errors(model, approxs, points):
     (len(approxs), n) arrays, and the points' distances to the poles of S.
     Per block of max(1, BLOCK_VALUES // (approximants x modes)) points: S
     and the distances (evaluate_exact_grid), every approximant
-    (pade.evaluate_stack), one finiteness test, one subtraction of S and
+    (pade._evaluate_stack), one finiteness test, one subtraction of S and
     one norm, each error bit-identical to the norm of its row alone
     (hilbert.norm sums each row apart), whatever the block.  The error is
     inf on a pole of S, whose row is inf, and where the approximant's
@@ -261,7 +264,7 @@ def _grid_errors(model, approxs, points):
     for start in range(0, len(points), size):
         block = slice(start, start + size)
         rows, dist[block] = evaluate_exact_grid(model, points[block])
-        index, values, qmag = pade.evaluate_stack(approxs, points[block])
+        index, values, qmag = pade._evaluate_stack(approxs, points[block])
         finite = np.isfinite(values).all(axis=-1)
         with np.errstate(invalid="ignore"):  # inf - inf on a shared pole
             values -= rows  # |P/Q - S| = |S - P/Q|, bit for bit
@@ -272,7 +275,7 @@ def _grid_errors(model, approxs, points):
     return errors, qmags, dist
 
 
-def fit_decay_factor(indices, errors, window=SLOPE_FIT_WINDOW):
+def _fit_decay_factor(indices, errors, window=SLOPE_FIT_WINDOW):
     """Per-step decay factor from a least-squares fit of log10(error).
 
     Only points inside the window are used (floor/preasymptotic points are
@@ -293,7 +296,7 @@ def fit_decay_factor(indices, errors, window=SLOPE_FIT_WINDOW):
     return float(10.0**slope)
 
 
-def predicted_point_factor(poles, config, z):
+def _predicted_point_factor(poles, config, z):
     """Per-M decay factor |z - z0| / |lambda_{N+1} - z0| of the approximant
     at z; poles = pole_list(model, config.z0).  At z = lambda_alpha, its
     square is the per-E decay factor of the error of pole alpha."""
@@ -302,7 +305,7 @@ def predicted_point_factor(poles, config, z):
     return abs(z - config.z0) / abs(poles[config.N] - config.z0)
 
 
-def complex_to_text(z):
+def _complex_to_text(z):
     """CSV form of a complex scalar: 're±imj'."""
     z = complex(z)
     return "%.17g%+.17gj" % (z.real, z.imag)
@@ -507,12 +510,12 @@ def cmd_convergence(config, model):
     if not probes:
         raise ConfigError("at $.z_probes: convergence study needs probe points")
     for z, dist in zip(probes, evaluate_exact_grid(model, probes)[1].tolist()):
-        if dist < 0.05:  # a retained pole within 0.05, or a row not finite
+        if dist < PROBE_DISTANCE:  # a retained pole that near, or a row not finite
             near = np.abs(model.eigenvalues[model.coefficients != 0] - z).min(initial=math.inf)
-            if near >= 0.05:  # no pole of S, dropped or retained, is near
+            if near >= PROBE_DISTANCE:  # no pole of S, dropped or retained, is near
                 raise ConfigError(f"at $.z_probes: S overflows at probe {z}, {near:.3g} from "
                                   f"the nearest pole")
-            raise ConfigError(f"at $.z_probes: probe {z} is within 0.05 of a pole")
+            raise ConfigError(f"at $.z_probes: probe {z} is within {PROBE_DISTANCE} of a pole")
     for M in config.M_list:
         if M < config.N - 1:
             raise ConfigError(
@@ -531,12 +534,12 @@ def cmd_convergence(config, model):
     ]
     floats = []
     for j, z in enumerate(probes):
-        factors = (fit_decay_factor(config.M_list, errors[:m, j].tolist()),
-                   predicted_point_factor(poles, config, z))
+        factors = (_fit_decay_factor(config.M_list, errors[:m, j].tolist()),
+                   _predicted_point_factor(poles, config, z))
         for ef, es, qf, qs in zip(errors[:m, j], errors[m:, j], qmags[:m, j], qmags[m:, j]):
             floats += (ef, es, qf, qs, *factors)
     cells = iter(_cells(floats))
-    return _lines(header, [complex_to_text(z) for z in probes for _ in range(m)],
+    return _lines(header, [_complex_to_text(z) for z in probes for _ in range(m)],
                   [str(M) for _ in probes for M in config.M_list], *[cells] * 6)
 
 
@@ -552,7 +555,7 @@ def _nearest_root_errors(roots, true_poles):
         dists = all_dists[:, start:stop]
         picked = set(dists.argmin(axis=1).tolist())
         out.append((dists.min(axis=1).tolist(), ";".join(
-            complex_to_text(z) for j, z in enumerate(r) if j not in picked)))
+            _complex_to_text(z) for j, z in enumerate(r) if j not in picked)))
     return out
 
 
@@ -581,7 +584,7 @@ def cmd_poles(config, model):
                                                       "predicted_factor")
                      for a in range(1, N + 1)),
               "q_magnitude_fast", "q_magnitude_std", "extra_roots_fast", "extra_roots_std"]
-    predicted = [predicted_point_factor(poles, config, lam) ** 2 for lam in true_poles]
+    predicted = [_predicted_point_factor(poles, config, lam) ** 2 for lam in true_poles]
     params = _params(config, config.E_list, 0)
     dens = [den for den, _ in pade.denominators(model, params, taylor_coefficients(
         model, config.z0, max(p.E for p in params)))]

@@ -4,9 +4,10 @@ Vectors are plain complex numpy arrays indexed by mode; the inner product
 is given by positive diagonal weights alone, built as plain L2 (all ones)
 or as the energy product ``weight_k = Re eigenvalue_k + shift``.
 
-json_bytes is the package's one JSON writer and finite_array its one
+json_bytes is the package's one JSON writer and _finite_array its one
 encoder of arrays: it checks them and views complex ones as [re, im] float
-pairs, which pairs_to_array reads back.
+pairs, which _pairs_to_array reads back.  The readers check each object
+they index with _json_object.
 """
 
 import numpy as np
@@ -38,7 +39,7 @@ class InnerProductWeights:
         return InnerProductWeights(np.real(np.asarray(eigenvalues, dtype=complex)) + shift)
 
 
-def rescued(sums):
+def _rescued(sums):
     """Indices of the sums of squares that overflow or fall below the
     smallest normal float: their norms are summed again, scaled."""
     return np.flatnonzero(np.isinf(sums) | (sums < np.finfo(float).tiny))
@@ -48,7 +49,7 @@ def norm(u, w):
     """V-norm of a vector, or of each row of an (n, dimension) block.
 
     A row of finite entries, not all zero, whose weighted sum of squares
-    overflows or underflows (rescued) is summed again scaled by its largest
+    overflows or underflows (_rescued) is summed again scaled by its largest
     magnitude, so its norm is accurate whenever it is representable.
     """
     u = np.asarray(u, dtype=complex)
@@ -62,7 +63,7 @@ def norm(u, w):
         sq *= w.weights
         sums = sq.sum(axis=-1)
         norms = np.sqrt(sums)
-        rows = rescued(sums)
+        rows = _rescued(sums)
         if rows.size:
             mags = np.abs(block[rows])
             top = mags.max(axis=-1)
@@ -72,7 +73,7 @@ def norm(u, w):
     return float(norms[0]) if u.ndim == 1 else norms
 
 
-def gram_schmidt(A, w, tol):
+def _gram_schmidt(A, w, tol):
     """The R factors of a weighted QR of each (dim, ncols) quasimatrix of a
     (B, dim, ncols) stack: modified Gram-Schmidt with one reorthogonalization
     pass under <u, v> = sum_k w_k u_k conj(v_k), on every quasimatrix at
@@ -99,7 +100,7 @@ def gram_schmidt(A, w, tol):
     return R
 
 
-def finite_array(a, what):
+def _finite_array(a, what):
     """A float array, or a complex one (a complex scalar included) viewed as
     [re, im] float pairs, C-contiguous for json_bytes to write straight from
     its memory; a real scalar gives a NumPy float.  A non-finite entry,
@@ -122,14 +123,25 @@ def json_bytes(obj):
     return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS)
 
 
-def pairs_to_array(pairs):
-    """Inverse of finite_array on a complex array, bit for bit (signed
+def _json_object(obj, what, keys):
+    """obj, a JSON object holding every one of keys; ValueError naming what
+    and the first key it lacks, or that it is not a JSON object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no key {key!r}")
+    return obj
+
+
+def _pairs_to_array(pairs):
+    """Inverse of _finite_array on a complex array, bit for bit (signed
     zeros included), from nested lists or a float array of [re, im] pairs:
     a complex array, 0-d for a single pair.  DimensionMismatch unless the
     trailing axis holds pairs (lists of unequal lengths included),
     NonFiniteValue on a non-finite entry."""
     try:
-        a = finite_array(np.array(pairs, dtype=float), "an array of [re, im] pairs")
+        a = _finite_array(np.array(pairs, dtype=float), "an array of [re, im] pairs")
     except ValueError as exc:  # lists of unequal lengths: a ragged array
         raise DimensionMismatch(f"not an array of [re, im] pairs: {exc}") from None
     if a.shape[-1:] != (2,):

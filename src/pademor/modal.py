@@ -26,7 +26,8 @@ from .errors import (
     PoleEvaluation,
     QuadratureNotConverged,
 )
-from .hilbert import InnerProductWeights, finite_array, norm, pairs_to_array, rescued
+from .hilbert import (InnerProductWeights, _finite_array, _json_object, _pairs_to_array, _rescued,
+                      norm)
 from .poly import ShiftedPolynomial
 
 POLE_GROUP_TOL = 1e-12
@@ -73,7 +74,7 @@ class ModalModel:
         return norm(self.coefficients, self.weights)
 
 
-def close_pairs(points, tol):
+def _close_pairs(points, tol):
     """The pairs (i, j), i < j, of the complex points within tol of each
     other by Python's abs, each pair compared once."""
     return [(i, j) for j in range(len(points)) for i in range(j)
@@ -87,7 +88,7 @@ def build_synthetic(poles, residue_norms):
     # built first: it rejects a pole whose differences could overflow below,
     # and residue norms that are not one per pole (LengthMismatch)
     model = ModalModel(poles, norms, InnerProductWeights.l2(len(poles)))
-    if pairs := close_pairs(poles, POLE_SEPARATION):
+    if pairs := _close_pairs(poles, POLE_SEPARATION):
         i, j = min(pairs)
         raise DuplicatePoles(f"poles {poles[i]} and {poles[j]} coincide")
     if any(r <= 0.0 for r in norms):
@@ -235,7 +236,7 @@ def _retained_poles(model):
     norms = np.sqrt(sums)
     # a group whose sum hilbert.norm would rescue takes its scaled sum
     bounds = starts + [lam.size]
-    for i in rescued(sums):
+    for i in _rescued(sums):
         group = slice(bounds[i], bounds[i + 1])
         norms[i] = norm(coef[group], InnerProductWeights(weights[group]))
     keep = norms > DROP_THRESHOLD * model.source_norm()
@@ -250,7 +251,7 @@ def pole_list(model, z0):
     return model.poles[order].tolist()
 
 
-def nearest_pole(model, z):
+def _nearest_pole(model, z):
     """(pole, distance) of the retained pole nearest to z, ties broken by
     (Re, Im); (None, inf) if the model retains no pole."""
     if model.poles.size == 0:
@@ -274,7 +275,7 @@ def evaluate_exact(model, z):
     of evaluate_exact_grid at z; PoleEvaluation within 1e-12 of a retained
     pole."""
     z = complex(z)
-    lam, dist = nearest_pole(model, z)
+    lam, dist = _nearest_pole(model, z)
     if dist <= POLE_EVAL_TOL:
         raise PoleEvaluation(f"point {z} lies within 1e-12 of pole {lam}", pole=lam)
     return evaluate_exact_grid(model, [z])[0][0]
@@ -309,7 +310,7 @@ def taylor_coefficients(model, z0, E):
     z0 = complex(z0)
     if not np.isfinite(z0):
         raise NonFiniteValue(f"Taylor center {z0} is not finite")
-    lam, dist = nearest_pole(model, z0)
+    lam, dist = _nearest_pole(model, z0)
     if dist <= CENTER_DISTANCE:
         raise CenterOnPole(f"point {z0} lies within {CENTER_DISTANCE:g} of pole {lam}")
     base = model.eigenvalues - z0
@@ -329,15 +330,18 @@ def taylor_coefficients(model, z0, E):
 
 def model_to_json(model):
     """{"eigenvalues": pairs, "coefficients": pairs, "weights": floats} as
-    hilbert.finite_array views (NonFiniteValue on a non-finite entry)."""
+    hilbert._finite_array views (NonFiniteValue on a non-finite entry)."""
     arrays = {"eigenvalues": model.eigenvalues, "coefficients": model.coefficients,
               "weights": model.weights.weights}
-    return {key: finite_array(a, f"model {key}") for key, a in arrays.items()}
+    return {key: _finite_array(a, f"model {key}") for key, a in arrays.items()}
 
 
 def model_from_json(obj):
+    """The model of model_to_json's object; ValueError if obj is not a
+    JSON object or lacks one of its three keys."""
+    obj = _json_object(obj, "model", ("eigenvalues", "coefficients", "weights"))
     return ModalModel(
-        pairs_to_array(obj["eigenvalues"]),
-        pairs_to_array(obj["coefficients"]),
+        _pairs_to_array(obj["eigenvalues"]),
+        _pairs_to_array(obj["coefficients"]),
         InnerProductWeights(obj["weights"]),
     )

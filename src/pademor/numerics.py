@@ -16,7 +16,7 @@ its zero diagonal entries written back.  Only the vectors compared or
 returned are phase-fixed.  All routines are pure functions on value
 inputs.  EIGEN_TOL and ROOT_TOL are the eigen- and root-residual
 contracts; a leading coefficient TRIM_THRESHOLD times the largest or
-smaller vanishes.  A MinEigen is (value, vector, degenerate) and,
+smaller vanishes.  A _MinEigen is (value, vector, degenerate) and,
 for an eigenpair of hermitian_min_eigenpair, the largest eigenvalue.
 
 The eigensystems, the singular vectors and the roots are solved for a
@@ -35,7 +35,7 @@ the host has it, and which one depends on the operand order: each
 complex product keeps its operand order.  A modulus that Python's abs
 took is np.hypot of the parts, not np.abs.  A norm that feeds a
 threshold or a quotient is the two BLAS dots np.linalg.norm takes of the
-row alone, x.real.dot(x.real) + x.imag.dot(x.imag), then sqrt (norms,
+row alone, x.real.dot(x.real) + x.imag.dot(x.imag), then sqrt (_norms,
 on the same strides); a sum along an axis adds in another order.  A
 square that Python's ** took stays libm's pow, not NumPy's x * x.
 """
@@ -58,10 +58,10 @@ MAX_JACOBI_SWEEPS = 100
 IDENTITY = (1.0, 0j, 0j)
 
 
-MinEigen = collections.namedtuple("MinEigen", "value vector degenerate top", defaults=[None])
+_MinEigen = collections.namedtuple("_MinEigen", "value vector degenerate top", defaults=[None])
 
 
-def phase_fix(v):
+def _phase_fix(v):
     """Rotate each row of the array v, a vector or a stack of them, so that its
     largest-magnitude entry, the first on ties, is real nonnegative.  A
     zero row is returned unchanged.  The index is compared as a float: an
@@ -76,7 +76,7 @@ def phase_fix(v):
     return np.where(zero, v, out)
 
 
-def norms(X):
+def _norms(X):
     """np.linalg.norm of each row of a 2-d array, by the two BLAS dots it
     takes of the row alone: matmul's vector-vector loop calls the same
     ddot on the same strides."""
@@ -115,7 +115,7 @@ def _jacobi(matrices):
     H, n = np.array(matrices, dtype=complex), s[0]
     if not np.isfinite(H).all():
         raise NonFiniteValue("matrix has a non-finite entry")
-    scales = norms(H.reshape(-1, n * n))
+    scales = _norms(H.reshape(-1, n * n))
     devs = np.abs(H - H.conj().mT).max(axis=(1, 2))
     skew = np.flatnonzero(devs > HERMITIAN_TOL * np.maximum(scales, 1e-300))
     if skew.size:
@@ -124,7 +124,7 @@ def _jacobi(matrices):
     W = S = np.concatenate((0.5 * (H + H.conj().mT), np.zeros_like(H) + np.eye(n)), axis=1)
     live, mask = np.arange(len(S)), np.eye(n) == 0
     for sweep in range(MAX_JACOBI_SWEEPS + 1):
-        done = norms(W[:, :n][:, mask]) <= 0.1 * EIGEN_TOL * scales[live]
+        done = _norms(W[:, :n][:, mask]) <= 0.1 * EIGEN_TOL * scales[live]
         if done.any():
             S[live[done]], W, live = W[done], W[~done], live[~done]
         if not live.size:
@@ -185,7 +185,7 @@ def hermitian_eigensystem(matrices):
 
 def hermitian_min_eigenpair(matrices):
     """Smallest eigenpair of each of a list of Hermitian matrices of one
-    order (_jacobi), as a MinEigen, the pick, both phase fixes and the
+    order (_jacobi), as a _MinEigen, the pick, both phase fixes and the
     normalisation as passes over the stack.
 
     The eigenvector is unit-norm with its largest-magnitude entry real
@@ -200,16 +200,16 @@ def hermitian_min_eigenpair(matrices):
     vals, vecs, scales = _jacobi(matrices)
     near = vals - vals[:, :1] < DEGENERACY_GAP * np.maximum(scales, 1e-300)[:, None]
     degenerate = near[:, 1:].any(axis=1)
-    v = phase_fix(vecs[:, :, 0])
+    v = _phase_fix(vecs[:, :, 0])
     for b in np.flatnonzero(degenerate):
-        v[b] = min(phase_fix(vecs[b].T[near[b]]), key=lambda u: (*u.real, *u.imag))
-    return list(map(MinEigen, vals[:, 0].tolist(), phase_fix(v / norms(v)[:, None]),
+        v[b] = min(_phase_fix(vecs[b].T[near[b]]), key=lambda u: (*u.real, *u.imag))
+    return list(map(_MinEigen, vals[:, 0].tolist(), _phase_fix(v / _norms(v)[:, None]),
                     degenerate.tolist(), vals[:, -1].tolist()))
 
 
 def min_right_singular_vector(R):
     """Right-singular vector for the smallest singular value of each small
-    square factor of a (B, n, n) stack, taken as complex, as a MinEigen
+    square factor of a (B, n, n) stack, taken as complex, as a _MinEigen
     whose value is that singular value, by one SVD, each giving what it
     gives alone; a non-finite entry raises NoConvergence.
 
@@ -229,8 +229,8 @@ def min_right_singular_vector(R):
     s, Vh = np.linalg.svd(R)[1:]
     t = s / np.where(s[:, :1] > 0.0, s[:, :1], 1.0)
     flags = [len(d) > 1 and d[0] ** 2 - d[1] ** 2 < gap for d, gap in zip(
-        t[:, -2:].tolist(), (DEGENERACY_GAP * np.maximum(norms(t**2), 1e-300)).tolist())]
-    return list(map(MinEigen, s[:, -1].tolist(), phase_fix(Vh[:, -1].conj()), flags))
+        t[:, -2:].tolist(), (DEGENERACY_GAP * np.maximum(_norms(t**2), 1e-300)).tolist())]
+    return list(map(_MinEigen, s[:, -1].tolist(), _phase_fix(Vh[:, -1].conj()), flags))
 
 
 def _horner(b, x):

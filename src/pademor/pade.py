@@ -14,15 +14,15 @@ The approximants of a command are built as one stack (build): every
 denominator first, solved as one stack per variant and N (denominators),
 each giving the bytes it gives alone, so that NumPy's cost per call is
 paid once: the fast ones by one QR of all their windows
-(hilbert.gram_schmidt), one SVD of all their full-rank factors and one
+(hilbert._gram_schmidt), one SVD of all their full-rank factors and one
 null-direction pass over the rank-deficient ones (_null_directions), the
 standard ones by one lockstep Jacobi over all their Gramian sums
 (numerics.hermitian_min_eigenpair), whose blocks, shared by the sums of a
 stack, are each computed once, on windows sliced from one conjugated and
 one weighted copy of the Taylor rows (_gramian_blocks); then the
-numerators.  They are evaluated as one stack as well (evaluate_stack), at
+numerators.  They are evaluated as one stack as well (_evaluate_stack), at
 the points given: Q by one Horner pass and P by one pass over all the
-numerators (poly.horner); the caller (harness._grid_errors) chooses the
+numerators (poly._horner); the caller (harness._grid_errors) chooses the
 blocks of points.
 """
 
@@ -45,8 +45,8 @@ class _BuildFields(NamedTuple):
     M: int
     N: int
     E: int
-    variant: str = "fast"  # "fast" or "standard"
-    rho: float | None = None
+    variant: str  # "fast" or "standard"
+    rho: float | None
 
 
 class BuildParams(_BuildFields):
@@ -111,10 +111,10 @@ def _taylor_rows(taylor, N, top):
 
 def _eigvec_denominators(res, z0):
     """Q = sum_j q_j (z - z0)^{N-j}, a_{N-j} = q_j, for the vector q of each
-    MinEigen of res; the unit-norm check (NotNormalized, a nan norm
+    numerics._MinEigen of res; the unit-norm check (NotNormalized, a nan norm
     included) is one pass."""
     vectors = np.array([r.vector for r in res])
-    norms = numerics.norms(vectors)
+    norms = numerics._norms(vectors)
     off = np.flatnonzero(~(abs(norms - 1.0) <= 1e-12))
     if off.size:
         raise NotNormalized(f"eigenvector norm {float(norms[off[0]]):.15e} != 1")
@@ -245,7 +245,7 @@ def denominator_fast_gramian(taylor, N, Es, w):
 
 def _null_directions(R, cols):
     """Unit vector q with R q ~= 0 of each factor of a (B, n, n) stack,
-    built from its rank-deficient column, the entry of cols, as a MinEigen
+    built from its rank-deficient column, the entry of cols, as a _MinEigen
     of value ||R q||, flagged degenerate: one solve and one R q per factor,
     the norms, the division and the phase fix as passes over the stack.  A
     vector whose norm overflows is first scaled by the power of two that
@@ -258,15 +258,15 @@ def _null_directions(R, cols):
         q[j] = 1.0
         q[:j] = np.linalg.solve(Rb[:j, :j], -Rb[:j, j])
     with np.errstate(over="ignore"):
-        sizes = numerics.norms(Q)
+        sizes = numerics._norms(Q)
     big = np.isinf(sizes)
     if big.any():
         parts = Q[big].view(float)
         Q[big] = np.ldexp(parts, 1 - np.frexp(abs(parts).max(axis=1))[1][:, None]).view(complex)
-        sizes[big] = numerics.norms(Q[big])
-    Q = numerics.phase_fix(Q / sizes[:, None])
-    values = numerics.norms(np.array([Rb @ q for Rb, q in zip(R, Q)]))
-    return [numerics.MinEigen(value, q, True) for value, q in zip(values.tolist(), Q)]
+        sizes[big] = numerics._norms(Q[big])
+    Q = numerics._phase_fix(Q / sizes[:, None])
+    values = numerics._norms(np.array([Rb @ q for Rb, q in zip(R, Q)]))
+    return [numerics._MinEigen(value, q, True) for value, q in zip(values.tolist(), Q)]
 
 
 def denominator_fast_qr(taylor, N, items, w):
@@ -293,7 +293,7 @@ def denominator_fast_qr(taylor, N, items, w):
     windows = np.array([rows[E : E + N + 1].T for E in Es])
     del rows
     ks = _scale(windows)
-    R = hilbert.gram_schmidt(windows, w, QR_DEGENERACY_THRESHOLD)
+    R = hilbert._gram_schmidt(windows, w, QR_DEGENERACY_THRESHOLD)
     diags = np.abs(R.diagonal(axis1=1, axis2=2))
     low = diags <= QR_DEGENERACY_THRESHOLD * np.maximum(diags[:, :1], 1e-300)
     exact = low.any(axis=1)
@@ -342,7 +342,7 @@ def denominators(model, params, taylor):
         if taylor.center != p.z0:
             raise ValueError(f"Taylor block centred at {taylor.center}, approximant at {p.z0}")
     found = {}
-    groups = poly.stacks(params, lambda p: (p.variant == "fast", p.N))
+    groups = poly._stacks(params, lambda p: (p.variant == "fast", p.N))
     for (fast, N), index in sorted(groups.items()):
         items = [(params[i].M, params[i].E, params[i].rho) for i in index]
         solve = (denominator_standard, denominator_fast_qr)[fast]
@@ -370,14 +370,14 @@ def build(model, params):
             for p, (den, diag) in zip(params, denominators(model, params, taylor))]
 
 
-def evaluate_stack(approxs, points):
+def _evaluate_stack(approxs, points):
     """(index, values, qmag): P(z)/Q(z) and |Q(z)| of each of approxs, a
     stack of one center, numerator row shape and denominator degree
     (ValueError otherwise), at each of a 1-d array of points, as a
     (len(approxs), points, dimension) and a (len(approxs), points) array in
     the order index, by numerator degree, highest first; empty arrays for
     an empty stack.  One Horner pass for Q (poly.evaluate) and one for P
-    (poly.horner); each value is bit-identical to its approximant's
+    (poly._horner); each value is bit-identical to its approximant's
     evaluated alone, whatever the other points.  |Q| is taken by np.hypot,
     bit-identical to Python abs but inf, not OverflowError, where the
     modulus of finite parts overflows.  No error or warning is raised near
@@ -394,7 +394,7 @@ def evaluate_stack(approxs, points):
     ps = [approxs[i].numerator for i in index]
     qz = poly.evaluate([approxs[i].denominator for i in index], points)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = poly.horner(ps, points - ps[0].center)
+        values = poly._horner(ps, points - ps[0].center)
         values /= qz[..., None]
         qmag = np.hypot(qz.real, qz.imag)
     return index, values, qmag
@@ -403,12 +403,12 @@ def evaluate_stack(approxs, points):
 def evaluate(approx, z):
     """P(z)/Q(z) together with |Q(z)|: a (dimension,) array and a float at
     a point, an array of one row per point and an array of one value per
-    point along an array of points, by evaluate_stack, so that the
+    point along an array of points, by _evaluate_stack, so that the
     commands, which evaluate all their approximants as one stack, write the
     bytes this gives, whatever the other points: Q(z) rounded as Horner on
     Python complex numbers, P(z) as Horner on NumPy complex arrays."""
     points = np.asarray(z, dtype=complex)
-    _, [values], [qmag] = evaluate_stack([approx], points.reshape(-1))
+    _, [values], [qmag] = _evaluate_stack([approx], points.reshape(-1))
     return values.reshape(points.shape + values.shape[1:]), (
         float(qmag[0]) if points.ndim == 0 else qmag.reshape(points.shape))
 
@@ -461,35 +461,42 @@ def approximant_to_json(approx):
     name, a non-finite diagnostic as its float (json_bytes writes null),
     complex numbers as [re, im] pairs, the denominator as {"center",
     "coeffs"}, one row of pairs per numerator coefficient, the arrays as
-    hilbert.finite_array views.  A non-finite numerator entry raises
+    hilbert._finite_array views.  A non-finite numerator entry raises
     NonFiniteValue."""
     p, den = approx.params, approx.denominator
     what = f"numerator of the {p.variant} approximant with M = {p.M}"
     return {
-        "params": {**p._asdict(), "z0": hilbert.finite_array(p.z0, "z0")},
+        "params": {**p._asdict(), "z0": hilbert._finite_array(p.z0, "z0")},
         "denominator": {
-            "center": hilbert.finite_array(den.center, "polynomial center"),
-            "coeffs": hilbert.finite_array(den.coeffs, "polynomial coefficients"),
+            "center": hilbert._finite_array(den.center, "polynomial center"),
+            "coeffs": hilbert._finite_array(den.coeffs, "polynomial coefficients"),
         },
         "diagnostics": approx.diagnostics._asdict(),
-        "numerator": hilbert.finite_array(approx.numerator.coeffs, what),
+        "numerator": hilbert._finite_array(approx.numerator.coeffs, what),
     }
 
 
 def approximant_from_json(obj):
     """The approximant of an artifact object, approximant_to_json's form:
-    NonFiniteValue on a non-finite entry (hilbert.pairs_to_array), and
-    DimensionMismatch unless the denominator holds N + 1 coefficients and
-    the numerator M + 1 rows of mode coefficients."""
-    z0 = hilbert.pairs_to_array(obj["params"]["z0"])
-    params = BuildParams(**{**obj["params"], "z0": z0})
-    den = obj["denominator"]
-    den = poly.ShiftedPolynomial(hilbert.pairs_to_array(den["center"]),
-                                 hilbert.pairs_to_array(den["coeffs"]))
-    num = poly.ShiftedPolynomial(den.center, hilbert.pairs_to_array(obj["numerator"]))
+    ValueError where an entry is not a JSON object or lacks a key that has
+    no default (hilbert._json_object), NonFiniteValue on a non-finite entry
+    (hilbert._pairs_to_array), and DimensionMismatch unless the denominator
+    holds N + 1 coefficients and the numerator M + 1 rows of mode
+    coefficients."""
+    obj = hilbert._json_object(obj, "approximant",
+                               ("params", "denominator", "numerator", "diagnostics"))
+    p = hilbert._json_object(obj["params"], "approximant params", ("z0", "M", "N", "E"))
+    params = BuildParams(**{**p, "z0": hilbert._pairs_to_array(p["z0"])})
+    den = hilbert._json_object(obj["denominator"], "approximant denominator",
+                               ("center", "coeffs"))
+    den = poly.ShiftedPolynomial(hilbert._pairs_to_array(den["center"]),
+                                 hilbert._pairs_to_array(den["coeffs"]))
+    num = poly.ShiftedPolynomial(den.center, hilbert._pairs_to_array(obj["numerator"]))
     if den.coeffs.shape != (params.N + 1,) or num.coeffs.shape[:-1] != (params.M + 1,):
         raise DimensionMismatch(
             f"denominator of shape {den.coeffs.shape} and numerator of shape "
             f"{num.coeffs.shape} for N = {params.N}, M = {params.M}"
         )
-    return PadeApproximant(num, den, params, Diagnostics(**obj["diagnostics"]))
+    diag = hilbert._json_object(obj["diagnostics"], "approximant diagnostics",
+                                ("functional_value", "degenerate"))
+    return PadeApproximant(num, den, params, Diagnostics(**diag))

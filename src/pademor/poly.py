@@ -7,10 +7,10 @@ unit coefficient sphere sum |a_j|^2 = 1.
 
 Polynomials are evaluated by Horner: a stack of scalar ones of one degree
 by evaluate, rounded as Python's complex arithmetic rounds, and a stack of
-one center and coefficient row shape, of any degrees, by horner, one step
+one center and coefficient row shape, of any degrees, by _horner, one step
 per coefficient row, every value rounded as NumPy's complex array product
 rounds, whatever the grid or stack it is evaluated in;
-ShiftedPolynomial.__call__ is horner on a stack of one.
+ShiftedPolynomial.__call__ is _horner on a stack of one.
 """
 
 import numpy as np
@@ -34,14 +34,14 @@ class ShiftedPolynomial:
     def __call__(self, z):
         """Horner evaluation on NumPy arrays at a point, or at each of an
         array of points: one value (a row for a vector polynomial) each, by
-        horner on a stack of one."""
+        _horner on a stack of one."""
         z = np.asarray(z, dtype=complex)
         # points as an array, never a NumPy scalar, whose products round apart
-        [values] = horner([self], z.reshape(-1) - self.center)
+        [values] = _horner([self], z.reshape(-1) - self.center)
         return values.reshape(z.shape + self.coeffs.shape[1:])
 
 
-def horner(ps, dz):
+def _horner(ps, dz):
     """Horner evaluation of each of ps, polynomials of one coefficient row
     shape listed by degree, highest first, at each offset z - center of a
     1-d array dz: a (len(ps), len(dz)) + row shape array, by one pass.
@@ -101,7 +101,7 @@ def evaluate(ps, points):
     return qz
 
 
-def stacks(items, key):
+def _stacks(items, key):
     """{key(item): indices} of items, each list of indices in order: the
     stacks that one array pass solves together."""
     found = {}
@@ -142,7 +142,7 @@ def roots(ps):
     if min(sizes, default=2) < 2:
         raise ConstantPolynomial("polynomial has effective degree 0")
     out, centers = list(ps), np.array([p.center for p in ps])[:, None]
-    for n, index in stacks(sizes, int).items():
+    for n, index in _stacks(sizes, int).items():
         c = centers[index]
         r = numerics.polynomial_roots(a[index, :n]) + c
         d = r - c

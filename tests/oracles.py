@@ -52,7 +52,7 @@ def normalize(p):
     nrm = np.linalg.norm(p.coeffs)
     if pivot.imag == 0.0 and pivot.real > 0.0 and abs(nrm - 1.0) <= 4 * np.finfo(float).eps:
         return p
-    c = numerics.phase_fix(p.coeffs)
+    c = numerics._phase_fix(p.coeffs)
     c = c / np.linalg.norm(c)
     return poly.ShiftedPolynomial(p.center, c)
 
@@ -235,7 +235,7 @@ def point_errors(model, approx, points, near_distance=1e-6):
             pz = pz * dz + row
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             value = pz / qz
-        dist = modal.nearest_pole(model, z)[1]
+        dist = modal._nearest_pole(model, z)[1]
         if dist <= 1e-12 or not np.isfinite(value).all():
             error = math.inf
         else:
@@ -298,7 +298,7 @@ def loop_numerator(taylor, Q, M):
 def column_mgs(A, w):
     """Weighted modified Gram-Schmidt with one reorthogonalization pass,
     basis as columns and one inner_product call per projection, on one
-    quasimatrix: the loop that hilbert.gram_schmidt runs on a stack of
+    quasimatrix: the loop that hilbert._gram_schmidt runs on a stack of
     them.  Returns R."""
     ncols = A.shape[1]
     Q = np.zeros_like(A)
@@ -338,7 +338,7 @@ def check_hermitian(H):
 
 
 def vector_phase_fix(v):
-    """numerics.phase_fix of one vector, by Python's abs and a NumPy
+    """numerics._phase_fix of one vector, by Python's abs and a NumPy
     scalar factor: the per-vector form its row pass replaced."""
     v = np.asarray(v, dtype=complex)
     k = int(np.argmax(np.abs(v)))
@@ -373,7 +373,7 @@ def singular_min_eigen(R):
     t = s / s[0] if s[0] > 0.0 else s
     gap_tol = numerics.DEGENERACY_GAP * max(np.linalg.norm(t**2), 1e-300)
     degenerate = s.size > 1 and bool(t[-2] ** 2 - t[-1] ** 2 < gap_tol)
-    return numerics.MinEigen(float(s[-1]), vector_phase_fix(Vh[-1].conj()), degenerate)
+    return numerics._MinEigen(float(s[-1]), vector_phase_fix(Vh[-1].conj()), degenerate)
 
 
 def unit_denominator(q, z0):
@@ -532,13 +532,13 @@ def null_direction(R, j):
         q = np.ldexp(parts, 1 - np.frexp(np.abs(parts).max())[1]).view(complex)
         size = np.linalg.norm(q)
     q = vector_phase_fix(q / size)
-    return numerics.MinEigen(float(np.linalg.norm(R @ q)), q, True)
+    return numerics._MinEigen(float(np.linalg.norm(R @ q)), q, True)
 
 
 def loop_fast_denominator(taylor, N, E, w):
     """pade.denominator_fast_qr of one window by the per-item steps it took
     before they ran as passes over the stack: the window scaled alone
-    (block_scale_exponent), its factor R (hilbert.gram_schmidt of a stack
+    (block_scale_exponent), its factor R (hilbert._gram_schmidt of a stack
     of one), the null direction or the singular pair of R alone
     (null_direction, singular_min_eigen), the unit-norm check on the vector alone, and the
     diagnostics, as loop_standard_denominator."""
@@ -546,7 +546,7 @@ def loop_fast_denominator(taylor, N, E, w):
     k = block_scale_exponent(A)
     if k:
         A *= 2.0**-k
-    R = hilbert.gram_schmidt(A[None], w, pade.QR_DEGENERACY_THRESHOLD)[0]
+    R = hilbert._gram_schmidt(A[None], w, pade.QR_DEGENERACY_THRESHOLD)[0]
     d = np.abs(R.diagonal())
     low = d <= pade.QR_DEGENERACY_THRESHOLD * max(d[0], 1e-300)
     res = null_direction(R, int(np.argmax(low))) if low.any() else singular_min_eigen(R)
@@ -621,7 +621,7 @@ def loop_roots(p):
 def loop_config_separation(poles):
     """The message of the first pair of poles within modal.POLE_SEPARATION,
     smallest j, then smallest i, or None: the loop over every pair that
-    harness._model_constructor ran before modal.close_pairs."""
+    harness._model_constructor ran before modal._close_pairs."""
     for j, lam in enumerate(poles):
         for i in range(j):
             if not abs(lam - poles[i]) > modal.POLE_SEPARATION:
@@ -633,7 +633,7 @@ def loop_duplicate_poles(poles):
     """The DuplicatePoles message of the first pair of poles within
     modal.POLE_SEPARATION, smallest i, then smallest j, or None: the loop
     over every pair that modal.build_synthetic ran before
-    modal.close_pairs."""
+    modal._close_pairs."""
     for i in range(len(poles)):
         for j in range(i + 1, len(poles)):
             if abs(poles[i] - poles[j]) <= modal.POLE_SEPARATION:
@@ -681,11 +681,11 @@ def template_convergence(config, model):
     row = "%s,%d" + ",%.17g" * (len(header) - 2)
     lines = [",".join(header)]
     for j, z in enumerate(probes):
-        fitted = harness.fit_decay_factor(config.M_list, [ef[j] for ef in errors[:m]])
-        predicted = harness.predicted_point_factor(poles, config, z)
+        fitted = harness._fit_decay_factor(config.M_list, [ef[j] for ef in errors[:m]])
+        predicted = harness._predicted_point_factor(poles, config, z)
         for M, ef, es, qf, qs in zip(config.M_list, errors[:m], errors[m:], qmags[:m],
                                      qmags[m:]):
-            lines.append(row % (harness.complex_to_text(z), M, ef[j], es[j], qf[j], qs[j],
+            lines.append(row % (harness._complex_to_text(z), M, ef[j], es[j], qf[j], qs[j],
                                 fitted, predicted))
     return lines
 
@@ -700,7 +700,7 @@ def template_poles(config, model):
               "q_magnitude_fast", "q_magnitude_std", "extra_roots_fast", "extra_roots_std"]
     row = "%d" + ",%.17g" * (len(header) - 3) + ",%s,%s"
     lines = [",".join(header)]
-    predicted = [harness.predicted_point_factor(poles, config, lam) ** 2 for lam in true_poles]
+    predicted = [harness._predicted_point_factor(poles, config, lam) ** 2 for lam in true_poles]
     params = harness._params(config, config.E_list, 0)
     dens = [den for den, _ in pade.denominators(model, params, modal.taylor_coefficients(
         model, config.z0, max(p.E for p in params)))]

@@ -85,8 +85,8 @@ def test_criterion_2_pole_rate(helmholtz):
     E_values = list(range(2, 14))
     errs = fast_pole_errors(helmholtz, Z0, 2, E_values, [13.0, 10.0])
     window = (1e-12, 1e-5)
-    f1 = harness.fit_decay_factor(E_values, errs[13.0], window=window)
-    f2 = harness.fit_decay_factor(E_values, errs[10.0], window=window)
+    f1 = harness._fit_decay_factor(E_values, errs[13.0], window=window)
+    f2 = harness._fit_decay_factor(E_values, errs[10.0], window=window)
     ok1 = abs(f1 - 1 / 13) <= 0.20 / 13
     ok2 = abs(f2 - 17 / 65) <= 0.25 * 17 / 65
     assert report(
@@ -108,7 +108,7 @@ def test_criterion_2_pole_rate_at_N4(helmholtz):
     poles = modal.pole_list(helmholtz, Z0)[:5]
     errs = fast_pole_errors(helmholtz, Z0, 4, E_values, poles[:4])
     window = (1e-12, 1e-5)
-    fits = {lam: harness.fit_decay_factor(E_values, e, window=window)
+    fits = {lam: harness._fit_decay_factor(E_values, e, window=window)
             for lam, e in errs.items()}
     crossing = {lam: f for lam, f in fits.items() if not np.isnan(f)}
     predicted = {lam: abs(lam - Z0) ** 2 / abs(poles[4] - Z0) ** 2 for lam in crossing}
@@ -134,7 +134,7 @@ def test_criterion_3_approximant_rate(helmholtz):
             val, _ = pade.evaluate(ap, z)
             exact = modal.evaluate_exact(helmholtz, z)
             errors.append(norm(val - exact, helmholtz.weights))
-        fitted = harness.fit_decay_factor(M_values, errors, window=(1e-12, 1e3))
+        fitted = harness._fit_decay_factor(M_values, errors, window=(1e-12, 1e3))
         ok &= abs(fitted - target) <= 0.20 * target
         details.append(f"z={z:g}: fitted {fitted:.5f} vs {target:.5f}")
     assert report(3, "approximant rate", ok, "; ".join(details) + " (+-20%)")

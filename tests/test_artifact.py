@@ -178,3 +178,56 @@ def test_cli_import_leaves_orjson_unloaded():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import pademor.cli; "
             "sys.exit('orjson' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code, src]).returncode == 0
+
+
+def without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+# An artifact object damaged in its structure, and the error's text: the
+# reader raised KeyError or TypeError on each.
+MALFORMED_ARTIFACTS = {
+    "empty": (lambda a: {}, "approximant has no key 'params'"),
+    "whole artifact": (lambda a: {"approximants": [a]}, "approximant has no key 'params'"),
+    "a list": (lambda a: [a], "approximant is not a JSON object"),
+    "no numerator": (lambda a: without(a, "numerator"), "approximant has no key 'numerator'"),
+    "params a list": (lambda a: {**a, "params": []}, "approximant params is not a JSON object"),
+    "params without M": (lambda a: {**a, "params": without(a["params"], "M")},
+                         "approximant params has no key 'M'"),
+    "denominator a list": (lambda a: {**a, "denominator": a["denominator"]["coeffs"]},
+                           "approximant denominator is not a JSON object"),
+    "denominator without center": (lambda a: {**a, "denominator": without(a["denominator"],
+                                                                          "center")},
+                                   "approximant denominator has no key 'center'"),
+    "diagnostics without degenerate": (
+        lambda a: {**a, "diagnostics": without(a["diagnostics"], "degenerate")},
+        "approximant diagnostics has no key 'degenerate'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARTIFACTS))
+def test_malformed_artifact_object_raises_value_error(case):
+    damage, message = MALFORMED_ARTIFACTS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pade.approximant_from_json(damage(artifact_object()))
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({}, "model has no key 'eigenvalues'"),
+    ([], "model is not a JSON object"),
+    ({"eigenvalues": [[1.0, 0.0]], "coefficients": [[1.0, 0.0]]}, "model has no key 'weights'"),
+])
+def test_malformed_model_object_raises_value_error(obj, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        modal.model_from_json(obj)
+
+
+def test_artifact_object_without_defaulted_keys_reads_their_defaults():
+    obj = artifact_object()
+    obj["params"] = without(without(obj["params"], "variant"), "rho")
+    obj["diagnostics"] = {key: obj["diagnostics"][key] for key in ("functional_value",
+                                                                 "degenerate")}
+    approx = pade.approximant_from_json(obj)
+    assert (approx.params.variant, approx.params.rho) == ("fast", None)
+    assert approx.diagnostics == pade.Diagnostics(obj["diagnostics"]["functional_value"],
+                                                  obj["diagnostics"]["degenerate"])

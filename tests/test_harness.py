@@ -68,7 +68,7 @@ class TestFmt:
         digits = [cell.split("e")[0].lstrip("-").replace(".", "").lstrip("0")
                   for cell in floats]
         assert max(map(len, digits)) == 17
-        assert harness.complex_to_text(1 / 3 + 0j) == "0.33333333333333331+0j"
+        assert harness._complex_to_text(1 / 3 + 0j) == "0.33333333333333331+0j"
 
     def test_special_values(self, tmp_path):
         _, rows = self._rows(tmp_path, "sweep")
@@ -77,7 +77,7 @@ class TestFmt:
         ratio = header.index("ratio")
         # inf / inf on a pole row
         assert [row[ratio] for row in rows if row[1] in ("1", "2")] == ["nan"] * 6
-        assert harness.complex_to_text(complex(-math.inf, math.inf)) == "-inf+infj"
+        assert harness._complex_to_text(complex(-math.inf, math.inf)) == "-inf+infj"
 
     def test_integers_stay_compact(self, tmp_path):
         _, rows = self._rows(tmp_path, "sweep")
@@ -177,7 +177,7 @@ def pole_sets(draw):
 
 
 class TestPoleSeparation:
-    """modal.close_pairs, behind the config check and build_synthetic's
+    """modal._close_pairs, behind the config check and build_synthetic's
     DuplicatePoles, finds every pair within the tolerance that the loops
     over all pairs found (oracles.loop_config_separation,
     oracles.loop_duplicate_poles), and each caller reports the same first
@@ -188,7 +188,7 @@ class TestPoleSeparation:
     @example(poles=[complex(2.0**1020, 0.0), complex(-(2.0**1020), 0.0)])
     @example(poles=[0j, complex(-0.0, TOL), complex(0.0, -np.nextafter(TOL, 1.0))])
     def test_checks_are_the_loops_over_all_pairs(self, poles):
-        pairs = modal.close_pairs(poles, TOL)
+        pairs = modal._close_pairs(poles, TOL)
         assert sorted(pairs) == [(i, j) for i in range(len(poles))
                                  for j in range(i + 1, len(poles))
                                  if abs(poles[i] - poles[j]) <= TOL]
@@ -439,11 +439,11 @@ class TestStackedErrors:
     def test_one_center_per_stack(self, three_pole):
         stacks, points = mixed_stacks(three_pole)
         with pytest.raises(ValueError, match="more than one center"):
-            pade.evaluate_stack(stacks[0] + stacks[1], points)
+            pade._evaluate_stack(stacks[0] + stacks[1], points)
         low = pade.build(three_pole, [pade.BuildParams(0.3 + 0.2j, 3, 1, 3)])
         with pytest.raises(ValueError, match="denominator degree"):
-            pade.evaluate_stack(stacks[0] + low, points)
-        index, values, qmag = pade.evaluate_stack([], points)
+            pade._evaluate_stack(stacks[0] + low, points)
+        index, values, qmag = pade._evaluate_stack([], points)
         assert index == [] and values.shape == qmag.shape == (0, len(points))
 
     def test_one_mode_at_one_point(self, rng):
@@ -661,23 +661,23 @@ class TestModalErrorIdentity:
 class TestFitDecayFactor:
     def test_pure_geometric(self):
         errs = [10.0**-i for i in range(2, 8)]
-        assert harness.fit_decay_factor(range(2, 8), errs) == pytest.approx(0.1)
+        assert harness._fit_decay_factor(range(2, 8), errs) == pytest.approx(0.1)
 
     def test_window_filters_floor(self):
         errs = [1e-2, 1e-4, 1e-13, 1e-13]
-        f = harness.fit_decay_factor([1, 2, 3, 4], errs)
+        f = harness._fit_decay_factor([1, 2, 3, 4], errs)
         assert f == pytest.approx(1e-2)
 
     def test_too_few_points(self):
-        assert math.isnan(harness.fit_decay_factor([1], [1e-3]))
+        assert math.isnan(harness._fit_decay_factor([1], [1e-3]))
         # two points at one index: nan, without np.polyfit's RankWarning
-        assert math.isnan(harness.fit_decay_factor([4, 4], [1e-3, 1e-4]))
+        assert math.isnan(harness._fit_decay_factor([4, 4], [1e-3, 1e-4]))
 
     def test_matches_polyfit(self, rng):
         for n in range(2, 12):
             xs = rng.choice(40, size=n, replace=False) + 1
             ys = rng.uniform(-12.0, 3.0, size=n)
-            fitted = harness.fit_decay_factor(xs.tolist(), (10.0**ys).tolist(),
+            fitted = harness._fit_decay_factor(xs.tolist(), (10.0**ys).tolist(),
                                               window=(0.0, math.inf))
             assert fitted == pytest.approx(10.0 ** np.polyfit(xs, ys, 1)[0], rel=1e-12)
 
@@ -1593,8 +1593,8 @@ class TestPredictedFactors:
             }
         )
         poles = modal.pole_list(helmholtz, cfg.z0)
-        f9 = harness.predicted_point_factor(poles, cfg, 9.0)
-        f11 = harness.predicted_point_factor(poles, cfg, 11.0)
+        f9 = harness._predicted_point_factor(poles, cfg, 9.0)
+        f11 = harness._predicted_point_factor(poles, cfg, 11.0)
         assert f9 == pytest.approx(np.sqrt(9.25 / 16.25))
         assert f11 == pytest.approx(np.sqrt(1.25 / 16.25))
 
@@ -1609,5 +1609,5 @@ class TestPredictedFactors:
         )
         # the per-E pole rate is the point rate at lambda_alpha, squared
         poles = modal.pole_list(helmholtz, cfg.z0)
-        rate = [harness.predicted_point_factor(poles, cfg, lam) ** 2 for lam in poles[:2]]
+        rate = [harness._predicted_point_factor(poles, cfg, lam) ** 2 for lam in poles[:2]]
         assert rate == pytest.approx([1 / 13, 17 / 65])

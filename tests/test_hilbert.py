@@ -155,24 +155,24 @@ class TestWeights:
 
 class TestSerialization:
     def test_pair_round_trip(self):
-        pair = hilbert.finite_array(1.5 - 2.5j, "z")
+        pair = hilbert._finite_array(1.5 - 2.5j, "z")
         assert pair.shape == (2,)
         assert hilbert.json_bytes(pair) == b"[1.5,-2.5]"
-        assert complex(hilbert.pairs_to_array(pair)) == 1.5 - 2.5j
+        assert complex(hilbert._pairs_to_array(pair)) == 1.5 - 2.5j
 
     def test_real_scalar_is_a_float(self):
-        value = hilbert.finite_array(np.array(2.5), "x")
+        value = hilbert._finite_array(np.array(2.5), "x")
         assert value.shape == () and value.dtype == float
         assert hilbert.json_bytes(value) == b"2.5"
 
     def test_array_round_trip_bit_for_bit(self):
         z = np.array([[1.5 - 2.5j, complex(-0.0, 0.0)],
                       [complex(0.0, -0.0), complex(1.7976931348623157e308, -1e-310)]])
-        pairs = hilbert.finite_array(z.T, "z")  # a strided array is copied to C order
+        pairs = hilbert._finite_array(z.T, "z")  # a strided array is copied to C order
         assert pairs.shape == (2, 2, 2) and pairs.flags.c_contiguous
         assert pairs[1, 1].tolist() == [1.7976931348623157e308, -1e-310]
         for form in (pairs, pairs.tolist()):
-            back = hilbert.pairs_to_array(form)
+            back = hilbert._pairs_to_array(form)
             assert back.shape == z.shape and back.dtype == complex
             assert back.tobytes() == z.T.copy().tobytes()
 
@@ -182,8 +182,8 @@ class TestSerialization:
         # [1.0] made NumPy's view raise ValueError, and ragged lists NumPy's
         # array constructor
         with pytest.raises(DimensionMismatch, match="pairs"):
-            hilbert.pairs_to_array(bad)
+            hilbert._pairs_to_array(bad)
 
     def test_text_form(self):
-        assert harness.complex_to_text(1 + 2j) == "1+2j"
-        assert harness.complex_to_text(1 - 2j) == "1-2j"
+        assert harness._complex_to_text(1 + 2j) == "1+2j"
+        assert harness._complex_to_text(1 - 2j) == "1-2j"

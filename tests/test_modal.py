@@ -407,7 +407,7 @@ class TestEvaluateExactGrid:
         assert rows.shape == (7, helmholtz.dimension)
         for z, row, d in zip(points, rows, dist):
             assert np.array_equal(row, modal.evaluate_exact(helmholtz, z))
-            assert d == modal.nearest_pole(helmholtz, z)[1]
+            assert d == modal._nearest_pole(helmholtz, z)[1]
 
     def test_pole_rows_are_inf(self, two_pole):
         rows, dist = modal.evaluate_exact_grid(two_pole, [1.0, 2.0 + 1e-13, 3.0])
@@ -510,7 +510,7 @@ class TestZeroSourceCoefficient:
 class TestPoleList:
     def test_nearest_pole_without_retained_poles(self):
         m = l2_model([1.0, 2.0], [0.0, 0.0])  # a zero source drops every pole
-        assert modal.nearest_pole(m, 1.0) == (None, math.inf)
+        assert modal._nearest_pole(m, 1.0) == (None, math.inf)
 
     def test_synthetic_order(self, two_pole):
         assert modal.pole_list(two_pole, 0.0) == [1.0, 2.0]

@@ -23,20 +23,20 @@ def random_hermitian(rng, n):
 
 class TestPhaseFix:
     def test_largest_entry_becomes_real_nonnegative(self):
-        v = numerics.phase_fix(np.array([0.1, -2.0j, 0.5]))
+        v = numerics._phase_fix(np.array([0.1, -2.0j, 0.5]))
         assert v[1].real > 0 and abs(v[1].imag) == 0.0
 
     def test_preserves_magnitudes(self, rng):
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
-        out = numerics.phase_fix(v)
+        out = numerics._phase_fix(v)
         assert np.allclose(np.abs(out), np.abs(v))
 
     def test_zero_vector_unchanged(self):
-        assert np.all(numerics.phase_fix(np.zeros(3)) == 0)
+        assert np.all(numerics._phase_fix(np.zeros(3)) == 0)
 
     def test_tie_picks_lowest_index(self):
         v = np.array([1j, -1j])
-        out = numerics.phase_fix(v)
+        out = numerics._phase_fix(v)
         assert out[0] == pytest.approx(1.0)
 
 
@@ -329,7 +329,7 @@ def per_matrix(H, smallest):
     if not smallest:
         return vals, vecs
     value, vector, degenerate = min_eigenpair(vals, vecs, np.linalg.norm(np.asarray(H, complex)))
-    return numerics.MinEigen(value, vector, degenerate, float(vals[-1]))
+    return numerics._MinEigen(value, vector, degenerate, float(vals[-1]))
 
 
 def same_arrays(got, want):
@@ -371,7 +371,7 @@ class TestStackPasses:
         def solve(*args):
             raise AssertionError("solved")
 
-        monkeypatch.setattr(numerics, "norms", solve)
+        monkeypatch.setattr(numerics, "_norms", solve)
         with pytest.raises(NonHermitianInput, match=r"\(2, 2\), \(3, 3\)"):
             numerics.hermitian_eigensystem([np.eye(2), np.eye(3)])
         with pytest.raises(NonHermitianInput, match=r"\(2, 2\), \(2, 3\)"):
@@ -385,7 +385,7 @@ class TestStackPasses:
     def test_phase_fix_rows_are_each_vector_alone(self, rows, n):
         # ties, zero rows and rows of -0 - 0j, rows of one entry
         V = np.array(rows)[:, :n]
-        for got, v in zip(numerics.phase_fix(V), V):
+        for got, v in zip(numerics._phase_fix(V), V):
             assert got.tobytes() == vector_phase_fix(v).tobytes()
 
     @settings(max_examples=100, deadline=None, database=None)
@@ -590,7 +590,7 @@ class TestRootStacks:
         # strict: a residual bound of 2^-60, which rows with rounded roots
         # fail (NoConvergence) while the exact monomials pass
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
-            for index in poly.stacks(rows, len).values():  # the solve takes one degree
+            for index in poly._stacks(rows, len).values():  # the solve takes one degree
                 same = [rows[i] for i in index]
                 check_stack(lambda: numerics.polynomial_roots(same),
                             [lambda row=row: numerics.polynomial_roots([row])[0] for row in same],
@@ -716,7 +716,7 @@ class TestRootPasses:
         # the rows reach the solve untrimmed, so that a leading
         # coefficient of exactly TRIM_THRESHOLD times the largest fails
         with mock.patch.object(numerics, "ROOT_TOL", 2.0**-60 if strict else numerics.ROOT_TOL):
-            for index in poly.stacks(rows, len).values():  # the solve takes one degree
+            for index in poly._stacks(rows, len).values():  # the solve takes one degree
                 same = [rows[i] for i in index]
                 check_stack(lambda: numerics.polynomial_roots(same),
                             [lambda row=row: loop_polynomial_roots(row) for row in same],
@@ -754,7 +754,7 @@ class TestRootPasses:
 
 
 def test_declared_numpy_floor_has_mT():
-    # numerics.norms and numerics._jacobi take ndarray.mT, which NumPy added in
+    # numerics._norms and numerics._jacobi take ndarray.mT, which NumPy added in
     # 2.0: on NumPy 1.x every command ends in an AttributeError traceback
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     [floor] = re.findall(r'"numpy>=([0-9.]+)"', text)

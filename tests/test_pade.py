@@ -418,7 +418,7 @@ class TestDenominatorPasses:
             assert got.coeffs.tobytes() == want.coeffs.tobytes() and got.center == want.center
 
         check_stack(lambda: pade._eigvec_denominators(
-                        [numerics.MinEigen(0.0, q, False) for q in qs], 0.5j),
+                        [numerics._MinEigen(0.0, q, False) for q in qs], 0.5j),
                     [lambda q=q: unit_denominator(q, 0.5j) for q in qs], same)
 
 
@@ -638,7 +638,7 @@ class TestLoopOracles:
         model = request.getfixturevalue(name)
         t = modal.taylor_coefficients(model, z0, E)
         windows = [taylor_window(t, N, e) for e in range(N, E + 1)]
-        R = hilbert.gram_schmidt(np.array(windows), model.weights,
+        R = hilbert._gram_schmidt(np.array(windows), model.weights,
                                  pade.QR_DEGENERACY_THRESHOLD)
         for A, Rb in zip(windows, R):
             assert Rb.tobytes() == column_mgs(A, model.weights).tobytes()
@@ -823,7 +823,7 @@ class TestGridIndependence:
     place or broadcast, or of two NumPy scalars, without FMA, and every
     other one with FMA where the host has it; a one-mode numerator at one
     point, or a scalar polynomial at a scalar point, is such a product at
-    every Horner step unless poly.horner takes it out of place on 1-d
+    every Horner step unless poly._horner takes it out of place on 1-d
     arrays."""
 
     @settings(max_examples=150, deadline=None, database=None)

@@ -147,7 +147,7 @@ class TestNormalize:
 def denominator_from_eigvec(q, z0):
     """The denominator of one eigenvector: pade._eigvec_denominators of a
     stack of one."""
-    res = numerics.MinEigen(0.0, np.asarray(q, dtype=complex), False)
+    res = numerics._MinEigen(0.0, np.asarray(q, dtype=complex), False)
     return pade._eigvec_denominators([res], z0)[0]
 
 
