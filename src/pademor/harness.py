@@ -1,9 +1,12 @@
 """Experiment driver: frequency sweeps, convergence studies, pole studies.
 
-All commands consume a JSON study configuration.  The CSV commands write
-each float cell as '%.17g' spells it (17 significant digits, 'inf', 'nan')
-and join each row's cells by ',' ('\\n' line endings); see _cells for how
-the cells of a long CSV are spelled at once.  Every data row carries the
+All commands consume a JSON study configuration, checked by hilbert's rule
+for every JSON object the package reads (parse_config): a failed check is
+a ConfigError of its text, "at <path>: <message>", and load_config also
+refuses a key written twice in one object.  The CSV commands write each
+float cell as '%.17g' spells it (17 significant digits, 'inf', 'nan') and
+join each row's cells by ',' ('\\n' line endings); see _cells for how the
+cells of a long CSV are spelled at once.  Every data row carries the
 denominator magnitude so near-pole rows can be masked after the fact
 instead of being dropped.  Each command makes one pade.build call, and
 poles, which builds no numerator, one pade.denominators call and one
@@ -15,7 +18,6 @@ that no command holds S, or the approximants' values, on the whole grid.
 import json
 import math
 import os
-import sys
 from functools import cache, partial
 from typing import NamedTuple
 
@@ -35,7 +37,7 @@ from .modal import (
     pole_list,
     taylor_coefficients,
 )
-from .hilbert import json_bytes, norm
+from .hilbert import _integer, _known_keys, _number, _require, json_bytes, norm
 
 SLOPE_FIT_WINDOW = (1e-11, 1e-1)
 NEAR_POLE_DISTANCE = 1e-6
@@ -72,34 +74,6 @@ class StudyConfig(NamedTuple):
 
     def grid(self):
         return np.linspace(self.k_lo, self.k_hi, self.grid_points)
-
-
-def _require(cond, path, message):
-    if not cond:
-        raise ConfigError(f"at {path}: {message}")
-
-
-def _number(value, path, positive=False):
-    """A finite (if asked, positive) JSON number, as a float."""
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and abs(value) <= sys.float_info.max, path, "must be a finite number")
-    _require(value > 0 or not positive, path, "must be positive")
-    return float(value)
-
-
-def _integer(value, path, low=0, high=2**20):
-    """A JSON integer from low to high; booleans are not integers here.  The
-    bounds keep every array a study asks NumPy for below its size limit."""
-    _require(isinstance(value, int) and not isinstance(value, bool)
-             and low <= value <= high, path, f"must be an integer from {low} to {high}")
-    return value
-
-
-def _known_keys(obj, path, keys):
-    """Reject a key of obj outside keys, so that a misspelt one is not
-    silently replaced by its default."""
-    for key in obj:
-        _require(key in keys, f"{path}.{key}", "unknown key")
 
 
 def _coordinate(value, path):
@@ -164,7 +138,16 @@ def _model_constructor(spec):
 
 
 def parse_config(obj):
-    """Validate a raw JSON object into a StudyConfig (ConfigError on failure)."""
+    """Validate a raw JSON object into a StudyConfig: ConfigError on
+    failure, with the text of the failed check of hilbert's ("at $...:
+    ...")."""
+    try:
+        return _study_config(obj)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _study_config(obj):
     _require(isinstance(obj, dict), "$", "config must be a JSON object")
     _known_keys(obj, "$", CONFIG_KEYS)
     obj = {**CONFIG_DEFAULTS, **obj}
@@ -208,13 +191,25 @@ def parse_config(obj):
     return config
 
 
+def _unique_keys(pairs):
+    """The JSON object of pairs, a key written twice in it refused: else
+    the last would silently take effect."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for key in obj if keys.count(key) > 1)
+        raise ValueError(f"key {key!r} written twice in one object")
+    return obj
+
+
 def load_config(path):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    # not UTF-8 or an integer of more than 4,300 digits; nested too deeply
+    # not UTF-8, an integer of more than 4,300 digits or a key written
+    # twice; nested too deeply
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     except OSError as exc:

@@ -6,13 +6,86 @@ or as the energy product ``weight_k = Re eigenvalue_k + shift``.
 
 json_bytes is the package's one JSON writer and _finite_array its one
 encoder of arrays: it checks them and views complex ones as [re, im] float
-pairs, which _pairs_to_array reads back.  The readers check each object
-they index with _json_object.
+pairs, which _pairs_to_array reads back.
+
+Every JSON object the package reads, a study config (harness.parse_config),
+an approximant (pade.approximant_from_json) or a model
+(modal.model_from_json), is checked by the one rule of _require, _number,
+_integer and _known_keys: a failed check raises ValueError("at <path>:
+<message>"), the path taken from $, the object read; a key the object does
+not define is refused, and one without a default must be present.  An
+array entry that is not a number raises the typed error of a bad array
+(_float_array).
 """
+
+import math
+import sys
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidWeights, NonFiniteValue
+
+
+def _require(cond, path, message):
+    if not cond:
+        raise ValueError(f"at {path}: {message}")
+
+
+def _is_number(value):
+    """Whether value is a JSON number a float holds: a float, or an int
+    (not a bool) of magnitude at most the largest float."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max)
+
+
+def _number(value, path, positive=False):
+    """A finite (if asked, positive) JSON number, as a float."""
+    _require(_is_number(value) and math.isfinite(value), path, "must be a finite number")
+    _require(value > 0 or not positive, path, "must be positive")
+    return float(value)
+
+
+def _integer(value, path, low=0, high=2**20):
+    """A JSON integer from low to high; booleans are not integers here.  The
+    bounds keep every array a study asks NumPy for below its size limit."""
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             and low <= value <= high, path, f"must be an integer from {low} to {high}")
+    return value
+
+
+def _known_keys(obj, path, keys, required=()):
+    """Reject obj unless it is a JSON object whose keys are among keys and
+    include each of required, so that a misspelt key is not silently
+    replaced by its default."""
+    _require(isinstance(obj, dict), path, "must be a JSON object")
+    for key in obj:
+        _require(key in keys, f"{path}.{key}", "unknown key")
+    for key in required:
+        _require(key in obj, f"{path}.{key}", "missing key")
+
+
+def _float_array(entries, what, error):
+    """entries, a real NumPy array or nested lists of numbers, as a new
+    float array.  Raises error, an exception class, its message naming
+    what, if an entry is not a number (a bool, a string, None, an object,
+    a complex number) or the lists are ragged, and NonFiniteValue on an
+    integer beyond the float range."""
+    if isinstance(entries, np.ndarray) and entries.dtype.kind in "fiu":
+        return np.array(entries, dtype=float)
+    try:
+        a = np.array(entries, dtype=object)
+        # ragged lists leave lists as entries of the object array
+        numbers = all(issubclass(t, (int, float, np.integer, np.floating))
+                      and not issubclass(t, bool) for t in set(map(type, a.ravel().tolist())))
+    except ValueError:  # lists ragged below their first axis
+        numbers = False
+    if not numbers:
+        raise error(f"{what} are not an array of numbers: ragged lists or an entry "
+                    f"that is not a number")
+    try:
+        return a.astype(float)
+    except OverflowError:
+        raise NonFiniteValue(f"{what} have a non-finite entry") from None
 
 
 class InnerProductWeights:
@@ -21,7 +94,7 @@ class InnerProductWeights:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
+        w = _float_array(weights, "weights", InvalidWeights)
         if not np.isfinite(w).all():
             raise NonFiniteValue("weights have a non-finite entry")
         if w.ndim != 1 or w.size == 0 or np.any(w <= 0.0):
@@ -123,27 +196,14 @@ def json_bytes(obj):
     return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS)
 
 
-def _json_object(obj, what, keys):
-    """obj, a JSON object holding every one of keys; ValueError naming what
-    and the first key it lacks, or that it is not a JSON object."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} is not a JSON object")
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{what} has no key {key!r}")
-    return obj
-
-
 def _pairs_to_array(pairs):
     """Inverse of _finite_array on a complex array, bit for bit (signed
     zeros included), from nested lists or a float array of [re, im] pairs:
     a complex array, 0-d for a single pair.  DimensionMismatch unless the
-    trailing axis holds pairs (lists of unequal lengths included),
-    NonFiniteValue on a non-finite entry."""
-    try:
-        a = _finite_array(np.array(pairs, dtype=float), "an array of [re, im] pairs")
-    except ValueError as exc:  # lists of unequal lengths: a ragged array
-        raise DimensionMismatch(f"not an array of [re, im] pairs: {exc}") from None
+    trailing axis holds pairs of numbers (_float_array), NonFiniteValue on a
+    non-finite entry."""
+    a = _finite_array(_float_array(pairs, "[re, im] pairs", DimensionMismatch),
+                      "an array of [re, im] pairs")
     if a.shape[-1:] != (2,):
         raise DimensionMismatch(f"array of shape {a.shape} is not of [re, im] pairs")
     # [re, im] pairs in C order are the memory layout of complex numbers.

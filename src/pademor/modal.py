@@ -26,7 +26,7 @@ from .errors import (
     PoleEvaluation,
     QuadratureNotConverged,
 )
-from .hilbert import (InnerProductWeights, _finite_array, _json_object, _pairs_to_array, _rescued,
+from .hilbert import (InnerProductWeights, _finite_array, _known_keys, _pairs_to_array, _rescued,
                       norm)
 from .poly import ShiftedPolynomial
 
@@ -337,9 +337,13 @@ def model_to_json(model):
 
 
 def model_from_json(obj):
-    """The model of model_to_json's object; ValueError if obj is not a
-    JSON object or lacks one of its three keys."""
-    obj = _json_object(obj, "model", ("eigenvalues", "coefficients", "weights"))
+    """The model of model_to_json's object, checked by hilbert's rule for
+    the JSON objects the package reads: ValueError ("at $...: ...") if obj
+    is not a JSON object or its keys are not the three arrays', and the
+    typed errors of InnerProductWeights, ModalModel and
+    hilbert._pairs_to_array on the arrays."""
+    keys = ("eigenvalues", "coefficients", "weights")
+    _known_keys(obj, "$", keys, required=keys)
     return ModalModel(
         _pairs_to_array(obj["eigenvalues"]),
         _pairs_to_array(obj["coefficients"]),

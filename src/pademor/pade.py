@@ -28,6 +28,7 @@ blocks of points.
 
 import itertools
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +52,9 @@ class _BuildFields(NamedTuple):
 
 class BuildParams(_BuildFields):
     """The degrees, variant and rho of one approximant, checked on
-    construction (ValueError); a NamedTuple may not define __new__ itself."""
+    construction (ValueError): M, N and E integers (NumPy's included, not
+    bools), rho None or a real number; a NamedTuple may not define __new__
+    itself."""
 
     __slots__ = ()
 
@@ -59,6 +62,11 @@ class BuildParams(_BuildFields):
         z0 = complex(z0)
         if not np.isfinite(z0):
             raise ValueError(f"center z0 = {z0} is not finite")
+        for name, value in (("M", M), ("N", N), ("E", E)):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} = {value!r} must be an integer")
+        if rho is not None and (not isinstance(rho, numbers.Real) or isinstance(rho, bool)):
+            raise ValueError(f"rho = {rho!r} must be None or a real number")
         if M < 0 or N < 0:
             raise ValueError("M and N must be nonnegative")
         if variant == "fast":
@@ -476,27 +484,45 @@ def approximant_to_json(approx):
     }
 
 
+def _pair(entry):
+    """The complex number of one [re, im] pair (hilbert._pairs_to_array)."""
+    z = hilbert._pairs_to_array(entry)
+    if z.shape:
+        raise DimensionMismatch(f"array of shape {z.shape + (2,)} is not one [re, im] pair")
+    return complex(z)
+
+
 def approximant_from_json(obj):
-    """The approximant of an artifact object, approximant_to_json's form:
-    ValueError where an entry is not a JSON object or lacks a key that has
-    no default (hilbert._json_object), NonFiniteValue on a non-finite entry
-    (hilbert._pairs_to_array), and DimensionMismatch unless the denominator
-    holds N + 1 coefficients and the numerator M + 1 rows of mode
-    coefficients."""
-    obj = hilbert._json_object(obj, "approximant",
-                               ("params", "denominator", "numerator", "diagnostics"))
-    p = hilbert._json_object(obj["params"], "approximant params", ("z0", "M", "N", "E"))
-    params = BuildParams(**{**p, "z0": hilbert._pairs_to_array(p["z0"])})
-    den = hilbert._json_object(obj["denominator"], "approximant denominator",
-                               ("center", "coeffs"))
-    den = poly.ShiftedPolynomial(hilbert._pairs_to_array(den["center"]),
-                                 hilbert._pairs_to_array(den["coeffs"]))
+    """The approximant of an artifact object, approximant_to_json's form.
+    Its objects are checked by hilbert's rule for the JSON objects the
+    package reads (ValueError, "at $...: ..."), its params by BuildParams
+    (ValueError), and its arrays by hilbert._pairs_to_array
+    (NonFiniteValue, DimensionMismatch).  It also raises ValueError where a
+    diagnostic flag is not a bool or a diagnostic value not a number or
+    null, and DimensionMismatch unless z0 and the center are one [re, im]
+    pair each, the denominator holds N + 1 coefficients and the numerator
+    M + 1 rows of mode coefficients."""
+    keys = ("params", "denominator", "numerator", "diagnostics")
+    hilbert._known_keys(obj, "$", keys, required=keys)
+    p = obj["params"]
+    hilbert._known_keys(p, "$.params", _BuildFields._fields, required=("z0", "M", "N", "E"))
+    params = BuildParams(**{**p, "z0": _pair(p["z0"])})
+    den = obj["denominator"]
+    hilbert._known_keys(den, "$.denominator", ("center", "coeffs"), required=("center", "coeffs"))
+    den = poly.ShiftedPolynomial(_pair(den["center"]), hilbert._pairs_to_array(den["coeffs"]))
     num = poly.ShiftedPolynomial(den.center, hilbert._pairs_to_array(obj["numerator"]))
     if den.coeffs.shape != (params.N + 1,) or num.coeffs.shape[:-1] != (params.M + 1,):
         raise DimensionMismatch(
             f"denominator of shape {den.coeffs.shape} and numerator of shape "
             f"{num.coeffs.shape} for N = {params.N}, M = {params.M}"
         )
-    diag = hilbert._json_object(obj["diagnostics"], "approximant diagnostics",
-                                ("functional_value", "degenerate"))
+    hilbert._known_keys(obj["diagnostics"], "$.diagnostics", Diagnostics._fields,
+                        required=("functional_value", "degenerate"))
+    diag = {**Diagnostics._field_defaults, **obj["diagnostics"]}
+    for key in ("degenerate", "exact_degeneracy"):
+        hilbert._require(isinstance(diag[key], bool), f"$.diagnostics.{key}",
+                         "must be true or false")
+    for key in ("functional_value", "condition_estimate"):  # null where one overflowed
+        hilbert._require(diag[key] is None or hilbert._is_number(diag[key]),
+                         f"$.diagnostics.{key}", "must be a number or null")
     return PadeApproximant(num, den, params, Diagnostics(**diag))

@@ -18,7 +18,7 @@ import pytest
 
 import pademor
 from pademor import cli, harness, hilbert, modal, pade, poly
-from pademor.errors import DimensionMismatch, NonFiniteValue
+from pademor.errors import DimensionMismatch, InvalidWeights, NonFiniteValue
 
 from conftest import load_perfbench
 from oracles import approximant_line, model_object
@@ -187,39 +187,110 @@ def without(obj, key):
 # An artifact object damaged in its structure, and the error's text: the
 # reader raised KeyError or TypeError on each.
 MALFORMED_ARTIFACTS = {
-    "empty": (lambda a: {}, "approximant has no key 'params'"),
-    "whole artifact": (lambda a: {"approximants": [a]}, "approximant has no key 'params'"),
-    "a list": (lambda a: [a], "approximant is not a JSON object"),
-    "no numerator": (lambda a: without(a, "numerator"), "approximant has no key 'numerator'"),
-    "params a list": (lambda a: {**a, "params": []}, "approximant params is not a JSON object"),
+    "empty": (lambda a: {}, "at $.params: missing key"),
+    "whole artifact": (lambda a: {"approximants": [a]}, "at $.approximants: unknown key"),
+    "a list": (lambda a: [a], "at $: must be a JSON object"),
+    "no numerator": (lambda a: without(a, "numerator"), "at $.numerator: missing key"),
+    "params a list": (lambda a: {**a, "params": []}, "at $.params: must be a JSON object"),
     "params without M": (lambda a: {**a, "params": without(a["params"], "M")},
-                         "approximant params has no key 'M'"),
+                         "at $.params.M: missing key"),
     "denominator a list": (lambda a: {**a, "denominator": a["denominator"]["coeffs"]},
-                           "approximant denominator is not a JSON object"),
+                           "at $.denominator: must be a JSON object"),
     "denominator without center": (lambda a: {**a, "denominator": without(a["denominator"],
                                                                           "center")},
-                                   "approximant denominator has no key 'center'"),
+                                   "at $.denominator.center: missing key"),
     "diagnostics without degenerate": (
         lambda a: {**a, "diagnostics": without(a["diagnostics"], "degenerate")},
-        "approximant diagnostics has no key 'degenerate'"),
+        "at $.diagnostics.degenerate: missing key"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_ARTIFACTS))
 def test_malformed_artifact_object_raises_value_error(case):
     damage, message = MALFORMED_ARTIFACTS[case]
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError) as exc:
         pade.approximant_from_json(damage(artifact_object()))
+    assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("obj, message", [
-    ({}, "model has no key 'eigenvalues'"),
-    ([], "model is not a JSON object"),
-    ({"eigenvalues": [[1.0, 0.0]], "coefficients": [[1.0, 0.0]]}, "model has no key 'weights'"),
-])
-def test_malformed_model_object_raises_value_error(obj, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+# A model object damaged in its structure, and the error's text.
+MALFORMED_MODELS = {
+    "empty": ({}, "at $.eigenvalues: missing key"),
+    "a list": ([], "at $: must be a JSON object"),
+    "no weights": ({"eigenvalues": [[1.0, 0.0]], "coefficients": [[1.0, 0.0]]},
+                   "at $.weights: missing key"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_object_raises_value_error(case):
+    obj, message = MALFORMED_MODELS[case]
+    with pytest.raises(ValueError) as exc:
         modal.model_from_json(obj)
+    assert str(exc.value) == message
+
+
+def with_entry(obj, path, value):
+    """A copy of obj with the entry at path set to value."""
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    parent = obj
+    for key in head:
+        parent = parent[key]
+    parent[last] = value
+    return obj
+
+
+# An entry of the right key but wrong contents, the error it raises and
+# the start of its text: the reader raised TypeError on the first seven and
+# the two of two pairs, and read the other four back as garbage.
+MALFORMED_ENTRIES = {
+    "weights entry an object": ("model", ("weights", 0), {}, InvalidWeights,
+                                "weights are not an array of numbers"),
+    "eigenvalue part an object": ("model", ("eigenvalues", 0, 0), {}, DimensionMismatch,
+                                  "[re, im] pairs are not an array of numbers"),
+    "denominator part an object": ("approximant", ("denominator", "coeffs", 1, 0), {},
+                                   DimensionMismatch,
+                                   "[re, im] pairs are not an array of numbers"),
+    "M a string": ("approximant", ("params", "M"), "2", ValueError,
+                   "M = '2' must be an integer"),
+    "M null": ("approximant", ("params", "M"), None, ValueError,
+               "M = None must be an integer"),
+    "unknown key in params": ("approximant", ("params", "K"), 3, ValueError,
+                              "at $.params.K: unknown key"),
+    "unknown key in diagnostics": ("approximant", ("diagnostics", "K"), 3, ValueError,
+                                   "at $.diagnostics.K: unknown key"),
+    "rho a string": ("approximant", ("params", "rho"), "x", ValueError,
+                     "rho = 'x' must be None or a real number"),
+    "functional value a string": ("approximant", ("diagnostics", "functional_value"), "x",
+                                  ValueError,
+                                  "at $.diagnostics.functional_value: must be a number or null"),
+    "degenerate a number": ("approximant", ("diagnostics", "degenerate"), 0, ValueError,
+                            "at $.diagnostics.degenerate: must be true or false"),
+    "weight true": ("model", ("weights", 1), True, InvalidWeights,
+                    "weights are not an array of numbers"),
+    "z0 two pairs": ("approximant", ("params", "z0"), [[0.0, 0.5], [1.0, 0.0]],
+                     DimensionMismatch, "array of shape (2, 2) is not one [re, im] pair"),
+    "center two pairs": ("approximant", ("denominator", "center"), [[0.0, 0.5], [1.0, 0.0]],
+                         DimensionMismatch, "array of shape (2, 2) is not one [re, im] pair"),
+}
+
+
+def model_object_of_three():
+    model = modal.build_synthetic([1.0, 2.0, 4 + 0.5j], [1.0, 0.5, 0.25])
+    return json.loads(hilbert.json_bytes(modal.model_to_json(model)))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ENTRIES))
+def test_malformed_entry_raises_a_typed_error(case):
+    kind, path, value, error, message = MALFORMED_ENTRIES[case]
+    if kind == "model":
+        read, obj = modal.model_from_json, model_object_of_three()
+    else:
+        read, obj = pade.approximant_from_json, artifact_object()
+    with pytest.raises(error) as exc:
+        read(with_entry(obj, path, value))
+    assert str(exc.value).startswith(message)
 
 
 def test_artifact_object_without_defaulted_keys_reads_their_defaults():

@@ -287,6 +287,24 @@ class TestParseConfig:
             harness.load_config(str(path))
         assert ":2:" in str(err.value)
 
+    @pytest.mark.parametrize("where, key", [("top", "N"), ("model", "kind"), ("rho_rule", "factor")])
+    def test_load_refuses_a_key_written_twice(self, tmp_path, where, key):
+        # the last of the two took effect: the study ran with N = 3
+        text = json.dumps({**SYNTH_CONFIG, "rho_rule": {"factor": 1.0}})
+        if where == "top":
+            text = text[:-1] + ', "N": 3}'
+        elif where == "model":
+            text = text.replace('"kind": "synthetic"', '"kind": "synthetic", "kind": "helmholtz"')
+        else:
+            text = text.replace('{"factor": 1.0}', '{"factor": 1.0, "factor": 2.0}')
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            harness.load_config(str(path))
+        assert str(err.value) == (f"cannot parse config {path}: key {key!r} written twice "
+                                  f"in one object")
+        assert harness.load_config(str(write_config(tmp_path, SYNTH_CONFIG))).N == 2
+
 
 class TestGridErrors:
     """The grid path equals the per-point loop exactly, poles included."""

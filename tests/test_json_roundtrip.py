@@ -95,49 +95,57 @@ def test_energy_model_round_trip(modes, shift):
 
 # A mutation property: a reader given a damaged artifact or model
 # object, and the library calls on what it returns, either return or raise
-# a PadeError; BuildParams may raise its documented ValueError.
-BUILD_PARAMS_ERRORS = ("M and N must be nonnegative", "variant requires", "unknown variant")
+# a PadeError; BuildParams may raise its documented ValueError, and the
+# readers theirs, in the "at $...: ..." form of hilbert's checks.
+BUILD_PARAMS_ERRORS = ("M and N must be nonnegative", "variant requires", "unknown variant",
+                       "must be an integer", "must be None or a real number",
+                       ": must be a JSON object", ": unknown key", ": missing key",
+                       ": must be true or false", ": must be a number or null")
 MODEL = modal.build_synthetic([1.0, 2.0, 4 + 0.5j], [1.0, 0.5, 0.25])
 MODEL_OBJECT = through_text(modal.model_to_json(MODEL))
 APPROX_OBJECT = through_text(pade.approximant_to_json(
     pade.build(MODEL, [pade.BuildParams(0.5j, 2, 2, 4)])[0]))
+# Values that may take the place of any entry.
+REPLACEMENTS = ({}, "x", None, True)
 
 
-def json_paths(obj, path=()):
-    """The path of every number and every list in a JSON object."""
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from json_paths(value, path + (key,))
-    elif isinstance(obj, list):
-        yield path
-        for i, value in enumerate(obj):
-            yield from json_paths(value, path + (i,))
-    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        yield path
+def json_entries(obj, path=()):
+    """The path and value of every entry of a JSON object or list, nested
+    ones included."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(
+        obj, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from json_entries(value, path + (key,))
 
 
 def mutated(obj, path, mutation):
-    """A deep copy of obj with the entry at path replaced by a number, or
-    its list shortened by one entry or lengthened by a copy of the last."""
-    obj = json.loads(json.dumps(obj))
-    *head, last = path
-    parent = obj
-    for key in head:
-        parent = parent[key]
+    """A deep copy of obj with the entry at path (obj itself for ()):
+    "shorten", "lengthen", its list shortened by one entry or lengthened
+    by a copy of the last; "add key", its object given a key no record
+    defines; else replaced by mutation."""
+    root = [json.loads(json.dumps(obj))]
+    parent, last = root, 0
+    for key in path:
+        parent, last = parent[last], key
     entry = parent[last]
-    if not isinstance(entry, list):
-        parent[last] = mutation
-    elif mutation == "shorten":
+    if mutation == "shorten":
         parent[last] = entry[:-1]
-    else:
+    elif mutation == "lengthen":
         parent[last] = entry + entry[-1:] if entry else [0.0]
-    return obj
+    elif mutation == "add key":
+        entry["unknown"] = 0
+    else:
+        parent[last] = mutation
+    return root[0]
 
 
 @st.composite
 def damaged_objects(draw):
     """A model or artifact object, random or the fixed ones above, with
-    one number or one list damaged."""
+    one entry damaged: a number made non-finite or huge, a list shortened
+    or lengthened, an object given an unknown key, or any entry replaced
+    by one of REPLACEMENTS."""
     if draw(st.booleans()):
         kind, obj = "model", MODEL_OBJECT
         if draw(st.booleans()):
@@ -146,12 +154,14 @@ def damaged_objects(draw):
         kind, obj = "approximant", APPROX_OBJECT
         if draw(st.booleans()):
             obj = through_text(pade.approximant_to_json(draw(approximants())))
-    path = draw(st.sampled_from(list(json_paths(obj))))
-    entry = obj
-    for key in path:
-        entry = entry[key]
-    options = ["shorten", "lengthen"] if isinstance(entry, list) else [
-        math.nan, math.inf, -math.inf, 1e308, -1e308]
+    path, entry = draw(st.sampled_from([((), obj), *json_entries(obj)]))
+    options = list(REPLACEMENTS) if path else []
+    if isinstance(entry, list):
+        options += ["shorten", "lengthen"]
+    elif isinstance(entry, dict):
+        options += ["add key"]
+    elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
+        options += [math.nan, math.inf, -math.inf, 1e308, -1e308]
     return kind, mutated(obj, path, draw(st.sampled_from(options)))
 
 
@@ -169,6 +179,16 @@ def damaged_objects(draw):
 @example(("approximant", mutated(APPROX_OBJECT, ("params", "z0"), "shorten")))
 @example(("approximant", mutated(APPROX_OBJECT, ("denominator", "coeffs", 1), "shorten")))
 @example(("approximant", mutated(APPROX_OBJECT, ("numerator", 2, 1), "lengthen")))
+# These ended in TypeError, or were read back as garbage.
+@example(("model", mutated(MODEL_OBJECT, ("weights", 0), {})))
+@example(("model", mutated(MODEL_OBJECT, ("eigenvalues", 0, 0), {})))
+@example(("approximant", mutated(APPROX_OBJECT, ("denominator", "coeffs", 1, 0), {})))
+@example(("approximant", mutated(APPROX_OBJECT, ("params", "M"), "2")))
+@example(("approximant", mutated(APPROX_OBJECT, ("params", "M"), None)))
+@example(("approximant", mutated(APPROX_OBJECT, ("params",), "add key")))
+@example(("approximant", mutated(APPROX_OBJECT, ("diagnostics",), "add key")))
+@example(("approximant", mutated(APPROX_OBJECT, ("params", "rho"), "x")))
+@example(("approximant", mutated(APPROX_OBJECT, ("diagnostics", "functional_value"), "x")))
 def test_damaged_objects_raise_typed_errors(case):
     kind, obj = case
     try:

@@ -73,6 +73,27 @@ class TestBuildParams:
         with pytest.raises(ValueError, match="M and N must be nonnegative"):
             pade.BuildParams(0.0, 1, 2, 4)._replace(N=-1)
 
+    @pytest.mark.parametrize("degrees", [("2", 1, 2), (None, 1, 2), (True, 1, 2), (2.0, 1, 2),
+                                         (2, 1.0, 2), (2, 1, "4"), (2, 1, np.float64(4.0))])
+    def test_degree_not_an_integer(self, degrees):
+        # "2" and None raised TypeError; True and 2.0 were accepted, and
+        # pade.build then raised TypeError on 2.0
+        for variant, rho in (("fast", None), ("standard", 1.0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                pade.BuildParams(0.5j, *degrees, variant, rho)
+
+    @pytest.mark.parametrize("rho", ["x", True, [1.0], 1j])
+    def test_rho_neither_none_nor_real(self, rho):
+        # accepted for the fast variant; TypeError for the standard one
+        for variant in ("fast", "standard"):
+            with pytest.raises(ValueError, match="must be None or a real number"):
+                pade.BuildParams(0.5j, 1, 1, 2, variant, rho)
+
+    def test_numpy_numbers_are_accepted(self):
+        p = pade.BuildParams(0.5j, np.int64(1), np.int32(1), np.uint8(2), "standard",
+                             np.float64(2.0))
+        assert p == (0.5j, 1, 1, 2, "standard", 2.0)
+
     def test_keyword_form(self):
         p = pade.BuildParams(12 + 0.5j, M=6, N=2, E=6, variant="fast")
         assert p == (12 + 0.5j, 6, 2, 6, "fast", None)
