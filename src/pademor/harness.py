@@ -12,7 +12,10 @@ instead of being dropped.  Each command makes one pade.build call, and
 poles, which builds no numerator, one pade.denominators call and one
 poly.roots pass.  sweep, convergence and compare measure their
 approximants against S one block of points at a time (_grid_errors), so
-that no command holds S, or the approximants' values, on the whole grid.
+that no command holds the approximants' values on the whole grid.  sweep
+and compare also take S one block at a time; convergence takes S at all
+its probes once, for its probe check, and holds it from the check to the
+errors.
 """
 
 import json
@@ -244,7 +247,7 @@ def _params(config, degrees, extra):
     return params
 
 
-def _grid_errors(model, approxs, points):
+def _grid_errors(model, approxs, points, exact=None):
     """Error norms and |Q| of each of approxs at the points, as two
     (len(approxs), n) arrays, and the points' distances to the poles of S.
     Per block of max(1, BLOCK_VALUES // (approximants x modes)) points: S
@@ -253,12 +256,17 @@ def _grid_errors(model, approxs, points):
     one norm, each error bit-identical to the norm of its row alone
     (hilbert.norm sums each row apart), whatever the block.  The error is
     inf on a pole of S, whose row is inf, and where the approximant's
-    value is not finite, |Q| having vanished or underflowed."""
+    value is not finite, |Q| having vanished or underflowed.  exact, if
+    given, is evaluate_exact_grid(model, points), which the blocks slice
+    instead, each point's row and distance being its own: convergence
+    passes the S of its probe check; sweep and compare pass none, so hold
+    S one block at a time."""
     (errors, qmags), dist = np.empty((2, len(approxs), len(points))), np.empty(len(points))
     size = max(1, BLOCK_VALUES // (len(approxs) * model.dimension))
     for start in range(0, len(points), size):
         block = slice(start, start + size)
-        rows, dist[block] = evaluate_exact_grid(model, points[block])
+        rows, dist[block] = (evaluate_exact_grid(model, points[block]) if exact is None
+                             else (exact[0][block], exact[1][block]))
         index, values, qmag = pade._evaluate_stack(approxs, points[block])
         finite = np.isfinite(values).all(axis=-1)
         with np.errstate(invalid="ignore"):  # inf - inf on a shared pole
@@ -504,7 +512,8 @@ def cmd_convergence(config, model):
     probes = config.z_probes
     if not probes:
         raise ConfigError("at $.z_probes: convergence study needs probe points")
-    for z, dist in zip(probes, evaluate_exact_grid(model, probes)[1].tolist()):
+    exact = evaluate_exact_grid(model, probes)  # S at the probes, reused for the errors
+    for z, dist in zip(probes, exact[1].tolist()):
         if dist < PROBE_DISTANCE:  # a retained pole that near, or a row not finite
             near = np.abs(model.eigenvalues[model.coefficients != 0] - z).min(initial=math.inf)
             if near >= PROBE_DISTANCE:  # no pole of S, dropped or retained, is near
@@ -518,7 +527,7 @@ def cmd_convergence(config, model):
             )
 
     approxs = pade.build(model, _params(config, config.M_list, config.N))
-    errors, qmags, _ = _grid_errors(model, approxs[::2] + approxs[1::2], probes)
+    errors, qmags, _ = _grid_errors(model, approxs[::2] + approxs[1::2], probes, exact)
     m = len(config.M_list)
     poles = pole_list(model, config.z0)
 

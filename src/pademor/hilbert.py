@@ -15,10 +15,11 @@ _integer and _known_keys: a failed check raises ValueError("at <path>:
 <message>"), the path taken from $, the object read; a key the object does
 not define is refused, and one without a default must be present.  An
 array entry that is not a number raises the typed error of a bad array
-(_float_array).
+(_number_array).
 """
 
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -64,26 +65,29 @@ def _known_keys(obj, path, keys, required=()):
         _require(key in obj, f"{path}.{key}", "missing key")
 
 
-def _float_array(entries, what, error):
-    """entries, a real NumPy array or nested lists of numbers, as a new
-    float array.  Raises error, an exception class, its message naming
+def _number_array(entries, what, error, dtype=float):
+    """entries, a NumPy array of a numeric dtype or nested lists of numbers,
+    as a new array of dtype, float or complex; a NumPy array of a real
+    dtype, or for complex of a complex one too, is converted with no scan
+    of its entries.  Raises error, an exception class, its message naming
     what, if an entry is not a number (a bool, a string, None, an object,
-    a complex number) or the lists are ragged, and NonFiniteValue on an
-    integer beyond the float range."""
-    if isinstance(entries, np.ndarray) and entries.dtype.kind in "fiu":
-        return np.array(entries, dtype=float)
+    a complex number where dtype is float) or the lists are ragged, and
+    NonFiniteValue on an integer beyond the float range."""
+    kinds, kind = ("fiu", numbers.Real) if dtype is float else ("fiuc", numbers.Complex)
+    if isinstance(entries, np.ndarray) and entries.dtype.kind in kinds:
+        return np.array(entries, dtype=dtype)
     try:
         a = np.array(entries, dtype=object)
         # ragged lists leave lists as entries of the object array
-        numbers = all(issubclass(t, (int, float, np.integer, np.floating))
-                      and not issubclass(t, bool) for t in set(map(type, a.ravel().tolist())))
+        ok = all(issubclass(t, kind) and not issubclass(t, bool)
+                 for t in set(map(type, a.ravel().tolist())))
     except ValueError:  # lists ragged below their first axis
-        numbers = False
-    if not numbers:
+        ok = False
+    if not ok:
         raise error(f"{what} are not an array of numbers: ragged lists or an entry "
                     f"that is not a number")
     try:
-        return a.astype(float)
+        return a.astype(dtype)
     except OverflowError:
         raise NonFiniteValue(f"{what} have a non-finite entry") from None
 
@@ -94,7 +98,7 @@ class InnerProductWeights:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        w = _float_array(weights, "weights", InvalidWeights)
+        w = _number_array(weights, "weights", InvalidWeights)
         if not np.isfinite(w).all():
             raise NonFiniteValue("weights have a non-finite entry")
         if w.ndim != 1 or w.size == 0 or np.any(w <= 0.0):
@@ -200,9 +204,9 @@ def _pairs_to_array(pairs):
     """Inverse of _finite_array on a complex array, bit for bit (signed
     zeros included), from nested lists or a float array of [re, im] pairs:
     a complex array, 0-d for a single pair.  DimensionMismatch unless the
-    trailing axis holds pairs of numbers (_float_array), NonFiniteValue on a
+    trailing axis holds pairs of numbers (_number_array), NonFiniteValue on a
     non-finite entry."""
-    a = _finite_array(_float_array(pairs, "[re, im] pairs", DimensionMismatch),
+    a = _finite_array(_number_array(pairs, "[re, im] pairs", DimensionMismatch),
                       "an array of [re, im] pairs")
     if a.shape[-1:] != (2,):
         raise DimensionMismatch(f"array of shape {a.shape} is not of [re, im] pairs")

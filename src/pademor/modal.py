@@ -14,11 +14,13 @@ read-only arrays.
 """
 
 import functools
+import numbers
 
 import numpy as np
 
 from .errors import (
     CenterOnPole,
+    DimensionMismatch,
     DuplicatePoles,
     EigenvalueTooLarge,
     LengthMismatch,
@@ -26,8 +28,8 @@ from .errors import (
     PoleEvaluation,
     QuadratureNotConverged,
 )
-from .hilbert import (InnerProductWeights, _finite_array, _known_keys, _pairs_to_array, _rescued,
-                      norm)
+from .hilbert import (InnerProductWeights, _finite_array, _known_keys, _number_array,
+                      _pairs_to_array, _rescued, norm)
 from .poly import ShiftedPolynomial
 
 POLE_GROUP_TOL = 1e-12
@@ -46,13 +48,15 @@ COORDINATE_LIMIT = 2.0**1021
 class ModalModel:
     """Eigenvalues and source coefficients, one entry per mode, in the
     inner product given by weights; the retained poles and their residue
-    norms (_retained_poles) are computed once, here."""
+    norms (_retained_poles) are computed once, here.  The two arrays are
+    copied as complex arrays (hilbert._number_array): DimensionMismatch if
+    an entry is not a number."""
 
     __slots__ = ("eigenvalues", "coefficients", "weights", "poles", "residue_norms")
 
     def __init__(self, eigenvalues, coefficients, weights):
-        lam = np.ascontiguousarray(eigenvalues, dtype=complex)
-        coef = np.asarray(coefficients, dtype=complex)
+        lam = _number_array(eigenvalues, "eigenvalues", DimensionMismatch, complex)
+        coef = _number_array(coefficients, "coefficients", DimensionMismatch, complex)
         if not (np.isfinite(lam).all() and np.isfinite(coef).all()):
             raise NonFiniteValue("an eigenvalue or a coefficient is not finite")
         if np.any(abs(lam.view(float)) >= COORDINATE_LIMIT):
@@ -243,11 +247,19 @@ def _retained_poles(model):
     return lam[starts][keep], norms[keep]
 
 
+def _point(z, what):
+    """z as a complex number; ValueError naming what it is and z unless z
+    is a number (Python's or NumPy's int, float or complex, not a bool)."""
+    if isinstance(z, bool) or not isinstance(z, numbers.Complex):
+        raise ValueError(f"{what} {z!r} is not a number")
+    return complex(z)
+
+
 def pole_list(model, z0):
     """The retained poles as a list of complex numbers sorted by distance
     from z0; ties break by (Re, Im), the order of model.poles, as the sort
     is stable.  Their residue norms are model.residue_norms."""
-    order = np.argsort(np.abs(model.poles - complex(z0)), kind="stable")
+    order = np.argsort(np.abs(model.poles - _point(z0, "center z0")), kind="stable")
     return model.poles[order].tolist()
 
 
@@ -274,7 +286,7 @@ def evaluate_exact(model, z):
     """S(z): componentwise source_coefficient / (eigenvalue - z), the row
     of evaluate_exact_grid at z; PoleEvaluation within 1e-12 of a retained
     pole."""
-    z = complex(z)
+    z = _point(z, "point")
     lam, dist = _nearest_pole(model, z)
     if dist <= POLE_EVAL_TOL:
         raise PoleEvaluation(f"point {z} lies within 1e-12 of pole {lam}", pole=lam)
@@ -305,9 +317,9 @@ def taylor_coefficients(model, z0, E):
     Where the power overflows, the coefficient is the zero it rounds to.  A
     coefficient that is itself not finite, the center being too close to an
     eigenvalue for the order, raises CenterOnPole; a center that is not
-    finite raises NonFiniteValue.
+    finite raises NonFiniteValue, and one that is not a number ValueError.
     """
-    z0 = complex(z0)
+    z0 = _point(z0, "Taylor center")
     if not np.isfinite(z0):
         raise NonFiniteValue(f"Taylor center {z0} is not finite")
     lam, dist = _nearest_pole(model, z0)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import hilbert, numerics, poly
 from .errors import DimensionMismatch, InsufficientTaylorLength, NotNormalized, RhoOverflow
-from .modal import ModalModel, taylor_coefficients
+from .modal import ModalModel, _point, taylor_coefficients
 
 QR_DEGENERACY_THRESHOLD = 1e-14
 SCALE_EXPONENT = 400
@@ -51,15 +51,15 @@ class _BuildFields(NamedTuple):
 
 
 class BuildParams(_BuildFields):
-    """The degrees, variant and rho of one approximant, checked on
-    construction (ValueError): M, N and E integers (NumPy's included, not
-    bools), rho None or a real number; a NamedTuple may not define __new__
-    itself."""
+    """The center, degrees, variant and rho of one approximant, checked on
+    construction (ValueError): z0 a finite number (modal._point), M, N and
+    E integers (NumPy's included, not bools), rho None or a real number; a
+    NamedTuple may not define __new__ itself."""
 
     __slots__ = ()
 
     def __new__(cls, z0, M, N, E, variant="fast", rho=None):
-        z0 = complex(z0)
+        z0 = _point(z0, "center z0")
         if not np.isfinite(z0):
             raise ValueError(f"center z0 = {z0} is not finite")
         for name, value in (("M", M), ("N", N), ("E", E)):

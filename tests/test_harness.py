@@ -519,6 +519,25 @@ class TestBlocks:
             self.both_ways(model, approxs, points)
             self.both_ways(model, approxs[:1], points)
 
+    @pytest.mark.parametrize("block_values", [1, harness.BLOCK_VALUES])
+    def test_each_point_meets_S_once(self, tmp_path, block_values):
+        # convergence's probe check and its errors share one evaluation of S
+        # at all the probes (each probe was evaluated twice); sweep and
+        # compare evaluate S at each grid point once, a block at a time
+        cfg = harness.parse_config({**SYNTH_CONFIG, "E_list": [2, 3],
+                                    "z_probes": [[0.5, 0.0], [-0.5, 0.0], [2.5, 0.25]]})
+        out, blocks = str(tmp_path / "out.csv"), cfg.grid_points if block_values == 1 else 1
+        for command, points, calls in ((harness.cmd_convergence, cfg.z_probes, 1),
+                                       (harness.cmd_sweep, cfg.grid(), blocks),
+                                       (harness.cmd_compare, cfg.grid(), blocks)):
+            with mock.patch.object(harness, "BLOCK_VALUES", block_values), \
+                    mock.patch.object(harness, "evaluate_exact_grid",
+                                      wraps=modal.evaluate_exact_grid) as exact:
+                command(cfg, out)
+            taken = [np.asarray(call.args[1], dtype=complex) for call in exact.call_args_list]
+            assert len(taken) == calls
+            assert np.concatenate(taken).tolist() == np.asarray(points, dtype=complex).tolist()
+
     def test_empty_grid(self, three_pole):
         [approxs, _], _ = mixed_stacks(three_pole)
         errors, qmags, dist = harness._grid_errors(three_pole, approxs, np.array([], complex))

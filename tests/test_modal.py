@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pademor import modal, pade
 from pademor.errors import (
     CenterOnPole,
+    DimensionMismatch,
     DuplicatePoles,
     EigenvalueTooLarge,
     LengthMismatch,
@@ -169,6 +170,25 @@ class TestBuildSynthetic:
             modal.ModalModel([math.nan, 2.0, 4 + 0.5j], [1.0, 0.5, 0.25], w)
         with pytest.raises(NonFiniteValue):
             modal.ModalModel([1.0, 2.0, 4 + 0.5j], [1.0, math.inf, 0.25], w)
+
+    @pytest.mark.parametrize("bad", [[{}], ["x"], ["1"], [True], [None], [np.True_],
+                                     ["1+2j"], [1.0, [2.0]]])
+    def test_non_numeric_entry_rejected(self, bad):
+        # {} raised TypeError and "x" NumPy's ValueError; "1" and True were
+        # read as 1+0j, None as nan
+        w = modal.InnerProductWeights.l2(len(bad))
+        with pytest.raises(DimensionMismatch, match="eigenvalues are not an array of numbers"):
+            modal.ModalModel(bad, [1.0] * len(bad), w)
+        with pytest.raises(DimensionMismatch, match="coefficients are not an array of numbers"):
+            modal.ModalModel([1.0] * len(bad), bad, w)
+
+    def test_numeric_entries_accepted(self):
+        w = modal.InnerProductWeights.l2(3)
+        for lam in ([1, 2.5, 3 + 1j], [np.int8(1), np.float32(2.5), np.complex64(3 + 1j)],
+                    np.array([1, 2.5, 3 + 1j], dtype=np.complex64)):
+            model = modal.ModalModel(lam, np.array([1, 0.5, 0.25]), w)
+            assert model.eigenvalues.tolist() == [1, 2.5, 3 + 1j]
+            assert model.coefficients.tolist() == [1, 0.5, 0.25]
 
     @pytest.mark.parametrize("pole", [1.5e308 + 1.5e308j, 2.0**1021, -(2.0**1021) * 1j])
     def test_eigenvalue_part_beyond_limit_rejected(self, pole):
@@ -398,6 +418,17 @@ class TestEvaluateExact:
             s = modal.evaluate_exact(helmholtz, z)
             ref = coef / (lam - z)
             assert np.allclose(s, ref, rtol=1e-13)
+
+
+@pytest.mark.parametrize("z", ["0.5", "1+2j", True, np.True_, None, {}, [0.5]])
+def test_point_not_a_number(two_pole, z):
+    # "0.5" and True were read as numbers; None, {} and [0.5] raised TypeError
+    calls = {"Taylor center": lambda: modal.taylor_coefficients(two_pole, z, 2),
+             "center z0": lambda: modal.pole_list(two_pole, z),
+             "point": lambda: modal.evaluate_exact(two_pole, z)}
+    for what, call in calls.items():
+        with pytest.raises(ValueError, match=f"^{what} .* is not a number$"):
+            call()
 
 
 class TestEvaluateExactGrid:

@@ -63,6 +63,21 @@ class TestBuildParams:
         with pytest.raises(ValueError, match="is not finite"):
             pade.BuildParams(0.0, 2, 2, 2)._replace(z0=z0)
 
+    @pytest.mark.parametrize("z0", ["1+2j", True, np.True_, {}, None, [1.0], np.array(1.0)])
+    def test_center_not_a_number(self, z0):
+        # "1+2j" built 1+2j and True built 1+0j; {}, None and [1.0] raised
+        # TypeError
+        with pytest.raises(ValueError, match=r"center z0 .* is not a number"):
+            pade.BuildParams(z0, 1, 1, 2)
+        with pytest.raises(ValueError, match=r"center z0 .* is not a number"):
+            pade.BuildParams(0.0, 1, 1, 2)._replace(z0=z0)
+
+    @pytest.mark.parametrize("z0", [3, 0.5, 1 + 2j, np.int8(3), np.uint64(3), np.float32(0.5),
+                                    np.float64(0.5), np.complex64(1 + 2j), np.complex128(1 + 2j)])
+    def test_numeric_centers_are_accepted(self, z0):
+        p = pade.BuildParams(z0, 1, 1, 2)
+        assert type(p.z0) is complex and p.z0 == complex(z0)
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant 'other'"):
             pade.BuildParams(0.0, 2, 2, 4, "other")
