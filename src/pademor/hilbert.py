@@ -8,14 +8,16 @@ json_bytes is the package's one JSON writer and _finite_array its one
 encoder of arrays: it checks them and views complex ones as [re, im] float
 pairs, which _pairs_to_array reads back.
 
+_is_number alone decides what a caller may pass as a number; the
+documented functions read their points (_point), scalars (_scalar) and
+arrays (_number_array) through it.
+
 Every JSON object the package reads, a study config (harness.parse_config),
 an approximant (pade.approximant_from_json) or a model
 (modal.model_from_json), is checked by the one rule of _require, _number,
 _integer and _known_keys: a failed check raises ValueError("at <path>:
 <message>"), the path taken from $, the object read; a key the object does
-not define is refused, and one without a default must be present.  An
-array entry that is not a number raises the typed error of a bad array
-(_number_array).
+not define is refused, and one without a default must be present.
 """
 
 import math
@@ -32,16 +34,39 @@ def _require(cond, path, message):
         raise ValueError(f"at {path}: {message}")
 
 
-def _is_number(value):
-    """Whether value is a JSON number a float holds: a float, or an int
-    (not a bool) of magnitude at most the largest float."""
-    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
-                                        and abs(value) <= sys.float_info.max)
+_KINDS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex}
+
+
+def _is_number(value, kind=complex):
+    """Whether value is Python's or NumPy's number of kind, int, float or
+    complex, never a bool; for float and complex, one that a float holds."""
+    if type(value) is kind:
+        return True
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+        return False
+    return kind is int or not isinstance(value, int) or abs(value) <= sys.float_info.max
+
+
+def _point(z, what):
+    """z as a complex number; ValueError naming what it is and z unless z
+    is a number (_is_number)."""
+    if not _is_number(z):
+        raise ValueError(f"{what} {z!r} is not a number")
+    return complex(z)
+
+
+def _scalar(value, name, kind=int, low=None):
+    """value if it is a number of kind (_is_number) of at least low, if
+    given; ValueError otherwise, "E = 2.5 must be an integer >= 0"."""
+    if not _is_number(value, kind) or low is not None and value < low:
+        noun = "an integer" if kind is int else "a real number"
+        raise ValueError(f"{name} = {value!r} must be {noun}{'' if low is None else f' >= {low}'}")
+    return value
 
 
 def _number(value, path, positive=False):
     """A finite (if asked, positive) JSON number, as a float."""
-    _require(_is_number(value) and math.isfinite(value), path, "must be a finite number")
+    _require(_is_number(value, float) and math.isfinite(value), path, "must be a finite number")
     _require(value > 0 or not positive, path, "must be positive")
     return float(value)
 
@@ -49,8 +74,8 @@ def _number(value, path, positive=False):
 def _integer(value, path, low=0, high=2**20):
     """A JSON integer from low to high; booleans are not integers here.  The
     bounds keep every array a study asks NumPy for below its size limit."""
-    _require(isinstance(value, int) and not isinstance(value, bool)
-             and low <= value <= high, path, f"must be an integer from {low} to {high}")
+    _require(_is_number(value, int) and low <= value <= high, path,
+             f"must be an integer from {low} to {high}")
     return value
 
 
@@ -66,30 +91,26 @@ def _known_keys(obj, path, keys, required=()):
 
 
 def _number_array(entries, what, error, dtype=float):
-    """entries, a NumPy array of a numeric dtype or nested lists of numbers,
-    as a new array of dtype, float or complex; a NumPy array of a real
-    dtype, or for complex of a complex one too, is converted with no scan
-    of its entries.  Raises error, an exception class, its message naming
-    what, if an entry is not a number (a bool, a string, None, an object,
-    a complex number where dtype is float) or the lists are ragged, and
-    NonFiniteValue on an integer beyond the float range."""
-    kinds, kind = ("fiu", numbers.Real) if dtype is float else ("fiuc", numbers.Complex)
-    if isinstance(entries, np.ndarray) and entries.dtype.kind in kinds:
-        return np.array(entries, dtype=dtype)
+    """entries, a NumPy array of a numeric dtype or nested lists of numbers
+    of dtype (_is_number), as an array of dtype, float or complex: an array
+    of dtype as it is, with no copy, and one of a real dtype, or for
+    complex of a complex one too, converted with no scan of its entries.
+    Raises error, an exception class, its message naming what, if an entry
+    is not a number of dtype (a bool, a string, None, an object, a complex
+    number where dtype is float) or the lists are ragged."""
+    if isinstance(entries, np.ndarray) and entries.dtype.kind in ("fiu" if dtype is float
+                                                                  else "fiuc"):
+        return np.asarray(entries, dtype=dtype)
     try:
         a = np.array(entries, dtype=object)
         # ragged lists leave lists as entries of the object array
-        ok = all(issubclass(t, kind) and not issubclass(t, bool)
-                 for t in set(map(type, a.ravel().tolist())))
+        ok = all(_is_number(x, dtype) for x in a.ravel().tolist())
     except ValueError:  # lists ragged below their first axis
         ok = False
     if not ok:
         raise error(f"{what} are not an array of numbers: ragged lists or an entry "
                     f"that is not a number")
-    try:
-        return a.astype(dtype)
-    except OverflowError:
-        raise NonFiniteValue(f"{what} have a non-finite entry") from None
+    return a.astype(dtype)
 
 
 class InnerProductWeights:
@@ -98,7 +119,7 @@ class InnerProductWeights:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        w = _number_array(weights, "weights", InvalidWeights)
+        w = _number_array(weights, "weights", InvalidWeights).copy()
         if not np.isfinite(w).all():
             raise NonFiniteValue("weights have a non-finite entry")
         if w.ndim != 1 or w.size == 0 or np.any(w <= 0.0):
@@ -107,13 +128,14 @@ class InnerProductWeights:
 
     @staticmethod
     def l2(dimension):
-        return InnerProductWeights(np.ones(dimension))
+        return InnerProductWeights(np.ones(_scalar(dimension, "dimension")))
 
     @staticmethod
     def energy(eigenvalues, shift):
-        if shift < 0.0:
+        if _scalar(shift, "shift", float) < 0.0:
             raise ValueError("energy shift must be nonnegative")
-        return InnerProductWeights(np.real(np.asarray(eigenvalues, dtype=complex)) + shift)
+        lam = _number_array(eigenvalues, "eigenvalues", InvalidWeights, complex)
+        return InnerProductWeights(np.real(lam) + shift)
 
 
 def _rescued(sums):
@@ -129,7 +151,7 @@ def norm(u, w):
     overflows or underflows (_rescued) is summed again scaled by its largest
     magnitude, so its norm is accurate whenever it is representable.
     """
-    u = np.asarray(u, dtype=complex)
+    u = _number_array(u, "vectors", DimensionMismatch, complex)
     if u.ndim not in (1, 2) or u.shape[-1] != w.weights.size:
         raise DimensionMismatch(f"vector of shape {u.shape} incompatible with "
                                 f"{w.weights.size} weights")

@@ -14,7 +14,6 @@ read-only arrays.
 """
 
 import functools
-import numbers
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .errors import (
     QuadratureNotConverged,
 )
 from .hilbert import (InnerProductWeights, _finite_array, _known_keys, _number_array,
-                      _pairs_to_array, _rescued, norm)
+                      _pairs_to_array, _point, _rescued, _scalar, norm)
 from .poly import ShiftedPolynomial
 
 POLE_GROUP_TOL = 1e-12
@@ -55,8 +54,8 @@ class ModalModel:
     __slots__ = ("eigenvalues", "coefficients", "weights", "poles", "residue_norms")
 
     def __init__(self, eigenvalues, coefficients, weights):
-        lam = _number_array(eigenvalues, "eigenvalues", DimensionMismatch, complex)
-        coef = _number_array(coefficients, "coefficients", DimensionMismatch, complex)
+        lam = _number_array(eigenvalues, "eigenvalues", DimensionMismatch, complex).copy()
+        coef = _number_array(coefficients, "coefficients", DimensionMismatch, complex).copy()
         if not (np.isfinite(lam).all() and np.isfinite(coef).all()):
             raise NonFiniteValue("an eigenvalue or a coefficient is not finite")
         if np.any(abs(lam.view(float)) >= COORDINATE_LIMIT):
@@ -87,15 +86,16 @@ def _close_pairs(points, tol):
 
 def build_synthetic(poles, residue_norms):
     """One-mode-per-pole fixture with real residue magnitudes and L2 weights."""
-    poles = [complex(p) for p in poles]
-    norms = [float(r) for r in residue_norms]
+    lam = _number_array(poles, "poles", DimensionMismatch, complex)
+    norms = _number_array(residue_norms, "residue norms", DimensionMismatch)
     # built first: it rejects a pole whose differences could overflow below,
     # and residue norms that are not one per pole (LengthMismatch)
-    model = ModalModel(poles, norms, InnerProductWeights.l2(len(poles)))
+    model = ModalModel(lam, norms, InnerProductWeights.l2(lam.size))
+    poles = lam.tolist()
     if pairs := _close_pairs(poles, POLE_SEPARATION):
         i, j = min(pairs)
         raise DuplicatePoles(f"poles {poles[i]} and {poles[j]} coincide")
-    if any(r <= 0.0 for r in norms):
+    if (norms <= 0.0).any():
         raise ValueError("residue norms must be positive")
     return model
 
@@ -188,13 +188,11 @@ def build_rectangle_helmholtz(
     QuadratureNotConverged unless the two agree to 1e-10 of the largest
     coefficient.
     """
-    if max_index < 4:
-        raise ValueError("max_index must be >= 4")
-    if quad_order < 20:
-        raise ValueError("quad_order must be >= 20")
-    if not 0.0 < nu_sq < np.inf:
+    _scalar(max_index, "max_index", low=4)
+    _scalar(quad_order, "quad_order", low=20)
+    if not 0.0 < _scalar(nu_sq, "nu_sq", float) < np.inf:
         raise ValueError("nu_sq must be positive and finite")
-    if not np.isfinite(theta):
+    if not np.isfinite(_scalar(theta, "theta", float)):
         raise ValueError("theta must be finite")
 
     nodes, wts = _gauss_legendre(quad_order)
@@ -247,14 +245,6 @@ def _retained_poles(model):
     return lam[starts][keep], norms[keep]
 
 
-def _point(z, what):
-    """z as a complex number; ValueError naming what it is and z unless z
-    is a number (Python's or NumPy's int, float or complex, not a bool)."""
-    if isinstance(z, bool) or not isinstance(z, numbers.Complex):
-        raise ValueError(f"{what} {z!r} is not a number")
-    return complex(z)
-
-
 def pole_list(model, z0):
     """The retained poles as a list of complex numbers sorted by distance
     from z0; ties break by (Re, Im), the order of model.poles, as the sort
@@ -299,7 +289,7 @@ def evaluate_exact_grid(model, points):
     pole, or 0 where its row is not finite, as on a dropped pole.  A row
     within 1e-12 of a pole, where evaluate_exact raises PoleEvaluation, is
     inf."""
-    points = np.asarray(points, dtype=complex)
+    points = _number_array(points, "points", DimensionMismatch, complex)
     dist = np.abs(model.poles - points[:, None]).min(axis=1, initial=np.inf)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rows = _source_over(model, model.eigenvalues - points[:, None])
@@ -317,9 +307,11 @@ def taylor_coefficients(model, z0, E):
     Where the power overflows, the coefficient is the zero it rounds to.  A
     coefficient that is itself not finite, the center being too close to an
     eigenvalue for the order, raises CenterOnPole; a center that is not
-    finite raises NonFiniteValue, and one that is not a number ValueError.
+    finite raises NonFiniteValue, and one that is not a number, or an E that
+    is not an integer >= 0, ValueError.
     """
     z0 = _point(z0, "Taylor center")
+    _scalar(E, "E", low=0)
     if not np.isfinite(z0):
         raise NonFiniteValue(f"Taylor center {z0} is not finite")
     lam, dist = _nearest_pole(model, z0)

@@ -28,14 +28,13 @@ blocks of points.
 
 import itertools
 import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from . import hilbert, numerics, poly
 from .errors import DimensionMismatch, InsufficientTaylorLength, NotNormalized, RhoOverflow
-from .modal import ModalModel, _point, taylor_coefficients
+from .modal import ModalModel, taylor_coefficients
 
 QR_DEGENERACY_THRESHOLD = 1e-14
 SCALE_EXPONENT = 400
@@ -52,20 +51,19 @@ class _BuildFields(NamedTuple):
 
 class BuildParams(_BuildFields):
     """The center, degrees, variant and rho of one approximant, checked on
-    construction (ValueError): z0 a finite number (modal._point), M, N and
-    E integers (NumPy's included, not bools), rho None or a real number; a
+    construction (ValueError): z0 a finite number, M, N and E integers,
+    rho None or a real number (hilbert._point, _scalar, _is_number); a
     NamedTuple may not define __new__ itself."""
 
     __slots__ = ()
 
     def __new__(cls, z0, M, N, E, variant="fast", rho=None):
-        z0 = _point(z0, "center z0")
+        z0 = hilbert._point(z0, "center z0")
         if not np.isfinite(z0):
             raise ValueError(f"center z0 = {z0} is not finite")
         for name, value in (("M", M), ("N", N), ("E", E)):
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} = {value!r} must be an integer")
-        if rho is not None and (not isinstance(rho, numbers.Real) or isinstance(rho, bool)):
+            hilbert._scalar(value, name)
+        if rho is not None and not hilbert._is_number(rho, float):
             raise ValueError(f"rho = {rho!r} must be None or a real number")
         if M < 0 or N < 0:
             raise ValueError("M and N must be nonnegative")
@@ -415,7 +413,9 @@ def evaluate(approx, z):
     commands, which evaluate all their approximants as one stack, write the
     bytes this gives, whatever the other points: Q(z) rounded as Horner on
     Python complex numbers, P(z) as Horner on NumPy complex arrays."""
-    points = np.asarray(z, dtype=complex)
+    points = (hilbert._number_array(z, "points", DimensionMismatch, complex)
+              if isinstance(z, (list, tuple, np.ndarray)) else
+              np.array(hilbert._point(z, "point")))
     _, [values], [qmag] = _evaluate_stack([approx], points.reshape(-1))
     return values.reshape(points.shape + values.shape[1:]), (
         float(qmag[0]) if points.ndim == 0 else qmag.reshape(points.shape))
@@ -432,10 +432,11 @@ def functional_value(Q, source, E, w=None):
     From a Taylor series: the V-norm of the top-order coefficient of Q*S.
     From a modal model: the pole/residue sum obtained by orthogonality of
     the residues.  Both agree to roundoff.  q_j pairs with the descending
-    power (z - z0)^{N-j}.  The modal route takes NumPy
-    floats, which give inf where Python's raise, and the ratio in log form
-    where a factor overflows, |Q| as twice |Q / 2|.
+    power (z - z0)^{N-j}, and E is an integer >= 0.  The modal route takes
+    NumPy floats, which give inf where Python's raise, and the ratio in log
+    form where a factor overflows, |Q| as twice |Q / 2|.
     """
+    hilbert._scalar(E, "E", low=0)
     N = Q.degree
     if isinstance(source, poly.ShiftedPolynomial):
         if w is None:
@@ -523,6 +524,6 @@ def approximant_from_json(obj):
         hilbert._require(isinstance(diag[key], bool), f"$.diagnostics.{key}",
                          "must be true or false")
     for key in ("functional_value", "condition_estimate"):  # null where one overflowed
-        hilbert._require(diag[key] is None or hilbert._is_number(diag[key]),
+        hilbert._require(diag[key] is None or hilbert._is_number(diag[key], float),
                          f"$.diagnostics.{key}", "must be a number or null")
     return PadeApproximant(num, den, params, Diagnostics(**diag))

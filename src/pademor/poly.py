@@ -17,6 +17,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ConstantPolynomial, DimensionMismatch, NonFiniteValue, ZeroPolynomial
+from .hilbert import _number_array, _point
 
 
 class ShiftedPolynomial:
@@ -24,8 +25,8 @@ class ShiftedPolynomial:
 
     def __init__(self, center, coeffs):
         # ascending in powers of (z - center), one row per power
-        self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        self.center = complex(center)
+        coeffs = _number_array(coeffs, "polynomial coefficients", DimensionMismatch, complex)
+        self.coeffs, self.center = np.atleast_1d(coeffs), _point(center, "polynomial center")
 
     @property
     def degree(self):
