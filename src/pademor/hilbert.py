@@ -8,9 +8,9 @@ json_bytes is the package's one JSON writer and _finite_array its one
 encoder of arrays: it checks them and views complex ones as [re, im] float
 pairs, which _pairs_to_array reads back.
 
-_is_number alone decides what a caller may pass as a number; the
-documented functions read their points (_point), scalars (_scalar) and
-arrays (_number_array) through it.
+_is_number alone decides what a caller may pass as a number; the package
+reads every point (_point, _points), scalar (_scalar) and array
+(_number_array) that a caller passes through it, and through nothing else.
 
 Every JSON object the package reads, a study config (harness.parse_config),
 an approximant (pade.approximant_from_json) or a model
@@ -35,6 +35,7 @@ def _require(cond, path, message):
 
 
 _KINDS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex}
+_ARRAYS = (list, tuple, np.ndarray)  # what _points reads as an array of points
 
 
 def _is_number(value, kind=complex):
@@ -90,27 +91,34 @@ def _known_keys(obj, path, keys, required=()):
         _require(key in obj, f"{path}.{key}", "missing key")
 
 
-def _number_array(entries, what, error, dtype=float):
-    """entries, a NumPy array of a numeric dtype or nested lists of numbers
-    of dtype (_is_number), as an array of dtype, float or complex: an array
-    of dtype as it is, with no copy, and one of a real dtype, or for
-    complex of a complex one too, converted with no scan of its entries.
-    Raises error, an exception class, its message naming what, if an entry
-    is not a number of dtype (a bool, a string, None, an object, a complex
-    number where dtype is float) or the lists are ragged."""
-    if isinstance(entries, np.ndarray) and entries.dtype.kind in ("fiu" if dtype is float
-                                                                  else "fiuc"):
-        return np.asarray(entries, dtype=dtype)
-    try:
-        a = np.array(entries, dtype=object)
-        # ragged lists leave lists as entries of the object array
-        ok = all(_is_number(x, dtype) for x in a.ravel().tolist())
-    except ValueError:  # lists ragged below their first axis
-        ok = False
-    if not ok:
-        raise error(f"{what} are not an array of numbers: ragged lists or an entry "
-                    f"that is not a number")
-    return a.astype(dtype)
+def _number_array(a, what, error, dtype=float, ndim=None):
+    """a, a NumPy array of a numeric dtype or nested lists of numbers of
+    dtype (_is_number), as an array of dtype, float or complex: an array of
+    dtype as it is, with no copy, and one of a real dtype, or for complex
+    of a complex one too, converted with no scan of its entries.  Raises
+    error, an exception class, its message naming what, if an entry is not
+    a number of dtype (a bool, a string, None, an object, a complex where
+    dtype is float), the lists are ragged, or the array has not ndim axes,
+    if given, and is not an empty list, the empty stack of any rank."""
+    if not isinstance(a, np.ndarray) or a.dtype.kind not in ("fiu" if dtype is float else "fiuc"):
+        try:  # ragged lists leave lists as entries, or raise below their first axis
+            a = np.array(a, dtype=object)
+            ok = all(_is_number(x, dtype) for x in a.ravel().tolist())
+        except ValueError:
+            ok = False
+        if not ok:
+            raise error(f"{what} are not an array of numbers: ragged, or an entry is not one")
+    a = np.asarray(a, dtype=dtype)
+    if ndim is not None and a.ndim != ndim and a.shape != (0,):
+        raise error(f"{what} must be a {ndim}-d array, not shape {a.shape}")
+    return a
+
+
+def _points(z):
+    """A point (_point) as a 0-d complex array, or a list, tuple or array of
+    points (_number_array) as a complex array of its shape."""
+    return (_number_array(z, "points", DimensionMismatch, complex)
+            if isinstance(z, _ARRAYS) else np.array(_point(z, "point")))
 
 
 class InnerProductWeights:
@@ -134,7 +142,7 @@ class InnerProductWeights:
     def energy(eigenvalues, shift):
         if _scalar(shift, "shift", float) < 0.0:
             raise ValueError("energy shift must be nonnegative")
-        lam = _number_array(eigenvalues, "eigenvalues", InvalidWeights, complex)
+        lam = _number_array(eigenvalues, "eigenvalues", InvalidWeights, complex, 1)
         return InnerProductWeights(np.real(lam) + shift)
 
 

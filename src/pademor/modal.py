@@ -49,13 +49,13 @@ class ModalModel:
     inner product given by weights; the retained poles and their residue
     norms (_retained_poles) are computed once, here.  The two arrays are
     copied as complex arrays (hilbert._number_array): DimensionMismatch if
-    an entry is not a number."""
+    an entry is not a number or an array is not 1-d."""
 
     __slots__ = ("eigenvalues", "coefficients", "weights", "poles", "residue_norms")
 
     def __init__(self, eigenvalues, coefficients, weights):
-        lam = _number_array(eigenvalues, "eigenvalues", DimensionMismatch, complex).copy()
-        coef = _number_array(coefficients, "coefficients", DimensionMismatch, complex).copy()
+        lam = _number_array(eigenvalues, "eigenvalues", DimensionMismatch, complex, 1).copy()
+        coef = _number_array(coefficients, "coefficients", DimensionMismatch, complex, 1).copy()
         if not (np.isfinite(lam).all() and np.isfinite(coef).all()):
             raise NonFiniteValue("an eigenvalue or a coefficient is not finite")
         if np.any(abs(lam.view(float)) >= COORDINATE_LIMIT):
@@ -86,8 +86,8 @@ def _close_pairs(points, tol):
 
 def build_synthetic(poles, residue_norms):
     """One-mode-per-pole fixture with real residue magnitudes and L2 weights."""
-    lam = _number_array(poles, "poles", DimensionMismatch, complex)
-    norms = _number_array(residue_norms, "residue norms", DimensionMismatch)
+    lam = _number_array(poles, "poles", DimensionMismatch, complex, 1)
+    norms = _number_array(residue_norms, "residue norms", DimensionMismatch, float, 1)
     # built first: it rejects a pole whose differences could overflow below,
     # and residue norms that are not one per pole (LengthMismatch)
     model = ModalModel(lam, norms, InnerProductWeights.l2(lam.size))
@@ -289,7 +289,7 @@ def evaluate_exact_grid(model, points):
     pole, or 0 where its row is not finite, as on a dropped pole.  A row
     within 1e-12 of a pole, where evaluate_exact raises PoleEvaluation, is
     inf."""
-    points = _number_array(points, "points", DimensionMismatch, complex)
+    points = _number_array(points, "points", DimensionMismatch, complex, 1)
     dist = np.abs(model.poles - points[:, None]).min(axis=1, initial=np.inf)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rows = _source_over(model, model.eigenvalues - points[:, None])

@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import (DegenerateLeadingCoefficient, DimensionMismatch, NoConvergence,
                      NonFiniteValue, NonHermitianInput)
+from .hilbert import _ARRAYS, _number_array
 
 HERMITIAN_TOL = 1e-13
 DEGENERACY_GAP = 1e-12
@@ -89,7 +90,8 @@ def _jacobi(matrices):
     Frobenius norm of each of a list of matrices of one order, by cyclic
     Jacobi on all of them in lockstep, each giving what it gives alone.
 
-    Matrices not all square of one order raise NonHermitianInput.  The
+    Matrices not all square of one order, or not a list, tuple or array,
+    raise NonHermitianInput; an empty stack is one of order 1.  The
     checks (finite, then Hermitian to HERMITIAN_TOL of the Frobenius
     norm), each sweep's convergence test and harvest are passes over the
     stack.  W stacks the [A; V] blocks not yet converged, one column
@@ -109,10 +111,10 @@ def _jacobi(matrices):
     NumPy code that the command path runs anyway, so add no pages to the
     resident peak.
     """
-    shapes = {np.shape(H) for H in matrices}
-    if len(shapes) != 1 or (s := min(shapes))[:1] * 2 != s or s < (1,):
+    shapes = {np.shape(H) for H in matrices} if isinstance(matrices, _ARRAYS) else {()}
+    if len(shapes) > 1 or (s := min(shapes, default=(1, 1)))[:1] * 2 != s or s < (1,):
         raise NonHermitianInput(f"expected square matrices of one order, not {sorted(shapes)}")
-    H, n = np.array(matrices, dtype=complex), s[0]
+    H, n = _number_array(matrices, "matrices", DimensionMismatch, complex).reshape(-1, *s), s[0]
     if not np.isfinite(H).all():
         raise NonFiniteValue("matrix has a non-finite entry")
     scales = _norms(H.reshape(-1, n * n))
@@ -178,8 +180,6 @@ def hermitian_eigensystem(matrices):
     """Full eigendecomposition (values ascending, vectors as columns, not
     phase-fixed) of each of a list of Hermitian matrices of one order
     (_jacobi): ||H v - mu v|| <= EIGEN_TOL * ||H||_F."""
-    if not len(matrices):
-        return []
     return list(zip(*_jacobi(matrices)[:2]))
 
 
@@ -195,8 +195,6 @@ def hermitian_min_eigenpair(matrices):
     one (real parts, then imaginary parts) is returned: only a degenerate
     item compares its near-minimal columns, each phase-fixed alone.
     """
-    if not len(matrices):
-        return []
     vals, vecs, scales = _jacobi(matrices)
     near = vals - vals[:, :1] < DEGENERACY_GAP * np.maximum(scales, 1e-300)[:, None]
     degenerate = near[:, 1:].any(axis=1)
@@ -209,9 +207,9 @@ def hermitian_min_eigenpair(matrices):
 
 def min_right_singular_vector(R):
     """Right-singular vector for the smallest singular value of each small
-    square factor of a (B, n, n) stack, taken as complex, as a _MinEigen
-    whose value is that singular value, by one SVD, each giving what it
-    gives alone; a non-finite entry raises NoConvergence.
+    square factor of a (B, n, n) stack, taken as complex, as a _MinEigen of
+    that value, by one SVD, each giving what it gives alone; a non-finite
+    entry, an empty factor or an overflow raises NoConvergence.
 
     Takes LAPACK's SVD of R itself, so the vector is always a minimiser of
     ||R v|| over unit v, phase-fixed.  The degenerate flag only reports a
@@ -221,12 +219,14 @@ def min_right_singular_vector(R):
     the choice.  The gap test's norms and the phase fix are row passes; the
     two squares it compares stay Python's, libm's pow, which NumPy's array
     square does not round alike."""
-    R = np.asarray(R, dtype=complex)
+    R = _number_array(R, "factors", DimensionMismatch, complex, 3)
     if not len(R):
         return []
     if not np.isfinite(R).all():
         raise NoConvergence("the factor R has a non-finite entry")
     s, Vh = np.linalg.svd(R)[1:]
+    if not s.size or not np.isfinite(s[:, 0]).all():
+        raise NoConvergence(f"a factor of shape {R.shape[1:]} has no finite singular value")
     t = s / np.where(s[:, :1] > 0.0, s[:, :1], 1.0)
     flags = [len(d) > 1 and d[0] ** 2 - d[1] ** 2 < gap for d, gap in zip(
         t[:, -2:].tolist(), (DEGENERACY_GAP * np.maximum(_norms(t**2), 1e-300)).tolist())]
@@ -257,16 +257,11 @@ def polynomial_roots(a):
     stack (DimensionMismatch), a non-finite coefficient (NonFiniteValue) or
     a vanishing leading coefficient raises before the solve; the finite,
     leading-coefficient and 2^1000 rules and the residual check are passes
-    over the stack.  An empty stack gives an empty array.
+    over a copy of the stack.  An empty stack gives an empty array.
     """
+    a = _number_array(a, "not a stack of one degree: rows", DimensionMismatch, complex, 2).copy()
     if not len(a):
         return np.zeros((0, 0), complex)
-    try:
-        a = np.array(a, dtype=complex)
-    except ValueError as exc:  # rows of unequal lengths
-        raise DimensionMismatch(f"not a stack of one degree: {exc}") from None
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a (B, n + 1) stack, not shape {a.shape}")
     if not a.size:
         raise DegenerateLeadingCoefficient("empty coefficient list")
     if not np.isfinite(a).all():

@@ -413,9 +413,7 @@ def evaluate(approx, z):
     commands, which evaluate all their approximants as one stack, write the
     bytes this gives, whatever the other points: Q(z) rounded as Horner on
     Python complex numbers, P(z) as Horner on NumPy complex arrays."""
-    points = (hilbert._number_array(z, "points", DimensionMismatch, complex)
-              if isinstance(z, (list, tuple, np.ndarray)) else
-              np.array(hilbert._point(z, "point")))
+    points = hilbert._points(z)
     _, [values], [qmag] = _evaluate_stack([approx], points.reshape(-1))
     return values.reshape(points.shape + values.shape[1:]), (
         float(qmag[0]) if points.ndim == 0 else qmag.reshape(points.shape))

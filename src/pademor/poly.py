@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ConstantPolynomial, DimensionMismatch, NonFiniteValue, ZeroPolynomial
-from .hilbert import _number_array, _point
+from .hilbert import _number_array, _point, _points
 
 
 class ShiftedPolynomial:
@@ -33,12 +33,13 @@ class ShiftedPolynomial:
         return self.coeffs.shape[0] - 1
 
     def __call__(self, z):
-        """Horner evaluation on NumPy arrays at a point, or at each of an
-        array of points: one value (a row for a vector polynomial) each, by
-        _horner on a stack of one."""
-        z = np.asarray(z, dtype=complex)
+        """Horner evaluation at a point, or at each of an array of points:
+        one value (a row for a vector polynomial) each, by _horner on a
+        stack of one, with no warning where a value overflows or is nan."""
+        z = _points(z)
         # points as an array, never a NumPy scalar, whose products round apart
-        [values] = _horner([self], z.reshape(-1) - self.center)
+        with np.errstate(over="ignore", invalid="ignore"):
+            [values] = _horner([self], z.reshape(-1) - self.center)
         return values.reshape(z.shape + self.coeffs.shape[1:])
 
 
@@ -89,9 +90,10 @@ def evaluate(ps, points):
     whatever the length or layout of the arrays: every value gives the
     bytes it gives alone.
     """
+    points = _number_array(points, "points", DimensionMismatch, complex, 1)
     if not ps:
-        return np.zeros((0, np.size(points)), complex)
-    dz = np.asarray(points, dtype=complex) - np.array([[p.center] for p in ps])
+        return np.zeros((0, points.size), complex)
+    dz = points - np.array([[p.center] for p in ps])
     dr, di = dz.real, dz.imag
     re = im = np.zeros(dz.shape)
     with np.errstate(over="ignore", invalid="ignore"):

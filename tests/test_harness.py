@@ -1095,6 +1095,19 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: cannot write output ")
 
     @pytest.mark.parametrize("cmd", ["build", "sweep", "convergence", "poles", "compare"])
+    @pytest.mark.parametrize("what", ["missing file", "directory"])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, cmd, what):
+        # open() raises FileNotFoundError or IsADirectoryError, which
+        # load_config reports as a config error naming the path
+        path = str(tmp_path / "missing.json" if what == "missing file" else tmp_path)
+        out = tmp_path / "x.out"
+        assert cli.main([cmd, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["build", "sweep", "convergence", "poles", "compare"])
     def test_study_failing_after_the_open(self, tmp_path, capsys, cmd):
         # the file the open created is removed; an earlier one keeps its
         # bytes, since the file is written only when its lines are

@@ -2,7 +2,8 @@
 as `module.name`, and those the benchmark's tracer (perfbench/tracer.py,
 only read) wraps by name.  Every other module-level function or class is
 _-prefixed, so that changing it breaks no documented call.  What a caller
-may pass as a number is decided in hilbert alone."""
+may pass as a number is decided in hilbert alone, and only hilbert turns an
+argument of a documented or traced function into an array."""
 
 import ast
 import importlib
@@ -64,3 +65,30 @@ def test_only_hilbert_decides_what_a_number_is():
                                            for n in ast.walk(node.args[1])}):
                 found.append(f"{layer}: {ast.unparse(node)}")
     assert found == ["pade: isinstance(diag[key], bool)"]
+
+
+def test_only_hilbert_turns_an_argument_into_an_array():
+    # numerics._jacobi, min_right_singular_vector and polynomial_roots,
+    # poly.evaluate and ShiftedPolynomial.__call__ each converted an
+    # argument by np.asarray or np.array(..., dtype=...) of their own, and
+    # read strings, bools and None as numbers
+    found = []
+    for layer in MODULES:
+        if layer == "hilbert":
+            continue
+        tree = ast.parse(Path(module(layer).__file__).read_text())
+        functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [(cls.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                      for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for owner, fn in functions:
+            if (layer, owner) not in WRITTEN | TRACED | {("numerics", "_jacobi")}:
+                continue
+            params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and getattr(node.func.value, "id", None) == "np" and node.args
+                        and getattr(node.args[0], "id", None) in params
+                        and (node.func.attr == "asarray" or node.func.attr == "array" and (
+                            len(node.args) > 1 or any(k.arg == "dtype" for k in node.keywords)))):
+                    found.append(f"{layer}.{owner}: {ast.unparse(node)}")
+    assert found == []
